@@ -53,8 +53,10 @@ from repro.core.counting import (
 )
 from repro.core.ecmp.countids import (
     ALL_CHANNELS_ID,
+    LINK_COUNT_ID,
     NEIGHBORS_ID,
     SUBSCRIBER_ID,
+    TREE_SIZE_ID,
     propagates_to_hosts,
 )
 from repro.core.ecmp.messages import (
@@ -79,7 +81,7 @@ from repro.core.proactive import ProactiveCounter, ToleranceCurve
 from repro.errors import ChannelError, ProtocolError
 from repro.inet.addr import parse_address
 from repro.netsim.engine import PeriodicTask
-from repro.netsim.node import Node, ProtocolAgent
+from repro.netsim.node import Interface, Node, ProtocolAgent
 from repro.netsim.packet import Packet
 from repro.netsim.trace import Counter
 from repro.obs.hooks import SPAN_HEADER
@@ -130,6 +132,22 @@ class CountPropagation(Enum):
     TREE_ONLY = "tree-only"
     ON_CHANGE = "on-change"
     PROACTIVE = "proactive"
+
+
+class Neighbor:
+    """One adjacent node as an agent's send and receive paths need it:
+    resolved once per name, so no message pays a topology lookup, an
+    interface search or an agent-registry probe."""
+
+    __slots__ = ("name", "peer", "iface", "is_host")
+
+    def __init__(self, peer: Node, iface: Interface, is_host: bool) -> None:
+        self.name = peer.name
+        self.peer = peer
+        #: The local interface facing the neighbor.
+        self.iface = iface
+        #: True when the neighbor's ECMP agent runs in the host role.
+        self.is_host = is_host
 
 
 @dataclass
@@ -322,6 +340,11 @@ class EcmpAgent(ProtocolAgent):
         self.pending_verdicts: dict[Channel, deque] = {}
         self.count_responders: dict[tuple[Channel, int], Callable[[], int]] = {}
         self.neighbor_modes: dict[str, NeighborMode] = {}
+        #: The neighbor table, filled on first use of each name (the
+        #: topology is wired and every agent registered before the first
+        #: message moves). Configuration, like ``neighbor_modes``: it
+        #: survives :meth:`lose_state`.
+        self._neighbors: dict[str, Neighbor] = {}
         self.neighbor_last_heard: dict[str, float] = {}
         #: Aggregated subscriber blocks attached at this (edge) router,
         #: keyed by pseudo-neighbor name (see repro.core.blocks), plus a
@@ -388,6 +411,9 @@ class EcmpAgent(ProtocolAgent):
         #: neighbor (the general-query response set; insertion-ordered
         #: so the indexed path replays the scan's channel order).
         self._by_upstream: dict[str, dict[Channel, None]] = {}
+        #: The last message serialized and its bytes: a message fanned
+        #: out to k neighbors is encoded once, the bytes shared.
+        self._encoded: tuple[Optional[EcmpMessage], bytes] = (None, b"")
         #: Due-deadline ring over (channel, neighbor) UDP records;
         #: router-role only (hosts run no refresh tick).
         self._refresh_ring: Optional[RefreshRing] = None
@@ -488,9 +514,23 @@ class EcmpAgent(ProtocolAgent):
     def mode_of(self, neighbor: str) -> NeighborMode:
         return self.neighbor_modes.get(neighbor, self.default_mode)
 
+    def _neighbor(self, name: str) -> Optional[Neighbor]:
+        """The neighbor-table entry for ``name``; None for anything that
+        is not an adjacent node (pseudo-neighbors, unknown names)."""
+        known = self._neighbors.get(name)
+        if known is None:
+            peer = self.routing.topo.nodes.get(name)
+            iface = self.node.interface_to(peer) if peer is not None else None
+            if iface is None:
+                return None
+            agent = peer.agents.get(PROTO_ECMP)
+            known = self._neighbors[name] = Neighbor(
+                peer, iface, isinstance(agent, EcmpAgent) and agent.role == "host"
+            )
+        return known
+
     def on_link_change(self, ifindex: int, up: bool) -> None:
-        iface = self.node.interfaces[ifindex]
-        peer = iface.link.other_end(self.node) if iface.link else None
+        peer = self.node.interfaces[ifindex].peer
         if peer is None:
             return
         if not up:
@@ -757,8 +797,7 @@ class EcmpAgent(ProtocolAgent):
                 return
         if message is None:
             return
-        iface = self.node.interfaces[ifindex]
-        peer = iface.link.other_end(self.node) if iface.link else None
+        peer = self.node.interfaces[ifindex].peer
         if peer is None:
             return
         from_name = peer.name
@@ -871,9 +910,14 @@ class EcmpAgent(ProtocolAgent):
         actually leaves. ``urgent``/``pinned`` override the defaults
         from :meth:`_batch_policy` (used by call sites that know more —
         joins are pinned, query replies are urgent).
+
+        A name that is not an adjacent node (a block pseudo-neighbor, an
+        unknown or a non-adjacent node) is sent nothing and counted
+        nowhere: ECMP is hop-by-hop, and every name this agent sends to
+        is a routing next hop or the peer a message arrived from.
         """
-        peer = self.routing.topo.nodes.get(neighbor)
-        if peer is None:
+        known = self._neighbor(neighbor)
+        if known is None:
             return
         size = IP_OVERHEAD + message.wire_size()
         self.stats.incr("msgs_tx")
@@ -898,7 +942,7 @@ class EcmpAgent(ProtocolAgent):
         if not self.batching or self.mode_of(neighbor) is not NeighborMode.TCP:
             # UDP-mode neighbors (and batching-off agents) keep the
             # one-datagram-per-message path.
-            self._transmit(message, peer, contexts=(span_ctx,))
+            self._transmit(message, known, (span_ctx,), size)
             return
         default_urgent, default_pinned = self._batch_policy(message)
         if urgent is None:
@@ -907,6 +951,13 @@ class EcmpAgent(ProtocolAgent):
             pinned = default_pinned
         queue = self._batch_queues.get(neighbor)
         if queue is None:
+            if urgent:
+                # Nothing is pending (a queue, and with it a flush timer,
+                # exists only while it holds records), so the flush would
+                # carry exactly this message: send it as that flush.
+                self._count_flush("urgent")
+                self._transmit(message, known, (span_ctx,), size)
+                return
             queue = self._batch_queues[neighbor] = DirtyChannelQueue()
         if queue.enqueue(message, pinned, span_ctx):
             # Last-writer-wins: the overwritten message never hits the wire.
@@ -948,26 +999,33 @@ class EcmpAgent(ProtocolAgent):
     def _transmit(
         self,
         message,
-        peer: Node,
+        neighbor: Neighbor,
         contexts: tuple = (),
+        size: Optional[int] = None,
     ) -> None:
         """Put one wire packet (a single message or a batch frame) on
-        the link toward ``peer``, with on-wire byte accounting."""
-        size = IP_OVERHEAD + message.wire_size()
+        the link toward ``neighbor``, with on-wire byte accounting.
+        ``size`` is the packet size when the caller already has it."""
+        if size is None:
+            size = IP_OVERHEAD + message.wire_size()
         packet = Packet(
             src=self.node.address,
-            dst=peer.address,
+            dst=neighbor.peer.address,
             proto=PROTO_ECMP,
             size=size,
             created_at=self.sim.now,
         )
         if self.wire_format:
-            packet.payload = encode_message(message)
+            last, payload = self._encoded
+            if message is not last:
+                payload = encode_message(message)
+                self._encoded = (message, payload)
+            packet.payload = payload
         else:
             packet.headers["ecmp"] = message
         # TCP mode hides loss behind retransmission; model it as
         # loss-exempt delivery (delay still applies).
-        packet.headers["reliable"] = self.mode_of(peer.name) is NeighborMode.TCP
+        packet.headers["reliable"] = self.mode_of(neighbor.name) is NeighborMode.TCP
         if isinstance(message, EcmpBatch):
             if any(ctx is not None for ctx in contexts):
                 # One span context per record, aligned by index.
@@ -978,7 +1036,13 @@ class EcmpAgent(ProtocolAgent):
         self.stats.incr("bytes_on_wire", size)
         if self._m_wire_bytes is not None:
             self._m_wire_bytes.labels(node=self.node.name, direction="tx").inc(size)
-        self.node.send_to_neighbor(packet, peer)
+        self.node.send(packet, neighbor.iface.index)
+
+    def _count_flush(self, trigger: str) -> None:
+        """Account one queue flush (or the direct send standing for one)."""
+        self.stats.incr("batch_flushes")
+        if self._m_flushes is not None:
+            self._m_flushes.labels(node=self.node.name, trigger=trigger).inc()
 
     def _flush_neighbor(self, neighbor: str, trigger: str = "timer") -> None:
         """Drain the dirty-channel queue toward ``neighbor`` as one wire
@@ -990,22 +1054,20 @@ class EcmpAgent(ProtocolAgent):
         queue = self._batch_queues.pop(neighbor, None)
         if queue is None or not queue.records:
             return
-        peer = self.routing.topo.nodes.get(neighbor)
-        if peer is None:
+        known = self._neighbor(neighbor)
+        if known is None:
             return
         records = queue.records
-        self.stats.incr("batch_flushes")
-        if self._m_flushes is not None:
-            self._m_flushes.labels(node=self.node.name, trigger=trigger).inc()
+        self._count_flush(trigger)
         if len(records) == 1:
-            self._transmit(records[0].message, peer, contexts=(records[0].span_ctx,))
+            self._transmit(records[0].message, known, contexts=(records[0].span_ctx,))
             return
         batch = EcmpBatch(messages=tuple(r.message for r in records))
         self.stats.incr("batch_records_tx", len(records))
         self.stats.incr("msgs_coalesced", len(records) - 1)
         if self._m_coalesced is not None:
             self._m_coalesced.labels(node=self.node.name).inc(len(records) - 1)
-        self._transmit(batch, peer, contexts=tuple(r.span_ctx for r in records))
+        self._transmit(batch, known, contexts=tuple(r.span_ctx for r in records))
 
     def _flush_timer_fired(self, neighbor: str) -> None:
         self._flush_events.pop(neighbor, None)
@@ -1022,13 +1084,8 @@ class EcmpAgent(ProtocolAgent):
         self._batch_queues.pop(neighbor, None)
 
     def _rtt_estimate(self, neighbor: str) -> float:
-        peer = self.routing.topo.nodes.get(neighbor)
-        if peer is None:
-            return 0.0
-        iface = self.node.interface_to(peer)
-        if iface is None or iface.link is None:
-            return 0.0
-        return 2.0 * iface.link.delay
+        known = self._neighbor(neighbor)
+        return 2.0 * known.iface.link.delay if known is not None else 0.0
 
     # ------------------------------------------------------------------
     # subscriber counts: join / leave / update (§3.2)
@@ -1096,9 +1153,7 @@ class EcmpAgent(ProtocolAgent):
             # In-flight verdict entries for this neighbor stay queued:
             # the upstream response still arrives and must pop in order.
             was_udp = state.downstream[from_name].udp
-            del state.downstream[from_name]
-            self._untrack_record(channel, from_name)
-            self._sync_fib(state)
+            self._drop_record(state, from_name)
             self._propagate(state)
             self._garbage_collect(state)
             if was_udp and from_name != LOCAL:
@@ -1157,13 +1212,14 @@ class EcmpAgent(ProtocolAgent):
             self._track_udp_record(channel, from_name, record)
 
         entry = None
+        forwards = prior_validated
         if is_join:
             record.presented_key = key
             if defer:
-                record.validated = False
+                record.validated = forwards = False
                 state.pending_key = key
             else:
-                record.validated = True
+                record.validated = forwards = True
             entry = VerdictEntry(
                 neighbor=from_name,
                 prior_count=previous,
@@ -1172,7 +1228,8 @@ class EcmpAgent(ProtocolAgent):
                 joined_count=count,
             )
 
-        self._sync_fib(state)
+        if forwards != (prior_validated and previous > 0):
+            self._set_forwarding(state, from_name, forwards)
         forwarded = self._propagate(
             state, joining_key=key if defer else None, join_entry=entry
         )
@@ -1299,50 +1356,60 @@ class EcmpAgent(ProtocolAgent):
                     event.cancel()
                     del self._proactive_checks[(channel, count_id)]
 
-    def _sync_fib(self, state: ChannelState) -> None:
-        """Mirror validated downstream neighbors into the data plane.
+    def _drop_record(self, state: ChannelState, name: str) -> None:
+        """Delete one downstream record, with every index entry and the
+        forwarding bit that stood for it."""
+        record = state.downstream.pop(name)
+        self._untrack_record(state.channel, name)
+        if record.validated and record.count > 0:
+            self._set_forwarding(state, name, False)
+
+    def _set_forwarding(self, state: ChannelState, name: str, on: bool) -> None:
+        """Mirror one downstream record's forwarding eligibility
+        (validated and count > 0), which just flipped to ``on``, into
+        the data plane: one outgoing bit set or cleared.
 
         Block pseudo-neighbors contribute no outgoing interface (their
         members sit *at* this router), but they do keep the FIB entry
         installed: a blocks-only edge router is on the tree, so matching
         packets must pass the RPF check and terminate here rather than
-        count as §3.4 no-match drops."""
+        count as §3.4 no-match drops. After every flip the entry equals
+        a from-scratch build out of the channel state (the oracle in
+        ``tests/properties/test_fib_sync_equivalence.py``)."""
+        if name in self.blocks:
+            bit = 0
+        else:
+            neighbor = self._neighbor(name)
+            if neighbor is None:
+                return  # LOCAL, or nothing a packet could be sent to
+            bit = 1 << neighbor.iface.index
         channel = state.channel
-        has_remote = False
-        has_block = False
-        for name, rec in state.downstream.items():
-            if not rec.validated or rec.count <= 0:
-                continue
-            if name == LOCAL:
-                continue
-            if name in self.blocks:
-                has_block = True
-            else:
-                has_remote = True
-        if not has_remote and not has_block:
-            self.fib.remove(channel.source, channel.group)
+        if on:
+            entry = self.fib.install(
+                channel.source, channel.group, self._rpf_ifindex(state)
+            )
+            entry.outgoing |= bit
             return
-        iif = self._rpf_ifindex(channel)
-        entry = self.fib.install(channel.source, channel.group, iif)
-        entry.incoming_interface = iif
-        entry.outgoing = 0
-        for name, rec in state.downstream.items():
-            if is_pseudo_neighbor(name) or not rec.validated or rec.count <= 0:
-                continue
-            peer = self.routing.topo.nodes.get(name)
-            iface = self.node.interface_to(peer) if peer else None
-            if iface is not None:
-                entry.add_outgoing(iface.index)
-        if entry.outgoing == 0 and not has_block:
+        entry = self.fib.get(channel.source, channel.group)
+        if entry is None:
+            return
+        entry.outgoing &= ~bit
+        if entry.outgoing == 0 and not self._has_block_members(state):
             self.fib.remove(channel.source, channel.group)
 
-    def _rpf_ifindex(self, channel: Channel) -> int:
-        upstream = self.channels[channel].upstream if channel in self.channels else None
-        if upstream is None:
-            return 0  # source's own node; emit path skips the iif check
-        peer = self.routing.topo.nodes.get(upstream)
-        iface = self.node.interface_to(peer) if peer else None
-        return iface.index if iface is not None else 0
+    def _has_block_members(self, state: ChannelState) -> bool:
+        blocks = self.blocks
+        if not blocks:
+            return False
+        return any(
+            name in blocks and rec.validated and rec.count > 0
+            for name, rec in state.downstream.items()
+        )
+
+    def _rpf_ifindex(self, state: ChannelState) -> int:
+        upstream = self._neighbor(state.upstream) if state.upstream else None
+        # 0 at the source's own node: the emit path skips the iif check.
+        return upstream.iface.index if upstream is not None else 0
 
     # ------------------------------------------------------------------
     # authentication verdicts (§3.2, §3.5)
@@ -1382,7 +1449,6 @@ class EcmpAgent(ProtocolAgent):
                 if state.pending_key == entry.presented_key:
                     state.pending_key = None
             self._confirm(state, entry.neighbor)
-            self._sync_fib(state)
             return
 
         if message.status in (
@@ -1398,19 +1464,18 @@ class EcmpAgent(ProtocolAgent):
                 # Unmatched denial (e.g. a re-homing join was refused):
                 # tear down the most recent optimistic keyless record.
                 for name in reversed(list(state.downstream)):
-                    record = state.downstream[name]
-                    if record.presented_key is None:
-                        del state.downstream[name]
-                        self._untrack_record(state.channel, name)
+                    if state.downstream[name].presented_key is None:
+                        self._drop_record(state, name)
                         self._notify_denied(state.channel, name)
                         break
-            self._sync_fib(state)
             self._garbage_collect(state)
 
     def _confirm(self, state: ChannelState, neighbor: str) -> None:
         record = state.downstream.get(neighbor)
-        if record is not None:
+        if record is not None and not record.validated:
             record.validated = True
+            if record.count > 0:
+                self._set_forwarding(state, neighbor, True)
         if neighbor == LOCAL:
             self._activate_local(state.channel)
         else:
@@ -1442,12 +1507,14 @@ class EcmpAgent(ProtocolAgent):
         if record is not None:
             rolled = record.count - (entry.joined_count - entry.prior_count)
             if rolled > 0:
+                was_forwarding = record.validated and record.count > 0
                 record.count = rolled
                 # Never revoke a validation an earlier verdict granted.
                 record.validated = record.validated or entry.prior_validated
+                if record.validated and not was_forwarding:
+                    self._set_forwarding(state, entry.neighbor, True)
             else:
-                del state.downstream[entry.neighbor]
-                self._untrack_record(state.channel, entry.neighbor)
+                self._drop_record(state, entry.neighbor)
         self._notify_denied(state.channel, entry.neighbor)
 
     def _notify_denied(self, channel: Channel, neighbor: str) -> None:
@@ -1574,18 +1641,13 @@ class EcmpAgent(ProtocolAgent):
         )
 
     def _neighbor_is_host(self, name: str) -> bool:
-        peer = self.routing.topo.nodes.get(name)
-        if peer is None:
-            return False
-        agent = peer.agents.get(PROTO_ECMP)
-        return isinstance(agent, EcmpAgent) and agent.role == "host"
+        known = self._neighbor(name)
+        return known is not None and known.is_host
 
     def _local_contribution(self, channel: Channel, count_id: int) -> int:
         """This node's own addend for a count (§3.1: hosts answer
         immediately or via the application; routers contribute
         network-layer resource counts)."""
-        from repro.core.ecmp.countids import LINK_COUNT_ID, TREE_SIZE_ID
-
         responder = self.count_responders.get((channel, count_id))
         if responder is not None:
             return int(responder())
@@ -1744,7 +1806,7 @@ class EcmpAgent(ProtocolAgent):
             timeout=self.KEEPALIVE_INTERVAL,
         )
         for iface in self.node.interfaces:
-            peer = iface.neighbor()
+            peer = iface.peer
             if peer is None or not iface.up:
                 continue
             self.stats.incr("keepalives_tx")
@@ -1753,9 +1815,7 @@ class EcmpAgent(ProtocolAgent):
         horizon = self.sim.now - self.KEEPALIVE_MISSES * self.KEEPALIVE_INTERVAL
         for name, last in list(self.neighbor_last_heard.items()):
             if last < horizon and self.mode_of(name) is NeighborMode.TCP:
-                peer = self.routing.topo.nodes.get(name)
-                iface = self.node.interface_to(peer) if peer else None
-                if iface is not None and iface.up:
+                if self._neighbor_link_up(name):
                     continue  # link is up; silence is fine (no traffic)
                 del self.neighbor_last_heard[name]
                 self._neighbor_failed(name)
@@ -1952,10 +2012,21 @@ class EcmpAgent(ProtocolAgent):
         now = self.sim.now
         touched: set[str] = set()
         bytes_before = self.stats.get("bytes_tx")
+        node_by_address = self.routing.topo.node_by_address
+        # source address -> its node and the next hop toward it: routing
+        # is fixed for the length of this call, so one resolution serves
+        # every channel of a source.
+        resolved: dict[int, tuple[Optional[Node], Optional[str]]] = {}
         for channel, state in list(self.channels.items()):
-            if self.routing.topo.node_by_address(channel.source) is self.node:
+            route = resolved.get(channel.source)
+            if route is None:
+                route = resolved[channel.source] = (
+                    node_by_address(channel.source),
+                    self._upstream_name(channel),
+                )
+            source_node, new_upstream = route
+            if source_node is self.node:
                 continue  # the source's node is the root; never re-homes
-            new_upstream = self._upstream_name(channel)
             if new_upstream == state.upstream:
                 continue
             old = state.upstream
@@ -1999,7 +2070,11 @@ class EcmpAgent(ProtocolAgent):
                     pinned=True,
                 )
                 touched.add(old)
-            self._sync_fib(state)
+            # The outgoing bits are already right; only the incoming
+            # interface follows the upstream.
+            entry = self.fib.get(channel.source, channel.group)
+            if entry is not None:
+                entry.incoming_interface = self._rpf_ifindex(state)
             self._garbage_collect(state)
         # All re-home joins toward one new parent leave as one batch
         # frame rather than waiting for the flush timer per message.
@@ -2016,6 +2091,5 @@ class EcmpAgent(ProtocolAgent):
         self.reevaluate_upstreams()
 
     def _neighbor_link_up(self, name: str) -> bool:
-        peer = self.routing.topo.nodes.get(name)
-        iface = self.node.interface_to(peer) if peer else None
-        return iface is not None and iface.up
+        known = self._neighbor(name)
+        return known is not None and known.iface.up

@@ -44,6 +44,8 @@ class Link:
         self.sim = sim
         self.iface_a = iface_a
         self.iface_b = iface_b
+        self.node_a = node_a = iface_a.node
+        self.node_b = node_b = iface_b.node
         self.delay = delay
         self.bandwidth = bandwidth
         self.loss = loss
@@ -79,14 +81,10 @@ class Link:
         self.mutator = None
         iface_a.link = self
         iface_b.link = self
-
-    @property
-    def node_a(self) -> "Node":
-        return self.iface_a.node
-
-    @property
-    def node_b(self) -> "Node":
-        return self.iface_b.node
+        iface_a.peer = node_b
+        iface_b.peer = node_a
+        node_a.adjacent.setdefault(node_b, iface_a)
+        node_b.adjacent.setdefault(node_a, iface_b)
 
     def other_end(self, node: "Node") -> "Node":
         if node is self.node_a:

@@ -32,6 +32,8 @@ class Interface:
         self.node = node
         self.index = index
         self.link: Optional["Link"] = None
+        #: The node on the far side of the link (set by ``Link``).
+        self.peer: Optional["Node"] = None
         self.tx_packets = 0
         self.tx_bytes = 0
         self.rx_packets = 0
@@ -43,9 +45,7 @@ class Interface:
 
     def neighbor(self) -> Optional["Node"]:
         """The node on the far side of this interface's link."""
-        if self.link is None:
-            return None
-        return self.link.other_end(self.node)
+        return self.peer
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         peer = self.neighbor()
@@ -83,6 +83,10 @@ class Node:
         self.name = name
         self.address = address
         self.interfaces: list[Interface] = []
+        #: Adjacency index, peer node -> the local interface facing it.
+        #: Maintained by ``Link``; of parallel links to one peer the
+        #: first wired (lowest interface index) is the one recorded.
+        self.adjacent: dict["Node", Interface] = {}
         self.agents: dict[str, ProtocolAgent] = {}
         self.dropped_packets = 0
         self.unmatched_packets = 0
@@ -108,10 +112,7 @@ class Node:
 
     def interface_to(self, neighbor: "Node") -> Optional[Interface]:
         """The local interface whose link leads to ``neighbor``."""
-        for iface in self.interfaces:
-            if iface.neighbor() is neighbor:
-                return iface
-        return None
+        return self.adjacent.get(neighbor)
 
     def register_agent(self, proto: str, agent: ProtocolAgent) -> None:
         if proto in self.agents:

@@ -60,15 +60,20 @@ class FibEntry:
     _oif_list = None
 
     def __setattr__(self, name: str, value) -> None:
-        object.__setattr__(self, name, value)
         # Catch *every* mutation path — the protocol layer assigns
-        # ``entry.outgoing = 0`` / ``entry.incoming_interface = iif``
-        # directly when re-syncing, not only via the bitmap helpers.
+        # ``entry.outgoing`` / ``entry.incoming_interface`` directly,
+        # not only via the bitmap helpers. A write that leaves the
+        # value as it was changes no lookup result and keeps the cache.
         if name == "outgoing" or name == "incoming_interface":
+            if self.__dict__.get(name) == value:
+                return
+            object.__setattr__(self, name, value)
             object.__setattr__(self, "_oif_list", None)
             owner = self._owner
             if owner is not None:
                 owner._invalidate_lookups()
+        else:
+            object.__setattr__(self, name, value)
 
     def __post_init__(self) -> None:
         if not 0 <= self.source <= 0xFFFFFFFF:
@@ -181,8 +186,11 @@ class MulticastFib:
         #: (source, dest, iif) -> ("ok" | "no_match" | "iif", oif list)
         self._lookup_cache: dict[tuple[int, int, int], tuple[str, list[int]]] = {}
         self.lookup_cache_hits = 0
+        #: Table or entry mutations that dropped the interned lookups.
+        self.invalidations = 0
 
     def _invalidate_lookups(self) -> None:
+        self.invalidations += 1
         if self._lookup_cache:
             self._lookup_cache.clear()
 

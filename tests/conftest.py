@@ -40,6 +40,16 @@ def isp_net():
     return net
 
 
+def scan_interface_to(node, peer):
+    """``node.interface_to(peer)`` as a walk over the interfaces: the
+    reference the adjacency index (and everything resolved through it)
+    is compared against."""
+    for iface in node.interfaces:
+        if iface.link is not None and iface.link.other_end(node) is peer:
+            return iface
+    return None
+
+
 def make_channel(net: ExpressNetwork, source_host: str) -> tuple[SourceHandle, Channel]:
     """Allocate a fresh channel for ``source_host``."""
     handle = net.source(source_host)

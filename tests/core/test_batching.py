@@ -204,6 +204,123 @@ class TestCoalescingSendPath:
         assert agent.stats.get("bytes_on_wire") == IP_OVERHEAD + message.wire_size()
 
 
+class TestDirectUrgentSend:
+    """An urgent message toward a neighbor with nothing pending skips
+    the queue object; it must be indistinguishable, in accounting and on
+    the wire, from the one-record flush it stands for."""
+
+    ACCOUNTED = ("msgs_tx", "bytes_tx", "batch_flushes", "wire_sends", "bytes_on_wire")
+
+    def wired_net(self):
+        topo = TopologyBuilder.line(2)
+        topo.add_node("hsrc")
+        topo.add_link("hsrc", "n0", delay=0.001)
+        net = ExpressNetwork(topo, hosts=["hsrc"], wire_format=True)
+        net.run(until=0.01)
+        frames = []
+        link = net.topo.link_between("n0", "n1")
+        transmit = link.transmit
+
+        def tap(sender, packet):
+            frames.append((packet.payload, packet.size, dict(packet.headers)))
+            transmit(sender, packet)
+
+        link.transmit = tap
+        return net, net.ecmp_agents["n0"], frames
+
+    def sent(self, agent) -> dict:
+        return {name: agent.stats.get(name) for name in self.ACCOUNTED}
+
+    def test_direct_send_matches_queued_single_record_flush(self):
+        net, direct, direct_frames = self.wired_net()
+        src, ch = make_channel(net, "hsrc")
+        query = CountQuery(channel=ch, count_id=SUBSCRIBER_ID, timeout=5.0)
+        direct._send_message(query, "n1")
+        assert "n1" not in direct._batch_queues
+        assert "n1" not in direct._flush_events
+
+        # The same message held back, so a record is pending and the
+        # flush takes the queue.
+        net, queued, queued_frames = self.wired_net()
+        src, ch = make_channel(net, "hsrc")
+        query = CountQuery(channel=ch, count_id=SUBSCRIBER_ID, timeout=5.0)
+        queued._send_message(query, "n1", urgent=False)
+        assert len(queued._batch_queues["n1"]) == 1 and queued_frames == []
+        queued._flush_neighbor("n1", trigger="urgent")
+
+        assert self.sent(direct) == self.sent(queued)
+        assert direct.stats.get("batch_flushes") == 1
+        assert direct_frames == queued_frames
+        assert len(direct_frames) == 1
+
+    def test_pending_record_still_takes_the_queue(self):
+        net, agent, frames = self.wired_net()
+        src, ch = make_channel(net, "hsrc")
+        pending = Count(channel=ch, count_id=SUBSCRIBER_ID, count=2)
+        query = CountQuery(channel=ch, count_id=SUBSCRIBER_ID, timeout=5.0)
+        agent._send_message(pending, "n1")
+        agent._send_message(query, "n1")
+        # One frame, the pending Count ahead of the urgent query.
+        assert [payload for payload, _, _ in frames] == [encode_batch([pending, query])]
+        assert agent.stats.get("batch_flushes") == 1
+        assert agent.stats.get("wire_sends") == 1
+        assert agent.stats.get("batch_records_tx") == 2
+        assert "n1" not in agent._batch_queues and "n1" not in agent._flush_events
+
+    def test_non_adjacent_name_is_sent_and_counted_nowhere(self):
+        """ECMP is hop-by-hop: a node that exists but is not adjacent is
+        treated like an unknown name, before any accounting."""
+        net, _, frames = self.wired_net()
+        agent = net.ecmp_agents["n1"]  # hsrc is two hops away
+        src, ch = make_channel(net, "hsrc")
+        before = self.sent(agent)
+        dropped = agent.node.dropped_packets
+        query = CountQuery(channel=ch, count_id=SUBSCRIBER_ID, timeout=5.0)
+        for name in ("hsrc", "nowhere"):
+            agent._send_message(query, name)
+            agent._send_message(query, name, urgent=False)
+        assert self.sent(agent) == before and frames == []
+        assert agent.node.dropped_packets == dropped
+        assert not agent._batch_queues and not agent._flush_events
+
+    def test_fanned_out_query_is_encoded_once(self, monkeypatch):
+        """One CountQuery forwarded to k downstream neighbors is k
+        packets sharing one encoding."""
+        from repro.core.ecmp import protocol
+
+        topo = TopologyBuilder.star(4)
+        net = ExpressNetwork(
+            topo, hosts=[f"leaf{i}" for i in range(4)], wire_format=True
+        )
+        net.run(until=0.01)
+        src, ch = make_channel(net, "leaf0")
+        for i in (1, 2, 3):
+            net.host(f"leaf{i}").subscribe(ch)
+        net.settle()
+
+        hub = net.ecmp_agents["hub"]
+        encoded = []
+        encode = protocol.encode_message
+        monkeypatch.setattr(
+            protocol, "encode_message", lambda m: encoded.append(m) or encode(m)
+        )
+        payloads = []
+        for link in net.topo.links:
+            transmit = link.transmit
+
+            def tap(sender, packet, transmit=transmit):
+                if sender is hub.node:
+                    payloads.append(packet.payload)
+                transmit(sender, packet)
+
+            link.transmit = tap
+        result = hub.count_query(ch, SUBSCRIBER_ID, timeout=5.0)
+        assert len(payloads) == 3 and len(encoded) == 1
+        assert payloads[0] is payloads[1] is payloads[2]
+        net.settle(6.0)
+        assert result.count == 3 and not result.partial
+
+
 class TestMutatedFrameDecoding:
     """Satellite regression (fault-injection work): a ``MSG_BATCH``
     frame mangled on the wire — duplicated then truncated, torn
@@ -333,9 +450,9 @@ class TestReconnectResend:
         sent = []
         original = n1._transmit
 
-        def spy(message, peer, contexts=()):
+        def spy(message, peer, *args, **kwargs):
             sent.append((message, peer.name))
-            return original(message, peer, contexts)
+            return original(message, peer, *args, **kwargs)
 
         n1._transmit = spy
         link.recover()

@@ -5,6 +5,7 @@ import pytest
 
 from repro import SUBSCRIBER_ID
 from repro.core.ecmp.countids import APPLICATION_RANGE, LINK_COUNT_ID, TREE_SIZE_ID
+from repro.core.ecmp.state import StateBank
 from tests.conftest import make_channel
 
 VOTE_ID = APPLICATION_RANGE.start + 7
@@ -153,6 +154,45 @@ class TestApplicationCounts:
         r2 = src.count_query(ch, VOTE_ID, timeout=5.0)
         net.settle(6.0)
         assert r1.count == 1 and r2.count == 1
+
+
+class TestPollIsARead:
+    def test_poll_over_settled_tree_writes_no_fib_and_allocates_no_rows(
+        self, isp_net, monkeypatch
+    ):
+        """A CountQuery resolves without touching forwarding state: the
+        subscriber Counts that answer it repeat what every router
+        already holds, so no FIB is invalidated (each router's interned
+        lookups survive the poll) and no downstream record is created."""
+        net = isp_net
+        src, ch = make_channel(net, "h0_0_0")
+        votes = {"h1_0_0": 1, "h1_1_0": 0, "h2_0_0": 1, "h2_1_0": 1, "h0_1_1": 1}
+        for member, vote in votes.items():
+            host = net.host(member)
+            host.subscribe(ch)
+            host.respond_to_count(ch, VOTE_ID, lambda v=vote: v)
+        net.settle()
+        src.send(ch)  # warm every on-tree router's lookup cache
+        net.settle()
+
+        allocs = []
+        alloc = StateBank.alloc
+        monkeypatch.setattr(
+            StateBank, "alloc", lambda bank: allocs.append(1) or alloc(bank)
+        )
+        invalidations = {n: fib.invalidations for n, fib in net.fibs.items()}
+        cached = {n: dict(fib._lookup_cache) for n, fib in net.fibs.items()}
+        assert any(cached.values())
+
+        subscribers = src.count_query(ch, SUBSCRIBER_ID, timeout=5.0)
+        tally = src.count_query(ch, VOTE_ID, timeout=5.0)
+        net.settle(6.0)
+
+        assert subscribers.count == len(votes) and not subscribers.partial
+        assert tally.count == sum(votes.values()) and not tally.partial
+        assert {n: fib.invalidations for n, fib in net.fibs.items()} == invalidations
+        assert {n: dict(fib._lookup_cache) for n, fib in net.fibs.items()} == cached
+        assert allocs == []
 
 
 class TestQueryResult:

@@ -7,6 +7,8 @@ from repro.netsim.engine import Simulator
 from repro.netsim.link import Link
 from repro.netsim.node import MAX_INTERFACES, Node, ProtocolAgent
 from repro.netsim.packet import Packet
+from repro.netsim.topology import TopologyBuilder
+from tests.conftest import scan_interface_to
 
 
 class Sink(ProtocolAgent):
@@ -177,3 +179,41 @@ class TestNode:
         assert a.neighbors() == [b]
         assert a.interface_to(b).index == 0
         assert a.interface_to(a) is None
+
+
+class TestAdjacencyIndex:
+    def assert_index_agrees(self, topo):
+        nodes = list(topo.nodes.values())
+        for node in nodes:
+            for peer in nodes:
+                assert node.interface_to(peer) is scan_interface_to(node, peer)
+            for iface in node.interfaces:
+                assert iface.peer is iface.link.other_end(node)
+                assert iface.neighbor() is iface.peer
+
+    def test_index_agrees_with_scan_across_failures(self):
+        topo = TopologyBuilder.isp(8, 4, 4)
+        self.assert_index_agrees(topo)
+        for link in topo.links[::3]:
+            link.fail()
+        self.assert_index_agrees(topo)
+        for link in topo.links:
+            link.recover()
+        self.assert_index_agrees(topo)
+
+    def test_link_between_finds_every_link(self):
+        topo = TopologyBuilder.isp(8, 4, 4)
+        for link in topo.links:
+            a, b = link.node_a.name, link.node_b.name
+            assert topo.link_between(a, b) is link
+            assert topo.link_between(b, a) is link
+        assert topo.link_between("t0", "h7_3_3") is None
+
+    def test_duplicate_link_refused(self):
+        topo = TopologyBuilder.line(2)
+        with pytest.raises(TopologyError):
+            topo.add_link("n0", "n1")
+        with pytest.raises(TopologyError):
+            topo.add_link("n1", "n0")
+        assert len(topo.links) == 1
+        assert len(topo.node("n0").interfaces) == 1

@@ -97,6 +97,31 @@ class TestInvalidation:
         assert fib.lookup(S, E, 1) == []
         assert fib.iif_drops == 2
 
+    def test_unchanged_writes_keep_the_cache(self):
+        fib = _fib_with_entry(iif=1, oifs=(2, 3))
+        first = fib.lookup(S, E, 1)
+        entry = fib.get(S, E)
+        before = fib.invalidations
+        entry.incoming_interface = 1
+        entry.outgoing = 0b1100
+        entry.add_outgoing(3)
+        entry.remove_outgoing(7)
+        assert fib.invalidations == before
+        assert fib.lookup(S, E, 1) is first
+        entry.add_outgoing(7)
+        assert fib.invalidations == before + 1
+        assert fib.lookup(S, E, 1) == [2, 3, 7]
+
+    def test_invalidations_count_table_and_entry_mutations(self):
+        fib = MulticastFib()
+        entry = fib.install(S, E, incoming_interface=1)  # 1: new entry
+        assert fib.install(S, E, incoming_interface=1) is entry  # existing: none
+        entry.outgoing = 0b100  # 2
+        entry.incoming_interface = 2  # 3
+        fib.remove(S, E)  # 4
+        assert not fib.remove(S, E)  # nothing there: none
+        assert fib.invalidations == 4
+
     def test_removed_entry_no_longer_touches_the_fib(self):
         fib = _fib_with_entry()
         entry = fib.get(S, E)
