@@ -165,7 +165,7 @@ class SubscriberBlock:
         """A cached, bound ``join(channel, 1)`` callable for bulk
         scheduling. Carries the batch metadata (``batch_group``/
         ``batch_delta``) the engine's batch slot dispatcher reads, so a
-        wheel slot full of these ops collapses into one arithmetic
+        run of these ops in a wheel slot collapses into one arithmetic
         update per (block, channel) — see ``Simulator._batch_slot``."""
         op = self._ops.get((channel, 1))
         if op is None:
@@ -239,10 +239,10 @@ class BlockOp:
 
     Calling the op performs exactly ``block.join(channel, 1)`` (or
     ``leave``) — the per-event fallback path. The two extra attributes
-    are the batch protocol the engine's clean-slot dispatcher speaks:
+    are the batch protocol the engine's batch slot dispatcher speaks:
     ``batch_group`` names the state this op touches (one group per
     (block, channel)) and ``batch_delta`` its member-count delta, so a
-    whole wheel slot of these ops folds into one aggregate update per
+    whole run of these ops folds into one aggregate update per
     group when the group admits it (see
     :meth:`BlockChannelGroup.can_batch`).
     """
@@ -269,7 +269,8 @@ class BlockOp:
 class BlockChannelGroup:
     """Batch-application target for one (block, channel) pair.
 
-    The engine hands a clean wheel slot's ops to their groups as
+    The engine hands a run of a wheel slot's ops (the whole slot, or
+    what lies between two ordinary events in it) to their groups as
     aggregates; each group decides *admission* (is folding this batch
     into one arithmetic update indistinguishable from per-event
     dispatch?) and, on an all-groups-yes, applies the fold.

@@ -5,11 +5,13 @@ op materialises an ``Event``, dispatches it once, and drops it — a
 quarter-microsecond of allocator and GC traffic per event that dwarfs
 the few field writes the event actually needs. The native core breaks
 the treadmill twice over. On the timer wheel, ``schedule_bulk`` keeps
-*pure* buckets of the caller's own ``(time, action)`` tuples and most
-slots batch-dispatch without any ``Event`` ever existing (see
-``docs/performance.md``). Where real events *are* still needed — the
-heap scheduler (the equivalence oracle), and pure buckets touched by
-an insert/cancel/profiled run, which must materialize into sorted
+*pure* buckets of the caller's own ``(time, action)`` tuples and
+dispatches them — batched, or one by one — without any ``Event`` ever
+existing (see ``docs/performance.md``). Where real events *are* still
+needed — the heap scheduler (the equivalence oracle), bulk items beyond
+the wheel horizon, and pure slots that need per-event dispatch (a
+profiled or listened-to run, ``max_events``, a run bound inside the
+slot), which materialize into sorted
 events — those events are marked *pooled* (the caller never receives
 a reference, so no handle can outlive dispatch) and the engine returns
 them here after they fire. The next materialization resets the

@@ -38,7 +38,8 @@ from __future__ import annotations
 import hashlib
 import heapq
 import random
-from bisect import insort
+from bisect import bisect_left, bisect_right, insort
+from collections import Counter
 from dataclasses import dataclass, field
 from operator import attrgetter, itemgetter
 from time import perf_counter
@@ -71,6 +72,26 @@ _EVENT_KEY = attrgetter("time", "seq")
 
 #: Time key for bulk-item scans (e.g. the atomic past-time prescan).
 _ITEM_TIME = itemgetter(0)
+
+#: Action of a bulk ``(time, action)`` item (per-run tallies).
+_ITEM_ACTION = itemgetter(1)
+
+
+def _run_tally(run: list) -> dict:
+    """``{action: [count, t_last]}`` over a time-sorted run of bulk
+    ``(time, action)`` tuples. Counting runs in C; each action's last
+    op is found by walking back from the end, which stops within a few
+    entries when the actions interleave."""
+    counts = Counter(map(_ITEM_ACTION, run))
+    tally: dict = {}
+    missing = len(counts)
+    for time, action in reversed(run):
+        if action not in tally:
+            tally[action] = [counts[action], time]
+            missing -= 1
+            if not missing:
+                break
+    return tally
 
 
 @dataclass(order=True, slots=True)
@@ -126,10 +147,10 @@ class Event:
 
 
 #: Sentinel returned by ``TimerWheel.advance(..., allow_pure=True)``
-#: when the slot it just opened is *pure* — held as lazy bulk tuples,
-#: not Events. Only the fast dispatch loop asks for it (to attempt a
-#: batch drain before paying materialization); every other caller gets
-#: pure slots resolved transparently.
+#: when the open slot is *pure* — it still holds lazy bulk tuples
+#: beside its Events. Only the fast dispatch loop asks for it (to run
+#: the segmented batch dispatcher before paying materialization); every
+#: other caller gets pure slots resolved transparently.
 _PURE_SLOT = Event(0.0, -1, lambda: None, "__pure_slot__")
 
 
@@ -153,16 +174,18 @@ class TimerWheel:
 
     **Pure buckets.** On a native-mode simulator, ``schedule_bulk``
     stores in-horizon entries as references to the caller's raw
-    ``(time, action)`` tuples instead of :class:`Event` objects; a
-    bucket holding only such tuples is *pure* and carries side metadata
-    ``[name, base_seq, tally]`` in ``_bucket_meta[index]`` (the tally —
-    ``{action: [count, t_last]}`` — is built during the bulk scan, so
-    the batch dispatcher consumes a pure slot in O(distinct actions)
-    without touching the entries again). Pure entries are unreachable
-    outside the engine (bulk scheduling returns a count), hence
-    uncancellable. Every other insert path first *materializes* a pure
-    bucket back into Events, so the two representations never mix in
-    one bucket.
+    ``(time, action)`` tuples instead of :class:`Event` objects. They
+    sit *beside* the bucket's Event list, in ``_bucket_meta[index]`` =
+    ``[name, base_seq, tally, tuples]``, and a bucket with such a
+    record is *pure*. The tally — ``{action: [count, t_last]}`` — is
+    built during the bulk scan, so the batch dispatcher consumes an
+    undisturbed pure slot in O(distinct actions) without touching the
+    entries again. Pure entries are unreachable outside the engine
+    (bulk scheduling returns a count), hence uncancellable. Every
+    ordinary insert path appends its Event to the bucket's Event list
+    whether or not the bucket is pure; the Events of a pure bucket are
+    its *strangers*, and the batch dispatcher cuts the tuples into runs
+    around them (see ``Simulator._batch_slot``).
     """
 
     __slots__ = (
@@ -176,8 +199,8 @@ class TimerWheel:
         "_cursor",
         "_open",
         "_open_pos",
-        "_open_pure",
         "_open_meta",
+        "_open_lazy",
         "_bucket_meta",
         "slots_scanned",
         "cascades",
@@ -205,24 +228,27 @@ class TimerWheel:
         self._bucket_entries = 0
         self._overflow: list[tuple[float, int, Event]] = []
         self._cursor = 0
-        self._open: list = []
+        self._open: list[Event] = []
         self._open_pos = 0
-        #: True while the open slot is *pure* — still held as lazy bulk
-        #: tuples. Resolved (materialized into sorted Events) before any
-        #: per-event consumption; the batch dispatcher engages first.
-        self._open_pure = False
-        #: Metadata of the pure open slot: ``[name, base_seq, tally]``
-        #: moved out of ``_bucket_meta`` when the slot opened.
+        #: Metadata of a *pure* open slot — ``[name, base_seq, tally,
+        #: tuples]``, moved out of ``_bucket_meta`` when the slot opened
+        #: — or None. While it is set, the slot's pending content is
+        #: the merge of ``_open[_open_pos:]`` (its strangers, sorted)
+        #: and the last ``_open_lazy`` tuples. Only the segmented batch
+        #: dispatcher consumes that form; every per-event reader
+        #: resolves it into sorted Events first.
         self._open_meta: Optional[list] = None
-        #: Per-bucket purity marker: non-None ⇔ the bucket holds only
-        #: lazy ``(time, action)`` bulk tuples, and the entry is their
-        #: ``[name, base_seq, tally]`` metadata. ``base_seq`` is the seq
-        #: of the bucket's first entry (entries are seq-consecutive in
+        #: Lazy tuples of the open slot not yet dispatched (0 unless
+        #: the open slot is pure).
+        self._open_lazy = 0
+        #: Per-bucket purity marker: non-None ⇔ the bucket holds lazy
+        #: ``(time, action)`` bulk tuples beside its Events, and the
+        #: entry is ``[name, base_seq, tally, tuples]``. ``base_seq`` is
+        #: the seq of ``tuples[0]`` (the tuples are seq-consecutive in
         #: list order); ``tally`` maps action -> ``[count, t_last]`` and
-        #: is built during the bulk scan so batch dispatch never has to
-        #: walk the entries. Every empty-to-non-empty bucket transition
-        #: writes this slot (bulk fill sets metadata, everything else
-        #: leaves it None by materializing first).
+        #: is built during the bulk scan so an undisturbed slot is
+        #: batched without walking the tuples (None once the tuples
+        #: have been time-sorted for segmented dispatch).
         self._bucket_meta: list = [None] * num_slots
         self.slots_scanned = 0
         self.cascades = 0
@@ -233,6 +259,7 @@ class TimerWheel:
         """Total entries held (live + not-yet-skipped cancelled)."""
         return (
             len(self._open) - self._open_pos
+            + self._open_lazy
             + self._bucket_entries
             + len(self._overflow)
         )
@@ -243,15 +270,10 @@ class TimerWheel:
         if slot <= cursor:
             # Lands in (or before) the open slot. Its time is >= now,
             # so bisecting after the consumed prefix preserves order.
-            if self._open_pure:
-                self._resolve_open()
             insort(self._open, event, lo=self._open_pos, key=_EVENT_KEY)
             self.wheel_inserts += 1
         elif slot < cursor + self.num_slots:
-            index = slot % self.num_slots
-            if self._bucket_meta[index] is not None:
-                self._materialize_bucket(index)
-            self._buckets[index].append(event)
+            self._buckets[slot % self.num_slots].append(event)
             self._bucket_entries += 1
             self.wheel_inserts += 1
         else:
@@ -271,61 +293,34 @@ class TimerWheel:
             self.cascades += 1
             slot = int(event.time * scale)
             if slot <= cursor:
-                if self._open_pure:
-                    self._resolve_open()
                 insort(self._open, event, lo=self._open_pos, key=_EVENT_KEY)
             else:
-                index = slot % self.num_slots
-                if self._bucket_meta[index] is not None:
-                    self._materialize_bucket(index)
-                self._buckets[index].append(event)
+                self._buckets[slot % self.num_slots].append(event)
                 self._bucket_entries += 1
 
-    def _materialize(self, entries: list, meta: list) -> list[Event]:
-        """Turn lazy ``(time, action)`` bulk tuples into real (pooled
-        where possible) Events, assigning the seqs reserved for them:
-        ``meta[1] + i`` for the entry at position ``i``. Order is
-        preserved; callers sort if they need to."""
-        sim = self.sim
-        arena = sim._arena
-        pooled = arena is not None
-        name = meta[0]
-        seq = meta[1] - 1
-        events: list[Event] = []
-        append = events.append
-        for time, action in entries:
-            seq += 1
-            event = arena.acquire() if pooled else None
-            if event is not None:
-                event.gen += 1
-                event.time = time
-                event.seq = seq
-                event.action = action
-                event.name = name
-                event.cancelled = False
-                event.owner = sim
-                event._in_queue = True
-                event.pooled = True
-            else:
-                event = Event(time, seq, action, name, False, sim, True, 0, pooled)
-            append(event)
-        return events
-
     def _resolve_open(self) -> None:
-        """Materialize a pure open slot into sorted Events (the batch
-        dispatcher declined, or a caller needs per-event access)."""
-        events = self._materialize(self._open, self._open_meta)
-        events.sort(key=_EVENT_KEY)
-        self._open = events
-        self._open_pure = False
+        """Turn what is left of a pure open slot into sorted Events:
+        the pending lazy tuples become real (pooled where possible)
+        Events and are merged with the pending strangers. Taken when
+        the batch dispatcher declines the slot or a caller needs
+        per-event access."""
+        name, base_seq, _, tuples = self._open_meta
+        first = len(tuples) - self._open_lazy
+        bulk_event = self.sim._bulk_event
+        open_ = self._open
+        pos = self._open_pos
+        pending = open_[pos:]
+        # Position i carries seq base_seq + i. A time sort (segmented
+        # dispatch) keeps that numbering faithful to (time, seq) order.
+        pending.extend(
+            bulk_event(time, seq, action, name)
+            for seq, (time, action) in enumerate(tuples[first:], base_seq + first)
+        )
+        pending.sort(key=_EVENT_KEY)
+        # In place: the consumed prefix stays for end-of-slot recycling.
+        open_[pos:] = pending
         self._open_meta = None
-
-    def _materialize_bucket(self, index: int) -> None:
-        """Materialize a pure bucket in place (unsorted — the slot sort
-        at open handles ordering) so an Event can be appended to it."""
-        meta = self._bucket_meta[index]
-        self._bucket_meta[index] = None
-        self._buckets[index] = self._materialize(self._buckets[index], meta)
+        self._open_lazy = 0
 
     def advance(
         self, limit_slot: Optional[int] = None, allow_pure: bool = False
@@ -347,14 +342,14 @@ class TimerWheel:
         at or before ``until`` always sit at or before its slot, so the
         bound never hides a due event.
 
-        With ``allow_pure=True`` (the fast dispatch loop), opening a
-        pure bucket returns the ``_PURE_SLOT`` sentinel instead of
-        materializing it — the caller must either batch-drain the slot
-        or call :meth:`advance` again (which resolves it). All other
-        callers get pure slots resolved transparently.
+        With ``allow_pure=True`` (the fast dispatch loop), a pure open
+        slot returns the ``_PURE_SLOT`` sentinel instead of being
+        materialized — the caller must either run the batch dispatcher
+        over the slot or call :meth:`advance` again (which resolves
+        it). All other callers get pure slots resolved transparently.
         """
         sim = self.sim
-        if self._open_pure:
+        if self._open_meta is not None:
             if allow_pure:
                 return _PURE_SLOT
             self._resolve_open()
@@ -373,8 +368,9 @@ class TimerWheel:
             if size:
                 # Slot fully consumed: every entry was dispatched or
                 # cancel-skipped, so dispatched pooled events can go
-                # back to the arena (slots the batch dispatcher took
-                # never reach here — it consumes tuples, not Events).
+                # back to the arena (the strangers of a slot the batch
+                # dispatcher took included; its tuples never were
+                # Events).
                 arena = sim._arena
                 if arena is not None:
                     recycled = [event for event in open_ if event.pooled]
@@ -402,19 +398,17 @@ class TimerWheel:
             if bucket:
                 self._bucket_entries -= len(bucket)
                 self._buckets[index] = []
-                meta = self._bucket_meta[index]
-                if meta is not None:
-                    self._bucket_meta[index] = None
-                    self._open = bucket
-                    self._open_pos = 0
-                    self._open_pure = True
-                    self._open_meta = meta
-                    if allow_pure:
-                        return _PURE_SLOT
-                    self._resolve_open()
-                    continue
                 bucket.sort(key=_EVENT_KEY)
                 self._open = bucket
+            meta = self._bucket_meta[index]
+            if meta is not None:
+                self._bucket_meta[index] = None
+                self._open_meta = meta
+                self._open_lazy = lazy = len(meta[3])
+                self._bucket_entries -= lazy
+                if allow_pure:
+                    return _PURE_SLOT
+                self._resolve_open()
 
     def consume(self) -> None:
         """Remove the event the last :meth:`advance` returned."""
@@ -426,11 +420,11 @@ class TimerWheel:
         :meth:`advance` positions the cursor on the first live event
         (resolving a pure open slot and skipping cancelled entries);
         the remainder of the open slot is already time-sorted. Forward
-        buckets are scanned in slot order — pure buckets hold raw
-        ``(time, action)`` tuples, materialized ones hold Events with
-        possible cancellations — and because slots partition time
-        monotonically the scan stops at the first slot boundary with k
-        candidates collected. The overflow heap only matters if the
+        buckets are scanned in slot order — Events with possible
+        cancellations, plus the raw ``(time, action)`` tuples of a pure
+        bucket — and because slots partition time monotonically the
+        scan stops at the first slot boundary with k candidates
+        collected. The overflow heap only matters if the
         in-horizon buckets run dry first: post-cascade, every overflow
         time is at or past the wheel horizon, hence after every bucket
         time.
@@ -449,13 +443,10 @@ class TimerWheel:
             if len(out) >= k:
                 return out[:k]
             index = slot % self.num_slots
-            bucket = self._buckets[index]
-            if not bucket:
-                continue
-            if metas[index] is not None:
-                times = [entry[0] for entry in bucket]
-            else:
-                times = [e.time for e in bucket if not e.cancelled]
+            times = [e.time for e in self._buckets[index] if not e.cancelled]
+            meta = metas[index]
+            if meta is not None:
+                times.extend(map(_ITEM_TIME, meta[3]))
             times.sort()
             out.extend(times)
         if len(out) < k and self._overflow:
@@ -473,25 +464,21 @@ class TimerWheel:
 
     def compact(self) -> None:
         """Drop cancelled entries everywhere (wheel analogue of the
-        heap's :meth:`Simulator._compact`). Pure storage is skipped
-        outright: lazy bulk tuples are unreachable, so none can be
-        cancelled."""
-        if not self._open_pure:
-            live_open = []
-            for event in self._open[self._open_pos :]:
-                if event.cancelled:
-                    event._in_queue = False
-                else:
-                    live_open.append(event)
-            self._open = live_open
-            self._open_pos = 0
-        self._bucket_entries = 0
-        metas = self._bucket_meta
+        heap's :meth:`Simulator._compact`). Lazy bulk tuples are only
+        counted: they are unreachable, so none can be cancelled."""
+        live_open = []
+        for event in self._open[self._open_pos :]:
+            if event.cancelled:
+                event._in_queue = False
+            else:
+                live_open.append(event)
+        self._open = live_open
+        self._open_pos = 0
+        self._bucket_entries = sum(
+            len(meta[3]) for meta in self._bucket_meta if meta is not None
+        )
         for index, bucket in enumerate(self._buckets):
             if not bucket:
-                continue
-            if metas[index] is not None:
-                self._bucket_entries += len(bucket)
                 continue
             live = []
             for event in bucket:
@@ -641,9 +628,16 @@ class Simulator:
             raise SimulationError("pass either seed or rng, not both")
         self._native = NATIVE if native is None else bool(native)
         self._arena = ARENA if self._native else None
-        #: Batch slot dispatch tallies (wheel scheduler, native mode).
+        #: Batch dispatch tallies (wheel scheduler, native mode): bulk
+        #: ops folded into their groups, the runs they formed and the
+        #: slots that held them; ordinary events dispatched between the
+        #: runs of a pure slot; bulk ops dispatched one by one straight
+        #: from their tuples.
         self.batched_events = 0
+        self.batched_runs = 0
         self.batched_slots = 0
+        self.stranger_events = 0
+        self.peeled_ops = 0
         self._now = 0.0
         self._seq = 0
         self._queue: list[Event] = []
@@ -714,10 +708,7 @@ class Simulator:
             slot = int(event.time * wheel._scale)
             cursor = wheel._cursor
             if cursor < slot < cursor + wheel.num_slots:
-                index = slot % wheel.num_slots
-                if wheel._bucket_meta[index] is not None:
-                    wheel._materialize_bucket(index)
-                wheel._buckets[index].append(event)
+                wheel._buckets[slot % wheel.num_slots].append(event)
                 wheel._bucket_entries += 1
                 wheel.wheel_inserts += 1
             else:
@@ -770,10 +761,7 @@ class Simulator:
             slot = int(time * wheel._scale)
             cursor = wheel._cursor
             if cursor < slot < cursor + wheel.num_slots:
-                index = slot % wheel.num_slots
-                if wheel._bucket_meta[index] is not None:
-                    wheel._materialize_bucket(index)
-                wheel._buckets[index].append(event)
+                wheel._buckets[slot % wheel.num_slots].append(event)
                 wheel._bucket_entries += 1
                 wheel.wheel_inserts += 1
             else:
@@ -805,10 +793,11 @@ class Simulator:
         materialized at all: each pure bucket holds references to the
         caller's ``(time, action)`` tuples, and a side tally built
         during this single input-order scan lets the batch dispatcher
-        consume the whole slot in O(distinct actions) without a single
-        Event object ever existing (see ``_batch_slot``; slots it
-        declines are materialized from the arena's free list on
-        demand). Heap-scheduler and out-of-horizon entries come from
+        consume an undisturbed slot in O(distinct actions) without a
+        single Event object ever existing (see ``_batch_slot``, which
+        also handles slots that ordinary events share; a slot that
+        needs per-event dispatch is materialized from the arena's free
+        list on demand). Heap-scheduler and out-of-horizon entries come from
         the arena free list (*pooled* — the engine recycles them after
         dispatch, which is safe because this method returns a count, so
         no caller can hold a reference).
@@ -888,7 +877,7 @@ class Simulator:
                 # is folded on the fly; dispatch then never revisits
                 # them. base_seq stays None until the post-scan
                 # assignment, which doubles as the this-call marker.
-                touched: list[int] = []
+                touched: list[list] = []
                 fb_seq = seq  # fallback events take seqs (seq, seq+nf]
                 for item in items:
                     time = item[0]
@@ -896,41 +885,32 @@ class Simulator:
                     if cursor < slot < limit:
                         index = slot % num_slots
                         meta = metas[index]
-                        if meta is not None:
-                            if meta[1] is None:
-                                # Pure bucket this call opened: append
-                                # the caller's tuple itself, fold tally.
-                                buckets[index].append(item)
-                                tally = meta[2]
-                                try:
-                                    entry = tally[item[1]]
-                                except KeyError:
-                                    tally[item[1]] = [1, time]
-                                else:
-                                    entry[0] += 1
-                                    if time > entry[1]:
-                                        entry[1] = time
+                        if meta is None:
+                            # First tuple of this bucket. Events already
+                            # in it (and any that follow) are strangers.
+                            meta = [name, None, {item[1]: [1, time]}, [item]]
+                            metas[index] = meta
+                            touched.append(meta)
+                        elif meta[1] is None:
+                            # Pure bucket this call opened: append the
+                            # caller's tuple itself, fold the tally.
+                            meta[3].append(item)
+                            tally = meta[2]
+                            try:
+                                entry = tally[item[1]]
+                            except KeyError:
+                                tally[item[1]] = [1, time]
                             else:
-                                # Stale pure bucket (earlier bulk call,
-                                # seqs already fixed): join materialized.
-                                wheel._materialize_bucket(index)
-                                fb_seq += 1
-                                buckets[index].append(
-                                    self._bulk_event(time, fb_seq, item[1], name)
-                                )
+                                entry[0] += 1
+                                if time > entry[1]:
+                                    entry[1] = time
                         else:
-                            bucket = buckets[index]
-                            if bucket:
-                                # Bucket already holds Events — join it
-                                # as one (representations never mix).
-                                fb_seq += 1
-                                bucket.append(
-                                    self._bulk_event(time, fb_seq, item[1], name)
-                                )
-                            else:
-                                metas[index] = [name, None, {item[1]: [1, time]}]
-                                touched.append(index)
-                                bucket.append(item)
+                            # Pure bucket of an earlier bulk call (seq
+                            # range already fixed): join as a stranger.
+                            fb_seq += 1
+                            buckets[index].append(
+                                self._bulk_event(time, fb_seq, item[1], name)
+                            )
                     else:
                         fb_seq += 1
                         wheel.insert(self._bulk_event(time, fb_seq, item[1], name))
@@ -943,9 +923,9 @@ class Simulator:
                 # share a slot) — so (time, seq) dispatch order matches
                 # a sequential schedule_at loop exactly.
                 base = fb_seq + 1
-                for index in touched:
-                    metas[index][1] = base
-                    base += len(buckets[index])
+                for meta in touched:
+                    meta[1] = base
+                    base += len(meta[3])
                 seq += n
             else:
                 # Escape hatch (REPRO_NATIVE=0): classic materialized
@@ -971,9 +951,9 @@ class Simulator:
         return n
 
     def _bulk_event(self, time: float, seq: int, action, name: str) -> Event:
-        """Materialize one bulk item as a (pooled if possible) Event —
-        the rare schedule_bulk fallbacks: out-of-horizon inserts and
-        appends into a bucket that already holds Events."""
+        """Materialize one bulk item as a (pooled if possible) Event:
+        schedule_bulk's inserts outside the wheel's buckets and into an
+        earlier call's pure bucket, and a pure slot being resolved."""
         arena = self._arena
         event = arena.acquire() if arena is not None else None
         if event is not None:
@@ -1179,49 +1159,32 @@ class Simulator:
                     arena.release(event)
         return ran
 
-    def _batch_slot(
-        self,
-        until: Optional[float],
-        max_events: Optional[int],
-        inclusive: bool,
-    ) -> int:
-        """Drain a freshly-opened *pure* wheel slot in one grouped call.
+    def _offer_run(self, tally: dict, n_ops: int) -> Optional[set]:
+        """Offer one run of bulk ops to its batch groups.
 
-        Called by ``_run_wheel`` immediately after ``advance()`` opens a
-        pure slot (lazy bulk tuples: unreachable, hence uncancellable).
-        The slot carries the per-action tally ``{action: [count,
-        t_last]}`` that ``schedule_bulk`` folded while filling the
-        bucket, so this method never touches the entries themselves —
-        its cost is O(distinct actions), not O(events). Actions resolve
-        to their batch groups (``action.batch_group`` — see
+        ``tally`` maps action -> ``[count, t_last]`` over exactly the
+        run's ``n_ops`` tuples. Actions resolve to their groups
+        (``action.batch_group`` — see
         :class:`repro.core.blocks.BlockChannelGroup`), and each group is
-        asked whether it can absorb the whole batch under the worst-case
+        asked whether it can absorb its share under the worst-case
         all-drops-first ordering. Admission is all-or-nothing and the
-        scan is side-effect-free; on refusal the slot stays pure and the
-        caller's next ``advance()`` materializes it for per-event
-        fallback dispatch.
+        scan is side-effect-free: on any refusal nothing happened and
+        the refusers are returned — the groups that declined, plus None
+        when some action carries no ``batch_group`` at all.
 
-        On commit the slot is consumed wholesale: the clock jumps to the
-        slot's maximum entry time, each group applies its aggregate
-        delta once, and the tuples are simply dropped — no Event object
-        ever existed for them. Aggregation is order-independent (pure
-        arithmetic over commuting ±1 ops), so the slot needs no sort
-        either. Equivalence with per-event dispatch is proven in
-        ``tests/properties/test_scheduler_equivalence.py``.
-
-        Returns the number of events consumed (0 = fall back).
+        On commit (returns None) the clock jumps to the run's last op
+        and each group applies its aggregate delta once. Aggregation is
+        order-independent (pure arithmetic over commuting ±1 ops), so
+        the run's internal order never matters.
         """
-        if max_events is not None or self._dispatch_listeners:
-            return 0
-        wheel = self._wheel
-        tally = wheel._open_meta[2]
-        # Fold per-action tallies into per-group aggregates:
-        # [delta_sum, drop_sum, n_ops, t_max].
+        # Per-group aggregates: [delta_sum, drop_sum, n_ops, t_last].
         groups: dict = {}
+        refusers = set()
         for action, (count, t_last) in tally.items():
             group = getattr(action, "batch_group", None)
             if group is None:
-                return 0
+                refusers.add(None)
+                continue
             delta = action.batch_delta
             entry = groups.get(group)
             if entry is None:
@@ -1232,29 +1195,141 @@ class Simulator:
             entry[2] += count
             if t_last > entry[3]:
                 entry[3] = t_last
-        last_time = max(entry[3] for entry in groups.values())
-        if until is not None and (
-            last_time > until or (not inclusive and last_time >= until)
-        ):
-            return 0
         for group, entry in groups.items():
             if not group.can_batch(entry[1]):
-                return 0
-        # Commit: nothing above mutated state, so from here on every
-        # group is known to accept.
-        n = len(wheel._open)
-        self._now = last_time
-        self._live -= n
-        self.events_processed += n
-        self.batched_events += n
-        self.batched_slots += 1
+                refusers.add(group)
+        if refusers:
+            return refusers
+        self._now = max(entry[3] for entry in groups.values())
+        self._live -= n_ops
+        self.events_processed += n_ops
+        self.batched_events += n_ops
+        self.batched_runs += 1
         for group, entry in groups.items():
             group.run_batch(entry[0], entry[2], entry[3])
-        wheel._open = []
-        wheel._open_pos = 0
-        wheel._open_pure = False
-        wheel._open_meta = None
-        return n
+        return None
+
+    def _batch_slot(
+        self, limit_slot: Optional[int], max_events: Optional[int]
+    ) -> int:
+        """Dispatch a *pure* open wheel slot run by run.
+
+        Called by ``_run_wheel`` when ``advance()`` reports a pure open
+        slot: lazy bulk tuples (unreachable, hence uncancellable) beside
+        the slot's ordinary Events, its *strangers*. A slot without live
+        strangers is one run, offered to its batch groups through the
+        tally ``schedule_bulk`` folded while filling the bucket — O(
+        distinct actions), the tuples are never touched or sorted.
+
+        Otherwise the tuples are time-sorted once (stable, so list order
+        is ``(time, seq)`` order) and cut at every live stranger by
+        bisection. A time tie is decided by seq: the tuples hold one
+        reserved seq range, so a stranger older than it goes before the
+        tied tuples and a newer one after. Each run between two
+        strangers is offered like a whole slot; the stranger is
+        dispatched between runs, and the first live stranger is re-read
+        after every action, so whatever it scheduled into (or cancelled
+        in) the open slot takes its place in the order.
+
+        A run some group refuses (first slot of a wave: no live record
+        yet) is *peeled*: dispatched op by op, straight from the tuple
+        with no Event, through the first op of every refuser, then
+        offered once more; refused again, the rest of the run is peeled.
+
+        Equivalence with per-event dispatch is proven in
+        ``tests/properties/test_scheduler_equivalence.py``. Returns the
+        number of events consumed; 0 = fall back (``max_events``, a
+        dispatch listener, or a run bound inside this slot —
+        ``limit_slot``, the slot holding ``until``, is this one — need
+        per-event dispatch), and the caller's next ``advance()``
+        materializes the slot, strangers merged in.
+        """
+        wheel = self._wheel
+        if (
+            max_events is not None
+            or self._dispatch_listeners
+            or (limit_slot is not None and limit_slot <= wheel._cursor)
+        ):
+            return 0
+        meta = wheel._open_meta
+        base_seq = meta[1]
+        tuples = meta[3]
+        n = len(tuples)
+        tpos = n - wheel._open_lazy
+        ran = 0
+        batched = False
+        head = None  # the stranger `cut` was computed for
+        cut = n  # the current run is tuples[tpos:cut]
+        offers = 0  # offers made to the current run
+        waiting: Optional[set] = None  # refusers the peel has yet to pass
+        while tpos < n:
+            open_ = wheel._open  # compact() may rebind the list
+            pos = wheel._open_pos
+            size = len(open_)
+            while pos < size and open_[pos].cancelled:
+                open_[pos]._in_queue = False
+                self._cancelled -= 1
+                pos += 1
+            wheel._open_pos = pos
+            stranger = open_[pos] if pos < size else None
+            if meta[2] is not None:
+                # Undisturbed so far: input order, scan-time tally.
+                if stranger is None:
+                    offers = 1
+                    waiting = self._offer_run(meta[2], n)
+                    if waiting is None:
+                        batched = True
+                        ran += n
+                        wheel._open_lazy = 0
+                        break
+                tuples.sort(key=_ITEM_TIME)
+                meta[2] = None
+            if stranger is not head:
+                head = stranger
+                if stranger is None:
+                    cut = n
+                else:
+                    bisect = bisect_left if stranger.seq < base_seq else bisect_right
+                    cut = bisect(tuples, stranger.time, tpos, n, key=_ITEM_TIME)
+            if tpos == cut:
+                wheel._open_pos = pos + 1
+                stranger._in_queue = False
+                self._live -= 1
+                self._now = stranger.time
+                self.events_processed += 1
+                self.stranger_events += 1
+                stranger.action()
+                offers = 0
+            elif not offers or (offers == 1 and not waiting):
+                offers += 1
+                waiting = self._offer_run(_run_tally(tuples[tpos:cut]), cut - tpos)
+                if waiting is None:
+                    batched = True
+                    ran += cut - tpos
+                    tpos = cut
+                    wheel._open_lazy = n - tpos
+                continue
+            else:
+                time, action = tuples[tpos]
+                tpos += 1
+                wheel._open_lazy = n - tpos
+                self._live -= 1
+                self._now = time
+                self.events_processed += 1
+                self.peeled_ops += 1
+                action()
+                if waiting:
+                    waiting.discard(getattr(action, "batch_group", None))
+            ran += 1
+            if wheel._open_meta is not meta:
+                # The action peeked at the queue, which resolved the
+                # rest of the slot into Events: back to the plain loop.
+                break
+        if wheel._open_meta is meta:
+            wheel._open_meta = None
+        if batched:
+            self.batched_slots += 1
+        return ran
 
     def _run_wheel(
         self, until: Optional[float], max_events: Optional[int], inclusive: bool = True
@@ -1280,11 +1355,11 @@ class Simulator:
                     if event is None:
                         break
                     if event is _PURE_SLOT:
-                        batched = self._batch_slot(until, max_events, inclusive)
+                        batched = self._batch_slot(limit_slot, max_events)
                         if batched:
                             ran += batched
                             continue
-                        # Refused: materialize + sort, then re-peek.
+                        # Declined: materialize + merge, then re-peek.
                         event = advance(limit_slot)
                         if event is None:
                             break
@@ -1293,10 +1368,10 @@ class Simulator:
                 if event is None:
                     break
                 if event is _PURE_SLOT:
-                    # advance() just opened a pure slot: try to drain it
-                    # in one grouped dispatch; on refusal the follow-up
+                    # advance() just opened a pure slot: hand it to the
+                    # batch dispatcher; if that declines, the follow-up
                     # advance() materializes it for per-event dispatch.
-                    batched = self._batch_slot(until, max_events, inclusive)
+                    batched = self._batch_slot(limit_slot, max_events)
                     if batched:
                         ran += batched
                         continue
@@ -1405,7 +1480,10 @@ class Simulator:
             stats["pending"] = self._live
         stats["native"] = self._native
         stats["batched_events"] = self.batched_events
+        stats["batched_runs"] = self.batched_runs
         stats["batched_slots"] = self.batched_slots
+        stats["stranger_events"] = self.stranger_events
+        stats["peeled_ops"] = self.peeled_ops
         if self._arena is not None:
             stats["arena"] = self._arena.stats()
         return stats

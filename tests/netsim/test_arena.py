@@ -97,7 +97,9 @@ class TestEventArena:
 
 
 def run_bulk_round(sim: Simulator, n: int, offset: float) -> None:
-    """Schedule-and-drain one batch so its pooled events recycle."""
+    """Schedule-and-drain one batch so its pooled events recycle.
+    ``offset`` must lie beyond the wheel horizon: in-horizon bulk items
+    stay lazy tuples and are dispatched without ever being Events."""
     sim.schedule_bulk(
         [(offset + 0.001 * i, lambda: None) for i in range(n)], name="round"
     )
@@ -110,7 +112,7 @@ class TestRecycleSafety:
     def test_gen_bumps_on_reuse(self):
         ARENA.clear()
         sim = Simulator(scheduler="wheel", wheel_slots=64, native=True)
-        run_bulk_round(sim, 32, 0.01)
+        run_bulk_round(sim, 32, 0.1)
         recycled = ARENA.acquire()
         if recycled is None:
             pytest.skip("pool capped out by earlier tests")
@@ -119,7 +121,7 @@ class TestRecycleSafety:
         # Drive another full round: the engine re-acquires the record and
         # must bump gen so old handles can tell it changed hands.
         sim2 = Simulator(scheduler="wheel", wheel_slots=64, native=True)
-        run_bulk_round(sim2, 64, 0.01)
+        run_bulk_round(sim2, 64, 0.1)
         assert recycled.gen > gen_before
 
     def test_cancel_if_refuses_stale_generation(self):

@@ -16,16 +16,23 @@ Three layers of checking:
   (the ``test_batching_equivalence`` snapshot) must match;
 * ``events_processed`` equality on every comparison.
 
-Seeded ``random.Random`` instances (not hypothesis) keep sequences
-deterministic, matching the idiom of the other property tests.
+Seeded ``random.Random`` instances keep those sequences deterministic,
+matching the idiom of the other property tests. The last section —
+segmented batch dispatch, where bulk tuples share wheel slots with
+ordinary events — is driven by hypothesis instead: the interleavings
+that matter there (exact time ties, events scheduled into the open
+slot, a bound falling inside a slot) are found by search, not by a
+handful of seeds.
 """
 
 import random
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro import ExpressNetwork, TopologyBuilder
-from repro.netsim.engine import Simulator
+from repro.netsim.engine import PhaseProfiler, Simulator
 
 N_ENGINE_CASES = 8
 N_NETWORK_CASES = 6
@@ -309,37 +316,61 @@ def test_bulk_interleaved_with_singles_and_cancels_matches_heap(case):
 # ---------------------------------------------------------------------------
 
 
-def drive_block_storm(scheduler: str, native: bool, seed: int = 3):
-    """A miniature mega storm: block join/leave ops bulk-scheduled with
-    coarse wheel slots so native wheel runs exercise batch slot
-    dispatch. Returns comparable end state + the stats dict."""
+def force_native(sim: Simulator, native: bool) -> None:
+    """Set the native-core switch per run (what ``Simulator(native=...)``
+    sets at construction; the topology builders own the constructor
+    call), so a comparison covers on and off whatever ``REPRO_NATIVE``
+    says."""
     from repro.netsim.arena import ARENA
 
+    sim._native = native
+    sim._arena = ARENA if native else None
+
+
+def drive_block_storm(
+    scheduler: str,
+    native: bool,
+    seed: int = 3,
+    joins: int = 4000,
+    leaves: int = 500,
+    streaming: bool = False,
+):
+    """A miniature mega storm: block join/leave ops bulk-scheduled with
+    coarse wheel slots so native wheel runs exercise batch slot
+    dispatch. With ``streaming`` the source sends and real hosts come
+    and go *during* the join wave, over real wire bytes and Nagle-timer
+    batching links, so every wheel slot of the wave also holds ordinary
+    events. Returns comparable end state + the stats dict."""
     rng = random.Random(seed)
     topo = TopologyBuilder.isp(
         n_transit=3, stubs_per_transit=2, hosts_per_stub=1, seed=7,
         scheduler=scheduler, wheel_granularity=0.05,
     )
-    # Force the native-core switch per run (what Simulator(native=...)
-    # sets at construction) so the comparison covers on and off.
-    topo.sim._native = native
-    topo.sim._arena = ARENA if native else None
-    net = ExpressNetwork(topo)
-    source = net.source(sorted(net.host_names)[0])
+    force_native(topo.sim, native)
+    net = ExpressNetwork(topo, wire_format=streaming)
+    hosts = sorted(net.host_names)
+    source = net.source(hosts[0])
     channel = source.allocate_channel()
     blocks = [net.subscriber_block(n) for n in sorted(net.topo.nodes) if n.startswith("e")]
     net.run(until=0.01)
     base = net.sim.now
     work = [
-        (base + 0.1 + 2.0 * i / 4000, blocks[i % len(blocks)].join_op(channel))
-        for i in range(4000)
+        (base + 0.1 + 2.0 * i / joins, blocks[i % len(blocks)].join_op(channel))
+        for i in range(joins)
     ]
     work += [
-        (base + 2.3 + 0.5 * i / 500, blocks[i % len(blocks)].leave_op(channel))
-        for i in range(500)
+        (base + 2.3 + 0.5 * i / leaves, blocks[i % len(blocks)].leave_op(channel))
+        for i in range(leaves)
     ]
     rng.shuffle(work)
     net.sim.schedule_bulk(work, name="op")
+    if streaming:
+        for j in range(40):
+            net.sim.schedule_at(base + 0.12 + 0.05 * j, lambda: source.send(channel))
+        for i, name in enumerate(hosts[1:]):
+            host = net.host(name)
+            net.sim.schedule_at(base + 0.3 + 0.31 * i, lambda h=host: h.subscribe(channel))
+            net.sim.schedule_at(base + 1.1 + 0.17 * i, lambda h=host: h.unsubscribe(channel))
     net.sim.schedule_at(base + 3.0, lambda: source.send(channel))
     net.run(until=base + 3.4)
     def record_times(block):
@@ -366,3 +397,279 @@ def test_batch_slot_dispatch_matches_per_event():
     assert wheel_stats["batched_events"] > 0
     assert wheel_stats["batched_slots"] > 0
     assert off_stats["batched_events"] == 0
+
+
+def test_streaming_during_the_join_wave_still_batches():
+    """benchmarks/e2e Finding 5: an eighth-scale storm whose join wave
+    shares every wheel slot with data packets, Counts and flush timers
+    used to be dispatched per event throughout (``batched_events`` 0).
+    It must settle exactly as the per-event core does, with at least
+    nine tenths of all events folded into batched runs."""
+    storm = dict(joins=62_500, leaves=7_800, streaming=True)
+    native_state, stats = drive_block_storm("wheel", native=True, **storm)
+    classic_state, classic_stats = drive_block_storm("wheel", native=False, **storm)
+    assert native_state == classic_state
+    assert classic_stats["batched_events"] == 0
+    assert stats["batched_runs"] > 5 * stats["batched_slots"]
+    assert stats["batched_events"] >= 0.9 * native_state[2]
+
+
+# ---------------------------------------------------------------------------
+# segmented batch dispatch: bulk tuples sharing slots with strangers
+# ---------------------------------------------------------------------------
+
+#: Storm times sit on a grid of ten points per 50 ms wheel slot, so
+#: bulk ops and ordinary events tie exactly, and often.
+GRID = 0.005
+STORM_AT = 0.1
+N_GRID = 60
+STORM_END = 1.0
+
+STRANGER_KINDS = (
+    "timer", "timer", "cancelled", "canceller", "spawn", "send", "peek",
+    "compact", "bulk",
+)
+
+storm_ops = st.lists(
+    st.tuples(
+        st.integers(0, N_GRID - 1),  # grid point
+        st.integers(0, 1),  # block
+        # Mostly joins: leaves that drain a block and plain callables
+        # (no batch group) make a run refuse, which must stay the
+        # exception for batched runs of some length to occur.
+        st.sampled_from(("join",) * 12 + ("leave",) * 3 + ("plain",)),
+    ),
+    min_size=30,
+    max_size=150,
+)
+strangers = st.lists(
+    st.tuples(
+        st.integers(0, N_GRID - 1),  # grid point
+        st.booleans(),  # half a grid step later: no tie
+        st.sampled_from(STRANGER_KINDS),
+        st.integers(0, 3),  # kind-specific argument
+    ),
+    max_size=25,
+)
+run_modes = st.sampled_from(("plain", "plain", "plain", "listener", "profiled"))
+run_segments = st.lists(
+    st.one_of(
+        # (until as a grid point: inside a slot, inclusive, max_events, mode)
+        st.tuples(st.integers(0, N_GRID), st.booleans(), st.none(), run_modes),
+        st.tuples(st.integers(0, N_GRID), st.booleans(), st.none(), run_modes),
+        st.tuples(st.none(), st.just(True), st.integers(1, 40), run_modes),
+        st.tuples(st.integers(0, N_GRID), st.booleans(), st.integers(1, 40), run_modes),
+    ),
+    max_size=4,
+)
+
+
+@st.composite
+def storm_scenarios(draw):
+    """A bulk storm with strangers scheduled before it (older seqs),
+    between its two bulk calls and after it (newer seqs), and a plan of
+    bounded/observed run segments ahead of the final plain run."""
+    return {
+        "prejoin": draw(st.integers(0, 3)),
+        "older": draw(strangers),
+        "bulk1": draw(storm_ops),
+        "between": draw(strangers),
+        "bulk2": draw(st.one_of(st.just([]), storm_ops)),
+        "newer": draw(strangers),
+        "segments": draw(run_segments),
+    }
+
+
+def drive_storm_scenario(scheduler: str, scenario: dict):
+    """Run ``scenario`` on one scheduler; return everything observable:
+    the ordinary events' dispatch trace (each entry carries the block
+    state it saw, so a bulk op on the wrong side of a tie shows), the
+    marks taken between run segments, and the final state."""
+    topo = TopologyBuilder.isp(
+        n_transit=2, stubs_per_transit=1, hosts_per_stub=1, seed=7,
+        scheduler=scheduler, wheel_granularity=0.05,
+    )
+    force_native(topo.sim, True)
+    net = ExpressNetwork(topo)
+    sim = net.sim
+    source = net.source("h0_0_0")
+    channel = source.allocate_channel()
+    blocks = [net.subscriber_block("e0_0"), net.subscriber_block("e1_0")]
+    net.run(until=0.01)
+    if scenario["prejoin"]:
+        # Blocks with a live record batch from the first slot on; with
+        # none, the first slot's runs are refused and peeled.
+        for block in blocks:
+            block.join(channel, scenario["prejoin"])
+        net.run(until=0.05)
+    trace: list = []
+    cancellable: list = []
+
+    def records():
+        out = []
+        for block in blocks:
+            state = block.agent.channels.get(channel)
+            record = state.downstream.get(block.pseudo) if state else None
+            out.append(
+                (block.count(channel),)
+                if record is None
+                else (block.count(channel), record.count, record.updated_at)
+            )
+        return out
+
+    def rec(tag):
+        trace.append((sim.now, tag, sim.events_processed, records()))
+
+    def at(grid, half=False):
+        return STORM_AT + grid * GRID + (GRID / 2 if half else 0.0)
+
+    def bulk_items(ops, start=0.0, tag="b"):
+        items = []
+        for i, (grid, which, kind) in enumerate(ops):
+            when = max(at(grid), start)
+            if kind == "join":
+                action = blocks[which].join_op(channel)
+            elif kind == "leave":
+                action = blocks[which].leave_op(channel)
+            else:
+                action = lambda t=f"{tag}{i}": rec(t)
+            items.append((when, action))
+        return items
+
+    def fire(tag, kind, arg):
+        rec(tag)
+        if kind == "canceller" and cancellable:
+            cancellable.pop(arg % len(cancellable)).cancel()
+        elif kind == "spawn":
+            # Delay 0 and half a step land in the open slot.
+            delay = (0.0, GRID / 2, GRID, 11 * GRID)[arg]
+            cancellable.append(
+                sim.schedule(delay, lambda: rec(tag + "+spawn"), name="spawn")
+            )
+        elif kind == "send":
+            source.send(channel)
+        elif kind == "peek":
+            # Reads the queue from inside an action: a pure open slot
+            # must resolve under the batch dispatcher's feet.
+            trace.append(
+                ("peek", sim.peek_time(), tuple(sim.peek_times(4)), sim.pending())
+            )
+            if sim._wheel is not None:
+                assert len(sim._wheel) == sim.pending() + sim._cancelled
+        elif kind == "compact":
+            if sim._wheel is not None:
+                sim._wheel.compact()
+                sim._cancelled = 0
+            else:
+                sim._compact()
+        elif kind == "bulk":
+            # A bulk call from inside the run: its items land in the
+            # open slot, in stranger-holding pure buckets and beyond.
+            ops = [(0, j % 2, ("join", "plain", "leave")[j % 3]) for j in range(6)]
+            items = bulk_items(ops, tag=tag + "+b")
+            sim.schedule_bulk(
+                [(sim.now + j * arg * GRID, a) for j, (_, a) in enumerate(items)],
+                name="late-op",
+            )
+
+    def schedule_strangers(group, label):
+        for i, (grid, half, kind, arg) in enumerate(group):
+            tag = f"{label}{i}:{kind}"
+            event = sim.schedule_at(
+                at(grid, half), lambda t=tag, k=kind, a=arg: fire(t, k, a), name=kind
+            )
+            if kind == "cancelled":
+                event.cancel()
+            elif arg % 2:
+                cancellable.append(event)
+
+    schedule_strangers(scenario["older"], "o")
+    sim.schedule_bulk(bulk_items(scenario["bulk1"]), name="op")
+    schedule_strangers(scenario["between"], "m")
+    if scenario["bulk2"]:
+        sim.schedule_bulk(bulk_items(scenario["bulk2"], tag="c"), name="op2")
+    schedule_strangers(scenario["newer"], "n")
+
+    seen: list = []
+
+    def listener(_sim, event, _wall):
+        seen.append((event.time, event.name))
+
+    for until, inclusive, max_events, mode in scenario["segments"]:
+        if mode == "listener":
+            sim.add_dispatch_listener(listener)
+        elif mode == "profiled":
+            sim.profiler = PhaseProfiler()
+        bound = None if until is None else at(until)
+        if bound is not None and bound < sim.now:
+            bound = sim.now
+        if bound is None and max_events is None:
+            bound = STORM_END  # protocol timers never run dry
+        ran = sim.run(until=bound, max_events=max_events, inclusive=inclusive)
+        if mode == "listener":
+            sim.remove_dispatch_listener(listener)
+        sim.profiler = None
+        trace.append(
+            ("mark", ran, sim.now, sim.events_processed, sim.pending(),
+             sim.peek_time(), tuple(sim.peek_times(5)))
+        )
+    sim.run(until=STORM_END)
+    final = (
+        records(),
+        [block.deliveries for block in blocks],
+        {name: a.block_fast_updates for name, a in net.ecmp_agents.items()},
+        snapshot(net),
+        sim.now,
+        sim.events_processed,
+        sim.pending(),
+    )
+    return trace, seen, final, sim.scheduler_stats()
+
+
+STORM_SETTINGS = settings(
+    max_examples=120,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
+)
+
+
+@STORM_SETTINGS
+@given(scenario=storm_scenarios())
+def test_segmented_batch_dispatch_matches_heap(scenario):
+    heap_trace, heap_seen, heap_final, _ = drive_storm_scenario("heap", scenario)
+    wheel_trace, wheel_seen, wheel_final, stats = drive_storm_scenario(
+        "wheel", scenario
+    )
+    assert wheel_trace == heap_trace
+    assert wheel_seen == heap_seen
+    assert wheel_final == heap_final
+    # The counters partition what the batch dispatcher consumed.
+    assert stats["batched_runs"] >= stats["batched_slots"]
+    assert (stats["batched_events"] > 0) == (stats["batched_runs"] > 0)
+
+
+def test_segmented_dispatch_is_exercised():
+    """One fixed storm, checked for *how* it was dispatched: ties on
+    both sides of the reserved seq range, strangers between runs, a
+    refused first run peeled and re-offered. Guards the property test
+    above against passing on the materializing fallback alone."""
+    ops = [(g, b, "join") for g in range(40) for b in (0, 1)] * 3
+    scenario = {
+        "prejoin": 0,
+        "older": [(g, False, "timer", 0) for g in (3, 12, 25)],
+        "bulk1": ops,
+        "between": [],
+        "bulk2": [],
+        "newer": [(5, False, "spawn", 1), (12, False, "timer", 0), (31, True, "send", 0)],
+        "segments": [],
+    }
+    heap = drive_storm_scenario("heap", scenario)
+    wheel = drive_storm_scenario("wheel", scenario)
+    assert wheel[:3] == heap[:3]
+    stats = wheel[3]
+    assert stats["peeled_ops"] > 0
+    assert stats["stranger_events"] > 0
+    assert stats["batched_runs"] > stats["batched_slots"] > 0
+    total = stats["batched_events"] + stats["peeled_ops"]
+    assert total == len(ops)
+    assert stats["batched_events"] > 0.9 * len(ops)
