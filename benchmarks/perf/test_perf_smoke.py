@@ -1,8 +1,8 @@
 """Perf harness smoke benchmark.
 
 Runs ``repro.bench`` in quick mode, writes the report to a temporary
-directory (the tracked repo-root ``BENCH_perf.json`` is regenerated
-only by ``python -m repro.bench --output``, never by a test), and
+directory (a repo-root ``BENCH_perf.json`` is the CLI's git-ignored
+default output, never written by a test), and
 asserts the structural claims of the fast-path PRs:
 
 * the churn scenario runs >=5x fewer Dijkstra destination-tree
@@ -19,11 +19,9 @@ asserts the structural claims of the fast-path PRs:
 * the native event core is actually engaged on the wheel run: whole
   pure slots batch-dispatch (no per-event materialization) and events
   recycle through the arena,
-* the channel-surf scenario's fast control plane (columnar state,
-  zero-copy codec, refresh ring) beats the legacy dict/scan baseline
-  on the identical Zipf zapping workload by the CI floor (2x — the
-  recorded medians are >=3x), with both control planes settling to
-  identical state, and
+* the channel-surf scenario's refresh ring examines under 1 % of the
+  records a full-table refresh would have walked over the same ticks
+  (twice every standing record per tick), and
 * every scenario clears a generous events/sec floor (guards against
   catastrophic data-plane regressions without tying CI to hardware).
 
@@ -43,9 +41,9 @@ WIRE_REDUCTION_FLOOR = 3.0
 #: back-to-back in one noisy shared container, so this is a regression
 #: gate, not the headline number (that lives in BENCH_perf.json).
 WHEEL_SPEEDUP_FLOOR = 2.5
-#: Below the ~4-5x recorded medians for the same reason: the fast and
-#: legacy control planes run back-to-back in one shared container.
-STATE_CHURN_SPEEDUP_FLOOR = 2.0
+#: The refresh ring's share of what a full-table refresh examines
+#: (every standing record, twice per tick); measured 0.04 %.
+REFRESH_SCAN_SHARE_CEILING = 0.01
 
 
 def test_perf_smoke_writes_bench_json(tmp_path):
@@ -148,29 +146,20 @@ def test_perf_smoke_writes_bench_json(tmp_path):
     assert parsed["summary"]["wheel_speedup"] == mega["wheel_speedup"]
     assert parsed["summary"]["mega_events_per_sec"] == mega["events_per_sec"]
 
-    # v8 control-plane fast path: the identical Zipf zapping workload
-    # driven on both control planes must settle to identical state
-    # (the scenario raises otherwise), the fast path must beat the
-    # legacy dict/scan baseline by the floor, and the refresh ring
-    # must eliminate the bulk of the per-tick record examinations.
+    # Control plane under Zipf zapping: the refresh ring must leave
+    # the standing records alone. Host-independent: counts, not time.
     surf = parsed["scenarios"]["channel_surf"]
-    assert surf["states_equivalent"] is True
     assert surf["zap_events"] > 0
     assert surf["zap_events_per_sec"] > 0
-    assert surf["state_churn_speedup"] >= STATE_CHURN_SPEEDUP_FLOOR
-    assert 0.0 < surf["refresh_scan_fraction"] < 0.5
-    assert surf["refresh_records_examined"] > 0
-    assert surf["baseline"]["refresh_records_examined"] > (
-        surf["refresh_records_examined"]
+    assert surf["refresh_ticks"] > 0 and surf["standing_records"] > 0
+    assert 0 < surf["refresh_records_examined"] < (
+        REFRESH_SCAN_SHARE_CEILING
+        * 2
+        * surf["refresh_ticks"]
+        * surf["standing_records"]
     )
     assert surf["ecmp_wire"]["ecmp_bytes_on_wire"] > 0
     assert parsed["summary"]["zap_events_per_sec"] == surf["zap_events_per_sec"]
-    assert parsed["summary"]["state_churn_speedup"] == surf[
-        "state_churn_speedup"
-    ]
-    assert parsed["summary"]["refresh_scan_fraction"] == surf[
-        "refresh_scan_fraction"
-    ]
 
     storm = parsed["scenarios"]["join_storm"]
     assert storm["subscribed"] == storm["params"]["subscribers"]

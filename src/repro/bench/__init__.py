@@ -70,7 +70,13 @@ from repro.bench.scenarios import SCENARIOS, run_scenarios
 #: gates ``--floor-convergence-seconds`` / ``--floor-blast-radius``
 #: (:data:`CEILING_GATES`: the run fails when the measured value
 #: exceeds the threshold).
-SCHEMA_VERSION = 9
+#: v10: one control plane — ``channel_surf`` is a single pass (the
+#: legacy baseline pass is gone with the code it ran): drops
+#: ``state_churn_speedup`` / ``refresh_scan_fraction`` / ``baseline``
+#: / ``states_equivalent``, their summary fields and the
+#: ``--floor-state-churn-speedup`` gate; adds ``refresh_ticks`` and
+#: ``standing_records`` beside ``refresh_records_examined``.
+SCHEMA_VERSION = 10
 
 
 def build_report(
@@ -120,8 +126,6 @@ def build_report(
             "batched_events": mega.get("batched_events", 0),
             "peak_rss_kb": mega.get("peak_rss_kb", 0),
             "zap_events_per_sec": surf.get("zap_events_per_sec", 0.0),
-            "state_churn_speedup": surf.get("state_churn_speedup", 0.0),
-            "refresh_scan_fraction": surf.get("refresh_scan_fraction", 0.0),
             # v9 robustness SLOs: None (not 0.0) when the storm scenario
             # did not run, so a requested ceiling gate fails loudly
             # instead of passing on a vacuous zero.
@@ -188,11 +192,6 @@ FLOOR_GATES = {
         "zap_events_per_sec",
         "channel-surf zap events/sec floor",
         "{:,.0f}",
-    ),
-    "state_churn_speedup": (
-        "state_churn_speedup",
-        "state churn speedup floor",
-        "{:.2f}",
     ),
     "partition_speedup": (
         "partition_speedup",
@@ -372,14 +371,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         type=float,
         default=None,
         help="exit non-zero if the channel-surf scenario's zap "
-        "throughput on the fast control plane falls below this",
-    )
-    parser.add_argument(
-        "--floor-state-churn-speedup",
-        type=float,
-        default=None,
-        help="exit non-zero if the channel-surf scenario's fast-vs-"
-        "legacy control-plane wall-clock ratio falls below this",
+        "throughput falls below this",
     )
     parser.add_argument(
         "--floor-partition-speedup",
@@ -447,11 +439,10 @@ def main(argv: Optional[list[str]] = None) -> int:
             line += f"  wheel {metrics['wheel_speedup']:.1f}x heap"
         if metrics.get("batched_events"):
             line += f"  batched {metrics['batched_events']:,}"
-        if "state_churn_speedup" in metrics:
+        if "zap_events_per_sec" in metrics:
             line += (
                 f"  {metrics['zap_events_per_sec']:,.0f} zaps/s"
-                f"  churn {metrics['state_churn_speedup']:.1f}x legacy"
-                f"  scan {metrics['refresh_scan_fraction']:.1%}"
+                f"  refresh examined {metrics['refresh_records_examined']:,}"
             )
         if "partition_speedup" in metrics:
             line += (
@@ -496,7 +487,6 @@ def main(argv: Optional[list[str]] = None) -> int:
             "wheel_speedup": args.floor_wheel_speedup,
             "mega_events_per_sec": args.floor_mega_events_per_sec,
             "zap_events_per_sec": args.floor_zap_events_per_sec,
-            "state_churn_speedup": args.floor_state_churn_speedup,
             "partition_speedup": args.floor_partition_speedup,
             "sync_efficiency": args.floor_sync_efficiency,
             "null_ratio_reduction": args.floor_null_ratio_reduction,

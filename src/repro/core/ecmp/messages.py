@@ -21,21 +21,18 @@ Decoding is strict — a trailing partial record is a :class:`CodecError`,
 never a silent truncation — so a TCP-stream reassembly bug cannot
 masquerade as a short batch. See ``docs/ecmp-wire.md``.
 
-The codec is *zero-copy* by default: a batch encodes into one
-preallocated ``bytearray`` via precompiled ``Struct.pack_into`` at
-running offsets (no per-record ``bytes`` concatenation), and decode
-reads fields with ``unpack_from`` over ``memoryview`` slices — the
-only per-record copy on decode is the 8 key bytes an authenticated
-Count must own. The frames are byte-identical to the legacy
-concatenating codec (kept in-tree as ``_encode_*_legacy`` /
-``_decode_*_legacy``), which ``REPRO_ZERO_COPY=0`` or
-:func:`set_zero_copy` selects; the property suite pins the two paths
-equal on frames, parses, and every strictness error.
+The codec is *zero-copy*: a batch encodes into one preallocated
+``bytearray`` via precompiled ``Struct.pack_into`` at running offsets
+(no per-record ``bytes`` concatenation), and decode reads fields with
+``unpack_from`` over ``memoryview`` slices — the only per-record copy
+on decode is the 8 key bytes an authenticated Count must own. Its
+specification is the plain concatenating codec in
+``tests/oracles/codec.py``: ``tests/properties/test_codec_equivalence.py``
+pins the two equal on frames, parses, and every strictness error.
 """
 
 from __future__ import annotations
 
-import os
 import struct
 from dataclasses import dataclass
 from enum import Enum
@@ -188,28 +185,6 @@ class EcmpBatch:
         return len(self.messages)
 
 
-#: ``REPRO_ZERO_COPY=0`` is the codec fast path's escape hatch: every
-#: encode/decode goes through the legacy concatenating implementation.
-ZERO_COPY_DEFAULT = os.environ.get("REPRO_ZERO_COPY", "1") != "0"
-
-_zero_copy = ZERO_COPY_DEFAULT
-
-
-def set_zero_copy(enabled: bool) -> bool:
-    """Select the zero-copy codec fast path (True) or the legacy
-    concatenating codec (False); returns the prior setting. The A/B
-    hook used by the ``channel_surf`` benchmark baseline pass and the
-    codec-equivalence property suite."""
-    global _zero_copy
-    prior = _zero_copy
-    _zero_copy = bool(enabled)
-    return prior
-
-
-# ---------------------------------------------------------------------------
-# zero-copy fast path
-# ---------------------------------------------------------------------------
-
 _MESSAGE_TYPES = (Count, CountQuery, CountResponse)
 
 
@@ -275,8 +250,6 @@ def _encode_into(message: EcmpMessage, buf: bytearray, offset: int) -> int:
 
 def encode_message(message: EcmpMessage) -> bytes:
     """Serialize any ECMP message to its wire form."""
-    if not _zero_copy:
-        return _encode_message_legacy(message)
     if isinstance(message, EcmpBatch):
         return encode_batch(message.messages)
     if not isinstance(message, _MESSAGE_TYPES):
@@ -299,10 +272,6 @@ def decode_message(data) -> Union[EcmpMessage, EcmpBatch]:
     with ``unpack_from``; only an authenticated Count's 8 key bytes
     are copied out of the buffer.
     """
-    if not _zero_copy:
-        return _decode_message_legacy(
-            data if isinstance(data, bytes) else bytes(data)
-        )
     size = len(data)
     if size < _HEAD.size:
         raise CodecError(f"ECMP message truncated: {size} bytes")
@@ -375,8 +344,6 @@ def encode_batch(messages: Sequence[EcmpMessage]) -> bytes:
     coalesced messages costs one allocation, not 2N+1 intermediate
     ``bytes`` objects and a join.
     """
-    if not _zero_copy:
-        return _encode_batch_legacy(messages)
     if not messages:
         raise CodecError("cannot encode an empty batch")
     if len(messages) > MAX_BATCH_RECORDS:
@@ -405,15 +372,12 @@ def decode_batch(data) -> list:
     Round-trip safe for every record type (keyed Counts, proactive
     CountQuery extensions). Raises :class:`CodecError` on a wrong type
     byte, a record count that disagrees with the payload, a trailing
-    partial record, or trailing bytes after the final record.
+    partial record, trailing bytes after the final record, or a record
+    that is itself a batch (batches never nest).
 
     Records are handed to :func:`decode_message` as ``memoryview``
     windows over the frame — no per-record ``bytes`` copy.
     """
-    if not _zero_copy:
-        return _decode_batch_legacy(
-            data if isinstance(data, bytes) else bytes(data)
-        )
     size = len(data)
     if size < _BATCH_HEAD.size:
         raise CodecError(f"batch header truncated: {size} bytes")
@@ -435,147 +399,11 @@ def decode_batch(data) -> list:
                 f"batch record {index} truncated: declared {length} bytes, "
                 f"{size - offset} remain"
             )
+        if length and data[offset] == _TYPE_BATCH:
+            raise CodecError("batches cannot nest")
         messages.append(decode_message(view[offset : offset + length]))
         offset += length
     if offset != size:
         raise CodecError(f"{size - offset} trailing bytes after batch records")
     return messages
 
-
-# ---------------------------------------------------------------------------
-# legacy concatenating codec (REPRO_ZERO_COPY=0; the live equivalence
-# reference the property suite pins the fast path against, and the
-# channel_surf benchmark's baseline)
-# ---------------------------------------------------------------------------
-
-
-def _pack_head(msg_type: int, flags: int, count_id: int, channel: Channel) -> bytes:
-    return _HEAD.pack(
-        msg_type, flags, count_id, channel.source, channel.suffix.to_bytes(3, "big")
-    )
-
-
-def _encode_message_legacy(message: EcmpMessage) -> bytes:
-    if isinstance(message, Count):
-        flags = _FLAG_KEY if message.key else 0
-        data = _pack_head(_TYPE_COUNT, flags, message.count_id, message.channel)
-        data += _COUNT_TAIL.pack(message.count, 0)
-        if message.key:
-            data += message.key.value
-        return data
-    if isinstance(message, CountQuery):
-        flags = _FLAG_PROACTIVE if message.proactive else 0
-        timeout_ms = int(round(message.timeout * 1000))
-        if timeout_ms > 0xFFFFFFFF:
-            raise CodecError(f"timeout {message.timeout}s unencodable")
-        data = _pack_head(_TYPE_QUERY, flags, message.count_id, message.channel)
-        data += _QUERY_TAIL.pack(timeout_ms, 0)
-        if message.proactive:
-            curve = message.proactive
-            data += _PROACTIVE_EXT.pack(curve.e_max, curve.alpha, curve.tau)
-        return data
-    if isinstance(message, CountResponse):
-        data = _pack_head(_TYPE_RESPONSE, 0, message.count_id, message.channel)
-        data += _RESPONSE_TAIL.pack(message.status.value)
-        return data
-    if isinstance(message, EcmpBatch):
-        return _encode_batch_legacy(message.messages)
-    raise CodecError(f"not an ECMP message: {message!r}")
-
-
-def _decode_message_legacy(data: bytes) -> Union[EcmpMessage, EcmpBatch]:
-    if len(data) < _HEAD.size:
-        raise CodecError(f"ECMP message truncated: {len(data)} bytes")
-    msg_type, flags, count_id, source, suffix_bytes = _HEAD.unpack(data[: _HEAD.size])
-    if msg_type == _TYPE_BATCH:
-        return EcmpBatch(messages=tuple(_decode_batch_legacy(data)))
-    channel = Channel.of(source, int.from_bytes(suffix_bytes, "big"))
-    body = data[_HEAD.size :]
-
-    if msg_type == _TYPE_COUNT:
-        expected = _COUNT_TAIL.size + (KEY_BYTES if flags & _FLAG_KEY else 0)
-        if len(body) < expected:
-            raise CodecError("Count body truncated")
-        if len(body) > expected:
-            raise CodecError(f"{len(body) - expected} trailing bytes after Count")
-        count, _reserved = _COUNT_TAIL.unpack(body[: _COUNT_TAIL.size])
-        key = ChannelKey(body[_COUNT_TAIL.size :]) if flags & _FLAG_KEY else None
-        return Count(channel=channel, count_id=count_id, count=count, key=key)
-
-    if msg_type == _TYPE_QUERY:
-        expected = _QUERY_TAIL.size + (
-            _PROACTIVE_EXT.size if flags & _FLAG_PROACTIVE else 0
-        )
-        if len(body) < expected:
-            raise CodecError("CountQuery body truncated")
-        if len(body) > expected:
-            raise CodecError(f"{len(body) - expected} trailing bytes after CountQuery")
-        timeout_ms, _reserved = _QUERY_TAIL.unpack(body[: _QUERY_TAIL.size])
-        proactive = None
-        if flags & _FLAG_PROACTIVE:
-            e_max, alpha, tau = _PROACTIVE_EXT.unpack(body[_QUERY_TAIL.size :])
-            proactive = ToleranceCurve(e_max=e_max, alpha=alpha, tau=tau)
-        return CountQuery(
-            channel=channel,
-            count_id=count_id,
-            timeout=timeout_ms / 1000.0,
-            proactive=proactive,
-        )
-
-    if msg_type == _TYPE_RESPONSE:
-        if len(body) < _RESPONSE_TAIL.size:
-            raise CodecError("CountResponse body truncated")
-        if len(body) > _RESPONSE_TAIL.size:
-            raise CodecError(
-                f"{len(body) - _RESPONSE_TAIL.size} trailing bytes after CountResponse"
-            )
-        (status_value,) = _RESPONSE_TAIL.unpack(body)
-        try:
-            status = CountStatus(status_value)
-        except ValueError:
-            raise CodecError(f"unknown CountResponse status {status_value}") from None
-        return CountResponse(channel=channel, count_id=count_id, status=status)
-
-    raise CodecError(f"unknown ECMP message type {msg_type:#x}")
-
-
-def _encode_batch_legacy(messages: Sequence[EcmpMessage]) -> bytes:
-    if not messages:
-        raise CodecError("cannot encode an empty batch")
-    if len(messages) > MAX_BATCH_RECORDS:
-        raise CodecError(f"batch of {len(messages)} records overflows uint16")
-    parts = [_BATCH_HEAD.pack(_TYPE_BATCH, 0, len(messages))]
-    for message in messages:
-        if isinstance(message, EcmpBatch):
-            raise CodecError("batches cannot nest")
-        record = _encode_message_legacy(message)
-        parts.append(_RECORD_LEN.pack(len(record)))
-        parts.append(record)
-    return b"".join(parts)
-
-
-def _decode_batch_legacy(data: bytes) -> list:
-    if len(data) < _BATCH_HEAD.size:
-        raise CodecError(f"batch header truncated: {len(data)} bytes")
-    msg_type, _flags, record_count = _BATCH_HEAD.unpack(data[: _BATCH_HEAD.size])
-    if msg_type != _TYPE_BATCH:
-        raise CodecError(f"not a batch frame (type {msg_type:#x})")
-    if record_count == 0:
-        raise CodecError("batch declares zero records")
-    offset = _BATCH_HEAD.size
-    messages = []
-    for index in range(record_count):
-        if len(data) - offset < _RECORD_LEN.size:
-            raise CodecError(f"batch record {index} length prefix truncated")
-        (length,) = _RECORD_LEN.unpack(data[offset : offset + _RECORD_LEN.size])
-        offset += _RECORD_LEN.size
-        if len(data) - offset < length:
-            raise CodecError(
-                f"batch record {index} truncated: declared {length} bytes, "
-                f"{len(data) - offset} remain"
-            )
-        messages.append(_decode_message_legacy(data[offset : offset + length]))
-        offset += length
-    if offset != len(data):
-        raise CodecError(f"{len(data) - offset} trailing bytes after batch records")
-    return messages

@@ -38,7 +38,6 @@ them open; see DESIGN.md §4):
 
 from __future__ import annotations
 
-import os
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
@@ -71,14 +70,13 @@ from repro.core.ecmp.messages import (
 )
 from repro.core.ecmp.refresh import RefreshRing
 from repro.core.ecmp.state import (
-    COLUMNAR_DEFAULT,
     LOCAL,
     ChannelState,
     is_pseudo_neighbor,
 )
 from repro.core.keys import ChannelKey, KeyCache
 from repro.core.proactive import ProactiveCounter, ToleranceCurve
-from repro.errors import ChannelError, ProtocolError
+from repro.errors import ChannelError, ProtocolError, ReproError
 from repro.inet.addr import parse_address
 from repro.netsim.engine import PeriodicTask
 from repro.netsim.node import Interface, Node, ProtocolAgent
@@ -92,11 +90,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.blocks import SubscriberBlock
 
 PROTO_ECMP = "ecmp"
-
-#: ``REPRO_REFRESH_RING=0`` is the coalesced-refresh escape hatch:
-#: agents fall back to the legacy full-table refresh/general-query
-#: scans (also the A/B baseline for the ``channel_surf`` benchmark).
-REFRESH_RING_DEFAULT = os.environ.get("REPRO_REFRESH_RING", "1") != "0"
 
 #: "All multicast ECMP datagrams are sent to a well-known ECMP address"
 #: with "a well-known localhost value as the source" (§3.3 + footnote 5).
@@ -297,8 +290,6 @@ class EcmpAgent(ProtocolAgent):
         wire_format: bool = False,
         batching: bool = True,
         obs=None,
-        columnar: Optional[bool] = None,
-        refresh_ring: Optional[bool] = None,
     ) -> None:
         super().__init__(node)
         if role not in ("router", "host"):
@@ -323,16 +314,6 @@ class EcmpAgent(ProtocolAgent):
         self.block_fast_updates = 0
         self.default_mode = default_mode
         self.proactive_curve = proactive_curve or ToleranceCurve()
-        #: Record backend for this agent's channel tables (columnar
-        #: StateBank rows vs the legacy per-record dataclass); None
-        #: defers to the ``REPRO_COLUMNAR`` process default.
-        self.columnar = COLUMNAR_DEFAULT if columnar is None else columnar
-        #: Coalesced soft-state refresh (due-deadline ring + upstream
-        #: index) vs the legacy full-table scans; None defers to the
-        #: ``REPRO_REFRESH_RING`` process default.
-        self.refresh_ring_enabled = (
-            REFRESH_RING_DEFAULT if refresh_ring is None else refresh_ring
-        )
         self.keys = KeyCache()
         self.channels: dict[Channel, ChannelState] = {}
         self.subscriptions: dict[Channel, SubscriptionHandle] = {}
@@ -408,8 +389,7 @@ class EcmpAgent(ProtocolAgent):
         #: rebuilds it by scanning every record.
         self._udp_channels: dict[str, dict[Channel, None]] = {}
         #: upstream name -> {channel: None}: channels routed *via* that
-        #: neighbor (the general-query response set; insertion-ordered
-        #: so the indexed path replays the scan's channel order).
+        #: neighbor (the general-query response set).
         self._by_upstream: dict[str, dict[Channel, None]] = {}
         #: The last message serialized and its bytes: a message fanned
         #: out to k neighbors is encoded once, the bytes shared.
@@ -792,7 +772,10 @@ class EcmpAgent(ProtocolAgent):
         if message is None and isinstance(packet.payload, bytes):
             try:
                 message = decode_message(packet.payload)
-            except Exception:
+            except ReproError:
+                # CodecError for bad framing; the message constructors'
+                # own errors for well-framed but invalid field values
+                # (countId 0, a multicast source, a zero tolerance).
                 self.stats.incr("undecodable_messages")
                 return
         if message is None:
@@ -1250,10 +1233,7 @@ class EcmpAgent(ProtocolAgent):
         if source_node is not self.node and upstream is None:
             return None  # unreachable source
         state = ChannelState(
-            channel=channel,
-            upstream=upstream,
-            created_at=self.sim.now,
-            columnar=self.columnar,
+            channel=channel, upstream=upstream, created_at=self.sim.now
         )
         state.upstream_changed_at = self.sim.now
         self.channels[channel] = state
@@ -1551,29 +1531,18 @@ class EcmpAgent(ProtocolAgent):
         """§3.3: re-send Counts for every channel routed via ``from_name``
         (the UDP-mode refresh, "analogous to an IGMP general query").
 
-        Fast path: the ``_by_upstream`` index yields exactly the
-        channels routed via the querier instead of testing every
-        channel in the table. ``refresh_records_examined`` tallies the
-        states each path had to touch, so the benchmark can report the
-        scan-work fraction the index eliminates.
+        The ``_by_upstream`` index yields exactly the channels routed
+        via the querier, so no other channel in the table is touched;
+        ``refresh_records_examined`` tallies the states it did touch.
         """
-        if self.refresh_ring_enabled:
-            routed = self._by_upstream.get(from_name)
-            if not routed:
-                return
-            self.stats.incr("refresh_records_examined", len(routed))
-            for channel in list(routed):
-                state = self.channels.get(channel)
-                if state is not None and state.upstream == from_name:
-                    self._send_count_upstream(state, state.total(validated_only=False))
+        routed = self._by_upstream.get(from_name)
+        if not routed:
             return
-        examined = 0
-        for channel, state in self.channels.items():
-            examined += 1
-            if state.upstream == from_name:
+        self.stats.incr("refresh_records_examined", len(routed))
+        for channel in list(routed):
+            state = self.channels.get(channel)
+            if state is not None and state.upstream == from_name:
                 self._send_count_upstream(state, state.total(validated_only=False))
-        if examined:
-            self.stats.incr("refresh_records_examined", examined)
 
     def _start_query(
         self,
@@ -1833,12 +1802,6 @@ class EcmpAgent(ProtocolAgent):
             self._do_udp_refresh_tick()
 
     def _do_udp_refresh_tick(self) -> None:
-        if self.refresh_ring_enabled:
-            self._refresh_tick_ring()
-        else:
-            self._refresh_tick_scan()
-
-    def _refresh_tick_ring(self) -> None:
         """Coalesced refresh: one sampled general query per UDP-mode
         neighbor (from the incrementally maintained fan-out index), then
         expiry of only the ring entries whose deadline bucket has passed
@@ -1879,42 +1842,6 @@ class EcmpAgent(ProtocolAgent):
             self.stats.incr("udp_expirations")
             self._apply_subscriber_count(channel, name, 0)
             self._expire_block_member(channel, name)
-
-    def _refresh_tick_scan(self) -> None:
-        """The legacy full-table refresh (``REPRO_REFRESH_RING=0``):
-        every record on every channel is examined on every tick."""
-        udp_downstreams: set[str] = set()
-        examined = 0
-        for state in self.channels.values():
-            for name, record in state.downstream.items():
-                # Blocks are excluded from the general query (nothing to
-                # send to) but *not* from the expiry sweep below: a block
-                # that stops refreshing ages out like any UDP neighbor.
-                examined += 1
-                if not is_pseudo_neighbor(name) and record.udp and record.count > 0:
-                    udp_downstreams.add(name)
-        if udp_downstreams:
-            general = CountQuery(
-                channel=DISCOVERY_CHANNEL,
-                count_id=ALL_CHANNELS_ID,
-                timeout=self.UDP_QUERY_INTERVAL,
-            )
-            for name in sorted(udp_downstreams):
-                self._send_message(general, name)
-        horizon = self.sim.now - self.UDP_ROBUSTNESS * self.UDP_QUERY_INTERVAL
-        for state in list(self.channels.values()):
-            examined += len(state.downstream)
-            expired = [
-                name
-                for name, record in state.downstream.items()
-                if name != LOCAL and record.udp and record.updated_at < horizon
-            ]
-            for name in expired:
-                self.stats.incr("udp_expirations")
-                self._apply_subscriber_count(state.channel, name, 0)
-                self._expire_block_member(state.channel, name)
-        if examined:
-            self.stats.incr("refresh_records_examined", examined)
 
     def _expire_block_member(self, channel: Channel, name: str) -> None:
         """Keep an expired block's own view and the delivery index

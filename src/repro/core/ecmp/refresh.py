@@ -1,12 +1,12 @@
 """Due-deadline ring for coalesced UDP soft-state refresh.
 
-The legacy ``_do_udp_refresh_tick`` walked every channel record on
-every tick to find the few UDP-mode records actually due to expire —
-O(total state) per tick, the §5.3 cost the soft-state design is
-supposed to avoid. This ring applies the wheel-bucket idiom from
-:mod:`repro.netsim.engine` to the refresh scan: entries are hashed
-into coarse time buckets by expiry deadline, and a tick pops only the
-buckets whose window has fully passed.
+Walking every channel record on every tick to find the few UDP-mode
+records actually due to expire is O(total state) per tick, the §5.3
+cost the soft-state design is supposed to avoid (that walk is the
+specification, ``tests/oracles/refresh.py``). This ring applies the
+wheel-bucket idiom from :mod:`repro.netsim.engine` instead: entries are
+hashed into coarse time buckets by expiry deadline, and a tick pops
+only the buckets whose window has fully passed.
 
 Deadlines are *lazy*: a record's ``updated_at`` is bumped on every
 refresh response without touching the ring. When an entry's bucket
@@ -15,9 +15,9 @@ record was refreshed meanwhile, the entry is simply rescheduled at its
 new deadline. Because a bucket's start is never later than any
 deadline hashed into it, an entry is always examined no later than the
 tick on which the full-table scan would have expired it, so expiry
-timing is identical to the scan (the equivalence suite pins this); a
-refreshed entry costs at most one extra examination per refresh
-interval instead of one per record per tick.
+timing is identical to the scan's (compared at every tick by
+``tests/properties/test_refresh_equivalence.py``); a refreshed entry
+costs at most one extra examination per refresh interval.
 """
 
 from __future__ import annotations

@@ -15,7 +15,7 @@ eight bytes to store K(S,E), the total size is 200 bytes."
 :func:`management_state_bytes` reproduces that accounting from live
 state so the ``T2`` benchmark can compare model vs measured.
 
-Record storage is *columnar* by default: every
+Record storage is *columnar*: every
 :class:`DownstreamRecord` is a thin row view over the process-global
 :class:`StateBank` — parallel ``count``/``flags``/``updated_at``
 columns following the ``CounterBank`` layout idiom from
@@ -29,27 +29,19 @@ slower per touch, measured on the mega-storm block path). This still
 packs the per-record hot fields the mega-channel workloads hammer
 (count rewrites, refresh stamps, mode flags) into flat arrays instead
 of one Python object's dict per record, exactly the §5.2 "packed
-count-activity record" picture. The legacy per-record dataclass
-survives as
-:class:`DictDownstreamRecord` (``REPRO_COLUMNAR=0`` or
-``columnar=False`` on the agent selects it) and the property suite in
-``tests/properties/test_state_equivalence.py`` pins the two backends
-bit-identical.
+count-activity record" picture. Its specification is the plain
+per-record dataclass in ``tests/oracles/records.py``, which
+``tests/properties/test_state_equivalence.py`` pins it equal to.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
-from typing import Optional, Union
+from typing import Optional
 
-from repro.core.channel import Channel, channel_id
+from repro.core.channel import Channel
 from repro.core.keys import KEY_BYTES, ChannelKey
 from repro.core.proactive import ProactiveCounter
-
-#: ``REPRO_COLUMNAR=0`` is the columnar store's escape hatch: agents
-#: fall back to the legacy per-record dataclass.
-COLUMNAR_DEFAULT = os.environ.get("REPRO_COLUMNAR", "1") != "0"
 
 #: Pseudo-neighbor name for this node's own (host-local) subscriptions.
 LOCAL = "__local__"
@@ -137,10 +129,8 @@ class DownstreamRecord:
     """State for one downstream neighbor (or LOCAL) on a channel.
 
     A row view over :data:`STATE_BANK`: attribute reads and writes go
-    straight to the columnar arrays. The constructor signature, field
-    defaults, repr and equality all match the legacy
-    :class:`DictDownstreamRecord` exactly — callers cannot tell the
-    backends apart (the property suite enforces that).
+    straight to the columnar arrays; to its callers it is a plain
+    five-field record.
     """
 
     __slots__ = ("_row", "presented_key")
@@ -212,7 +202,7 @@ class DownstreamRecord:
         )
 
     def __eq__(self, other: object) -> bool:
-        if not isinstance(other, (DownstreamRecord, DictDownstreamRecord)):
+        if not isinstance(other, DownstreamRecord):
             return NotImplemented
         return (
             self.count == other.count
@@ -232,40 +222,6 @@ class DownstreamRecord:
                 pass  # interpreter shutdown: globals already torn down
 
 
-@dataclass(eq=False)
-class DictDownstreamRecord:
-    """The legacy per-record dataclass (``REPRO_COLUMNAR=0`` backend).
-
-    Kept as the live reference implementation the columnar view is
-    equivalence-pinned against, and as the A/B baseline for the
-    ``channel_surf`` benchmark.
-    """
-
-    count: int = 0
-    #: False while an authenticated subscription awaits validation.
-    validated: bool = True
-    #: The key this neighbor presented (kept until validation resolves).
-    presented_key: Optional[ChannelKey] = None
-    updated_at: float = 0.0
-    #: True for neighbors managed in UDP mode (soft state, needs refresh).
-    udp: bool = False
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, (DownstreamRecord, DictDownstreamRecord)):
-            return NotImplemented
-        return (
-            self.count == other.count
-            and self.validated == other.validated
-            and self.presented_key == other.presented_key
-            and self.updated_at == other.updated_at
-            and self.udp == other.udp
-        )
-
-
-#: Either backend; the agent code is written against the shared API.
-DownstreamRecordType = Union[DownstreamRecord, DictDownstreamRecord]
-
-
 @dataclass
 class ChannelState:
     """Everything one node knows about one channel."""
@@ -274,7 +230,7 @@ class ChannelState:
     #: Upstream neighbor name toward S; None at the source's own node.
     upstream: Optional[str] = None
     #: Per-downstream-neighbor subscriber counts (LOCAL for own subs).
-    downstream: dict[str, DownstreamRecordType] = field(default_factory=dict)
+    downstream: dict[str, DownstreamRecord] = field(default_factory=dict)
     #: Count last advertised upstream (TCP-mode "sum provided upstream").
     advertised: int = 0
     #: Key forwarded upstream, awaiting a CountResponse verdict.
@@ -287,21 +243,12 @@ class ChannelState:
     #: When this node last switched upstream (hysteresis input).
     upstream_changed_at: float = 0.0
     created_at: float = 0.0
-    #: Record backend for this state's table; None resolves to the
-    #: process default (``REPRO_COLUMNAR``).
-    columnar: Optional[bool] = None
 
-    def __post_init__(self) -> None:
-        if self.columnar is None:
-            self.columnar = COLUMNAR_DEFAULT
-        #: Dense interned channel id (see :func:`channel_id`): stable
-        #: per process, used wherever per-channel state wants integer
-        #: keys instead of object hashing.
-        self.cid = channel_id(self.channel)
-
-    def new_record(self) -> DownstreamRecordType:
-        """A fresh default downstream record on this state's backend."""
-        return DownstreamRecord() if self.columnar else DictDownstreamRecord()
+    def new_record(self) -> DownstreamRecord:
+        """A fresh default downstream record: the one construction
+        site, which the equivalence suite patches to swap in its
+        reference record."""
+        return DownstreamRecord()
 
     def total(self, validated_only: bool = True) -> int:
         """Sum of downstream subscriber counts (the value sent upstream)."""

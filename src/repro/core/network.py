@@ -178,14 +178,6 @@ class ExpressNetwork:
     wire_format:
         Serialize every ECMP message to real wire bytes between nodes
         (exercises the codecs end to end; slightly slower).
-    columnar, refresh_ring:
-        Control-plane fast-path switches passed through to every
-        agent: columnar ``StateBank`` records vs the legacy per-record
-        dataclass, and the coalesced refresh ring vs the legacy
-        full-table scans. ``None`` (default) defers to the
-        ``REPRO_COLUMNAR`` / ``REPRO_REFRESH_RING`` process defaults
-        (both on); the ``channel_surf`` benchmark pins both off for
-        its baseline pass.
     obs:
         Optional :class:`repro.obs.Observability`. When given, the
         topology (simulator, nodes, links) is instrumented, every agent
@@ -206,8 +198,6 @@ class ExpressNetwork:
         wire_format: bool = False,
         batching: bool = True,
         obs=None,
-        columnar: Optional[bool] = None,
-        refresh_ring: Optional[bool] = None,
     ) -> None:
         self.topo = topo
         self.sim = topo.sim
@@ -246,8 +236,6 @@ class ExpressNetwork:
                 wire_format=wire_format,
                 batching=batching,
                 obs=obs,
-                columnar=columnar,
-                refresh_ring=refresh_ring,
             )
             agent.topology_change_hook = self._on_topology_change
             forwarder = ExpressForwarder(node, self.routing, fib, agent, obs=obs)

@@ -47,11 +47,7 @@ LOWER_IS_BETTER = (
     "phase_breakdown.alloc",
     "phase_breakdown.accounting",
     # Control-plane refresh economics (bench schema v8): records the
-    # refresh tick examines are pure overhead, and the fast path's
-    # share of the legacy scan's examinations (``refresh_scan_fraction``
-    # — matched here before the benefit table's ``fraction``) is the
-    # tax the ring exists to shrink.
-    "refresh_scan",
+    # refresh tick examines are pure overhead.
     "records_examined",
     # Robustness SLOs (bench schema v9): ``convergence_seconds`` is
     # already a cost via ``_seconds``; resync traffic, fault blast

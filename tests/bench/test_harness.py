@@ -195,7 +195,6 @@ def fake_report(**summary) -> dict:
         "null_ratio_reduction": 10.0,
         "sync_message_reduction": 3.5,
         "zap_events_per_sec": 1500.0,
-        "state_churn_speedup": 4.0,
         "convergence_seconds": 0.5,
         "blast_radius": 0.6,
     }

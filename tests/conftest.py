@@ -5,7 +5,18 @@ from __future__ import annotations
 import pytest
 
 from repro import Channel, ExpressNetwork, TopologyBuilder
+from repro.core.ecmp import messages
 from repro.core.network import SourceHandle
+from tests.oracles import codec as oracle_codec
+
+
+@pytest.fixture(params=[messages, oracle_codec], ids=["zero_copy", "legacy"])
+def codec(request):
+    """Both statements of the wire format, for frame-level cases that
+    must hold for each: the shipped zero-copy codec and the
+    concatenating reference codec (``tests/oracles/codec.py``). Either
+    way the case calls ``codec.encode_batch`` etc. directly."""
+    return request.param
 
 
 @pytest.fixture
@@ -48,6 +59,16 @@ def scan_interface_to(node, peer):
         if iface.link is not None and iface.link.other_end(node) is peer:
             return iface
     return None
+
+
+def silence_host(net: ExpressNetwork, host: str) -> None:
+    """The host forgets its subscriptions without a leave and keeps its
+    link: its edge router's soft state for it can only expire."""
+    agent = net.ecmp_agents[host]
+    agent.subscriptions.clear()
+    agent.channels.clear()
+    for source, dest in agent.fib.channels():
+        agent.fib.remove(source, dest)
 
 
 def make_channel(net: ExpressNetwork, source_host: str) -> tuple[SourceHandle, Channel]:

@@ -10,9 +10,12 @@ coalescing never adds latency where the protocol has a deadline.
 See ``docs/ecmp-wire.md``.
 """
 
+import struct
+
 import pytest
 
 from repro import ExpressNetwork, NeighborMode, TopologyBuilder
+from repro.core.ecmp import messages
 from repro.core.ecmp.countids import SUBSCRIBER_ID
 from repro.core.ecmp.messages import (
     Count,
@@ -20,11 +23,9 @@ from repro.core.ecmp.messages import (
     CountResponse,
     CountStatus,
     EcmpBatch,
-    decode_batch,
     encode_batch,
-    set_zero_copy,
 )
-from repro.errors import CodecError
+from repro.errors import CodecError, ReproError
 from repro.core.ecmp.protocol import DirtyChannelQueue, EcmpAgent
 from repro.core.keys import make_key
 from tests.conftest import make_channel
@@ -324,50 +325,45 @@ class TestDirectUrgentSend:
 class TestMutatedFrameDecoding:
     """Satellite regression (fault-injection work): a ``MSG_BATCH``
     frame mangled on the wire — duplicated then truncated, torn
-    mid-record, concatenated with its own copy — must raise
+    mid-record, concatenated with its own copy, nested — must raise
     :class:`CodecError` from ``decode_batch`` rather than partially
-    apply a plausible prefix of records. Pinned on both codecs; the
-    adversarial byte strings come from the fault subsystem's
+    apply a plausible prefix of records. Pinned on the shipped codec
+    and the reference codec (the ``codec`` fixture); the adversarial
+    byte strings come from the fault subsystem's
     :meth:`WireMutator.mutate_bytes` applied to real encoder output.
     """
 
     @staticmethod
-    def make_frame(net, n=4):
+    def make_frame(net, n=4, codec=messages):
         channels = other_channel(net, "hsrc", n=n)
-        messages = [
+        records = [
             Count(channel=ch, count_id=SUBSCRIBER_ID, count=i + 1)
             for i, ch in enumerate(channels)
         ]
-        messages[0] = Count(
+        records[0] = Count(
             channel=channels[0],
             count_id=SUBSCRIBER_ID,
             count=1,
             key=make_key(channels[0]),
         )
-        return encode_batch(messages), messages
-
-    @pytest.fixture(params=[True, False], ids=["zero_copy", "legacy"])
-    def codec(self, request):
-        prior = set_zero_copy(request.param)
-        yield request.param
-        set_zero_copy(prior)
+        return codec.encode_batch(records), records
 
     def test_duplicated_then_truncated_raises_not_partial(self, line_net, codec):
-        frame, messages = self.make_frame(line_net)
+        frame, records = self.make_frame(line_net, codec=codec)
         for cut in range(1, len(frame)):
             mangled = frame + frame[:cut]
             with pytest.raises(CodecError):
-                decode_batch(mangled)
+                codec.decode_batch(mangled)
 
     def test_every_truncation_point_raises(self, line_net, codec):
-        frame, messages = self.make_frame(line_net)
+        frame, records = self.make_frame(line_net, codec=codec)
         for cut in range(len(frame)):
             with pytest.raises(CodecError):
-                decode_batch(frame[:cut])
+                codec.decode_batch(frame[:cut])
 
     def test_clean_frame_still_round_trips(self, line_net, codec):
-        frame, messages = self.make_frame(line_net)
-        assert decode_batch(frame) == messages
+        frame, records = self.make_frame(line_net, codec=codec)
+        assert codec.decode_batch(frame) == records
 
     def test_wire_mutator_fuzz_never_partially_applies(self, line_net, codec):
         """Every non-identical byte string the mutator can produce from
@@ -375,10 +371,9 @@ class TestMutatedFrameDecoding:
         never returns a shortened record list."""
         import random
 
-        from repro.errors import CodecError as CE
         from repro.faults import WireMutator
 
-        frame, messages = self.make_frame(line_net)
+        frame, records = self.make_frame(line_net, codec=codec)
         mutator = WireMutator(
             random.Random(1234), drop=0.4, duplicate=0.5, reorder=0.5
         )
@@ -393,35 +388,96 @@ class TestMutatedFrameDecoding:
             # duplicate-frame case, which is merely idempotent.
             for candidate in pieces + [b"".join(pieces)]:
                 try:
-                    decoded = decode_batch(candidate)
-                except CE:
+                    decoded = codec.decode_batch(candidate)
+                except CodecError:
                     outcomes["rejected"] += 1
                 else:
                     outcomes["ok"] += 1
-                    assert decoded == messages
+                    assert decoded == records
         # The draws must actually exercise both outcomes.
         assert outcomes["rejected"] > 0
         assert outcomes["ok"] > 0
 
-    def test_receive_path_counts_undecodable_instead_of_applying(self, line_net):
-        """End to end: a torn frame delivered to an agent increments
-        ``undecodable_messages`` and changes no channel state."""
+    @staticmethod
+    def nested(frame: bytes, depth: int = 1) -> bytes:
+        """``frame`` wrapped as the only record of ``depth`` enclosing
+        batches: what ``encode_batch`` refuses to build."""
+        for _ in range(depth):
+            frame = b"\x10\x00\x00\x01" + len(frame).to_bytes(2, "big") + frame
+        return frame
+
+    def test_nested_batch_is_rejected_by_both_decoders(self, line_net, codec):
+        # docs/ecmp-wire.md: "Batches never nest". A nested frame must
+        # not come back as an EcmpBatch inside the record list.
+        frame, records = self.make_frame(line_net, codec=codec)
+        for decode in (codec.decode_batch, codec.decode_message):
+            with pytest.raises(CodecError, match="batches cannot nest"):
+                decode(self.nested(frame))
+
+    def test_deep_nest_is_a_codec_error_not_a_recursion_error(self, codec):
+        # The largest frame a uint16 record length admits, nothing but
+        # batch headers: one per six bytes, ~10,900 deep. Rejected at
+        # the first record, in O(1), before any recursion.
+        inner = b"\x10\x00\x00\x01"
+        depth = (0xFFFF - len(inner)) // 6
+        frame = self.nested(inner, depth)
+        assert depth > 10_000 and len(frame) <= 0xFFFF
+        for decode in (codec.decode_batch, codec.decode_message):
+            with pytest.raises(CodecError, match="batches cannot nest"):
+                decode(frame)
+
+    def deliver(self, net, payload: bytes):
+        """Hand ``payload`` to n1 as an ECMP packet from n0; returns
+        n1's agent and the stats the delivery changed."""
         from repro.netsim.packet import Packet
 
-        net = line_net
-        frame, messages = self.make_frame(net)
         agent = net.ecmp_agents["n1"]
         before = dict(agent.stats.as_dict())
-        packet = Packet(
-            proto="ecmp", src="n0", dst="n1", payload=frame + frame[: len(frame) // 2]
-        )
+        packet = Packet(proto="ecmp", src="n0", dst="n1", payload=payload)
         agent.handle_packet(
             packet, net.topo.node("n1").interface_to(net.topo.node("n0")).index
         )
         after = agent.stats.as_dict()
-        assert after.get("undecodable_messages", 0) == before.get(
-            "undecodable_messages", 0
-        ) + 1
+        changed = {
+            name: after[name] - before.get(name, 0)
+            for name in after
+            if after[name] != before.get(name, 0)
+        }
+        return agent, changed
+
+    def test_receive_path_counts_undecodable_instead_of_applying(self, line_net):
+        """End to end: a torn frame delivered to an agent increments
+        ``undecodable_messages`` and changes no channel state."""
+        frame, records = self.make_frame(line_net)
+        agent, changed = self.deliver(line_net, frame + frame[: len(frame) // 2])
+        assert changed == {"undecodable_messages": 1}
+        assert not agent.channels
+
+    def test_receive_path_counts_a_nested_batch_as_undecodable(self, line_net):
+        # Not as a received batch: batches_rx / batch_records_rx (and
+        # everything else) stay put.
+        frame, records = self.make_frame(line_net)
+        agent, changed = self.deliver(line_net, self.nested(frame))
+        assert changed == {"undecodable_messages": 1}
+        assert not agent.channels
+
+    @pytest.mark.parametrize(
+        "count_id, source",
+        [(0, 0x0A000001), (SUBSCRIBER_ID, 0xE0000001)],
+        ids=["countid-zero", "multicast-source"],
+    )
+    def test_receive_path_counts_invalid_field_values_as_undecodable(
+        self, line_net, count_id, source
+    ):
+        # Well-framed, but no such message can exist: the constructors
+        # refuse it with their own error types, not CodecError, and the
+        # receive path must count that too rather than let it escape.
+        frame = struct.pack("!BBHI3sIB", 0x02, 0, count_id, source, b"\0\0\1", 1, 0)
+        with pytest.raises(ReproError) as caught:
+            messages.decode_message(frame)
+        assert not isinstance(caught.value, CodecError)
+        agent, changed = self.deliver(line_net, frame)
+        assert changed == {"undecodable_messages": 1}
         assert not agent.channels
 
 

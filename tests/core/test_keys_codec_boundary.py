@@ -8,23 +8,18 @@ silently absorbed into the authenticator), and a syntactically valid
 but *forged* key must cross the real wire intact and be rejected by
 the upstream validator with ``INVALID_AUTHENTICATOR`` — exercised
 end-to-end with ``wire_format=True`` so every hop encodes and parses
-real bytes. Both codec implementations (the zero-copy fast path and
-the legacy concatenating one) are pinned to identical behavior.
+real bytes. Every case runs against the shipped codec and the
+reference codec alike (the ``codec`` fixture in ``tests/conftest.py``):
+the framing cases call it directly, the end-to-end cases run a whole
+network on it.
 """
 
 import pytest
 
 from repro.core.channel import Channel
+from repro.core.ecmp import protocol
 from repro.core.ecmp.countids import SUBSCRIBER_ID
-from repro.core.ecmp.messages import (
-    KEY_BYTES,
-    Count,
-    decode_batch,
-    decode_message,
-    encode_batch,
-    encode_message,
-    set_zero_copy,
-)
+from repro.core.ecmp.messages import KEY_BYTES, Count
 from repro.core.keys import ChannelKey, make_key
 from repro.core.network import ExpressNetwork
 from repro.errors import AuthError, CodecError
@@ -34,16 +29,8 @@ from repro.netsim.topology import TopologyBuilder
 CH = Channel.of(parse_address("10.9.0.1"), 7)
 
 
-@pytest.fixture(params=["zero_copy", "legacy"])
-def codec(request):
-    """Run each case under both codec implementations."""
-    prior = set_zero_copy(request.param == "zero_copy")
-    yield request.param
-    set_zero_copy(prior)
-
-
-def keyed_count(key: ChannelKey) -> bytes:
-    return encode_message(
+def keyed_count(codec, key: ChannelKey) -> bytes:
+    return codec.encode_message(
         Count(channel=CH, count_id=SUBSCRIBER_ID, count=3, key=key)
     )
 
@@ -51,7 +38,7 @@ def keyed_count(key: ChannelKey) -> bytes:
 class TestKeyFraming:
     def test_keyed_count_round_trips_key_bytes(self, codec):
         key = make_key(CH)
-        decoded = decode_message(keyed_count(key))
+        decoded = codec.decode_message(keyed_count(codec, key))
         assert decoded.key == key
         assert isinstance(decoded.key.value, bytes)
         assert len(decoded.key.value) == KEY_BYTES
@@ -62,32 +49,32 @@ class TestKeyFraming:
         # bytes, so a short buffer is a framing error — it must never
         # surface as a short ChannelKey (whose constructor would raise
         # AuthError) or as a keyless Count.
-        frame = keyed_count(make_key(CH))
+        frame = keyed_count(codec, make_key(CH))
         with pytest.raises(CodecError, match="Count body truncated"):
-            decode_message(frame[:-missing])
+            codec.decode_message(frame[:-missing])
 
     def test_extra_key_bytes_fail_strictness(self, codec):
         # A forger padding the authenticator field must fail framing,
         # not have the surplus silently ignored.
-        frame = keyed_count(make_key(CH)) + b"\x00"
+        frame = keyed_count(codec, make_key(CH)) + b"\x00"
         with pytest.raises(CodecError, match="trailing bytes after Count"):
-            decode_message(frame)
+            codec.decode_message(frame)
 
     def test_truncated_key_inside_batch_names_the_record(self, codec):
-        frame = bytearray(encode_batch([
+        frame = bytearray(codec.encode_batch([
             Count(channel=CH, count_id=SUBSCRIBER_ID, count=1),
             Count(channel=CH, count_id=SUBSCRIBER_ID, count=2, key=make_key(CH)),
         ]))
         # Shorten the final record's declared payload: the per-record
         # length prefix now promises more than the frame holds.
         with pytest.raises(CodecError, match="batch record 1 truncated"):
-            decode_batch(bytes(frame[:-2]))
+            codec.decode_batch(bytes(frame[:-2]))
 
     def test_forged_key_crosses_codec_intact(self, codec):
         # A wrong-but-well-formed key is not the codec's business: it
         # must arrive byte-identical for the key cache to reject.
         forged = ChannelKey(b"badbadba")
-        decoded = decode_message(keyed_count(forged))
+        decoded = codec.decode_message(keyed_count(codec, forged))
         assert decoded.key == forged
         assert decoded.key != make_key(CH)
 
@@ -102,7 +89,11 @@ class TestKeyFraming:
 
 class TestForgedKeyOverWire:
     @pytest.fixture
-    def wire_net(self):
+    def wire_net(self, codec, monkeypatch):
+        # Every hop encodes and parses with ``codec``: set at the two
+        # names the agent calls (a no-op for the shipped codec).
+        monkeypatch.setattr(protocol, "encode_message", codec.encode_message)
+        monkeypatch.setattr(protocol, "decode_message", codec.decode_message)
         topo = TopologyBuilder.isp(
             n_transit=3, stubs_per_transit=2, hosts_per_stub=2
         )
@@ -117,7 +108,7 @@ class TestForgedKeyOverWire:
         src.channel_key(ch, key)
         return src, ch, key
 
-    def test_forged_key_denied_end_to_end(self, wire_net, codec):
+    def test_forged_key_denied_end_to_end(self, wire_net):
         net = wire_net
         src, ch, key = self._keyed_channel(net)
         statuses = []
@@ -133,7 +124,7 @@ class TestForgedKeyOverWire:
         assert "denied" in statuses
         assert net.nodes_on_tree(ch) == set()
 
-    def test_valid_key_accepted_end_to_end(self, wire_net, codec):
+    def test_valid_key_accepted_end_to_end(self, wire_net):
         net = wire_net
         src, ch, key = self._keyed_channel(net)
         got = []

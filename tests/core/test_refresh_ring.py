@@ -39,6 +39,16 @@ class TestRingBasics:
         assert drain(ring, 200.0) == ["b"]
         assert len(ring) == 0
 
+    def test_bucket_starting_exactly_now_is_not_due(self):
+        # A tick at ``now`` pops only windows that start strictly
+        # before it: nothing filed under [20,30) can have lapsed at
+        # 20.0, and popping it would examine every live record one
+        # tick early, every lease.
+        ring = RefreshRing(10.0)
+        ring.add("a", 25.0)
+        assert drain(ring, 20.0) == []
+        assert drain(ring, 20.5) == ["a"]
+
     def test_add_is_deduped(self):
         ring = RefreshRing(10.0)
         assert ring.add("a", 15.0)

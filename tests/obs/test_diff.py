@@ -41,11 +41,8 @@ class TestDirection:
         assert direction("summary.sync_messages_per_event") == -1
         assert direction("frames_per_round") == -1
         assert direction("demand_null_ratio") == -1
-        # Control-plane refresh economics (schema v8): the fast path's
-        # share of the legacy scan — a fraction that must *shrink* —
-        # classifies as a cost despite the benefit table's "fraction",
-        # and examined records are overhead outright.
-        assert direction("summary.refresh_scan_fraction") == -1
+        # Control-plane refresh economics (schema v8): examined
+        # records are overhead outright.
         assert direction("scenarios.channel_surf.refresh_records_examined") == -1
         # Robustness SLOs (schema v9): recovery time, resync traffic,
         # churn spread, and orphaned state are all costs of a fault.
@@ -63,9 +60,8 @@ class TestDirection:
         # ...while the reductions over the eager baseline are benefits.
         assert direction("summary.null_ratio_reduction") == +1
         assert direction("summary.sync_message_reduction") == +1
-        # Schema v8 channel-surf headline numbers.
+        # Schema v8 channel-surf headline number.
         assert direction("summary.zap_events_per_sec") == +1
-        assert direction("summary.state_churn_speedup") == +1
 
     def test_neutral(self):
         assert direction("sim_events") == 0

@@ -1,0 +1,175 @@
+"""The concatenating ECMP codec: the wire format, spelled out.
+
+One ``bytes`` object per field group, joined with ``+``; decode slices
+copies out of the buffer. It states the layout of ``docs/ecmp-wire.md``
+with its own format strings, so it shares no packing code with
+``repro.core.ecmp.messages`` — only the message classes and the error
+type. ``tests/properties/test_codec_equivalence.py`` holds the shipped
+codec to it: same frames, same parses, same error for every corruption.
+"""
+
+from __future__ import annotations
+
+import struct
+from typing import Sequence
+
+from repro.core.channel import Channel
+from repro.core.ecmp.messages import (
+    Count,
+    CountQuery,
+    CountResponse,
+    CountStatus,
+    EcmpBatch,
+)
+from repro.core.keys import ChannelKey
+from repro.core.proactive import ToleranceCurve
+from repro.errors import CodecError
+
+TYPE_QUERY, TYPE_COUNT, TYPE_RESPONSE, TYPE_BATCH = 0x01, 0x02, 0x03, 0x10
+FLAG_KEY, FLAG_PROACTIVE = 0x01, 0x02
+KEY_BYTES = 8
+
+HEAD = "!BBHI3s"  # type flags countId source dest-suffix
+HEAD_BYTES = struct.calcsize(HEAD)
+COUNT_TAIL = "!IB"  # count reserved
+QUERY_TAIL = "!IB"  # timeout-ms reserved
+TAIL_BYTES = struct.calcsize(COUNT_TAIL)
+RESPONSE_TAIL = "!B"  # status
+PROACTIVE_EXT = "!fff"  # e_max alpha tau
+PROACTIVE_BYTES = struct.calcsize(PROACTIVE_EXT)
+BATCH_HEAD = "!BBH"  # type flags record-count
+BATCH_HEAD_BYTES = struct.calcsize(BATCH_HEAD)
+RECORD_LEN = "!H"
+MAX_BATCH_RECORDS = 0xFFFF
+
+
+def _head(msg_type: int, flags: int, count_id: int, channel: Channel) -> bytes:
+    return struct.pack(
+        HEAD, msg_type, flags, count_id, channel.source, channel.suffix.to_bytes(3, "big")
+    )
+
+
+def encode_message(message) -> bytes:
+    if isinstance(message, Count):
+        flags = FLAG_KEY if message.key else 0
+        data = _head(TYPE_COUNT, flags, message.count_id, message.channel)
+        data += struct.pack(COUNT_TAIL, message.count, 0)
+        if message.key:
+            data += message.key.value
+        return data
+    if isinstance(message, CountQuery):
+        flags = FLAG_PROACTIVE if message.proactive else 0
+        timeout_ms = int(round(message.timeout * 1000))
+        if timeout_ms > 0xFFFFFFFF:
+            raise CodecError(f"timeout {message.timeout}s unencodable")
+        data = _head(TYPE_QUERY, flags, message.count_id, message.channel)
+        data += struct.pack(QUERY_TAIL, timeout_ms, 0)
+        if message.proactive:
+            curve = message.proactive
+            data += struct.pack(PROACTIVE_EXT, curve.e_max, curve.alpha, curve.tau)
+        return data
+    if isinstance(message, CountResponse):
+        data = _head(TYPE_RESPONSE, 0, message.count_id, message.channel)
+        return data + struct.pack(RESPONSE_TAIL, message.status.value)
+    if isinstance(message, EcmpBatch):
+        return encode_batch(message.messages)
+    raise CodecError(f"not an ECMP message: {message!r}")
+
+
+def decode_message(data):
+    data = bytes(data)
+    if len(data) < HEAD_BYTES:
+        raise CodecError(f"ECMP message truncated: {len(data)} bytes")
+    msg_type, flags, count_id, source, suffix = struct.unpack(HEAD, data[:HEAD_BYTES])
+    if msg_type == TYPE_BATCH:
+        return EcmpBatch(messages=tuple(decode_batch(data)))
+    channel = Channel.of(source, int.from_bytes(suffix, "big"))
+    body = data[HEAD_BYTES:]
+
+    if msg_type == TYPE_COUNT:
+        expected = TAIL_BYTES + (KEY_BYTES if flags & FLAG_KEY else 0)
+        if len(body) < expected:
+            raise CodecError("Count body truncated")
+        if len(body) > expected:
+            raise CodecError(f"{len(body) - expected} trailing bytes after Count")
+        count, _reserved = struct.unpack(COUNT_TAIL, body[:TAIL_BYTES])
+        key = ChannelKey(body[TAIL_BYTES:]) if flags & FLAG_KEY else None
+        return Count(channel=channel, count_id=count_id, count=count, key=key)
+
+    if msg_type == TYPE_QUERY:
+        expected = TAIL_BYTES + (PROACTIVE_BYTES if flags & FLAG_PROACTIVE else 0)
+        if len(body) < expected:
+            raise CodecError("CountQuery body truncated")
+        if len(body) > expected:
+            raise CodecError(f"{len(body) - expected} trailing bytes after CountQuery")
+        timeout_ms, _reserved = struct.unpack(QUERY_TAIL, body[:TAIL_BYTES])
+        proactive = None
+        if flags & FLAG_PROACTIVE:
+            e_max, alpha, tau = struct.unpack(PROACTIVE_EXT, body[TAIL_BYTES:])
+            proactive = ToleranceCurve(e_max=e_max, alpha=alpha, tau=tau)
+        return CountQuery(
+            channel=channel,
+            count_id=count_id,
+            timeout=timeout_ms / 1000.0,
+            proactive=proactive,
+        )
+
+    if msg_type == TYPE_RESPONSE:
+        if len(body) < 1:
+            raise CodecError("CountResponse body truncated")
+        if len(body) > 1:
+            raise CodecError(f"{len(body) - 1} trailing bytes after CountResponse")
+        (status_value,) = struct.unpack(RESPONSE_TAIL, body)
+        try:
+            status = CountStatus(status_value)
+        except ValueError:
+            raise CodecError(f"unknown CountResponse status {status_value}") from None
+        return CountResponse(channel=channel, count_id=count_id, status=status)
+
+    raise CodecError(f"unknown ECMP message type {msg_type:#x}")
+
+
+def encode_batch(messages: Sequence) -> bytes:
+    if not messages:
+        raise CodecError("cannot encode an empty batch")
+    if len(messages) > MAX_BATCH_RECORDS:
+        raise CodecError(f"batch of {len(messages)} records overflows uint16")
+    parts = [struct.pack(BATCH_HEAD, TYPE_BATCH, 0, len(messages))]
+    for message in messages:
+        if isinstance(message, EcmpBatch):
+            raise CodecError("batches cannot nest")
+        record = encode_message(message)
+        parts.append(struct.pack(RECORD_LEN, len(record)))
+        parts.append(record)
+    return b"".join(parts)
+
+
+def decode_batch(data) -> list:
+    data = bytes(data)
+    if len(data) < BATCH_HEAD_BYTES:
+        raise CodecError(f"batch header truncated: {len(data)} bytes")
+    msg_type, _flags, record_count = struct.unpack(BATCH_HEAD, data[:BATCH_HEAD_BYTES])
+    if msg_type != TYPE_BATCH:
+        raise CodecError(f"not a batch frame (type {msg_type:#x})")
+    if record_count == 0:
+        raise CodecError("batch declares zero records")
+    offset = BATCH_HEAD_BYTES
+    messages = []
+    for index in range(record_count):
+        if len(data) - offset < 2:
+            raise CodecError(f"batch record {index} length prefix truncated")
+        (length,) = struct.unpack(RECORD_LEN, data[offset : offset + 2])
+        offset += 2
+        if len(data) - offset < length:
+            raise CodecError(
+                f"batch record {index} truncated: declared {length} bytes, "
+                f"{len(data) - offset} remain"
+            )
+        record = data[offset : offset + length]
+        if record[:1] == bytes([TYPE_BATCH]):
+            raise CodecError("batches cannot nest")
+        messages.append(decode_message(record))
+        offset += length
+    if offset != len(data):
+        raise CodecError(f"{len(data) - offset} trailing bytes after batch records")
+    return messages

@@ -1,15 +1,14 @@
-"""Property tests: the zero-copy codec is byte-identical to the legacy
-concatenating codec — same frames out, same objects and same error
-messages back in, for every message shape and every corruption.
+"""Property tests: the shipped zero-copy codec is byte-identical to
+the concatenating reference codec in ``tests/oracles/codec.py`` — same
+frames out, same objects and same error messages back in, for every
+message shape and every corruption.
 
-The fast path (``pack_into`` over one preallocated bytearray on
+The shipped codec (``pack_into`` over one preallocated bytearray on
 encode, ``unpack_from`` over memoryview windows on decode) must be
-observationally indistinguishable from the legacy implementation it
-replaced; ``REPRO_ZERO_COPY=0`` keeps the legacy codec live as the
-reference.
+observationally indistinguishable from the plain statement of the wire
+format; every case calls both and compares.
 """
 
-import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -20,15 +19,17 @@ from repro.core.ecmp.messages import (
     CountQuery,
     CountResponse,
     CountStatus,
+    EcmpBatch,
+    MSG_BATCH,
     decode_batch,
     decode_message,
     encode_batch,
     encode_message,
-    set_zero_copy,
 )
 from repro.core.keys import KEY_BYTES, ChannelKey
 from repro.core.proactive import ToleranceCurve
 from repro.errors import ReproError
+from tests.oracles import codec as oracle
 
 unicast_addresses = st.integers(min_value=0, max_value=0xDFFFFFFF)
 channels = st.builds(
@@ -74,22 +75,13 @@ responses = st.builds(
 messages = st.one_of(counts, queries, responses)
 
 
-def legacy(fn, *args):
-    """Run one codec call on the legacy implementation."""
-    prior = set_zero_copy(False)
-    try:
-        return fn(*args)
-    finally:
-        set_zero_copy(prior)
-
-
 def outcome(fn, *args):
     """Result or (error-type, message) — for comparing error paths.
 
     Catches every library error, not just ``CodecError``: corrupt
     bytes can surface as e.g. ``CountIdError`` from a message
-    constructor, and the two codecs must agree on *which* error and
-    its text, whatever the class.
+    constructor, and the codec and its oracle must agree on *which*
+    error and its text, whatever the class.
     """
     try:
         return ("ok", fn(*args))
@@ -97,22 +89,27 @@ def outcome(fn, *args):
         return ("err", type(exc).__name__, str(exc))
 
 
+def agreed(shipped, reference, *args):
+    """The outcome of one call, which both codecs must share."""
+    result = outcome(shipped, *args)
+    assert result == outcome(reference, *args)
+    return result
+
+
 class TestEncodeEquivalence:
     @given(message=messages)
     def test_single_frames_byte_identical(self, message):
-        assert encode_message(message) == legacy(encode_message, message)
+        assert encode_message(message) == oracle.encode_message(message)
 
     @given(batch=st.lists(messages, min_size=1, max_size=8))
     def test_batch_frames_byte_identical(self, batch):
-        assert encode_batch(batch) == legacy(encode_batch, batch)
+        assert encode_batch(batch) == oracle.encode_batch(batch)
 
     def test_empty_batch_same_error(self):
-        assert outcome(encode_batch, []) == legacy(outcome, encode_batch, [])
+        assert agreed(encode_batch, oracle.encode_batch, [])[0] == "err"
 
     def test_non_message_same_error(self):
-        assert outcome(encode_message, "nope") == legacy(
-            outcome, encode_message, "nope"
-        )
+        assert agreed(encode_message, oracle.encode_message, "nope")[0] == "err"
 
     @given(message=queries)
     def test_unencodable_timeout_same_error(self, message):
@@ -122,38 +119,32 @@ class TestEncodeEquivalence:
             timeout=2**33,
             proactive=message.proactive,
         )
-        fast = outcome(encode_message, bad)
-        assert fast == legacy(outcome, encode_message, bad)
-        assert fast[0] == "err"
+        assert agreed(encode_message, oracle.encode_message, bad)[0] == "err"
 
 
 class TestDecodeEquivalence:
     @given(message=messages)
     def test_round_trips_agree(self, message):
         frame = encode_message(message)
-        assert decode_message(frame) == legacy(decode_message, frame)
+        assert decode_message(frame) == oracle.decode_message(frame)
         assert decode_message(frame) == message
 
     @given(batch=st.lists(messages, min_size=1, max_size=6))
     def test_batch_round_trips_agree(self, batch):
         frame = encode_batch(batch)
-        assert decode_batch(frame) == legacy(decode_batch, frame)
+        assert decode_batch(frame) == oracle.decode_batch(frame)
         assert decode_batch(frame) == batch
 
     @given(message=messages, cut=st.integers(min_value=0, max_value=60))
     def test_truncations_raise_identical_errors(self, message, cut):
         frame = encode_message(message)
         mutated = frame[: max(len(frame) - cut, 0)]
-        assert outcome(decode_message, mutated) == legacy(
-            outcome, decode_message, mutated
-        )
+        agreed(decode_message, oracle.decode_message, mutated)
 
     @given(message=messages, tail=st.binary(min_size=1, max_size=8))
     def test_trailing_bytes_raise_identical_errors(self, message, tail):
         mutated = encode_message(message) + tail
-        fast = outcome(decode_message, mutated)
-        assert fast == legacy(outcome, decode_message, mutated)
-        assert fast[0] == "err"
+        assert agreed(decode_message, oracle.decode_message, mutated)[0] == "err"
 
     @given(
         batch=st.lists(messages, min_size=1, max_size=4),
@@ -163,30 +154,52 @@ class TestDecodeEquivalence:
     def test_corrupted_batches_raise_identical_errors(self, batch, cut, tail):
         frame = encode_batch(batch)
         for mutated in (frame[: max(len(frame) - cut, 0)], frame + tail):
-            assert outcome(decode_batch, mutated) == legacy(
-                outcome, decode_batch, mutated
-            )
+            agreed(decode_batch, oracle.decode_batch, mutated)
 
     @given(byte=st.integers(min_value=0, max_value=255))
     def test_unknown_type_bytes_raise_identical_errors(self, byte):
         frame = bytes([byte]) + bytes(11)
-        assert outcome(decode_message, frame) == legacy(
-            outcome, decode_message, frame
-        )
+        agreed(decode_message, oracle.decode_message, frame)
 
     @given(message=messages)
     def test_fast_decode_accepts_memoryview(self, message):
         frame = encode_message(message)
         assert decode_message(memoryview(frame)) == message
-        assert legacy(decode_message, memoryview(frame)) == message
+        assert oracle.decode_message(memoryview(frame)) == message
 
 
 class TestNestedBatch:
     def test_nested_batch_same_error(self):
-        from repro.core.ecmp.messages import EcmpBatch
-
         inner = Count(channel=Channel.of(1, 1), count_id=1, count=1)
         nested = [EcmpBatch(messages=(inner,))]
-        fast = outcome(encode_batch, nested)
-        assert fast == legacy(outcome, encode_batch, nested)
-        assert fast == ("err", "CodecError", "batches cannot nest")
+        assert agreed(encode_batch, oracle.encode_batch, nested) == (
+            "err",
+            "CodecError",
+            "batches cannot nest",
+        )
+
+    @given(
+        batch=st.lists(messages, min_size=1, max_size=4),
+        at=st.integers(min_value=0, max_value=4),
+        inner=st.binary(max_size=12),
+    )
+    def test_nested_record_same_decode_error(self, batch, at, inner):
+        # A record whose first byte says MSG_BATCH, spliced in at any
+        # position and whatever follows that byte: the frame the
+        # encoders refuse to build, hand-made.
+        frame = bytearray(encode_batch(batch))
+        offset = 4
+        for _ in range(min(at, len(batch))):
+            offset += 2 + int.from_bytes(frame[offset : offset + 2], "big")
+        record = bytes([MSG_BATCH]) + inner
+        frame[offset:offset] = len(record).to_bytes(2, "big") + record
+        frame[2:4] = (len(batch) + 1).to_bytes(2, "big")
+        for shipped, reference in (
+            (decode_batch, oracle.decode_batch),
+            (decode_message, oracle.decode_message),
+        ):
+            assert agreed(shipped, reference, bytes(frame)) == (
+                "err",
+                "CodecError",
+                "batches cannot nest",
+            )

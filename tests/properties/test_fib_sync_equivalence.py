@@ -32,7 +32,7 @@ from repro.core.ecmp.protocol import CountPropagation
 from repro.core.ecmp.state import LOCAL, is_pseudo_neighbor
 from repro.core.keys import ChannelKey
 from repro.faults import FaultInjector, FaultPlan
-from tests.conftest import scan_interface_to
+from tests.conftest import scan_interface_to, silence_host
 
 N_CASES = 8
 N_OPS = 140
@@ -145,15 +145,6 @@ def drive(case: int) -> tuple[ExpressNetwork, int]:
         if link.node_a.name not in steady and link.node_b.name not in steady
     ]
 
-    def silence(host: str) -> None:
-        # The host forgets its subscriptions without a leave and keeps
-        # its link: the edge router's UDP record can only expire.
-        agent = net.ecmp_agents[host]
-        agent.subscriptions.clear()
-        agent.channels.clear()
-        for source, dest in agent.fib.channels():
-            agent.fib.remove(source, dest)
-
     plan = FaultPlan(seed=case)
     start = sim.now + 0.05
     for _ in range(N_OPS):
@@ -193,7 +184,7 @@ def drive(case: int) -> tuple[ExpressNetwork, int]:
                 n = rng.randint(1, 8)
                 sim.schedule_at(at, lambda b=block, c=channel, n=n: b.leave(c, n))
         elif roll < 0.86:
-            sim.schedule_at(at, lambda h=rng.choice(subscribers): silence(h))
+            sim.schedule_at(at, lambda h=rng.choice(subscribers): silence_host(net, h))
         elif roll < 0.95:
             link = rng.choice(links)
             down = rng.uniform(0.2, 7.0)  # some outlast the re-home hysteresis

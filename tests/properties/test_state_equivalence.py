@@ -1,20 +1,20 @@
 """Property tests: the columnar ECMP record bank is indistinguishable
-from the legacy per-record dataclasses, and the refresh ring expires
-soft state on exactly the ticks the full-table scan would.
+from the per-record dataclass in ``tests/oracles/records.py``.
 
 Two layers:
 
 * **Record level** — any sequence of field writes applied to a
   :class:`DownstreamRecord` (StateBank row) and a
-  :class:`DictDownstreamRecord` leaves the two observably identical:
+  :class:`ReferenceRecord` leaves the two observably identical:
   every field, ``repr``, and ``__eq__`` in both directions. Rows
   recycle through the bank's free list without bleeding values.
 * **Network level** — the identical subscribe/unsubscribe/silence
-  workload driven on two :class:`ExpressNetwork` instances (columnar
-  vs dict records; refresh ring vs legacy scan) settles to
-  bit-identical ``ChannelState`` tables — including ``updated_at``
-  stamps and ``udp_expirations`` counts, pinning the ring's
-  expiry-timing equivalence with the scan.
+  workload driven on two :class:`ExpressNetwork` instances, one of
+  them with ``ChannelState.new_record`` patched to hand out reference
+  records, settles to bit-identical ``ChannelState`` tables —
+  including ``updated_at`` stamps and ``udp_expirations`` counts.
+  (Expiry *timing* against the full-table walk is compared tick by
+  tick in ``test_refresh_equivalence.py``.)
 
 The bank's columns are plain lists regardless of numpy, but CI still
 drives this suite under ``REPRO_NO_NUMPY=1`` in the escape-hatches
@@ -22,13 +22,18 @@ job: the workload-level comparison exercises the accounting layer's
 scalar fallback underneath the same equivalence assertions.
 """
 
+import itertools
+
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.ecmp.protocol import EcmpAgent
-from repro.core.ecmp.state import DictDownstreamRecord, DownstreamRecord
+from repro.core.ecmp.state import ChannelState, DownstreamRecord
 from repro.core.network import ExpressNetwork
 from repro.netsim.topology import TopologyBuilder
+from tests.conftest import silence_host
+from tests.oracles.records import FIELDS as RECORD_FIELDS, ReferenceRecord
 
 FIELD_WRITES = st.lists(
     st.one_of(
@@ -44,16 +49,14 @@ FIELD_WRITES = st.lists(
     max_size=12,
 )
 
-RECORD_FIELDS = ("count", "validated", "presented_key", "updated_at", "udp")
 
-
-def assert_records_identical(columnar, legacy):
+def assert_records_identical(columnar, reference):
     for field in RECORD_FIELDS:
-        assert getattr(columnar, field) == getattr(legacy, field), field
-    assert columnar == legacy
-    assert legacy == columnar
+        assert getattr(columnar, field) == getattr(reference, field), field
+    assert columnar == reference
+    assert reference == columnar
     # Identical field rendering; only the class name may differ.
-    assert repr(columnar).split("(", 1)[1] == repr(legacy).split("(", 1)[1]
+    assert repr(columnar).split("(", 1)[1] == repr(reference).split("(", 1)[1]
 
 
 class TestRecordEquivalence:
@@ -71,12 +74,12 @@ class TestRecordEquivalence:
             count=count, validated=validated, udp=udp, updated_at=updated_at
         )
         columnar = DownstreamRecord(**kwargs)
-        legacy = DictDownstreamRecord(**kwargs)
-        assert_records_identical(columnar, legacy)
+        reference = ReferenceRecord(**kwargs)
+        assert_records_identical(columnar, reference)
         for field, value in writes:
             setattr(columnar, field, value)
-            setattr(legacy, field, value)
-            assert_records_identical(columnar, legacy)
+            setattr(reference, field, value)
+            assert_records_identical(columnar, reference)
 
     def test_field_types_survive_the_bank(self):
         record = DownstreamRecord(count=3, updated_at=1.5)
@@ -94,10 +97,11 @@ class TestRecordEquivalence:
         del first
         second = DownstreamRecord()
         assert second._row == row
-        assert_records_identical(second, DictDownstreamRecord())
+        assert_records_identical(second, ReferenceRecord())
 
     def test_unequal_to_differing_record(self):
-        assert DownstreamRecord(count=1) != DictDownstreamRecord(count=2)
+        assert DownstreamRecord(count=1) != ReferenceRecord(count=2)
+        assert DownstreamRecord(count=1) != DownstreamRecord(count=2)
         assert DownstreamRecord(count=1) != object()
 
 
@@ -121,14 +125,10 @@ def state_snapshot(net):
     return snap
 
 
-def build_star(columnar, refresh_ring):
+def build_star():
     topo = TopologyBuilder.star(4)
     net = ExpressNetwork(
-        topo,
-        hosts=[f"leaf{i}" for i in range(4)],
-        edge_udp=True,
-        columnar=columnar,
-        refresh_ring=refresh_ring,
+        topo, hosts=[f"leaf{i}" for i in range(4)], edge_udp=True
     )
     net.run(until=0.01)
     return net
@@ -147,64 +147,61 @@ OPS = st.lists(
 )
 
 
+def run_ops(ops):
+    """One star network driven through ``ops``, run well past the
+    soft-state horizon so every scheduled expiry lands."""
+    net = build_star()
+    src = net.source("leaf0")
+    chans = [src.allocate_channel(suffix=1 + k) for k in range(2)]
+    for step, (leaf, chan, action) in enumerate(ops):
+        at = 0.1 + 0.25 * step
+        host = f"leaf{leaf}"
+        if action == "join":
+            net.sim.schedule_at(
+                at, lambda n=host, c=chans[chan]: net.host(n).subscribe(c)
+            )
+        elif action == "leave":
+            net.sim.schedule_at(
+                at, lambda n=host, c=chans[chan]: net.host(n).unsubscribe(c)
+            )
+        else:
+            net.sim.schedule_at(at, lambda n=host: silence_host(net, n))
+    horizon = (EcmpAgent.UDP_ROBUSTNESS + 2) * EcmpAgent.UDP_QUERY_INTERVAL
+    net.run(until=0.1 + 0.25 * len(ops) + horizon)
+    return net
+
+
 class TestControlPlaneEquivalence:
     @settings(max_examples=15, deadline=None)
     @given(ops=OPS)
     def test_fast_and_legacy_control_planes_converge_identically(self, ops):
-        interval = EcmpAgent.UDP_QUERY_INTERVAL
-        nets = [
-            build_star(columnar=True, refresh_ring=True),
-            build_star(columnar=False, refresh_ring=False),
-        ]
-        channels = []
-        for net in nets:
-            src = net.source("leaf0")
-            channels.append([src.allocate_channel(suffix=1 + k) for k in range(2)])
-        for net, chans in zip(nets, channels):
-            for step, (leaf, chan, action) in enumerate(ops):
-                at = 0.1 + 0.25 * step
-                host = f"leaf{leaf}"
-                if action == "join":
-                    net.sim.schedule_at(
-                        at,
-                        lambda n=host, c=chans[chan], net=net: (
-                            net.host(n).subscribe(c)
-                        ),
-                    )
-                elif action == "leave":
-                    net.sim.schedule_at(
-                        at,
-                        lambda n=host, c=chans[chan], net=net: (
-                            net.host(n).unsubscribe(c)
-                        ),
-                    )
-                else:
-                    # Vanish without a zero Count: the hub's soft state
-                    # for this host must age out on the same tick under
-                    # ring and scan.
-                    def silence(n=host, net=net):
-                        agent = net.ecmp_agents[n]
-                        agent.subscriptions.clear()
-                        agent.channels.clear()
+        shipped = run_ops(ops)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(ChannelState, "new_record", lambda state: ReferenceRecord())
+            reference = run_ops(ops)
+            assert all(
+                type(record) is ReferenceRecord
+                for agent in reference.ecmp_agents.values()
+                for state in agent.channels.values()
+                for record in state.downstream.values()
+            )
+            assert shipped.sim.now == reference.sim.now
+            assert state_snapshot(shipped) == state_snapshot(reference)
 
-                    net.sim.schedule_at(at, silence)
-            # Run well past the soft-state horizon so every scheduled
-            # expiry lands in both networks.
-            horizon = (EcmpAgent.UDP_ROBUSTNESS + 2) * interval
-            net.run(until=0.1 + 0.25 * len(ops) + horizon)
-        fast, legacy = nets
-        assert fast.sim.now == legacy.sim.now
-        assert state_snapshot(fast) == state_snapshot(legacy)
-
-    def test_mixed_backends_interoperate(self):
-        # A columnar node and a dict node on the same wire: the record
-        # backend is node-local, so a network where only some agents
-        # are columnar must still converge (channels carry per-state
-        # overrides, not globals).
-        net = build_star(columnar=None, refresh_ring=None)
+    def test_mixed_backends_interoperate(self, monkeypatch):
+        # Bank rows and reference records side by side in the same
+        # channel tables: nothing in the agent may depend on which
+        # kind a record is.
+        kinds = itertools.cycle([DownstreamRecord, ReferenceRecord])
+        monkeypatch.setattr(ChannelState, "new_record", lambda state: next(kinds)())
+        net = build_star()
         hub = net.ecmp_agents["hub"]
-        src = net.source("leaf0")
-        ch = src.allocate_channel()
-        net.host("leaf1").subscribe(ch)
+        ch = net.source("leaf0").allocate_channel()
+        for leaf in ("leaf1", "leaf2", "leaf3"):
+            net.host(leaf).subscribe(ch)
         net.settle()
-        assert hub.subscriber_count_estimate(ch) >= 1
+        assert {type(r) for r in hub.channels[ch].downstream.values()} == {
+            DownstreamRecord,
+            ReferenceRecord,
+        }
+        assert hub.subscriber_count_estimate(ch) == 3
