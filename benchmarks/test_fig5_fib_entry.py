@@ -46,7 +46,7 @@ def test_fig5_lookup_rate(benchmark):
     group = ssm_address(5_000)
 
     result = benchmark(fib.lookup, S, group, 1)
-    assert result == [2]
+    assert result == (2,)
 
     report(
         "fig5_lookup_rate",

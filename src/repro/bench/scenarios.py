@@ -10,8 +10,8 @@ cover the hot paths this repo optimizes:
   membership churn running (``repro.workloads.churn``); this is the
   scenario the incremental-SPF ≥5× Dijkstra saving is measured on.
 * **steady_fanout** — the data plane: a source streaming to a fully
-  subscribed balanced tree, exercising FIB lookup interning and the
-  zero-copy fan-out path.
+  subscribed balanced tree, exercising the FIB lookup with its shared
+  egress tuples and the zero-copy fan-out path.
 * **mega_join_storm** — scheduler scale: a 10^5 (quick) / 10^6 (full)
   member join storm over aggregated subscriber blocks, run under both
   the heap and timer-wheel schedulers on identical workloads; gates

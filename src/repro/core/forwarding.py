@@ -26,7 +26,7 @@ from repro.core.accounting import DeliveryView, flush_agent_views
 from repro.core.channel import lookup_channel
 from repro.core.ecmp.protocol import EcmpAgent
 from repro.errors import ForwardingError
-from repro.inet.addr import is_ssm, is_unicast
+from repro.inet.addr import SSM_FIRST, SSM_LAST, is_ssm, is_unicast
 from repro.netsim.node import Node, ProtocolAgent
 from repro.netsim.packet import Packet
 from repro.netsim.trace import Counter
@@ -57,6 +57,9 @@ class ExpressForwarder(ProtocolAgent):
         self.routing = routing
         self.fib = fib
         self.ecmp = ecmp
+        #: Hosts terminate channels; they never relay. An agent's role
+        #: is fixed at construction.
+        self._is_host = ecmp.role == "host"
         self.obs = obs
         if obs is None:
             self.stats = Counter()
@@ -74,6 +77,9 @@ class ExpressForwarder(ProtocolAgent):
                 "subscriber delivery",
                 ("protocol", "node", "channel"),
             )
+            #: channel -> its labelled child of that histogram, resolved
+            #: on the channel's first local delivery here.
+            self._delivery_hists: dict = {}
             # Snapshot boundary: pending delivery-view tallies must land
             # in the block counters and stats bag before any export.
             registry.register_collector(self._flush_views)
@@ -98,27 +104,27 @@ class ExpressForwarder(ProtocolAgent):
         if packet.proto == PROTO_IPIP:
             self._handle_encapsulated(packet, ifindex)
             return
-        if is_ssm(packet.dst):
-            self._handle_express(packet, ifindex)
+        dst = packet.dst
+        if not SSM_FIRST <= dst <= SSM_LAST:
+            if is_unicast(dst):
+                self._handle_unicast(packet, ifindex)
+            else:
+                # Conventional class-D traffic is outside this
+                # forwarder's remit (IGMP-managed LANs handle it);
+                # count and drop.
+                self.stats.incr("non_express_multicast_drops")
             return
-        if is_unicast(packet.dst):
-            self._handle_unicast(packet, ifindex)
-            return
-        # Conventional class-D traffic is outside this forwarder's
-        # remit (IGMP-managed LANs handle it); count and drop.
-        self.stats.incr("non_express_multicast_drops")
-
-    def _handle_express(self, packet: Packet, ifindex: int) -> None:
         if packet.src == self.node.address:
             # A channel packet claiming to be from us arriving on a
             # wire is spoofed or looped; never process it.
             self.stats.incr("self_spoof_drops")
             return
         delivered = self._deliver_local(packet)
-        if self.ecmp.role == "host":
-            return  # hosts terminate channels; they never relay
-        oifs = self.fib.lookup(packet.src, packet.dst, ifindex)
-        self._fan_out(packet, oifs, consume=not delivered)
+        if self._is_host:
+            return
+        oifs = self.fib.lookup(packet.src, dst, ifindex)
+        if oifs:  # empty: a drop, or an edge whose members are all local blocks
+            self._fan_out(packet, oifs, consume=not delivered)
 
     def _handle_unicast(self, packet: Packet, ifindex: int) -> None:
         if packet.dst == self.node.address:
@@ -163,7 +169,7 @@ class ExpressForwarder(ProtocolAgent):
             return
         self.stats.incr("subcast_relayed")
         delivered = self._deliver_local(inner)
-        self._fan_out(inner, entry.outgoing_interfaces(), consume=not delivered)
+        self._fan_out(inner, self.fib.egress(entry), consume=not delivered)
 
     # ------------------------------------------------------------------
     # transmit path
@@ -184,7 +190,7 @@ class ExpressForwarder(ProtocolAgent):
         if entry is None:
             self.fib.no_match_drops += 1
             return 0
-        oifs = entry.outgoing_interfaces()
+        oifs = self.fib.egress(entry)
         self._fan_out(packet, oifs, consume=not delivered)
         return len(oifs)
 
@@ -202,7 +208,7 @@ class ExpressForwarder(ProtocolAgent):
             return False
         return self.node.send_to_neighbor(packet, self.routing.topo.node(hop))
 
-    def _fan_out(self, packet: Packet, oifs: list[int], consume: bool = False) -> None:
+    def _fan_out(self, packet: Packet, oifs: tuple[int, ...], consume: bool = False) -> None:
         """Replicate ``packet`` onto ``oifs``.
 
         With ``consume=True`` the caller relinquishes ownership of the
@@ -218,18 +224,16 @@ class ExpressForwarder(ProtocolAgent):
             return
         self.stats.incr("multicast_forwarded", n)
         send = self.node.send
-        for i in range(n - 1):
+        ttl = packet.ttl - 1
+        copies = n - 1 if consume else n
+        for oif in oifs[:copies]:
             copy = packet.copy()
-            copy.ttl = packet.ttl - 1
-            send(copy, oifs[i])
+            copy.ttl = ttl
+            send(copy, oif)
         if consume:
-            packet.ttl -= 1
+            packet.ttl = ttl
             self.stats.incr("fanout_inplace")
-            send(packet, oifs[n - 1])
-        else:
-            copy = packet.copy()
-            copy.ttl = packet.ttl - 1
-            send(copy, oifs[n - 1])
+            send(packet, oifs[copies])
 
     def _deliver_local(self, packet: Packet) -> bool:
         """Deliver to a local subscription, if any; True if delivered."""
@@ -269,9 +273,12 @@ class ExpressForwarder(ProtocolAgent):
         handle.bytes_received += packet.size
         self.stats.incr("local_deliveries")
         if self._m_delivery is not None:
-            self._m_delivery.labels(
-                protocol="express", node=self.node.name, channel=str(channel)
-            ).observe(self.sim.now - packet.created_at)
+            hist = self._delivery_hists.get(channel)
+            if hist is None:
+                hist = self._delivery_hists[channel] = self._m_delivery.labels(
+                    protocol="express", node=self.node.name, channel=str(channel)
+                )
+            hist.observe(self.sim.now - packet.created_at)
         if handle.on_data is not None:
             handle.on_data(packet)
         return True

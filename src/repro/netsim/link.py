@@ -9,6 +9,7 @@ TCP-mode-failure experiments).
 
 from __future__ import annotations
 
+from functools import partial
 from typing import TYPE_CHECKING
 
 from repro.errors import TopologyError
@@ -21,6 +22,18 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 #: Default link bandwidth: 100 Mbit/s, the paper's "each low-cost PC
 #: today is capable of forwarding data at a rate in excess of 100 Mbps".
 DEFAULT_BANDWIDTH = 100e6 / 8
+
+
+class _DeliverNames(dict):
+    """``proto -> "deliver:<proto>"``, one string object per protocol
+    label instead of one formatted per packet."""
+
+    def __missing__(self, proto: str) -> str:
+        name = self[proto] = f"deliver:{proto}"
+        return name
+
+
+_DELIVER_NAME = _DeliverNames()
 
 
 class Link:
@@ -79,6 +92,13 @@ class Link:
         #: accounting happens once per :meth:`transmit` call, before
         #: mutation, exactly like the loss draw.
         self.mutator = None
+        #: sender -> (the far node's bound ``receive``, the far
+        #: interface's index), resolved once: neither end of a link
+        #: ever changes.
+        self._far_end = {
+            node_a: (node_b.receive, iface_b.index),
+            node_b: (node_a.receive, iface_a.index),
+        }
         iface_a.link = self
         iface_b.link = self
         iface_a.peer = node_b
@@ -105,49 +125,49 @@ class Link:
         if not self.up:
             return
         self.tx_packets += 1
-        if self.metrics is not None:
-            self.metrics.transmitted()
-        if packet.proto == "ecmp":
+        metrics = self.metrics
+        if metrics is not None:
+            metrics.transmitted()
+        proto = packet.proto
+        if proto == "ecmp":
             # Wire-level control accounting: one increment per wire
             # packet, so a coalesced batch frame counts once.
             self.ecmp_wire_packets += 1
             self.ecmp_wire_bytes += packet.size
-            if self.metrics is not None:
-                self.metrics.ecmp_wire(packet.size)
+            if metrics is not None:
+                metrics.ecmp_wire(packet.size)
         # TCP-mode control traffic is marked reliable: retransmission
         # hides loss, so the loss draw is skipped (delay still applies).
-        reliable = bool(packet.headers.get("reliable"))
-        if self.loss and not reliable and self.sim.rng.random() < self.loss:
+        if (
+            self.loss
+            and not packet.headers.get("reliable")
+            and self.sim.rng.random() < self.loss
+        ):
             self.lost_packets += 1
-            if self.metrics is not None:
-                self.metrics.lost()
+            if metrics is not None:
+                metrics.lost()
             return
-        receiver = self.other_end(sender)
-        rx_iface = self.interface_of(receiver)
+        try:
+            receive, rx_index = self._far_end[sender]
+        except KeyError:
+            raise TopologyError(f"{sender.name} is not attached to this link") from None
         latency = self.delay + packet.size / self.bandwidth
-        if self.mutator is not None:
-            for extra_delay, mutated in self.mutator(self, sender, packet):
-                self._deliver(receiver, rx_iface, mutated, latency + extra_delay)
-            return
         # ownership transfers; callers copy for fanout
-        self._deliver(receiver, rx_iface, packet, latency)
-
-    def _deliver(
-        self,
-        receiver: "Node",
-        rx_iface: "Interface",
-        packet: Packet,
-        latency: float,
-    ) -> None:
-        if self.capture is not None:
-            sender = self.other_end(receiver)
-            self.capture(self, sender, packet, self.sim.now + latency)
+        if self.mutator is None:
+            if self.capture is None:
+                self.sim.schedule(
+                    latency, partial(receive, packet, rx_index), _DELIVER_NAME[proto]
+                )
+            else:
+                self.capture(self, sender, packet, self.sim.now + latency)
             return
-        self.sim.schedule(
-            latency,
-            lambda: receiver.receive(packet, rx_iface.index),
-            name=f"deliver:{packet.proto}",
-        )
+        for extra_delay, mutated in self.mutator(self, sender, packet):
+            arrival = latency + extra_delay
+            if self.capture is None:
+                name = _DELIVER_NAME[mutated.proto]
+                self.sim.schedule(arrival, partial(receive, mutated, rx_index), name)
+            else:
+                self.capture(self, sender, mutated, self.sim.now + arrival)
 
     def set_up(self, up: bool) -> None:
         """Change link state, notifying both endpoints on transitions."""

@@ -119,9 +119,6 @@ class Node:
             raise SimulationError(f"{self.name}: agent already registered for {proto!r}")
         self.agents[proto] = agent
 
-    def agent_for(self, proto: str) -> Optional[ProtocolAgent]:
-        return self.agents.get(proto) or self.agents.get("*")
-
     def neighbors(self) -> list["Node"]:
         """Nodes reachable over one up link, in interface order."""
         result = []
@@ -139,19 +136,13 @@ class Node:
         Returns True if the packet entered the link (it may still be
         lost in transit), False if the interface is down or unwired.
         """
-        if not 0 <= ifindex < len(self.interfaces):
+        interfaces = self.interfaces
+        if not 0 <= ifindex < len(interfaces):
             raise SimulationError(f"{self.name}: no interface {ifindex}")
-        iface = self.interfaces[ifindex]
-        if iface.link is None or not iface.link.up:
-            self.dropped_packets += 1
-            if self.trace is not None:
-                self.trace.record(
-                    self.sim.now, self.name, "drop", packet.proto, packet.size,
-                    detail="link-down",
-                )
-            if self.metrics is not None:
-                self.metrics.packet("drop", packet.proto, packet.size)
-            return False
+        iface = interfaces[ifindex]
+        link = iface.link
+        if link is None or not link.up:
+            return self._drop(packet, "link-down")
         iface.tx_packets += 1
         iface.tx_bytes += packet.size
         if self.trace is not None:
@@ -161,16 +152,28 @@ class Node:
             )
         if self.metrics is not None:
             self.metrics.packet("tx", packet.proto, packet.size)
-        iface.link.transmit(self, packet)
+        link.transmit(self, packet)
         return True
 
     def send_to_neighbor(self, packet: Packet, neighbor: "Node") -> bool:
         """Transmit ``packet`` on the interface facing ``neighbor``."""
         iface = self.interface_to(neighbor)
         if iface is None:
-            self.dropped_packets += 1
-            return False
+            return self._drop(packet, "no-interface")
         return self.send(packet, iface.index)
+
+    def _drop(self, packet: Packet, why: str) -> bool:
+        """Count, trace and meter a packet this node discards; every
+        drop the node itself decides on leaves the same three marks."""
+        self.dropped_packets += 1
+        if self.trace is not None:
+            self.trace.record(
+                self.sim.now, self.name, "drop", packet.proto, packet.size,
+                detail=why,
+            )
+        if self.metrics is not None:
+            self.metrics.packet("drop", packet.proto, packet.size)
+        return False
 
     def receive(self, packet: Packet, ifindex: int) -> None:
         """Entry point called by links when a packet arrives."""
@@ -185,11 +188,10 @@ class Node:
         if self.metrics is not None:
             self.metrics.packet("rx", packet.proto, packet.size)
         if packet.ttl <= 0:
-            self.dropped_packets += 1
-            if self.metrics is not None:
-                self.metrics.packet("drop", packet.proto, packet.size)
+            self._drop(packet, "ttl")
             return
-        agent = self.agent_for(packet.proto)
+        agents = self.agents
+        agent = agents.get(packet.proto) or agents.get("*")  # wildcard fallback
         if agent is None:
             self.unmatched_packets += 1
             return

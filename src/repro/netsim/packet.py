@@ -15,9 +15,11 @@ from dataclasses import dataclass, field
 from typing import Any
 
 _packet_ids = itertools.count(1)
+_next_uid = _packet_ids.__next__
+_new = object.__new__
 
 
-@dataclass
+@dataclass(slots=True)
 class Packet:
     """A simulated datagram.
 
@@ -47,21 +49,26 @@ class Packet:
     size: int = 64
     ttl: int = 64
     headers: dict = field(default_factory=dict)
-    uid: int = field(default_factory=lambda: next(_packet_ids))
+    uid: int = field(default_factory=_next_uid)
     created_at: float = 0.0
 
     def copy(self) -> "Packet":
-        """Per-interface fanout copy. Shares payload, copies metadata."""
-        return Packet(
-            src=self.src,
-            dst=self.dst,
-            proto=self.proto,
-            payload=self.payload,
-            size=self.size,
-            ttl=self.ttl,
-            headers=dict(self.headers),
-            created_at=self.created_at,
-        )
+        """Per-interface fanout copy: shares the payload, takes a fresh
+        ``uid`` and its own ``headers``. Written out slot by slot — it
+        runs once per replicated packet per hop, and the generated
+        ``__init__`` would re-enter both default factories."""
+        dup = _new(Packet)
+        dup.src = self.src
+        dup.dst = self.dst
+        dup.proto = self.proto
+        dup.payload = self.payload
+        dup.size = self.size
+        dup.ttl = self.ttl
+        headers = self.headers
+        dup.headers = dict(headers) if headers else {}
+        dup.uid = _next_uid()
+        dup.created_at = self.created_at
+        return dup
 
     def encapsulate(self, outer_src: int, outer_dst: int, proto: str = "ipip", overhead: int = 20) -> "Packet":
         """Wrap this packet in an outer packet (IP-in-IP style)."""

@@ -180,6 +180,13 @@ class TestDeliveryView:
         scalar flush loop — same numbers, even above VECTOR_MIN rows.
         """
         monkeypatch.setattr(accounting, "np", None)
+        # A numpy-less process has a list-backed block bank. Swap one
+        # in rather than grow the process-wide numpy-backed one with
+        # ``np`` gone: whether these rows cross a capacity doubling
+        # depends on how many the hypothesis cases above drew.
+        bank = CounterBank(BLOCK_BANK.columns)
+        monkeypatch.setattr(accounting, "BLOCK_BANK", bank)
+        monkeypatch.setitem(globals(), "BLOCK_BANK", bank)
         n = VECTOR_MIN + 2
         view, blocks = make_view(n, [2] * n)
         assert isinstance(view.rows, list)

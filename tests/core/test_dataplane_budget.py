@@ -1,0 +1,97 @@
+"""A per-hop call budget for the data plane.
+
+``live_event`` spends most of its time moving one packet one hop, and
+that hop has no hot spot to find with a profiler — only depth: every
+frame between ``Node.send`` on one side of a link and ``on_data`` on
+the other is paid per packet per hop. This test counts the Python
+``call`` events (``sys.setprofile``) of a fixed stream over a fixed
+tree and divides by the link deliveries, so the next layer of
+indirection added to the hop fails here in seconds instead of showing
+up as a few percent in a seven-minute benchmark run. The count is a
+property of the code, not of the host: it repeats exactly.
+
+Tree: ``hsrc - n0 - n1 - n2 - n3`` with six subscriber hosts on
+``n3``; wheel scheduler, ``obs=None``, no packet trace; 50 packets,
+10 link deliveries each. Python calls per link delivery, everything
+included (the engine's dispatch, the source's ``send``, this test's
+own scheduling lambda):
+
+* parent of the flat data plane (PR 16):  25.44
+* this data plane:                        16.04
+
+The slack is half a call: putting back ``Link._deliver``'s
+indirection, or the per-packet ``lambda`` in place of the ``partial``,
+costs exactly one call per delivery and must fail. (Classic per-event
+scheduling, ``REPRO_NATIVE=0``, reads 15.92 — inside the slack.)
+"""
+
+import sys
+
+from repro import ExpressNetwork, TopologyBuilder
+from repro.netsim.packet import Packet
+from repro.routing.fib import FibEntry
+
+ROUTERS = 4
+HOSTS = 6
+PACKETS = 50
+MEASURED = 16.04
+SLACK = 0.5
+
+
+def build():
+    topo = TopologyBuilder.line(ROUTERS, scheduler="wheel")
+    topo.add_node("hsrc")
+    topo.add_link("hsrc", "n0")
+    subscribers = [f"hsub{i}" for i in range(HOSTS)]
+    for name in subscribers:
+        topo.add_node(name)
+        topo.add_link(name, f"n{ROUTERS - 1}")
+    net = ExpressNetwork(topo, hosts=["hsrc"] + subscribers)
+    net.run(until=0.01)
+    return net, subscribers
+
+
+def test_python_calls_per_link_delivery_stay_inside_the_budget():
+    net, subscribers = build()
+    source = net.source("hsrc")
+    channel = source.allocate_channel()
+    got = []
+    for name in subscribers:
+        net.host(name).subscribe(channel, on_data=got.append)
+    net.settle()
+    source.send(channel)  # first packet: egress tuples, channel memo
+    net.settle()
+    assert len(got) == HOSTS
+
+    sent_before = sum(link.tx_packets for link in net.topo.links)
+    for k in range(PACKETS):
+        net.sim.schedule(0.001 * k, lambda: source.send(channel))
+    calls = 0
+
+    def count(frame, event, arg):
+        nonlocal calls
+        if event == "call":
+            calls += 1
+
+    sys.setprofile(count)
+    try:
+        net.run(until=net.sim.now + 1.0)
+    finally:
+        sys.setprofile(None)
+
+    deliveries = sum(link.tx_packets for link in net.topo.links) - sent_before
+    assert deliveries == PACKETS * (ROUTERS + HOSTS)
+    assert len(got) == HOSTS * (PACKETS + 1)
+    per_delivery = calls / deliveries
+    assert per_delivery <= MEASURED + SLACK, (
+        f"{per_delivery:.2f} Python calls per link delivery, budget "
+        f"{MEASURED + SLACK:.2f}: something new sits on the per-hop path"
+    )
+
+
+def test_per_packet_records_are_slotted():
+    """A ``__dict__`` per packet (and per FIB entry) is an allocation
+    per hop the flat path does not make."""
+    for record in (Packet(src=1, dst=2), FibEntry(1, 1, 0)):
+        assert hasattr(type(record), "__slots__")
+        assert not hasattr(record, "__dict__")

@@ -8,6 +8,7 @@ from repro.netsim.link import Link
 from repro.netsim.node import MAX_INTERFACES, Node, ProtocolAgent
 from repro.netsim.packet import Packet
 from repro.netsim.topology import TopologyBuilder
+from repro.netsim.trace import PacketTrace
 from tests.conftest import scan_interface_to
 
 
@@ -100,6 +101,11 @@ class TestLinkDelivery:
         link.recover()
         assert ("a", 0, False) in changes and ("b", 0, True) in changes
 
+    def test_transmit_by_an_unattached_node_rejected(self):
+        sim, a, b, link = wire_pair()
+        with pytest.raises(TopologyError):
+            link.transmit(Node(sim, "c", 3), Packet(src=3, dst=1))
+
     def test_validation(self):
         sim = Simulator()
         a, b = Node(sim, "a", 1), Node(sim, "b", 2)
@@ -179,6 +185,67 @@ class TestNode:
         assert a.neighbors() == [b]
         assert a.interface_to(b).index == 0
         assert a.interface_to(a) is None
+
+
+class RecordingMetrics:
+    """Stands in for ``repro.obs.hooks.NodeMetrics``."""
+
+    def __init__(self):
+        self.calls = []
+
+    def packet(self, direction, proto, size):
+        self.calls.append((direction, proto, size))
+
+
+class TestDropsLeaveTheSameMarks:
+    """Every packet a node itself discards is counted in
+    ``dropped_packets``, traced as a ``"drop"`` record whose detail says
+    why, and metered — whichever of the three ways it died."""
+
+    def observed(self, node):
+        node.trace = PacketTrace()
+        node.metrics = RecordingMetrics()
+        return node.trace, node.metrics
+
+    def drops(self, trace):
+        return [
+            (rec.node, rec.proto, rec.size, rec.detail)
+            for rec in trace.filter(direction="drop")
+        ]
+
+    def test_ttl_expiry_is_traced_and_metered(self):
+        sim, a, b, link = wire_pair()
+        sink = Sink(b)
+        b.register_agent("data", sink)
+        trace, metrics = self.observed(b)
+        a.send(Packet(src=1, dst=2, ttl=0, size=90), 0)
+        sim.run()
+        assert sink.received == [] and b.dropped_packets == 1
+        assert self.drops(trace) == [("b", "data", 90, "ttl")]
+        assert metrics.calls == [("rx", "data", 90), ("drop", "data", 90)]
+
+    def test_send_to_a_node_that_is_not_a_neighbor_is_traced_and_metered(self):
+        sim, a, b, link = wire_pair()
+        stranger = Node(sim, "c", 3)
+        trace, metrics = self.observed(a)
+        assert not a.send_to_neighbor(Packet(src=1, dst=3, proto="ecmp", size=40), stranger)
+        assert a.dropped_packets == 1
+        assert self.drops(trace) == [("a", "ecmp", 40, "no-interface")]
+        assert metrics.calls == [("drop", "ecmp", 40)]
+        assert link.tx_packets == 0
+
+    def test_link_down_drop_has_the_same_shape(self):
+        sim, a, b, link = wire_pair()
+        trace, metrics = self.observed(a)
+        link.fail()
+        assert not a.send(Packet(src=1, dst=2, size=70), 0)
+        assert not a.send_to_neighbor(Packet(src=1, dst=2, size=71), b)
+        assert a.dropped_packets == 2
+        assert self.drops(trace) == [
+            ("a", "data", 70, "link-down"),
+            ("a", "data", 71, "link-down"),
+        ]
+        assert metrics.calls == [("drop", "data", 70), ("drop", "data", 71)]
 
 
 class TestAdjacencyIndex:

@@ -11,5 +11,10 @@ time:
   (specification of the ``StateBank`` row view ``DownstreamRecord``),
 * :mod:`tests.oracles.refresh` — the full-table refresh tick and
   general-query walk (specification of the ``RefreshRing`` /
-  ``_by_upstream`` paths in ``repro.core.ecmp.protocol``).
+  ``_by_upstream`` paths in ``repro.core.ecmp.protocol``),
+* :mod:`tests.oracles.dataplane` — one packet hop with every look-up
+  made per packet (specification of ``Link.transmit``, ``Node.send`` /
+  ``receive``, ``Packet.copy``, ``ExpressForwarder.handle_packet`` /
+  ``_fan_out`` and ``MulticastFib.lookup`` / ``egress``); patched in
+  for whole-network runs, since a hop is not a function of one value.
 """

@@ -223,9 +223,9 @@ class TestAddressAndFib:
         entry = FibEntry(source=1, dest_suffix=1, incoming_interface=0)
         for index in indexes:
             entry.add_outgoing(index)
-        assert entry.outgoing_interfaces() == sorted(indexes)
+        assert entry.outgoing_interfaces() == tuple(sorted(indexes))
         assert entry.fanout() == len(indexes)
         for index in list(indexes)[: len(indexes) // 2]:
             entry.remove_outgoing(index)
             indexes.discard(index)
-        assert entry.outgoing_interfaces() == sorted(indexes)
+        assert entry.outgoing_interfaces() == tuple(sorted(indexes))

@@ -67,10 +67,10 @@ class TestFibEntry:
         entry.add_outgoing(2)
         entry.add_outgoing(5)
         assert entry.has_outgoing(2)
-        assert entry.outgoing_interfaces() == [2, 5]
+        assert entry.outgoing_interfaces() == (2, 5)
         assert entry.fanout() == 2
         entry.remove_outgoing(2)
-        assert entry.outgoing_interfaces() == [5]
+        assert entry.outgoing_interfaces() == (5,)
         with pytest.raises(ForwardingError):
             entry.add_outgoing(32)
 
@@ -89,19 +89,19 @@ class TestMulticastFib:
         entry = fib.install(S, E, incoming_interface=1)
         entry.add_outgoing(2)
         entry.add_outgoing(3)
-        assert fib.lookup(S, E, 1) == [2, 3]
+        assert fib.lookup(S, E, 1) == (2, 3)
 
     def test_iif_mismatch_drops(self):
         """§3.4: the incoming-interface check prevents data loops."""
         fib = MulticastFib()
         fib.install(S, E, incoming_interface=1).add_outgoing(2)
-        assert fib.lookup(S, E, 0) == []
+        assert fib.lookup(S, E, 0) == ()
         assert fib.iif_drops == 1
 
     def test_no_match_counted_and_dropped(self):
         """§3.4: no rendezvous fallback, no broadcast — count and drop."""
         fib = MulticastFib()
-        assert fib.lookup(S, E, 0) == []
+        assert fib.lookup(S, E, 0) == ()
         assert fib.no_match_drops == 1
 
     def test_channels_with_same_e_different_s_are_distinct(self):
@@ -110,8 +110,8 @@ class TestMulticastFib:
         fib = MulticastFib()
         fib.install(S, E, 0).add_outgoing(1)
         fib.install(s2, E, 0).add_outgoing(2)
-        assert fib.lookup(S, E, 0) == [1]
-        assert fib.lookup(s2, E, 0) == [2]
+        assert fib.lookup(S, E, 0) == (1,)
+        assert fib.lookup(s2, E, 0) == (2,)
 
     def test_install_is_idempotent(self):
         fib = MulticastFib()
