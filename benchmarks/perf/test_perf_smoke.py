@@ -12,13 +12,9 @@ asserts the structural claims of the fast-path PRs:
   control packets on the wire than the unbatched baseline run of the
   identical workload, with live ``ecmp_bytes_on_wire`` accounting,
 * the mega join storm (100k aggregated subscribers in quick mode)
-  dispatches identical event counts under both schedulers, keeps exact
-  membership/delivery arithmetic, and the timer wheel beats the heap
-  by the CI floor (2.5x — a noise-safe regression gate; the recorded
-  medians are >=3x),
-* the native event core is actually engaged on the wheel run: whole
-  pure slots batch-dispatch (no per-event materialization) and events
-  recycle through the arena,
+  keeps exact membership/delivery arithmetic, and batch dispatch is
+  actually engaged: whole pure slots are folded into their groups with
+  no per-event materialization,
 * the channel-surf scenario's refresh ring examines under 1 % of the
   records a full-table refresh would have walked over the same ticks
   (twice every standing record per tick), and
@@ -37,10 +33,6 @@ from repro.bench import SCHEMA_VERSION, build_report, write_report
 EVENTS_PER_SEC_FLOOR = 500.0
 DIJKSTRA_RATIO_FLOOR = 5.0
 WIRE_REDUCTION_FLOOR = 3.0
-#: Below the ~3.1-3.3x recorded medians on purpose: heap and wheel run
-#: back-to-back in one noisy shared container, so this is a regression
-#: gate, not the headline number (that lives in BENCH_perf.json).
-WHEEL_SPEEDUP_FLOOR = 2.5
 #: The refresh ring's share of what a full-table refresh examines
 #: (every standing record, twice per tick); measured 0.04 %.
 REFRESH_SCAN_SHARE_CEILING = 0.01
@@ -108,28 +100,19 @@ def test_perf_smoke_writes_bench_json(tmp_path):
     assert fanout["fib_cache_hit_fraction"] > 0.5
 
     # Million-subscriber scale (100k in quick mode) through aggregated
-    # edge-subscriber blocks, identical workload per scheduler.
+    # edge-subscriber blocks.
     mega = parsed["scenarios"]["mega_join_storm"]
     assert mega["params"]["subscribers"] == 100_000
-    # Correctness before speed: both schedulers dispatched the same
-    # event count, and the aggregated counting stayed exact.
-    assert mega["dispatch_events_match"] is True
+    # Correctness before speed: the aggregated counting stayed exact.
     assert mega["members_final"] == mega["members_expected"]
     assert mega["block_deliveries"] == mega["deliveries_expected"]
     assert mega["fib_no_match_drops"] == 0
     assert mega["block_fast_updates"] > 0
-    assert mega["wheel_speedup"] >= WHEEL_SPEEDUP_FLOOR
     assert mega["peak_rss_kb"] > 0
-    wheel_stats = mega["schedulers"]["wheel"]["scheduler_stats"]
+    wheel_stats = mega["scheduler_stats"]
     assert wheel_stats["scheduler"] == "wheel"
-    # The wheel must actually be doing bucketed O(1) inserts, not
-    # degrading into the sorted open-slot path.
-    assert wheel_stats["wheel_insert_share"] > 0.9
-    assert mega["schedulers"]["heap"]["scheduler_stats"]["scheduler"] == "heap"
-    # v6 native core: the wheel run must batch-dispatch whole pure
-    # slots (not fall back to per-event materialization) and recycle
-    # events through the arena, unless the escape hatch is pulled.
-    assert mega["native_core"] is True
+    # The run must batch-dispatch whole pure slots, not fall back to
+    # per-event materialization.
     assert mega["batched_slots"] > 0
     assert mega["batched_events"] > 0
     # Segmented dispatch counters ride along in scheduler_stats: runs
@@ -139,11 +122,7 @@ def test_perf_smoke_writes_bench_json(tmp_path):
     assert wheel_stats["batched_events"] + wheel_stats["peeled_ops"] == (
         mega["params"]["subscribers"] + mega["params"]["leaves"]
     )
-    assert mega["arena"] is not None
-    assert mega["arena"]["cap"] > 0
-    assert parsed["summary"]["native_core"] is True
     assert parsed["summary"]["batched_events"] == mega["batched_events"]
-    assert parsed["summary"]["wheel_speedup"] == mega["wheel_speedup"]
     assert parsed["summary"]["mega_events_per_sec"] == mega["events_per_sec"]
 
     # Control plane under Zipf zapping: the refresh ring must leave

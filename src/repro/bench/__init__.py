@@ -76,7 +76,13 @@ from repro.bench.scenarios import SCENARIOS, run_scenarios
 #: / ``states_equivalent``, their summary fields and the
 #: ``--floor-state-churn-speedup`` gate; adds ``refresh_ticks`` and
 #: ``standing_records`` beside ``refresh_records_examined``.
-SCHEMA_VERSION = 10
+#: v11: one event core — ``mega_join_storm`` is a single pass (the
+#: heap pass is gone with the shipped heap): drops ``wheel_speedup`` /
+#: ``schedulers`` / ``dispatch_events_match`` / ``native_core`` /
+#: ``arena``, their summary fields and the ``--floor-wheel-speedup``
+#: gate; the run's ``scheduler_stats`` moves to the scenario's top
+#: level.
+SCHEMA_VERSION = 11
 
 
 def build_report(
@@ -120,9 +126,7 @@ def build_report(
                 "ecmp_bytes_on_wire", 0
             ),
             "wire_message_reduction": churn.get("wire_message_reduction", 0.0),
-            "wheel_speedup": mega.get("wheel_speedup", 0.0),
             "mega_events_per_sec": mega.get("events_per_sec", 0.0),
-            "native_core": mega.get("native_core", False),
             "batched_events": mega.get("batched_events", 0),
             "peak_rss_kb": mega.get("peak_rss_kb", 0),
             "zap_events_per_sec": surf.get("zap_events_per_sec", 0.0),
@@ -176,11 +180,6 @@ FLOOR_GATES = {
     "wire_reduction": (
         "wire_message_reduction",
         "wire message reduction floor",
-        "{:.2f}",
-    ),
-    "wheel_speedup": (
-        "wheel_speedup",
-        "wheel speedup floor",
         "{:.2f}",
     ),
     "mega_events_per_sec": (
@@ -353,18 +352,11 @@ def main(argv: Optional[list[str]] = None) -> int:
         "wire message reduction falls below this",
     )
     parser.add_argument(
-        "--floor-wheel-speedup",
-        type=float,
-        default=None,
-        help="exit non-zero if the mega scenario's timer-wheel-vs-heap "
-        "throughput ratio falls below this",
-    )
-    parser.add_argument(
         "--floor-mega-events-per-sec",
         type=float,
         default=None,
         help="exit non-zero if the mega storm's absolute events/sec "
-        "falls below this (pins the native event core's throughput)",
+        "falls below this (pins the event core's bulk throughput)",
     )
     parser.add_argument(
         "--floor-zap-events-per-sec",
@@ -435,8 +427,6 @@ def main(argv: Optional[list[str]] = None) -> int:
             line += f"  dijkstra saving {metrics['dijkstra_savings_ratio']:.1f}x"
         if "wire_message_reduction" in metrics:
             line += f"  wire msgs {metrics['wire_message_reduction']:.1f}x fewer"
-        if "wheel_speedup" in metrics:
-            line += f"  wheel {metrics['wheel_speedup']:.1f}x heap"
         if metrics.get("batched_events"):
             line += f"  batched {metrics['batched_events']:,}"
         if "zap_events_per_sec" in metrics:
@@ -484,7 +474,6 @@ def main(argv: Optional[list[str]] = None) -> int:
             "dijkstra_ratio": args.floor_dijkstra_ratio,
             "bytes_on_wire": args.floor_bytes_on_wire,
             "wire_reduction": args.floor_wire_reduction,
-            "wheel_speedup": args.floor_wheel_speedup,
             "mega_events_per_sec": args.floor_mega_events_per_sec,
             "zap_events_per_sec": args.floor_zap_events_per_sec,
             "partition_speedup": args.floor_partition_speedup,

@@ -13,9 +13,8 @@ cover the hot paths this repo optimizes:
   subscribed balanced tree, exercising the FIB lookup with its shared
   egress tuples and the zero-copy fan-out path.
 * **mega_join_storm** — scheduler scale: a 10^5 (quick) / 10^6 (full)
-  member join storm over aggregated subscriber blocks, run under both
-  the heap and timer-wheel schedulers on identical workloads; gates
-  the wheel's throughput advantage (``wheel_speedup``).
+  member join storm over aggregated subscriber blocks, bulk-scheduled;
+  gates the event core's absolute throughput.
 * **channel_surf** — control-plane state scale: thousands of standing
   channels (the §2.2 TV-distribution shape) while UDP-mode hosts zap
   between Zipf-popular channels; zap throughput over the zapping
@@ -386,37 +385,30 @@ def mega_join_storm(quick: bool = True, seed: int = 0) -> dict:
     channel, modeled with aggregated subscriber blocks (100k members in
     quick mode, one million in full mode).
 
-    The identical workload — join/leave times deterministically
-    shuffled so scheduler inserts arrive in random time order — is
-    driven twice, once under each ``Simulator`` scheduler, and the
-    wheel-vs-heap throughput ratio is reported as ``wheel_speedup``
-    (the timer-wheel claim CI gates on). Runs uninstrumented (no
+    The join/leave times are deterministically shuffled so scheduler
+    inserts arrive in random time order. Runs uninstrumented (no
     ``Observability``) and with GC paused over the measured region so
-    the comparison isolates scheduler cost; correctness is checked
-    arithmetically instead (final membership, per-member deliveries,
-    and identical event counts across schedulers).
+    the number is the event core's; correctness is checked
+    arithmetically instead (final membership and per-member
+    deliveries).
     """
     n_subs = 100_000 if quick else 1_000_000
     n_leaves = n_subs // 8
     packets = 20
     # Best-of-3 in quick mode smooths scheduler-external noise (the
     # quick run is short enough for wall-clock jitter to matter); the
-    # full run is long enough to self-average. Repeats also warm the
-    # process-wide event arena, so the best run measures the recycled
-    # steady state the native core is built for.
+    # full run is long enough to self-average.
     repeats = 3 if quick else 1
-    # Coarse wheel slots (50 ms vs the 1 ms default) so the bulk storm
-    # fills each bucket with ~1000+ ops: batch slot dispatch amortizes
-    # its per-slot group bookkeeping over the whole bucket. Dispatch
-    # order is granularity-independent, so the heap comparison and the
-    # equivalence arithmetic are unaffected.
+    # Coarse calendar slots (50 ms vs the 1 ms default) so the bulk
+    # storm fills each bucket with ~1000+ ops: batch slot dispatch
+    # amortizes its per-slot group bookkeeping over the whole bucket.
+    # Dispatch order is granularity-independent.
     wheel_granularity = 0.05
 
-    def drive(scheduler: str) -> dict:
+    def drive() -> dict:
         topo = TopologyBuilder.isp(
             n_transit=4, stubs_per_transit=3, hosts_per_stub=1,
-            seed=seed, scheduler=scheduler,
-            wheel_granularity=wheel_granularity,
+            seed=seed, wheel_granularity=wheel_granularity,
         )
         net = ExpressNetwork(topo)
         source = net.source(sorted(net.host_names)[0])
@@ -428,7 +420,7 @@ def mega_join_storm(quick: bool = True, seed: int = 0) -> dict:
         n_blocks = len(blocks)
 
         # Batchable bound ops (see repro.core.blocks.BlockOp): the
-        # engine's clean-slot dispatcher folds a whole wheel bucket of
+        # engine's batch dispatcher folds a whole calendar slot of
         # these into one arithmetic update per (block, channel).
         join_acts = [b.join_op(channel) for b in blocks]
         leave_acts = [b.leave_op(channel) for b in blocks]
@@ -440,11 +432,10 @@ def mega_join_storm(quick: bool = True, seed: int = 0) -> dict:
             (base + 4.2 + 0.8 * i / n_leaves, leave_acts[i % n_blocks])
             for i in range(n_leaves)
         ]
-        # Shuffle deterministically: in submission order the heap's
-        # sift-up degenerates to O(1) (each push is the new maximum)
-        # and the comparison measures nothing. schedule_bulk preserves
-        # input order for ties (dispatch matches a sequential
-        # schedule_at loop), so the shuffle is order-safe.
+        # Shuffle deterministically: a real audience does not arrive
+        # pre-sorted. schedule_bulk preserves input order for ties
+        # (dispatch matches a sequential schedule_at loop), so the
+        # shuffle is order-safe.
         random.Random(seed + 1).shuffle(work)
 
         sim = net.sim
@@ -470,12 +461,11 @@ def mega_join_storm(quick: bool = True, seed: int = 0) -> dict:
         expected_members = n_subs - n_leaves
         if members != expected_members:
             raise RuntimeError(
-                f"{scheduler}: final membership {members} != {expected_members}"
+                f"final membership {members} != {expected_members}"
             )
         if deliveries != packets * members:
             raise RuntimeError(
-                f"{scheduler}: block deliveries {deliveries} != "
-                f"{packets * members}"
+                f"block deliveries {deliveries} != {packets * members}"
             )
         return {
             "wall": wall,
@@ -491,20 +481,13 @@ def mega_join_storm(quick: bool = True, seed: int = 0) -> dict:
             "stats": sim.scheduler_stats(),
         }
 
-    runs = {name: drive(name) for name in ("heap", "wheel")}
+    best = drive()
     for _ in range(repeats - 1):
-        for name in ("heap", "wheel"):
-            again = drive(name)
-            if again["events"] != runs[name]["events"]:
-                raise RuntimeError(f"{name}: repeat diverged")
-            if again["wall"] < runs[name]["wall"]:
-                runs[name] = again
-    heap, wheel = runs["heap"], runs["wheel"]
-    if heap["events"] != wheel["events"]:
-        raise RuntimeError(
-            f"scheduler divergence: heap ran {heap['events']} events, "
-            f"wheel {wheel['events']}"
-        )
+        again = drive()
+        if again["events"] != best["events"]:
+            raise RuntimeError("repeat diverged")
+        if again["wall"] < best["wall"]:
+            best = again
     try:
         import resource
 
@@ -514,43 +497,28 @@ def mega_join_storm(quick: bool = True, seed: int = 0) -> dict:
     return {
         "params": {
             "topology": "isp(4,3,1)",
-            "nodes": wheel["nodes"],
+            "nodes": best["nodes"],
             "subscribers": n_subs,
             "leaves": n_leaves,
-            "blocks": wheel["blocks"],
+            "blocks": best["blocks"],
             "packets": packets,
             "repeats": repeats,
         },
-        # Top-level throughput is the wheel's (the configuration this
-        # scale runs at); the heap baseline lives under "schedulers".
-        "wall_seconds": wheel["wall"],
-        "sim_events": wheel["events"],
-        "events_per_sec": wheel["events"] / wheel["wall"] if wheel["wall"] else 0.0,
-        "wheel_speedup": heap["wall"] / wheel["wall"] if wheel["wall"] else 0.0,
-        "schedulers": {
-            name: {
-                "wall_seconds": run["wall"],
-                "sim_events": run["events"],
-                "events_per_sec": run["events"] / run["wall"] if run["wall"] else 0.0,
-                "scheduler_stats": run["stats"],
-            }
-            for name, run in runs.items()
-        },
+        "wall_seconds": best["wall"],
+        "sim_events": best["events"],
+        "events_per_sec": best["events"] / best["wall"] if best["wall"] else 0.0,
+        "scheduler_stats": best["stats"],
         "peak_rss_kb": peak_rss_kb,
-        # Native-core visibility (also inside scheduler_stats): how much
-        # of the storm went through batch slot dispatch, and the arena's
-        # recycle behaviour over the best run.
-        "native_core": bool(wheel["stats"].get("native", False)),
-        "batched_events": wheel["stats"].get("batched_events", 0),
-        "batched_slots": wheel["stats"].get("batched_slots", 0),
-        "arena": wheel["stats"].get("arena"),
-        "members_final": wheel["members"],
+        # How much of the storm went through batch slot dispatch (also
+        # inside scheduler_stats).
+        "batched_events": best["stats"]["batched_events"],
+        "batched_slots": best["stats"]["batched_slots"],
+        "members_final": best["members"],
         "members_expected": n_subs - n_leaves,
-        "block_deliveries": wheel["deliveries"],
+        "block_deliveries": best["deliveries"],
         "deliveries_expected": packets * (n_subs - n_leaves),
-        "block_fast_updates": wheel["fast_updates"],
-        "fib_no_match_drops": wheel["no_match_drops"],
-        "dispatch_events_match": heap["events"] == wheel["events"],
+        "block_fast_updates": best["fast_updates"],
+        "fib_no_match_drops": best["no_match_drops"],
     }
 
 
@@ -730,10 +698,10 @@ def mega_join_storm_parallel(
 
     The identical declarative workload (a :data:`~repro.netsim.parallel.
     scenario.OPGENS` ``block_storm`` spec) is run twice: once on a
-    single-process wheel simulator (the oracle and the baseline the
+    single-process simulator (the oracle and the baseline the
     speedup is measured against) and once through
     :class:`~repro.netsim.parallel.runner.ParallelRunner` with one
-    wheel-scheduler worker process per partition. The sharded run must
+    worker process per partition. The sharded run must
     produce settled ``ChannelState`` tables, block membership, delivery
     counts, and dispatch totals identical to the single-process run
     (:func:`~repro.netsim.parallel.runner.assert_equivalent`; a
@@ -826,8 +794,8 @@ def mega_join_storm_parallel(
         duration=5.6,
         seed=seed,
     )
-    single = run_single(spec, scheduler="wheel")
-    runner = ParallelRunner(spec, n_workers, scheduler="wheel", mode="mp")
+    single = run_single(spec)
+    runner = ParallelRunner(spec, n_workers, mode="mp")
     result = runner.run()
     try:
         assert_equivalent(result.merged, single)
@@ -864,7 +832,7 @@ def mega_join_storm_parallel(
     # property suite), so the baseline runs inline — no spawn cost, and
     # its wall clock is never used for anything.
     eager = ParallelRunner(
-        spec, n_workers, scheduler="wheel", mode="inline", sync_mode="eager"
+        spec, n_workers, mode="inline", sync_mode="eager"
     ).run()
     try:
         assert_equivalent(eager.merged, single)
@@ -898,7 +866,7 @@ def mega_join_storm_parallel(
     # telemetry. Kept separate from the timed pass above so the
     # partition_speedup gate measures the uninstrumented fast path.
     telemetered = ParallelRunner(
-        spec, n_workers, scheduler="wheel", mode="mp",
+        spec, n_workers, mode="mp",
         telemetry=TelemetryConfig(profile=True, snapshot_every=8),
     ).run()
     phases = telemetered.phase_totals()

@@ -42,7 +42,7 @@ from repro.core.channel import Channel
 from repro.core.ecmp.countids import check_count_id
 from repro.core.keys import KEY_BYTES, ChannelKey
 from repro.core.proactive import ToleranceCurve
-from repro.errors import CodecError
+from repro.errors import ChannelError, CodecError, ProtocolError
 
 #: Unauthenticated Count wire size (92 fit in one 1480-byte segment).
 COUNT_WIRE_BYTES = 16
@@ -265,72 +265,80 @@ def decode_message(data) -> Union[EcmpMessage, EcmpBatch]:
     Strict: the buffer must be exactly one message. A short buffer *or*
     trailing bytes beyond the message's declared shape raise
     :class:`CodecError` — a framing layer that mis-slices a TCP stream
-    must fail loudly, not deliver a plausible prefix.
+    must fail loudly, not deliver a plausible prefix. :class:`CodecError`
+    is the only error out of the codec: a well-framed message with an
+    impossible field value raises it too.
 
     Accepts ``bytes`` or a ``memoryview`` (how :func:`decode_batch`
     hands in record windows without copying): fields are read in place
     with ``unpack_from``; only an authenticated Count's 8 key bytes
     are copied out of the buffer.
     """
-    size = len(data)
-    if size < _HEAD.size:
-        raise CodecError(f"ECMP message truncated: {size} bytes")
-    msg_type, flags, count_id, source, suffix_bytes = _HEAD.unpack_from(data, 0)
-    if msg_type == _TYPE_BATCH:
-        return EcmpBatch(messages=tuple(decode_batch(data)))
-    channel = Channel.of(source, int.from_bytes(suffix_bytes, "big"))
-    body_len = size - _HEAD.size
+    try:
+        size = len(data)
+        if size < _HEAD.size:
+            raise CodecError(f"ECMP message truncated: {size} bytes")
+        msg_type, flags, count_id, source, suffix_bytes = _HEAD.unpack_from(data, 0)
+        if msg_type == _TYPE_BATCH:
+            return EcmpBatch(messages=tuple(decode_batch(data)))
+        channel = Channel.of(source, int.from_bytes(suffix_bytes, "big"))
+        body_len = size - _HEAD.size
 
-    if msg_type == _TYPE_COUNT:
-        expected = _COUNT_TAIL.size + (KEY_BYTES if flags & _FLAG_KEY else 0)
-        if body_len < expected:
-            raise CodecError("Count body truncated")
-        if body_len > expected:
-            raise CodecError(f"{body_len - expected} trailing bytes after Count")
-        count, _reserved = _COUNT_TAIL.unpack_from(data, _HEAD.size)
-        key = None
-        if flags & _FLAG_KEY:
-            key_offset = _HEAD.size + _COUNT_TAIL.size
-            key = ChannelKey(bytes(data[key_offset : key_offset + KEY_BYTES]))
-        return Count(channel=channel, count_id=count_id, count=count, key=key)
+        if msg_type == _TYPE_COUNT:
+            expected = _COUNT_TAIL.size + (KEY_BYTES if flags & _FLAG_KEY else 0)
+            if body_len < expected:
+                raise CodecError("Count body truncated")
+            if body_len > expected:
+                raise CodecError(f"{body_len - expected} trailing bytes after Count")
+            count, _reserved = _COUNT_TAIL.unpack_from(data, _HEAD.size)
+            key = None
+            if flags & _FLAG_KEY:
+                key_offset = _HEAD.size + _COUNT_TAIL.size
+                key = ChannelKey(bytes(data[key_offset : key_offset + KEY_BYTES]))
+            return Count(channel=channel, count_id=count_id, count=count, key=key)
 
-    if msg_type == _TYPE_QUERY:
-        expected = _QUERY_TAIL.size + (
-            _PROACTIVE_EXT.size if flags & _FLAG_PROACTIVE else 0
-        )
-        if body_len < expected:
-            raise CodecError("CountQuery body truncated")
-        if body_len > expected:
-            raise CodecError(f"{body_len - expected} trailing bytes after CountQuery")
-        timeout_ms, _reserved = _QUERY_TAIL.unpack_from(data, _HEAD.size)
-        proactive = None
-        if flags & _FLAG_PROACTIVE:
-            e_max, alpha, tau = _PROACTIVE_EXT.unpack_from(
-                data, _HEAD.size + _QUERY_TAIL.size
+        if msg_type == _TYPE_QUERY:
+            expected = _QUERY_TAIL.size + (
+                _PROACTIVE_EXT.size if flags & _FLAG_PROACTIVE else 0
             )
-            proactive = ToleranceCurve(e_max=e_max, alpha=alpha, tau=tau)
-        return CountQuery(
-            channel=channel,
-            count_id=count_id,
-            timeout=timeout_ms / 1000.0,
-            proactive=proactive,
-        )
-
-    if msg_type == _TYPE_RESPONSE:
-        if body_len < _RESPONSE_TAIL.size:
-            raise CodecError("CountResponse body truncated")
-        if body_len > _RESPONSE_TAIL.size:
-            raise CodecError(
-                f"{body_len - _RESPONSE_TAIL.size} trailing bytes after CountResponse"
+            if body_len < expected:
+                raise CodecError("CountQuery body truncated")
+            if body_len > expected:
+                raise CodecError(f"{body_len - expected} trailing bytes after CountQuery")
+            timeout_ms, _reserved = _QUERY_TAIL.unpack_from(data, _HEAD.size)
+            proactive = None
+            if flags & _FLAG_PROACTIVE:
+                e_max, alpha, tau = _PROACTIVE_EXT.unpack_from(
+                    data, _HEAD.size + _QUERY_TAIL.size
+                )
+                proactive = ToleranceCurve(e_max=e_max, alpha=alpha, tau=tau)
+            return CountQuery(
+                channel=channel,
+                count_id=count_id,
+                timeout=timeout_ms / 1000.0,
+                proactive=proactive,
             )
-        (status_value,) = _RESPONSE_TAIL.unpack_from(data, _HEAD.size)
-        try:
-            status = CountStatus(status_value)
-        except ValueError:
-            raise CodecError(f"unknown CountResponse status {status_value}") from None
-        return CountResponse(channel=channel, count_id=count_id, status=status)
 
-    raise CodecError(f"unknown ECMP message type {msg_type:#x}")
+        if msg_type == _TYPE_RESPONSE:
+            if body_len < _RESPONSE_TAIL.size:
+                raise CodecError("CountResponse body truncated")
+            if body_len > _RESPONSE_TAIL.size:
+                raise CodecError(
+                    f"{body_len - _RESPONSE_TAIL.size} trailing bytes after CountResponse"
+                )
+            (status_value,) = _RESPONSE_TAIL.unpack_from(data, _HEAD.size)
+            try:
+                status = CountStatus(status_value)
+            except ValueError:
+                raise CodecError(f"unknown CountResponse status {status_value}") from None
+            return CountResponse(channel=channel, count_id=count_id, status=status)
+
+        raise CodecError(f"unknown ECMP message type {msg_type:#x}")
+    except (ChannelError, ProtocolError) as exc:
+        # Well framed, but a field value no message can carry (countId
+        # 0, a multicast source, a zero tolerance curve): the message
+        # constructors say so in their own error types.
+        raise CodecError(f"invalid field value: {exc}") from exc
 
 
 def encode_batch(messages: Sequence[EcmpMessage]) -> bytes:

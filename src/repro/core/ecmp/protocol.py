@@ -76,7 +76,7 @@ from repro.core.ecmp.state import (
 )
 from repro.core.keys import ChannelKey, KeyCache
 from repro.core.proactive import ProactiveCounter, ToleranceCurve
-from repro.errors import ChannelError, ProtocolError, ReproError
+from repro.errors import ChannelError, CodecError, ProtocolError
 from repro.inet.addr import parse_address
 from repro.netsim.engine import PeriodicTask
 from repro.netsim.node import Interface, Node, ProtocolAgent
@@ -772,10 +772,9 @@ class EcmpAgent(ProtocolAgent):
         if message is None and isinstance(packet.payload, bytes):
             try:
                 message = decode_message(packet.payload)
-            except ReproError:
-                # CodecError for bad framing; the message constructors'
-                # own errors for well-framed but invalid field values
-                # (countId 0, a multicast source, a zero tolerance).
+            except CodecError:
+                # Bad framing, or well framed with a field value no
+                # message can carry: the one error out of the codec.
                 self.stats.incr("undecodable_messages")
                 return
         if message is None:

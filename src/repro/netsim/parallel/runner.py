@@ -44,6 +44,7 @@ from time import perf_counter
 from typing import Optional
 
 from repro.errors import SimulationError
+from repro.netsim.engine import check_scheduler
 from repro.netsim.parallel import codec
 from repro.netsim.parallel.partition import PartitionPlan, plan_partitions
 from repro.netsim.parallel.scenario import ScenarioSpec, build, schedule_ops
@@ -133,7 +134,6 @@ class ParallelResult:
 
 def run_single(
     spec: ScenarioSpec,
-    scheduler: str = "heap",
     with_obs: bool = False,
     profile: bool = False,
 ) -> dict:
@@ -152,7 +152,7 @@ def run_single(
         from repro.obs.hooks import Observability
 
         obs = Observability()
-    net, channels, blocks = build(spec, scheduler=scheduler, obs=obs)
+    net, channels, blocks = build(spec, obs=obs)
     profiler = None
     if profile:
         from repro.netsim.engine import PhaseProfiler
@@ -290,10 +290,10 @@ def assert_equivalent(merged: dict, oracle: dict) -> None:
             raise AssertionError(f"counter {key} diverges: {mine} != {ref}")
 
 
-def _spawn_worker(descriptor, rank, spec, plan, scheduler, with_obs, telemetry):
+def _spawn_worker(descriptor, rank, spec, plan, with_obs, telemetry):
     """Child-process target (module-level so the spawn fallback can
     pickle it; under the usual fork context it is simply inherited)."""
-    worker_main(descriptor, spec, plan, rank, scheduler, with_obs, telemetry)
+    worker_main(descriptor, spec, plan, rank, with_obs, telemetry)
 
 
 class InlineTransport:
@@ -303,12 +303,11 @@ class InlineTransport:
 
     name = "inline"
 
-    def __init__(self, spec, plan, scheduler, with_obs, telemetry=None):
+    def __init__(self, spec, plan, with_obs, telemetry=None):
         self.telemetry = telemetry
         self.workers = [
             PartitionWorker(
-                spec, plan, rank, scheduler=scheduler, with_obs=with_obs,
-                telemetry=telemetry,
+                spec, plan, rank, with_obs=with_obs, telemetry=telemetry
             )
             for rank in range(plan.n)
         ]
@@ -347,12 +346,11 @@ class InlineTransport:
         pass
 
 
-def _make_mp_transport(spec, plan, scheduler, with_obs, telemetry, choice):
+def _make_mp_transport(spec, plan, with_obs, telemetry, choice):
     spawn = functools.partial(
         _spawn_worker,
         spec=spec,
         plan=plan,
-        scheduler=scheduler,
         with_obs=with_obs,
         telemetry=telemetry,
     )
@@ -371,7 +369,7 @@ class ParallelRunner:
         self,
         spec: ScenarioSpec,
         n_workers: int,
-        scheduler: str = "heap",
+        scheduler: str = "wheel",
         mode: str = "mp",
         with_obs: bool = False,
         telemetry: Optional[TelemetryConfig] = None,
@@ -379,12 +377,12 @@ class ParallelRunner:
         sync_mode: str = "demand",
         transport: Optional[str] = None,
     ) -> None:
+        check_scheduler(scheduler)
         if mode not in ("mp", "inline"):
             raise SimulationError(f"unknown runner mode {mode!r}")
         if sync_mode not in ("demand", "eager"):
             raise SimulationError(f"unknown sync mode {sync_mode!r}")
         self.spec = spec
-        self.scheduler = scheduler
         self.mode = mode
         self.sync_mode = sync_mode
         self.transport = "inline" if mode == "inline" else transport_choice(transport)
@@ -424,13 +422,11 @@ class ParallelRunner:
         setup_started = perf_counter()
         if self.mode == "inline":
             transport = InlineTransport(
-                self.spec, plan, self.scheduler, self.with_obs,
-                telemetry=self.telemetry,
+                self.spec, plan, self.with_obs, telemetry=self.telemetry
             )
         else:
             transport = _make_mp_transport(
-                self.spec, plan, self.scheduler, self.with_obs,
-                self.telemetry, self.transport,
+                self.spec, plan, self.with_obs, self.telemetry, self.transport
             )
         closure = transitive_lookahead(plan.lookahead, plan.n)
         diag = [closure.get((rank, rank), inf) for rank in range(n)]

@@ -59,7 +59,7 @@ class ScenarioSpec:
 
     #: ``TopologyBuilder`` generator name (``isp``, ``balanced_tree``…).
     topology: str
-    #: Kwargs for the generator (seed/scheduler are supplied separately).
+    #: Kwargs for the generator (the seed is supplied separately).
     topology_kwargs: dict = field(default_factory=dict)
     #: Source host node name (channels are allocated here; rank 0 owns it).
     source: str = ""
@@ -98,7 +98,7 @@ class ScenarioSpec:
         raise SimulationError(f"unknown op kind {kind!r}")
 
 
-def build(spec: ScenarioSpec, scheduler: str = "heap", obs=None):
+def build(spec: ScenarioSpec, obs=None):
     """Construct the scenario's network: returns ``(net, channels,
     blocks)``. Identical in every process for a given spec — node
     addresses, interface indices, channel suffixes, and block names all
@@ -106,7 +106,7 @@ def build(spec: ScenarioSpec, scheduler: str = "heap", obs=None):
     builder = getattr(TopologyBuilder, spec.topology, None)
     if builder is None:
         raise SimulationError(f"unknown topology generator {spec.topology!r}")
-    topo: Topology = builder(seed=spec.seed, scheduler=scheduler, **spec.topology_kwargs)
+    topo: Topology = builder(seed=spec.seed, **spec.topology_kwargs)
     net = ExpressNetwork(topo, obs=obs, **spec.net_kwargs)
     source = net.source(spec.source)
     channels = [source.allocate_channel() for _ in range(spec.n_channels)]
@@ -200,9 +200,8 @@ def block_storm(
     after it, then ``packets`` source datagrams on every channel in
     bursts of ``burst`` (``burst_gap`` apart inside a burst, bursts
     ``packet_spacing`` apart). The op list is deterministically shuffled
-    (seeded) so scheduler inserts arrive in random time order — in
-    submission order a heap's sift-up degenerates to O(1) and scheduler
-    comparisons measure nothing.
+    (seeded) so scheduler inserts arrive in random time order, as a
+    real workload's do, rather than pre-sorted.
 
     The window widths shape the *sync* profile of sharded runs: short
     join/leave windows plus a wide packet spacing reproduce the paper's

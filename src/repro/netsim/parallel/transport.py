@@ -26,7 +26,7 @@ Crash safety: a worker dying mid-frame must surface as a
 the coordinator (the child process' liveness).
 
 ``REPRO_TRANSPORT`` (``shm`` or ``pipe``) forces the mp transport
-choice process-wide, the same override idiom as ``REPRO_NATIVE``.
+choice process-wide.
 """
 
 from __future__ import annotations
@@ -157,7 +157,11 @@ class RingBuffer:
         return _U64.unpack_from(self.buf, offset)[0]
 
     def _store(self, offset: int, value: int) -> None:
-        _U64.pack_into(self.buf, offset, value)
+        # One 8-byte copy. ``pack_into`` zeroes its destination before
+        # it packs, and the peer polling this word would see the 0: a
+        # reader then takes ``write_pos - read_pos`` negative and steps
+        # its own position back into bytes it has already consumed.
+        self.buf[offset : offset + 8] = _U64.pack(value)
 
     def _positions(self) -> tuple[int, int]:
         return self._load(_OFF_WRITE), self._load(_OFF_READ)

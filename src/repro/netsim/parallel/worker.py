@@ -92,7 +92,6 @@ class PartitionWorker:
         spec: ScenarioSpec,
         plan: PartitionPlan,
         rank: int,
-        scheduler: str = "heap",
         with_obs: bool = False,
         telemetry: Optional[TelemetryConfig] = None,
     ) -> None:
@@ -110,7 +109,7 @@ class PartitionWorker:
             obs = Observability(shard=rank)
             self.sync_metrics = SyncMetrics(obs.registry, rank)
         self.obs = obs
-        self.net, self.channels, self.blocks = build(spec, scheduler=scheduler, obs=obs)
+        self.net, self.channels, self.blocks = build(spec, obs=obs)
         self.sim = self.net.sim
         #: Smallest cut cycle back to this partition (the transitive
         #: closure's diagonal): the worker's own export at time t can
@@ -497,7 +496,7 @@ def serve_frame(worker: PartitionWorker, frame: bytes) -> tuple[Optional[bytes],
 
 
 def worker_main(
-    endpoint_descriptor, spec, plan, rank, scheduler, with_obs, telemetry=None
+    endpoint_descriptor, spec, plan, rank, with_obs, telemetry=None
 ) -> None:
     """Child-process entry: build the partition, then serve frames.
 
@@ -512,8 +511,7 @@ def worker_main(
     worker = None
     try:
         worker = PartitionWorker(
-            spec, plan, rank, scheduler=scheduler, with_obs=with_obs,
-            telemetry=telemetry,
+            spec, plan, rank, with_obs=with_obs, telemetry=telemetry
         )
         if worker.flight is not None:
             worker.flight.install_signal_handlers(telemetry.flight_path(rank))

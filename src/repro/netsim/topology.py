@@ -31,7 +31,7 @@ class Topology:
         self,
         sim: Optional[Simulator] = None,
         seed: int = 0,
-        scheduler: str = "heap",
+        scheduler: str = "wheel",
         wheel_granularity: float = 0.001,
     ) -> None:
         self.sim = sim if sim is not None else Simulator(
@@ -179,11 +179,11 @@ class TopologyBuilder:
     """Named topology generators used throughout tests and benchmarks."""
 
     @staticmethod
-    def line(n: int, delay: float = 0.001, seed: int = 0, scheduler: str = "heap") -> Topology:
+    def line(n: int, delay: float = 0.001, seed: int = 0) -> Topology:
         """n nodes in a chain: n0 - n1 - ... - n(n-1)."""
         if n < 1:
             raise TopologyError("line needs at least 1 node")
-        topo = Topology(seed=seed, scheduler=scheduler)
+        topo = Topology(seed=seed)
         for i in range(n):
             topo.add_node(f"n{i}")
         for i in range(n - 1):
@@ -191,11 +191,11 @@ class TopologyBuilder:
         return topo
 
     @staticmethod
-    def star(n_leaves: int, delay: float = 0.001, seed: int = 0, scheduler: str = "heap") -> Topology:
+    def star(n_leaves: int, delay: float = 0.001, seed: int = 0) -> Topology:
         """A hub ("hub") with ``n_leaves`` leaves ("leaf0"...)."""
         if n_leaves < 1:
             raise TopologyError("star needs at least 1 leaf")
-        topo = Topology(seed=seed, scheduler=scheduler)
+        topo = Topology(seed=seed)
         topo.add_node("hub")
         for i in range(n_leaves):
             topo.add_node(f"leaf{i}")
@@ -208,7 +208,6 @@ class TopologyBuilder:
         fanout: int = 2,
         delay: float = 0.001,
         seed: int = 0,
-        scheduler: str = "heap",
     ) -> Topology:
         """A rooted balanced tree. Node names: "r" (root), then
         "d<level>_<index>" per level. §5.3's million-member tree is
@@ -217,7 +216,7 @@ class TopologyBuilder:
         """
         if depth < 0 or fanout < 1:
             raise TopologyError("tree needs depth >= 0 and fanout >= 1")
-        topo = Topology(seed=seed, scheduler=scheduler)
+        topo = Topology(seed=seed)
         topo.add_node("r")
         previous = ["r"]
         for level in range(1, depth + 1):
@@ -239,7 +238,6 @@ class TopologyBuilder:
         extra_edge_prob: float = 0.08,
         delay: float = 0.001,
         seed: int = 0,
-        scheduler: str = "heap",
     ) -> Topology:
         """A connected random graph: a random spanning tree plus extra
         random edges with probability ``extra_edge_prob`` per pair.
@@ -247,7 +245,7 @@ class TopologyBuilder:
         """
         if n < 1:
             raise TopologyError("random graph needs at least 1 node")
-        topo = Topology(seed=seed, scheduler=scheduler)
+        topo = Topology(seed=seed)
         rng = topo.sim.rng
         names = [f"n{i}" for i in range(n)]
         for name in names:
@@ -274,7 +272,7 @@ class TopologyBuilder:
         stub_delay: float = 0.002,
         host_delay: float = 0.001,
         seed: int = 0,
-        scheduler: str = "heap",
+        scheduler: str = "wheel",
         wheel_granularity: float = 0.001,
     ) -> Topology:
         """A two-level transit/stub internetwork.
@@ -284,9 +282,11 @@ class TopologyBuilder:
         router serves ``hosts_per_stub`` hosts. Host names are
         "h<t>_<s>_<k>"; stub routers "e<t>_<s>"; transit routers "t<t>".
 
-        ``wheel_granularity`` tunes the wheel scheduler's slot width
+        ``wheel_granularity`` is the event calendar's slot width
         (dispatch order is granularity-independent); bulk-scheduled
         storms want coarser slots so batch dispatch sees full buckets.
+        ``scheduler`` is frozen at ``"wheel"`` (see
+        :func:`repro.netsim.engine.check_scheduler`).
         """
         if n_transit < 1:
             raise TopologyError("need at least one transit router")
@@ -315,14 +315,14 @@ class TopologyBuilder:
         return topo
 
     @staticmethod
-    def lan(n_hosts: int, delay: float = 0.0001, seed: int = 0, scheduler: str = "heap") -> Topology:
+    def lan(n_hosts: int, delay: float = 0.0001, seed: int = 0) -> Topology:
         """One edge router ("gw") with ``n_hosts`` directly-attached
         hosts — the IGMP/UDP-mode test topology. (We model the LAN as a
         star of point-to-point links; the UDP-mode agent replicates
         queries to all host interfaces, which is observationally
         equivalent to a multicast-capable LAN for protocol purposes.)
         """
-        topo = Topology(seed=seed, scheduler=scheduler)
+        topo = Topology(seed=seed)
         topo.add_node("gw")
         for i in range(n_hosts):
             topo.add_node(f"h{i}")

@@ -42,8 +42,7 @@ LOWER_IS_BETTER = (
     "sync_wait",
     "idle",
     # Phase-breakdown fractions (engine profiler): time spent building
-    # events or flushing metrics is overhead the native core exists to
-    # shrink.
+    # events or flushing metrics is overhead.
     "phase_breakdown.alloc",
     "phase_breakdown.accounting",
     # Control-plane refresh economics (bench schema v8): records the

@@ -195,8 +195,8 @@ def instrument_simulator(sim: "Simulator", registry: MetricsRegistry) -> None:
     sim_clock = registry.gauge("sim_time_seconds", "Current simulated time")
     scheduler_stat = registry.gauge(
         "sim_scheduler_stat",
-        "Scheduler internals (wheel: slots_scanned/cascades/insert split; "
-        "heap: inserts), labelled by stat name",
+        "Event-calendar internals (slots_scanned, wheel_inserts, batched "
+        "and peeled bulk ops, ...), labelled by stat name",
         ("scheduler", "stat"),
     )
 

@@ -188,7 +188,6 @@ def fake_report(**summary) -> dict:
         "dijkstra_savings_ratio": 10.0,
         "ecmp_bytes_on_wire": 50_000,
         "wire_message_reduction": 5.0,
-        "wheel_speedup": 3.0,
         "mega_events_per_sec": 2e6,
         "partition_speedup": 2.0,
         "sync_efficiency": 0.9,

@@ -462,20 +462,30 @@ class TestMutatedFrameDecoding:
         assert not agent.channels
 
     @pytest.mark.parametrize(
-        "count_id, source",
-        [(0, 0x0A000001), (SUBSCRIBER_ID, 0xE0000001)],
-        ids=["countid-zero", "multicast-source"],
+        "frame",
+        [
+            # A Count with countId 0, and one from a class-D source.
+            struct.pack("!BBHI3sIB", 0x02, 0, 0, 0x0A000001, b"\0\0\1", 1, 0),
+            struct.pack(
+                "!BBHI3sIB", 0x02, 0, SUBSCRIBER_ID, 0xE0000001, b"\0\0\1", 1, 0
+            ),
+            # A proactive CountQuery whose tolerance curve is all zeros.
+            struct.pack(
+                "!BBHI3sIBfff", 0x01, 0x02, SUBSCRIBER_ID, 0x0A000001, b"\0\0\1",
+                1000, 0, 0.0, 0.0, 0.0,
+            ),
+        ],
+        ids=["countid-zero", "multicast-source", "zero-tolerance-curve"],
     )
     def test_receive_path_counts_invalid_field_values_as_undecodable(
-        self, line_net, count_id, source
+        self, line_net, frame
     ):
         # Well-framed, but no such message can exist: the constructors
-        # refuse it with their own error types, not CodecError, and the
-        # receive path must count that too rather than let it escape.
-        frame = struct.pack("!BBHI3sIB", 0x02, 0, count_id, source, b"\0\0\1", 1, 0)
-        with pytest.raises(ReproError) as caught:
+        # refuse it with their own error types, which the codec hands
+        # on as the one error it raises, and the receive path counts.
+        with pytest.raises(CodecError, match="invalid field value") as caught:
             messages.decode_message(frame)
-        assert not isinstance(caught.value, CodecError)
+        assert isinstance(caught.value.__cause__, ReproError)
         agent, changed = self.deliver(line_net, frame)
         assert changed == {"undecodable_messages": 1}
         assert not agent.channels

@@ -11,7 +11,7 @@ up as a few percent in a seven-minute benchmark run. The count is a
 property of the code, not of the host: it repeats exactly.
 
 Tree: ``hsrc - n0 - n1 - n2 - n3`` with six subscriber hosts on
-``n3``; wheel scheduler, ``obs=None``, no packet trace; 50 packets,
+``n3``; ``obs=None``, no packet trace; 50 packets,
 10 link deliveries each. Python calls per link delivery, everything
 included (the engine's dispatch, the source's ``send``, this test's
 own scheduling lambda):
@@ -21,8 +21,7 @@ own scheduling lambda):
 
 The slack is half a call: putting back ``Link._deliver``'s
 indirection, or the per-packet ``lambda`` in place of the ``partial``,
-costs exactly one call per delivery and must fail. (Classic per-event
-scheduling, ``REPRO_NATIVE=0``, reads 15.92 — inside the slack.)
+costs exactly one call per delivery and must fail.
 """
 
 import sys
@@ -39,7 +38,7 @@ SLACK = 0.5
 
 
 def build():
-    topo = TopologyBuilder.line(ROUTERS, scheduler="wheel")
+    topo = TopologyBuilder.line(ROUTERS)
     topo.add_node("hsrc")
     topo.add_link("hsrc", "n0")
     subscribers = [f"hsub{i}" for i in range(HOSTS)]

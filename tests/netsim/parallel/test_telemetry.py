@@ -22,7 +22,7 @@ from tests.netsim.parallel.conftest import make_small_spec
 
 def _telemetered(spec, mode, **cfg):
     runner = ParallelRunner(
-        spec, 2, scheduler="wheel", mode=mode,
+        spec, 2, mode=mode,
         telemetry=TelemetryConfig(**cfg),
     )
     return runner.run()
@@ -77,7 +77,7 @@ class TestTelemeteredRun:
         assert result.telemetry.snapshots_ingested > 2
 
     def test_telemetered_run_still_matches_oracle(self, result):
-        oracle = run_single(make_small_spec(), scheduler="wheel", with_obs=True)
+        oracle = run_single(make_small_spec(), with_obs=True)
         assert_equivalent(result.merged, oracle)
 
 
@@ -102,7 +102,7 @@ def test_inline_and_mp_telemetry_agree():
 
 
 def test_profiled_single_run_phase_totals():
-    summary = run_single(make_small_spec(), scheduler="wheel", profile=True)
+    summary = run_single(make_small_spec(), profile=True)
     profile = summary["profile"]
     assert profile["events"] == summary["events"]
     assert profile["dispatch_seconds"] > 0.0

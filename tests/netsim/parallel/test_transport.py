@@ -52,6 +52,34 @@ class TestRingFraming:
         assert ring._generation() == 2
         assert not ring.readable()
 
+    def test_position_words_are_stored_in_one_write(self, ring):
+        # The peer process polls these words while they are written.
+        # ``struct.pack_into`` clears its destination before packing, so
+        # a poll could read 0 for a position: ``write_pos - read_pos``
+        # then goes negative and the reader steps back into consumed
+        # bytes (seen as a garbled RESULT frame about once in a hundred
+        # four-worker runs). Every store must be a single whole-word
+        # assignment of the final value.
+        writes = []
+
+        class Recording:
+            def __setitem__(self, key, value):
+                writes.append((key.start, key.stop, bytes(value)))
+
+        real = ring.buf
+        ring.buf = Recording()
+        try:
+            ring._store(0, 7)
+            ring._store(8, 1 << 40)
+        finally:
+            ring.buf = real
+        assert writes == [
+            (0, 8, (7).to_bytes(8, "little")),
+            (8, 16, (1 << 40).to_bytes(8, "little")),
+        ]
+        ring._store(8, 1 << 40)
+        assert ring._load(8) == 1 << 40
+
     def test_wraparound(self, ring):
         # 24-byte frames (4 length + 20 payload) against a 64-byte
         # ring: the write position laps the capacity within 3 frames,

@@ -3,7 +3,13 @@
 import pytest
 
 from repro.errors import SimulationError
-from repro.netsim.engine import PeriodicTask, Simulator, call_repeatedly
+from repro.netsim.engine import (
+    PeriodicTask,
+    PhaseProfiler,
+    Simulator,
+    call_repeatedly,
+)
+from tests.oracles import scheduler as oracle
 
 
 class TestScheduling:
@@ -114,6 +120,34 @@ class TestRunBounds:
             sim.schedule(1.0, lambda: None)
         assert sim.run() == 3
 
+    def test_max_events_inside_until_leaves_the_clock_on_the_last_event(self):
+        # run(until=T, max_events=N) used to set now = T even when the
+        # cap stopped it with events before T still queued: the next
+        # run then moved the clock backwards, and scheduling between
+        # the real time and T was refused as "in the past".
+        sim = Simulator()
+        seen = []
+        for when in (1.0, 2.0, 3.0, 4.0):
+            sim.schedule_at(when, lambda: seen.append(sim.now))
+        assert sim.run(until=10.0, max_events=2) == 2
+        assert sim.now == 2.0 and sim.pending() == 2
+        sim.schedule_at(2.5, lambda: seen.append(sim.now))
+        assert sim.run(until=10.0, max_events=2) == 2
+        assert seen == [1.0, 2.0, 2.5, 3.0] and sim.now == 3.0
+        # The cap reached exactly as the window empties: nothing due is
+        # left behind, so the clock does reach ``until``.
+        assert sim.run(until=10.0, max_events=1) == 1
+        assert seen[-1] == 4.0 and sim.now == 10.0
+        # An event at ``until`` itself is due only to an inclusive run.
+        for when in (11.0, 12.0, 12.5, 13.0):
+            sim.schedule_at(when, lambda: None)
+        assert sim.run(until=12.0, max_events=1) == 1
+        assert sim.now == 11.0 and sim.pending() == 3
+        assert sim.run(until=12.0, max_events=1) == 1
+        assert sim.now == 12.0 and sim.pending() == 2
+        assert sim.run(until=13.0, max_events=1, inclusive=False) == 1
+        assert sim.now == 13.0 and sim.pending() == 1
+
     def test_not_reentrant(self):
         sim = Simulator()
         caught = []
@@ -199,18 +233,22 @@ class TestPeriodicTask:
 
 
 class TestHeapCompaction:
+    """The compaction contract, first written for the heap scheduler
+    and held by the calendar: ``len(sim._wheel)`` counts the entries
+    physically held, cancelled ones included."""
+
     def test_mass_cancellation_compacts_the_heap(self):
         sim = Simulator()
         events = [sim.schedule(10.0 + i, lambda: None) for i in range(200)]
         for event in events[:150]:
             event.cancel()
-        # Once cancelled events outnumbered live ones the heap was
+        # Once cancelled events outnumbered live ones the calendar was
         # rebuilt; at most a sub-majority of cancelled entries remain
         # (compaction is amortized, not eager).
-        assert len(sim._queue) < 2 * 50
+        assert len(sim._wheel) < 2 * 50
         assert sim.pending() == 50
         assert sim.run() == 50
-        assert len(sim._queue) == 0
+        assert len(sim._wheel) == 0
 
     def test_pending_is_exact_through_churn(self):
         sim = Simulator()
@@ -242,7 +280,7 @@ class TestHeapCompaction:
         sim = Simulator()
         event = sim.schedule(1.0, lambda: None)
         event.cancel()
-        assert sim.peek_time() is None  # lazily dropped from the heap
+        assert sim.peek_time() is None  # lazily dropped from the queue
         event.cancel()
         assert sim.pending() == 0
 
@@ -266,9 +304,9 @@ class TestHeapCompaction:
         events = [sim.schedule(1.0 + i, lambda: None) for i in range(10)]
         for event in events[:9]:
             event.cancel()
-        # Below the size floor the heap keeps the cancelled entries
-        # (they drain lazily), but pending() is still exact.
-        assert len(sim._queue) == 10
+        # Below the size floor the cancelled entries stay (they drain
+        # lazily), but pending() is still exact.
+        assert len(sim._wheel) == 10
         assert sim.pending() == 1
 
 
@@ -296,6 +334,44 @@ class TestDispatchListeners:
         sim.schedule(1.0, lambda: None)
         sim.run()
         assert len(seen) == 1
+
+
+class TestPhaseProfiler:
+    def test_profiler_listens_only_inside_its_windows(self):
+        # The profiler is a dispatch listener for the length of each
+        # run(); left installed it would keep timing — and keep bulk
+        # slots from batching — in runs it was detached from.
+        sim = Simulator(wheel_granularity=0.05)
+        seen = []
+        sim.add_dispatch_listener(lambda s, event, wall: seen.append(event.name))
+        sim.profiler = profiler = PhaseProfiler()
+        sim.schedule_at(0.1, lambda: None, name="a")
+        sim.schedule_at(0.2, lambda: None, name="b")
+        assert sim.run(until=0.15) == 1
+        assert len(sim._dispatch_listeners) == 1
+        assert sim.run(until=0.3) == 1
+        assert seen == ["a", "b"]
+        assert (profiler.events, profiler.windows) == (2, 2)
+        assert profiler.dispatch_seconds > 0.0 and profiler.advance_seconds >= 0.0
+        sim.profiler = None
+        sim.schedule_at(0.4, lambda: None, name="c")
+        sim.run()
+        assert seen == ["a", "b", "c"]
+        assert (profiler.events, profiler.windows) == (2, 2)
+
+    def test_window_closes_when_an_action_raises(self):
+        sim = Simulator()
+        sim.profiler = profiler = PhaseProfiler()
+
+        def boom():
+            raise RuntimeError("boom")
+
+        sim.schedule_at(0.1, boom)
+        with pytest.raises(RuntimeError):
+            sim.run()
+        assert sim._dispatch_listeners == []
+        assert profiler.windows == 1
+        sim.run()  # not left marked as running either
 
 
 class TestPeriodicJitterBounds:
@@ -330,7 +406,7 @@ class TestPeriodicJitterBounds:
 
 
 class TestRunFastPath:
-    """run() pops the next live event directly (single heap touch)
+    """run() takes the next live event straight from the open slot
     instead of peek_time()+step(); semantics must match exactly."""
 
     def test_cancelled_head_events_are_drained(self):
@@ -414,8 +490,9 @@ class TestRunFastPath:
         assert sim_run.events_processed == sim_step.events_processed
 
     def test_run_survives_compaction_rebinding_the_heap(self):
-        # _compact() rebuilds self._queue as a new list; run()'s local
-        # alias must refresh per iteration or it would drain a stale heap.
+        # compact() rebuilds the open slot and the slot heap as new
+        # lists; run()'s local alias must refresh per iteration or it
+        # would drain a stale one.
         sim = Simulator()
         order = []
         events = [sim.schedule(10.0 + k, lambda: None) for k in range(300)]
@@ -529,8 +606,8 @@ class TestPeekTimes:
 
         rng = random.Random(0xB07)
         times = [round(rng.uniform(0.001, 5.0), 6) for _ in range(200)]
-        heap_sim = Simulator()
-        wheel_sim = Simulator(scheduler="wheel")
+        heap_sim = oracle.Simulator()
+        wheel_sim = Simulator()
         for when in times:
             heap_sim.schedule(when, lambda: None)
             wheel_sim.schedule(when, lambda: None)
@@ -539,12 +616,13 @@ class TestPeekTimes:
             assert heap_sim.peek_times(k) == expected
             assert wheel_sim.peek_times(k) == expected
 
-    def test_wheel_overflow_and_cancelled(self):
-        sim = Simulator(scheduler="wheel")
+    def test_far_future_and_cancelled(self):
+        sim = Simulator()
         sim.schedule(0.001, lambda: None)
         doomed = sim.schedule(0.002, lambda: None)
-        # Far-future events land in the wheel's overflow heap.
         sim.schedule(1e6, lambda: None)
         sim.schedule(2e6, lambda: None)
         doomed.cancel()
         assert sim.peek_times(4) == [0.001, 1e6, 2e6]
+        # Peeking is not running: nothing was scanned past the head.
+        assert sim.scheduler_stats()["slots_scanned"] == 1

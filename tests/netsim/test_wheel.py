@@ -1,98 +1,122 @@
-"""Timer-wheel scheduler unit tests.
+"""Slot-calendar unit tests.
 
 The broad engine contract (ordering, cancellation, ``until``
-semantics, compaction) is pinned for the heap in ``test_engine``;
-``tests/properties/test_scheduler_equivalence`` pins heap≡wheel over
-randomized workloads. This file targets the wheel's own machinery:
-slot/bucket placement, the open-slot bisect path, the overflow heap
-and cascade, the empty-slot jump, the ``run(until=...)`` cursor bound,
-and the wheel-specific stats surfaced in perf reports.
+semantics, compaction) is pinned in ``test_engine``;
+``tests/properties/test_scheduler_equivalence`` pins the shipped core
+to the heap oracle over randomized workloads. This file targets the
+calendar's own machinery (``TimerWheel``): slot/bucket placement, the
+open-slot bisect path, the step from one occupied slot to the next,
+the ``run(until=...)`` cursor bound, and the stats surfaced in perf
+reports.
 """
 
 import pytest
 
 from repro.errors import SimulationError
-from repro.netsim.engine import Simulator, TimerWheel
-
-
-def wheel_sim(**kwargs) -> Simulator:
-    kwargs.setdefault("scheduler", "wheel")
-    return Simulator(**kwargs)
+from repro.netsim.engine import Simulator
 
 
 class TestConstruction:
     def test_unknown_scheduler_rejected(self):
         with pytest.raises(SimulationError):
             Simulator(scheduler="calendar")
-
-    def test_wheel_only_built_in_wheel_mode(self):
-        assert Simulator(scheduler="heap")._wheel is None
-        assert isinstance(wheel_sim()._wheel, TimerWheel)
+        # The heap left for the tests: the error says where it went.
+        with pytest.raises(SimulationError, match="tests/oracles/scheduler.py"):
+            Simulator(scheduler="heap")
+        Simulator(scheduler="wheel")  # the frozen literal
 
     def test_invalid_wheel_tuning_rejected(self):
         with pytest.raises(SimulationError):
-            wheel_sim(wheel_granularity=0.0)
-        with pytest.raises(SimulationError):
-            wheel_sim(wheel_slots=0)
+            Simulator(wheel_granularity=0.0)
+        # Granularity is the only tuning there is.
+        with pytest.raises(TypeError):
+            Simulator(wheel_slots=64)
 
 
 class TestPlacement:
     def test_near_events_go_to_buckets_not_overflow(self):
-        sim = wheel_sim(wheel_granularity=0.001, wheel_slots=100)
+        sim = Simulator(wheel_granularity=0.001)
         for i in range(10):
             sim.schedule_at(0.001 * i, lambda: None)
         stats = sim.scheduler_stats()
         assert stats["wheel_inserts"] == 10
         assert stats["overflow_inserts"] == 0
 
-    def test_beyond_horizon_goes_to_overflow(self):
-        sim = wheel_sim(wheel_granularity=0.001, wheel_slots=100)  # horizon 0.1s
+    def test_far_future_event_is_a_bucket_insert_like_any_other(self):
+        sim = Simulator(wheel_granularity=0.001)
         sim.schedule_at(0.05, lambda: None)
         sim.schedule_at(5.0, lambda: None)
+        sim.schedule_at(5e6, lambda: None)
         stats = sim.scheduler_stats()
-        assert stats["wheel_inserts"] == 1
-        assert stats["overflow_inserts"] == 1
+        assert stats["wheel_inserts"] == 3
+        assert stats["overflow_inserts"] == 0
+        assert sorted(sim._wheel._buckets) == [50, 5000, 5_000_000_000]
 
-    def test_overflow_cascades_and_dispatches_in_order(self):
-        sim = wheel_sim(wheel_granularity=0.001, wheel_slots=64)  # horizon 64ms
+    def test_far_and_near_events_dispatch_in_order(self):
+        sim = Simulator(wheel_granularity=0.001)
         got = []
         sim.schedule_at(10.0, lambda: got.append("far"))
         sim.schedule_at(0.5, lambda: got.append("mid"))
         sim.schedule_at(0.01, lambda: got.append("near"))
         sim.run()
         assert got == ["near", "mid", "far"]
-        assert sim.scheduler_stats()["cascades"] >= 1
 
     def test_empty_slot_jump_skips_dead_time(self):
-        # 1000 slots of 1ms: events 50 simulated seconds apart would
-        # mean ~50k slot scans without the jump optimization.
-        sim = wheel_sim(wheel_granularity=0.001, wheel_slots=1000)
+        # Events 50 simulated seconds apart are 50k empty 1 ms slots
+        # apart; only the occupied ones are ever visited.
+        sim = Simulator(wheel_granularity=0.001)
         got = []
         for k in range(4):
             sim.schedule_at(50.0 * k + 0.001, lambda k=k: got.append(k))
         sim.run()
         assert got == [0, 1, 2, 3]
-        assert sim.scheduler_stats()["slots_scanned"] < 1000
+        assert sim.scheduler_stats()["slots_scanned"] == 4
+
+    def test_slot_shared_by_events_and_bulk_tuples_is_scanned_once(self):
+        # A slot's Event list and its bulk record each push the slot
+        # number when they are created; the slot still opens once.
+        sim = Simulator(wheel_granularity=0.05)
+        got = []
+        sim.schedule_at(0.11, lambda: got.append("single"))
+        sim.schedule_bulk([(0.12, lambda: got.append("bulk"))])
+        sim.schedule_at(0.31, lambda: got.append("later"))
+        assert sim._wheel._slots.count(2) == 2
+        assert sim.peek_times(5) == [0.11, 0.12, 0.31]
+        sim.run()
+        assert got == ["single", "bulk", "later"]
+        assert sim.scheduler_stats()["slots_scanned"] == 2
 
     def test_mid_dispatch_insert_into_open_slot(self):
         # A zero-delay follow-up lands in the currently-open slot and
-        # must still run after its scheduler (time tie → seq order).
-        sim = wheel_sim()
+        # must still run after its scheduler (time tie → seq order);
+        # follow-ups a fraction of a slot later — by each of the three
+        # scheduling calls — must run before the open slot's own later
+        # events, not after the slot.
+        sim = Simulator()
         got = []
 
         def first():
             got.append("first")
             sim.schedule(0.0, lambda: got.append("follow-up"))
+            sim.schedule(0.0002, lambda: got.append("schedule"))
+            sim.schedule_at(0.0103, lambda: got.append("schedule_at"))
+            sim.schedule_bulk([(0.0104, lambda: got.append("schedule_bulk"))])
 
         sim.schedule_at(0.01, first)
         sim.schedule_at(0.01, lambda: got.append("peer"))
+        sim.schedule_at(0.0105, lambda: got.append("same-slot, later"))
         sim.run()
-        assert got == ["first", "peer", "follow-up"]
+        assert got == [
+            "first", "peer", "follow-up",
+            "schedule", "schedule_at", "schedule_bulk",
+            "same-slot, later",
+        ]
+        assert sim.scheduler_stats()["slots_scanned"] == 1
 
 
 class TestRunSemantics:
     def test_until_is_inclusive_and_advances_clock(self):
-        sim = wheel_sim()
+        sim = Simulator()
         got = []
         sim.schedule_at(1.0, lambda: got.append("at"))
         sim.schedule_at(1.5, lambda: got.append("late"))
@@ -103,11 +127,11 @@ class TestRunSemantics:
 
     def test_far_future_peek_does_not_degrade_wheel(self):
         # The regression the limit_slot bound fixes: a bounded run that
-        # stops short of a far-future overflow event must not advance
-        # the cursor to that event's slot — if it did, every event
-        # scheduled afterwards would take the open-slot bisect path
-        # instead of a bucket append.
-        sim = wheel_sim(wheel_granularity=0.001, wheel_slots=8192)
+        # stops short of a far-future event must not advance the cursor
+        # to that event's slot — if it did, every event scheduled
+        # afterwards would take the open-slot bisect path instead of a
+        # bucket append.
+        sim = Simulator(wheel_granularity=0.001)
         sim.schedule_at(30.0, lambda: None)  # keepalive-style timer
         sim.run(until=0.01)
         before = sim.scheduler_stats()["wheel_inserts"]
@@ -116,9 +140,10 @@ class TestRunSemantics:
         stats = sim.scheduler_stats()
         assert stats["wheel_inserts"] == before + 100
         assert sim._wheel._cursor <= int(0.01 / 0.001) + 1
+        assert sum(map(len, sim._wheel._buckets.values())) == 101
 
     def test_max_events_leaves_remainder(self):
-        sim = wheel_sim()
+        sim = Simulator()
         got = []
         for i in range(5):
             sim.schedule_at(0.01 * (i + 1), lambda i=i: got.append(i))
@@ -128,7 +153,7 @@ class TestRunSemantics:
         assert got == [0, 1, 2, 3, 4]
 
     def test_peek_time_sees_next_live_event(self):
-        sim = wheel_sim()
+        sim = Simulator()
         a = sim.schedule_at(0.5, lambda: None)
         sim.schedule_at(1.0, lambda: None)
         assert sim.peek_time() == 0.5
@@ -136,7 +161,7 @@ class TestRunSemantics:
         assert sim.peek_time() == 1.0
 
     def test_step_dispatches_single_event(self):
-        sim = wheel_sim()
+        sim = Simulator()
         got = []
         sim.schedule_at(0.1, lambda: got.append("a"))
         sim.schedule_at(0.2, lambda: got.append("b"))
@@ -147,7 +172,7 @@ class TestRunSemantics:
 
 class TestCancellation:
     def test_cancelled_event_in_bucket_is_skipped(self):
-        sim = wheel_sim()
+        sim = Simulator()
         got = []
         event = sim.schedule_at(0.05, lambda: got.append("dead"))
         sim.schedule_at(0.06, lambda: got.append("live"))
@@ -155,17 +180,8 @@ class TestCancellation:
         sim.run()
         assert got == ["live"]
 
-    def test_cancelled_event_in_overflow_is_skipped(self):
-        sim = wheel_sim(wheel_granularity=0.001, wheel_slots=16)
-        got = []
-        event = sim.schedule_at(9.0, lambda: got.append("dead"))
-        sim.schedule_at(10.0, lambda: got.append("live"))
-        event.cancel()
-        sim.run()
-        assert got == ["live"]
-
     def test_pending_is_exact_through_churn(self):
-        sim = wheel_sim(wheel_granularity=0.001, wheel_slots=32)
+        sim = Simulator(wheel_granularity=0.001)
         events = [
             sim.schedule_at(0.001 * i if i % 2 else 1.0 + i, lambda: None)
             for i in range(200)
@@ -178,18 +194,24 @@ class TestCancellation:
         assert sim.pending() == 0
 
     def test_mass_cancellation_compacts(self):
-        sim = wheel_sim(wheel_granularity=0.001, wheel_slots=32)
+        sim = Simulator(wheel_granularity=0.001)
         keep = [sim.schedule_at(0.001 + 0.0005 * i, lambda: None) for i in range(10)]
         drop = [sim.schedule_at(2.0 + 0.001 * i, lambda: None) for i in range(300)]
         for event in drop:
             event.cancel()
-        # Compaction triggered (cancelled majority): the wheel sheds
-        # most dead entries; only a sub-threshold lazy residue remains.
-        assert len(sim._wheel) < len(keep) + len(drop) // 4
+        # Compaction triggered (cancelled majority): the calendar sheds
+        # most dead entries — with the buckets they emptied and those
+        # buckets' slot numbers — and only a sub-threshold lazy residue
+        # remains.
+        wheel = sim._wheel
+        assert len(wheel) < len(keep) + len(drop) // 4
+        assert len(wheel._buckets) < len(keep) + len(drop) // 4
+        assert sorted(wheel._slots) == sorted(wheel._buckets)
         assert sim.run() == len(keep)
+        assert sim.scheduler_stats()["slots_scanned"] < len(keep) + len(drop) // 4
 
     def test_double_cancel_counts_once(self):
-        sim = wheel_sim()
+        sim = Simulator()
         sim.schedule_at(0.5, lambda: None)
         event = sim.schedule_at(0.2, lambda: None)
         event.cancel()
@@ -200,36 +222,30 @@ class TestCancellation:
 
 class TestStats:
     def test_scheduler_stats_shape(self):
-        sim = wheel_sim(wheel_granularity=0.002, wheel_slots=128)
+        sim = Simulator(wheel_granularity=0.002)
         sim.schedule_at(0.01, lambda: None)
         sim.schedule_at(99.0, lambda: None)
         sim.run()
         stats = sim.scheduler_stats()
         assert stats["scheduler"] == "wheel"
         assert stats["granularity"] == 0.002
-        assert stats["num_slots"] == 128
-        assert stats["wheel_inserts"] == 1
-        assert stats["overflow_inserts"] == 1
-        assert 0.0 <= stats["wheel_insert_share"] <= 1.0
+        assert stats["slots_scanned"] == 2
+        # benchmarks/e2e reads these three by name.
+        assert stats["wheel_inserts"] == 2
+        assert stats["overflow_inserts"] == 0
+        assert stats["batched_events"] == 0
         assert stats["pending"] == 0
-
-    def test_heap_stats_shape(self):
-        sim = Simulator(scheduler="heap")
-        sim.schedule_at(0.01, lambda: None)
-        stats = sim.scheduler_stats()
-        assert stats["scheduler"] == "heap"
-        assert stats["pending"] == 1
 
 
 class TestHorizonReinjection:
     """The sharded runner's import pattern: run an exclusive-horizon
     window (``run(until=H, inclusive=False)``), then re-inject events at
-    or just past the clamped clock. The wheel's cursor sits *on* the
+    or just past the clamped clock. The calendar's cursor sits *on* the
     horizon slot after the window, so these inserts land in the open
     slot / current-bucket edge cases."""
 
     def test_reinjected_event_at_horizon_dispatches_next_window(self):
-        sim = wheel_sim(wheel_granularity=0.001, wheel_slots=64)
+        sim = Simulator(wheel_granularity=0.001)
         order = []
         for when in (0.5, 1.0, 1.5, 2.0):
             sim.schedule_at(when, lambda t=when: order.append(t))
@@ -242,7 +258,7 @@ class TestHorizonReinjection:
         assert order == [0.5, 1.0, 1.5, "reinj", 2.0]
 
     def test_stats_count_reinjected_inserts(self):
-        sim = wheel_sim(wheel_granularity=0.001, wheel_slots=64)
+        sim = Simulator(wheel_granularity=0.001)
         sim.schedule_at(0.01, lambda: None)
         sim.run(until=0.02, inclusive=False)
         before = sim.scheduler_stats()["wheel_inserts"]
@@ -255,7 +271,7 @@ class TestHorizonReinjection:
         assert sim.scheduler_stats()["pending"] == 0
 
     def test_cancel_of_reinjected_event_at_horizon(self):
-        sim = wheel_sim(wheel_granularity=0.001, wheel_slots=64)
+        sim = Simulator(wheel_granularity=0.001)
         order = []
         sim.schedule_at(0.5, lambda: order.append("pre"))
         sim.run(until=0.5, inclusive=False)
@@ -270,7 +286,7 @@ class TestHorizonReinjection:
     def test_cancel_then_reinject_same_timestamp(self):
         # Cancelling a horizon event and re-injecting a replacement at
         # the identical timestamp must not resurrect the tombstone.
-        sim = wheel_sim(wheel_granularity=0.001, wheel_slots=64)
+        sim = Simulator(wheel_granularity=0.001)
         order = []
         sim.schedule_at(0.25, lambda: order.append("tick"))
         sim.run(until=0.25, inclusive=False)

@@ -54,7 +54,7 @@ class TestDirection:
 
     def test_benefit_metrics(self):
         assert direction("summary.events_per_sec_min") == +1
-        assert direction("wheel_speedup") == +1
+        assert direction("partition_speedup") == +1
         assert direction("sync_efficiency") == +1
         assert direction("dijkstra_savings_ratio") == +1
         # ...while the reductions over the eager baseline are benefits.

@@ -16,5 +16,10 @@ time:
   made per packet (specification of ``Link.transmit``, ``Node.send`` /
   ``receive``, ``Packet.copy``, ``ExpressForwarder.handle_packet`` /
   ``_fan_out`` and ``MulticastFib.lookup`` / ``egress``); patched in
-  for whole-network runs, since a hop is not a function of one value.
+  for whole-network runs, since a hop is not a function of one value,
+* :mod:`tests.oracles.scheduler` — a binary heap popped one event at a
+  time (specification of ``repro.netsim.engine.Simulator``: the slot
+  calendar, lazy bulk tuples and batch dispatch); driven directly for
+  raw traces and patched in where ``Topology`` builds its simulator
+  for whole-network runs.
 """

@@ -23,7 +23,7 @@ from repro.core.ecmp.messages import (
 )
 from repro.core.keys import ChannelKey
 from repro.core.proactive import ToleranceCurve
-from repro.errors import CodecError
+from repro.errors import ChannelError, CodecError, ProtocolError
 
 TYPE_QUERY, TYPE_COUNT, TYPE_RESPONSE, TYPE_BATCH = 0x01, 0x02, 0x03, 0x10
 FLAG_KEY, FLAG_PROACTIVE = 0x01, 0x02
@@ -77,7 +77,15 @@ def encode_message(message) -> bytes:
 
 
 def decode_message(data):
-    data = bytes(data)
+    try:
+        return _decode_message(bytes(data))
+    except (ChannelError, ProtocolError) as exc:
+        # The message constructors' verdict on a field value (countId
+        # 0, a multicast source, a zero tolerance curve).
+        raise CodecError(f"invalid field value: {exc}") from exc
+
+
+def _decode_message(data: bytes):
     if len(data) < HEAD_BYTES:
         raise CodecError(f"ECMP message truncated: {len(data)} bytes")
     msg_type, flags, count_id, source, suffix = struct.unpack(HEAD, data[:HEAD_BYTES])

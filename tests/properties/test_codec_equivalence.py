@@ -161,6 +161,38 @@ class TestDecodeEquivalence:
         frame = bytes([byte]) + bytes(11)
         agreed(decode_message, oracle.decode_message, frame)
 
+    @given(
+        message=messages,
+        field=st.sampled_from(("count_id", "source", "curve")),
+        in_batch=st.booleans(),
+    )
+    def test_impossible_field_values_raise_identical_codec_errors(
+        self, message, field, in_batch
+    ):
+        # Well framed, but countId 0 / a class-D source / an all-zero
+        # tolerance curve: the constructors' own errors leave both
+        # codecs as CodecError, with the same text.
+        if field == "curve":
+            frame = bytearray(
+                b"\x01\x02" + encode_message(message)[2:11] + bytes(5 + 12)
+            )
+            frame[2:4] = b"\x00\x01"
+        else:
+            frame = bytearray(encode_message(message))
+            if field == "count_id":
+                frame[2:4] = b"\x00\x00"
+            else:
+                frame[4:8] = (0xE0000001).to_bytes(4, "big")
+        frame = bytes(frame)
+        if in_batch:
+            frame = (
+                bytes([MSG_BATCH]) + b"\x00\x00\x01"
+                + len(frame).to_bytes(2, "big") + frame
+            )
+        kind, error, text = agreed(decode_message, oracle.decode_message, frame)
+        assert (kind, error) == ("err", "CodecError")
+        assert text.startswith("invalid field value: ")
+
     @given(message=messages)
     def test_fast_decode_accepts_memoryview(self, message):
         frame = encode_message(message)

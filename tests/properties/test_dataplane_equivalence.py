@@ -30,7 +30,9 @@ IP-in-IP packets to on-tree and off-tree relays; host-to-host unicast;
 a class-D packet outside 232/8 and an unknown protocol; a router that
 subscribes (``on_data`` retaining the packet) while relaying to
 subscribers further down; and joins and leaves throughout the stream,
-so outgoing bitmaps change between packets. Both schedulers.
+so outgoing bitmaps change between packets. On both event cores: the
+shipped one (``wheel``) and the heap oracle of
+``tests/oracles/scheduler.py`` (``heap``).
 
 Seeded ``random.Random`` (not hypothesis), as in the other property
 suites. ``lookup_cache_hits`` is the one counter left out: it counts
@@ -46,6 +48,7 @@ from repro import ExpressNetwork, TopologyBuilder
 from repro.faults.wire import WireMutator
 from repro.netsim.packet import Packet
 from tests.oracles import dataplane
+from tests.oracles.scheduler import event_core
 
 N_CASES = 2
 STREAM_START = 0.3
@@ -57,10 +60,10 @@ REFRESH = 1.0  # UDP query interval: lost edge joins recover inside a case
 def observe(case: int, scheduler: str) -> dict:
     """Build, drive and photograph one scenario."""
     rng = random.Random(0xDA7A + case)
-    topo = TopologyBuilder.isp(
-        n_transit=3, stubs_per_transit=2, hosts_per_stub=3, seed=case,
-        scheduler=scheduler,
-    )
+    with event_core(scheduler):
+        topo = TopologyBuilder.isp(
+            n_transit=3, stubs_per_transit=2, hosts_per_stub=3, seed=case
+        )
     trace = topo.attach_trace()
     net = ExpressNetwork(topo, edge_udp=True, wire_format=bool(case % 2))
     for agent in net.ecmp_agents.values():
@@ -288,7 +291,7 @@ def observe(case: int, scheduler: str) -> dict:
 
 @pytest.fixture(scope="module", params=["heap", "wheel"])
 def runs(request):
-    """``[(shipped, reference)]`` per case for one scheduler."""
+    """``[(shipped, reference)]`` per case for one event core."""
     pairs = []
     for case in range(N_CASES):
         shipped = observe(case, request.param)

@@ -6,9 +6,12 @@ Two contracts from the fault-injection subsystem:
   (with a :class:`FaultMonitor` attached) schedules zero simulator
   events and draws zero RNG values, so an instrumented run's settled
   ChannelState tables *and* ``events_processed`` are identical to a
-  plain run's, across heap/wheel schedulers × native core on/off.
-  ``events_processed`` equality is the strong claim: one stray
-  scheduled callback anywhere would break it.
+  plain run's — on the shipped event core (``wheel``) and on the heap
+  oracle of ``tests/oracles/scheduler.py`` (``heap``), with links
+  carrying message objects and real wire bytes (the wire mutators a
+  plan can install sit on that path). ``events_processed`` equality is
+  the strong claim: one stray scheduled callback anywhere would break
+  it.
 
 * **Crash/restart re-convergence** — a run that crashes a transit
   router (full soft-state loss, links down) and restarts it settles
@@ -25,7 +28,7 @@ import pytest
 
 from repro import ExpressNetwork, TopologyBuilder
 from repro.faults import FaultInjector, FaultMonitor, FaultPlan
-from repro.netsim.arena import ARENA
+from tests.oracles.scheduler import event_core
 
 N_EMPTY_CASES = 2
 
@@ -45,15 +48,12 @@ def snapshot(net: ExpressNetwork) -> dict:
     return table
 
 
-def build_net(scheduler: str, native: bool) -> ExpressNetwork:
-    topo = TopologyBuilder.isp(
-        n_transit=3, stubs_per_transit=2, hosts_per_stub=2, seed=7,
-        scheduler=scheduler,
-    )
-    # The per-run native-core switch (what Simulator(native=...) sets).
-    topo.sim._native = native
-    topo.sim._arena = ARENA if native else None
-    net = ExpressNetwork(topo)
+def build_net(scheduler: str, wire_format: bool = False) -> ExpressNetwork:
+    with event_core(scheduler):
+        topo = TopologyBuilder.isp(
+            n_transit=3, stubs_per_transit=2, hosts_per_stub=2, seed=7
+        )
+    net = ExpressNetwork(topo, wire_format=wire_format)
     net.run(until=0.01)
     return net
 
@@ -82,9 +82,9 @@ def schedule_workload(net: ExpressNetwork, seed: int) -> float:
 
 
 def run_workload(
-    scheduler: str, native: bool, seed: int, instrumented: bool
+    scheduler: str, wire_format: bool, seed: int, instrumented: bool
 ) -> tuple[dict, int]:
-    net = build_net(scheduler, native)
+    net = build_net(scheduler, wire_format)
     end = schedule_workload(net, seed)
     if instrumented:
         monitor = FaultMonitor(net)
@@ -101,12 +101,12 @@ def run_workload(
 
 
 @pytest.mark.parametrize("scheduler", ["heap", "wheel"])
-@pytest.mark.parametrize("native", [True, False])
+@pytest.mark.parametrize("wire_format", [True, False])
 @pytest.mark.parametrize("case", range(N_EMPTY_CASES))
-def test_empty_plan_run_is_bit_identical(scheduler, native, case):
+def test_empty_plan_run_is_bit_identical(scheduler, wire_format, case):
     seed = 0xFA17 + case
-    plain = run_workload(scheduler, native, seed, instrumented=False)
-    instrumented = run_workload(scheduler, native, seed, instrumented=True)
+    plain = run_workload(scheduler, wire_format, seed, instrumented=False)
+    instrumented = run_workload(scheduler, wire_format, seed, instrumented=True)
     assert instrumented == plain
 
 
@@ -118,8 +118,9 @@ def test_empty_plan_run_is_bit_identical(scheduler, native, case):
 def settled_state(seed: int, plan_for=None, settle: float = 45.0):
     """Run the workload, let it settle, optionally arm a plan built by
     ``plan_for(net, now)`` after the churn window, settle again, and
-    return the final table."""
-    net = build_net("heap", native=False)
+    return the final table. The faulted run is on the shipped event
+    core, the no-fault reference on the heap oracle."""
+    net = build_net("heap" if plan_for is None else "wheel")
     end = schedule_workload(net, seed)
     net.run(until=end)
     net.settle(3.0)

@@ -2,18 +2,22 @@
 
 The contract the parallel subsystem is pinned to: for any declarative
 scenario, an N-partition conservative-lookahead run must settle into
-*exactly* the state the unsharded heap run produces — ChannelState
+*exactly* the state the unsharded run on the heap oracle
+(``tests/oracles/scheduler.py``) produces — ChannelState
 tables (upstream, advertised counts, per-neighbor downstream records),
 subscription status and per-host delivery counts, aggregated-block
 membership and deliveries, total dispatched event counts, and (when
 observability is on) every counter and histogram family outside the
-sync-only / wall-clock exclusion set. The heap oracle is the seed's
-original scheduler, so any divergence is a parallel-subsystem bug.
+sync-only / wall-clock exclusion set. Workers run on the shipped event
+core (``wheel``) and, in-process, on the oracle itself (``heap``): a
+divergence on both is a parallel-subsystem bug, on the shipped core
+alone an event-core one (exclusive windows, ``peek_times``,
+reinjection at a window edge).
 
 Five axes are swept:
 
 * partition count N ∈ {1, 2, 4} (1 degenerates to a proxy-free run);
-* worker scheduler heap vs. timer wheel (the oracle stays heap);
+* worker event core oracle vs. shipped (the reference stays oracle);
 * sync mode demand (multi-window horizon ladders) vs. eager (lockstep
   null messages every round) — settlement must be bit-identical;
 * transport inline vs. pipe vs. shm ring — frame counts included;
@@ -29,20 +33,24 @@ from repro.netsim.parallel import ParallelRunner, assert_equivalent, run_single
 from repro.netsim.parallel.scenario import ScenarioSpec
 
 from tests.netsim.parallel.conftest import make_small_spec
+from tests.oracles.scheduler import event_core
 
 N_RANDOM_CASES = 4
 
 
 @pytest.fixture(scope="module")
 def oracle_with_obs():
-    return run_single(make_small_spec(), scheduler="heap", with_obs=True)
+    with event_core("heap"):
+        return run_single(make_small_spec(), with_obs=True)
 
 
 @pytest.mark.parametrize("n", [1, 2, 4])
 def test_n_partitions_match_heap_oracle(n, oracle_with_obs):
-    result = ParallelRunner(
-        make_small_spec(), n, scheduler="heap", mode="inline", with_obs=True
-    ).run()
+    """Inline workers on the oracle core: the partition logic alone."""
+    with event_core("heap"):
+        result = ParallelRunner(
+            make_small_spec(), n, mode="inline", with_obs=True
+        ).run()
     assert result.plan.n == n
     assert_equivalent(result.merged, oracle_with_obs)
 
@@ -50,14 +58,14 @@ def test_n_partitions_match_heap_oracle(n, oracle_with_obs):
 @pytest.mark.parametrize("n", [2, 4])
 def test_wheel_workers_match_heap_oracle(n, oracle_with_obs):
     result = ParallelRunner(
-        make_small_spec(), n, scheduler="wheel", mode="inline", with_obs=True
+        make_small_spec(), n, mode="inline", with_obs=True
     ).run()
     assert_equivalent(result.merged, oracle_with_obs)
 
 
 def test_mp_transport_matches_oracle(oracle_with_obs):
     result = ParallelRunner(
-        make_small_spec(), 2, scheduler="wheel", mode="mp", with_obs=True
+        make_small_spec(), 2, mode="mp", with_obs=True
     ).run()
     assert_equivalent(result.merged, oracle_with_obs)
 
@@ -76,15 +84,16 @@ def test_demand_sync_matches_eager_baseline(n, scheduler, oracle_with_obs):
     """The demand-driven multi-window protocol must settle into the
     exact state the eager lockstep baseline (and the oracle) produces —
     same tables, same deliveries, same event counts — for every
-    partition count and worker scheduler."""
-    demand = ParallelRunner(
-        make_small_spec(), n, scheduler=scheduler, mode="inline",
-        with_obs=True, sync_mode="demand",
-    ).run()
-    eager = ParallelRunner(
-        make_small_spec(), n, scheduler=scheduler, mode="inline",
-        with_obs=True, sync_mode="eager",
-    ).run()
+    partition count and worker event core."""
+    with event_core(scheduler):
+        demand = ParallelRunner(
+            make_small_spec(), n, mode="inline", with_obs=True,
+            sync_mode="demand",
+        ).run()
+        eager = ParallelRunner(
+            make_small_spec(), n, mode="inline", with_obs=True,
+            sync_mode="eager",
+        ).run()
     assert_equivalent(demand.merged, oracle_with_obs)
     assert_equivalent(eager.merged, oracle_with_obs)
     # Settled state must be bit-identical across sync modes. (The
@@ -165,7 +174,8 @@ def random_spec(seed: int) -> ScenarioSpec:
 def test_random_workloads_match_oracle(case):
     seed = 0x9A27 + case
     spec = random_spec(seed)
-    oracle = run_single(spec, scheduler="heap")
+    with event_core("heap"):
+        oracle = run_single(spec)
     for n in (2, 4):
-        result = ParallelRunner(spec, n, scheduler="heap", mode="inline").run()
+        result = ParallelRunner(spec, n, mode="inline").run()
         assert_equivalent(result.merged, oracle)

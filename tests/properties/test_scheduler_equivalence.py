@@ -1,24 +1,28 @@
-"""Property test: timer-wheel scheduler ≡ heap scheduler.
+"""Property test: the shipped event core ≡ the plain heap.
 
-The wheel must be *observationally identical* to the heap: for any
-workload, the same seed dispatches the same events in the same
-``(time, seq)`` order, leaves the same protocol state behind, and
-counts the same ``events_processed``. The heap is the oracle — it is
-the seed's original scheduler — so any divergence is a wheel bug.
+``repro.netsim.engine.Simulator`` — sparse slot calendar, lazy bulk
+tuples, segmented batch dispatch — must be *observationally identical*
+to ``tests/oracles/scheduler.py``, a binary heap popped one event at a
+time: for any workload, the same seed dispatches the same events in
+the same ``(time, seq)`` order, leaves the same protocol state behind,
+and counts the same ``events_processed``. The heap is the oracle, so
+any divergence is a bug in the shipped core. In parameter ids and
+function arguments ``"wheel"`` names the shipped core and ``"heap"``
+the oracle.
 
 Three layers of checking:
 
 * raw engine traces (dispatch order as ``(time, seq, name)`` tuples)
   over randomized schedules that include mid-dispatch scheduling,
-  cancellation, and far-future events that exercise the overflow heap
-  and cascade path;
+  cancellation, and events seconds to minutes beyond the dense part of
+  the timeline;
 * full-stack ``ExpressNetwork`` runs: settled ChannelState tables
   (the ``test_batching_equivalence`` snapshot) must match;
 * ``events_processed`` equality on every comparison.
 
 Seeded ``random.Random`` instances keep those sequences deterministic,
 matching the idiom of the other property tests. The last section —
-segmented batch dispatch, where bulk tuples share wheel slots with
+segmented batch dispatch, where bulk tuples share calendar slots with
 ordinary events — is driven by hypothesis instead: the interleavings
 that matter there (exact time ties, events scheduled into the open
 slot, a bound falling inside a slot) are found by search, not by a
@@ -33,6 +37,10 @@ from hypothesis import strategies as st
 
 from repro import ExpressNetwork, TopologyBuilder
 from repro.netsim.engine import PhaseProfiler, Simulator
+from tests.oracles import scheduler as oracle
+from tests.oracles.scheduler import event_core
+
+SIMULATORS = {"wheel": Simulator, "heap": oracle.Simulator}
 
 N_ENGINE_CASES = 8
 N_NETWORK_CASES = 6
@@ -47,12 +55,13 @@ def run_engine_trace(scheduler: str, seed: int) -> tuple[list, int]:
     """Drive one randomized schedule; return (dispatch trace, count).
 
     The workload deliberately mixes near events (open-slot and bucket
-    paths), far events (overflow + cascade), simultaneous events (seq
-    tie-break), mid-dispatch scheduling (insert at or after the open
-    slot), and cancellations (lazy skip + compaction).
+    paths), far events (slots a minute and more of empty time away),
+    simultaneous events (seq tie-break), mid-dispatch scheduling
+    (insert at or after the open slot), and cancellations (lazy skip +
+    compaction).
     """
     rng = random.Random(seed)
-    sim = Simulator(seed=0, scheduler=scheduler, wheel_slots=256)
+    sim = SIMULATORS[scheduler]()
     trace = []
     cancellable = []
 
@@ -71,8 +80,8 @@ def run_engine_trace(scheduler: str, seed: int) -> tuple[list, int]:
             cancellable.pop(rng.randrange(len(cancellable))).cancel()
 
     for i in range(120):
-        # Spread across three regimes: sub-slot, in-horizon, beyond the
-        # 256-slot horizon (256 * 0.001 = 0.256s) to force overflow.
+        # Spread across regimes: sub-slot, the dense first fifth of a
+        # second, seconds out, a minute out.
         when = rng.choice(
             [
                 rng.uniform(0.0, 0.002),
@@ -101,19 +110,19 @@ def test_dispatch_trace_matches_heap(case):
 
 
 def test_bounded_run_matches_heap():
-    """run(until=...) segment by segment — the wheel's cursor bound
+    """run(until=...) segment by segment — the calendar's cursor bound
     (limit_slot) must not reorder or drop events at window edges."""
 
     def drive(scheduler):
         rng = random.Random(0xB0B)
-        sim = Simulator(seed=0, scheduler=scheduler, wheel_slots=128)
+        sim = SIMULATORS[scheduler]()
         out = []
         for i in range(200):
             sim.schedule_at(
                 rng.uniform(0.0, 3.0), lambda t=i: out.append((sim.now, t))
             )
-        # Far-future event beyond every window: its overflow slot must
-        # not drag the cursor forward (the degradation the bound fixes).
+        # Far-future event beyond every window: its slot must not
+        # drag the cursor forward (the degradation the bound fixes).
         sim.schedule_at(500.0, lambda: out.append((sim.now, "far")))
         for until in (0.25, 0.5, 0.500001, 1.0, 2.9999, 3.0, 600.0):
             sim.run(until=until)
@@ -126,12 +135,21 @@ def test_bounded_run_matches_heap():
 def test_max_events_matches_heap():
     def drive(scheduler):
         rng = random.Random(7)
-        sim = Simulator(seed=0, scheduler=scheduler)
+        sim = SIMULATORS[scheduler]()
         out = []
         for i in range(50):
             sim.schedule_at(rng.uniform(0.0, 1.0), lambda t=i: out.append(t))
         while sim.run(max_events=7):
             out.append(("chunk", sim.events_processed))
+        # Capped and bounded at once: the clock stops with the cap
+        # unless the window is empty behind it.
+        for i in range(30):
+            sim.schedule_at(
+                sim.now + rng.uniform(0.0, 1.0), lambda t=i: out.append(t)
+            )
+        while sim.pending():
+            ran = sim.run(until=sim.now + 0.3, max_events=4)
+            out.append(("window", ran, sim.now, sim.pending()))
         return out
 
     assert drive("wheel") == drive("heap")
@@ -159,10 +177,10 @@ def snapshot(net: ExpressNetwork) -> dict:
 
 def drive_network(scheduler: str, seed: int) -> tuple[dict, int]:
     rng = random.Random(seed)
-    topo = TopologyBuilder.isp(
-        n_transit=3, stubs_per_transit=2, hosts_per_stub=2, seed=7,
-        scheduler=scheduler,
-    )
+    with event_core(scheduler):
+        topo = TopologyBuilder.isp(
+            n_transit=3, stubs_per_transit=2, hosts_per_stub=2, seed=7
+        )
     net = ExpressNetwork(topo)
     net.run(until=0.01)
 
@@ -209,14 +227,14 @@ def test_network_state_tables_match_heap(case):
 
 
 # ---------------------------------------------------------------------------
-# schedule_bulk ≡ sequential schedule_at (the native-core contract)
+# schedule_bulk ≡ sequential schedule_at
 # ---------------------------------------------------------------------------
 
 
 def bulk_items(seed: int, n: int = 150) -> list:
-    """Randomized (time, tag) pairs mixing open-slot, in-horizon,
-    overflow, and duplicate timestamps (tie-break coverage), shuffled
-    so submission order disagrees with time order."""
+    """Randomized (time, tag) pairs mixing open-slot, near, far, and
+    duplicate timestamps (tie-break coverage), shuffled so submission
+    order disagrees with time order."""
     rng = random.Random(seed)
     times = (
         [rng.uniform(0.0, 0.002) for _ in range(n // 4)]
@@ -229,15 +247,20 @@ def bulk_items(seed: int, n: int = 150) -> list:
 
 
 @pytest.mark.parametrize("scheduler", ["heap", "wheel"])
-@pytest.mark.parametrize("native", [True, False])
+@pytest.mark.parametrize("coarse", [True, False])
 @pytest.mark.parametrize("case", range(4))
-def test_schedule_bulk_matches_sequential_schedule_at(scheduler, native, case):
+def test_schedule_bulk_matches_sequential_schedule_at(scheduler, coarse, case):
+    """The shipped ``schedule_bulk`` against a sequential ``schedule_at``
+    loop on ``scheduler`` — on the shipped core itself and on the
+    oracle, whose ``schedule_bulk`` *is* that loop — at the two slot
+    widths with real callers: the 1 ms default, where most items get a
+    bucket of their own, and ``mega_block_storm``'s 50 ms, where they
+    share a handful of pure buckets and the ties sit among them."""
     items = bulk_items(0xB17C + case)
+    granularity = 0.05 if coarse else 0.001
 
-    def drive(bulk: bool) -> tuple[list, int]:
-        sim = Simulator(
-            seed=0, scheduler=scheduler, wheel_slots=256, native=native
-        )
+    def drive(core: str, bulk: bool) -> tuple[list, int]:
+        sim = SIMULATORS[core](wheel_granularity=granularity)
         out = []
         if bulk:
             sim.schedule_bulk(
@@ -250,14 +273,14 @@ def test_schedule_bulk_matches_sequential_schedule_at(scheduler, native, case):
         sim.run()
         return out, sim.events_processed
 
-    assert drive(True) == drive(False)
+    assert drive("wheel", bulk=True) == drive(scheduler, bulk=False)
 
 
 @pytest.mark.parametrize("scheduler", ["heap", "wheel"])
 def test_schedule_bulk_rejects_past_times_atomically(scheduler):
     from repro.errors import SimulationError
 
-    sim = Simulator(seed=0, scheduler=scheduler)
+    sim = SIMULATORS[scheduler]()
     sim.schedule_at(1.0, lambda: None)
     sim.run(until=0.5)
     with pytest.raises(SimulationError):
@@ -269,13 +292,13 @@ def test_schedule_bulk_rejects_past_times_atomically(scheduler):
 @pytest.mark.parametrize("case", range(3))
 def test_bulk_interleaved_with_singles_and_cancels_matches_heap(case):
     """schedule_bulk mixed with schedule_at into the *same* buckets
-    (forcing pure-bucket materialization) plus cancellations must stay
+    (strangers in pure buckets) plus cancellations must stay
     trace-identical to the heap oracle."""
     seed = 0x51A7 + case
 
     def drive(scheduler: str) -> tuple[list, int]:
         rng = random.Random(seed)
-        sim = Simulator(seed=0, scheduler=scheduler, wheel_slots=128)
+        sim = SIMULATORS[scheduler]()
         out = []
 
         def rec(tag):
@@ -316,37 +339,25 @@ def test_bulk_interleaved_with_singles_and_cancels_matches_heap(case):
 # ---------------------------------------------------------------------------
 
 
-def force_native(sim: Simulator, native: bool) -> None:
-    """Set the native-core switch per run (what ``Simulator(native=...)``
-    sets at construction; the topology builders own the constructor
-    call), so a comparison covers on and off whatever ``REPRO_NATIVE``
-    says."""
-    from repro.netsim.arena import ARENA
-
-    sim._native = native
-    sim._arena = ARENA if native else None
-
-
 def drive_block_storm(
     scheduler: str,
-    native: bool,
     seed: int = 3,
     joins: int = 4000,
     leaves: int = 500,
     streaming: bool = False,
 ):
     """A miniature mega storm: block join/leave ops bulk-scheduled with
-    coarse wheel slots so native wheel runs exercise batch slot
+    coarse calendar slots so shipped-core runs exercise batch slot
     dispatch. With ``streaming`` the source sends and real hosts come
     and go *during* the join wave, over real wire bytes and Nagle-timer
-    batching links, so every wheel slot of the wave also holds ordinary
+    batching links, so every slot of the wave also holds ordinary
     events. Returns comparable end state + the stats dict."""
     rng = random.Random(seed)
-    topo = TopologyBuilder.isp(
-        n_transit=3, stubs_per_transit=2, hosts_per_stub=1, seed=7,
-        scheduler=scheduler, wheel_granularity=0.05,
-    )
-    force_native(topo.sim, native)
+    with event_core(scheduler):
+        topo = TopologyBuilder.isp(
+            n_transit=3, stubs_per_transit=2, hosts_per_stub=1, seed=7,
+            wheel_granularity=0.05,
+        )
     net = ExpressNetwork(topo, wire_format=streaming)
     hosts = sorted(net.host_names)
     source = net.source(hosts[0])
@@ -387,38 +398,34 @@ def drive_block_storm(
 
 
 def test_batch_slot_dispatch_matches_per_event():
-    heap_state, _ = drive_block_storm("heap", native=True)
-    wheel_state, wheel_stats = drive_block_storm("wheel", native=True)
-    off_state, off_stats = drive_block_storm("wheel", native=False)
+    heap_state, _ = drive_block_storm("heap")
+    wheel_state, wheel_stats = drive_block_storm("wheel")
     assert wheel_state == heap_state
-    assert off_state == heap_state
-    # The native wheel run actually used batch dispatch; the escape
-    # hatch never did.
+    # The shipped run actually used batch dispatch.
     assert wheel_stats["batched_events"] > 0
     assert wheel_stats["batched_slots"] > 0
-    assert off_stats["batched_events"] == 0
 
 
 def test_streaming_during_the_join_wave_still_batches():
     """benchmarks/e2e Finding 5: an eighth-scale storm whose join wave
-    shares every wheel slot with data packets, Counts and flush timers
-    used to be dispatched per event throughout (``batched_events`` 0).
-    It must settle exactly as the per-event core does, with at least
-    nine tenths of all events folded into batched runs."""
+    shares every calendar slot with data packets, Counts and flush
+    timers used to be dispatched per event throughout
+    (``batched_events`` 0). It must settle exactly as the per-event
+    oracle does, with at least nine tenths of all events folded into
+    batched runs."""
     storm = dict(joins=62_500, leaves=7_800, streaming=True)
-    native_state, stats = drive_block_storm("wheel", native=True, **storm)
-    classic_state, classic_stats = drive_block_storm("wheel", native=False, **storm)
-    assert native_state == classic_state
-    assert classic_stats["batched_events"] == 0
+    shipped_state, stats = drive_block_storm("wheel", **storm)
+    oracle_state, _ = drive_block_storm("heap", **storm)
+    assert shipped_state == oracle_state
     assert stats["batched_runs"] > 5 * stats["batched_slots"]
-    assert stats["batched_events"] >= 0.9 * native_state[2]
+    assert stats["batched_events"] >= 0.9 * shipped_state[2]
 
 
 # ---------------------------------------------------------------------------
 # segmented batch dispatch: bulk tuples sharing slots with strangers
 # ---------------------------------------------------------------------------
 
-#: Storm times sit on a grid of ten points per 50 ms wheel slot, so
+#: Storm times sit on a grid of ten points per 50 ms calendar slot, so
 #: bulk ops and ordinary events tie exactly, and often.
 GRID = 0.005
 STORM_AT = 0.1
@@ -481,15 +488,15 @@ def storm_scenarios(draw):
 
 
 def drive_storm_scenario(scheduler: str, scenario: dict):
-    """Run ``scenario`` on one scheduler; return everything observable:
+    """Run ``scenario`` on one event core; return everything observable:
     the ordinary events' dispatch trace (each entry carries the block
     state it saw, so a bulk op on the wrong side of a tie shows), the
     marks taken between run segments, and the final state."""
-    topo = TopologyBuilder.isp(
-        n_transit=2, stubs_per_transit=1, hosts_per_stub=1, seed=7,
-        scheduler=scheduler, wheel_granularity=0.05,
-    )
-    force_native(topo.sim, True)
+    with event_core(scheduler):
+        topo = TopologyBuilder.isp(
+            n_transit=2, stubs_per_transit=1, hosts_per_stub=1, seed=7,
+            wheel_granularity=0.05,
+        )
     net = ExpressNetwork(topo)
     sim = net.sim
     source = net.source("h0_0_0")
@@ -554,14 +561,13 @@ def drive_storm_scenario(scheduler: str, scenario: dict):
             trace.append(
                 ("peek", sim.peek_time(), tuple(sim.peek_times(4)), sim.pending())
             )
-            if sim._wheel is not None:
+            if scheduler == "wheel":
                 assert len(sim._wheel) == sim.pending() + sim._cancelled
         elif kind == "compact":
-            if sim._wheel is not None:
+            # The oracle never compacts: nothing to force there.
+            if scheduler == "wheel":
                 sim._wheel.compact()
                 sim._cancelled = 0
-            else:
-                sim._compact()
         elif kind == "bulk":
             # A bulk call from inside the run: its items land in the
             # open slot, in stranger-holding pure buckets and beyond.
