@@ -30,47 +30,43 @@ from repro.inet.addr import (
 # ---------------------------------------------------------------------------
 # Channel interning
 #
-# Channels key every hot dict in the system (channel tables, FIB caches,
-# block membership, key caches), and the same (S, E) pair is rebuilt at
-# every layer: codec decode, FIB lookup, data-plane delivery. Interning
-# gives all of those one canonical object — the validation and hash are
-# paid once per distinct channel per process — and lets the columnar
-# state tables address channels by a dense integer id instead of the
-# object itself.
+# Channels key every hot dict in the system (channel tables, block
+# membership, key caches), and the same (S, E) pair is rebuilt at every
+# layer: codec decode, data-plane delivery. Interning gives all of those
+# one canonical object — the validation and hash are paid once per
+# distinct channel per process — and lets the columnar state tables
+# address channels by a dense integer id instead of the object itself.
+#
+# Only the control plane interns (:meth:`Channel.of` at allocation and
+# decode, :func:`intern_channel` where channel state is created), so the
+# tables grow with control-plane work, never with data traffic. The data
+# plane only probes: a flood of packets for channels nobody joined
+# leaves no trace.
 # ---------------------------------------------------------------------------
 
 #: (source, suffix) -> canonical Channel, filled by :meth:`Channel.of`.
 _OF_MEMO: dict = {}
 
-#: (source, group) -> canonical Channel, or None for pairs that fail
-#: validation (negative caching: the data plane probes arbitrary
-#: packet addresses, and an invalid pair stays invalid).
+#: (source, group) -> canonical Channel, filled alongside ``_OF_MEMO``.
 _PAIR_MEMO: dict = {}
 
 #: Canonical Channel -> dense integer id, in interning order.
 _CHANNEL_IDS: dict = {}
 
-_MISSING = object()
+#: The data plane's probe: ``interned_channel((source, group))`` is the
+#: canonical :class:`Channel` of a pair some node holds (or held) state
+#: for, else None — and a packet for a pair nobody interned has nobody
+#: to be delivered to. One dict probe, no Python frame, never a write.
+interned_channel = _PAIR_MEMO.get
 
 
-def lookup_channel(source: int, group: int):
-    """The canonical :class:`Channel` for ``(source, group)``, or None
-    when the pair is not a valid channel.
-
-    This is the data plane's fast path: validation is pure, so each
-    pair is parsed at most once per process, invalid pairs included.
-    """
-    key = (source, group)
-    channel = _PAIR_MEMO.get(key, _MISSING)
-    if channel is _MISSING:
-        try:
-            channel = Channel(source=source, group=group)
-        except ChannelError:
-            channel = None
-        _PAIR_MEMO[key] = channel
-        if channel is not None:
-            _OF_MEMO.setdefault((source, channel.suffix), channel)
-    return channel
+def intern_channel(channel: "Channel") -> "Channel":
+    """The canonical object for ``channel``'s pair, interned on first
+    use: what makes a hand-built ``Channel(source=…, group=…)`` visible
+    to :data:`interned_channel`."""
+    return _PAIR_MEMO.get((channel.source, channel.group)) or Channel.of(
+        channel.source, channel.suffix
+    )
 
 
 def channel_id(channel: "Channel") -> int:
@@ -130,9 +126,9 @@ class Channel:
         """The canonical channel ``suffix`` of host ``source``.
 
         Interned: repeated calls with the same pair return the same
-        object, shared with :func:`lookup_channel` (the data plane's
-        (src, dst) memo), so there is exactly one ``Channel`` per
-        distinct (S, E) in the process.
+        object, the one :data:`interned_channel` finds for the data
+        plane by (src, dst), so there is exactly one canonical
+        ``Channel`` per distinct (S, E) in the process.
         """
         if cls is not Channel:  # subclasses get no interning
             return cls(source=source, group=ssm_address(suffix))

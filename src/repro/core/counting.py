@@ -32,7 +32,7 @@ def decrement_timeout(timeout: float, upstream_rtt: float) -> float:
     return max(timeout - TIMEOUT_RTT_MULTIPLE * upstream_rtt, MIN_FORWARD_TIMEOUT)
 
 
-@dataclass
+@dataclass(slots=True)
 class PendingQuery:
     """One node's record of an in-flight CountQuery.
 

@@ -43,7 +43,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import TYPE_CHECKING, Callable, Optional
 
-from repro.core.channel import Channel, lookup_channel
+from repro.core.channel import Channel, intern_channel
 from repro.core.counting import (
     MIN_FORWARD_TIMEOUT,
     PendingQuery,
@@ -93,9 +93,7 @@ PROTO_ECMP = "ecmp"
 
 #: "All multicast ECMP datagrams are sent to a well-known ECMP address"
 #: with "a well-known localhost value as the source" (§3.3 + footnote 5).
-DISCOVERY_CHANNEL = lookup_channel(
-    parse_address("127.0.0.1"), parse_address("232.0.0.255")
-)
+DISCOVERY_CHANNEL = Channel.of(parse_address("127.0.0.1"), 255)  # 232.0.0.255
 
 #: IPv4 header bytes added to every ECMP message on the wire.
 IP_OVERHEAD = 20
@@ -143,7 +141,7 @@ class Neighbor:
         self.is_host = is_host
 
 
-@dataclass
+@dataclass(slots=True)
 class _QueuedRecord:
     """One pending message in a neighbor's dirty-channel queue."""
 
@@ -191,7 +189,7 @@ class DirtyChannelQueue:
         return False
 
 
-@dataclass
+@dataclass(slots=True)
 class VerdictEntry:
     """One forwarded join awaiting its upstream verdict, with enough
     prior state to roll the join back if it is denied."""
@@ -211,7 +209,7 @@ class VerdictEntry:
     sent_count: int = 0
 
 
-@dataclass
+@dataclass(slots=True)
 class SubscriptionHandle:
     """A host-side subscription returned by :meth:`EcmpAgent.new_subscription`.
 
@@ -1159,6 +1157,10 @@ class EcmpAgent(ProtocolAgent):
             if verdict is False:
                 self._deny(channel, from_name)
                 return
+            if verdict:
+                # Validated equal to the cached key: keep the cache's
+                # object, not one more copy of it per record.
+                key = self.keys.get(channel)
             at_source = (
                 self.routing.topo.node_by_address(channel.source) is self.node
             )
@@ -1231,6 +1233,9 @@ class EcmpAgent(ProtocolAgent):
             return None
         if source_node is not self.node and upstream is None:
             return None  # unreachable source
+        # From here on the data plane's probe must find the channel,
+        # however the caller built it.
+        channel = intern_channel(channel)
         state = ChannelState(
             channel=channel, upstream=upstream, created_at=self.sim.now
         )
@@ -1239,9 +1244,9 @@ class EcmpAgent(ProtocolAgent):
         if upstream is not None:
             self._by_upstream.setdefault(upstream, {})[channel] = None
         if self.propagation is CountPropagation.PROACTIVE:
-            state.proactive[SUBSCRIBER_ID] = ProactiveCounter(
-                self.proactive_curve, now=self.sim.now
-            )
+            state.proactive = {
+                SUBSCRIBER_ID: ProactiveCounter(self.proactive_curve, now=self.sim.now)
+            }
         return state
 
     def _upstream_name(self, channel: Channel) -> Optional[str]:
@@ -1298,7 +1303,12 @@ class EcmpAgent(ProtocolAgent):
             return
         entry.prior_advertised = state.advertised
         entry.sent_count = total
-        self.pending_verdicts.setdefault(state.channel, deque()).append(entry)
+        # A queue exists only while a verdict is in flight: the pop
+        # that empties it (_handle_response) deletes it.
+        queue = self.pending_verdicts.get(state.channel)
+        if queue is None:
+            queue = self.pending_verdicts[state.channel] = deque()
+        queue.append(entry)
 
     def _send_count_upstream(
         self, state: ChannelState, count: int, key: Optional[ChannelKey] = None
@@ -1325,15 +1335,22 @@ class EcmpAgent(ProtocolAgent):
         if not state.downstream and state.advertised == 0:
             self.channels.pop(state.channel, None)
             if state.upstream is not None:
-                routed = self._by_upstream.get(state.upstream)
-                if routed is not None:
-                    routed.pop(state.channel, None)
+                self._unroute(state.upstream, state.channel)
             self.pending_verdicts.pop(state.channel, None)
             self.fib.remove(state.channel.source, state.channel.group)
             for (channel, count_id), event in list(self._proactive_checks.items()):
                 if channel == state.channel:
                     event.cancel()
                     del self._proactive_checks[(channel, count_id)]
+
+    def _unroute(self, upstream: str, channel: Channel) -> None:
+        """Take ``channel`` out of the set routed via ``upstream``; the
+        set goes with its last channel, as in ``_udp_channels``."""
+        routed = self._by_upstream.get(upstream)
+        if routed is not None:
+            routed.pop(channel, None)
+            if not routed:
+                del self._by_upstream[upstream]
 
     def _drop_record(self, state: ChannelState, name: str) -> None:
         """Delete one downstream record, with every index entry and the
@@ -1418,7 +1435,11 @@ class EcmpAgent(ProtocolAgent):
         if state is None or from_name != state.upstream:
             return
         queue = self.pending_verdicts.get(channel)
-        entry = queue.popleft() if queue else None
+        entry = None
+        if queue:
+            entry = queue.popleft()
+            if not queue:
+                del self.pending_verdicts[channel]
 
         if message.status is CountStatus.OK:
             if entry is None:
@@ -1685,6 +1706,8 @@ class EcmpAgent(ProtocolAgent):
         if count_id not in state.proactive:
             counter = ProactiveCounter(curve, now=self.sim.now)
             counter.observe(self._proactive_total(state, count_id))
+            if not state.proactive:
+                state.proactive = {}
             state.proactive[count_id] = counter
         for name, record in state.downstream.items():
             if is_pseudo_neighbor(name) or record.count <= 0:
@@ -1697,6 +1720,8 @@ class EcmpAgent(ProtocolAgent):
     def _apply_proactive_value(
         self, state: ChannelState, count_id: int, from_name: str, value: int
     ) -> None:
+        if not state.proactive_values:
+            state.proactive_values = {}
         per_neighbor = state.proactive_values.setdefault(count_id, {})
         per_neighbor[from_name] = value
         self._proactive_evaluate(state, count_id)
@@ -1969,9 +1994,7 @@ class EcmpAgent(ProtocolAgent):
             if self.obs is not None:
                 self.obs.state_changed()
             if old is not None:
-                routed = self._by_upstream.get(old)
-                if routed is not None:
-                    routed.pop(channel, None)
+                self._unroute(old, channel)
             state.upstream = new_upstream
             if new_upstream is not None:
                 self._by_upstream.setdefault(new_upstream, {})[channel] = None

@@ -37,7 +37,8 @@ per-record dataclass in ``tests/oracles/records.py``, which
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from types import MappingProxyType
+from typing import Mapping, Optional
 
 from repro.core.channel import Channel
 from repro.core.keys import KEY_BYTES, ChannelKey
@@ -222,7 +223,19 @@ class DownstreamRecord:
                 pass  # interpreter shutdown: globals already torn down
 
 
-@dataclass
+#: What ``ChannelState.proactive`` / ``.proactive_values`` read as until
+#: §6 state is first written: one shared read-only empty mapping, so a
+#: channel nobody counts proactively carries no dict for it.
+_NO_PROACTIVE: Mapping = MappingProxyType({})
+
+
+def _no_proactive() -> Mapping:
+    # A factory because dataclasses refuse an unhashable default, which
+    # a mappingproxy is before Python 3.12.
+    return _NO_PROACTIVE
+
+
+@dataclass(slots=True)
 class ChannelState:
     """Everything one node knows about one channel."""
 
@@ -235,11 +248,12 @@ class ChannelState:
     advertised: int = 0
     #: Key forwarded upstream, awaiting a CountResponse verdict.
     pending_key: Optional[ChannelKey] = None
-    #: Proactive counters, per countId, when §6 mode is active.
-    proactive: dict[int, ProactiveCounter] = field(default_factory=dict)
+    #: Proactive counters, per countId, when §6 mode is active. A dict
+    #: from the first write on (writers replace the empty mapping).
+    proactive: Mapping[int, ProactiveCounter] = field(default_factory=_no_proactive)
     #: Latest unsolicited per-neighbor values for proactive countIds
-    #: other than subscriberId: countId -> neighbor -> value.
-    proactive_values: dict[int, dict[str, int]] = field(default_factory=dict)
+    #: other than subscriberId: countId -> neighbor -> value; likewise.
+    proactive_values: Mapping[int, dict[str, int]] = field(default_factory=_no_proactive)
     #: When this node last switched upstream (hysteresis input).
     upstream_changed_at: float = 0.0
     created_at: float = 0.0

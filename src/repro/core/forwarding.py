@@ -23,7 +23,7 @@ from __future__ import annotations
 from typing import Callable
 
 from repro.core.accounting import DeliveryView, flush_agent_views
-from repro.core.channel import lookup_channel
+from repro.core.channel import interned_channel
 from repro.core.ecmp.protocol import EcmpAgent
 from repro.errors import ForwardingError
 from repro.inet.addr import SSM_FIRST, SSM_LAST, is_ssm, is_unicast
@@ -237,10 +237,10 @@ class ExpressForwarder(ProtocolAgent):
 
     def _deliver_local(self, packet: Packet) -> bool:
         """Deliver to a local subscription, if any; True if delivered."""
-        # The process-wide interning memo replaces the old per-forwarder
-        # cache: every layer (codec, FIB, delivery) shares one canonical
-        # Channel per (src, dst), invalid pairs negative-cached.
-        channel = lookup_channel(packet.src, packet.dst)
+        # Probe, never intern: this runs before the FIB has said whether
+        # the channel exists, and whoever holds a subscription or block
+        # membership for the pair interned it when its state was created.
+        channel = interned_channel((packet.src, packet.dst))
         if channel is None:
             return False
         ecmp = self.ecmp

@@ -1,24 +1,26 @@
 """Topology container and generators.
 
 A :class:`Topology` owns the simulator, the nodes and the links, and
-exposes a networkx view for shortest-path computations (the unicast
-routing substrate). :class:`TopologyBuilder` provides the generators the
-paper's analyses assume: balanced trees (the "fanout of 2, 20 hops deep"
-million-member tree of §5.3), stars (the worst-case "no fanout except at
-the root" bound of §5.1), lines, seeded random connected graphs, and a
-two-level transit/stub ISP-like graph.
+exposes a networkx view of itself (:meth:`Topology.graph`; networkx is
+imported on first use, so nothing else pays for it).
+:class:`TopologyBuilder` provides the generators the paper's analyses
+assume: balanced trees (the "fanout of 2, 20 hops deep" million-member
+tree of §5.3), stars (the worst-case "no fanout except at the root"
+bound of §5.1), lines, seeded random connected graphs, and a two-level
+transit/stub ISP-like graph.
 """
 
 from __future__ import annotations
 
-from typing import Optional
-
-import networkx as nx
+from typing import TYPE_CHECKING, Optional
 
 from repro.errors import TopologyError
 from repro.netsim.engine import Simulator
 from repro.netsim.link import DEFAULT_BANDWIDTH, Link
 from repro.netsim.node import Node
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    import networkx as nx
 
 #: First auto-assigned unicast address (10.0.0.1).
 _ADDRESS_BASE = 0x0A000001
@@ -108,6 +110,8 @@ class Topology:
 
     def graph(self, only_up: bool = True) -> nx.Graph:
         """A networkx view weighted by link delay (the routing metric)."""
+        import networkx as nx
+
         graph = nx.Graph()
         graph.add_nodes_from(self.nodes)
         for link in self.links:
@@ -117,6 +121,8 @@ class Topology:
         return graph
 
     def is_connected(self) -> bool:
+        import networkx as nx
+
         graph = self.graph()
         return len(graph) > 0 and nx.is_connected(graph)
 

@@ -67,6 +67,7 @@ def silence_host(net: ExpressNetwork, host: str) -> None:
     agent = net.ecmp_agents[host]
     agent.subscriptions.clear()
     agent.channels.clear()
+    agent.pending_verdicts.clear()  # for joins it no longer remembers making
     for source, dest in agent.fib.channels():
         agent.fib.remove(source, dest)
 
@@ -75,3 +76,27 @@ def make_channel(net: ExpressNetwork, source_host: str) -> tuple[SourceHandle, C
     """Allocate a fresh channel for ``source_host``."""
     handle = net.source(source_host)
     return handle, handle.allocate_channel()
+
+
+def assert_control_plane_at_rest(net: ExpressNetwork) -> None:
+    """Nothing transient survives quiescence: call once ``net`` has
+    settled (every verdict answered, every query resolved, every flush
+    window closed). The first rows of ROADMAP item 1's
+    ``check_invariants``: per agent, no verdict queue, pending query,
+    dirty-channel queue or flush timer, and no emptied inner set left
+    standing in the ``_udp_channels`` / ``_by_upstream`` indexes."""
+    for name, agent in net.ecmp_agents.items():
+        held = {
+            "pending_verdicts": agent.pending_verdicts,
+            "pending_queries": agent.pending_queries,
+            "_batch_queues": agent._batch_queues,
+            "_flush_events": agent._flush_events,
+            "empty _udp_channels sets": [
+                peer for peer, channels in agent._udp_channels.items() if not channels
+            ],
+            "empty _by_upstream sets": [
+                peer for peer, channels in agent._by_upstream.items() if not channels
+            ],
+        }
+        leftovers = {what: value for what, value in held.items() if value}
+        assert not leftovers, f"{name} is not at rest: {leftovers}"

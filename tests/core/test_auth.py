@@ -13,7 +13,7 @@ import pytest
 from repro import Channel, make_key
 from repro.core.keys import ChannelKey
 from repro.errors import ChannelError
-from tests.conftest import make_channel
+from tests.conftest import assert_control_plane_at_rest, make_channel
 
 
 def keyed_channel(net, source_host):
@@ -120,6 +120,7 @@ class TestKeyedSubscription:
         src.send(ch)
         net.settle()
         assert len(got) == 1
+        assert_control_plane_at_rest(net)
 
     def test_channel_key_requires_source(self, isp_net):
         net = isp_net

@@ -11,7 +11,7 @@ sends an unsolicited Count message for each channel").
 import pytest
 
 from repro import CountPropagation, ExpressNetwork, TopologyBuilder
-from tests.conftest import make_channel
+from tests.conftest import assert_control_plane_at_rest, make_channel
 
 
 @pytest.fixture
@@ -107,6 +107,7 @@ class TestLinkFailure:
         src.send(ch)
         net.settle()
         assert len(got) == 1
+        assert_control_plane_at_rest(net)
 
     def test_hysteresis_prevents_immediate_flap(self, redundant_net):
         """§3.2: "Hysteresis is applied to prevent route oscillation."

@@ -1,8 +1,14 @@
 """Integration tests: the EXPRESS data plane (§3.4)."""
 
+import gc
+import tracemalloc
+
 import pytest
 
+from repro.core import channel as channel_module
+from repro.core.channel import Channel, interned_channel
 from repro.errors import ForwardingError
+from repro.inet.addr import ssm_address
 from repro.netsim.packet import Packet
 from tests.conftest import make_channel
 
@@ -171,6 +177,63 @@ class TestFanOutAliasing:
         assert got[1].uid != got[2].uid
         assert got[1].payload == got[2].payload
         assert got[1].ttl == got[2].ttl
+
+
+class TestNoMatchFlood:
+    """The data plane probes the channel intern table, it never writes
+    to it: local delivery runs *before* the FIB says whether the
+    channel exists, so a writing lookup there keeps one ``Channel`` per
+    spoofed (S, E) pair for the life of the process (≈ 390 B each;
+    this flood left 7.7 MB behind before the lookup was a probe)."""
+
+    FLOOD = 20_000
+
+    @staticmethod
+    def flood(net, first, count):
+        """``count`` packets with distinct spoofed (S, E) from host
+        ``hsub`` into its edge router ``n1``."""
+        rogue = net.topo.node("hsub")
+        for k in range(first, first + count):
+            rogue.send(
+                Packet(src=0x0B000000 + k, dst=ssm_address(1 + k % 1000), proto="data"),
+                0,
+            )
+        net.settle()
+
+    def test_spoofed_pairs_are_counted_and_leave_nothing_behind(self, line_net):
+        net = line_net
+        fib = net.fibs["n1"]
+        self.flood(net, 0, 200)  # warm the calendar and the counters
+        pairs = len(channel_module._PAIR_MEMO), len(channel_module._OF_MEMO)
+        drops = fib.no_match_drops
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before, _ = tracemalloc.get_traced_memory()
+            self.flood(net, 200, self.FLOOD)
+            gc.collect()
+            after, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert fib.no_match_drops - drops == self.FLOOD
+        assert (len(channel_module._PAIR_MEMO), len(channel_module._OF_MEMO)) == pairs
+        assert after - before < 64 * 1024
+
+    def test_hand_built_channel_still_receives(self, line_net):
+        """Channels are interned where their state is created, so one
+        that never went through ``Channel.of`` is still found."""
+        net = line_net
+        src = net.source("hsrc")
+        pair = (src.address, ssm_address(0xABCDE))
+        assert interned_channel(pair) is None
+        channel = Channel(source=pair[0], group=pair[1])
+        got = []
+        net.host("hsub").subscribe(channel, on_data=got.append)
+        net.settle()
+        assert interned_channel(pair) == channel
+        src.send(channel)
+        net.settle()
+        assert len(got) == 1
 
 
 class TestUnicastForwarding:

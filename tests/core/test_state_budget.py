@@ -1,0 +1,125 @@
+"""A host-independent budget for state at rest: bytes, not seconds.
+
+§5 of the paper prices one standing channel at a router — Fig. 5's
+12-byte FIB entry, §5.2's 200 bytes of management state — and argues
+the total "scales linearly". ``benchmarks/test_t2_mgmt_state.py``
+reproduces that *accounting* exactly; this test weighs what the
+implementation actually holds, so that the next thing kept per channel
+for nothing fails here in seconds instead of showing up as peak RSS in
+a benchmark nobody reads for memory. The figure is a property of the
+code, not of the host (it does move a few bytes between CPython
+versions, hence the slack in the ceilings).
+
+Tree: T2's (``balanced_tree(2, 2)`` + ``src``, the four leaves as
+hosts), ``wire_format=True``. 100 channels warm every table up; then,
+under ``tracemalloc``, 1,000 keyless and 1,000 keyed channels are each
+joined by all four leaves and settled. Traced heap growth ÷ growth of
+Σ ``len(agent.channels)`` — eight (node, channel) states a channel —
+everything included (channel state, downstream records, FIB entries,
+subscription handles, key caches, the intern tables):
+
+================================  =======  =====  ===================
+bytes per (node, channel) state   keyless  keyed  idle verdict queues
+================================  =======  =====  ===================
+paper: §5.2's 192 B (+ 8 B key)
+plus Fig. 5's 12 B FIB entry          204    212  —
+parent of this test (PR 18)         1,631  1,794  14,700
+this control plane (CPython 3.11)     766    882  0
+================================  =======  =====  ===================
+
+What went, in bytes per state on this tree: an empty 760-byte ``deque``
+left in ``pending_verdicts`` by every forwarded join, on seven nodes of
+a channel's eight (−665); ``ChannelState`` as a dict-backed dataclass
+with two eager §6 maps no TREE_ONLY network writes (−176); a
+``__dict__`` per subscription handle (−24, i.e. −48 a handle); a
+private copy of the channel key in every record validated against the
+cached one (−16, keyed only, and only at the source here: four
+simultaneous joiners leave the routers nothing cached to validate
+against — staggered joiners save it at every merge point). The
+growth is lumpy — dict and column resizes land inside one batch or the
+next (successive 1,000-channel batches on one network read 580–920) —
+so the figure belongs to exactly this sequence; it repeats exactly.
+"""
+
+import gc
+import tracemalloc
+
+from repro import ExpressNetwork, TopologyBuilder
+from repro.core.keys import make_key
+
+LEAVES = [f"d2_{i}" for i in range(4)]
+WARM_UP = 100
+CHANNELS = 1000
+#: Bytes per (node, channel) state, (keyless, keyed).
+CEILING = (900, 1250)
+
+
+def build() -> ExpressNetwork:
+    topo = TopologyBuilder.balanced_tree(depth=2, fanout=2)
+    topo.add_node("src")
+    topo.add_link("src", "r", delay=0.001)
+    net = ExpressNetwork(topo, hosts=LEAVES + ["src"], wire_format=True)
+    net.run(until=0.1)
+    return net
+
+
+def join_channels(net: ExpressNetwork, n: int, keyed: bool) -> None:
+    source = net.source("src")
+    for _ in range(n):
+        channel = source.allocate_channel()
+        key = None
+        if keyed:
+            key = make_key(channel)
+            source.channel_key(channel, key)
+        for leaf in LEAVES:
+            net.host(leaf).subscribe(channel, key=key)
+    net.settle()
+
+
+def states(net: ExpressNetwork) -> int:
+    return sum(len(agent.channels) for agent in net.ecmp_agents.values())
+
+
+def bytes_per_state(net: ExpressNetwork, keyed: bool) -> float:
+    """Traced heap growth per (node, channel) state across one batch of
+    settled joins. Call with ``tracemalloc`` running."""
+    gc.collect()
+    heap_before, _ = tracemalloc.get_traced_memory()
+    states_before = states(net)
+    join_channels(net, CHANNELS, keyed)
+    gc.collect()
+    heap_after, _ = tracemalloc.get_traced_memory()
+    grown = states(net) - states_before
+    assert grown == CHANNELS * (len(LEAVES) + 4)  # 4 hosts, d1_0, d1_1, r, src
+    return (heap_after - heap_before) / grown
+
+
+def measure() -> tuple[float, float, ExpressNetwork]:
+    net = build()
+    join_channels(net, WARM_UP // 2, keyed=False)
+    join_channels(net, WARM_UP // 2, keyed=True)
+    tracemalloc.start()
+    try:
+        keyless = bytes_per_state(net, keyed=False)
+        keyed = bytes_per_state(net, keyed=True)
+    finally:
+        tracemalloc.stop()
+    return keyless, keyed, net
+
+
+def test_a_standing_channel_stays_inside_its_byte_budget():
+    keyless, keyed, net = measure()
+    assert keyless <= CEILING[0], (
+        f"{keyless:.0f} B per keyless (node, channel) state, budget "
+        f"{CEILING[0]}: something new is held per standing channel"
+    )
+    assert keyed <= CEILING[1], (
+        f"{keyed:.0f} B per keyed (node, channel) state, budget {CEILING[1]}"
+    )
+    # Every join was answered, so no verdict is in flight and no queue
+    # may stand for one.
+    assert sum(len(a.pending_verdicts) for a in net.ecmp_agents.values()) == 0
+    for host in LEAVES:
+        subscriptions = net.ecmp_agents[host].subscriptions
+        assert len(subscriptions) == WARM_UP + 2 * CHANNELS
+        assert all(h.status == "active" for h in subscriptions.values())

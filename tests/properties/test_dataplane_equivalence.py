@@ -47,6 +47,7 @@ import pytest
 from repro import ExpressNetwork, TopologyBuilder
 from repro.faults.wire import WireMutator
 from repro.netsim.packet import Packet
+from tests.conftest import assert_control_plane_at_rest
 from tests.oracles import dataplane
 from tests.oracles.scheduler import event_core
 
@@ -55,6 +56,13 @@ STREAM_START = 0.3
 STREAM_END = 4.2
 INTERVAL = 0.02
 REFRESH = 1.0  # UDP query interval: lost edge joins recover inside a case
+#: Cases whose settled end is not at rest, and why — a finding for
+#: ROADMAP item 1, not a tolerance of ``assert_control_plane_at_rest``.
+NOT_AT_REST = {
+    0: "the WireMutator on t0-t2 drops t2's TCP-mode join of 2.603 s (sent "
+    "when the flapped link came back); TCP mode models no retransmission, "
+    "so t0 never sees it and t2's VerdictEntry waits for a verdict forever",
+}
 
 
 def observe(case: int, scheduler: str) -> dict:
@@ -238,6 +246,8 @@ def observe(case: int, scheduler: str) -> dict:
 
     net.run(until=STREAM_END + 0.5)
     net.settle(3 * REFRESH)
+    if case not in NOT_AT_REST:
+        assert_control_plane_at_rest(net)
 
     return {
         "trace": [

@@ -32,7 +32,11 @@ from repro.core.ecmp.protocol import CountPropagation
 from repro.core.ecmp.state import LOCAL, is_pseudo_neighbor
 from repro.core.keys import ChannelKey
 from repro.faults import FaultInjector, FaultPlan
-from tests.conftest import scan_interface_to, silence_host
+from tests.conftest import (
+    assert_control_plane_at_rest,
+    scan_interface_to,
+    silence_host,
+)
 
 N_CASES = 8
 N_OPS = 140
@@ -217,6 +221,24 @@ def test_incremental_fib_equals_rebuild_throughout(driven):
     # nothing would have proven nothing.
     for net, compared in driven:
         assert compared > 1000
+
+
+#: Cases whose settled end is not at rest, and why — findings for
+#: ROADMAP item 1, not tolerances of the helper.
+NOT_AT_REST = {
+    7: "t0 keeps a VerdictEntry no verdict will ever pop: crashing at 8.06 s "
+    "it sent e0_0 a Count that landed after e0_0 had handled the link-down, "
+    "which re-created e0_0's record of t0; t0's join after the restart "
+    "(13.59 s) then looks like a refresh there (previous count 1, not 0) and "
+    "is answered by nobody",
+}
+
+
+@pytest.mark.parametrize("case", range(N_CASES))
+def test_nothing_transient_survives_the_settled_end(driven, case):
+    if case in NOT_AT_REST:
+        pytest.skip(NOT_AT_REST[case])
+    assert_control_plane_at_rest(driven[case][0])
 
 
 def test_schedule_reaches_every_writer(driven):

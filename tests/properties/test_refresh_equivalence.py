@@ -26,7 +26,7 @@ from repro import ExpressNetwork, NeighborMode, TopologyBuilder
 from repro.core.ecmp.countids import ALL_CHANNELS_ID
 from repro.core.ecmp.messages import CountQuery
 from repro.faults import FaultInjector, FaultPlan
-from tests.conftest import silence_host
+from tests.conftest import assert_control_plane_at_rest, silence_host
 from tests.oracles.refresh import reference_general_query, reference_refresh_tick
 
 N_CASES = 4
@@ -176,6 +176,11 @@ def test_every_tick_and_reply_matches_the_full_table_walk(driven):
     for _, seen in driven:
         assert seen["ticks"] > 200
         assert seen["replies"] > 200
+
+
+@pytest.mark.parametrize("case", range(N_CASES))
+def test_nothing_transient_survives_the_settled_end(driven, case):
+    assert_control_plane_at_rest(driven[case][0])
 
 
 def test_schedule_reaches_every_refresh_path(driven):
