@@ -1,22 +1,21 @@
-"""Vectorized delivery accounting (the native-core counting layer).
+"""Deferred delivery accounting (the bulk path's counting layer).
 
 The mega-storm profile showed per-event *counting* — block delivery
 counters, per-link wire counters, registry label lookups — costing as
 much as the protocol work it was measuring: every delivered packet paid
 dict hashing for ``labels(...)`` children and one attribute round-trip
 per counter per block. This module moves those counters into
-preallocated integer arrays with an index-interning layer, updated by
+preallocated integer columns with an index-interning layer, updated by
 cheap scalar pends on the hot path and *flushed* in bulk at snapshot
 and export boundaries:
 
-* :class:`CounterBank` — a column store of ``int64`` arrays (numpy when
-  available, plain lists otherwise) with row interning. Rows are
-  subscriber blocks or links; columns are counters.
+* :class:`CounterBank` — a column store of plain integer lists with
+  row interning. Rows are subscriber blocks or links; columns are
+  counters.
 * :class:`DeliveryView` — the forwarder's frozen per-(agent, channel)
   view of block membership. Per packet it does two integer adds
   (``pending_packets``/``pending_bytes``); the flush applies the
-  pending tallies to every member block with one fancy-indexed array
-  operation per counter. Views are invalidated by
+  pending tallies to every member block. Views are invalidated by
   ``EcmpAgent.members_changing`` (membership is about to move, so
   pending tallies accumulated under the old counts are applied first)
   and refreshed lazily against ``agent.blocks_version``.
@@ -34,32 +33,22 @@ Flush boundaries (the full set — counters are never stale when read):
 * the registry collector at every ``collect()``/snapshot/export,
 * a delivery view noticing ``blocks_version`` moved.
 
-``REPRO_NO_NUMPY=1`` forces the pure-Python list fallback (CI runs the
-tier-1 suite with numpy uninstalled to keep that path green); the
-fallback is semantically identical, only the flush loops are scalar.
+The columns are lists, not numpy arrays, for the reason
+:mod:`repro.core.ecmp.state` gives for ``StateBank``: every access is a
+scalar ``cols[name][row] += x``, which a list serves directly while an
+ndarray boxes a numpy scalar each time, and no caller ever has enough
+blocks on one (agent, channel) — one per edge router — for a
+fancy-indexed flush to pay that back.
 """
 
 from __future__ import annotations
 
-import os
-from typing import TYPE_CHECKING, Optional, Sequence
+from typing import TYPE_CHECKING, Sequence
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.blocks import SubscriberBlock
     from repro.core.channel import Channel
     from repro.core.ecmp.protocol import EcmpAgent
-
-if os.environ.get("REPRO_NO_NUMPY", "") == "1":  # pragma: no cover - env gate
-    np = None
-else:
-    try:
-        import numpy as np
-    except ImportError:  # pragma: no cover - exercised by the CI fallback job
-        np = None
-
-#: Minimum row count before a flush takes the fancy-indexed numpy path;
-#: below this the scalar loop wins (array dispatch overhead dominates).
-VECTOR_MIN = 16
 
 #: Initial rows per bank column (doubles on demand).
 _INITIAL_ROWS = 64
@@ -69,13 +58,11 @@ class CounterBank:
     """A column store of preallocated integer counters with row
     interning.
 
-    Columns are ``int64`` numpy arrays when numpy is importable (and
-    not disabled via ``REPRO_NO_NUMPY``), plain Python lists otherwise.
-    Rows are appended via :meth:`add_row` (anonymous — the caller keeps
-    the index, e.g. a :class:`~repro.core.blocks.SubscriberBlock`) or
+    Columns are plain Python lists, grown in place by doubling. Rows
+    are appended via :meth:`add_row` (anonymous — the caller keeps the
+    index, e.g. a :class:`~repro.core.blocks.SubscriberBlock`) or
     :meth:`intern` (keyed — repeated interning of the same key returns
-    the same row). Growth doubles the arrays, so callers must index
-    through the bank on every access rather than caching column arrays.
+    the same row).
     """
 
     __slots__ = ("columns", "rows", "_capacity", "_cols", "_index")
@@ -87,12 +74,7 @@ class CounterBank:
         self.rows = 0
         self._capacity = capacity
         self._index: dict = {}
-        if np is not None:
-            self._cols = {
-                name: np.zeros(capacity, dtype=np.int64) for name in self.columns
-            }
-        else:
-            self._cols = {name: [0] * capacity for name in self.columns}
+        self._cols = {name: [0] * capacity for name in self.columns}
 
     def add_row(self, key: object = None) -> int:
         """Append one zeroed row; returns its index. ``key`` (optional)
@@ -114,22 +96,15 @@ class CounterBank:
 
     def _grow(self) -> None:
         self._capacity *= 2
-        if np is not None:
-            for name, col in self._cols.items():
-                grown = np.zeros(self._capacity, dtype=np.int64)
-                grown[: len(col)] = col
-                self._cols[name] = grown
-        else:
-            for col in self._cols.values():
-                col.extend([0] * (self._capacity - len(col)))
+        for col in self._cols.values():
+            col.extend([0] * (self._capacity - len(col)))
 
-    def column(self, name: str):
-        """The live backing array for ``name`` (do not cache across
-        :meth:`add_row` calls — growth replaces it)."""
+    def column(self, name: str) -> list:
+        """The live backing list for ``name``."""
         return self._cols[name]
 
     def get(self, name: str, row: int) -> int:
-        return int(self._cols[name][row])
+        return self._cols[name][row]
 
     def set(self, name: str, row: int, value: int) -> None:
         self._cols[name][row] = value
@@ -138,14 +113,10 @@ class CounterBank:
         self._cols[name][row] += amount
 
     def row_values(self, row: int) -> dict:
-        return {name: int(col[row]) for name, col in self._cols.items()}
+        return {name: col[row] for name, col in self._cols.items()}
 
     def stats(self) -> dict:
-        return {
-            "rows": self.rows,
-            "columns": list(self.columns),
-            "vectorized": np is not None,
-        }
+        return {"rows": self.rows, "columns": list(self.columns)}
 
 
 #: Process-wide bank backing every :class:`SubscriberBlock`'s delivery
@@ -161,11 +132,10 @@ class DeliveryView:
 
     Between membership changes the per-packet work is two integer adds;
     :meth:`flush` then applies the pending packet/byte tallies to every
-    member block's bank row in one fancy-indexed operation per counter
-    (scalar loop under :data:`VECTOR_MIN` rows or without numpy). The
-    equivalence argument: membership is frozen between flushes (every
-    mutation path calls ``members_changing`` first), so per-packet and
-    batched application compute identical sums.
+    member block's bank row. The equivalence argument: membership is
+    frozen between flushes (every mutation path calls
+    ``members_changing`` first), so per-packet and batched application
+    compute identical sums.
     """
 
     __slots__ = (
@@ -174,7 +144,6 @@ class DeliveryView:
         "stats",
         "hist",
         "version",
-        "blocks",
         "rows",
         "members",
         "members_sum",
@@ -207,9 +176,8 @@ class DeliveryView:
             else None
         )
         self.version = -1
-        self.blocks: tuple = ()
-        self.rows = None
-        self.members = None
+        self.rows: list = []
+        self.members: list = []
         self.members_sum = 0
         self.pending_packets = 0
         self.pending_bytes = 0
@@ -219,18 +187,10 @@ class DeliveryView:
         (call only with no pending tallies)."""
         agent = self.agent
         channel = self.channel
-        blocks = tuple(agent.channel_blocks.get(channel, ()))
-        self.blocks = blocks
-        counts = [block.members.get(channel, 0) for block in blocks]
-        self.members_sum = sum(counts)
-        if np is not None:
-            self.rows = np.array(
-                [block._row for block in blocks], dtype=np.intp
-            )
-            self.members = np.array(counts, dtype=np.int64)
-        else:
-            self.rows = [block._row for block in blocks]
-            self.members = counts
+        blocks = agent.channel_blocks.get(channel, ())
+        self.rows = [block._row for block in blocks]
+        self.members = [block.members.get(channel, 0) for block in blocks]
+        self.members_sum = sum(self.members)
         self.version = agent.blocks_version
 
     def flush(self) -> None:
@@ -242,25 +202,14 @@ class DeliveryView:
         nbytes = self.pending_bytes
         self.pending_packets = 0
         self.pending_bytes = 0
-        blocks = self.blocks
-        n = len(blocks)
         cols = BLOCK_BANK._cols
-        if np is not None and n >= VECTOR_MIN:
-            rows = self.rows
-            cols["packets_seen"][rows] += packets
-            cols["deliveries"][rows] += self.members * packets
-            cols["bytes_delivered"][rows] += self.members * nbytes
-        else:
-            seen = cols["packets_seen"]
-            deliveries = cols["deliveries"]
-            delivered_bytes = cols["bytes_delivered"]
-            members = self.members
-            for i in range(n):
-                row = blocks[i]._row
-                m = members[i]
-                seen[row] += packets
-                deliveries[row] += m * packets
-                delivered_bytes[row] += m * nbytes
+        seen = cols["packets_seen"]
+        deliveries = cols["deliveries"]
+        delivered_bytes = cols["bytes_delivered"]
+        for row, m in zip(self.rows, self.members):
+            seen[row] += packets
+            deliveries[row] += m * packets
+            delivered_bytes[row] += m * nbytes
         if self.members_sum:
             stats = self.stats
             stats.incr("block_deliveries", self.members_sum * packets)

@@ -452,7 +452,7 @@ class EcmpAgent(ProtocolAgent):
         rebuild the state through the real protocol.
         """
         self.stop()
-        n_lost = sum(len(s.neighbors) for s in self.channels.values())
+        n_lost = sum(len(s.downstream) for s in self.channels.values())
         self.channels.clear()
         self.subscriptions.clear()
         for pending in self.pending_queries.values():

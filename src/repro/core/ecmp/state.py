@@ -20,9 +20,9 @@ Record storage is *columnar*: every
 :class:`StateBank` — parallel ``count``/``flags``/``updated_at``
 columns following the ``CounterBank`` layout idiom from
 :mod:`repro.core.accounting` (preallocated, doubled on demand, free
-list recycling rows). Unlike ``CounterBank``, the columns are plain
-Python lists even when numpy is available: no consumer vectorizes
-over them — every access is a scalar read or write on a protocol hot
+list recycling rows). Like ``CounterBank``'s, the columns are plain
+Python lists, not numpy arrays: no consumer vectorizes over them —
+every access is a scalar read or write on a protocol hot
 path, where list indexing returns the stored ``int``/``float``
 directly while ndarray indexing boxes a fresh numpy scalar (~5×
 slower per touch, measured on the mega-storm block path). This still

@@ -14,9 +14,9 @@ partitions. Two sync modes share the same frame protocol:
   exports only happens when a worker exhausts its entire ceiling.
 * ``sync_mode="eager"`` — the PR-7 lockstep baseline: every
   non-finalized worker is granted a single-window horizon every round.
-  Kept bit-compatible as the measured baseline for the sync-tax
-  reduction metrics (`null_ratio_reduction`, `sync_message_reduction`
-  in the bench schema).
+  Kept bit-compatible as the baseline the sync-tax reduction is
+  measured against (``tests/netsim/parallel/test_runner.py``); no
+  caller outside the tests uses it.
 
 Execution modes: ``mode="mp"`` runs one child process per partition
 over a :mod:`~repro.netsim.parallel.transport` — the shared-memory
@@ -107,7 +107,7 @@ class ParallelResult:
     transport: str = ""
     sync_mode: str = "demand"
     #: Per-scheduling-round :class:`RoundTrace` records (granted
-    #: ladders, frame counts) for post-mortems and ``repro.obs diff``.
+    #: ladders, frame counts) for post-mortems.
     round_traces: list = field(default_factory=list)
     #: Fleet telemetry (a :class:`repro.obs.aggregate.FleetAggregator`)
     #: when the run was telemetered, else None.

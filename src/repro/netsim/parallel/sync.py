@@ -52,8 +52,8 @@ from math import inf
 from typing import Optional
 
 
-#: Order in which phase fractions are reported everywhere (docs, bench
-#: schema, Prometheus gauges): event execution, scheduler bookkeeping,
+#: Order in which phase fractions are reported everywhere (docs,
+#: Prometheus gauges): event execution, scheduler bookkeeping,
 #: event construction/recycling outside run windows, metrics
 #: flush/snapshot time, blocking on the coordinator pipe, everything
 #: else.
@@ -207,10 +207,9 @@ def merge_phase_stats(stats: list[SyncStats]) -> dict:
     wall time it spent there, so a shard that ran twice as long weighs
     twice as much. ``sync_efficiency`` is the *productive* share —
     dispatch + cascade + alloc + accounting: the fraction of worker
-    wall time spent doing simulation work (including the native core's
-    event setup and counter flushing) rather than waiting on the sync
-    protocol (the bench floor gate's signal). Only ``sync_wait`` and
-    ``idle`` count against it.
+    wall time spent doing simulation work (including event setup and
+    counter flushing) rather than waiting on the sync protocol. Only
+    ``sync_wait`` and ``idle`` count against it.
     """
     total = sum(s.wall_total for s in stats)
     seconds = {phase: 0.0 for phase in PHASES}
@@ -371,8 +370,8 @@ def build_ladder(
 
 @dataclass
 class RoundTrace:
-    """One coordinator scheduling round, for the sync unit tests,
-    flight-recorder dumps, and ``repro.obs diff`` post-mortems."""
+    """One coordinator scheduling round, for the sync unit tests and
+    post-mortems."""
 
     round_index: int
     next_eff: list[float] = field(default_factory=list)

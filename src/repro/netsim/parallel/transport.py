@@ -68,8 +68,8 @@ _OFF_CLOSED = 24
 _HEADER_SIZE = 64
 _LEN_PREFIX = struct.Struct("<I")
 
-#: Default per-direction ring capacity. Export batches for the bench
-#: scenarios run a few KiB per frame; 1 MiB absorbs bursts without the
+#: Default per-direction ring capacity. Export batches of the block
+#: storms run a few KiB per frame; 1 MiB absorbs bursts without the
 #: writer ever blocking, while keeping a 4-worker run under 8 MiB.
 DEFAULT_RING_BYTES = 1 << 20
 

@@ -12,9 +12,9 @@ and prints:
 The span tree's leaves are exactly the subscribers that answered the
 query — causality, not inference.
 
-``python -m repro.obs diff A.json B.json`` instead diffs two metric
-dumps (``BENCH_perf.json`` reports or JSONL scrapes) with per-metric
-deltas and regression highlighting; see :mod:`repro.obs.diff`.
+``python -m repro.obs diff A B`` instead diffs two metric dumps
+(JSONL scrapes, or one JSON object each) with per-metric deltas and
+regression highlighting; see :mod:`repro.obs.diff`.
 """
 
 from __future__ import annotations

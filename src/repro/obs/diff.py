@@ -1,21 +1,18 @@
-"""Metric diffing: ``python -m repro.obs diff A.json B.json``.
+"""Metric diffing: ``python -m repro.obs diff A B``.
 
-Compares two metric dumps — either ``BENCH_perf.json`` reports from
-``python -m repro.bench`` or JSONL metric dumps from
-:func:`repro.obs.exporters.metrics_to_jsonl` — and prints per-metric
-deltas with regressions highlighted. The input format is sniffed per
-file, so a bench report can be compared against an earlier bench
-report and a JSONL scrape against another JSONL scrape.
+Compares two metric dumps — JSONL metric dumps from
+:func:`repro.obs.exporters.metrics_to_jsonl`, or any file holding one
+JSON object, whose numeric leaves are flattened to dotted paths — and
+prints per-metric deltas with regressions highlighted. The input
+format is sniffed per file.
 
 "Regression" is direction-aware: most counters moving is just a
 different workload, but a metric whose *name* marks it as a cost
-(``*_seconds``, ``*latency*``, ``*rss*``, ``null_message_ratio``) is
-worse when it grows, while a benefit metric (``*_per_sec``,
-``*speedup*``, ``*ratio``, ``*efficiency*``, cache/in-place fractions)
-is worse when it shrinks. Metrics matching neither table are reported
-as neutral deltas. The classification tables are deliberately small
-and name-based — exactly the convention the registry's metric names
-already follow.
+(``*_seconds``, ``*latency*``, ``null_message*``) is worse when it
+grows, while a rate (``*_per_sec*``) is worse when it shrinks. Metrics
+matching neither table are reported as neutral deltas. The
+classification tables are deliberately small and name-based — exactly
+the convention the registry's metric names already follow.
 """
 
 from __future__ import annotations
@@ -26,53 +23,11 @@ import sys
 from typing import Iterable, Optional, TextIO
 
 #: Name fragments marking a metric as a cost: growing is a regression.
-LOWER_IS_BETTER = (
-    "_seconds",
-    "latency",
-    "rss",
-    "null_message",
-    # Sync-tax economics (bench schema v7): frames on the wire per
-    # useful event are overhead, as is the demand run's own null
-    # ratio. (The ``*_reduction`` ratios land in the benefit table —
-    # they never match here because no cost fragment appears in them.)
-    "messages_per_event",
-    "frames_per_round",
-    "demand_null",
-    "no_match_drops",
-    "sync_wait",
-    "idle",
-    # Phase-breakdown fractions (engine profiler): time spent building
-    # events or flushing metrics is overhead.
-    "phase_breakdown.alloc",
-    "phase_breakdown.accounting",
-    # Control-plane refresh economics (bench schema v8): records the
-    # refresh tick examines are pure overhead.
-    "records_examined",
-    # Robustness SLOs (bench schema v9): ``convergence_seconds`` is
-    # already a cost via ``_seconds``; resync traffic, fault blast
-    # radius, and orphaned state are recovery overhead — a run that
-    # resyncs more bytes or churns more agents after the same fault
-    # plan regressed. (``blast_radius`` must classify here despite no
-    # benefit fragment; ``resync`` is matched before the benefit
-    # table so ``resync_*`` counters never read as wins.)
-    "resync",
-    "blast_radius",
-    "orphaned",
-)
+LOWER_IS_BETTER = ("_seconds", "latency", "null_message")
 
 #: Name fragments marking a metric as a benefit: shrinking is a
-#: regression. Checked *after* :data:`LOWER_IS_BETTER`, so e.g.
-#: ``null_message_ratio`` classifies as a cost despite ``_ratio``.
-HIGHER_IS_BETTER = (
-    "_per_sec",
-    "per_second",
-    "speedup",
-    "_ratio",
-    "efficiency",
-    "fraction",
-    "reduction",
-    "hits",
-)
+#: regression. Checked *after* :data:`LOWER_IS_BETTER`.
+HIGHER_IS_BETTER = ("_per_sec",)
 
 
 def direction(name: str) -> int:
@@ -128,19 +83,15 @@ def _flatten_jsonl(lines: Iterable[str]) -> dict[str, float]:
 
 
 def load_metrics(path: str) -> dict[str, float]:
-    """Flat ``{metric: value}`` from a bench report or a JSONL dump."""
+    """Flat ``{metric: value}`` from a JSONL dump or one JSON object."""
     with open(path, "r", encoding="utf-8") as handle:
         text = handle.read()
-    stripped = text.lstrip()
-    if stripped.startswith("{"):
+    if text.lstrip().startswith("{"):
         try:
             payload = json.loads(text)
         except json.JSONDecodeError:
-            payload = None
-        if isinstance(payload, dict):  # one object: a bench report
-            # Drop run metadata that only describes the environment.
-            for noise in ("generated_at", "python_version", "platform"):
-                payload.pop(noise, None)
+            payload = None  # more than one object: JSON lines
+        if isinstance(payload, dict):
             return flatten(payload)
     return _flatten_jsonl(text.splitlines())
 
@@ -232,7 +183,7 @@ def main(argv: Optional[list[str]] = None) -> int:
 
     parser = argparse.ArgumentParser(
         prog="python -m repro.obs diff",
-        description="Diff two metric dumps (BENCH_perf.json or JSONL) "
+        description="Diff two metric dumps (JSONL, or one JSON object each) "
         "with regression highlighting.",
     )
     parser.add_argument("old", help="baseline dump")

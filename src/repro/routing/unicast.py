@@ -36,7 +36,8 @@ equivalence property test drives randomized topologies through random
 link-event sequences to enforce exactly this). ``recompute_count``
 still counts :meth:`recompute` invocations; the new ``spf_runs``
 counter counts actual per-destination Dijkstra executions, which is
-what the churn benchmark's ≥5× saving is measured against.
+what the ≥5× saving under link flaps is measured against
+(``tests/routing/test_incremental_spf.py``).
 """
 
 from __future__ import annotations

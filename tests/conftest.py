@@ -51,6 +51,30 @@ def isp_net():
     return net
 
 
+def flapping_isp_net(**net_kwargs) -> tuple[ExpressNetwork, list[SourceHandle]]:
+    """A 40-node ISP network, three source hosts in different stubs,
+    and six fail/recover link flaps one second apart from t = 0.5,
+    rotating over two core links and one stub link (t2-t3 sits off the
+    shortest paths to the t0-region source, so its flaps leave some
+    cached routing trees clean). The workload the Dijkstra-saving and
+    wire-reduction gates share: add channels and members, then run to
+    t = 7."""
+    topo = TopologyBuilder.isp(n_transit=4, stubs_per_transit=3, hosts_per_stub=2)
+    net = ExpressNetwork(topo, **net_kwargs)
+    hosts = sorted(net.host_names)
+    sources = [net.source(hosts[i * (len(hosts) // 3)]) for i in range(3)]
+    flapped = [
+        topo.link_between("t0", "t1"),
+        topo.link_between("t0", "e0_0"),
+        topo.link_between("t2", "t3"),
+    ]
+    for k in range(6):
+        link = flapped[k % 3]
+        net.sim.schedule_at(0.5 + k, link.fail)
+        net.sim.schedule_at(0.65 + k, link.recover)
+    return net, sources
+
+
 def scan_interface_to(node, peer):
     """``node.interface_to(peer)`` as a walk over the interfaces: the
     reference the adjacency index (and everything resolved through it)

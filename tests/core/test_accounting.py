@@ -1,27 +1,19 @@
-"""The vectorized accounting layer: banks, delivery views, link flush.
+"""The deferred accounting layer: banks, delivery views, link flush.
 
 The load-bearing property is *equivalence*: deferred, batch-applied
 counters must land on exactly the values the old per-packet dict
-increments produced, on the numpy fancy-indexed path, on the scalar
-loop under ``VECTOR_MIN`` rows, and with numpy absent entirely
-(``REPRO_NO_NUMPY=1``). The hypothesis tests drive random pend/flush
+increments produced. The hypothesis test drives random pend/flush
 interleavings against a plain-dict oracle.
 """
 
 from __future__ import annotations
 
-import os
-import subprocess
-import sys
-
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import repro.core.accounting as accounting
 from repro.core.accounting import (
     BLOCK_BANK,
     LINK_COLUMNS,
-    VECTOR_MIN,
     CounterBank,
     DeliveryView,
     LinkAccounting,
@@ -54,22 +46,14 @@ class TestCounterBank:
         bank = CounterBank(("c",), capacity=2)
         for i in range(2):
             bank.inc("c", bank.add_row(), i + 1)
-        before = bank.column("c")
         # Third row forces a doubling; earlier values must survive.
         bank.add_row()
-        if accounting.np is not None:
-            # numpy growth swaps the array in, so callers must re-fetch
-            # columns after add_row (the list fallback grows in place).
-            assert bank.column("c") is not before
         assert len(bank.column("c")) == 4
         assert [bank.get("c", i) for i in range(3)] == [1, 2, 0]
 
-    def test_stats_reports_backend(self):
+    def test_stats_reports_rows_and_columns(self):
         bank = CounterBank(("x",))
-        stats = bank.stats()
-        assert stats["rows"] == 0
-        assert stats["columns"] == ["x"]
-        assert stats["vectorized"] == (accounting.np is not None)
+        assert bank.stats() == {"rows": 0, "columns": ["x"]}
 
 
 class FakeStats:
@@ -107,7 +91,7 @@ def make_view(n_blocks, member_counts):
 class TestDeliveryView:
     @settings(max_examples=30, deadline=None)
     @given(
-        n_blocks=st.integers(min_value=1, max_value=VECTOR_MIN * 2),
+        n_blocks=st.integers(min_value=1, max_value=32),
         packets=st.lists(
             st.tuples(
                 st.integers(min_value=1, max_value=9),
@@ -119,10 +103,7 @@ class TestDeliveryView:
         seed=st.integers(min_value=0, max_value=2**16),
     )
     def test_flush_matches_per_packet_dict_oracle(self, n_blocks, packets, seed):
-        """Batched flush == per-packet dict increments, on whichever
-        path (scalar under VECTOR_MIN, fancy-indexed at or above it)
-        the row count selects.
-        """
+        """Batched flush == per-packet dict increments."""
         member_counts = [(seed + 3 * i) % 5 + 1 for i in range(n_blocks)]
         view, blocks = make_view(n_blocks, member_counts)
         oracle = {
@@ -153,7 +134,7 @@ class TestDeliveryView:
     def test_refresh_freezes_membership(self):
         view, blocks = make_view(3, [2, 1, 4])
         assert view.members_sum == 7
-        assert len(view.blocks) == 3
+        assert len(view.rows) == 3
         assert view.version == 0
         # Membership changes after refresh are invisible until the next
         # refresh — the frozen counts are the equivalence contract.
@@ -174,38 +155,6 @@ class TestDeliveryView:
         assert view.pending_packets == 0
         assert view.stats.counts["block_packets"] == 2
         assert idle_view.stats.counts == {}
-
-    def test_scalar_path_without_numpy(self, monkeypatch):
-        """With ``np`` gone the view falls back to list vectors and the
-        scalar flush loop — same numbers, even above VECTOR_MIN rows.
-        """
-        monkeypatch.setattr(accounting, "np", None)
-        # A numpy-less process has a list-backed block bank. Swap one
-        # in rather than grow the process-wide numpy-backed one with
-        # ``np`` gone: whether these rows cross a capacity doubling
-        # depends on how many the hypothesis cases above drew.
-        bank = CounterBank(BLOCK_BANK.columns)
-        monkeypatch.setattr(accounting, "BLOCK_BANK", bank)
-        monkeypatch.setitem(globals(), "BLOCK_BANK", bank)
-        n = VECTOR_MIN + 2
-        view, blocks = make_view(n, [2] * n)
-        assert isinstance(view.rows, list)
-        view.pending_packets = 3
-        view.pending_bytes = 300
-        view.flush()
-        for block in blocks:
-            assert BLOCK_BANK.row_values(block._row) == {
-                "packets_seen": 3,
-                "deliveries": 6,
-                "bytes_delivered": 600,
-            }
-        bank = CounterBank(("k",), capacity=2)
-        bank.inc("k", bank.add_row(), 5)
-        bank.add_row()
-        bank.add_row()  # growth on the list backend
-        assert isinstance(bank.column("k"), list)
-        assert bank.get("k", 0) == 5
-        assert bank.stats()["vectorized"] is False
 
 
 class FakeCounter:
@@ -274,28 +223,3 @@ class TestLinkAccounting:
         first = link_accounting(registry)
         assert link_accounting(registry) is first
         assert len(registry.collectors) == 1
-
-
-def test_repro_no_numpy_env_gate():
-    """``REPRO_NO_NUMPY=1`` disables numpy at import time (the in-proc
-    monkeypatch above can't cover the env gate itself)."""
-    env = dict(os.environ, REPRO_NO_NUMPY="1", PYTHONPATH="src")
-    code = (
-        "import repro.core.accounting as acc\n"
-        "assert acc.np is None\n"
-        "assert acc.BLOCK_BANK.stats()['vectorized'] is False\n"
-        "bank = acc.CounterBank(('x',))\n"
-        "bank.inc('x', bank.add_row(), 4)\n"
-        "assert bank.get('x', 0) == 4\n"
-        "print('ok')\n"
-    )
-    result = subprocess.run(
-        [sys.executable, "-c", code],
-        env=env,
-        cwd=os.path.dirname(os.path.dirname(os.path.dirname(__file__))),
-        capture_output=True,
-        text=True,
-        timeout=60,
-    )
-    assert result.returncode == 0, result.stderr
-    assert result.stdout.strip() == "ok"

@@ -12,8 +12,12 @@ entry would never expire again and would block :meth:`add` from
 re-arming its key forever.
 """
 
+from functools import partial
+
 import pytest
 
+from repro import ExpressNetwork, NeighborMode, TopologyBuilder
+from repro.core.ecmp.protocol import EcmpAgent
 from repro.core.ecmp.refresh import RefreshRing
 
 
@@ -168,3 +172,56 @@ class TestAbandonedIteration:
         ring.reschedule("a", 95.0)  # refreshed meanwhile
         assert drain(ring, 25.0) == []  # not re-yielded now
         assert drain(ring, 200.0) == ["a"]
+
+
+class TestScanShareOnALiveNetwork:
+    def test_refresh_leaves_the_standing_table_alone(self, monkeypatch):
+        """The refresh-ring gate, in the TV-distribution shape of the
+        paper's section 2.2: 300 channels each held up by one TCP-mode
+        tail subscriber (standing state at every on-tree router, no
+        refresh traffic), while four UDP-mode hosts zap to another
+        channel every 0.6 s with the refresh interval cranked down to
+        0.4 s. A refresh that walked the table would examine every
+        standing record twice a tick (once for expiry, once for the
+        general-query reply); the ring and the ``_by_upstream`` index
+        examine what the zapping made due — 233 records over 50 ticks
+        however many channels stand, so 0.22 % of a full scan here and
+        less on anything larger."""
+        monkeypatch.setattr(EcmpAgent, "UDP_QUERY_INTERVAL", 0.4)
+        topo = TopologyBuilder.isp(n_transit=3, stubs_per_transit=2, hosts_per_stub=2)
+        net = ExpressNetwork(topo, wire_format=True)
+        source_names = ["h0_0_0", "h1_0_0", "h2_0_0"]
+        others = [h for h in sorted(net.host_names) if h not in source_names]
+        surfers, tails = others[:4], others[4:]
+        channels = [
+            net.source(name).allocate_channel()
+            for name in source_names
+            for _ in range(100)
+        ]
+        for surfer in surfers:
+            edge = topo.node(surfer).neighbors()[0].name
+            net.ecmp_agents[surfer].set_neighbor_mode(edge, NeighborMode.UDP)
+            net.ecmp_agents[edge].set_neighbor_mode(surfer, NeighborMode.UDP)
+        for index, channel in enumerate(channels):
+            net.host(tails[index % len(tails)]).subscribe(channel)
+        net.settle(2.0)
+
+        def zap(i, k):
+            host = net.host(surfers[i])
+            if k:
+                host.unsubscribe(channels[(7 * (k - 1) + i) % len(channels)])
+            host.subscribe(channels[(7 * k + i) % len(channels)])
+
+        start, ticks = net.sim.now, 50
+        window = ticks * EcmpAgent.UDP_QUERY_INTERVAL
+        for i in range(len(surfers)):
+            for k in range(int(window / 0.6)):
+                net.sim.schedule_at(start + 0.15 * i + 0.6 * k, partial(zap, i, k))
+        routers = [a for a in net.ecmp_agents.values() if a.role == "router"]
+        standing = sum(
+            len(state.downstream) for a in routers for state in a.channels.values()
+        )
+        assert standing >= 3 * len(channels)
+        net.run(until=start + window)
+        examined = net.control_stats_total()["refresh_records_examined"]
+        assert 0 < examined < 0.01 * 2 * standing * ticks

@@ -17,6 +17,7 @@ from repro.netsim.parallel.runner import (
     merge_summaries,
     run_single,
 )
+from repro.netsim.parallel.scenario import ScenarioSpec
 
 
 @pytest.fixture(scope="module")
@@ -175,6 +176,62 @@ class TestSyncModesAndTransports:
         # Eager grants every worker every round: one window per grant.
         assert eager_totals["windows"] == eager_totals["sync_rounds"]
 
+    def test_demand_sync_cuts_the_tax_on_a_regional_audience(self):
+        """The sync-tax gate. The paper's regional-audience shape: the
+        channel's subscribers live in two of four transit domains, the
+        churn is a front-loaded burst and the data phase is long, so
+        two shards go quiet for good. Demand-driven sync stops
+        contacting them; the eager baseline heartbeats every shard
+        every round. Both ratios are frame counts — exact, the same at
+        any ``n_subs``, on any host and transport (measured 18.38 and
+        3.56)."""
+        blocks = tuple(sorted(f"e{t}_{s}" for t in range(2) for s in range(3)))
+        spec = ScenarioSpec(
+            topology="isp",
+            topology_kwargs={
+                "n_transit": 4,
+                "stubs_per_transit": 3,
+                "hosts_per_stub": 1,
+                # Lookahead is the smallest cut-link delay: 40 ms keeps
+                # the round count proportionate to the work.
+                "core_delay": 0.04,
+            },
+            source="h0_0_0",
+            n_channels=1,
+            blocks=blocks,
+            opgen=(
+                "block_storm",
+                {
+                    "n_subs": 2000,
+                    "n_blocks": len(blocks),
+                    "packets": 60,
+                    "join_window": 0.1,
+                    "leave_window": 0.1,
+                    "packet_spacing": 0.15,
+                    "burst": 2,
+                    "seed": 0,
+                },
+            ),
+            duration=5.6,
+            seed=0,
+        )
+        single = run_single(spec)
+        demand = ParallelRunner(spec, 4, mode="inline").run()
+        eager = ParallelRunner(spec, 4, mode="inline", sync_mode="eager").run()
+        assert_equivalent(demand.merged, single)
+        assert_equivalent(eager.merged, single)
+
+        def null_ratio(result):
+            totals = result.sync_totals()
+            return totals["null_messages"] / totals["sync_rounds"]
+
+        def per_event(result):
+            return result.message_totals()["sync_messages_per_event"]
+
+        assert null_ratio(eager) > 0
+        assert null_ratio(eager) >= 8 * null_ratio(demand)
+        assert per_event(eager) >= 3 * per_event(demand) > 0
+
     def test_message_totals_shape(self, inline_result):
         totals = inline_result.message_totals()
         assert totals["frames_total"] == (
@@ -198,7 +255,7 @@ class TestSyncModesAndTransports:
                 assert ladder[-1] == trace.horizons[rank] or trace.horizons[
                     rank
                 ] > inline_result.plan.lookahead.get((rank, rank), 0)
-        # Traces serialize for the CI post-mortem dump.
+        # Traces serialize for a post-mortem dump.
         import json
 
         json.dumps([t.as_dict() for t in traces])

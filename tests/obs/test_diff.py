@@ -31,40 +31,22 @@ class TestFlatten:
 
 
 class TestDirection:
+    """Name-based, on the conventions the registry's families follow."""
+
     def test_cost_metrics(self):
-        assert direction("scenarios.a.wall_seconds") == -1
-        assert direction("delivery_latency.p99_seconds") == -1
-        assert direction("summary.null_message_ratio") == -1
-        assert direction("peak_rss_kb") == -1
-        # Sync-tax economics (schema v7): per-event frame overhead and
-        # the demand run's own null ratio are costs...
-        assert direction("summary.sync_messages_per_event") == -1
-        assert direction("frames_per_round") == -1
-        assert direction("demand_null_ratio") == -1
-        # Control-plane refresh economics (schema v8): examined
-        # records are overhead outright.
-        assert direction("scenarios.channel_surf.refresh_records_examined") == -1
-        # Robustness SLOs (schema v9): recovery time, resync traffic,
-        # churn spread, and orphaned state are all costs of a fault.
-        assert direction("summary.convergence_seconds") == -1
-        assert direction("summary.resync_bytes") == -1
-        assert direction("scenarios.router_crash_storm.faults.resync_events") == -1
-        assert direction("summary.blast_radius") == -1
-        assert direction("summary.orphaned_state") == -1
+        assert direction("spf_recompute_seconds.p99") == -1
+        assert direction('delivery_latency_seconds{node="h1"}.p50') == -1
+        assert direction('parallel_phase_seconds{phase="sync_wait",shard="0"}') == -1
+        # A cost despite the rate-like tail.
+        assert direction('parallel_null_message_ratio{shard="1"}') == -1
 
     def test_benefit_metrics(self):
+        assert direction('parallel_events_per_second{shard="0"}') == +1
         assert direction("summary.events_per_sec_min") == +1
-        assert direction("partition_speedup") == +1
-        assert direction("sync_efficiency") == +1
-        assert direction("dijkstra_savings_ratio") == +1
-        # ...while the reductions over the eager baseline are benefits.
-        assert direction("summary.null_ratio_reduction") == +1
-        assert direction("summary.sync_message_reduction") == +1
-        # Schema v8 channel-surf headline number.
-        assert direction("summary.zap_events_per_sec") == +1
 
     def test_neutral(self):
-        assert direction("sim_events") == 0
+        assert direction("sim_events_total") == 0
+        assert direction('link_packets_total{link="a-b"}') == 0
 
 
 class TestDiff:
@@ -102,50 +84,52 @@ class TestDiff:
 
 
 class TestLoadAndCli:
-    def _bench(self, tmp_path, name, eps):
+    def _dump(self, tmp_path, name, events_per_second):
+        """A JSONL metric dump: one gauge, one counter, one histogram."""
+        registry = MetricsRegistry()
+        registry.gauge("parallel_events_per_second", labelnames=("shard",)).labels(
+            shard="0"
+        ).set(events_per_second)
+        registry.counter("pkts_total", labelnames=("node",)).labels(node="a").inc(3)
+        registry.histogram("lat_seconds").observe(0.25)
         path = tmp_path / name
-        path.write_text(json.dumps({
-            "bench": "perf",
-            "schema_version": 5,
-            "generated_at": "2026-01-01T00:00:00Z",
-            "platform": "test",
-            "scenarios": {"s": {"events_per_sec": eps}},
-            "summary": {"events_per_sec_min": eps},
-        }))
+        path.write_text(metrics_to_jsonl(registry))
         return str(path)
 
-    def test_load_bench_report_drops_metadata(self, tmp_path):
-        flat = load_metrics(self._bench(tmp_path, "a.json", 100.0))
-        assert flat["scenarios.s.events_per_sec"] == 100.0
-        assert not any("generated_at" in k or "platform" in k for k in flat)
-
     def test_load_jsonl_dump(self, tmp_path):
-        registry = MetricsRegistry()
-        registry.counter("pkts_total", labelnames=("node",)).labels(
-            node="a"
-        ).inc(3)
-        registry.histogram("lat_seconds").observe(0.25)
-        path = tmp_path / "scrape.jsonl"
-        path.write_text(metrics_to_jsonl(registry))
-
-        flat = load_metrics(str(path))
+        flat = load_metrics(self._dump(tmp_path, "scrape.jsonl", 100.0))
+        assert flat['parallel_events_per_second{shard="0"}'] == 100.0
         assert flat['pkts_total{node="a"}'] == 3.0
         assert flat["lat_seconds.count"] == 1.0
         assert flat["lat_seconds.p50"] == 0.25
 
+    def test_load_one_json_object(self, tmp_path):
+        """A file holding a single JSON object (any report a run wrote)
+        is flattened to its numeric leaves; nothing is special-cased."""
+        path = tmp_path / "report.json"
+        path.write_text(json.dumps({
+            "generated_at": "2026-01-01T00:00:00Z",
+            "quick": True,
+            "workloads": {"w": {"wall_seconds": 1.5, "rounds": 3}},
+        }))
+        assert load_metrics(str(path)) == {
+            "workloads.w.wall_seconds": 1.5,
+            "workloads.w.rounds": 3.0,
+        }
+
     def test_cli_exit_codes(self, tmp_path, capsys):
-        old = self._bench(tmp_path, "old.json", 100.0)
-        new = self._bench(tmp_path, "new.json", 10.0)
+        old = self._dump(tmp_path, "old.jsonl", 100.0)
+        new = self._dump(tmp_path, "new.jsonl", 10.0)
         assert main([old, new]) == 0
         assert main([old, new, "--fail-on-regression"]) == 1
         assert main([old, old, "--fail-on-regression"]) == 0
         out = capsys.readouterr().out
-        assert "events_per_sec" in out
+        assert "! parallel_events_per_second" in out
 
     def test_module_dispatch(self, tmp_path, capsys):
         """``python -m repro.obs diff`` routes to the diff CLI."""
         from repro.obs.__main__ import main as obs_main
 
-        old = self._bench(tmp_path, "old.json", 100.0)
+        old = self._dump(tmp_path, "old.jsonl", 100.0)
         assert obs_main(["diff", old, old]) == 0
         assert "0 regressions" in capsys.readouterr().out

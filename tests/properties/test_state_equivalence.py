@@ -15,11 +15,6 @@ Two layers:
   including ``updated_at`` stamps and ``udp_expirations`` counts.
   (Expiry *timing* against the full-table walk is compared tick by
   tick in ``test_refresh_equivalence.py``.)
-
-The bank's columns are plain lists regardless of numpy, but CI still
-drives this suite under ``REPRO_NO_NUMPY=1`` in the escape-hatches
-job: the workload-level comparison exercises the accounting layer's
-scalar fallback underneath the same equivalence assertions.
 """
 
 import itertools

@@ -14,6 +14,7 @@ import pytest
 from repro.errors import RoutingError
 from repro.netsim.topology import Topology, TopologyBuilder
 from repro.routing.unicast import FULL_RECOMPUTE_DIRTY_FRACTION, UnicastRouting
+from tests.conftest import flapping_isp_net
 
 
 def _redundant_shortcut_topo() -> Topology:
@@ -218,3 +219,25 @@ class TestCountersAndListeners:
         }
         assert counters["spf_runs"] == 6
         assert counters["cached_destinations"] == 6
+
+
+class TestSavingUnderALiveNetwork:
+    def test_link_flaps_cost_a_fraction_of_the_seeds_dijkstra_runs(self):
+        """The Dijkstra-saving gate: every non-source host of the
+        flapping 40-node network subscribed to one channel per source.
+        The seed ran one Dijkstra per
+        node per ``recompute()``; lazy per-destination trees run one
+        per *queried* destination (the three sources every re-home
+        asks about), and the t2-t3 flaps leave some of those clean. A
+        count, so exact: 35 runs against 13 x 40 (14.86x); membership
+        churn on top does not change it."""
+        net, sources = flapping_isp_net()
+        channels = [source.allocate_channel() for source in sources]
+        for name in sorted(net.host_names - {source.name for source in sources}):
+            for channel in channels:
+                net.host(name).subscribe(channel)
+        net.run(until=7.0)
+        spf = net.routing.spf_counters()
+        assert spf["recompute_count"] == 13  # the build plus 12 link events
+        assert spf["partial_invalidations"] > 0
+        assert 0 < 5 * spf["spf_runs"] <= spf["recompute_count"] * len(net.topo.nodes)

@@ -2,10 +2,9 @@
 
 Every switch doubles the configurations the suites and the benchmark
 would have to cover, and ``benchmarks/e2e`` refuses to run with any of
-them set, so the set is pinned exactly: a new switch — or one of the
-deleted ``REPRO_COLUMNAR`` / ``REPRO_ZERO_COPY`` / ``REPRO_REFRESH_RING``
-/ ``REPRO_NATIVE`` coming back — fails here until this list is changed
-on purpose.
+them set, so the set is pinned exactly: a new switch — or one of the six
+deleted ones coming back — fails here until this list is changed on
+purpose.
 """
 
 import re
@@ -13,11 +12,7 @@ from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
-SWITCHES = {
-    "REPRO_NO_NUMPY",
-    "REPRO_TRANSPORT",
-    "REPRO_ROUNDS_DUMP",
-}
+SWITCHES = {"REPRO_TRANSPORT"}
 
 
 def test_src_reads_exactly_the_pinned_switches():
