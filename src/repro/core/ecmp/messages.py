@@ -75,11 +75,19 @@ RECORD_FRAME_BYTES = _RECORD_LEN.size
 #: Records a single frame may carry (record-count is a uint16).
 MAX_BATCH_RECORDS = 0xFFFF
 
+#: Largest request id a join Count can carry and its verdict echo: the
+#: CountResponse status byte keeps its low three bits for the status and
+#: gives the upper five to the id (0 = no request), and the Count's
+#: request byte is held to the same range so every id can be echoed.
+MAX_REQUEST_ID = 0x1F
+_STATUS_BITS = 3
+_STATUS_MASK = (1 << _STATUS_BITS) - 1
+
 #: type(1) flags(1) countId(2) source(4) dest-suffix(3) ... per-type tail
 _HEAD = struct.Struct("!BBHI3s")
-_COUNT_TAIL = struct.Struct("!IB")  # count(4) reserved(1)
+_COUNT_TAIL = struct.Struct("!IB")  # count(4) request-id(1)
 _QUERY_TAIL = struct.Struct("!IB")  # timeout-ms(4) reserved(1)
-_RESPONSE_TAIL = struct.Struct("!B")  # status(1)
+_RESPONSE_TAIL = struct.Struct("!B")  # request-id(5 bits) status(3 bits)
 _PROACTIVE_EXT = struct.Struct("!fff")  # e_max alpha tau
 
 
@@ -92,6 +100,11 @@ class CountStatus(Enum):
     UNSUPPORTED_COUNT = 1
     INVALID_AUTHENTICATOR = 2
     NO_SUCH_CHANNEL = 3
+
+
+def _check_request_id(request_id: int) -> None:
+    if not 0 <= request_id <= MAX_REQUEST_ID:
+        raise CodecError(f"request id {request_id} not in 0..{MAX_REQUEST_ID}")
 
 
 @dataclass(frozen=True)
@@ -122,17 +135,21 @@ class CountQuery:
 class Count:
     """A count report; doubles as subscribe (non-zero) / unsubscribe
     (zero) when ``count_id`` is ``subscriberId``. ``key`` carries
-    K(S,E) for authenticated channels."""
+    K(S,E) for authenticated channels. A non-zero ``request_id`` asks
+    for a verdict: the ``CountResponse`` that answers this Count echoes
+    it, so the sender pairs verdicts with joins by id, not by order."""
 
     channel: Channel
     count_id: int
     count: int
     key: Optional[ChannelKey] = None
+    request_id: int = 0
 
     def __post_init__(self) -> None:
         check_count_id(self.count_id)
         if not 0 <= self.count <= 0xFFFFFFFF:
             raise CodecError(f"count {self.count} not a uint32")
+        _check_request_id(self.request_id)
 
     def wire_size(self) -> int:
         return COUNT_WIRE_BYTES + (KEY_BYTES if self.key else 0)
@@ -140,14 +157,17 @@ class Count:
 
 @dataclass(frozen=True)
 class CountResponse:
-    """Acknowledges or rejects a Count (auth results, unsupported ids)."""
+    """Acknowledges or rejects a Count (auth results, unsupported ids).
+    ``request_id`` echoes the answered Count's (0 when it carried none)."""
 
     channel: Channel
     count_id: int
     status: CountStatus
+    request_id: int = 0
 
     def __post_init__(self) -> None:
         check_count_id(self.count_id)
+        _check_request_id(self.request_id)
 
     def wire_size(self) -> int:
         return RESPONSE_WIRE_BYTES
@@ -204,7 +224,7 @@ def _encode_into(message: EcmpMessage, buf: bytearray, offset: int) -> int:
             message.channel.suffix.to_bytes(3, "big"),
         )
         offset += _HEAD.size
-        _COUNT_TAIL.pack_into(buf, offset, message.count, 0)
+        _COUNT_TAIL.pack_into(buf, offset, message.count, message.request_id)
         offset += _COUNT_TAIL.size
         if message.key:
             buf[offset : offset + KEY_BYTES] = message.key.value
@@ -243,7 +263,9 @@ def _encode_into(message: EcmpMessage, buf: bytearray, offset: int) -> int:
             message.channel.suffix.to_bytes(3, "big"),
         )
         offset += _HEAD.size
-        _RESPONSE_TAIL.pack_into(buf, offset, message.status.value)
+        _RESPONSE_TAIL.pack_into(
+            buf, offset, message.request_id << _STATUS_BITS | message.status.value
+        )
         return offset + _RESPONSE_TAIL.size
     raise CodecError(f"not an ECMP message: {message!r}")
 
@@ -290,12 +312,18 @@ def decode_message(data) -> Union[EcmpMessage, EcmpBatch]:
                 raise CodecError("Count body truncated")
             if body_len > expected:
                 raise CodecError(f"{body_len - expected} trailing bytes after Count")
-            count, _reserved = _COUNT_TAIL.unpack_from(data, _HEAD.size)
+            count, request_id = _COUNT_TAIL.unpack_from(data, _HEAD.size)
             key = None
             if flags & _FLAG_KEY:
                 key_offset = _HEAD.size + _COUNT_TAIL.size
                 key = ChannelKey(bytes(data[key_offset : key_offset + KEY_BYTES]))
-            return Count(channel=channel, count_id=count_id, count=count, key=key)
+            return Count(
+                channel=channel,
+                count_id=count_id,
+                count=count,
+                key=key,
+                request_id=request_id,
+            )
 
         if msg_type == _TYPE_QUERY:
             expected = _QUERY_TAIL.size + (
@@ -326,12 +354,18 @@ def decode_message(data) -> Union[EcmpMessage, EcmpBatch]:
                 raise CodecError(
                     f"{body_len - _RESPONSE_TAIL.size} trailing bytes after CountResponse"
                 )
-            (status_value,) = _RESPONSE_TAIL.unpack_from(data, _HEAD.size)
+            (tail,) = _RESPONSE_TAIL.unpack_from(data, _HEAD.size)
+            status_value = tail & _STATUS_MASK
             try:
                 status = CountStatus(status_value)
             except ValueError:
                 raise CodecError(f"unknown CountResponse status {status_value}") from None
-            return CountResponse(channel=channel, count_id=count_id, status=status)
+            return CountResponse(
+                channel=channel,
+                count_id=count_id,
+                status=status,
+                request_id=tail >> _STATUS_BITS,
+            )
 
         raise CodecError(f"unknown ECMP message type {msg_type:#x}")
     except (ChannelError, ProtocolError) as exc:

@@ -18,9 +18,14 @@ them open; see DESIGN.md §4):
   always-authoritative source, or it absorbs a keyless join into an
   existing tree) answers at once; otherwise it forwards the join,
   records a :class:`VerdictEntry` with rollback state, and relays the
-  verdict when its own upstream answers. Entries resolve FIFO per
-  channel, matching TCP-mode ordering — the paper itself points
-  authenticated channels at TCP-mode core routers.
+  verdict when its own upstream answers. Each forwarded join carries a
+  small request id that its verdict echoes, and the entry is found by
+  ``(channel, id)`` — never by arrival order, so a verdict answered
+  locally by a router that has just learned the key cannot be taken for
+  an older one still upstream. A Count that carries an id is answered
+  whether or not it reads as a join, so a re-announced Count (UDP-mode
+  refresh, reconnect dump, re-home) repeats the ids still unanswered
+  and a lost verdict is repaired by the next one.
 * **Optimism.** Keyless joins are accepted optimistically (forwarding
   state installs immediately) and rolled back if a later verdict denies
   them; keyed joins needing upstream validation install tree state but
@@ -38,7 +43,7 @@ them open; see DESIGN.md §4):
 
 from __future__ import annotations
 
-from collections import deque
+from contextlib import contextmanager
 from dataclasses import dataclass
 from enum import Enum
 from typing import TYPE_CHECKING, Callable, Optional
@@ -59,6 +64,7 @@ from repro.core.ecmp.countids import (
     propagates_to_hosts,
 )
 from repro.core.ecmp.messages import (
+    MAX_REQUEST_ID,
     Count,
     CountQuery,
     CountResponse,
@@ -98,6 +104,13 @@ DISCOVERY_CHANNEL = Channel.of(parse_address("127.0.0.1"), 255)  # 232.0.0.255
 #: IPv4 header bytes added to every ECMP message on the wire.
 IP_OVERHEAD = 20
 
+#: Per-type tx tally names, so the send path formats none.
+_TX_STAT = {
+    Count: "tx_count",
+    CountQuery: "tx_countquery",
+    CountResponse: "tx_countresponse",
+}
+
 
 class NeighborMode(Enum):
     """Per-neighbor ECMP transport (§3.2): "TCP is provided for core
@@ -130,15 +143,38 @@ class Neighbor:
     resolved once per name, so no message pays a topology lookup, an
     interface search or an agent-registry probe."""
 
-    __slots__ = ("name", "peer", "iface", "is_host")
+    __slots__ = (
+        "name", "peer", "iface", "is_host", "mode", "queue", "flush_event",
+        "holdoff_until",
+    )
 
-    def __init__(self, peer: Node, iface: Interface, is_host: bool) -> None:
+    def __init__(
+        self, peer: Node, iface: Interface, is_host: bool, mode: NeighborMode
+    ) -> None:
         self.name = peer.name
         self.peer = peer
         #: The local interface facing the neighbor.
         self.iface = iface
         #: True when the neighbor's ECMP agent runs in the host role.
         self.is_host = is_host
+        #: Transport toward the neighbor (configuration: it survives
+        #: :meth:`EcmpAgent.lose_state`; the three fields below do not).
+        self.mode = mode
+        #: TCP-mode session state: the dirty-channel queue (None while
+        #: nothing is pending), the event that will flush it, and the
+        #: time before which a non-urgent message is queued, not sent.
+        self.queue: Optional[DirtyChannelQueue] = None
+        self.flush_event = None
+        self.holdoff_until = 0.0
+
+    def reset_session(self) -> None:
+        """The session died (link down, agent stopped): what was queued
+        toward it is lost, and the next one starts idle."""
+        if self.flush_event is not None:
+            self.flush_event.cancel()
+            self.flush_event = None
+        self.queue = None
+        self.holdoff_until = 0.0
 
 
 @dataclass(slots=True)
@@ -146,9 +182,9 @@ class _QueuedRecord:
     """One pending message in a neighbor's dirty-channel queue."""
 
     message: EcmpMessage
-    #: Pinned records occupy their own slot in the peer's processing
-    #: order (joins awaiting verdicts, CountResponses); later writes for
-    #: the same (channel, countId) append instead of replacing them.
+    #: Pinned records are each answered or acted on by the peer (joins
+    #: awaiting verdicts, CountResponses); later writes for the same
+    #: (channel, countId) append instead of replacing them.
     pinned: bool
     #: Span context captured at enqueue time (None when tracing is off):
     #: causality is established when the protocol *decides* to send, not
@@ -161,8 +197,8 @@ class DirtyChannelQueue:
 
     Non-pinned messages are last-writer-wins per ``(type, channel,
     countId)`` — a refresh superseded before the flush never touches the
-    wire. FIFO order of first enqueue is preserved, which is what keeps
-    the verdict queues of both ends aligned (§3.2's TCP ordering).
+    wire. FIFO order of first enqueue is preserved (§3.2's TCP
+    ordering): a leave never overtakes the join before it.
     """
 
     __slots__ = ("records", "_latest")
@@ -198,6 +234,10 @@ class VerdictEntry:
     prior_count: int
     prior_validated: bool
     presented_key: Optional[ChannelKey]
+    #: The id the joining neighbor's Count carried; the verdict relayed
+    #: to it echoes this. (The id this node forwarded the join under is
+    #: the entry's key in ``pending_verdicts[channel]``.)
+    request_id: int = 0
     prior_advertised: int = 0
     #: Count the joining downstream advertised; the denied join's
     #: contribution is ``joined_count - prior_count``, subtracted (not
@@ -205,8 +245,14 @@ class VerdictEntry:
     #: the verdict was in flight survive.
     joined_count: int = 0
     #: Total this node sent upstream alongside this entry; mirrors the
-    #: delta the upstream will subtract from its record of us.
+    #: delta the upstream will subtract from its record of us. Both
+    #: halves of that delta are set when the entry is tabled (and again
+    #: when it is re-tabled at a parent that holds no record of us),
+    #: never when the request is merely repeated.
     sent_count: int = 0
+    #: Later joins that presented the same key while this one was
+    #: upstream: they sent nothing of their own and take its verdict.
+    sharers: Optional[list["VerdictEntry"]] = None
 
 
 @dataclass(slots=True)
@@ -267,9 +313,10 @@ class EcmpAgent(ProtocolAgent):
     KEEPALIVE_INTERVAL = 30.0
     KEEPALIVE_MISSES = 3
     HYSTERESIS = 5.0
-    #: Nagle-style coalescing window for TCP-mode neighbor sessions: a
-    #: non-urgent message waits at most this long for company before the
-    #: dirty-channel queue is flushed as one frame.
+    #: Nagle-style hold-off for TCP-mode neighbor sessions: a message
+    #: toward an idle session leaves at once and opens a hold-off this
+    #: long; non-urgent messages arriving inside it wait for its end and
+    #: leave as one frame.
     BATCH_FLUSH_INTERVAL = 0.05
     #: Queue-size watermark: flush immediately once this many records
     #: are pending toward one neighbor (just under the ~82 framed
@@ -297,10 +344,10 @@ class EcmpAgent(ProtocolAgent):
         #: codecs end-to-end). Both ends of a link must agree, which the
         #: network facade guarantees by setting it uniformly.
         self.wire_format = wire_format
-        #: When True (the default), messages toward TCP-mode neighbors
-        #: go through a per-neighbor dirty-channel queue and are flushed
-        #: as one MSG_BATCH frame (see docs/ecmp-wire.md). UDP-mode
-        #: neighbors always take the unbatched per-datagram path.
+        #: When True (the default), messages toward a busy TCP-mode
+        #: neighbor session go through its dirty-channel queue and are
+        #: flushed as one MSG_BATCH frame (see docs/ecmp-wire.md).
+        #: UDP-mode neighbors always take the unbatched per-datagram path.
         self.batching = batching
         self.routing = routing
         self.fib = fib
@@ -316,14 +363,23 @@ class EcmpAgent(ProtocolAgent):
         self.channels: dict[Channel, ChannelState] = {}
         self.subscriptions: dict[Channel, SubscriptionHandle] = {}
         self.pending_queries: dict[tuple[Channel, int], PendingQuery] = {}
-        self.pending_verdicts: dict[Channel, deque] = {}
+        #: channel -> {request id: entry} for forwarded joins whose
+        #: verdict is still upstream. A channel's table exists only while
+        #: it holds an entry.
+        self.pending_verdicts: dict[Channel, dict[int, VerdictEntry]] = {}
+        #: The next request id to try (1..MAX_REQUEST_ID, cycling, so an
+        #: id is not reused while a duplicate of its verdict may be about).
+        self._next_request_id = 1
         self.count_responders: dict[tuple[Channel, int], Callable[[], int]] = {}
-        self.neighbor_modes: dict[str, NeighborMode] = {}
         #: The neighbor table, filled on first use of each name (the
         #: topology is wired and every agent registered before the first
-        #: message moves). Configuration, like ``neighbor_modes``: it
-        #: survives :meth:`lose_state`.
+        #: message moves). Each entry carries the neighbor's configured
+        #: mode and its TCP-mode session state; the table and the modes
+        #: survive :meth:`lose_state`, the session state does not.
         self._neighbors: dict[str, Neighbor] = {}
+        #: While a burst loop runs (see :meth:`_burst`): the neighbors it
+        #: has queued records toward, each flushed once when it ends.
+        self._corked: Optional[dict[Neighbor, None]] = None
         self.neighbor_last_heard: dict[str, float] = {}
         #: Aggregated subscriber blocks attached at this (edge) router,
         #: keyed by pseudo-neighbor name (see repro.core.blocks), plus a
@@ -377,9 +433,6 @@ class EcmpAgent(ProtocolAgent):
                 "Dirty-channel queue flushes by node and trigger",
                 ("node", "trigger"),
             )
-        #: Per-TCP-neighbor dirty-channel queues and their flush timers.
-        self._batch_queues: dict[str, DirtyChannelQueue] = {}
-        self._flush_events: dict[str, object] = {}
         self._proactive_checks: dict[tuple[Channel, int], object] = {}
         #: neighbor -> {channel: None}: channels with a live UDP-mode
         #: record from that *real* neighbor — the general-query fan-out
@@ -431,10 +484,8 @@ class EcmpAgent(ProtocolAgent):
                 task.stop()
         for block in self.blocks.values():
             block.stop()
-        for event in self._flush_events.values():
-            event.cancel()
-        self._flush_events.clear()
-        self._batch_queues.clear()
+        for known in self._neighbors.values():
+            known.reset_session()
 
     def lose_state(self) -> None:
         """Crash semantics: drop every piece of soft protocol state.
@@ -486,11 +537,16 @@ class EcmpAgent(ProtocolAgent):
     def set_neighbor_mode(self, neighbor: str, mode: NeighborMode) -> None:
         """Configure TCP or UDP mode toward one neighbor (§3.2: "A
         router can select either TCP or UDP mode for ECMP on each
-        interface")."""
-        self.neighbor_modes[neighbor] = mode
-
-    def mode_of(self, neighbor: str) -> NeighborMode:
-        return self.neighbor_modes.get(neighbor, self.default_mode)
+        interface"). Call it once the network is wired: the neighbor
+        must already be adjacent and have its ECMP agent registered."""
+        known = self._neighbor(neighbor)
+        if known is None or PROTO_ECMP not in known.peer.agents:
+            # Resolved too early, the entry would have cached the wrong role.
+            self._neighbors.pop(neighbor, None)
+            raise ProtocolError(
+                f"{self.node.name}: {neighbor!r} is not a wired ECMP neighbor"
+            )
+        known.mode = mode
 
     def _neighbor(self, name: str) -> Optional[Neighbor]:
         """The neighbor-table entry for ``name``; None for anything that
@@ -503,7 +559,10 @@ class EcmpAgent(ProtocolAgent):
                 return None
             agent = peer.agents.get(PROTO_ECMP)
             known = self._neighbors[name] = Neighbor(
-                peer, iface, isinstance(agent, EcmpAgent) and agent.role == "host"
+                peer,
+                iface,
+                isinstance(agent, EcmpAgent) and agent.role == "host",
+                self.default_mode,
             )
         return known
 
@@ -515,7 +574,9 @@ class EcmpAgent(ProtocolAgent):
             # TCP-mode semantics: connection failure -> subtract counts.
             # Anything still queued toward the dead session is lost with
             # the connection; the reconnect resend covers it.
-            self._drop_queue(peer.name)
+            known = self._neighbor(peer.name)
+            if known is not None:
+                known.reset_session()
             self._neighbor_failed(peer.name)
         else:
             self._neighbor_recovered(peer.name)
@@ -793,11 +854,17 @@ class EcmpAgent(ProtocolAgent):
             self.stats.incr("batches_rx")
             self.stats.incr("batch_records_rx", len(message.messages))
             contexts = span_ctx if isinstance(span_ctx, list) else None
-            for index, record in enumerate(message.messages):
-                ctx = None
-                if contexts is not None and index < len(contexts):
-                    ctx = contexts[index]
-                self._dispatch_message(record, from_name, ctx)
+            # The records are handled in one instant, so what they send
+            # on travels as one frame per neighbor, in their order and
+            # under the session policy: sent one by one, the first would
+            # go alone, and a keyed join and the shorter leave behind it
+            # would swap places on the next link.
+            with self._burst():
+                for index, record in enumerate(message.messages):
+                    ctx = None
+                    if contexts is not None and index < len(contexts):
+                        ctx = contexts[index]
+                    self._dispatch_message(record, from_name, ctx)
             return
         self._dispatch_message(message, from_name, span_ctx)
 
@@ -884,6 +951,15 @@ class EcmpAgent(ProtocolAgent):
     ) -> None:
         """Send (or queue) one protocol message toward ``neighbor``.
 
+        Toward a TCP-mode neighbor whose session is idle — nothing
+        queued, no hold-off running — the message is on the wire before
+        this returns, and that send opens a hold-off of
+        ``BATCH_FLUSH_INTERVAL``; messages that arrive inside it coalesce
+        in the dirty-channel queue and leave as one frame when it ends
+        (or at once, behind an urgent message or at the watermark).
+        Inside a :meth:`_burst` loop everything queues and the loop's
+        end flushes.
+
         Logical per-message accounting (``msgs_tx``, ``bytes_tx``,
         ``ecmp_messages_total``) happens here regardless of batching;
         wire-level accounting happens in :meth:`_transmit` when a packet
@@ -902,7 +978,7 @@ class EcmpAgent(ProtocolAgent):
         size = IP_OVERHEAD + message.wire_size()
         self.stats.incr("msgs_tx")
         self.stats.incr("bytes_tx", size)
-        self.stats.incr(f"tx_{type(message).__name__.lower()}")
+        self.stats.incr(_TX_STAT[type(message)])
         span_ctx = None
         if self.obs is not None:
             current = self.obs.tracer.current
@@ -919,7 +995,7 @@ class EcmpAgent(ProtocolAgent):
                 channel=str(message.channel),
             ).inc()
             self._m_bytes.labels(node=self.node.name, direction="tx").inc(size)
-        if not self.batching or self.mode_of(neighbor) is not NeighborMode.TCP:
+        if not self.batching or known.mode is not NeighborMode.TCP:
             # UDP-mode neighbors (and batching-off agents) keep the
             # one-datagram-per-message path.
             self._transmit(message, known, (span_ctx,), size)
@@ -929,29 +1005,62 @@ class EcmpAgent(ProtocolAgent):
             urgent = default_urgent
         if pinned is None:
             pinned = default_pinned
-        queue = self._batch_queues.get(neighbor)
+        corked = self._corked
+        queue = known.queue
         if queue is None:
-            if urgent:
-                # Nothing is pending (a queue, and with it a flush timer,
-                # exists only while it holds records), so the flush would
-                # carry exactly this message: send it as that flush.
-                self._count_flush("urgent")
-                self._transmit(message, known, (span_ctx,), size)
-                return
-            queue = self._batch_queues[neighbor] = DirtyChannelQueue()
+            if corked is None:
+                # Nothing is pending (a queue exists only while it holds
+                # records), so a flush would carry exactly this message:
+                # when the session sends now, it goes as that flush, with
+                # no queue object and no event.
+                trigger = self._send_now(known, urgent)
+                if trigger is not None:
+                    self._count_flush(trigger)
+                    self._transmit(message, known, (span_ctx,), size)
+                    return
+            queue = known.queue = DirtyChannelQueue()
         if queue.enqueue(message, pinned, span_ctx):
             # Last-writer-wins: the overwritten message never hits the wire.
             self.stats.incr("msgs_coalesced")
             if self._m_coalesced is not None:
                 self._m_coalesced.labels(node=self.node.name).inc()
+        if len(queue) >= self.BATCH_MAX_RECORDS:
+            self._flush_neighbor(known, "watermark")
+        elif corked is not None:
+            # The burst's end releases the queue; it goes at once if any
+            # record in it is urgent.
+            corked[known] = urgent or corked.get(known, False)
+        else:
+            self._release(known, urgent)
+
+    def _send_now(self, known: Neighbor, urgent: bool) -> Optional[str]:
+        """The session policy, in its one place: the flush trigger under
+        which what is pending toward ``known`` leaves now, or None when
+        it waits for the end of the hold-off that is running.
+
+        Urgent traffic goes at once and neither opens nor moves a
+        hold-off — the join that follows a leave is not made to wait for
+        it. Anything else goes at once only if no hold-off is running,
+        and opens one, so the records behind it coalesce."""
         if urgent:
-            self._flush_neighbor(neighbor, trigger="urgent")
-        elif len(queue) >= self.BATCH_MAX_RECORDS:
-            self._flush_neighbor(neighbor, trigger="watermark")
-        elif neighbor not in self._flush_events:
-            self._flush_events[neighbor] = self.sim.schedule(
-                self.BATCH_FLUSH_INTERVAL,
-                lambda: self._flush_timer_fired(neighbor),
+            return "urgent"
+        now = self.sim.now
+        if known.holdoff_until <= now:
+            known.holdoff_until = now + self.BATCH_FLUSH_INTERVAL
+            return "idle"
+        return None
+
+    def _release(self, known: Neighbor, urgent: bool) -> None:
+        """Apply the session policy to the queue toward ``known``: flush
+        it now, or leave it to the running hold-off's end (one
+        ``ecmp-batch-flush`` event per hold-off)."""
+        trigger = self._send_now(known, urgent)
+        if trigger is not None:
+            self._flush_neighbor(known, trigger)
+        elif known.flush_event is None:
+            known.flush_event = self.sim.schedule_at(
+                known.holdoff_until,
+                lambda: self._holdoff_ended(known),
                 name="ecmp-batch-flush",
             )
 
@@ -964,9 +1073,9 @@ class EcmpAgent(ProtocolAgent):
         CountResponse rejections (the subscriber must learn of the
         denial now), and zero-count leaves (the upstream forwards data
         until the zero lands). CountResponses are always pinned — each
-        one pops exactly one entry from the peer's verdict FIFO, so two
-        may never merge. Keyed Counts are pinned because each presented
-        key needs its own verdict.
+        one answers one request of the peer's, so two may never merge.
+        Counts carrying a key or a request id are pinned because each
+        needs its own verdict.
         """
         if isinstance(message, CountQuery):
             return True, True
@@ -974,7 +1083,7 @@ class EcmpAgent(ProtocolAgent):
             return message.status is not CountStatus.OK, True
         if message.count_id == SUBSCRIBER_ID and message.count == 0:
             return True, True
-        return False, message.key is not None
+        return False, message.key is not None or message.request_id != 0
 
     def _transmit(
         self,
@@ -1005,7 +1114,7 @@ class EcmpAgent(ProtocolAgent):
             packet.headers["ecmp"] = message
         # TCP mode hides loss behind retransmission; model it as
         # loss-exempt delivery (delay still applies).
-        packet.headers["reliable"] = self.mode_of(neighbor.name) is NeighborMode.TCP
+        packet.headers["reliable"] = neighbor.mode is NeighborMode.TCP
         if isinstance(message, EcmpBatch):
             if any(ctx is not None for ctx in contexts):
                 # One span context per record, aligned by index.
@@ -1024,19 +1133,17 @@ class EcmpAgent(ProtocolAgent):
         if self._m_flushes is not None:
             self._m_flushes.labels(node=self.node.name, trigger=trigger).inc()
 
-    def _flush_neighbor(self, neighbor: str, trigger: str = "timer") -> None:
-        """Drain the dirty-channel queue toward ``neighbor`` as one wire
+    def _flush_neighbor(self, known: Neighbor, trigger: str) -> None:
+        """Drain the dirty-channel queue toward ``known`` as one wire
         send: a bare message when a single record is pending, a
         MSG_BATCH frame otherwise."""
-        event = self._flush_events.pop(neighbor, None)
-        if event is not None:
-            event.cancel()
-        queue = self._batch_queues.pop(neighbor, None)
-        if queue is None or not queue.records:
+        if known.flush_event is not None:
+            known.flush_event.cancel()
+            known.flush_event = None
+        queue = known.queue
+        if queue is None:
             return
-        known = self._neighbor(neighbor)
-        if known is None:
-            return
+        known.queue = None
         records = queue.records
         self._count_flush(trigger)
         if len(records) == 1:
@@ -1049,19 +1156,54 @@ class EcmpAgent(ProtocolAgent):
             self._m_coalesced.labels(node=self.node.name).inc(len(records) - 1)
         self._transmit(batch, known, contexts=tuple(r.span_ctx for r in records))
 
-    def _flush_timer_fired(self, neighbor: str) -> None:
-        self._flush_events.pop(neighbor, None)
-        self._flush_neighbor(neighbor, trigger="timer")
+    def _holdoff_ended(self, known: Neighbor) -> None:
+        """The hold-off ran out with records pending: the session is
+        busy, so they leave as one frame and the next hold-off starts."""
+        known.flush_event = None
+        known.holdoff_until = self.sim.now + self.BATCH_FLUSH_INTERVAL
+        self._flush_neighbor(known, "timer")
+
+    @contextmanager
+    def _burst(self, flush_as: Optional[str] = None):
+        """Cork the TCP-mode sessions around a loop that may emit many
+        records toward one neighbor in one call: everything sent inside
+        queues, in order, and each neighbor touched is dealt with once
+        when the loop ends.
+
+        The resync loops (a reconnect dump, a re-home pass, a
+        general-query reply, a failed neighbor's subtraction) name the
+        trigger to ``flush_as``: one frame per neighbor in the instant
+        of the event that caused it, opening no hold-off. The records
+        of a received frame are not an event of their own, so what they
+        send on (``flush_as`` None) is held to the session policy as one
+        message would be: at once if
+        any of it is urgent or the session is idle (which opens the
+        hold-off), else at the end of the hold-off that is running —
+        and either way as one frame, so a keyed join and the shorter
+        leave behind it cannot swap places on the next link.
+
+        Inside another burst (a general query that arrived as a record
+        of a frame) the outer one's end does the releasing."""
+        if self._corked is not None:
+            yield
+            return
+        self._corked = touched = {}
+        try:
+            yield
+        finally:
+            self._corked = None
+            for known, urgent in touched.items():
+                if known.queue is None:
+                    continue  # the watermark took it
+                if flush_as is not None:
+                    self._flush_neighbor(known, flush_as)
+                else:
+                    self._release(known, urgent)
 
     def _flush_all(self, trigger: str) -> None:
-        for neighbor in list(self._batch_queues):
-            self._flush_neighbor(neighbor, trigger=trigger)
-
-    def _drop_queue(self, neighbor: str) -> None:
-        event = self._flush_events.pop(neighbor, None)
-        if event is not None:
-            event.cancel()
-        self._batch_queues.pop(neighbor, None)
+        for known in self._neighbors.values():
+            if known.queue is not None:
+                self._flush_neighbor(known, trigger)
 
     def _rtt_estimate(self, neighbor: str) -> float:
         known = self._neighbor(neighbor)
@@ -1083,7 +1225,7 @@ class EcmpAgent(ProtocolAgent):
                 pending.record_reply(from_name, message.count)
                 self._maybe_finalize(pending)
             self._apply_subscriber_count(
-                channel, from_name, message.count, key=message.key
+                channel, from_name, message.count, message.key, message.request_id
             )
             return
         pending = self.pending_queries.get((channel, count_id))
@@ -1110,6 +1252,7 @@ class EcmpAgent(ProtocolAgent):
         from_name: str,
         count: int,
         key: Optional[ChannelKey] = None,
+        request_id: int = 0,
     ) -> None:
         state = self.channels.get(channel)
         previous = 0
@@ -1130,8 +1273,8 @@ class EcmpAgent(ProtocolAgent):
         if count == 0:
             if state is None or from_name not in state.downstream:
                 return
-            # In-flight verdict entries for this neighbor stay queued:
-            # the upstream response still arrives and must pop in order.
+            # In-flight verdict entries for this neighbor stay tabled:
+            # the upstream response still arrives and is relayed.
             was_udp = state.downstream[from_name].udp
             self._drop_record(state, from_name)
             self._propagate(state)
@@ -1150,12 +1293,15 @@ class EcmpAgent(ProtocolAgent):
                 )
             return
 
-        is_join = previous == 0 or key is not None
+        # A Count that carries a request id wants a verdict whatever it
+        # reads as here: a repeat of a join whose verdict was lost is a
+        # refresh by its count and still has someone waiting on it.
+        is_join = previous == 0 or key is not None or request_id != 0
         defer = False
         if is_join:
             verdict = self.keys.validate(channel, key) if self.keys.knows(channel) else None
             if verdict is False:
-                self._deny(channel, from_name)
+                self._deny(channel, from_name, request_id)
                 return
             if verdict:
                 # Validated equal to the cached key: keep the cache's
@@ -1175,7 +1321,9 @@ class EcmpAgent(ProtocolAgent):
                 # Source unknown/unreachable: reject.
                 if from_name != LOCAL:
                     self._send_message(
-                        CountResponse(channel, SUBSCRIBER_ID, CountStatus.NO_SUCH_CHANNEL),
+                        CountResponse(
+                            channel, SUBSCRIBER_ID, CountStatus.NO_SUCH_CHANNEL, request_id
+                        ),
                         from_name,
                     )
                 else:
@@ -1192,7 +1340,11 @@ class EcmpAgent(ProtocolAgent):
             if block is not None:
                 record.udp = block.udp
             else:
-                record.udp = self.mode_of(from_name) is NeighborMode.UDP
+                # A Count off the wire came from a neighbor; a name that
+                # is none (a test driving this method) has no session.
+                known = self._neighbor(from_name)
+                mode = known.mode if known is not None else self.default_mode
+                record.udp = mode is NeighborMode.UDP
             self._track_udp_record(channel, from_name, record)
 
         entry = None
@@ -1209,6 +1361,7 @@ class EcmpAgent(ProtocolAgent):
                 prior_count=previous,
                 prior_validated=prior_validated,
                 presented_key=key,
+                request_id=request_id,
                 joined_count=count,
             )
 
@@ -1223,7 +1376,8 @@ class EcmpAgent(ProtocolAgent):
                 self._activate_local(channel)
             else:
                 self._send_message(
-                    CountResponse(channel, SUBSCRIBER_ID, CountStatus.OK), from_name
+                    CountResponse(channel, SUBSCRIBER_ID, CountStatus.OK, request_id),
+                    from_name,
                 )
 
     def _create_state(self, channel: Channel) -> Optional[ChannelState]:
@@ -1263,9 +1417,10 @@ class EcmpAgent(ProtocolAgent):
     ) -> bool:
         """Decide whether the new downstream total goes upstream now.
 
-        Returns True when a *join* Count went upstream (the caller's
-        verdict then comes from above rather than from this node); a
-        ``join_entry`` is queued for each such forwarded join.
+        Returns True when a *join*'s verdict will come from above rather
+        than from this node: its Count went upstream with ``join_entry``
+        tabled, or it waits on an earlier join's that presented the same
+        key.
         """
         if state.upstream is None:
             # Root (the source's node): counts aggregate here.
@@ -1276,16 +1431,23 @@ class EcmpAgent(ProtocolAgent):
         total = state.total(validated_only=False)
         key = joining_key or self.keys.get(state.channel) or state.pending_key
         if total > 0 and state.advertised == 0:
-            self._queue_entry(state, join_entry, total)
-            self._send_count_upstream(state, total, key=key)
+            self._forward_join(state, total, key, join_entry)
             return True
         if total == 0 and state.advertised > 0:
             self._send_count_upstream(state, 0)
             return False
         if joining_key is not None:
-            # Already on tree, but a keyed join needs an upstream verdict.
-            self._queue_entry(state, join_entry, total)
-            self._send_count_upstream(state, total, key=joining_key)
+            # Already on tree, but a keyed join needs an upstream verdict
+            # — the one already on its way, if an earlier join asked
+            # about this key: a crowd presenting one key costs one
+            # request, whatever its size.
+            asked = self._asked_about(state.channel, joining_key)
+            if asked is None:
+                self._forward_join(state, total, joining_key, join_entry)
+            elif asked.sharers is None:
+                asked.sharers = [join_entry]
+            else:
+                asked.sharers.append(join_entry)
             return True
         if total == state.advertised:
             return False
@@ -1296,40 +1458,139 @@ class EcmpAgent(ProtocolAgent):
         # TREE_ONLY: stay quiet while on-tree.
         return False
 
-    def _queue_entry(
-        self, state: ChannelState, entry: Optional[VerdictEntry], total: int
+    def _asked_about(
+        self, channel: Channel, key: ChannelKey
+    ) -> Optional[VerdictEntry]:
+        """The tabled join of ``channel`` that presented ``key``, if one
+        is upstream now."""
+        table = self.pending_verdicts.get(channel)
+        if table is not None:
+            for entry in table.values():
+                if entry.presented_key == key:
+                    return entry
+        return None
+
+    def _forward_join(
+        self,
+        state: ChannelState,
+        count: int,
+        key: Optional[ChannelKey],
+        entry: Optional[VerdictEntry],
     ) -> None:
-        if entry is None:
-            return
-        entry.prior_advertised = state.advertised
-        entry.sent_count = total
-        # A queue exists only while a verdict is in flight: the pop
-        # that empties it (_handle_response) deletes it.
-        queue = self.pending_verdicts.get(state.channel)
-        if queue is None:
-            queue = self.pending_verdicts[state.channel] = deque()
-        queue.append(entry)
+        """Send a join Count upstream, with ``entry`` (None when nobody
+        waits on the verdict) tabled under a request id free on the
+        channel. On-tree joins that present one key share one id, so an
+        honest crowd of any size takes one; the ids run out only with
+        ``MAX_REQUEST_ID`` *different* keys in flight on one channel (all
+        but one of them forged) or as many leave-and-rejoin cycles
+        inside one round trip. The join that finds none is undone and
+        refused here; its sender may present the key again."""
+        request_id = 0
+        if entry is not None:
+            table = self.pending_verdicts.get(state.channel)
+            if table is None:
+                table = self.pending_verdicts[state.channel] = {}
+            elif len(table) >= MAX_REQUEST_ID:
+                self.stats.incr("verdict_table_full")
+                if state.pending_key == entry.presented_key:
+                    state.pending_key = None
+                self._rollback(state, entry)
+                self._garbage_collect(state)
+                return
+            request_id = self._next_request_id
+            while request_id in table:
+                request_id = request_id % MAX_REQUEST_ID + 1
+            self._next_request_id = request_id % MAX_REQUEST_ID + 1
+            table[request_id] = entry
+        self._send_count_upstream(state, count, key, entry, request_id)
 
     def _send_count_upstream(
-        self, state: ChannelState, count: int, key: Optional[ChannelKey] = None
+        self,
+        state: ChannelState,
+        count: int,
+        key: Optional[ChannelKey] = None,
+        entry: Optional[VerdictEntry] = None,
+        request_id: int = 0,
     ) -> None:
+        """Send ``count`` upstream, under ``request_id`` when a tabled
+        join waits on the answer. With ``entry`` the Count is what tables
+        (or re-tables) that join at the upstream, and the entry notes
+        what it changes there, which is what a denial will undo; a Count
+        that only repeats a request passes the id alone."""
         if state.upstream is None:
             return
-        # A 0→positive transition (or any keyed Count) queues a
-        # VerdictEntry at the upstream, so the message must survive
-        # coalescing verbatim — each pending verdict pairs with exactly
-        # one on-wire Count.
+        if entry is not None:
+            entry.prior_advertised = state.advertised
+            entry.sent_count = count
+        # A 0→positive transition (or any Count with a key or a request
+        # id) is answered with a verdict, so the message must survive
+        # coalescing verbatim.
         is_join = count > 0 and state.advertised == 0
         self._send_message(
-            Count(channel=state.channel, count_id=SUBSCRIBER_ID, count=count, key=key),
+            Count(state.channel, SUBSCRIBER_ID, count, key, request_id),
             state.upstream,
-            pinned=True if (is_join or key is not None) else None,
+            pinned=True if (is_join or key is not None or request_id) else None,
         )
         state.advertised = count
         counter = state.proactive.get(SUBSCRIBER_ID)
         if counter is not None:
             counter.observe(state.total(validated_only=False))
             counter.sent(self.sim.now)
+
+    def _reannounce(
+        self,
+        state: ChannelState,
+        key: Optional[ChannelKey] = None,
+        fresh: bool = False,
+    ) -> None:
+        """Re-send the current total upstream. Every verdict this channel
+        still waits for is asked for again under its id — the upstream
+        answers a Count that carries one — so a verdict lost with a
+        datagram, a session or an abandoned parent is repaired here.
+
+        A refresh goes to an upstream that holds our record: each request
+        is repeated with the total it already knows, which changes
+        nothing there, and the entries keep what they noted when they
+        were tabled. A ``fresh`` upstream (a new parent, or the old one
+        after the session died) holds none, and what it will subtract on
+        a denial is whatever the Count carrying that id added: so the
+        joins are replayed in order, each Count raising the total by its
+        own join's share above the settled part, which goes first and
+        under no id — a denial then takes back exactly the denied join."""
+        total = state.total(validated_only=False)
+        table = self.pending_verdicts.get(state.channel)
+        if not table or total == 0:
+            self._send_count_upstream(state, total, key)
+            return
+        if not fresh:
+            for request_id, entry in table.items():
+                self._send_count_upstream(
+                    state, total, entry.presented_key or key, request_id=request_id
+                )
+            return
+        shares = [self._share_of(state, entry) for entry in table.values()]
+        state.advertised = 0
+        running = max(0, total - sum(shares))
+        if running:
+            self._send_count_upstream(state, running, key)
+        for (request_id, entry), share in zip(table.items(), shares):
+            running = min(total, running + share)
+            self._send_count_upstream(
+                state, running, entry.presented_key or key, entry, request_id
+            )
+
+    @staticmethod
+    def _share_of(state: ChannelState, entry: VerdictEntry) -> int:
+        """How much of the channel's total stands on ``entry``'s verdict
+        and on those of the joins sharing it: what their rollbacks would
+        take off the downstream records as they are now."""
+        share = 0
+        for waiter in (entry, *(entry.sharers or ())):
+            record = state.downstream.get(waiter.neighbor)
+            if record is not None:
+                joined = waiter.joined_count - waiter.prior_count
+                share += max(0, min(record.count, joined))
+        return share
 
     def _garbage_collect(self, state: ChannelState) -> None:
         if not state.downstream and state.advertised == 0:
@@ -1411,18 +1672,10 @@ class EcmpAgent(ProtocolAgent):
     # authentication verdicts (§3.2, §3.5)
     # ------------------------------------------------------------------
 
-    def _deny(self, channel: Channel, neighbor: str) -> None:
+    def _deny(self, channel: Channel, neighbor: str, request_id: int = 0) -> None:
         """Reject a subscription locally (bad key against cached K)."""
         self.stats.incr("denied_subscriptions")
-        if neighbor == LOCAL:
-            handle = self.subscriptions.pop(channel, None)
-            if handle is not None:
-                handle._set_status("denied")
-            return
-        self._send_message(
-            CountResponse(channel, SUBSCRIBER_ID, CountStatus.INVALID_AUTHENTICATOR),
-            neighbor,
-        )
+        self._notify_denied(channel, neighbor, request_id)
 
     def _handle_response(self, message: CountResponse, from_name: str) -> None:
         channel = message.channel
@@ -1434,12 +1687,14 @@ class EcmpAgent(ProtocolAgent):
         state = self.channels.get(channel)
         if state is None or from_name != state.upstream:
             return
-        queue = self.pending_verdicts.get(channel)
+        table = self.pending_verdicts.get(channel)
         entry = None
-        if queue:
-            entry = queue.popleft()
-            if not queue:
+        if table is not None:
+            entry = table.pop(message.request_id, None)
+            if not table:
                 del self.pending_verdicts[channel]
+        if entry is None and message.request_id:
+            return  # a second answer to a request already settled
 
         if message.status is CountStatus.OK:
             if entry is None:
@@ -1448,7 +1703,13 @@ class EcmpAgent(ProtocolAgent):
                 self.keys.learn(channel, entry.presented_key)
                 if state.pending_key == entry.presented_key:
                     state.pending_key = None
-            self._confirm(state, entry.neighbor)
+            self._confirm(state, entry)
+            if entry.sharers is not None:
+                for sharer in entry.sharers:
+                    self._confirm(state, sharer)
+                # They sent nothing of their own; now that they count,
+                # the total goes up as any other change would.
+                self._propagate(state)
             return
 
         if message.status in (
@@ -1460,6 +1721,8 @@ class EcmpAgent(ProtocolAgent):
                 if state.pending_key == entry.presented_key:
                     state.pending_key = None
                 self._rollback(state, entry)
+                for sharer in entry.sharers or ():
+                    self._rollback(state, sharer)
             else:
                 # Unmatched denial (e.g. a re-homing join was refused):
                 # tear down the most recent optimistic keyless record.
@@ -1467,10 +1730,15 @@ class EcmpAgent(ProtocolAgent):
                     if state.downstream[name].presented_key is None:
                         self._drop_record(state, name)
                         self._notify_denied(state.channel, name)
+                        # No entry says what the refused Count added
+                        # upstream, so the new total is sent: a zero when
+                        # that was the last record, and the state goes.
+                        self._propagate(state)
                         break
             self._garbage_collect(state)
 
-    def _confirm(self, state: ChannelState, neighbor: str) -> None:
+    def _confirm(self, state: ChannelState, entry: VerdictEntry) -> None:
+        neighbor = entry.neighbor
         record = state.downstream.get(neighbor)
         if record is not None and not record.validated:
             record.validated = True
@@ -1479,10 +1747,13 @@ class EcmpAgent(ProtocolAgent):
         if neighbor == LOCAL:
             self._activate_local(state.channel)
         else:
-            # Relay the verdict even if the neighbor has since left —
-            # its own entry queue must stay aligned.
+            # Relay the verdict even if the neighbor has since left: a
+            # node below it may still hold an entry for this join.
             self._send_message(
-                CountResponse(state.channel, SUBSCRIBER_ID, CountStatus.OK), neighbor
+                CountResponse(
+                    state.channel, SUBSCRIBER_ID, CountStatus.OK, entry.request_id
+                ),
+                neighbor,
             )
 
     def _activate_local(self, channel: Channel) -> None:
@@ -1515,16 +1786,18 @@ class EcmpAgent(ProtocolAgent):
                     self._set_forwarding(state, entry.neighbor, True)
             else:
                 self._drop_record(state, entry.neighbor)
-        self._notify_denied(state.channel, entry.neighbor)
+        self._notify_denied(state.channel, entry.neighbor, entry.request_id)
 
-    def _notify_denied(self, channel: Channel, neighbor: str) -> None:
+    def _notify_denied(self, channel: Channel, neighbor: str, request_id: int = 0) -> None:
         if neighbor == LOCAL:
             handle = self.subscriptions.pop(channel, None)
             if handle is not None:
                 handle._set_status("denied")
         else:
             self._send_message(
-                CountResponse(channel, SUBSCRIBER_ID, CountStatus.INVALID_AUTHENTICATOR),
+                CountResponse(
+                    channel, SUBSCRIBER_ID, CountStatus.INVALID_AUTHENTICATOR, request_id
+                ),
                 neighbor,
             )
 
@@ -1559,10 +1832,11 @@ class EcmpAgent(ProtocolAgent):
         if not routed:
             return
         self.stats.incr("refresh_records_examined", len(routed))
-        for channel in list(routed):
-            state = self.channels.get(channel)
-            if state is not None and state.upstream == from_name:
-                self._send_count_upstream(state, state.total(validated_only=False))
+        with self._burst("refresh"):
+            for channel in list(routed):
+                state = self.channels.get(channel)
+                if state is not None and state.upstream == from_name:
+                    self._reannounce(state)
 
     def _start_query(
         self,
@@ -1807,8 +2081,9 @@ class EcmpAgent(ProtocolAgent):
         # Detect silent TCP-neighbor deaths.
         horizon = self.sim.now - self.KEEPALIVE_MISSES * self.KEEPALIVE_INTERVAL
         for name, last in list(self.neighbor_last_heard.items()):
-            if last < horizon and self.mode_of(name) is NeighborMode.TCP:
-                if self._neighbor_link_up(name):
+            known = self._neighbor(name)
+            if last < horizon and known is not None and known.mode is NeighborMode.TCP:
+                if known.iface.up:
                     continue  # link is up; silence is fine (no traffic)
                 del self.neighbor_last_heard[name]
                 self._neighbor_failed(name)
@@ -1920,9 +2195,10 @@ class EcmpAgent(ProtocolAgent):
     def _neighbor_failed(self, name: str) -> None:
         """TCP-connection failure: "The associated count is subtracted
         from the sum provided upstream if the connection fails" (§3.2)."""
-        for state in list(self.channels.values()):
-            if name in state.downstream:
-                self._apply_subscriber_count(state.channel, name, 0)
+        with self._burst("failure"):
+            for state in list(self.channels.values()):
+                if name in state.downstream:
+                    self._apply_subscriber_count(state.channel, name, 0)
         # Channels routed *via* the failed neighbor re-home after the
         # routing recompute (reevaluate_upstreams), which the network
         # facade triggers off the same link event.
@@ -1932,7 +2208,7 @@ class EcmpAgent(ProtocolAgent):
         this neighbor (§3.2: unsolicited Counts on establishment).
 
         With batching on, the whole unsolicited state dump leaves as a
-        single MSG_BATCH frame instead of N packets.
+        single MSG_BATCH frame instead of N packets, and at once.
 
         The re-announced bytes are tallied as ``resync_bytes`` /
         ``resync_counts`` — the soft-state-recovery cost HPIM-DM uses
@@ -1941,11 +2217,12 @@ class EcmpAgent(ProtocolAgent):
         state dump, which is deterministic across sharded/oracle runs)."""
         bytes_before = self.stats.get("bytes_tx")
         resent = 0
-        for state in self.channels.values():
-            if state.upstream == name:
-                self._send_count_upstream(state, state.total(validated_only=False))
-                resent += 1
-        self._flush_neighbor(name, trigger="reconnect")
+        with self._burst("reconnect"):
+            for state in self.channels.values():
+                if state.upstream == name:
+                    # The peer dropped our records with the session.
+                    self._reannounce(state, fresh=True)
+                    resent += 1
         if resent:
             self.stats.incr("resync_counts", resent)
             self.stats.incr("resync_bytes", self.stats.get("bytes_tx") - bytes_before)
@@ -1960,9 +2237,22 @@ class EcmpAgent(ProtocolAgent):
         a zero Count message to the old upstream router ... Hysteresis
         is applied to prevent route oscillation."
         """
-        now = self.sim.now
-        touched: set[str] = set()
         bytes_before = self.stats.get("bytes_tx")
+        # All re-home joins toward one new parent, and all zeros toward
+        # one abandoned parent, leave as one frame each.
+        with self._burst("rehome"):
+            self._rehome_channels()
+        sent = self.stats.get("bytes_tx") - bytes_before
+        if sent:
+            # Re-home traffic is resync cost too (§3.2's hand-off of a
+            # current Count to the new parent and a zero to the old).
+            self.stats.incr("resync_events")
+            self.stats.incr("resync_bytes", sent)
+
+    def _rehome_channels(self) -> None:
+        """The re-home pass proper: every channel whose RPF neighbor
+        moved joins the new one and withdraws from the old."""
+        now = self.sim.now
         node_by_address = self.routing.topo.node_by_address
         # source address -> its node and the next hop toward it: routing
         # is fixed for the length of this call, so one resolution serves
@@ -1999,41 +2289,25 @@ class EcmpAgent(ProtocolAgent):
             if new_upstream is not None:
                 self._by_upstream.setdefault(new_upstream, {})[channel] = None
             state.upstream_changed_at = now
-            total = state.total(validated_only=False)
-            if new_upstream is not None and total > 0:
+            if new_upstream is not None and state.has_downstream():
                 state.advertised = 0  # force a fresh join to the new parent
-                self._send_count_upstream(state, total, key=self.keys.get(channel))
-                touched.add(new_upstream)
+                self._reannounce(state, self.keys.get(channel), fresh=True)
             elif new_upstream is None:
                 # Partitioned from the source: nothing is advertised to
                 # anyone any more (the old upstream zeroed us, or died).
                 state.advertised = 0
             if old_reachable and old is not None:
-                # Not urgent=True like an ordinary leave: the flush at
-                # the end of this loop sends every old-upstream zero in
-                # the same event tick, one frame per neighbor.
                 self._send_message(
                     Count(channel=channel, count_id=SUBSCRIBER_ID, count=0),
                     old,
-                    urgent=False,
                     pinned=True,
                 )
-                touched.add(old)
             # The outgoing bits are already right; only the incoming
             # interface follows the upstream.
             entry = self.fib.get(channel.source, channel.group)
             if entry is not None:
                 entry.incoming_interface = self._rpf_ifindex(state)
             self._garbage_collect(state)
-        # All re-home joins toward one new parent leave as one batch
-        # frame rather than waiting for the flush timer per message.
-        for name in touched:
-            self._flush_neighbor(name, trigger="rehome")
-        if touched:
-            # Re-home traffic is resync cost too (§3.2's hand-off of a
-            # current Count to the new parent and a zero to the old).
-            self.stats.incr("resync_events")
-            self.stats.incr("resync_bytes", self.stats.get("bytes_tx") - bytes_before)
 
     def _rehome_fired(self) -> None:
         self._rehome_scheduled = False

@@ -271,10 +271,10 @@ class ExpressNetwork:
                     self.ecmp_agents[router.name].set_neighbor_mode(
                         name, NeighborMode.UDP
                     )
-                self.ecmp_agents[name].set_neighbor_mode(
-                    host_node.neighbors()[0].name if host_node.neighbors() else "",
-                    NeighborMode.UDP,
-                )
+                if host_node.neighbors():
+                    self.ecmp_agents[name].set_neighbor_mode(
+                        host_node.neighbors()[0].name, NeighborMode.UDP
+                    )
 
     # ------------------------------------------------------------------
     # handles

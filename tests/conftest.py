@@ -106,15 +106,26 @@ def assert_control_plane_at_rest(net: ExpressNetwork) -> None:
     """Nothing transient survives quiescence: call once ``net`` has
     settled (every verdict answered, every query resolved, every flush
     window closed). The first rows of ROADMAP item 1's
-    ``check_invariants``: per agent, no verdict queue, pending query,
-    dirty-channel queue or flush timer, and no emptied inner set left
-    standing in the ``_udp_channels`` / ``_by_upstream`` indexes."""
+    ``check_invariants``: per agent, no tabled verdict entry or pending
+    query, no neighbor session with a dirty-channel queue or a flush
+    timer, no channel state without a downstream record (one a rollback
+    emptied and did not collect), and no emptied inner set left standing in the
+    ``_udp_channels`` / ``_by_upstream`` indexes."""
     for name, agent in net.ecmp_agents.items():
         held = {
             "pending_verdicts": agent.pending_verdicts,
             "pending_queries": agent.pending_queries,
-            "_batch_queues": agent._batch_queues,
-            "_flush_events": agent._flush_events,
+            "queued toward": [
+                n.name for n in agent._neighbors.values() if n.queue is not None
+            ],
+            "flush timers toward": [
+                n.name for n in agent._neighbors.values() if n.flush_event is not None
+            ],
+            "channel states nobody is below": [
+                str(channel)
+                for channel, state in agent.channels.items()
+                if not state.downstream
+            ],
             "empty _udp_channels sets": [
                 peer for peer, channels in agent._udp_channels.items() if not channels
             ],

@@ -1,12 +1,15 @@
 """Unit and integration tests for the coalescing TCP-mode send path.
 
-The dirty-channel queue in :class:`EcmpAgent` replaces the seed's
-immediate one-packet-per-message sends: non-urgent messages toward a
-TCP-mode neighbor wait up to ``BATCH_FLUSH_INTERVAL`` (or until the
-``BATCH_MAX_RECORDS`` watermark / keepalive tick) and leave as one
-``MSG_BATCH`` frame. Urgent messages — CountQuery, CountResponse
-rejections, zero-count leaves — flush the whole queue immediately so
-coalescing never adds latency where the protocol has a deadline.
+A TCP-mode neighbor session in :class:`EcmpAgent` sends when idle and
+coalesces when busy: a message that finds nothing queued and no
+hold-off running is on the wire in the same instant, and opens a
+hold-off of ``BATCH_FLUSH_INTERVAL``; non-urgent messages arriving
+inside it wait in the dirty-channel queue and leave as one ``MSG_BATCH``
+frame when it ends (or at the ``BATCH_MAX_RECORDS`` watermark). Urgent
+messages — CountQuery, CountResponse rejections, zero-count leaves —
+flush the whole queue immediately and open no hold-off, so coalescing
+never adds latency where the protocol has a deadline. Loops that emit a
+burst toward one neighbor queue explicitly and flush once at their end.
 See ``docs/ecmp-wire.md``.
 """
 
@@ -17,7 +20,7 @@ import pytest
 
 from repro import ExpressNetwork, NeighborMode, TopologyBuilder
 from repro.core.ecmp import messages
-from repro.core.ecmp.countids import SUBSCRIBER_ID
+from repro.core.ecmp.countids import ALL_CHANNELS_ID, SUBSCRIBER_ID
 from repro.core.ecmp.messages import (
     Count,
     CountQuery,
@@ -25,12 +28,18 @@ from repro.core.ecmp.messages import (
     CountStatus,
     EcmpBatch,
     encode_batch,
+    encode_message,
 )
-from repro.errors import CodecError, ReproError
-from repro.core.ecmp.protocol import DirtyChannelQueue, EcmpAgent
+from repro.errors import CodecError, ProtocolError, ReproError
+from repro.core.ecmp.protocol import DISCOVERY_CHANNEL, DirtyChannelQueue, EcmpAgent
 from repro.core.keys import make_key
+from repro.netsim.packet import Packet
 from repro.workloads.churn import poisson_churn, schedule_churn
-from tests.conftest import flapping_isp_net, make_channel
+from tests.conftest import (
+    assert_control_plane_at_rest,
+    flapping_isp_net,
+    make_channel,
+)
 
 
 def other_channel(net, source_host, n=1):
@@ -92,98 +101,231 @@ class TestDirtyChannelQueue:
         assert q.records[0].message.count == 5
 
 
+def watch_flush_events(net) -> list:
+    """Every ``ecmp-batch-flush`` event scheduled from now on, as a
+    list that grows."""
+    events = []
+    schedule_at = net.sim.schedule_at
+
+    def spy(time, action, name=""):
+        event = schedule_at(time, action, name)
+        if name == "ecmp-batch-flush":
+            events.append(event)
+        return event
+
+    net.sim.schedule_at = spy
+    return events
+
+
+def transmit_log(agent, toward: str) -> list:
+    """``(time, message or batch)`` for every wire send ``agent`` makes
+    toward neighbor ``toward`` from now on, as a list that grows."""
+    sent = []
+    transmit = agent._transmit
+
+    def spy(message, neighbor, *args, **kwargs):
+        if neighbor.name == toward:
+            sent.append((agent.sim.now, message))
+        return transmit(message, neighbor, *args, **kwargs)
+
+    agent._transmit = spy
+    return sent
+
+
 class TestCoalescingSendPath:
-    """``_send_message`` through the agent: what queues, what flushes."""
+    """``_send_message`` through the agent: what is sent at once, what
+    queues, what flushes."""
+
+    def count(self, ch, value=1):
+        return Count(channel=ch, count_id=SUBSCRIBER_ID, count=value)
+
+    def test_idle_session_sends_in_the_same_instant_with_no_flush_event(self, line_net):
+        agent = line_net.ecmp_agents["n0"]
+        session = agent._neighbor("n1")
+        scheduled = watch_flush_events(line_net)
+        src, ch = make_channel(line_net, "hsrc")
+        now = line_net.sim.now
+        agent._send_message(self.count(ch, 2), "n1")
+        assert agent.stats.get("wire_sends") == 1
+        assert agent.stats.get("batch_flushes") == 1
+        # A bare message, no queue object, and nothing scheduled: the
+        # hold-off is a deadline, not an event.
+        assert agent.stats.get("batch_records_tx") == 0
+        assert session.queue is None and session.flush_event is None
+        assert scheduled == []
+        assert session.holdoff_until == now + EcmpAgent.BATCH_FLUSH_INTERVAL
+        # One link latency later it is at n1: no per-hop constant.
+        link = line_net.topo.link_between("n0", "n1")
+        size = agent.stats.get("bytes_on_wire")
+        line_net.run(until=now + link.delay + size / link.bandwidth + 1e-9)
+        assert line_net.ecmp_agents["n1"].stats.get("counts_rx") == 1
 
     def test_non_urgent_count_queues_instead_of_sending(self, line_net):
+        # ... once the session is busy: behind a send less than a
+        # hold-off old.
         agent = line_net.ecmp_agents["n0"]
-        src, ch = make_channel(line_net, "hsrc")
+        session = agent._neighbor("n1")
+        scheduled = watch_flush_events(line_net)
+        a, b, c = other_channel(line_net, "hsrc", n=3)
+        agent._send_message(self.count(a), "n1")
         before = agent.stats.get("wire_sends")
-        agent._send_message(
-            Count(channel=ch, count_id=SUBSCRIBER_ID, count=2), "n1"
-        )
+        agent._send_message(self.count(b, 2), "n1")
+        agent._send_message(self.count(c, 2), "n1")
         assert agent.stats.get("wire_sends") == before
-        assert len(agent._batch_queues["n1"]) == 1
-        assert "n1" in agent._flush_events
+        assert len(session.queue) == 2
+        # One flush event for the whole hold-off, at its end.
+        assert scheduled == [session.flush_event]
+        assert scheduled[0].time == session.holdoff_until
 
     def test_coalesced_update_counted(self, line_net):
         agent = line_net.ecmp_agents["n0"]
-        src, ch = make_channel(line_net, "hsrc")
+        a, b = other_channel(line_net, "hsrc", n=2)
+        agent._send_message(self.count(a), "n1")  # opens the hold-off
         for value in (1, 2, 3):
-            agent._send_message(
-                Count(channel=ch, count_id=SUBSCRIBER_ID, count=value), "n1"
-            )
-        assert len(agent._batch_queues["n1"]) == 1
+            agent._send_message(self.count(b, value), "n1")
+        assert len(agent._neighbor("n1").queue) == 1
         assert agent.stats.get("msgs_coalesced") == 2
-        assert agent.stats.get("msgs_tx") >= 3
-        assert agent.stats.get("wire_sends") == 0
+        assert agent.stats.get("msgs_tx") >= 4
+        assert agent.stats.get("wire_sends") == 1
 
     def test_urgent_query_flushes_whole_queue_as_one_frame(self, line_net):
         agent = line_net.ecmp_agents["n0"]
-        a, b = other_channel(line_net, "hsrc", n=2)
-        agent._send_message(Count(channel=a, count_id=SUBSCRIBER_ID, count=1), "n1")
-        agent._send_message(Count(channel=b, count_id=SUBSCRIBER_ID, count=1), "n1")
-        assert agent.stats.get("wire_sends") == 0
+        session = agent._neighbor("n1")
+        first, a, b = other_channel(line_net, "hsrc", n=3)
+        agent._send_message(self.count(first), "n1")
+        scheduled = watch_flush_events(line_net)
+        agent._send_message(self.count(a), "n1")
+        agent._send_message(self.count(b), "n1")
+        assert agent.stats.get("wire_sends") == 1
         agent._send_message(
             CountQuery(channel=a, count_id=SUBSCRIBER_ID, timeout=5.0), "n1"
         )
         # The queue left as a single wire frame carrying all three
         # records (pending Counts ride ahead of the urgent query).
-        assert agent.stats.get("wire_sends") == 1
+        assert agent.stats.get("wire_sends") == 2
         assert agent.stats.get("batch_records_tx") == 3
-        assert "n1" not in agent._batch_queues
-        assert "n1" not in agent._flush_events
+        assert session.queue is None and session.flush_event is None
+        # The hold-off's one flush event went with the queue.
+        assert [event.cancelled for event in scheduled] == [True]
 
     def test_zero_count_leave_is_urgent(self, line_net):
         agent = line_net.ecmp_agents["n0"]
-        src, ch = make_channel(line_net, "hsrc")
-        agent._send_message(Count(channel=ch, count_id=SUBSCRIBER_ID, count=0), "n1")
+        a, b = other_channel(line_net, "hsrc", n=2)
+        agent._send_message(self.count(a), "n1")  # the session is busy
+        agent._send_message(self.count(b, 0), "n1")
+        assert agent.stats.get("wire_sends") == 2
+
+    def test_urgent_send_opens_no_hold_off(self, line_net):
+        """A zap is a leave then a join toward one upstream: the join
+        must not sit out a hold-off the leave opened."""
+        agent = line_net.ecmp_agents["n0"]
+        session = agent._neighbor("n1")
+        scheduled = watch_flush_events(line_net)
+        a, b = other_channel(line_net, "hsrc", n=2)
+        agent._send_message(self.count(a, 0), "n1")
         assert agent.stats.get("wire_sends") == 1
+        assert session.holdoff_until <= line_net.sim.now
+        agent._send_message(self.count(b), "n1")
+        assert agent.stats.get("wire_sends") == 2  # idle: sent at once
+        assert scheduled == []
+        # And one that flushes a queue leaves the running hold-off as it
+        # was, neither ended nor extended.
+        deadline = session.holdoff_until
+        agent._send_message(self.count(a), "n1")
+        agent._send_message(self.count(b, 0), "n1")
+        assert agent.stats.get("wire_sends") == 3
+        assert session.holdoff_until == deadline
 
     def test_rejection_response_is_urgent_ok_is_not(self, line_net):
         agent = line_net.ecmp_agents["n0"]
-        src, ch = make_channel(line_net, "hsrc")
+        a, ch = other_channel(line_net, "hsrc", n=2)
+        agent._send_message(self.count(a), "n1")  # the session is busy
         ok = CountResponse(channel=ch, count_id=SUBSCRIBER_ID, status=CountStatus.OK)
         agent._send_message(ok, "n1")
-        assert agent.stats.get("wire_sends") == 0
+        assert agent.stats.get("wire_sends") == 1
         denial = CountResponse(
             channel=ch,
             count_id=SUBSCRIBER_ID,
             status=CountStatus.INVALID_AUTHENTICATOR,
         )
         agent._send_message(denial, "n1")
-        assert agent.stats.get("wire_sends") == 1
+        assert agent.stats.get("wire_sends") == 2
 
     def test_watermark_flushes_immediately(self, line_net):
         agent = line_net.ecmp_agents["n0"]
-        channels = other_channel(line_net, "hsrc", n=EcmpAgent.BATCH_MAX_RECORDS)
+        first, *channels = other_channel(
+            line_net, "hsrc", n=EcmpAgent.BATCH_MAX_RECORDS + 1
+        )
+        agent._send_message(self.count(first), "n1")  # the session is busy
         for ch in channels:
-            agent._send_message(
-                Count(channel=ch, count_id=SUBSCRIBER_ID, count=1), "n1"
-            )
-        assert agent.stats.get("wire_sends") == 1
+            agent._send_message(self.count(ch), "n1")
+        assert agent.stats.get("wire_sends") == 2
         assert agent.stats.get("batch_records_tx") == EcmpAgent.BATCH_MAX_RECORDS
+        assert agent._neighbor("n1").queue is None
+        assert agent._neighbor("n1").flush_event is None
 
     def test_timer_flushes_within_interval(self, line_net):
+        """The second and third record inside a hold-off leave as one
+        frame when it ends — and that flush starts the next hold-off,
+        so a busy session keeps coalescing. Real joins by hsub, seen
+        on its session toward its edge router."""
         net = line_net
-        agent = net.ecmp_agents["n0"]
-        src, ch = make_channel(net, "hsrc")
-        agent._send_message(Count(channel=ch, count_id=SUBSCRIBER_ID, count=3), "n1")
-        assert agent.stats.get("wire_sends") == 0
-        net.run(until=net.sim.now + EcmpAgent.BATCH_FLUSH_INTERVAL + 0.01)
-        assert agent.stats.get("wire_sends") == 1
-        assert agent.stats.get("batch_flushes") == 1
-        # A lone record leaves as a bare message, not a one-record frame.
-        assert agent.stats.get("batch_records_tx") == 0
-        assert net.ecmp_agents["n1"].stats.get("wire_recvs") >= 1
+        agent = net.ecmp_agents["hsub"]
+        session = agent._neighbor("n1")
+        frames = transmit_log(agent, "n1")
+        channels = other_channel(net, "hsrc", n=5)
+        interval = EcmpAgent.BATCH_FLUSH_INTERVAL
+        opened = net.sim.now
+        for ch, offset in zip(channels, (0.0, 0.01, 0.02, 0.06, 0.2)):
+            net.sim.schedule_at(
+                opened + offset, lambda ch=ch: net.host("hsub").subscribe(ch)
+            )
+        net.run(until=opened + interval - 1e-6)
+        # The first join went up in the instant it was made; the next two wait.
+        assert [(at, m.channel) for at, m in frames] == [(opened, channels[0])]
+        assert len(session.queue) == 2
+        net.run(until=opened + interval + 1e-6)
+        assert len(frames) == 2 and frames[1][0] == opened + interval
+        assert isinstance(frames[1][1], EcmpBatch)
+        assert [m.channel for m in frames[1][1].messages] == channels[1:3]
+        assert session.queue is None and session.flush_event is None
+        # Busy: the flush opened the next hold-off, the fourth join (10 ms
+        # into it) waits it out, and a lone record leaves as a bare message.
+        second = opened + interval + interval
+        assert session.holdoff_until == second
+        net.run(until=second + 1e-6)
+        assert len(frames) == 3 and frames[2][0] == second
+        assert frames[2][1].channel == channels[3]
+        # Left alone for a hold-off, the session is idle again.
+        net.run(until=opened + 0.3)
+        assert len(frames) == 4 and frames[3][0] == opened + 0.2
+        assert agent.stats.get("batch_records_tx") == 2
+
+    def test_a_mode_is_set_only_toward_a_wired_ecmp_neighbor(self, line_net):
+        """The mode lives on the neighbor-table entry, so there is
+        nothing to write it on for a name that is not adjacent (it used
+        to be dropped without a word) or has no agent yet (the entry
+        would cache the wrong role) — and nothing is left in the table."""
+        agent = line_net.ecmp_agents["n0"]
+        for name in ("hsub", "nobody", ""):
+            with pytest.raises(ProtocolError, match="not a wired ECMP neighbor"):
+                agent.set_neighbor_mode(name, NeighborMode.UDP)
+        del line_net.topo.nodes["n1"].agents["ecmp"]
+        with pytest.raises(ProtocolError):
+            agent.set_neighbor_mode("n1", NeighborMode.UDP)
+        assert set(agent._neighbors) <= {"hsrc"}
 
     def test_udp_mode_neighbor_bypasses_queue(self, line_net):
         agent = line_net.ecmp_agents["n0"]
         agent.set_neighbor_mode("n1", NeighborMode.UDP)
         src, ch = make_channel(line_net, "hsrc")
-        agent._send_message(Count(channel=ch, count_id=SUBSCRIBER_ID, count=2), "n1")
-        assert agent.stats.get("wire_sends") == 1
-        assert "n1" not in agent._batch_queues
+        for value in (2, 3):
+            agent._send_message(
+                Count(channel=ch, count_id=SUBSCRIBER_ID, count=value), "n1"
+            )
+        assert agent.stats.get("wire_sends") == 2
+        assert agent.stats.get("batch_flushes") == 0
+        assert agent._neighbor("n1").queue is None
 
     def test_batching_off_network_sends_immediately(self):
         topo = TopologyBuilder.line(2)
@@ -193,8 +335,11 @@ class TestCoalescingSendPath:
         net.run(until=0.01)
         agent = net.ecmp_agents["n0"]
         src, ch = make_channel(net, "hsrc")
-        agent._send_message(Count(channel=ch, count_id=SUBSCRIBER_ID, count=2), "n1")
-        assert agent.stats.get("wire_sends") == 1
+        for value in (2, 3):
+            agent._send_message(
+                Count(channel=ch, count_id=SUBSCRIBER_ID, count=value), "n1"
+            )
+        assert agent.stats.get("wire_sends") == 2
         assert agent.stats.get("msgs_coalesced") == 0
 
     def test_wire_accounting_includes_ip_overhead(self, line_net):
@@ -250,8 +395,9 @@ class TestWireReductionUnderChurn:
     def test_batching_sends_a_third_of_the_packets_or_fewer(self):
         batched = self.drive(batching=True)
         unbatched = self.drive(batching=False)
-        # 224 wire packets against 1,566 (6.99x), 29,982 bytes against
-        # 53,340.
+        # 357 wire packets against 1,566 (4.39x), 32,564 bytes against
+        # 53,340. (Under the trailing-edge timer: 224 packets, 29,982
+        # bytes — the first record of a quiet period now travels alone.)
         assert 0 < 3 * batched["wire_sends"] <= unbatched["wire_sends"]
         assert 0 < batched["bytes_on_wire"] < unbatched["bytes_on_wire"]
         assert batched["msgs_coalesced"] > 0 and batched["batch_flushes"] > 0
@@ -265,9 +411,10 @@ class TestWireReductionUnderChurn:
 
 
 class TestDirectUrgentSend:
-    """An urgent message toward a neighbor with nothing pending skips
-    the queue object; it must be indistinguishable, in accounting and on
-    the wire, from the one-record flush it stands for."""
+    """A message toward a neighbor with nothing pending — urgent, or
+    finding the session idle — skips the queue object; it must be
+    indistinguishable, in accounting and on the wire, from the
+    one-record flush it stands for."""
 
     ACCOUNTED = ("msgs_tx", "bytes_tx", "batch_flushes", "wire_sends", "bytes_on_wire")
 
@@ -296,36 +443,51 @@ class TestDirectUrgentSend:
         src, ch = make_channel(net, "hsrc")
         query = CountQuery(channel=ch, count_id=SUBSCRIBER_ID, timeout=5.0)
         direct._send_message(query, "n1")
-        assert "n1" not in direct._batch_queues
-        assert "n1" not in direct._flush_events
+        session = direct._neighbor("n1")
+        assert session.queue is None and session.flush_event is None
 
-        # The same message held back, so a record is pending and the
-        # flush takes the queue.
+        # The same message held back (not urgent, inside a hold-off), so
+        # a record is pending and the flush takes the queue.
         net, queued, queued_frames = self.wired_net()
         src, ch = make_channel(net, "hsrc")
         query = CountQuery(channel=ch, count_id=SUBSCRIBER_ID, timeout=5.0)
+        session = queued._neighbor("n1")
+        session.holdoff_until = net.sim.now + 1.0
         queued._send_message(query, "n1", urgent=False)
-        assert len(queued._batch_queues["n1"]) == 1 and queued_frames == []
-        queued._flush_neighbor("n1", trigger="urgent")
+        assert len(session.queue) == 1 and queued_frames == []
+        queued._flush_neighbor(session, "urgent")
 
         assert self.sent(direct) == self.sent(queued)
         assert direct.stats.get("batch_flushes") == 1
         assert direct_frames == queued_frames
         assert len(direct_frames) == 1
 
+        # And the idle send: the same frame and the same accounting.
+        net, idle, idle_frames = self.wired_net()
+        src, ch = make_channel(net, "hsrc")
+        query = CountQuery(channel=ch, count_id=SUBSCRIBER_ID, timeout=5.0)
+        idle._send_message(query, "n1", urgent=False)
+        assert self.sent(idle) == self.sent(queued)
+        assert idle_frames == queued_frames
+
     def test_pending_record_still_takes_the_queue(self):
         net, agent, frames = self.wired_net()
         src, ch = make_channel(net, "hsrc")
+        opener = Count(channel=ch, count_id=SUBSCRIBER_ID, count=1)
         pending = Count(channel=ch, count_id=SUBSCRIBER_ID, count=2)
         query = CountQuery(channel=ch, count_id=SUBSCRIBER_ID, timeout=5.0)
+        agent._send_message(opener, "n1")  # idle: sent, opens the hold-off
         agent._send_message(pending, "n1")
         agent._send_message(query, "n1")
-        # One frame, the pending Count ahead of the urgent query.
-        assert [payload for payload, _, _ in frames] == [encode_batch([pending, query])]
-        assert agent.stats.get("batch_flushes") == 1
-        assert agent.stats.get("wire_sends") == 1
+        # Then one frame, the pending Count ahead of the urgent query.
+        assert [payload for payload, _, _ in frames] == [
+            encode_message(opener), encode_batch([pending, query]),
+        ]
+        assert agent.stats.get("batch_flushes") == 2
+        assert agent.stats.get("wire_sends") == 2
         assert agent.stats.get("batch_records_tx") == 2
-        assert "n1" not in agent._batch_queues and "n1" not in agent._flush_events
+        session = agent._neighbor("n1")
+        assert session.queue is None and session.flush_event is None
 
     def test_non_adjacent_name_is_sent_and_counted_nowhere(self):
         """ECMP is hop-by-hop: a node that exists but is not adjacent is
@@ -341,7 +503,7 @@ class TestDirectUrgentSend:
             agent._send_message(query, name, urgent=False)
         assert self.sent(agent) == before and frames == []
         assert agent.node.dropped_packets == dropped
-        assert not agent._batch_queues and not agent._flush_events
+        assert "hsrc" not in agent._neighbors and "nowhere" not in agent._neighbors
 
     def test_fanned_out_query_is_encoded_once(self, monkeypatch):
         """One CountQuery forwarded to k downstream neighbors is k
@@ -552,7 +714,8 @@ class TestMutatedFrameDecoding:
 
 class TestReconnectResend:
     """Satellite regression: the §3.2 unsolicited state dump on TCP
-    session (re-)establishment leaves as ONE wire send."""
+    session (re-)establishment leaves as ONE wire send, at once — and
+    so does every other loop that emits a burst toward one neighbor."""
 
     N_CHANNELS = 5
 
@@ -572,20 +735,14 @@ class TestReconnectResend:
         link.fail()
         net.settle()
 
-        sent = []
-        original = n1._transmit
-
-        def spy(message, peer, *args, **kwargs):
-            sent.append((message, peer.name))
-            return original(message, peer, *args, **kwargs)
-
-        n1._transmit = spy
+        upstream_sends = transmit_log(n1, "n0")
+        recovered_at = net.sim.now
         link.recover()
         net.settle()
 
-        upstream_sends = [m for m, peer in sent if peer == "n0"]
         assert len(upstream_sends) == 1, upstream_sends
-        frame = upstream_sends[0]
+        sent_at, frame = upstream_sends[0]
+        assert sent_at == recovered_at  # not a hold-off later
         assert isinstance(frame, EcmpBatch)
         assert len(frame) == self.N_CHANNELS
         assert {m.channel for m in frame.messages} == set(channels)
@@ -607,11 +764,121 @@ class TestReconnectResend:
         the reconnect dump covers them instead of a stale flush."""
         net, channels = subscribed_net
         n1 = net.ecmp_agents["n1"]
-        n1._send_message(
-            Count(channel=channels[0], count_id=SUBSCRIBER_ID, count=9), "n0"
-        )
-        assert "n0" in n1._batch_queues
+        session = n1._neighbor("n0")
+        for value in (8, 9):  # the first is sent, the second waits
+            n1._send_message(
+                Count(channel=channels[0], count_id=SUBSCRIBER_ID, count=value), "n0"
+            )
+        assert len(session.queue) == 1 and session.flush_event is not None
+        flush = session.flush_event
         net.topo.link_between("n0", "n1").fail()
         net.settle()
-        assert "n0" not in n1._batch_queues
-        assert "n0" not in n1._flush_events
+        assert session.queue is None and session.flush_event is None
+        assert flush.cancelled
+        # The next session starts idle.
+        assert session.holdoff_until <= net.sim.now
+
+    def test_a_received_frame_is_relayed_as_one_frame_in_order(self, line_net):
+        """What the records of one frame send on leaves as one frame per
+        neighbor: a keyed join and the leave behind it, forwarded as two
+        packets in one instant, would swap places on the next link (the
+        shorter one arrives first) and strand the join upstream. A
+        general query among the records — a burst inside the burst —
+        rides in the same frame."""
+        net = line_net
+        channels = other_channel(net, "hsrc", n=self.N_CHANNELS)
+        keyed, left = channels[0], channels[1]
+        net.source("hsrc").channel_key(keyed, make_key(keyed))
+        net.host("hsub").subscribe(left)
+        net.settle()
+        n1 = net.ecmp_agents["n1"]
+        upstream = transmit_log(n1, "n0")
+        general = CountQuery(channel=DISCOVERY_CHANNEL, count_id=ALL_CHANNELS_ID, timeout=5.0)
+        frame = EcmpBatch(
+            messages=(
+                Count(keyed, SUBSCRIBER_ID, 1, make_key(keyed), request_id=3),
+                Count(keyed, SUBSCRIBER_ID, 0),
+                Count(left, SUBSCRIBER_ID, 0),
+            )
+        )
+        arrives_at = net.sim.now
+        for sender, message in (("hsub", frame), ("n0", EcmpBatch((general, general)))):
+            packet = Packet(proto="ecmp", src=sender, dst="n1")
+            packet.headers["ecmp"] = message
+            n1.handle_packet(
+                packet, net.topo.node("n1").interface_to(net.topo.node(sender)).index
+            )
+        assert [at for at, _ in upstream] == [arrives_at]
+        relayed = upstream[0][1].messages
+        assert [(m.channel, m.count) for m in relayed] == [(keyed, 1), (keyed, 0), (left, 0)]
+        net.settle()
+        for name in ("n0", "n1", "hsrc"):
+            assert not net.ecmp_agents[name].channels, name
+        assert_control_plane_at_rest(net)
+
+    def test_a_relayed_frame_obeys_the_hold_off_like_one_message(self, line_net):
+        """Joins only, nothing urgent: what a received frame sends on is
+        held to the session policy as a group — at once toward an idle
+        session (opening the hold-off), at the hold-off's end toward a
+        busy one — and is one frame either way."""
+        net = line_net
+        n1 = net.ecmp_agents["n1"]
+        session = n1._neighbor("n0")
+        upstream = transmit_log(n1, "n0")
+        channels = other_channel(net, "hsrc", n=6)
+        ifindex = net.topo.node("n1").interface_to(net.topo.node("hsub")).index
+
+        def deliver(batch):
+            packet = Packet(proto="ecmp", src="hsub", dst="n1")
+            packet.headers["ecmp"] = EcmpBatch(
+                tuple(Count(ch, SUBSCRIBER_ID, 1) for ch in batch)
+            )
+            n1.handle_packet(packet, ifindex)
+
+        first_at = net.sim.now
+        deliver(channels[:3])
+        assert [(at, len(frame)) for at, frame in upstream] == [(first_at, 3)]
+        assert session.holdoff_until == first_at + EcmpAgent.BATCH_FLUSH_INTERVAL
+        net.run(until=first_at + 0.02)
+        deliver(channels[3:5])
+        deliver(channels[5:])
+        assert len(upstream) == 1 and len(session.queue) == 3
+        net.run(until=session.holdoff_until + 1e-6)
+        assert [(at, len(frame)) for at, frame in upstream[1:]] == [
+            (first_at + EcmpAgent.BATCH_FLUSH_INTERVAL, 3)
+        ]
+
+    def test_rehome_burst_is_one_frame_per_neighbor_sent_at_once(self):
+        """A routing change moves every channel of a router to a new
+        parent in one pass: one frame of joins toward the new parent,
+        one frame of zeros toward the old, both in the instant of the
+        pass — whatever the two sessions were doing."""
+        topo = TopologyBuilder.line(4)
+        topo.add_link("n3", "n0", delay=0.001)  # a ring: n0 - n1 - n2 - n3 - n0
+        topo.add_node("hsrc")
+        topo.add_node("hsub")
+        topo.add_link("hsrc", "n0", delay=0.001)
+        topo.add_link("hsub", "n2", delay=0.001)
+        net = ExpressNetwork(topo, hosts=["hsrc", "hsub"])
+        net.run(until=0.01)
+        channels = other_channel(net, "hsrc", n=self.N_CHANNELS)
+        for ch in channels:
+            net.host("hsub").subscribe(ch)
+        net.settle()
+        n2 = net.ecmp_agents["n2"]
+        old = n2.channels[channels[0]].upstream
+        new = "n3" if old == "n1" else "n1"
+        toward_old, toward_new = transmit_log(n2, old), transmit_log(n2, new)
+        # The route via the old parent gets worse while its link stays
+        # up, so the re-home withdraws from it explicitly.
+        net.sim.schedule(6.0, lambda: topo.link_between("n0", old).fail())
+        net.run(until=net.sim.now + 6.0 + 1e-9)
+        assert n2.channels[channels[0]].upstream == new
+        (joined_at, joins), (left_at, zeros) = toward_new[0], toward_old[0]
+        assert len(toward_new) == len(toward_old) == 1
+        assert joined_at == left_at
+        assert isinstance(joins, EcmpBatch) and isinstance(zeros, EcmpBatch)
+        assert {m.channel for m in joins.messages} == set(channels)
+        assert [m.count for m in zeros.messages] == [0] * self.N_CHANNELS
+        net.settle()
+        assert_control_plane_at_rest(net)

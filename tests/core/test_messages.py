@@ -7,6 +7,7 @@ from repro.core.ecmp.messages import (
     BATCH_HEADER_BYTES,
     COUNT_WIRE_BYTES,
     MAX_BATCH_RECORDS,
+    MAX_REQUEST_ID,
     MSG_BATCH,
     RECORD_FRAME_BYTES,
     Count,
@@ -56,6 +57,16 @@ class TestWireSizes:
         message = CountResponse(channel=CH, count_id=SUBSCRIBER_ID, status=CountStatus.OK)
         assert len(encode_message(message)) == message.wire_size() == 12
 
+    def test_a_request_id_costs_no_bytes(self):
+        # It rides in the Count's formerly reserved byte and in the
+        # spare bits of the CountResponse's status byte.
+        for message, size in (
+            (Count(CH, SUBSCRIBER_ID, 1, request_id=MAX_REQUEST_ID), 16),
+            (Count(CH, SUBSCRIBER_ID, 1, make_key(CH), MAX_REQUEST_ID), 24),
+            (CountResponse(CH, SUBSCRIBER_ID, CountStatus.OK, MAX_REQUEST_ID), 12),
+        ):
+            assert len(encode_message(message)) == message.wire_size() == size
+
 
 class TestRoundTrips:
     def test_count_round_trip(self):
@@ -83,6 +94,21 @@ class TestRoundTrips:
             message = CountResponse(channel=CH, count_id=SUBSCRIBER_ID, status=status)
             assert decode_message(encode_message(message)) == message
 
+    def test_request_id_round_trips_and_is_echoable(self):
+        for request_id in (0, 1, 17, MAX_REQUEST_ID):
+            join = Count(CH, SUBSCRIBER_ID, 2, make_key(CH), request_id)
+            assert decode_message(encode_message(join)) == join
+            assert encode_message(join)[15] == request_id
+            for status in CountStatus:
+                verdict = CountResponse(CH, SUBSCRIBER_ID, status, request_id)
+                assert decode_message(encode_message(verdict)) == verdict
+                assert encode_message(verdict)[11] == request_id << 3 | status.value
+        # Without an id the frames are what they were before ids existed.
+        assert encode_message(Count(CH, SUBSCRIBER_ID, 2))[15] == 0
+        assert encode_message(
+            CountResponse(CH, SUBSCRIBER_ID, CountStatus.NO_SUCH_CHANNEL)
+        )[11] == CountStatus.NO_SUCH_CHANNEL.value
+
 
 class TestValidation:
     def test_negative_timeout_rejected(self):
@@ -92,6 +118,19 @@ class TestValidation:
     def test_count_range_enforced(self):
         with pytest.raises(CodecError):
             Count(channel=CH, count_id=SUBSCRIBER_ID, count=1 << 32)
+
+    def test_request_id_range_enforced(self):
+        for bad in (-1, MAX_REQUEST_ID + 1, 255):
+            with pytest.raises(CodecError, match="request id"):
+                Count(CH, SUBSCRIBER_ID, 1, request_id=bad)
+            with pytest.raises(CodecError, match="request id"):
+                CountResponse(CH, SUBSCRIBER_ID, CountStatus.OK, bad)
+
+    def test_request_id_no_verdict_could_echo_rejected_on_decode(self):
+        data = bytearray(encode_message(Count(CH, SUBSCRIBER_ID, 1)))
+        data[15] = MAX_REQUEST_ID + 1
+        with pytest.raises(CodecError, match="request id 32"):
+            decode_message(bytes(data))
 
     def test_truncated_buffers_rejected(self):
         data = encode_message(Count(channel=CH, count_id=SUBSCRIBER_ID, count=1))

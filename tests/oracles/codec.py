@@ -31,10 +31,10 @@ KEY_BYTES = 8
 
 HEAD = "!BBHI3s"  # type flags countId source dest-suffix
 HEAD_BYTES = struct.calcsize(HEAD)
-COUNT_TAIL = "!IB"  # count reserved
+COUNT_TAIL = "!IB"  # count request-id
 QUERY_TAIL = "!IB"  # timeout-ms reserved
 TAIL_BYTES = struct.calcsize(COUNT_TAIL)
-RESPONSE_TAIL = "!B"  # status
+RESPONSE_TAIL = "!B"  # request-id in the upper five bits, status in the lower three
 PROACTIVE_EXT = "!fff"  # e_max alpha tau
 PROACTIVE_BYTES = struct.calcsize(PROACTIVE_EXT)
 BATCH_HEAD = "!BBH"  # type flags record-count
@@ -53,7 +53,7 @@ def encode_message(message) -> bytes:
     if isinstance(message, Count):
         flags = FLAG_KEY if message.key else 0
         data = _head(TYPE_COUNT, flags, message.count_id, message.channel)
-        data += struct.pack(COUNT_TAIL, message.count, 0)
+        data += struct.pack(COUNT_TAIL, message.count, message.request_id)
         if message.key:
             data += message.key.value
         return data
@@ -70,7 +70,9 @@ def encode_message(message) -> bytes:
         return data
     if isinstance(message, CountResponse):
         data = _head(TYPE_RESPONSE, 0, message.count_id, message.channel)
-        return data + struct.pack(RESPONSE_TAIL, message.status.value)
+        return data + struct.pack(
+            RESPONSE_TAIL, message.request_id * 8 + message.status.value
+        )
     if isinstance(message, EcmpBatch):
         return encode_batch(message.messages)
     raise CodecError(f"not an ECMP message: {message!r}")
@@ -100,9 +102,13 @@ def _decode_message(data: bytes):
             raise CodecError("Count body truncated")
         if len(body) > expected:
             raise CodecError(f"{len(body) - expected} trailing bytes after Count")
-        count, _reserved = struct.unpack(COUNT_TAIL, body[:TAIL_BYTES])
+        count, request_id = struct.unpack(COUNT_TAIL, body[:TAIL_BYTES])
         key = ChannelKey(body[TAIL_BYTES:]) if flags & FLAG_KEY else None
-        return Count(channel=channel, count_id=count_id, count=count, key=key)
+        # An id above 31 could not be echoed: the constructor refuses it.
+        return Count(
+            channel=channel, count_id=count_id, count=count, key=key,
+            request_id=request_id,
+        )
 
     if msg_type == TYPE_QUERY:
         expected = TAIL_BYTES + (PROACTIVE_BYTES if flags & FLAG_PROACTIVE else 0)
@@ -127,12 +133,15 @@ def _decode_message(data: bytes):
             raise CodecError("CountResponse body truncated")
         if len(body) > 1:
             raise CodecError(f"{len(body) - 1} trailing bytes after CountResponse")
-        (status_value,) = struct.unpack(RESPONSE_TAIL, body)
+        (tail,) = struct.unpack(RESPONSE_TAIL, body)
+        request_id, status_value = divmod(tail, 8)
         try:
             status = CountStatus(status_value)
         except ValueError:
             raise CodecError(f"unknown CountResponse status {status_value}") from None
-        return CountResponse(channel=channel, count_id=count_id, status=status)
+        return CountResponse(
+            channel=channel, count_id=count_id, status=status, request_id=request_id
+        )
 
     raise CodecError(f"unknown ECMP message type {msg_type:#x}")
 

@@ -20,6 +20,7 @@ from repro.core.ecmp.messages import (
     CountResponse,
     CountStatus,
     EcmpBatch,
+    MAX_REQUEST_ID,
     MSG_BATCH,
     decode_batch,
     decode_message,
@@ -52,12 +53,14 @@ curves = st.one_of(
         tau=st.floats(min_value=1.0, max_value=8192.0, width=32),
     ),
 )
+request_ids = st.integers(min_value=0, max_value=MAX_REQUEST_ID)
 counts = st.builds(
     Count,
     channel=channels,
     count_id=count_ids,
     count=st.integers(min_value=0, max_value=0xFFFFFFFF),
     key=keys,
+    request_id=request_ids,
 )
 queries = st.builds(
     CountQuery,
@@ -71,6 +74,7 @@ responses = st.builds(
     channel=channels,
     count_id=count_ids,
     status=st.sampled_from(CountStatus),
+    request_id=request_ids,
 )
 messages = st.one_of(counts, queries, responses)
 
@@ -160,6 +164,25 @@ class TestDecodeEquivalence:
     def test_unknown_type_bytes_raise_identical_errors(self, byte):
         frame = bytes([byte]) + bytes(11)
         agreed(decode_message, oracle.decode_message, frame)
+
+    @given(
+        message=st.one_of(counts, responses),
+        byte=st.integers(min_value=0, max_value=255),
+    )
+    def test_every_request_byte_decodes_or_fails_identically(self, message, byte):
+        # The Count's request byte and the CountResponse's id/status
+        # byte, every value: an id no verdict could echo (above 31) and
+        # a status nobody defined (low bits 4-7) are errors in both.
+        frame = bytearray(encode_message(message))
+        frame[15 if isinstance(message, Count) else 11] = byte
+        result = agreed(decode_message, oracle.decode_message, bytes(frame))
+        if isinstance(message, Count):
+            assert (result[0] == "ok") == (byte <= MAX_REQUEST_ID)
+        else:
+            assert (result[0] == "ok") == (byte & 7 < len(CountStatus))
+        if result[0] == "ok":
+            assert result[1].request_id == (byte if isinstance(message, Count) else byte >> 3)
+            assert encode_message(result[1]) == bytes(frame)
 
     @given(
         message=messages,

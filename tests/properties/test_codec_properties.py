@@ -103,6 +103,7 @@ exact_messages = st.one_of(
         count_id=count_ids,
         count=st.integers(min_value=0, max_value=0xFFFFFFFF),
         key=keys,
+        request_id=st.integers(min_value=0, max_value=31),
     ),
     st.builds(
         CountQuery,
@@ -117,6 +118,7 @@ exact_messages = st.one_of(
         channel=channels,
         count_id=count_ids,
         status=st.sampled_from(CountStatus),
+        request_id=st.integers(min_value=0, max_value=31),
     ),
 )
 batches = st.lists(exact_messages, min_size=1, max_size=12)

@@ -223,21 +223,12 @@ def test_incremental_fib_equals_rebuild_throughout(driven):
         assert compared > 1000
 
 
-#: Cases whose settled end is not at rest, and why — findings for
-#: ROADMAP item 1, not tolerances of the helper.
-NOT_AT_REST = {
-    7: "t0 keeps a VerdictEntry no verdict will ever pop: crashing at 8.06 s "
-    "it sent e0_0 a Count that landed after e0_0 had handled the link-down, "
-    "which re-created e0_0's record of t0; t0's join after the restart "
-    "(13.59 s) then looks like a refresh there (previous count 1, not 0) and "
-    "is answered by nobody",
-}
-
-
 @pytest.mark.parametrize("case", range(N_CASES))
 def test_nothing_transient_survives_the_settled_end(driven, case):
-    if case in NOT_AT_REST:
-        pytest.skip(NOT_AT_REST[case])
+    # Case 7 is the one that needs verdicts paired by request id: t0's
+    # join after its restart lands on a record a crash-time Count had
+    # re-created at e0_0, reads there as a refresh, and is answered all
+    # the same because it carries an id.
     assert_control_plane_at_rest(driven[case][0])
 
 
