@@ -15,12 +15,15 @@ channel count grows (state is hash-indexed), and total state grows
 linearly in channels.
 """
 
+import sys
 import time
 
 import pytest
 from conftest import report
 
-from repro import ExpressNetwork, TopologyBuilder
+from repro import SUBSCRIBER_ID, ExpressNetwork, TopologyBuilder
+from repro.core.channel import Channel
+from repro.core.ecmp.messages import Count
 from repro.core.ecmp.protocol import PROTO_ECMP
 from repro.costmodel.maintenance import MaintenanceModel
 from repro.netsim.packet import Packet
@@ -54,15 +57,24 @@ def build_router_under_test(source_suffix_host="s"):
 def make_event_packets(net, edges, n_channels, n_events, seed=0):
     """Pre-build (packet, ifindex) pairs so measurement excludes
     workload generation."""
-    hub = net.topo.node("hub")
     source_address = net.topo.node("s").address
+    return packets_of(
+        net,
+        edges,
+        count_message_stream(
+            n_channels, edges, n_events, source_address=source_address, seed=seed
+        ),
+    )
+
+
+def packets_of(net, edges, stream):
+    """(packet, ifindex) at the hub for each ``(message, neighbor)``."""
+    hub = net.topo.node("hub")
     ifindex = {
         name: hub.interface_to(net.topo.node(name)).index for name in edges
     }
     events = []
-    for message, neighbor in count_message_stream(
-        n_channels, edges, n_events, source_address=source_address, seed=seed
-    ):
+    for message, neighbor in stream:
         packet = Packet(
             src=net.topo.node(neighbor).address,
             dst=hub.address,
@@ -118,33 +130,92 @@ def test_t4_event_throughput(benchmark):
     )
 
 
+def python_calls_for_a_fixed_stream(standing, n_events=4_000):
+    """Python ``call`` events (``sys.setprofile``) the hub spends on one
+    fixed stream — joins and leaves by seven neighbors over 50 channels
+    — while it holds ``standing`` channels for the eighth. Only the
+    size of the table differs from one call to the next, and the count
+    is a property of the code, not of the host: it repeats exactly."""
+    net, edges = build_router_under_test()
+    source_address = net.topo.node("s").address
+    run_events(
+        net,
+        packets_of(
+            net,
+            edges,
+            (
+                (Count(Channel.of(source_address, k), SUBSCRIBER_ID, 1), edges[0])
+                for k in range(1, standing + 1)
+            ),
+        ),
+    )
+    agent = net.ecmp_agents["hub"]
+    assert len(agent.channels) == standing
+    stream = packets_of(
+        net,
+        edges,
+        count_message_stream(
+            50, edges[1:], n_events, source_address=source_address, seed=3
+        ),
+    )
+    handle = agent.handle_packet
+    calls = 0
+
+    def count(frame, event, arg):
+        nonlocal calls
+        if event == "call":
+            calls += 1
+
+    sys.setprofile(count)
+    try:
+        for packet, ifindex in stream:
+            handle(packet, ifindex)
+    finally:
+        sys.setprofile(None)
+    return calls / n_events
+
+
 def test_t4_per_event_cost_flat_in_channels(benchmark):
-    """More channels must not make each event slower (hash-indexed
-    state) — the paper's implicit scalability claim."""
+    """More channels must not make each event dearer (hash-indexed
+    state) — the paper's implicit scalability claim. The assertion is
+    on Python calls per event, as ``tests/core/test_dataplane_budget.py``
+    states its budget: the same events cost the same calls whatever the
+    number of channels the router holds. The rates of the paper's own
+    workload at each size are printed, not asserted — three single-shot
+    timings spread further on a shared host than the claim allows."""
     rates = {}
+    calls = {}
     for n_channels in (100, 1_000, 10_000):
         net, edges = build_router_under_test()
         events = make_event_packets(net, edges, n_channels, 10_000, seed=3)
         elapsed = run_events(net, events)
         rates[n_channels] = len(events) / elapsed
+        calls[n_channels] = python_calls_for_a_fixed_stream(n_channels)
 
     # Re-run the middle point under the benchmark fixture for timing.
     net, edges = build_router_under_test()
     events = make_event_packets(net, edges, 1_000, 2_000, seed=4)
     benchmark.pedantic(lambda: run_events(net, events), rounds=1, iterations=1)
 
-    slowest, fastest = min(rates.values()), max(rates.values())
-    assert slowest > 0.4 * fastest  # flat within interpreter noise
+    assert len(set(calls.values())) == 1, calls  # flat, to the call
 
+    slowest, fastest = min(rates.values()), max(rates.values())
     report(
         "t4_scaling",
         [
-            "§5.3: per-event cost vs number of channels (10k events each)",
+            "§5.3: per-event cost vs number of channels",
+            "  the paper's workload, 10k events each (rates: this host, this run)",
             *[
                 f"  {n:>7,} channels: {rate:>10,.0f} events/s"
                 for n, rate in rates.items()
             ],
-            f"  max/min ratio: {fastest / slowest:.2f}x (flat -> state lookup is O(1))",
+            f"  max/min ratio: {fastest / slowest:.2f}x",
+            "  one fixed stream of 4k events at a hub holding that many channels",
+            *[
+                f"  {n:>7,} channels: {per_event:>10.2f} Python calls/event"
+                for n, per_event in calls.items()
+            ],
+            "  -> flat to the call: state lookup is O(1)",
         ],
     )
 

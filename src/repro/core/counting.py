@@ -10,7 +10,23 @@ sent upstream in a Count reply."
 
 :class:`PendingQuery` is that record set for one (channel, countId)
 query at one node; :class:`QueryResult` is the source-side handle an
-application polls or waits on.
+application polls or waits on; :class:`Counting` is the machine that
+runs them at one ECMP agent, together with §6's proactive counting
+(the per-count error-tolerance checks of :mod:`repro.core.proactive`).
+
+Protocol clarifications this implementation pins down (the paper leaves
+them open; see DESIGN.md §4):
+
+* **Timeout decrement.** "A small multiple of the measured round-trip
+  time to its upstream neighbor" is 2× the RTT; in the simulator the
+  RTT estimate is twice the link's propagation delay (a real
+  implementation would measure it from keepalives).
+* **Concurrent queries.** The wire format identifies a query by
+  (channel, countId); a second query for the same pair restarts the
+  first (the paper sizes state for "2 counts outstanding at any time on
+  a channel" — two *different* countIds). A locally originated query
+  that is restarted this way is answered by the restarted one: §2.1
+  promises every caller a best-effort count.
 """
 
 from __future__ import annotations
@@ -19,6 +35,15 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 from repro.core.channel import Channel
+from repro.core.ecmp.countids import (
+    LINK_COUNT_ID,
+    SUBSCRIBER_ID,
+    TREE_SIZE_ID,
+    propagates_to_hosts,
+)
+from repro.core.ecmp.messages import Count, CountQuery
+from repro.core.ecmp.state import LOCAL, ChannelState, is_pseudo_neighbor
+from repro.core.proactive import ProactiveCounter
 
 #: "decrements the timeout value by a small multiple of the measured
 #: round-trip time" — the multiple we use.
@@ -105,3 +130,321 @@ class QueryResult:
         for callback in self._callbacks:
             callback(self)
         self._callbacks.clear()
+
+
+class Counting:
+    """Generic counting (§3.1) and proactive counting (§6) at one agent:
+    the pending-query table with its per-query deadline, the
+    application's count responders, and the proactive tolerance checks.
+
+    ``agent`` is the owner, read for ``sim``, ``node``, ``stats``,
+    ``obs``, ``channels``, ``subscriptions``, ``blocks`` and
+    ``sessions``; queries and replies leave through its
+    ``_send_message``. ``announce(state, count)`` sends a subscriber
+    count upstream through tree maintenance, which owns
+    ``state.advertised``. ``curve`` is the tolerance curve of a
+    proactive count whose request names none.
+    """
+
+    __slots__ = ("_agent", "_announce", "curve", "pending", "responders", "_checks")
+
+    def __init__(self, agent, announce: Callable[..., None], curve) -> None:
+        self._agent = agent
+        self._announce = announce
+        self.curve = curve
+        self.pending: dict[tuple[Channel, int], PendingQuery] = {}
+        self.responders: dict[tuple[Channel, int], Callable[[], int]] = {}
+        #: (channel, countId) -> the event that re-evaluates a proactive
+        #: count when its tolerance curve next allows a send.
+        self._checks: dict[tuple[Channel, int], object] = {}
+
+    def reset(self) -> None:
+        """Crash semantics: forget every query, responder and check."""
+        for pending in self.pending.values():
+            if pending.timeout_event is not None:
+                pending.timeout_event.cancel()
+        self.pending.clear()
+        self.responders.clear()
+        for event in self._checks.values():
+            event.cancel()
+        self._checks.clear()
+
+    def forget_channel(self, channel: Channel) -> None:
+        """The channel's state was collected: so are its checks."""
+        for key in [key for key in self._checks if key[0] == channel]:
+            self._checks.pop(key).cancel()
+
+    # -- polled counting (§3.1) ------------------------------------------------
+
+    def originate(
+        self,
+        channel: Channel,
+        count_id: int,
+        timeout: float,
+        callback: Optional[Callable[[int, bool], None]] = None,
+    ) -> QueryResult:
+        """Start a query at this node; the returned handle resolves
+        with the best-effort count within ``timeout``."""
+        agent = self._agent
+        result = QueryResult()
+
+        def finish(total: int, partial: bool) -> None:
+            result._resolve(total, partial, agent.sim.now)
+            if callback is not None:
+                callback(total, partial)
+
+        query = CountQuery(channel=channel, count_id=count_id, timeout=timeout)
+        if agent.obs is None:
+            self.on_query(query, origin=None, callback=finish)
+            return result
+        tracer = agent.obs.tracer
+        root = tracer.start_span(
+            "ecmp.count_query", node=agent.node.name, channel=channel,
+            count_id=count_id, timeout=timeout,
+        )
+        # The root stays open until the query finalizes (it becomes
+        # the pending query's span); _finalize ends it.
+        with tracer.activate(root):
+            self.on_query(query, origin=None, callback=finish)
+        if root.attrs.get("deferred") is None:
+            tracer.end(root)
+        return result
+
+    def on_query(
+        self,
+        query: CountQuery,
+        origin: Optional[str],
+        callback: Optional[Callable[[int, bool], None]] = None,
+    ) -> None:
+        """Record a query from ``origin`` (None: originated here),
+        forward it to every downstream neighbor that can answer, and
+        reply once they all have or the decremented timeout runs out."""
+        agent = self._agent
+        channel, count_id = query.channel, query.count_id
+        key = (channel, count_id)
+        stale = self.pending.pop(key, None)
+        if stale is not None:
+            if stale.timeout_event is not None:
+                stale.timeout_event.cancel()
+            if stale.span is not None and agent.obs is not None:
+                agent.obs.tracer.add_event(stale.span, "superseded")
+                agent.obs.tracer.end(stale.span)
+            if stale.callback is not None:
+                # The restarted query answers the superseded one's
+                # caller too, who would otherwise wait for ever.
+                earlier, later = stale.callback, callback
+
+                def callback(total: int, partial: bool) -> None:
+                    earlier(total, partial)
+                    if later is not None:
+                        later(total, partial)
+
+        sessions = agent.sessions
+        state = agent.channels.get(channel)
+        timeout = query.timeout
+        if origin is not None:
+            known = sessions.neighbor(origin)
+            rtt = 2.0 * known.iface.link.delay if known is not None else 0.0
+            timeout = decrement_timeout(timeout, rtt)
+
+        pending = PendingQuery(
+            channel=channel,
+            count_id=count_id,
+            deadline=agent.sim.now + timeout,
+            origin=origin,
+            callback=callback,
+        )
+        pending.local_contribution = self.local_contribution(channel, count_id)
+
+        if state is not None:
+            forward = CountQuery(channel=channel, count_id=count_id, timeout=timeout)
+            to_hosts = propagates_to_hosts(count_id)
+            for name, record in state.downstream.items():
+                if name == LOCAL or record.count <= 0:
+                    continue
+                if name in agent.blocks:
+                    # A block is locally-held state: this router is the
+                    # authority for its count, so it folds into the
+                    # local contribution instead of being polled over a
+                    # wire (there is no wire — and no reply to await).
+                    if count_id == SUBSCRIBER_ID:
+                        pending.local_contribution += record.count
+                    continue
+                if not to_hosts:
+                    known = sessions.neighbor(name)
+                    if known is not None and known.is_host:
+                        continue
+                pending.outstanding.add(name)
+                agent._send_message(forward, name)
+
+        if not pending.outstanding:
+            self._finalize(pending)
+            return
+        if agent.obs is not None:
+            span = agent.obs.tracer.current
+            if span is not None:
+                # The handling (or locally-originated root) span stays
+                # open while replies are outstanding; downstream Counts
+                # fold in as events on it (see reply_span).
+                span.attrs["deferred"] = True
+                pending.span = span
+        self.pending[key] = pending
+        pending.timeout_event = agent.sim.schedule(
+            max(timeout, MIN_FORWARD_TIMEOUT),
+            lambda: self._timed_out(key),
+            name="ecmp-query-timeout",
+        )
+
+    def on_reply(self, message: Count, from_name: str) -> bool:
+        """Fold a Count from ``from_name`` into the pending query it
+        answers; False when no query was waiting on it."""
+        pending = self.pending.get((message.channel, message.count_id))
+        if pending is None or from_name not in pending.outstanding:
+            return False
+        pending.record_reply(from_name, message.count)
+        if pending.is_complete() and not pending.completed:
+            if pending.timeout_event is not None:
+                pending.timeout_event.cancel()
+            self._finalize(pending)
+        return True
+
+    def reply_span(self, message: Count, from_name: str):
+        """The open span of the pending query that a Count from
+        ``from_name`` would answer, or None."""
+        pending = self.pending.get((message.channel, message.count_id))
+        if pending is not None and from_name in pending.outstanding:
+            return pending.span
+        return None
+
+    def local_contribution(self, channel: Channel, count_id: int) -> int:
+        """This node's own addend for a count (§3.1: hosts answer
+        immediately or via the application; routers contribute
+        network-layer resource counts)."""
+        responder = self.responders.get((channel, count_id))
+        if responder is not None:
+            return int(responder())
+        agent = self._agent
+        if count_id == SUBSCRIBER_ID:
+            return 1 if channel in agent.subscriptions else 0
+        state = agent.channels.get(channel)
+        if count_id == LINK_COUNT_ID:
+            return state.downstream_links() if state is not None else 0
+        if count_id == TREE_SIZE_ID:
+            return 1 if state is not None else 0
+        return 0
+
+    def _timed_out(self, key: tuple[Channel, int]) -> None:
+        pending = self.pending.get(key)
+        if pending is not None and not pending.completed:
+            self._agent.stats.incr("query_timeouts")
+            self._finalize(pending)
+
+    def _finalize(self, pending: PendingQuery) -> None:
+        pending.completed = True
+        self.pending.pop((pending.channel, pending.count_id), None)
+        partial = bool(pending.outstanding)
+        total = pending.total()
+
+        def deliver() -> None:
+            if pending.callback is not None:
+                pending.callback(total, partial)
+            if pending.origin is not None:
+                # Query replies race the origin's reply deadline; never
+                # let one sit in a flush window.
+                reply = Count(pending.channel, pending.count_id, total)
+                self._agent._send_message(reply, pending.origin, urgent=True)
+
+        obs = self._agent.obs
+        if obs is not None and pending.span is not None:
+            tracer = obs.tracer
+            tracer.add_event(pending.span, "finalized", total=total, partial=partial)
+            with tracer.activate(pending.span):
+                deliver()
+            tracer.end(pending.span)
+        else:
+            deliver()
+
+    # -- proactive counting (§6) -------------------------------------------------
+
+    def on_proactive_request(self, query: CountQuery, origin: Optional[str]) -> None:
+        """Start maintaining ``query``'s count proactively here and pass
+        the request on to all routers in the channel's tree below."""
+        agent = self._agent
+        channel, count_id = query.channel, query.count_id
+        curve = query.proactive or self.curve
+        state = agent.channels.get(channel)
+        if state is None:
+            return
+        if count_id not in state.proactive:
+            counter = ProactiveCounter(curve, now=agent.sim.now)
+            counter.observe(self.proactive_total(state, count_id))
+            if not state.proactive:
+                state.proactive = {}
+            state.proactive[count_id] = counter
+        to_hosts = propagates_to_hosts(count_id)
+        for name, record in state.downstream.items():
+            if is_pseudo_neighbor(name) or record.count <= 0:
+                continue
+            if not to_hosts:
+                known = agent.sessions.neighbor(name)
+                if known is not None and known.is_host:
+                    continue
+            agent._send_message(query, name)
+        self.evaluate(state, count_id)
+
+    def on_proactive_value(
+        self, state: ChannelState, count_id: int, from_name: str, value: int
+    ) -> None:
+        """A downstream neighbor pushed its value of a proactive count."""
+        if not state.proactive_values:
+            state.proactive_values = {}
+        state.proactive_values.setdefault(count_id, {})[from_name] = value
+        self.evaluate(state, count_id)
+
+    def proactive_total(self, state: ChannelState, count_id: int) -> int:
+        if count_id == SUBSCRIBER_ID:
+            return state.total(validated_only=False)
+        values = state.proactive_values.get(count_id, {})
+        return sum(values.values()) + self.local_contribution(state.channel, count_id)
+
+    def evaluate(self, state: ChannelState, count_id: int) -> None:
+        """Re-read a proactively maintained count and push it upstream
+        if its error exceeds the tolerance curve now; otherwise check
+        again when the curve has decayed far enough."""
+        counter = state.proactive.get(count_id)
+        if counter is None:
+            return
+        counter.observe(self.proactive_total(state, count_id))
+        now = self._agent.sim.now
+        if state.upstream is None:
+            return  # the root only aggregates
+        key = (state.channel, count_id)
+        if counter.should_send(now):
+            value = counter.current
+            if count_id == SUBSCRIBER_ID:
+                self._announce(state, value)
+            else:
+                self._agent._send_message(
+                    Count(channel=state.channel, count_id=count_id, count=value),
+                    state.upstream,
+                )
+                counter.sent(now)
+            event = self._checks.pop(key, None)
+            if event is not None:
+                event.cancel()
+            return
+        delay = counter.next_check_delay(now)
+        if delay is not None:
+            existing = self._checks.get(key)
+            if existing is not None:
+                existing.cancel()
+            self._checks[key] = self._agent.sim.schedule(
+                delay + 1e-6, lambda: self._check_fired(key), name="ecmp-proactive"
+            )
+
+    def _check_fired(self, key: tuple[Channel, int]) -> None:
+        self._checks.pop(key, None)
+        state = self._agent.channels.get(key[0])
+        if state is not None:
+            self.evaluate(state, key[1])
+

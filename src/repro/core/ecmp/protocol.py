@@ -31,38 +31,30 @@ them open; see DESIGN.md §4):
   them; keyed joins needing upstream validation install tree state but
   *not* forwarding state until validated, so no data ever flows to a
   subscriber whose key fails.
-* **Timeout decrement.** "A small multiple of the measured round-trip
-  time to its upstream neighbor" is 2× the RTT; in the simulator the
-  RTT estimate is twice the link's propagation delay (a real
-  implementation would measure it from keepalives).
-* **Concurrent queries.** The wire format identifies a query by
-  (channel, countId); a second query for the same pair restarts the
-  first (the paper sizes state for "2 counts outstanding at any time on
-  a channel" — two *different* countIds).
+
+Three self-contained machines run beside this one, each behind a narrow
+interface and none importing this module: the per-neighbor sessions
+(:mod:`repro.core.ecmp.session`, §3.2/§3.4), generic and proactive
+counting (:mod:`repro.core.counting`, §3.1/§6 — the timeout-decrement
+and concurrent-query clarifications are there) and liveness
+(:mod:`repro.core.ecmp.liveness`, §3.3). What stays here is the §2.1
+service interface, the wire edge, §3.2 tree maintenance, §3.5 verdicts
+and failure / re-homing.
 """
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from dataclasses import dataclass
 from enum import Enum
 from typing import TYPE_CHECKING, Callable, Optional
 
+# The module, not its names: counting.py imports this package's
+# countids / messages / state, so when an importer asks for it before
+# this package it is still initialising by the time this line runs.
+from repro.core import counting as counting_machine
 from repro.core.channel import Channel, intern_channel
-from repro.core.counting import (
-    MIN_FORWARD_TIMEOUT,
-    PendingQuery,
-    QueryResult,
-    decrement_timeout,
-)
-from repro.core.ecmp.countids import (
-    ALL_CHANNELS_ID,
-    LINK_COUNT_ID,
-    NEIGHBORS_ID,
-    SUBSCRIBER_ID,
-    TREE_SIZE_ID,
-    propagates_to_hosts,
-)
+from repro.core.ecmp.countids import ALL_CHANNELS_ID, NEIGHBORS_ID, SUBSCRIBER_ID
+from repro.core.ecmp.liveness import DISCOVERY_CHANNEL, Liveness
 from repro.core.ecmp.messages import (
     MAX_REQUEST_ID,
     Count,
@@ -74,32 +66,33 @@ from repro.core.ecmp.messages import (
     decode_message,
     encode_message,
 )
-from repro.core.ecmp.refresh import RefreshRing
-from repro.core.ecmp.state import (
-    LOCAL,
-    ChannelState,
-    is_pseudo_neighbor,
+from repro.core.ecmp.session import (
+    PROTO_ECMP,
+    DirtyChannelQueue,
+    Neighbor,
+    NeighborMode,
+    NeighborSessions,
 )
+from repro.core.ecmp.state import LOCAL, ChannelState
 from repro.core.keys import ChannelKey, KeyCache
 from repro.core.proactive import ProactiveCounter, ToleranceCurve
 from repro.errors import ChannelError, CodecError, ProtocolError
-from repro.inet.addr import parse_address
-from repro.netsim.engine import PeriodicTask
-from repro.netsim.node import Interface, Node, ProtocolAgent
+from repro.netsim.node import Node, ProtocolAgent
 from repro.netsim.packet import Packet
 from repro.netsim.trace import Counter
-from repro.obs.hooks import SPAN_HEADER
+from repro.obs.hooks import SPAN_HEADER, span
 from repro.routing.fib import MulticastFib
 from repro.routing.unicast import UnicastRouting
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.blocks import SubscriberBlock
 
-PROTO_ECMP = "ecmp"
-
-#: "All multicast ECMP datagrams are sent to a well-known ECMP address"
-#: with "a well-known localhost value as the source" (§3.3 + footnote 5).
-DISCOVERY_CHANNEL = Channel.of(parse_address("127.0.0.1"), 255)  # 232.0.0.255
+#: Defined by the components now, imported from here by everyone else
+#: (``tests/test_ecmp_layering.py`` holds the list).
+__all__ = [
+    "DISCOVERY_CHANNEL", "IP_OVERHEAD", "PROTO_ECMP", "CountPropagation",
+    "DirtyChannelQueue", "EcmpAgent", "NeighborMode", "SubscriptionHandle",
+]
 
 #: IPv4 header bytes added to every ECMP message on the wire.
 IP_OVERHEAD = 20
@@ -110,15 +103,6 @@ _TX_STAT = {
     CountQuery: "tx_countquery",
     CountResponse: "tx_countresponse",
 }
-
-
-class NeighborMode(Enum):
-    """Per-neighbor ECMP transport (§3.2): "TCP is provided for core
-    routers with few neighbors and many channels, whereas UDP is
-    intended for use in edge routers"."""
-
-    TCP = "tcp"
-    UDP = "udp"
 
 
 class CountPropagation(Enum):
@@ -136,93 +120,6 @@ class CountPropagation(Enum):
     TREE_ONLY = "tree-only"
     ON_CHANGE = "on-change"
     PROACTIVE = "proactive"
-
-
-class Neighbor:
-    """One adjacent node as an agent's send and receive paths need it:
-    resolved once per name, so no message pays a topology lookup, an
-    interface search or an agent-registry probe."""
-
-    __slots__ = (
-        "name", "peer", "iface", "is_host", "mode", "queue", "flush_event",
-        "holdoff_until",
-    )
-
-    def __init__(
-        self, peer: Node, iface: Interface, is_host: bool, mode: NeighborMode
-    ) -> None:
-        self.name = peer.name
-        self.peer = peer
-        #: The local interface facing the neighbor.
-        self.iface = iface
-        #: True when the neighbor's ECMP agent runs in the host role.
-        self.is_host = is_host
-        #: Transport toward the neighbor (configuration: it survives
-        #: :meth:`EcmpAgent.lose_state`; the three fields below do not).
-        self.mode = mode
-        #: TCP-mode session state: the dirty-channel queue (None while
-        #: nothing is pending), the event that will flush it, and the
-        #: time before which a non-urgent message is queued, not sent.
-        self.queue: Optional[DirtyChannelQueue] = None
-        self.flush_event = None
-        self.holdoff_until = 0.0
-
-    def reset_session(self) -> None:
-        """The session died (link down, agent stopped): what was queued
-        toward it is lost, and the next one starts idle."""
-        if self.flush_event is not None:
-            self.flush_event.cancel()
-            self.flush_event = None
-        self.queue = None
-        self.holdoff_until = 0.0
-
-
-@dataclass(slots=True)
-class _QueuedRecord:
-    """One pending message in a neighbor's dirty-channel queue."""
-
-    message: EcmpMessage
-    #: Pinned records are each answered or acted on by the peer (joins
-    #: awaiting verdicts, CountResponses); later writes for the same
-    #: (channel, countId) append instead of replacing them.
-    pinned: bool
-    #: Span context captured at enqueue time (None when tracing is off):
-    #: causality is established when the protocol *decides* to send, not
-    #: when the flush timer fires.
-    span_ctx: Optional[object] = None
-
-
-class DirtyChannelQueue:
-    """Coalesced pending sends toward one TCP-mode neighbor.
-
-    Non-pinned messages are last-writer-wins per ``(type, channel,
-    countId)`` — a refresh superseded before the flush never touches the
-    wire. FIFO order of first enqueue is preserved (§3.2's TCP
-    ordering): a leave never overtakes the join before it.
-    """
-
-    __slots__ = ("records", "_latest")
-
-    def __init__(self) -> None:
-        self.records: list[_QueuedRecord] = []
-        self._latest: dict = {}
-
-    def __len__(self) -> int:
-        return len(self.records)
-
-    def enqueue(
-        self, message: EcmpMessage, pinned: bool, span_ctx: Optional[object] = None
-    ) -> bool:
-        """Add (or merge) one message; True if it absorbed an earlier
-        queued message that will now never hit the wire."""
-        key = (type(message).__name__, message.channel, message.count_id)
-        index = self._latest.get(key)
-        if index is not None and not pinned and not self.records[index].pinned:
-            self.records[index] = _QueuedRecord(message, pinned, span_ctx)
-            return True
-        self._latest[key] = len(self.records)
-        self.records.append(_QueuedRecord(message, pinned, span_ctx))
-        return False
 
 
 @dataclass(slots=True)
@@ -344,11 +241,6 @@ class EcmpAgent(ProtocolAgent):
         #: codecs end-to-end). Both ends of a link must agree, which the
         #: network facade guarantees by setting it uniformly.
         self.wire_format = wire_format
-        #: When True (the default), messages toward a busy TCP-mode
-        #: neighbor session go through its dirty-channel queue and are
-        #: flushed as one MSG_BATCH frame (see docs/ecmp-wire.md).
-        #: UDP-mode neighbors always take the unbatched per-datagram path.
-        self.batching = batching
         self.routing = routing
         self.fib = fib
         self.role = role
@@ -357,12 +249,9 @@ class EcmpAgent(ProtocolAgent):
         #: (plain attribute, not a Counter: the fast path is hot enough
         #: at bench scale that even a dict increment shows up).
         self.block_fast_updates = 0
-        self.default_mode = default_mode
-        self.proactive_curve = proactive_curve or ToleranceCurve()
         self.keys = KeyCache()
         self.channels: dict[Channel, ChannelState] = {}
         self.subscriptions: dict[Channel, SubscriptionHandle] = {}
-        self.pending_queries: dict[tuple[Channel, int], PendingQuery] = {}
         #: channel -> {request id: entry} for forwarded joins whose
         #: verdict is still upstream. A channel's table exists only while
         #: it holds an entry.
@@ -370,17 +259,6 @@ class EcmpAgent(ProtocolAgent):
         #: The next request id to try (1..MAX_REQUEST_ID, cycling, so an
         #: id is not reused while a duplicate of its verdict may be about).
         self._next_request_id = 1
-        self.count_responders: dict[tuple[Channel, int], Callable[[], int]] = {}
-        #: The neighbor table, filled on first use of each name (the
-        #: topology is wired and every agent registered before the first
-        #: message moves). Each entry carries the neighbor's configured
-        #: mode and its TCP-mode session state; the table and the modes
-        #: survive :meth:`lose_state`, the session state does not.
-        self._neighbors: dict[str, Neighbor] = {}
-        #: While a burst loop runs (see :meth:`_burst`): the neighbors it
-        #: has queued records toward, each flushed once when it ends.
-        self._corked: Optional[dict[Neighbor, None]] = None
-        self.neighbor_last_heard: dict[str, float] = {}
         #: Aggregated subscriber blocks attached at this (edge) router,
         #: keyed by pseudo-neighbor name (see repro.core.blocks), plus a
         #: per-channel list view for the forwarder's arithmetic
@@ -398,8 +276,7 @@ class EcmpAgent(ProtocolAgent):
         self.obs = obs
         if obs is None:
             self.stats = Counter()
-            self._m_messages = self._m_bytes = None
-            self._m_wire_bytes = self._m_coalesced = self._m_flushes = None
+            self._m_messages = self._m_bytes = self._m_wire_bytes = None
         else:
             registry = obs.registry
             self.stats = registry.counter_bag(
@@ -422,70 +299,35 @@ class EcmpAgent(ProtocolAgent):
                 "node and direction, batch framing included",
                 ("node", "direction"),
             )
-            self._m_coalesced = registry.counter(
-                "ecmp_msgs_coalesced",
-                "ECMP messages that did not cost their own wire packet "
-                "(absorbed by last-writer-wins or carried in a batch frame)",
-                ("node",),
-            )
-            self._m_flushes = registry.counter(
-                "ecmp_batch_flushes",
-                "Dirty-channel queue flushes by node and trigger",
-                ("node", "trigger"),
-            )
-        self._proactive_checks: dict[tuple[Channel, int], object] = {}
-        #: neighbor -> {channel: None}: channels with a live UDP-mode
-        #: record from that *real* neighbor — the general-query fan-out
-        #: set, maintained incrementally so the refresh tick never
-        #: rebuilds it by scanning every record.
-        self._udp_channels: dict[str, dict[Channel, None]] = {}
         #: upstream name -> {channel: None}: channels routed *via* that
         #: neighbor (the general-query response set).
         self._by_upstream: dict[str, dict[Channel, None]] = {}
         #: The last message serialized and its bytes: a message fanned
         #: out to k neighbors is encoded once, the bytes shared.
         self._encoded: tuple[Optional[EcmpMessage], bytes] = (None, b"")
-        #: Due-deadline ring over (channel, neighbor) UDP records;
-        #: router-role only (hosts run no refresh tick).
-        self._refresh_ring: Optional[RefreshRing] = None
-        if role == "router":
-            self._refresh_ring = RefreshRing(self.UDP_QUERY_INTERVAL)
-        self._udp_query_task: Optional[PeriodicTask] = None
-        self._keepalive_task: Optional[PeriodicTask] = None
         self._rehome_scheduled = False
         #: Set by the network facade; called when this agent sees a
         #: local link flap so routing can recompute and trees re-home.
         self.topology_change_hook: Optional[Callable[[], None]] = None
+        #: The three machines beside this one (see the module docstring).
+        self.sessions = NeighborSessions(self, self._transmit, default_mode, batching)
+        self.counting = counting_machine.Counting(
+            self, self._send_count_upstream, proactive_curve or ToleranceCurve()
+        )
+        self.liveness = Liveness(self, self._neighbor_failed, self._record_expired)
 
     # ------------------------------------------------------------------
     # lifecycle / wiring
     # ------------------------------------------------------------------
 
     def start(self) -> None:
-        if self.role == "router":
-            ring = self._refresh_ring
-            if ring is not None and ring.granularity != self.UDP_QUERY_INTERVAL:
-                # The refresh interval was overridden after construction
-                # (tests and benches patch it per instance): re-bucket so
-                # the ring's windows match the tick cadence.
-                ring.rebuild(self.UDP_QUERY_INTERVAL, self._refresh_deadline)
-            self._udp_query_task = PeriodicTask(
-                self.sim, self.UDP_QUERY_INTERVAL, self._udp_refresh_tick, name="ecmp-udpq"
-            )
-            self._udp_query_task.start()
-        self._keepalive_task = PeriodicTask(
-            self.sim, self.KEEPALIVE_INTERVAL, self._keepalive_tick, name="ecmp-ka"
-        )
-        self._keepalive_task.start()
+        self.liveness.start()
 
     def stop(self) -> None:
-        for task in (self._udp_query_task, self._keepalive_task):
-            if task is not None:
-                task.stop()
+        self.liveness.stop()
         for block in self.blocks.values():
             block.stop()
-        for known in self._neighbors.values():
-            known.reset_session()
+        self.sessions.reset()
 
     def lose_state(self) -> None:
         """Crash semantics: drop every piece of soft protocol state.
@@ -506,27 +348,15 @@ class EcmpAgent(ProtocolAgent):
         n_lost = sum(len(s.downstream) for s in self.channels.values())
         self.channels.clear()
         self.subscriptions.clear()
-        for pending in self.pending_queries.values():
-            if pending.timeout_event is not None:
-                pending.timeout_event.cancel()
-        self.pending_queries.clear()
         self.pending_verdicts.clear()
-        self.count_responders.clear()
-        for event in self._proactive_checks.values():
-            event.cancel()
-        self._proactive_checks.clear()
-        self.neighbor_last_heard.clear()
+        self.counting.reset()
+        self.liveness.reset()
         self.blocks.clear()
         self.channel_blocks.clear()
         self.blocks_version += 1
         self._delivery_views.clear()
-        self._udp_channels.clear()
         self._by_upstream.clear()
         self.keys = KeyCache()
-        if self.role == "router":
-            self._refresh_ring = RefreshRing(self.UDP_QUERY_INTERVAL)
-        self._udp_query_task = None
-        self._keepalive_task = None
         self._rehome_scheduled = False
         for source, dest in self.fib.channels():
             self.fib.remove(source, dest)
@@ -539,32 +369,7 @@ class EcmpAgent(ProtocolAgent):
         router can select either TCP or UDP mode for ECMP on each
         interface"). Call it once the network is wired: the neighbor
         must already be adjacent and have its ECMP agent registered."""
-        known = self._neighbor(neighbor)
-        if known is None or PROTO_ECMP not in known.peer.agents:
-            # Resolved too early, the entry would have cached the wrong role.
-            self._neighbors.pop(neighbor, None)
-            raise ProtocolError(
-                f"{self.node.name}: {neighbor!r} is not a wired ECMP neighbor"
-            )
-        known.mode = mode
-
-    def _neighbor(self, name: str) -> Optional[Neighbor]:
-        """The neighbor-table entry for ``name``; None for anything that
-        is not an adjacent node (pseudo-neighbors, unknown names)."""
-        known = self._neighbors.get(name)
-        if known is None:
-            peer = self.routing.topo.nodes.get(name)
-            iface = self.node.interface_to(peer) if peer is not None else None
-            if iface is None:
-                return None
-            agent = peer.agents.get(PROTO_ECMP)
-            known = self._neighbors[name] = Neighbor(
-                peer,
-                iface,
-                isinstance(agent, EcmpAgent) and agent.role == "host",
-                self.default_mode,
-            )
-        return known
+        self.sessions.set_mode(neighbor, mode)
 
     def on_link_change(self, ifindex: int, up: bool) -> None:
         peer = self.node.interfaces[ifindex].peer
@@ -574,7 +379,7 @@ class EcmpAgent(ProtocolAgent):
             # TCP-mode semantics: connection failure -> subtract counts.
             # Anything still queued toward the dead session is lost with
             # the connection; the reconnect resend covers it.
-            known = self._neighbor(peer.name)
+            known = self.sessions.neighbor(peer.name)
             if known is not None:
                 known.reset_session()
             self._neighbor_failed(peer.name)
@@ -605,13 +410,10 @@ class EcmpAgent(ProtocolAgent):
             on_status=on_status,
         )
         self.subscriptions[channel] = handle
-        if self.obs is not None:
-            with self.obs.tracer.span(
-                "ecmp.subscribe", node=self.node.name, channel=channel,
-                keyed=key is not None,
-            ):
-                self._apply_subscriber_count(channel, LOCAL, 1, key=key)
-        else:
+        with span(
+            self.obs, "ecmp.subscribe", node=self.node.name, channel=channel,
+            keyed=key is not None,
+        ):
             self._apply_subscriber_count(channel, LOCAL, 1, key=key)
         # A keyless subscription to a channel this node *knows* is
         # authenticated is denied synchronously (or the source was
@@ -625,12 +427,7 @@ class EcmpAgent(ProtocolAgent):
         handle = self.subscriptions.pop(channel, None)
         if handle is None:
             return False
-        if self.obs is not None:
-            with self.obs.tracer.span(
-                "ecmp.unsubscribe", node=self.node.name, channel=channel
-            ):
-                self._apply_subscriber_count(channel, LOCAL, 0)
-        else:
+        with span(self.obs, "ecmp.unsubscribe", node=self.node.name, channel=channel):
             self._apply_subscriber_count(channel, LOCAL, 0)
         return True
 
@@ -639,12 +436,7 @@ class EcmpAgent(ProtocolAgent):
         authenticated". Only the channel's source may call this."""
         if channel.source != self.node.address:
             raise ChannelError(f"{self.node.name} is not the source of {channel}")
-        if self.obs is not None:
-            with self.obs.tracer.span(
-                "ecmp.channel_key", node=self.node.name, channel=channel
-            ):
-                self.keys.install_authoritative(channel, key)
-        else:
+        with span(self.obs, "ecmp.channel_key", node=self.node.name, channel=channel):
             self.keys.install_authoritative(channel, key)
 
     def count_query(
@@ -653,59 +445,29 @@ class EcmpAgent(ProtocolAgent):
         count_id: int,
         timeout: float,
         callback: Optional[Callable[[int, bool], None]] = None,
-    ) -> QueryResult:
+    ) -> counting_machine.QueryResult:
         """Originate a CountQuery locally (§2.1 CountQuery; also §3.1's
         router-initiated query "without source cooperation").
 
         Returns a :class:`QueryResult` resolved with the best-effort
         count within ``timeout``.
         """
-        result = QueryResult()
-
-        def finish(total: int, partial: bool) -> None:
-            result._resolve(total, partial, self.sim.now)
-            if callback is not None:
-                callback(total, partial)
-
-        query = CountQuery(channel=channel, count_id=count_id, timeout=timeout)
-        if self.obs is not None:
-            tracer = self.obs.tracer
-            root = tracer.start_span(
-                "ecmp.count_query",
-                node=self.node.name,
-                channel=channel,
-                count_id=count_id,
-                timeout=timeout,
-            )
-            # The root stays open until the query finalizes (it becomes
-            # the pending query's span); _finalize_query ends it.
-            with tracer.activate(root):
-                self._start_query(query, origin=None, callback=finish)
-            if root.attrs.get("deferred") is None:
-                tracer.end(root)
-        else:
-            self._start_query(query, origin=None, callback=finish)
-        return result
+        return self.counting.originate(channel, count_id, timeout, callback)
 
     def enable_proactive(
         self, channel: Channel, count_id: int = SUBSCRIBER_ID, curve: Optional[ToleranceCurve] = None
     ) -> None:
         """§6: request proactive maintenance of a count; the request
         propagates to all routers in the channel's tree."""
-        curve = curve or self.proactive_curve
+        curve = curve or self.counting.curve
         query = CountQuery(
             channel=channel, count_id=count_id, timeout=0.0, proactive=curve
         )
-        if self.obs is not None:
-            with self.obs.tracer.span(
-                "ecmp.enable_proactive",
-                node=self.node.name,
-                channel=channel,
-                count_id=count_id,
-            ):
-                self._handle_proactive_request(query, origin=None)
-        else:
-            self._handle_proactive_request(query, origin=None)
+        with span(
+            self.obs, "ecmp.enable_proactive", node=self.node.name,
+            channel=channel, count_id=count_id,
+        ):
+            self.counting.on_proactive_request(query, origin=None)
 
     def register_count_responder(
         self, channel: Channel, count_id: int, responder: Callable[[], int]
@@ -713,7 +475,7 @@ class EcmpAgent(ProtocolAgent):
         """Register the application's answer to a countId (§2.2.1:
         application-defined votes; the subscriber "replies to a
         CountQuery request with count(...)")."""
-        self.count_responders[(channel, count_id)] = responder
+        self.counting.responders[(channel, count_id)] = responder
 
     def notify_count_changed(self, channel: Channel, count_id: int) -> None:
         """Tell ECMP an application-maintained count changed.
@@ -726,7 +488,7 @@ class EcmpAgent(ProtocolAgent):
         """
         state = self.channels.get(channel)
         if state is not None and count_id in state.proactive:
-            self._proactive_evaluate(state, count_id)
+            self.counting.evaluate(state, count_id)
 
     # ------------------------------------------------------------------
     # aggregated subscriber blocks (see repro.core.blocks)
@@ -817,7 +579,7 @@ class EcmpAgent(ProtocolAgent):
         state = self.channels.get(channel)
         if state is None:
             return 0
-        return self._proactive_total(state, count_id)
+        return self.counting.proactive_total(state, count_id)
 
     def on_tree(self, channel: Channel) -> bool:
         return channel in self.channels
@@ -842,7 +604,7 @@ class EcmpAgent(ProtocolAgent):
         if peer is None:
             return
         from_name = peer.name
-        self.neighbor_last_heard[from_name] = self.sim.now
+        self.liveness.last_heard[from_name] = self.sim.now
         self.stats.incr("wire_recvs")
         self.stats.incr("bytes_on_wire_rx", packet.size)
         if self._m_wire_bytes is not None:
@@ -859,7 +621,7 @@ class EcmpAgent(ProtocolAgent):
             # under the session policy: sent one by one, the first would
             # go alone, and a keyed join and the shorter leave behind it
             # would swap places on the next link.
-            with self._burst():
+            with self.sessions.burst():
                 for index, record in enumerate(message.messages):
                     ctx = None
                     if contexts is not None and index < len(contexts):
@@ -916,16 +678,12 @@ class EcmpAgent(ProtocolAgent):
         """
         tracer = self.obs.tracer
         if isinstance(message, Count):
-            pending = self.pending_queries.get((message.channel, message.count_id))
-            if (
-                pending is not None
-                and from_name in pending.outstanding
-                and pending.span is not None
-            ):
+            waiting = self.counting.reply_span(message, from_name)
+            if waiting is not None:
                 tracer.add_event(
-                    pending.span, "reply", neighbor=from_name, count=message.count
+                    waiting, "reply", neighbor=from_name, count=message.count
                 )
-                with tracer.activate(pending.span):
+                with tracer.activate(waiting):
                     handler(message, from_name)
                 return
         parent = parent_ctx
@@ -949,30 +707,22 @@ class EcmpAgent(ProtocolAgent):
         urgent: Optional[bool] = None,
         pinned: Optional[bool] = None,
     ) -> None:
-        """Send (or queue) one protocol message toward ``neighbor``.
-
-        Toward a TCP-mode neighbor whose session is idle — nothing
-        queued, no hold-off running — the message is on the wire before
-        this returns, and that send opens a hold-off of
-        ``BATCH_FLUSH_INTERVAL``; messages that arrive inside it coalesce
-        in the dirty-channel queue and leave as one frame when it ends
-        (or at once, behind an urgent message or at the watermark).
-        Inside a :meth:`_burst` loop everything queues and the loop's
-        end flushes.
+        """Account one protocol message and hand it to the session
+        toward ``neighbor``, which sends it now or queues it (see
+        :meth:`NeighborSessions.send`; ``urgent``/``pinned`` override
+        its defaults).
 
         Logical per-message accounting (``msgs_tx``, ``bytes_tx``,
         ``ecmp_messages_total``) happens here regardless of batching;
         wire-level accounting happens in :meth:`_transmit` when a packet
-        actually leaves. ``urgent``/``pinned`` override the defaults
-        from :meth:`_batch_policy` (used by call sites that know more —
-        joins are pinned, query replies are urgent).
+        actually leaves.
 
         A name that is not an adjacent node (a block pseudo-neighbor, an
         unknown or a non-adjacent node) is sent nothing and counted
         nowhere: ECMP is hop-by-hop, and every name this agent sends to
         is a routing next hop or the peer a message arrived from.
         """
-        known = self._neighbor(neighbor)
+        known = self.sessions.neighbor(neighbor)
         if known is None:
             return
         size = IP_OVERHEAD + message.wire_size()
@@ -995,95 +745,7 @@ class EcmpAgent(ProtocolAgent):
                 channel=str(message.channel),
             ).inc()
             self._m_bytes.labels(node=self.node.name, direction="tx").inc(size)
-        if not self.batching or known.mode is not NeighborMode.TCP:
-            # UDP-mode neighbors (and batching-off agents) keep the
-            # one-datagram-per-message path.
-            self._transmit(message, known, (span_ctx,), size)
-            return
-        default_urgent, default_pinned = self._batch_policy(message)
-        if urgent is None:
-            urgent = default_urgent
-        if pinned is None:
-            pinned = default_pinned
-        corked = self._corked
-        queue = known.queue
-        if queue is None:
-            if corked is None:
-                # Nothing is pending (a queue exists only while it holds
-                # records), so a flush would carry exactly this message:
-                # when the session sends now, it goes as that flush, with
-                # no queue object and no event.
-                trigger = self._send_now(known, urgent)
-                if trigger is not None:
-                    self._count_flush(trigger)
-                    self._transmit(message, known, (span_ctx,), size)
-                    return
-            queue = known.queue = DirtyChannelQueue()
-        if queue.enqueue(message, pinned, span_ctx):
-            # Last-writer-wins: the overwritten message never hits the wire.
-            self.stats.incr("msgs_coalesced")
-            if self._m_coalesced is not None:
-                self._m_coalesced.labels(node=self.node.name).inc()
-        if len(queue) >= self.BATCH_MAX_RECORDS:
-            self._flush_neighbor(known, "watermark")
-        elif corked is not None:
-            # The burst's end releases the queue; it goes at once if any
-            # record in it is urgent.
-            corked[known] = urgent or corked.get(known, False)
-        else:
-            self._release(known, urgent)
-
-    def _send_now(self, known: Neighbor, urgent: bool) -> Optional[str]:
-        """The session policy, in its one place: the flush trigger under
-        which what is pending toward ``known`` leaves now, or None when
-        it waits for the end of the hold-off that is running.
-
-        Urgent traffic goes at once and neither opens nor moves a
-        hold-off — the join that follows a leave is not made to wait for
-        it. Anything else goes at once only if no hold-off is running,
-        and opens one, so the records behind it coalesce."""
-        if urgent:
-            return "urgent"
-        now = self.sim.now
-        if known.holdoff_until <= now:
-            known.holdoff_until = now + self.BATCH_FLUSH_INTERVAL
-            return "idle"
-        return None
-
-    def _release(self, known: Neighbor, urgent: bool) -> None:
-        """Apply the session policy to the queue toward ``known``: flush
-        it now, or leave it to the running hold-off's end (one
-        ``ecmp-batch-flush`` event per hold-off)."""
-        trigger = self._send_now(known, urgent)
-        if trigger is not None:
-            self._flush_neighbor(known, trigger)
-        elif known.flush_event is None:
-            known.flush_event = self.sim.schedule_at(
-                known.holdoff_until,
-                lambda: self._holdoff_ended(known),
-                name="ecmp-batch-flush",
-            )
-
-    def _batch_policy(self, message: EcmpMessage) -> tuple[bool, bool]:
-        """Default ``(urgent, pinned)`` for one message.
-
-        Urgent messages flush the whole queue immediately (they still
-        share the frame with anything already pending, so ordering is
-        preserved): CountQuery (a reply deadline is running),
-        CountResponse rejections (the subscriber must learn of the
-        denial now), and zero-count leaves (the upstream forwards data
-        until the zero lands). CountResponses are always pinned — each
-        one answers one request of the peer's, so two may never merge.
-        Counts carrying a key or a request id are pinned because each
-        needs its own verdict.
-        """
-        if isinstance(message, CountQuery):
-            return True, True
-        if isinstance(message, CountResponse):
-            return message.status is not CountStatus.OK, True
-        if message.count_id == SUBSCRIBER_ID and message.count == 0:
-            return True, True
-        return False, message.key is not None or message.request_id != 0
+        self.sessions.send(message, known, urgent, pinned, size, span_ctx)
 
     def _transmit(
         self,
@@ -1127,88 +789,6 @@ class EcmpAgent(ProtocolAgent):
             self._m_wire_bytes.labels(node=self.node.name, direction="tx").inc(size)
         self.node.send(packet, neighbor.iface.index)
 
-    def _count_flush(self, trigger: str) -> None:
-        """Account one queue flush (or the direct send standing for one)."""
-        self.stats.incr("batch_flushes")
-        if self._m_flushes is not None:
-            self._m_flushes.labels(node=self.node.name, trigger=trigger).inc()
-
-    def _flush_neighbor(self, known: Neighbor, trigger: str) -> None:
-        """Drain the dirty-channel queue toward ``known`` as one wire
-        send: a bare message when a single record is pending, a
-        MSG_BATCH frame otherwise."""
-        if known.flush_event is not None:
-            known.flush_event.cancel()
-            known.flush_event = None
-        queue = known.queue
-        if queue is None:
-            return
-        known.queue = None
-        records = queue.records
-        self._count_flush(trigger)
-        if len(records) == 1:
-            self._transmit(records[0].message, known, contexts=(records[0].span_ctx,))
-            return
-        batch = EcmpBatch(messages=tuple(r.message for r in records))
-        self.stats.incr("batch_records_tx", len(records))
-        self.stats.incr("msgs_coalesced", len(records) - 1)
-        if self._m_coalesced is not None:
-            self._m_coalesced.labels(node=self.node.name).inc(len(records) - 1)
-        self._transmit(batch, known, contexts=tuple(r.span_ctx for r in records))
-
-    def _holdoff_ended(self, known: Neighbor) -> None:
-        """The hold-off ran out with records pending: the session is
-        busy, so they leave as one frame and the next hold-off starts."""
-        known.flush_event = None
-        known.holdoff_until = self.sim.now + self.BATCH_FLUSH_INTERVAL
-        self._flush_neighbor(known, "timer")
-
-    @contextmanager
-    def _burst(self, flush_as: Optional[str] = None):
-        """Cork the TCP-mode sessions around a loop that may emit many
-        records toward one neighbor in one call: everything sent inside
-        queues, in order, and each neighbor touched is dealt with once
-        when the loop ends.
-
-        The resync loops (a reconnect dump, a re-home pass, a
-        general-query reply, a failed neighbor's subtraction) name the
-        trigger to ``flush_as``: one frame per neighbor in the instant
-        of the event that caused it, opening no hold-off. The records
-        of a received frame are not an event of their own, so what they
-        send on (``flush_as`` None) is held to the session policy as one
-        message would be: at once if
-        any of it is urgent or the session is idle (which opens the
-        hold-off), else at the end of the hold-off that is running —
-        and either way as one frame, so a keyed join and the shorter
-        leave behind it cannot swap places on the next link.
-
-        Inside another burst (a general query that arrived as a record
-        of a frame) the outer one's end does the releasing."""
-        if self._corked is not None:
-            yield
-            return
-        self._corked = touched = {}
-        try:
-            yield
-        finally:
-            self._corked = None
-            for known, urgent in touched.items():
-                if known.queue is None:
-                    continue  # the watermark took it
-                if flush_as is not None:
-                    self._flush_neighbor(known, flush_as)
-                else:
-                    self._release(known, urgent)
-
-    def _flush_all(self, trigger: str) -> None:
-        for known in self._neighbors.values():
-            if known.queue is not None:
-                self._flush_neighbor(known, trigger)
-
-    def _rtt_estimate(self, neighbor: str) -> float:
-        known = self._neighbor(neighbor)
-        return 2.0 * known.iface.link.delay if known is not None else 0.0
-
     # ------------------------------------------------------------------
     # subscriber counts: join / leave / update (§3.2)
     # ------------------------------------------------------------------
@@ -1219,23 +799,21 @@ class EcmpAgent(ProtocolAgent):
             return  # discovery replies refresh last_heard; nothing more
         if count_id == SUBSCRIBER_ID:
             # Tree maintenance always applies; a pending query may also
-            # consume the same message as its reply (see module doc).
-            pending = self.pending_queries.get((channel, count_id))
-            if pending is not None and from_name in pending.outstanding:
-                pending.record_reply(from_name, message.count)
-                self._maybe_finalize(pending)
+            # consume the same message as its reply (see module doc) —
+            # asked only while a query is pending, which is rare.
+            if self.counting.pending:
+                self.counting.on_reply(message, from_name)
             self._apply_subscriber_count(
                 channel, from_name, message.count, message.key, message.request_id
             )
             return
-        pending = self.pending_queries.get((channel, count_id))
-        if pending is not None and from_name in pending.outstanding:
-            pending.record_reply(from_name, message.count)
-            self._maybe_finalize(pending)
+        if self.counting.pending and self.counting.on_reply(message, from_name):
             return
         state = self.channels.get(channel)
         if state is not None and count_id in state.proactive:
-            self._apply_proactive_value(state, count_id, from_name, message.count)
+            self.counting.on_proactive_value(
+                state, count_id, from_name, message.count
+            )
             return
         # §3.1: "A router can either acknowledge or reject a Count
         # message by sending a CountResponse indicating an unsupported
@@ -1342,10 +920,10 @@ class EcmpAgent(ProtocolAgent):
             else:
                 # A Count off the wire came from a neighbor; a name that
                 # is none (a test driving this method) has no session.
-                known = self._neighbor(from_name)
-                mode = known.mode if known is not None else self.default_mode
+                known = self.sessions.neighbor(from_name)
+                mode = known.mode if known is not None else self.sessions.default_mode
                 record.udp = mode is NeighborMode.UDP
-            self._track_udp_record(channel, from_name, record)
+            self.liveness.track(channel, from_name, record)
 
         entry = None
         forwards = prior_validated
@@ -1399,7 +977,7 @@ class EcmpAgent(ProtocolAgent):
             self._by_upstream.setdefault(upstream, {})[channel] = None
         if self.propagation is CountPropagation.PROACTIVE:
             state.proactive = {
-                SUBSCRIBER_ID: ProactiveCounter(self.proactive_curve, now=self.sim.now)
+                SUBSCRIBER_ID: ProactiveCounter(self.counting.curve, now=self.sim.now)
             }
         return state
 
@@ -1454,7 +1032,7 @@ class EcmpAgent(ProtocolAgent):
         if self.propagation is CountPropagation.ON_CHANGE:
             self._send_count_upstream(state, total)
         elif self.propagation is CountPropagation.PROACTIVE:
-            self._proactive_evaluate(state, SUBSCRIBER_ID)
+            self.counting.evaluate(state, SUBSCRIBER_ID)
         # TREE_ONLY: stay quiet while on-tree.
         return False
 
@@ -1599,14 +1177,11 @@ class EcmpAgent(ProtocolAgent):
                 self._unroute(state.upstream, state.channel)
             self.pending_verdicts.pop(state.channel, None)
             self.fib.remove(state.channel.source, state.channel.group)
-            for (channel, count_id), event in list(self._proactive_checks.items()):
-                if channel == state.channel:
-                    event.cancel()
-                    del self._proactive_checks[(channel, count_id)]
+            self.counting.forget_channel(state.channel)
 
     def _unroute(self, upstream: str, channel: Channel) -> None:
         """Take ``channel`` out of the set routed via ``upstream``; the
-        set goes with its last channel, as in ``_udp_channels``."""
+        set goes with its last channel, as in ``Liveness.udp_channels``."""
         routed = self._by_upstream.get(upstream)
         if routed is not None:
             routed.pop(channel, None)
@@ -1617,7 +1192,7 @@ class EcmpAgent(ProtocolAgent):
         """Delete one downstream record, with every index entry and the
         forwarding bit that stood for it."""
         record = state.downstream.pop(name)
-        self._untrack_record(state.channel, name)
+        self.liveness.untrack(state.channel, name)
         if record.validated and record.count > 0:
             self._set_forwarding(state, name, False)
 
@@ -1636,7 +1211,7 @@ class EcmpAgent(ProtocolAgent):
         if name in self.blocks:
             bit = 0
         else:
-            neighbor = self._neighbor(name)
+            neighbor = self.sessions.neighbor(name)
             if neighbor is None:
                 return  # LOCAL, or nothing a packet could be sent to
             bit = 1 << neighbor.iface.index
@@ -1664,7 +1239,7 @@ class EcmpAgent(ProtocolAgent):
         )
 
     def _rpf_ifindex(self, state: ChannelState) -> int:
-        upstream = self._neighbor(state.upstream) if state.upstream else None
+        upstream = self.sessions.neighbor(state.upstream) if state.upstream else None
         # 0 at the source's own node: the emit path skips the iif check.
         return upstream.iface.index if upstream is not None else 0
 
@@ -1802,7 +1377,7 @@ class EcmpAgent(ProtocolAgent):
             )
 
     # ------------------------------------------------------------------
-    # generic counting (§3.1)
+    # query dispatch (§3.1, §3.3, §6)
     # ------------------------------------------------------------------
 
     def _handle_query(self, query: CountQuery, from_name: str) -> None:
@@ -1816,9 +1391,9 @@ class EcmpAgent(ProtocolAgent):
             self._handle_general_query(from_name)
             return
         if query.proactive is not None:
-            self._handle_proactive_request(query, origin=from_name)
+            self.counting.on_proactive_request(query, origin=from_name)
             return
-        self._start_query(query, origin=from_name)
+        self.counting.on_query(query, origin=from_name)
 
     def _handle_general_query(self, from_name: str) -> None:
         """§3.3: re-send Counts for every channel routed via ``from_name``
@@ -1832,319 +1407,26 @@ class EcmpAgent(ProtocolAgent):
         if not routed:
             return
         self.stats.incr("refresh_records_examined", len(routed))
-        with self._burst("refresh"):
+        with self.sessions.burst("refresh"):
             for channel in list(routed):
                 state = self.channels.get(channel)
                 if state is not None and state.upstream == from_name:
                     self._reannounce(state)
 
-    def _start_query(
-        self,
-        query: CountQuery,
-        origin: Optional[str],
-        callback: Optional[Callable[[int, bool], None]] = None,
-    ) -> None:
-        channel, count_id = query.channel, query.count_id
-        key = (channel, count_id)
-        stale = self.pending_queries.pop(key, None)
-        if stale is not None and stale.timeout_event is not None:
-            stale.timeout_event.cancel()
-        if stale is not None and stale.span is not None and self.obs is not None:
-            self.obs.tracer.add_event(stale.span, "superseded")
-            self.obs.tracer.end(stale.span)
-
-        state = self.channels.get(channel)
-        timeout = query.timeout
-        if origin is not None:
-            timeout = decrement_timeout(timeout, self._rtt_estimate(origin))
-
-        pending = PendingQuery(
-            channel=channel,
-            count_id=count_id,
-            deadline=self.sim.now + timeout,
-            origin=origin,
-            callback=callback,
-        )
-        pending.local_contribution = self._local_contribution(channel, count_id)
-
-        if state is not None:
-            forward = CountQuery(channel=channel, count_id=count_id, timeout=timeout)
-            for name, record in state.downstream.items():
-                if name == LOCAL or record.count <= 0:
-                    continue
-                if name in self.blocks:
-                    # A block is locally-held state: this router is the
-                    # authority for its count, so it folds into the
-                    # local contribution instead of being polled over a
-                    # wire (there is no wire — and no reply to await).
-                    if count_id == SUBSCRIBER_ID:
-                        pending.local_contribution += record.count
-                    continue
-                if not propagates_to_hosts(count_id) and self._neighbor_is_host(name):
-                    continue
-                pending.outstanding.add(name)
-                self._send_message(forward, name)
-
-        if not pending.outstanding:
-            self._finalize_query(pending)
-            return
-        if self.obs is not None:
-            span = self.obs.tracer.current
-            if span is not None:
-                # The handling (or locally-originated root) span stays
-                # open while replies are outstanding; downstream Counts
-                # fold in as events on it (see _handle_traced).
-                span.attrs["deferred"] = True
-                pending.span = span
-        self.pending_queries[key] = pending
-        pending.timeout_event = self.sim.schedule(
-            max(timeout, MIN_FORWARD_TIMEOUT),
-            lambda: self._query_timed_out(key),
-            name="ecmp-query-timeout",
-        )
-
-    def _neighbor_is_host(self, name: str) -> bool:
-        known = self._neighbor(name)
-        return known is not None and known.is_host
-
-    def _local_contribution(self, channel: Channel, count_id: int) -> int:
-        """This node's own addend for a count (§3.1: hosts answer
-        immediately or via the application; routers contribute
-        network-layer resource counts)."""
-        responder = self.count_responders.get((channel, count_id))
-        if responder is not None:
-            return int(responder())
-        if count_id == SUBSCRIBER_ID:
-            return 1 if channel in self.subscriptions else 0
-        state = self.channels.get(channel)
-        if count_id == LINK_COUNT_ID:
-            return state.downstream_links() if state is not None else 0
-        if count_id == TREE_SIZE_ID:
-            return 1 if state is not None else 0
-        return 0
-
-    def _maybe_finalize(self, pending: PendingQuery) -> None:
-        if pending.is_complete() and not pending.completed:
-            if pending.timeout_event is not None:
-                pending.timeout_event.cancel()
-            self._finalize_query(pending)
-
-    def _query_timed_out(self, key: tuple[Channel, int]) -> None:
-        pending = self.pending_queries.get(key)
-        if pending is not None and not pending.completed:
-            self.stats.incr("query_timeouts")
-            self._finalize_query(pending)
-
-    def _finalize_query(self, pending: PendingQuery) -> None:
-        pending.completed = True
-        self.pending_queries.pop((pending.channel, pending.count_id), None)
-        partial = bool(pending.outstanding)
-        total = pending.total()
-
-        def deliver() -> None:
-            if pending.origin is None:
-                if pending.callback is not None:
-                    pending.callback(total, partial)
-            else:
-                # Query replies race the origin's reply deadline; never
-                # let one sit in a flush window.
-                self._send_message(
-                    Count(
-                        channel=pending.channel,
-                        count_id=pending.count_id,
-                        count=total,
-                    ),
-                    pending.origin,
-                    urgent=True,
-                )
-
-        if self.obs is not None and pending.span is not None:
-            tracer = self.obs.tracer
-            tracer.add_event(pending.span, "finalized", total=total, partial=partial)
-            with tracer.activate(pending.span):
-                deliver()
-            tracer.end(pending.span)
-        else:
-            deliver()
-
     # ------------------------------------------------------------------
-    # proactive counting (§6)
+    # what liveness reports: expiry and failure handling (§3.2-3.3)
     # ------------------------------------------------------------------
-
-    def _handle_proactive_request(self, query: CountQuery, origin: Optional[str]) -> None:
-        channel, count_id = query.channel, query.count_id
-        curve = query.proactive or self.proactive_curve
-        state = self.channels.get(channel)
-        if state is None:
-            return
-        if count_id not in state.proactive:
-            counter = ProactiveCounter(curve, now=self.sim.now)
-            counter.observe(self._proactive_total(state, count_id))
-            if not state.proactive:
-                state.proactive = {}
-            state.proactive[count_id] = counter
-        for name, record in state.downstream.items():
-            if is_pseudo_neighbor(name) or record.count <= 0:
-                continue
-            if not propagates_to_hosts(count_id) and self._neighbor_is_host(name):
-                continue
-            self._send_message(query, name)
-        self._proactive_evaluate(state, count_id)
-
-    def _apply_proactive_value(
-        self, state: ChannelState, count_id: int, from_name: str, value: int
-    ) -> None:
-        if not state.proactive_values:
-            state.proactive_values = {}
-        per_neighbor = state.proactive_values.setdefault(count_id, {})
-        per_neighbor[from_name] = value
-        self._proactive_evaluate(state, count_id)
-
-    def _proactive_total(self, state: ChannelState, count_id: int) -> int:
-        if count_id == SUBSCRIBER_ID:
-            return state.total(validated_only=False)
-        values = state.proactive_values.get(count_id, {})
-        return sum(values.values()) + self._local_contribution(state.channel, count_id)
-
-    def _proactive_evaluate(self, state: ChannelState, count_id: int) -> None:
-        counter = state.proactive.get(count_id)
-        if counter is None:
-            return
-        counter.observe(self._proactive_total(state, count_id))
-        now = self.sim.now
-        if state.upstream is None:
-            return  # the root only aggregates
-        if counter.should_send(now):
-            value = counter.current
-            if count_id == SUBSCRIBER_ID:
-                self._send_count_upstream(state, value)
-            else:
-                self._send_message(
-                    Count(channel=state.channel, count_id=count_id, count=value),
-                    state.upstream,
-                )
-                counter.sent(now)
-            self._cancel_proactive_check(state.channel, count_id)
-            return
-        delay = counter.next_check_delay(now)
-        if delay is not None:
-            self._schedule_proactive_check(state.channel, count_id, delay + 1e-6)
-
-    def _schedule_proactive_check(
-        self, channel: Channel, count_id: int, delay: float
-    ) -> None:
-        key = (channel, count_id)
-        existing = self._proactive_checks.get(key)
-        if existing is not None:
-            existing.cancel()
-        self._proactive_checks[key] = self.sim.schedule(
-            delay, lambda: self._proactive_check_fired(key), name="ecmp-proactive"
-        )
-
-    def _cancel_proactive_check(self, channel: Channel, count_id: int) -> None:
-        event = self._proactive_checks.pop((channel, count_id), None)
-        if event is not None:
-            event.cancel()
-
-    def _proactive_check_fired(self, key: tuple[Channel, int]) -> None:
-        self._proactive_checks.pop(key, None)
-        state = self.channels.get(key[0])
-        if state is not None:
-            self._proactive_evaluate(state, key[1])
-
-    # ------------------------------------------------------------------
-    # liveness: keepalives, UDP refresh, failure handling (§3.2-3.3)
-    # ------------------------------------------------------------------
-
-    def _keepalive_tick(self) -> None:
-        """Periodic neighbor probe: "Each router periodically multicasts
-        such a [neighbors] CountQuery" (§3.3); for TCP neighbors this
-        doubles as the per-connection keepalive."""
-        if self.obs is not None:
-            with self.obs.tracer.span("ecmp.keepalive_tick", node=self.node.name):
-                self._do_keepalive_tick()
-        else:
-            self._do_keepalive_tick()
-
-    def _do_keepalive_tick(self) -> None:
-        probe = CountQuery(
-            channel=DISCOVERY_CHANNEL,
-            count_id=NEIGHBORS_ID,
-            timeout=self.KEEPALIVE_INTERVAL,
-        )
-        for iface in self.node.interfaces:
-            peer = iface.peer
-            if peer is None or not iface.up:
-                continue
-            self.stats.incr("keepalives_tx")
-            self._send_message(probe, peer.name)
-        # Detect silent TCP-neighbor deaths.
-        horizon = self.sim.now - self.KEEPALIVE_MISSES * self.KEEPALIVE_INTERVAL
-        for name, last in list(self.neighbor_last_heard.items()):
-            known = self._neighbor(name)
-            if last < horizon and known is not None and known.mode is NeighborMode.TCP:
-                if known.iface.up:
-                    continue  # link is up; silence is fine (no traffic)
-                del self.neighbor_last_heard[name]
-                self._neighbor_failed(name)
-        # The keepalive tick is also the protocol's coarse flush point:
-        # anything still sitting in a dirty-channel queue rides out now.
-        self._flush_all(trigger="keepalive")
-
-    def _udp_refresh_tick(self) -> None:
-        """Periodic general query toward UDP-mode downstream neighbors,
-        plus expiry of unrefreshed UDP (soft) state."""
-        if self.obs is not None:
-            with self.obs.tracer.span("ecmp.udp_refresh_tick", node=self.node.name):
-                self._do_udp_refresh_tick()
-        else:
-            self._do_udp_refresh_tick()
 
     def _do_udp_refresh_tick(self) -> None:
-        """Coalesced refresh: one sampled general query per UDP-mode
-        neighbor (from the incrementally maintained fan-out index), then
-        expiry of only the ring entries whose deadline bucket has passed
-        — O(neighbors + due) per tick instead of O(total records)."""
-        if self._udp_channels:
-            general = CountQuery(
-                channel=DISCOVERY_CHANNEL,
-                count_id=ALL_CHANNELS_ID,
-                timeout=self.UDP_QUERY_INTERVAL,
-            )
-            for name in sorted(self._udp_channels):
-                self._send_message(general, name)
-        ring = self._refresh_ring
-        if ring is None:
-            return
-        now = self.sim.now
-        lease = self.UDP_ROBUSTNESS * self.UDP_QUERY_INTERVAL
-        horizon = now - lease
-        examined = 0
-        expired: list[tuple[Channel, str]] = []
-        for key in ring.due(now):
-            examined += 1
-            channel, name = key
-            state = self.channels.get(channel)
-            record = state.downstream.get(name) if state is not None else None
-            if record is None or not record.udp:
-                ring.discard(key)  # record left through another path
-            elif record.updated_at < horizon:
-                ring.discard(key)
-                expired.append(key)
-            else:
-                # Refreshed since it was bucketed (lazy deadline): move
-                # it to the bucket of its current lease expiry.
-                ring.reschedule(key, record.updated_at + lease)
-        if examined:
-            self.stats.incr("refresh_records_examined", examined)
-        for channel, name in expired:
-            self.stats.incr("udp_expirations")
-            self._apply_subscriber_count(channel, name, 0)
-            self._expire_block_member(channel, name)
+        """The refresh tick, under the name ``tests/properties`` wraps."""
+        self.liveness.refresh_tick()
 
-    def _expire_block_member(self, channel: Channel, name: str) -> None:
-        """Keep an expired block's own view and the delivery index
-        consistent with the expired record."""
+    def _record_expired(self, channel: Channel, name: str) -> None:
+        """A UDP-mode record outlived its lease: it leaves as if its
+        neighbor had sent a zero Count — and an expired block's own view
+        and the delivery index are kept consistent with that."""
+        self.stats.incr("udp_expirations")
+        self._apply_subscriber_count(channel, name, 0)
         block = self.blocks.get(name)
         if block is not None:
             block.members.pop(channel, None)
@@ -2154,48 +1436,10 @@ class EcmpAgent(ProtocolAgent):
                 if not entries:
                     del self.channel_blocks[channel]
 
-    def _refresh_deadline(self, key: tuple[Channel, str]) -> float:
-        """The live lease expiry for a ring entry (ring rebuilds)."""
-        channel, name = key
-        state = self.channels.get(channel)
-        record = state.downstream.get(name) if state is not None else None
-        updated_at = record.updated_at if record is not None else self.sim.now
-        return updated_at + self.UDP_ROBUSTNESS * self.UDP_QUERY_INTERVAL
-
-    def _track_udp_record(self, channel: Channel, name: str, record) -> None:
-        """Sync the general-query fan-out set and the refresh ring with
-        one just-written record's udp flag. Pseudo-neighbors (blocks)
-        join the ring — unrefreshed blocks age out like any UDP
-        neighbor — but never the query fan-out set."""
-        if record.udp:
-            if not is_pseudo_neighbor(name):
-                self._udp_channels.setdefault(name, {})[channel] = None
-            ring = self._refresh_ring
-            if ring is not None:
-                ring.add(
-                    (channel, name),
-                    record.updated_at
-                    + self.UDP_ROBUSTNESS * self.UDP_QUERY_INTERVAL,
-                )
-        else:
-            self._untrack_record(channel, name)
-
-    def _untrack_record(self, channel: Channel, name: str) -> None:
-        """Drop a deleted (or no-longer-UDP) record from the refresh
-        structures; called at every downstream-record removal site."""
-        channels = self._udp_channels.get(name)
-        if channels is not None:
-            channels.pop(channel, None)
-            if not channels:
-                del self._udp_channels[name]
-        ring = self._refresh_ring
-        if ring is not None:
-            ring.discard((channel, name))
-
     def _neighbor_failed(self, name: str) -> None:
         """TCP-connection failure: "The associated count is subtracted
         from the sum provided upstream if the connection fails" (§3.2)."""
-        with self._burst("failure"):
+        with self.sessions.burst("failure"):
             for state in list(self.channels.values()):
                 if name in state.downstream:
                     self._apply_subscriber_count(state.channel, name, 0)
@@ -2217,7 +1461,7 @@ class EcmpAgent(ProtocolAgent):
         state dump, which is deterministic across sharded/oracle runs)."""
         bytes_before = self.stats.get("bytes_tx")
         resent = 0
-        with self._burst("reconnect"):
+        with self.sessions.burst("reconnect"):
             for state in self.channels.values():
                 if state.upstream == name:
                     # The peer dropped our records with the session.
@@ -2240,7 +1484,7 @@ class EcmpAgent(ProtocolAgent):
         bytes_before = self.stats.get("bytes_tx")
         # All re-home joins toward one new parent, and all zeros toward
         # one abandoned parent, leave as one frame each.
-        with self._burst("rehome"):
+        with self.sessions.burst("rehome"):
             self._rehome_channels()
         sent = self.stats.get("bytes_tx") - bytes_before
         if sent:
@@ -2271,7 +1515,8 @@ class EcmpAgent(ProtocolAgent):
             if new_upstream == state.upstream:
                 continue
             old = state.upstream
-            old_reachable = old is not None and self._neighbor_link_up(old)
+            known = self.sessions.neighbor(old) if old is not None else None
+            old_reachable = known is not None and known.iface.up
             if old_reachable and now - state.upstream_changed_at < self.HYSTERESIS:
                 remaining = self.HYSTERESIS - (now - state.upstream_changed_at)
                 if not self._rehome_scheduled:
@@ -2312,7 +1557,3 @@ class EcmpAgent(ProtocolAgent):
     def _rehome_fired(self) -> None:
         self._rehome_scheduled = False
         self.reevaluate_upstreams()
-
-    def _neighbor_link_up(self, name: str) -> bool:
-        known = self._neighbor(name)
-        return known is not None and known.iface.up

@@ -132,7 +132,7 @@ class FaultMonitor:
                     peer = agents[neighbor].channels.get(channel)
                     if peer is None or peer.upstream != name:
                         orphans += 1
-            ring = agent._refresh_ring
+            ring = agent.liveness.ring
             if ring is not None:
                 for key in list(ring._entries):
                     ring_channel, ring_neighbor = key

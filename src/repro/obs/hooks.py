@@ -19,6 +19,7 @@ off a single snapshot.
 
 from __future__ import annotations
 
+from contextlib import nullcontext
 from typing import TYPE_CHECKING, Optional
 
 from repro.core.accounting import link_accounting
@@ -33,6 +34,15 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 #: Packet-header key under which a :class:`~repro.obs.tracing.SpanContext`
 #: rides along with every instrumented control message.
 SPAN_HEADER = "spanctx"
+
+_NO_SPAN = nullcontext()
+
+
+def span(obs: Optional["Observability"], name: str, **attrs: object):
+    """``obs.tracer.span(name, **attrs)``, or a no-op context when
+    observability is off — so an instrumented call site spells its body
+    once."""
+    return _NO_SPAN if obs is None else obs.tracer.span(name, **attrs)
 
 
 class Observability:

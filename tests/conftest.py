@@ -110,24 +110,28 @@ def assert_control_plane_at_rest(net: ExpressNetwork) -> None:
     query, no neighbor session with a dirty-channel queue or a flush
     timer, no channel state without a downstream record (one a rollback
     emptied and did not collect), and no emptied inner set left standing in the
-    ``_udp_channels`` / ``_by_upstream`` indexes."""
+    ``liveness.udp_channels`` / ``_by_upstream`` indexes."""
     for name, agent in net.ecmp_agents.items():
         held = {
             "pending_verdicts": agent.pending_verdicts,
-            "pending_queries": agent.pending_queries,
+            "pending_queries": agent.counting.pending,
             "queued toward": [
-                n.name for n in agent._neighbors.values() if n.queue is not None
+                n.name for n in agent.sessions.table.values() if n.queue is not None
             ],
             "flush timers toward": [
-                n.name for n in agent._neighbors.values() if n.flush_event is not None
+                n.name
+                for n in agent.sessions.table.values()
+                if n.flush_event is not None
             ],
             "channel states nobody is below": [
                 str(channel)
                 for channel, state in agent.channels.items()
                 if not state.downstream
             ],
-            "empty _udp_channels sets": [
-                peer for peer, channels in agent._udp_channels.items() if not channels
+            "empty udp_channels sets": [
+                peer
+                for peer, channels in agent.liveness.udp_channels.items()
+                if not channels
             ],
             "empty _by_upstream sets": [
                 peer for peer, channels in agent._by_upstream.items() if not channels

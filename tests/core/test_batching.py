@@ -11,10 +11,17 @@ flush the whole queue immediately and open no hold-off, so coalescing
 never adds latency where the protocol has a deadline. Loops that emit a
 burst toward one neighbor queue explicitly and flush once at their end.
 See ``docs/ecmp-wire.md``.
+
+The policy is :class:`NeighborSessions` (``core/ecmp/session.py``), and
+the cases that pin it drive that component alone: a bare ``Simulator``,
+an owner stub, a ``transmit`` that records (:class:`BareSessions`). The
+cases that need what is around it — real joins, accounting at the
+agent, frames on a link — run whole networks.
 """
 
 import struct
 from collections import Counter
+from types import SimpleNamespace
 
 import pytest
 
@@ -31,9 +38,13 @@ from repro.core.ecmp.messages import (
     encode_message,
 )
 from repro.errors import CodecError, ProtocolError, ReproError
+from repro.core.channel import Channel
 from repro.core.ecmp.protocol import DISCOVERY_CHANNEL, DirtyChannelQueue, EcmpAgent
+from repro.core.ecmp.session import Neighbor, NeighborSessions
 from repro.core.keys import make_key
+from repro.netsim.engine import Simulator
 from repro.netsim.packet import Packet
+from repro.netsim.trace import Counter as StatsBag
 from repro.workloads.churn import poisson_churn, schedule_churn
 from tests.conftest import (
     assert_control_plane_at_rest,
@@ -101,11 +112,11 @@ class TestDirtyChannelQueue:
         assert q.records[0].message.count == 5
 
 
-def watch_flush_events(net) -> list:
-    """Every ``ecmp-batch-flush`` event scheduled from now on, as a
-    list that grows."""
+def watch_flush_events(sim) -> list:
+    """Every ``ecmp-batch-flush`` event scheduled on ``sim`` from now
+    on, as a list that grows."""
     events = []
-    schedule_at = net.sim.schedule_at
+    schedule_at = sim.schedule_at
 
     def spy(time, action, name=""):
         event = schedule_at(time, action, name)
@@ -113,22 +124,59 @@ def watch_flush_events(net) -> list:
             events.append(event)
         return event
 
-    net.sim.schedule_at = spy
+    sim.schedule_at = spy
     return events
+
+
+class BareSessions:
+    """A :class:`NeighborSessions` with nothing around it: the owner is
+    this stub (the attributes the component reads, no more), the clock
+    a bare ``Simulator``, the one neighbor ``n1`` a table entry made by
+    hand, and ``transmit`` a recorder — ``frames`` is ``(time, message
+    or batch)`` per wire send. The substitution the layer exists for."""
+
+    BATCH_FLUSH_INTERVAL = EcmpAgent.BATCH_FLUSH_INTERVAL
+    BATCH_MAX_RECORDS = EcmpAgent.BATCH_MAX_RECORDS
+
+    def __init__(self, mode=NeighborMode.TCP, batching=True):
+        self.sim = Simulator()
+        self.stats = StatsBag()
+        self.obs = None
+        self.frames = []
+        self.sessions = NeighborSessions(self, self.record, mode, batching)
+        self.session = self.sessions.table["n1"] = Neighbor(
+            SimpleNamespace(name="n1"), iface=None, is_host=False, mode=mode
+        )
+        self._suffix = 0
+
+    def record(self, message, neighbor, contexts=(), size=None):
+        assert neighbor is self.session
+        self.frames.append((self.sim.now, message))
+
+    def channels(self, n):
+        """``n`` channels nobody has used yet."""
+        first, self._suffix = self._suffix + 1, self._suffix + n
+        return [Channel.of(0x0A000001, first + i) for i in range(n)]
+
+    def send(self, message, **how):
+        self.sessions.send(message, self.session, **how)
+
+    def count(self, ch, value=1):
+        self.send(Count(channel=ch, count_id=SUBSCRIBER_ID, count=value))
 
 
 def transmit_log(agent, toward: str) -> list:
     """``(time, message or batch)`` for every wire send ``agent`` makes
     toward neighbor ``toward`` from now on, as a list that grows."""
     sent = []
-    transmit = agent._transmit
+    transmit = agent.sessions.transmit
 
     def spy(message, neighbor, *args, **kwargs):
         if neighbor.name == toward:
             sent.append((agent.sim.now, message))
         return transmit(message, neighbor, *args, **kwargs)
 
-    agent._transmit = spy
+    agent.sessions.transmit = spy
     return sent
 
 
@@ -141,8 +189,8 @@ class TestCoalescingSendPath:
 
     def test_idle_session_sends_in_the_same_instant_with_no_flush_event(self, line_net):
         agent = line_net.ecmp_agents["n0"]
-        session = agent._neighbor("n1")
-        scheduled = watch_flush_events(line_net)
+        session = agent.sessions.neighbor("n1")
+        scheduled = watch_flush_events(line_net.sim)
         src, ch = make_channel(line_net, "hsrc")
         now = line_net.sim.now
         agent._send_message(self.count(ch, 2), "n1")
@@ -160,22 +208,30 @@ class TestCoalescingSendPath:
         line_net.run(until=now + link.delay + size / link.bandwidth + 1e-9)
         assert line_net.ecmp_agents["n1"].stats.get("counts_rx") == 1
 
-    def test_non_urgent_count_queues_instead_of_sending(self, line_net):
+    def test_non_urgent_count_queues_instead_of_sending(self):
         # ... once the session is busy: behind a send less than a
         # hold-off old.
-        agent = line_net.ecmp_agents["n0"]
-        session = agent._neighbor("n1")
-        scheduled = watch_flush_events(line_net)
-        a, b, c = other_channel(line_net, "hsrc", n=3)
-        agent._send_message(self.count(a), "n1")
-        before = agent.stats.get("wire_sends")
-        agent._send_message(self.count(b, 2), "n1")
-        agent._send_message(self.count(c, 2), "n1")
-        assert agent.stats.get("wire_sends") == before
+        bare = BareSessions()
+        session = bare.session
+        scheduled = watch_flush_events(bare.sim)
+        a, b, c = bare.channels(3)
+        bare.count(a)
+        assert len(bare.frames) == 1
+        bare.count(b, 2)
+        bare.count(c, 2)
+        assert len(bare.frames) == 1
         assert len(session.queue) == 2
         # One flush event for the whole hold-off, at its end.
         assert scheduled == [session.flush_event]
         assert scheduled[0].time == session.holdoff_until
+        # Which carries both, in order, and starts the next hold-off.
+        bare.sim.run()
+        (_, first), (at, frame) = bare.frames
+        assert at == EcmpAgent.BATCH_FLUSH_INTERVAL and first.channel == a
+        assert [m.channel for m in frame.messages] == [b, c]
+        assert session.queue is None and session.flush_event is None
+        assert session.holdoff_until == 2 * EcmpAgent.BATCH_FLUSH_INTERVAL
+        assert bare.stats.get("batch_flushes") == 2
 
     def test_coalesced_update_counted(self, line_net):
         agent = line_net.ecmp_agents["n0"]
@@ -183,86 +239,133 @@ class TestCoalescingSendPath:
         agent._send_message(self.count(a), "n1")  # opens the hold-off
         for value in (1, 2, 3):
             agent._send_message(self.count(b, value), "n1")
-        assert len(agent._neighbor("n1").queue) == 1
+        assert len(agent.sessions.neighbor("n1").queue) == 1
         assert agent.stats.get("msgs_coalesced") == 2
         assert agent.stats.get("msgs_tx") >= 4
         assert agent.stats.get("wire_sends") == 1
 
-    def test_urgent_query_flushes_whole_queue_as_one_frame(self, line_net):
-        agent = line_net.ecmp_agents["n0"]
-        session = agent._neighbor("n1")
-        first, a, b = other_channel(line_net, "hsrc", n=3)
-        agent._send_message(self.count(first), "n1")
-        scheduled = watch_flush_events(line_net)
-        agent._send_message(self.count(a), "n1")
-        agent._send_message(self.count(b), "n1")
-        assert agent.stats.get("wire_sends") == 1
-        agent._send_message(
-            CountQuery(channel=a, count_id=SUBSCRIBER_ID, timeout=5.0), "n1"
-        )
+    def test_urgent_query_flushes_whole_queue_as_one_frame(self):
+        bare = BareSessions()
+        session = bare.session
+        first, a, b = bare.channels(3)
+        bare.count(first)
+        scheduled = watch_flush_events(bare.sim)
+        bare.count(a)
+        bare.count(b)
+        assert len(bare.frames) == 1
+        bare.send(CountQuery(channel=a, count_id=SUBSCRIBER_ID, timeout=5.0))
         # The queue left as a single wire frame carrying all three
         # records (pending Counts ride ahead of the urgent query).
-        assert agent.stats.get("wire_sends") == 2
-        assert agent.stats.get("batch_records_tx") == 3
+        assert len(bare.frames) == 2
+        assert [type(m) for m in bare.frames[1][1].messages] == [Count, Count, CountQuery]
+        assert bare.stats.get("batch_records_tx") == 3
         assert session.queue is None and session.flush_event is None
         # The hold-off's one flush event went with the queue.
         assert [event.cancelled for event in scheduled] == [True]
 
-    def test_zero_count_leave_is_urgent(self, line_net):
-        agent = line_net.ecmp_agents["n0"]
-        a, b = other_channel(line_net, "hsrc", n=2)
-        agent._send_message(self.count(a), "n1")  # the session is busy
-        agent._send_message(self.count(b, 0), "n1")
-        assert agent.stats.get("wire_sends") == 2
+    def test_zero_count_leave_is_urgent(self):
+        bare = BareSessions()
+        a, b = bare.channels(2)
+        bare.count(a)  # the session is busy
+        bare.count(b, 0)
+        assert [m.channel for _, m in bare.frames] == [a, b]
 
-    def test_urgent_send_opens_no_hold_off(self, line_net):
+    def test_urgent_send_opens_no_hold_off(self):
         """A zap is a leave then a join toward one upstream: the join
         must not sit out a hold-off the leave opened."""
-        agent = line_net.ecmp_agents["n0"]
-        session = agent._neighbor("n1")
-        scheduled = watch_flush_events(line_net)
-        a, b = other_channel(line_net, "hsrc", n=2)
-        agent._send_message(self.count(a, 0), "n1")
-        assert agent.stats.get("wire_sends") == 1
-        assert session.holdoff_until <= line_net.sim.now
-        agent._send_message(self.count(b), "n1")
-        assert agent.stats.get("wire_sends") == 2  # idle: sent at once
+        bare = BareSessions()
+        session = bare.session
+        scheduled = watch_flush_events(bare.sim)
+        a, b = bare.channels(2)
+        bare.count(a, 0)
+        assert len(bare.frames) == 1
+        assert session.holdoff_until <= bare.sim.now
+        bare.count(b)
+        assert len(bare.frames) == 2  # idle: sent at once
         assert scheduled == []
         # And one that flushes a queue leaves the running hold-off as it
         # was, neither ended nor extended.
         deadline = session.holdoff_until
-        agent._send_message(self.count(a), "n1")
-        agent._send_message(self.count(b, 0), "n1")
-        assert agent.stats.get("wire_sends") == 3
+        bare.count(a)
+        bare.count(b, 0)
+        assert len(bare.frames) == 3
         assert session.holdoff_until == deadline
 
-    def test_rejection_response_is_urgent_ok_is_not(self, line_net):
-        agent = line_net.ecmp_agents["n0"]
-        a, ch = other_channel(line_net, "hsrc", n=2)
-        agent._send_message(self.count(a), "n1")  # the session is busy
+    def test_rejection_response_is_urgent_ok_is_not(self):
+        bare = BareSessions()
+        a, ch = bare.channels(2)
+        bare.count(a)  # the session is busy
         ok = CountResponse(channel=ch, count_id=SUBSCRIBER_ID, status=CountStatus.OK)
-        agent._send_message(ok, "n1")
-        assert agent.stats.get("wire_sends") == 1
+        bare.send(ok)
+        assert len(bare.frames) == 1
         denial = CountResponse(
             channel=ch,
             count_id=SUBSCRIBER_ID,
             status=CountStatus.INVALID_AUTHENTICATOR,
         )
-        agent._send_message(denial, "n1")
-        assert agent.stats.get("wire_sends") == 2
+        bare.send(denial)
+        assert len(bare.frames) == 2
 
-    def test_watermark_flushes_immediately(self, line_net):
-        agent = line_net.ecmp_agents["n0"]
-        first, *channels = other_channel(
-            line_net, "hsrc", n=EcmpAgent.BATCH_MAX_RECORDS + 1
-        )
-        agent._send_message(self.count(first), "n1")  # the session is busy
+    def test_watermark_flushes_immediately(self):
+        bare = BareSessions()
+        first, *channels = bare.channels(EcmpAgent.BATCH_MAX_RECORDS + 1)
+        bare.count(first)  # the session is busy
         for ch in channels:
-            agent._send_message(self.count(ch), "n1")
-        assert agent.stats.get("wire_sends") == 2
-        assert agent.stats.get("batch_records_tx") == EcmpAgent.BATCH_MAX_RECORDS
-        assert agent._neighbor("n1").queue is None
-        assert agent._neighbor("n1").flush_event is None
+            bare.count(ch)
+        assert len(bare.frames) == 2
+        assert bare.stats.get("batch_records_tx") == EcmpAgent.BATCH_MAX_RECORDS
+        assert bare.session.queue is None
+        assert bare.session.flush_event is None
+
+    def test_a_burst_corks_the_session_and_releases_it_once(self):
+        """Everything sent inside ``burst()`` queues, in order; the end
+        applies the session policy to the lot as to one message, or —
+        when the loop names its trigger — flushes at once and opens no
+        hold-off."""
+        bare = BareSessions()
+        session = bare.session
+        a, b, c, d = bare.channels(4)
+        with bare.sessions.burst():
+            bare.count(a)
+            with bare.sessions.burst():  # the outer one's end releases
+                bare.count(b, 0)
+            assert bare.frames == [] and len(session.queue) == 2
+        # One of them was urgent: one frame, at once, no hold-off.
+        assert [m.channel for m in bare.frames[0][1].messages] == [a, b]
+        assert session.holdoff_until <= bare.sim.now
+        # Idle and nothing urgent: at once, and the hold-off opens ...
+        with bare.sessions.burst():
+            bare.count(c)
+        assert len(bare.frames) == 2
+        assert session.holdoff_until == EcmpAgent.BATCH_FLUSH_INTERVAL
+        # ... so the next burst waits for its end,
+        with bare.sessions.burst():
+            bare.count(d)
+        assert len(bare.frames) == 2 and session.flush_event is not None
+        # unless the loop names its trigger, which leaves the hold-off
+        # as it was.
+        with bare.sessions.burst("rehome"):
+            bare.count(a)
+        assert [m.channel for m in bare.frames[2][1].messages] == [d, a]
+        assert session.flush_event is None
+        assert session.holdoff_until == EcmpAgent.BATCH_FLUSH_INTERVAL
+        # The watermark does not wait for the loop's end.
+        with bare.sessions.burst("rehome"):
+            for ch in bare.channels(EcmpAgent.BATCH_MAX_RECORDS):
+                bare.count(ch)
+            assert len(bare.frames) == 4 and session.queue is None
+        assert len(bare.frames) == 4
+        assert bare.stats.get("batch_flushes") == 4
+
+    def test_udp_mode_and_batching_off_send_every_message_alone(self):
+        for bare in (BareSessions(mode=NeighborMode.UDP), BareSessions(batching=False)):
+            (ch,) = bare.channels(1)
+            with bare.sessions.burst():
+                bare.count(ch, 2)
+                bare.count(ch, 3)
+                assert [m.count for _, m in bare.frames] == [2, 3]
+            assert bare.session.queue is None
+            assert bare.stats.get("batch_flushes") == 0
 
     def test_timer_flushes_within_interval(self, line_net):
         """The second and third record inside a hold-off leave as one
@@ -271,7 +374,7 @@ class TestCoalescingSendPath:
         on its session toward its edge router."""
         net = line_net
         agent = net.ecmp_agents["hsub"]
-        session = agent._neighbor("n1")
+        session = agent.sessions.neighbor("n1")
         frames = transmit_log(agent, "n1")
         channels = other_channel(net, "hsrc", n=5)
         interval = EcmpAgent.BATCH_FLUSH_INTERVAL
@@ -313,7 +416,7 @@ class TestCoalescingSendPath:
         del line_net.topo.nodes["n1"].agents["ecmp"]
         with pytest.raises(ProtocolError):
             agent.set_neighbor_mode("n1", NeighborMode.UDP)
-        assert set(agent._neighbors) <= {"hsrc"}
+        assert set(agent.sessions.table) <= {"hsrc"}
 
     def test_udp_mode_neighbor_bypasses_queue(self, line_net):
         agent = line_net.ecmp_agents["n0"]
@@ -325,7 +428,7 @@ class TestCoalescingSendPath:
             )
         assert agent.stats.get("wire_sends") == 2
         assert agent.stats.get("batch_flushes") == 0
-        assert agent._neighbor("n1").queue is None
+        assert agent.sessions.neighbor("n1").queue is None
 
     def test_batching_off_network_sends_immediately(self):
         topo = TopologyBuilder.line(2)
@@ -443,7 +546,7 @@ class TestDirectUrgentSend:
         src, ch = make_channel(net, "hsrc")
         query = CountQuery(channel=ch, count_id=SUBSCRIBER_ID, timeout=5.0)
         direct._send_message(query, "n1")
-        session = direct._neighbor("n1")
+        session = direct.sessions.neighbor("n1")
         assert session.queue is None and session.flush_event is None
 
         # The same message held back (not urgent, inside a hold-off), so
@@ -451,11 +554,11 @@ class TestDirectUrgentSend:
         net, queued, queued_frames = self.wired_net()
         src, ch = make_channel(net, "hsrc")
         query = CountQuery(channel=ch, count_id=SUBSCRIBER_ID, timeout=5.0)
-        session = queued._neighbor("n1")
+        session = queued.sessions.neighbor("n1")
         session.holdoff_until = net.sim.now + 1.0
         queued._send_message(query, "n1", urgent=False)
         assert len(session.queue) == 1 and queued_frames == []
-        queued._flush_neighbor(session, "urgent")
+        queued.sessions.flush(session, "urgent")
 
         assert self.sent(direct) == self.sent(queued)
         assert direct.stats.get("batch_flushes") == 1
@@ -486,7 +589,7 @@ class TestDirectUrgentSend:
         assert agent.stats.get("batch_flushes") == 2
         assert agent.stats.get("wire_sends") == 2
         assert agent.stats.get("batch_records_tx") == 2
-        session = agent._neighbor("n1")
+        session = agent.sessions.neighbor("n1")
         assert session.queue is None and session.flush_event is None
 
     def test_non_adjacent_name_is_sent_and_counted_nowhere(self):
@@ -503,7 +606,7 @@ class TestDirectUrgentSend:
             agent._send_message(query, name, urgent=False)
         assert self.sent(agent) == before and frames == []
         assert agent.node.dropped_packets == dropped
-        assert "hsrc" not in agent._neighbors and "nowhere" not in agent._neighbors
+        assert "hsrc" not in agent.sessions.table and "nowhere" not in agent.sessions.table
 
     def test_fanned_out_query_is_encoded_once(self, monkeypatch):
         """One CountQuery forwarded to k downstream neighbors is k
@@ -764,7 +867,7 @@ class TestReconnectResend:
         the reconnect dump covers them instead of a stale flush."""
         net, channels = subscribed_net
         n1 = net.ecmp_agents["n1"]
-        session = n1._neighbor("n0")
+        session = n1.sessions.neighbor("n0")
         for value in (8, 9):  # the first is sent, the second waits
             n1._send_message(
                 Count(channel=channels[0], count_id=SUBSCRIBER_ID, count=value), "n0"
@@ -823,7 +926,7 @@ class TestReconnectResend:
         busy one — and is one frame either way."""
         net = line_net
         n1 = net.ecmp_agents["n1"]
-        session = n1._neighbor("n0")
+        session = n1.sessions.neighbor("n0")
         upstream = transmit_log(n1, "n0")
         channels = other_channel(net, "hsrc", n=6)
         ifindex = net.topo.node("n1").interface_to(net.topo.node("hsub")).index

@@ -155,6 +155,31 @@ class TestApplicationCounts:
         net.settle(6.0)
         assert r1.count == 1 and r2.count == 1
 
+    def test_a_superseded_query_is_answered_by_the_one_that_restarted_it(
+        self, isp_net
+    ):
+        """The wire names a query by (channel, countId), so a second one
+        for the same pair restarts the first — whose caller is still
+        owed §2.1's best-effort count, and used to wait for ever."""
+        net = isp_net
+        src, ch = make_channel(net, "h0_0_0")
+        members = ["h1_0_0", "h1_1_1", "h2_0_0", "h2_1_1", "h0_1_0"]
+        for member in members:
+            net.host(member).subscribe(ch)
+        net.settle()
+        seen = []
+        first, second = (
+            src.count_query(
+                ch, timeout=2.0, callback=lambda n, p, who=who: seen.append((who, n, p))
+            )
+            for who in ("first", "second")
+        )
+        net.settle(10.0)
+        assert second.done and second.count == len(members)
+        assert first.done and first.count == len(members) and not first.partial
+        assert first.completed_at == second.completed_at
+        assert seen == [("first", 5, False), ("second", 5, False)]
+
 
 class TestPollIsARead:
     def test_poll_over_settled_tree_writes_no_fib_and_allocates_no_rows(

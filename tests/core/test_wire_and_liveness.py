@@ -86,7 +86,7 @@ class TestNeighborLiveness:
         assert agent.stats.get("keepalives_tx") > 0
         # Every physical neighbor has been heard from.
         for neighbor in net.topo.node("t0").neighbors():
-            assert neighbor.name in agent.neighbor_last_heard
+            assert neighbor.name in agent.liveness.last_heard
 
     def test_discovery_channel_is_well_known(self):
         """Footnote 5: ECMP's own multicast uses a well-known localhost

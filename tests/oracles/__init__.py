@@ -10,8 +10,9 @@ time:
 * :mod:`tests.oracles.records` — the per-record dataclass
   (specification of the ``StateBank`` row view ``DownstreamRecord``),
 * :mod:`tests.oracles.refresh` — the full-table refresh tick and
-  general-query walk (specification of the ``RefreshRing`` /
-  ``_by_upstream`` paths in ``repro.core.ecmp.protocol``),
+  general-query walk (specification of the ``RefreshRing`` tick in
+  ``repro.core.ecmp.liveness`` and the ``_by_upstream`` reply in
+  ``repro.core.ecmp.protocol``),
 * :mod:`tests.oracles.dataplane` — one packet hop with every look-up
   made per packet (specification of ``Link.transmit``, ``Node.send`` /
   ``receive``, ``Packet.copy``, ``ExpressForwarder.handle_packet`` /

@@ -11,8 +11,9 @@ channel table — no index, no ring, nothing remembered between calls:
 * a general query from a neighbor is answered with a Count for every
   channel routed via that neighbor.
 
-``repro.core.ecmp.protocol`` reaches the same answers from the
-``_udp_channels`` / ``_by_upstream`` indexes and the ``RefreshRing``;
+The shipped agent reaches the same answers from the ``udp_channels``
+index and the ``RefreshRing`` of ``repro.core.ecmp.liveness`` and the
+``_by_upstream`` index of ``repro.core.ecmp.protocol``;
 ``tests/properties/test_refresh_equivalence.py`` compares them with
 these at every tick and every general query of a seeded run.
 """
