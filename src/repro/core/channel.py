@@ -14,7 +14,7 @@ with a local database of allocated channels" (§2.2.1);
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from typing import Iterator, Optional
 
 from repro.errors import ChannelError
@@ -44,7 +44,8 @@ from repro.inet.addr import (
 # leaves no trace.
 # ---------------------------------------------------------------------------
 
-#: (source, suffix) -> canonical Channel, filled by :meth:`Channel.of`.
+#: The 7 wire bytes of (source, suffix) -> canonical Channel, filled by
+#: :meth:`Channel.of`.
 _OF_MEMO: dict = {}
 
 #: (source, group) -> canonical Channel, filled alongside ``_OF_MEMO``.
@@ -58,6 +59,17 @@ _CHANNEL_IDS: dict = {}
 #: for, else None — and a packet for a pair nobody interned has nobody
 #: to be delivered to. One dict probe, no Python frame, never a write.
 interned_channel = _PAIR_MEMO.get
+
+#: The decoder's probe, by :attr:`Channel.wire`; on a miss it interns
+#: through :func:`channel_from_wire`.
+wire_channel = _OF_MEMO.get
+
+
+def channel_from_wire(wire: bytes) -> "Channel":
+    """The canonical channel of a message header's 7 channel bytes:
+    source(4) dest-suffix(3). Raises :class:`ChannelError` for a source
+    no channel can have."""
+    return Channel.of(int.from_bytes(wire[:4], "big"), int.from_bytes(wire[4:], "big"))
 
 
 def intern_channel(channel: "Channel") -> "Channel":
@@ -83,8 +95,7 @@ def channel_id(channel: "Channel") -> int:
     return cid
 
 
-@dataclass(frozen=True)
-class Channel:
+class Channel(namedtuple("Channel", "source group wire")):
     """An EXPRESS channel (S, E).
 
     Attributes
@@ -93,28 +104,35 @@ class Channel:
         The single designated source's unicast address S.
     group:
         The channel destination address E, in 232.0.0.0/8.
+    wire:
+        How every ECMP message names the channel on the wire — source(4)
+        dest-suffix(3) — derived from the two, built once and copied on
+        encode.
+
+    An immutable tuple: channels key every hot dict in the control and
+    data planes (channel tables, FIB caches, block membership), and a
+    tuple is hashed and compared without a Python frame.
     """
 
-    source: int
-    group: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not is_unicast(self.source):
+    def __new__(cls, source: int, group: int) -> "Channel":
+        if not is_unicast(source):
             raise ChannelError(
-                f"channel source {format_address(self.source)} must be unicast"
+                f"channel source {format_address(source)} must be unicast"
             )
-        if not is_ssm(self.group):
+        if not is_ssm(group):
             raise ChannelError(
-                f"channel destination {format_address(self.group)} must be in 232/8"
+                f"channel destination {format_address(group)} must be in 232/8"
             )
-        # Channels key every hot dict in the control and data planes
-        # (channel tables, FIB caches, block membership), and the value
-        # is immutable — memoize the hash instead of rebuilding the
-        # (source, group) tuple on every lookup.
-        object.__setattr__(self, "_hash", hash((self.source, self.group)))
+        wire = source.to_bytes(4, "big") + group.to_bytes(4, "big")[1:]
+        return tuple.__new__(cls, (source, group, wire))
 
-    def __hash__(self) -> int:
-        return self._hash
+    def __getnewargs__(self) -> tuple[int, int]:
+        return self.source, self.group
+
+    def __repr__(self) -> str:
+        return f"Channel(source={self.source}, group={self.group})"
 
     @property
     def suffix(self) -> int:
@@ -130,14 +148,13 @@ class Channel:
         plane by (src, dst), so there is exactly one canonical
         ``Channel`` per distinct (S, E) in the process.
         """
+        group = ssm_address(suffix)
         if cls is not Channel:  # subclasses get no interning
-            return cls(source=source, group=ssm_address(suffix))
-        key = (source, suffix)
-        channel = _OF_MEMO.get(key)
+            return cls(source=source, group=group)
+        channel = _PAIR_MEMO.get((source, group))
         if channel is None:
-            channel = cls(source=source, group=ssm_address(suffix))
-            _OF_MEMO[key] = channel
-            _PAIR_MEMO.setdefault((source, channel.group), channel)
+            channel = _PAIR_MEMO[(source, group)] = cls(source=source, group=group)
+            _OF_MEMO[channel.wire] = channel
         return channel
 
     def __str__(self) -> str:

@@ -37,6 +37,7 @@ from typing import Callable, Optional
 from repro.core.channel import Channel
 from repro.core.ecmp.countids import (
     LINK_COUNT_ID,
+    NETWORK_LAYER_RANGE,
     SUBSCRIBER_ID,
     TREE_SIZE_ID,
     propagates_to_hosts,
@@ -216,13 +217,16 @@ class Counting:
         origin: Optional[str],
         callback: Optional[Callable[[int, bool], None]] = None,
     ) -> None:
-        """Record a query from ``origin`` (None: originated here),
-        forward it to every downstream neighbor that can answer, and
-        reply once they all have or the decremented timeout runs out."""
+        """Answer a query from ``origin`` (None: originated here). With
+        nobody downstream who can answer — a leaf host, a router whose
+        records are LOCAL and blocks — the reply is this node's own
+        contribution and leaves at once, with no record made. Otherwise
+        the query is recorded and forwarded to every downstream neighbor
+        that can answer, and the reply goes once they all have or the
+        decremented timeout runs out."""
         agent = self._agent
         channel, count_id = query.channel, query.count_id
-        key = (channel, count_id)
-        stale = self.pending.pop(key, None)
+        stale = self.pending.pop((channel, count_id), None) if self.pending else None
         if stale is not None:
             if stale.timeout_event is not None:
                 stale.timeout_event.cancel()
@@ -239,26 +243,12 @@ class Counting:
                     if later is not None:
                         later(total, partial)
 
+        local = self.local_contribution(channel, count_id)
         sessions = agent.sessions
+        ask = []
         state = agent.channels.get(channel)
-        timeout = query.timeout
-        if origin is not None:
-            known = sessions.neighbor(origin)
-            rtt = 2.0 * known.iface.link.delay if known is not None else 0.0
-            timeout = decrement_timeout(timeout, rtt)
-
-        pending = PendingQuery(
-            channel=channel,
-            count_id=count_id,
-            deadline=agent.sim.now + timeout,
-            origin=origin,
-            callback=callback,
-        )
-        pending.local_contribution = self.local_contribution(channel, count_id)
-
         if state is not None:
-            forward = CountQuery(channel=channel, count_id=count_id, timeout=timeout)
-            to_hosts = propagates_to_hosts(count_id)
+            to_hosts = count_id not in NETWORK_LAYER_RANGE
             for name, record in state.downstream.items():
                 if name == LOCAL or record.count <= 0:
                     continue
@@ -268,18 +258,34 @@ class Counting:
                     # local contribution instead of being polled over a
                     # wire (there is no wire — and no reply to await).
                     if count_id == SUBSCRIBER_ID:
-                        pending.local_contribution += record.count
+                        local += record.count
                     continue
                 if not to_hosts:
                     known = sessions.neighbor(name)
                     if known is not None and known.is_host:
                         continue
-                pending.outstanding.add(name)
-                agent._send_message(forward, name)
-
-        if not pending.outstanding:
-            self._finalize(pending)
+                ask.append(name)
+        if not ask:
+            self._answer(origin, channel, count_id, local, False, callback)
             return
+
+        timeout = query.timeout
+        if origin is not None:
+            known = sessions.neighbor(origin)
+            rtt = 2.0 * known.iface.link.delay if known is not None else 0.0
+            timeout = decrement_timeout(timeout, rtt)
+        pending = PendingQuery(
+            channel=channel,
+            count_id=count_id,
+            deadline=agent.sim.now + timeout,
+            origin=origin,
+            outstanding=set(ask),
+            local_contribution=local,
+            callback=callback,
+        )
+        forward = CountQuery(channel, count_id, timeout)
+        for name in ask:
+            agent._send_message(forward, name)
         if agent.obs is not None:
             span = agent.obs.tracer.current
             if span is not None:
@@ -288,6 +294,7 @@ class Counting:
                 # fold in as events on it (see reply_span).
                 span.attrs["deferred"] = True
                 pending.span = span
+        key = (channel, count_id)
         self.pending[key] = pending
         pending.timeout_event = agent.sim.schedule(
             max(timeout, MIN_FORWARD_TIMEOUT),
@@ -336,7 +343,7 @@ class Counting:
     def _timed_out(self, key: tuple[Channel, int]) -> None:
         pending = self.pending.get(key)
         if pending is not None and not pending.completed:
-            self._agent.stats.incr("query_timeouts")
+            self._agent.stats["query_timeouts"] += 1
             self._finalize(pending)
 
     def _finalize(self, pending: PendingQuery) -> None:
@@ -344,25 +351,37 @@ class Counting:
         self.pending.pop((pending.channel, pending.count_id), None)
         partial = bool(pending.outstanding)
         total = pending.total()
-
-        def deliver() -> None:
-            if pending.callback is not None:
-                pending.callback(total, partial)
-            if pending.origin is not None:
-                # Query replies race the origin's reply deadline; never
-                # let one sit in a flush window.
-                reply = Count(pending.channel, pending.count_id, total)
-                self._agent._send_message(reply, pending.origin, urgent=True)
-
+        answer = (
+            pending.origin, pending.channel, pending.count_id, total, partial,
+            pending.callback,
+        )
         obs = self._agent.obs
         if obs is not None and pending.span is not None:
             tracer = obs.tracer
             tracer.add_event(pending.span, "finalized", total=total, partial=partial)
             with tracer.activate(pending.span):
-                deliver()
+                self._answer(*answer)
             tracer.end(pending.span)
         else:
-            deliver()
+            self._answer(*answer)
+
+    def _answer(
+        self,
+        origin: Optional[str],
+        channel: Channel,
+        count_id: int,
+        total: int,
+        partial: bool,
+        callback: Optional[Callable[[int, bool], None]],
+    ) -> None:
+        """A query's result, to whoever asked: the local caller first,
+        then the Count reply toward ``origin``."""
+        if callback is not None:
+            callback(total, partial)
+        if origin is not None:
+            # Query replies race the origin's reply deadline; never
+            # let one sit in a flush window.
+            self._agent._send_message(Count(channel, count_id, total), origin, urgent=True)
 
     # -- proactive counting (§6) -------------------------------------------------
 

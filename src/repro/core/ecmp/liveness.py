@@ -168,7 +168,7 @@ class Liveness:
             peer = iface.peer
             if peer is None or not iface.up:
                 continue
-            agent.stats.incr("keepalives_tx")
+            agent.stats["keepalives_tx"] += 1
             agent._send_message(probe, peer.name)
         # Detect silent TCP-neighbor deaths.
         horizon = agent.sim.now - agent.KEEPALIVE_MISSES * agent.KEEPALIVE_INTERVAL
@@ -220,6 +220,6 @@ class Liveness:
                 # it to the bucket of its current lease expiry.
                 ring.reschedule(key, record.updated_at + lease)
         if examined:
-            agent.stats.incr("refresh_records_examined", examined)
+            agent.stats["refresh_records_examined"] += examined
         for channel, name in expired:
             self._record_expired(channel, name)

@@ -57,6 +57,7 @@ from repro.core.ecmp.countids import ALL_CHANNELS_ID, NEIGHBORS_ID, SUBSCRIBER_I
 from repro.core.ecmp.liveness import DISCOVERY_CHANNEL, Liveness
 from repro.core.ecmp.messages import (
     MAX_REQUEST_ID,
+    MESSAGE_TYPES,
     Count,
     CountQuery,
     CountResponse,
@@ -96,13 +97,6 @@ __all__ = [
 
 #: IPv4 header bytes added to every ECMP message on the wire.
 IP_OVERHEAD = 20
-
-#: Per-type tx tally names, so the send path formats none.
-_TX_STAT = {
-    Count: "tx_count",
-    CountQuery: "tx_countquery",
-    CountResponse: "tx_countresponse",
-}
 
 
 class CountPropagation(Enum):
@@ -362,7 +356,7 @@ class EcmpAgent(ProtocolAgent):
             self.fib.remove(source, dest)
         if self.obs is not None and n_lost:
             self.obs.state_changed(n_lost)
-        self.stats.incr("state_losses")
+        self.stats["state_losses"] += 1
 
     def set_neighbor_mode(self, neighbor: str, mode: NeighborMode) -> None:
         """Configure TCP or UDP mode toward one neighbor (§3.2: "A
@@ -590,13 +584,13 @@ class EcmpAgent(ProtocolAgent):
 
     def handle_packet(self, packet: Packet, ifindex: int) -> None:
         message = packet.headers.get("ecmp")
-        if message is None and isinstance(packet.payload, bytes):
+        if message is None and type(packet.payload) is bytes:
             try:
                 message = decode_message(packet.payload)
             except CodecError:
                 # Bad framing, or well framed with a field value no
                 # message can carry: the one error out of the codec.
-                self.stats.incr("undecodable_messages")
+                self.stats["undecodable_messages"] += 1
                 return
         if message is None:
             return
@@ -605,16 +599,18 @@ class EcmpAgent(ProtocolAgent):
             return
         from_name = peer.name
         self.liveness.last_heard[from_name] = self.sim.now
-        self.stats.incr("wire_recvs")
-        self.stats.incr("bytes_on_wire_rx", packet.size)
+        stats = self.stats
+        stats["wire_recvs"] += 1
+        stats["bytes_on_wire_rx"] += packet.size
         if self._m_wire_bytes is not None:
             self._m_wire_bytes.labels(node=self.node.name, direction="rx").inc(
                 packet.size
             )
-        span_ctx = packet.headers.get(SPAN_HEADER)
-        if isinstance(message, EcmpBatch):
-            self.stats.incr("batches_rx")
-            self.stats.incr("batch_records_rx", len(message.messages))
+        # Read by the traced dispatch only.
+        span_ctx = packet.headers.get(SPAN_HEADER) if self.obs is not None else None
+        if type(message) is EcmpBatch:
+            stats["batches_rx"] += 1
+            stats["batch_records_rx"] += len(message.messages)
             contexts = span_ctx if isinstance(span_ctx, list) else None
             # The records are handled in one instant, so what they send
             # on travels as one frame per neighbor, in their order and
@@ -635,17 +631,12 @@ class EcmpAgent(ProtocolAgent):
     ) -> None:
         """Route one decoded protocol message (possibly unpacked from a
         batch frame) to its handler, with per-message rx accounting."""
-        if isinstance(message, Count):
-            self.stats.incr("counts_rx")
-            kind, handler = "count", self._handle_count
-        elif isinstance(message, CountQuery):
-            self.stats.incr("queries_rx")
-            kind, handler = "query", self._handle_query
-        elif isinstance(message, CountResponse):
-            self.stats.incr("responses_rx")
-            kind, handler = "response", self._handle_response
-        else:
+        row = MESSAGE_TYPES.get(type(message))
+        if row is None:
             return
+        self.stats[row.rx_stat] += 1
+        # Looked up on the instance: a test may have wrapped the method.
+        handler = getattr(self, row.handler)
         if self.obs is None:
             handler(message, from_name)
             return
@@ -657,7 +648,7 @@ class EcmpAgent(ProtocolAgent):
             channel=str(message.channel),
         ).inc()
         self._m_bytes.labels(node=self.node.name, direction="rx").inc(size)
-        self._handle_traced(message, from_name, kind, handler, span_ctx)
+        self._handle_traced(message, from_name, row.kind, handler, span_ctx)
 
     def _handle_traced(
         self,
@@ -677,7 +668,7 @@ class EcmpAgent(ProtocolAgent):
         handling span parented to the context the message carried.
         """
         tracer = self.obs.tracer
-        if isinstance(message, Count):
+        if kind == "count":
             waiting = self.counting.reply_span(message, from_name)
             if waiting is not None:
                 tracer.add_event(
@@ -722,13 +713,17 @@ class EcmpAgent(ProtocolAgent):
         nowhere: ECMP is hop-by-hop, and every name this agent sends to
         is a routing next hop or the peer a message arrived from.
         """
-        known = self.sessions.neighbor(neighbor)
+        sessions = self.sessions
+        known = sessions.table.get(neighbor)
         if known is None:
-            return
+            known = sessions.neighbor(neighbor)
+            if known is None:
+                return
         size = IP_OVERHEAD + message.wire_size()
-        self.stats.incr("msgs_tx")
-        self.stats.incr("bytes_tx", size)
-        self.stats.incr(_TX_STAT[type(message)])
+        stats = self.stats
+        stats["msgs_tx"] += 1
+        stats["bytes_tx"] += size
+        stats[MESSAGE_TYPES[type(message)].tx_stat] += 1
         span_ctx = None
         if self.obs is not None:
             current = self.obs.tracer.current
@@ -745,7 +740,7 @@ class EcmpAgent(ProtocolAgent):
                 channel=str(message.channel),
             ).inc()
             self._m_bytes.labels(node=self.node.name, direction="tx").inc(size)
-        self.sessions.send(message, known, urgent, pinned, size, span_ctx)
+        sessions.send(message, known, urgent, pinned, size, span_ctx)
 
     def _transmit(
         self,
@@ -759,32 +754,36 @@ class EcmpAgent(ProtocolAgent):
         ``size`` is the packet size when the caller already has it."""
         if size is None:
             size = IP_OVERHEAD + message.wire_size()
-        packet = Packet(
-            src=self.node.address,
-            dst=neighbor.peer.address,
-            proto=PROTO_ECMP,
-            size=size,
-            created_at=self.sim.now,
-        )
+        # TCP mode hides loss behind retransmission; model it as
+        # loss-exempt delivery (delay still applies).
+        reliable = neighbor.mode is NeighborMode.TCP
         if self.wire_format:
             last, payload = self._encoded
             if message is not last:
                 payload = encode_message(message)
                 self._encoded = (message, payload)
-            packet.payload = payload
+            headers = {"reliable": reliable}
         else:
-            packet.headers["ecmp"] = message
-        # TCP mode hides loss behind retransmission; model it as
-        # loss-exempt delivery (delay still applies).
-        packet.headers["reliable"] = neighbor.mode is NeighborMode.TCP
-        if isinstance(message, EcmpBatch):
+            payload = None
+            headers = {"ecmp": message, "reliable": reliable}
+        if type(message) is EcmpBatch:
             if any(ctx is not None for ctx in contexts):
                 # One span context per record, aligned by index.
-                packet.headers[SPAN_HEADER] = list(contexts)
+                headers[SPAN_HEADER] = list(contexts)
         elif contexts and contexts[0] is not None:
-            packet.headers[SPAN_HEADER] = contexts[0]
-        self.stats.incr("wire_sends")
-        self.stats.incr("bytes_on_wire", size)
+            headers[SPAN_HEADER] = contexts[0]
+        packet = Packet(
+            self.node.address,
+            neighbor.peer.address,
+            PROTO_ECMP,
+            payload,
+            size,
+            headers=headers,
+            created_at=self.sim.now,
+        )
+        stats = self.stats
+        stats["wire_sends"] += 1
+        stats["bytes_on_wire"] += size
         if self._m_wire_bytes is not None:
             self._m_wire_bytes.labels(node=self.node.name, direction="tx").inc(size)
         self.node.send(packet, neighbor.iface.index)
@@ -819,7 +818,7 @@ class EcmpAgent(ProtocolAgent):
         # message by sending a CountResponse indicating an unsupported
         # count" — a Count matching no query, no proactive state, and
         # no tree activity is rejected so the sender can stop.
-        self.stats.incr("unexpected_counts")
+        self.stats["unexpected_counts"] += 1
         self._send_message(
             CountResponse(channel, count_id, CountStatus.UNSUPPORTED_COUNT), from_name
         )
@@ -840,11 +839,11 @@ class EcmpAgent(ProtocolAgent):
             previous, prior_validated = record.count, record.validated
 
         if count > 0 and previous == 0:
-            self.stats.incr("subscribe_events")
+            self.stats["subscribe_events"] += 1
         elif count == 0 and previous > 0:
-            self.stats.incr("unsubscribe_events")
+            self.stats["unsubscribe_events"] += 1
         elif count != previous:
-            self.stats.incr("count_update_events")
+            self.stats["count_update_events"] += 1
         if count != previous and self.obs is not None:
             self.obs.state_changed()
 
@@ -1069,7 +1068,7 @@ class EcmpAgent(ProtocolAgent):
             if table is None:
                 table = self.pending_verdicts[state.channel] = {}
             elif len(table) >= MAX_REQUEST_ID:
-                self.stats.incr("verdict_table_full")
+                self.stats["verdict_table_full"] += 1
                 if state.pending_key == entry.presented_key:
                     state.pending_key = None
                 self._rollback(state, entry)
@@ -1249,7 +1248,7 @@ class EcmpAgent(ProtocolAgent):
 
     def _deny(self, channel: Channel, neighbor: str, request_id: int = 0) -> None:
         """Reject a subscription locally (bad key against cached K)."""
-        self.stats.incr("denied_subscriptions")
+        self.stats["denied_subscriptions"] += 1
         self._notify_denied(channel, neighbor, request_id)
 
     def _handle_response(self, message: CountResponse, from_name: str) -> None:
@@ -1257,7 +1256,7 @@ class EcmpAgent(ProtocolAgent):
         if message.count_id != SUBSCRIBER_ID:
             # Rejection of a non-subscriber Count (e.g. an unsupported
             # countId): nothing to roll back — just note it.
-            self.stats.incr("rejected_counts")
+            self.stats["rejected_counts"] += 1
             return
         state = self.channels.get(channel)
         if state is None or from_name != state.upstream:
@@ -1345,7 +1344,7 @@ class EcmpAgent(ProtocolAgent):
         after the last join landed) must survive the rollback. The
         upstream applies the mirror-image subtraction to its record of
         us, so ``advertised`` shrinks by the same delta it will."""
-        self.stats.incr("denied_subscriptions")
+        self.stats["denied_subscriptions"] += 1
         state.advertised = max(
             0, state.advertised - (entry.sent_count - entry.prior_advertised)
         )
@@ -1406,7 +1405,7 @@ class EcmpAgent(ProtocolAgent):
         routed = self._by_upstream.get(from_name)
         if not routed:
             return
-        self.stats.incr("refresh_records_examined", len(routed))
+        self.stats["refresh_records_examined"] += len(routed)
         with self.sessions.burst("refresh"):
             for channel in list(routed):
                 state = self.channels.get(channel)
@@ -1425,7 +1424,7 @@ class EcmpAgent(ProtocolAgent):
         """A UDP-mode record outlived its lease: it leaves as if its
         neighbor had sent a zero Count — and an expired block's own view
         and the delivery index are kept consistent with that."""
-        self.stats.incr("udp_expirations")
+        self.stats["udp_expirations"] += 1
         self._apply_subscriber_count(channel, name, 0)
         block = self.blocks.get(name)
         if block is not None:
@@ -1468,8 +1467,8 @@ class EcmpAgent(ProtocolAgent):
                     self._reannounce(state, fresh=True)
                     resent += 1
         if resent:
-            self.stats.incr("resync_counts", resent)
-            self.stats.incr("resync_bytes", self.stats.get("bytes_tx") - bytes_before)
+            self.stats["resync_counts"] += resent
+            self.stats["resync_bytes"] += self.stats.get("bytes_tx") - bytes_before
 
     # ------------------------------------------------------------------
     # topology change (§3.2)
@@ -1490,8 +1489,8 @@ class EcmpAgent(ProtocolAgent):
         if sent:
             # Re-home traffic is resync cost too (§3.2's hand-off of a
             # current Count to the new parent and a zero to the old).
-            self.stats.incr("resync_events")
-            self.stats.incr("resync_bytes", sent)
+            self.stats["resync_events"] += 1
+            self.stats["resync_bytes"] += sent
 
     def _rehome_channels(self) -> None:
         """The re-home pass proper: every channel whose RPF neighbor
@@ -1525,7 +1524,7 @@ class EcmpAgent(ProtocolAgent):
                         remaining + 1e-6, self._rehome_fired, name="ecmp-hysteresis"
                     )
                 continue
-            self.stats.incr("upstream_changes")
+            self.stats["upstream_changes"] += 1
             if self.obs is not None:
                 self.obs.state_changed()
             if old is not None:

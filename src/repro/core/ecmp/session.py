@@ -17,8 +17,8 @@ from typing import Callable, Optional
 
 from repro.core.ecmp.countids import SUBSCRIBER_ID
 from repro.core.ecmp.messages import (
+    Count,
     CountQuery,
-    CountResponse,
     CountStatus,
     EcmpBatch,
     EcmpMessage,
@@ -115,7 +115,7 @@ class DirtyChannelQueue:
     ) -> bool:
         """Add (or merge) one message; True if it absorbed an earlier
         queued message that will now never hit the wire."""
-        key = (type(message).__name__, message.channel, message.count_id)
+        key = (type(message), message.channel, message.count_id)
         index = self._latest.get(key)
         if index is not None and not pinned and not self.records[index].pinned:
             self.records[index] = _QueuedRecord(message, pinned, span_ctx)
@@ -123,28 +123,6 @@ class DirtyChannelQueue:
         self._latest[key] = len(self.records)
         self.records.append(_QueuedRecord(message, pinned, span_ctx))
         return False
-
-
-def batch_policy(message: EcmpMessage) -> tuple[bool, bool]:
-    """Default ``(urgent, pinned)`` for one message.
-
-    Urgent messages flush the whole queue immediately (they still
-    share the frame with anything already pending, so ordering is
-    preserved): CountQuery (a reply deadline is running),
-    CountResponse rejections (the subscriber must learn of the
-    denial now), and zero-count leaves (the upstream forwards data
-    until the zero lands). CountResponses are always pinned — each
-    one answers one request of the peer's, so two may never merge.
-    Counts carrying a key or a request id are pinned because each
-    needs its own verdict.
-    """
-    if isinstance(message, CountQuery):
-        return True, True
-    if isinstance(message, CountResponse):
-        return message.status is not CountStatus.OK, True
-    if message.count_id == SUBSCRIBER_ID and message.count == 0:
-        return True, True
-    return False, message.key is not None or message.request_id != 0
 
 
 class NeighborSessions:
@@ -264,9 +242,17 @@ class NeighborSessions:
         Inside a :meth:`burst` loop everything queues and the loop's
         end flushes.
 
-        ``urgent``/``pinned`` override the defaults from
-        :func:`batch_policy` (used by call sites that know more — joins
-        are pinned, query replies are urgent).
+        ``urgent``/``pinned`` default to what the message itself says;
+        call sites that know more override them (joins are pinned, query
+        replies are urgent). Urgent messages flush the whole queue
+        immediately (they still share the frame with anything already
+        pending, so ordering is preserved): CountQuery (a reply deadline
+        is running), CountResponse rejections (the subscriber must learn
+        of the denial now), and zero-count leaves (the upstream forwards
+        data until the zero lands). Pinned records never merge with a
+        later write: CountQuery and CountResponse always — each response
+        answers one request of the peer's — and Counts carrying a key or
+        a request id, because each needs its own verdict.
         """
         agent = self._agent
         if not self.batching or known.mode is not NeighborMode.TCP:
@@ -274,11 +260,12 @@ class NeighborSessions:
             # one-datagram-per-message path.
             self.transmit(message, known, (span_ctx,), size)
             return
-        default_urgent, default_pinned = batch_policy(message)
+        kind = type(message)
         if urgent is None:
-            urgent = default_urgent
-        if pinned is None:
-            pinned = default_pinned
+            if kind is Count:
+                urgent = message.count == 0 and message.count_id == SUBSCRIBER_ID
+            else:
+                urgent = kind is CountQuery or message.status is not CountStatus.OK
         corked = self._corked
         queue = known.queue
         if queue is None:
@@ -287,9 +274,18 @@ class NeighborSessions:
                 # records), so a flush would carry exactly this message:
                 # when the session sends now, it goes as that flush, with
                 # no queue object and no event.
-                trigger = self._send_now(known, urgent)
+                # (``_send_now``, inlined: an idle send pays no call
+                # for the policy.)
+                if urgent:
+                    trigger = "urgent"
+                else:
+                    trigger = None
+                    now = agent.sim.now
+                    if known.holdoff_until <= now:
+                        known.holdoff_until = now + agent.BATCH_FLUSH_INTERVAL
+                        trigger = "idle"
                 if trigger is not None:
-                    agent.stats.incr("batch_flushes")
+                    agent.stats["batch_flushes"] += 1
                     if self._m_flushes is not None:
                         self._m_flushes.labels(
                             node=agent.node.name, trigger=trigger
@@ -297,9 +293,13 @@ class NeighborSessions:
                     self.transmit(message, known, (span_ctx,), size)
                     return
             queue = known.queue = DirtyChannelQueue()
+        if pinned is None:
+            pinned = (
+                kind is not Count or message.key is not None or message.request_id != 0
+            )
         if queue.enqueue(message, pinned, span_ctx):
             # Last-writer-wins: the overwritten message never hits the wire.
-            agent.stats.incr("msgs_coalesced")
+            agent.stats["msgs_coalesced"] += 1
             if self._m_coalesced is not None:
                 self._m_coalesced.labels(node=agent.node.name).inc()
         if len(queue) >= agent.BATCH_MAX_RECORDS:
@@ -364,15 +364,15 @@ class NeighborSessions:
         known.queue = None
         records = queue.records
         agent = self._agent
-        agent.stats.incr("batch_flushes")
+        agent.stats["batch_flushes"] += 1
         if self._m_flushes is not None:
             self._m_flushes.labels(node=agent.node.name, trigger=trigger).inc()
         if len(records) == 1:
             self.transmit(records[0].message, known, (records[0].span_ctx,))
             return
         batch = EcmpBatch(messages=tuple(r.message for r in records))
-        agent.stats.incr("batch_records_tx", len(records))
-        agent.stats.incr("msgs_coalesced", len(records) - 1)
+        agent.stats["batch_records_tx"] += len(records)
+        agent.stats["msgs_coalesced"] += len(records) - 1
         if self._m_coalesced is not None:
             self._m_coalesced.labels(node=agent.node.name).inc(len(records) - 1)
         self.transmit(batch, known, tuple(r.span_ctx for r in records))

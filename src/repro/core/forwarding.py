@@ -112,12 +112,12 @@ class ExpressForwarder(ProtocolAgent):
                 # Conventional class-D traffic is outside this
                 # forwarder's remit (IGMP-managed LANs handle it);
                 # count and drop.
-                self.stats.incr("non_express_multicast_drops")
+                self.stats["non_express_multicast_drops"] += 1
             return
         if packet.src == self.node.address:
             # A channel packet claiming to be from us arriving on a
             # wire is spoofed or looped; never process it.
-            self.stats.incr("self_spoof_drops")
+            self.stats["self_spoof_drops"] += 1
             return
         delivered = self._deliver_local(packet)
         if self._is_host:
@@ -128,21 +128,21 @@ class ExpressForwarder(ProtocolAgent):
 
     def _handle_unicast(self, packet: Packet, ifindex: int) -> None:
         if packet.dst == self.node.address:
-            self.stats.incr("unicast_delivered")
+            self.stats["unicast_delivered"] += 1
             for sink in self._unicast_sinks:
                 sink(packet)
             return
         target = self.routing.topo.node_by_address(packet.dst)
         if target is None:
-            self.stats.incr("unicast_no_route_drops")
+            self.stats["unicast_no_route_drops"] += 1
             return
         hop = self.routing.next_hop(self.node.name, target.name)
         if hop is None:
-            self.stats.incr("unicast_no_route_drops")
+            self.stats["unicast_no_route_drops"] += 1
             return
         forwarded = packet.copy()
         forwarded.ttl = packet.ttl - 1
-        self.stats.incr("unicast_forwarded")
+        self.stats["unicast_forwarded"] += 1
         self.node.send_to_neighbor(forwarded, self.routing.topo.node(hop))
 
     def _handle_encapsulated(self, packet: Packet, ifindex: int) -> None:
@@ -151,23 +151,23 @@ class ExpressForwarder(ProtocolAgent):
             self._handle_unicast(packet, ifindex)
             return
         if not packet.is_encapsulated():
-            self.stats.incr("bad_decap_drops")
+            self.stats["bad_decap_drops"] += 1
             return
         inner = packet.decapsulate()
         if not is_ssm(inner.dst):
-            self.stats.incr("bad_decap_drops")
+            self.stats["bad_decap_drops"] += 1
             return
         # Subcast (§2.1): only the channel source may subcast — enforce
         # by requiring the outer source to equal the inner (channel)
         # source, "preserving the single-source property" (§7.1).
         if packet.src != inner.src:
-            self.stats.incr("subcast_auth_drops")
+            self.stats["subcast_auth_drops"] += 1
             return
         entry = self.fib.get(inner.src, inner.dst)
         if entry is None:
-            self.stats.incr("subcast_off_tree_drops")
+            self.stats["subcast_off_tree_drops"] += 1
             return
-        self.stats.incr("subcast_relayed")
+        self.stats["subcast_relayed"] += 1
         delivered = self._deliver_local(inner)
         self._fan_out(inner, self.fib.egress(entry), consume=not delivered)
 
@@ -222,7 +222,7 @@ class ExpressForwarder(ProtocolAgent):
         n = len(oifs)
         if n == 0:
             return
-        self.stats.incr("multicast_forwarded", n)
+        self.stats["multicast_forwarded"] += n
         send = self.node.send
         ttl = packet.ttl - 1
         copies = n - 1 if consume else n
@@ -232,7 +232,7 @@ class ExpressForwarder(ProtocolAgent):
             send(copy, oif)
         if consume:
             packet.ttl = ttl
-            self.stats.incr("fanout_inplace")
+            self.stats["fanout_inplace"] += 1
             send(packet, oifs[copies])
 
     def _deliver_local(self, packet: Packet) -> bool:
@@ -271,7 +271,7 @@ class ExpressForwarder(ProtocolAgent):
             return False
         handle.packets_received += 1
         handle.bytes_received += packet.size
-        self.stats.incr("local_deliveries")
+        self.stats["local_deliveries"] += 1
         if self._m_delivery is not None:
             hist = self._delivery_hists.get(channel)
             if hist is None:

@@ -11,15 +11,15 @@ the inner packet as the payload.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
-from typing import Any
+from dataclasses import dataclass
+from typing import Any, Optional
 
 _packet_ids = itertools.count(1)
 _next_uid = _packet_ids.__next__
 _new = object.__new__
 
 
-@dataclass(slots=True)
+@dataclass(slots=True, init=False)
 class Packet:
     """A simulated datagram.
 
@@ -48,15 +48,40 @@ class Packet:
     payload: Any = None
     size: int = 64
     ttl: int = 64
-    headers: dict = field(default_factory=dict)
-    uid: int = field(default_factory=_next_uid)
+    headers: dict  # a fresh dict unless given
+    uid: int  # the next process-wide id unless given
     created_at: float = 0.0
+
+    def __init__(
+        self,
+        src: int,
+        dst: int,
+        proto: str = "data",
+        payload: Any = None,
+        size: int = 64,
+        ttl: int = 64,
+        headers: Optional[dict] = None,
+        uid: Optional[int] = None,
+        created_at: float = 0.0,
+    ) -> None:
+        # Written out: one packet is built per message per hop, and the
+        # generated ``__init__`` calls a factory for each of ``headers``
+        # and ``uid`` even when the caller supplies them.
+        self.src = src
+        self.dst = dst
+        self.proto = proto
+        self.payload = payload
+        self.size = size
+        self.ttl = ttl
+        self.headers = {} if headers is None else headers
+        self.uid = _next_uid() if uid is None else uid
+        self.created_at = created_at
 
     def copy(self) -> "Packet":
         """Per-interface fanout copy: shares the payload, takes a fresh
         ``uid`` and its own ``headers``. Written out slot by slot — it
-        runs once per replicated packet per hop, and the generated
-        ``__init__`` would re-enter both default factories."""
+        runs once per replicated packet per hop — with no ``__init__``
+        frame at all."""
         dup = _new(Packet)
         dup.src = self.src
         dup.dst = self.dst

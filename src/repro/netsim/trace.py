@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from collections import defaultdict
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Optional
 
 
 @dataclass
@@ -83,27 +83,28 @@ class PacketTrace:
         return len(self.filter(**kwargs))
 
 
-class Counter:
+class Counter(dict):
     """A labelled bag of integer counters (``collections.Counter``-like
-    but explicit about what it is used for in reports)."""
+    but explicit about what it is used for in reports).
 
-    def __init__(self) -> None:
-        self._counts: dict[str, int] = defaultdict(int)
+    A ``dict`` whose missing keys read as 0, so the per-message paths
+    count with a plain ``stats[key] += n`` — no call — and a key that
+    was only ever read never shows up in :meth:`as_dict`.
+    """
+
+    __slots__ = ()
+
+    def __missing__(self, key: str) -> int:
+        return 0
 
     def incr(self, key: str, amount: int = 1) -> None:
-        self._counts[key] += amount
+        self[key] += amount
 
-    def get(self, key: str) -> int:
-        return self._counts.get(key, 0)
+    def get(self, key: str, default: int = 0) -> int:
+        return dict.get(self, key, default)
 
     def as_dict(self) -> dict[str, int]:
-        return dict(self._counts)
-
-    def __getitem__(self, key: str) -> int:
-        return self.get(key)
-
-    def keys(self) -> Iterable[str]:
-        return self._counts.keys()
+        return dict(self)
 
 
 @dataclass

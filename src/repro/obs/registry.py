@@ -236,10 +236,10 @@ class CounterBag:
     """Drop-in replacement for :class:`repro.netsim.trace.Counter` that
     writes into a registry family instead of a private dict.
 
-    The bag pins every label except ``event``; ``incr(key)`` becomes an
-    increment of ``family{..., event=key}``. Existing call sites
-    (``agent.stats.incr(...)`` / ``.as_dict()``) keep working while the
-    counts land in the shared registry.
+    The bag pins every label except ``event``; ``bag[key] += n`` (or
+    ``incr(key, n)``) becomes an increment of ``family{..., event=key}``.
+    Existing call sites (``agent.stats[...] += 1`` / ``.as_dict()``) keep
+    working while the counts land in the shared registry.
     """
 
     def __init__(self, family: MetricFamily, **fixed: object) -> None:
@@ -264,7 +264,15 @@ class CounterBag:
             )
         child.inc(amount)
 
+    def __setitem__(self, key: str, value: int) -> None:
+        """The write half of ``bag[key] += n``, the syntax the ``Counter``
+        it stands in for is counted with."""
+        self.incr(key, value - self.get(key))
+
     def get(self, key: str) -> int:
+        child = self._children.get(key)
+        if child is not None:
+            return int(child.value)
         mapping = dict(self._fixed, event=key)
         values = tuple(mapping[name] for name in self._family.labelnames)
         child = self._family._children.get(values)

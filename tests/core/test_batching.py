@@ -814,6 +814,39 @@ class TestMutatedFrameDecoding:
         assert changed == {"undecodable_messages": 1}
         assert not agent.channels
 
+    @pytest.mark.parametrize(
+        "frame",
+        [
+            # A Count with undefined flag bits beside the key flag's 0.
+            struct.pack("!BBHI3sIB", 0x02, 0xF2, SUBSCRIBER_ID, 0x0A000001, b"\0\0\1", 1, 0),
+            # A CountResponse defines no flag at all.
+            struct.pack("!BBHI3sB", 0x03, 0xFF, SUBSCRIBER_ID, 0x0A000001, b"\0\0\1", 0),
+            # A batch header's flag byte is zero.
+            b"\x10\xaa\x00\x01\x00\x10"
+            + struct.pack("!BBHI3sIB", 0x02, 0, SUBSCRIBER_ID, 0x0A000001, b"\0\0\1", 1, 0),
+            # The CountQuery tail's reserved byte is zero.
+            struct.pack("!BBHI3sIB", 0x01, 0, SUBSCRIBER_ID, 0x0A000001, b"\0\0\1", 1000, 0x7F),
+        ],
+        ids=["count-flags", "response-flags", "batch-flags", "query-reserved-byte"],
+    )
+    def test_one_message_has_one_encoding(self, line_net, codec, frame):
+        # docs/ecmp-wire.md, "Strictness": a bit nobody defined is a
+        # mis-sliced stream, not a message. Each frame is one byte away
+        # from a valid one, which decodes, and the receive path counts
+        # the mangled one instead of applying it.
+        flag_at = 15 if frame[0] == 0x01 else 1
+        clean = bytearray(frame)
+        clean[flag_at] = 0
+        codec.decode_message(bytes(clean))
+        with pytest.raises(CodecError, match="undefined flag bits|reserved byte"):
+            codec.decode_message(frame)
+        if frame[0] == 0x10:
+            with pytest.raises(CodecError, match="undefined flag bits"):
+                codec.decode_batch(frame)
+        agent, changed = self.deliver(line_net, frame)
+        assert changed == {"undecodable_messages": 1}
+        assert not agent.channels
+
 
 class TestReconnectResend:
     """Satellite regression: the §3.2 unsolicited state dump on TCP

@@ -1,0 +1,224 @@
+"""A per-hop call budget for the control plane.
+
+``count_poll`` and ``channel_churn`` spend their time moving one ECMP
+message one hop: ``Link.transmit`` → ``Node.receive`` →
+``EcmpAgent.handle_packet`` → codec → handler → ``_send_message`` →
+the session → ``_transmit`` → ``Node.send``. As on the data hop
+(``test_dataplane_budget.py``) a profiler finds no hot spot there, only
+depth, so this test counts the Python ``call`` events
+(``sys.setprofile``) of three fixed streams over a fixed tree and
+divides by the ECMP packets put on a wire (``Link.ecmp_wire_packets``).
+The count is a property of the code, not of the host: it repeats
+exactly.
+
+Tree: ``hsrc - n0 - n1 - n2 - n3`` with six subscriber hosts on ``n3``
+and two on ``n1``; real wire bytes between nodes (``wire_format=True``,
+as ``benchmarks/e2e`` runs), ``obs=None``, no packet trace. Python
+calls per ECMP wire packet, everything included (the engine's
+dispatch, the driver's own scheduling lambdas):
+
+=====================================  ======  ==========  ======
+stream                                 parent  acceptance  now
+=====================================  ======  ==========  ======
+(a) CountQuery round trips              61.33   ≤ 0.67 ×    32.86
+(b) keyless join/leave zaps             98.70   ≤ 0.75 ×    64.72
+(c) keyed joins, one bad key           102.58   ≤ 0.75 ×    70.01
+=====================================  ======  ==========  ======
+
+(a) polls ``SUBSCRIBER_ID`` and an application countId that every
+subscriber host answers through a registered responder; (b) moves the
+eight hosts between their own channel and a neighbour's, one leave and
+one join at a time; (c) joins four keyed channels, the first join of
+each validated by the source and the verdict relayed down, later ones
+by the routers that learned the key, one host presents a forged key,
+and two channels are left again.
+
+What went, per packet on (a): nine ``Counter.incr`` calls around one
+``+=`` each; the frozen-dataclass ``__init__`` / ``__post_init__`` /
+``check_count_id`` / ``_check_request_id`` of every decoded message;
+``suffix`` → ``channel_suffix`` → ``is_ssm`` → ``_check_range`` on every
+encode; ``Channel.of`` and ``Channel.__hash__``; ``_dispatch_message``'s,
+``batch_policy``'s and ``_send_now``'s frames on the idle send; and, at
+the eight hosts of twelve nodes, a ``PendingQuery`` built to be
+finalized on the next line.
+
+The slack is half a call. Putting one ``stats.incr(...)`` back on the
+receive path (+1.00 on every stream), or the ``PendingQuery`` at a node
+with nobody to ask (+3.33 on (a)), must fail.
+"""
+
+import sys
+
+import pytest
+
+from repro import ExpressNetwork, TopologyBuilder, make_key
+from repro.core.keys import ChannelKey
+
+ROUTERS = 4
+FAR_HOSTS = 6
+NEAR_HOSTS = 2
+VOTE_ID = 0x4001
+SLACK = 0.5
+
+#: Calls per wire packet by stream: at the parent of the flat control
+#: hop, and as measured now.
+PARENT = {"count": 61.33, "zap": 98.70, "keyed": 102.58}
+MEASURED = {"count": 32.86, "zap": 64.72, "keyed": 70.01}
+#: The ratios the flat control hop was accepted at.
+RATIO = {"count": 0.67, "zap": 0.75, "keyed": 0.75}
+
+
+def build():
+    topo = TopologyBuilder.line(ROUTERS)
+    topo.add_node("hsrc")
+    topo.add_link("hsrc", "n0")
+    subscribers = []
+    for router, n_hosts in ((ROUTERS - 1, FAR_HOSTS), (1, NEAR_HOSTS)):
+        for i in range(n_hosts):
+            name = f"hsub{router}_{i}"
+            topo.add_node(name)
+            topo.add_link(name, f"n{router}")
+            subscribers.append(name)
+    net = ExpressNetwork(topo, hosts=["hsrc"] + subscribers, wire_format=True)
+    net.run(until=0.01)
+    return net, subscribers
+
+
+def wire_packets(net) -> int:
+    return sum(link.ecmp_wire_packets for link in net.topo.links)
+
+
+def calls_per_wire_packet(net, duration: float) -> tuple[float, int]:
+    """Run ``duration`` simulated seconds under a call counter."""
+    before = wire_packets(net)
+    calls = 0
+
+    def count(frame, event, arg):
+        nonlocal calls
+        if event == "call":
+            calls += 1
+
+    sys.setprofile(count)
+    try:
+        net.run(until=net.sim.now + duration)
+    finally:
+        sys.setprofile(None)
+    packets = wire_packets(net) - before
+    return calls / packets, packets
+
+
+def count_stream():
+    """(a) Twenty CountQuery round trips, the two countIds by turns."""
+    net, subscribers = build()
+    source = net.source("hsrc")
+    channel = source.allocate_channel()
+    for k, name in enumerate(subscribers):
+        host = net.host(name)
+        host.subscribe(channel)
+        host.respond_to_count(channel, VOTE_ID, lambda vote=k % 5: vote)
+    net.settle()
+    answers = []
+    expected = {1: len(subscribers), VOTE_ID: sum(k % 5 for k in range(len(subscribers)))}
+    for k in range(20):
+        count_id = VOTE_ID if k % 2 else 1
+        net.sim.schedule(
+            0.1 * k,
+            lambda count_id=count_id: source.count_query(
+                channel, count_id, timeout=2.0,
+                callback=lambda total, partial: answers.append((count_id, total, partial)),
+            ),
+        )
+    per_packet, packets = calls_per_wire_packet(net, 3.0)
+    assert answers == [(VOTE_ID if k % 2 else 1, expected[VOTE_ID if k % 2 else 1], False) for k in range(20)]
+    # Down every tree link and back: 2 × (1 + 3 + 8) links per query.
+    assert packets == 20 * 2 * (ROUTERS + len(subscribers))
+    return per_packet, packets
+
+
+def zap_stream():
+    """(b) Eight hosts surf eight channels: a leave and a join per zap,
+    each host between its own channel and its neighbour's, so some
+    zaps graft and prune the whole branch and some meet a tree."""
+    net, subscribers = build()
+    source = net.source("hsrc")
+    channels = [source.allocate_channel() for _ in subscribers]
+    watching = {}
+    for k, name in enumerate(subscribers):
+        watching[name] = k
+        net.host(name).subscribe(channels[k])
+    net.settle()
+
+    def zap(k: int) -> None:
+        name = subscribers[k]
+        host = net.host(name)
+        host.unsubscribe(channels[watching[name]])
+        watching[name] = k if watching[name] != k else (k + 1) % len(channels)
+        host.subscribe(channels[watching[name]])
+
+    for n in range(80):
+        net.sim.schedule(0.037 * n, lambda k=n % len(subscribers): zap(k))
+    per_packet, packets = calls_per_wire_packet(net, 4.0)
+    for name in subscribers:
+        assert net.host(name).is_subscribed(channels[watching[name]])
+    assert packets > 400
+    return per_packet, packets
+
+
+def keyed_stream():
+    """(c) Keyed joins with verdicts on four channels, one forged key,
+    then keyed leaves from two of them."""
+    net, subscribers = build()
+    source = net.source("hsrc")
+    channels = [source.allocate_channel() for _ in range(4)]
+    keys = {}
+    for channel in channels:
+        keys[channel] = make_key(channel)
+        source.channel_key(channel, keys[channel])
+    forged = ChannelKey(b"\x00" * 8)
+    handles = []
+
+    def join(name: str, channel, key) -> None:
+        handles.append((key is forged, net.host(name).subscribe(channel, key=key)))
+
+    n = 0
+    for c, channel in enumerate(channels):
+        for k, name in enumerate(subscribers):
+            bad = c == 2 and k == 3
+            net.sim.schedule(
+                0.041 * n,
+                lambda name=name, channel=channel, key=forged if bad else keys[channel]: join(
+                    name, channel, key
+                ),
+            )
+            n += 1
+    for channel in channels[:2]:
+        for name in subscribers:
+            net.sim.schedule(
+                0.041 * n, lambda name=name, channel=channel: net.host(name).unsubscribe(channel)
+            )
+            n += 1
+    per_packet, packets = calls_per_wire_packet(net, 4.0)
+    assert len(handles) == 4 * len(subscribers)
+    for bad, handle in handles:
+        assert handle.status == ("denied" if bad else "active")
+    assert packets > 100
+    return per_packet, packets
+
+
+STREAMS = {"count": count_stream, "zap": zap_stream, "keyed": keyed_stream}
+
+
+@pytest.mark.parametrize("stream", sorted(STREAMS))
+def test_python_calls_per_control_packet_stay_inside_the_budget(stream):
+    per_packet, packets = STREAMS[stream]()
+    print(
+        f"\ncontrol-hop budget ({stream}): {per_packet:.2f} Python calls per ECMP "
+        f"wire packet over {packets} packets (parent {PARENT[stream]:.2f}, "
+        f"budget {MEASURED[stream] + SLACK:.2f})"
+    )
+    assert MEASURED[stream] <= RATIO[stream] * PARENT[stream]
+    assert per_packet <= MEASURED[stream] + SLACK, (
+        f"{per_packet:.2f} Python calls per ECMP wire packet on the {stream} "
+        f"stream, budget {MEASURED[stream] + SLACK:.2f}: something new sits "
+        f"on the per-hop control path"
+    )

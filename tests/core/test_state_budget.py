@@ -24,7 +24,10 @@ bytes per (node, channel) state   keyless  keyed  idle verdict queues
 paper: §5.2's 192 B (+ 8 B key)
 plus Fig. 5's 12 B FIB entry          204    212  —
 parent of this test (PR 18)         1,631  1,794  14,700
-this control plane (CPython 3.11)     766    882  0
+the control plane of PR 19            766    882  0
+``Channel`` a tuple that carries its
+7 wire bytes, interned by them
+(PR 24; CPython 3.11)                 756    873  0
 ================================  =======  =====  ===================
 
 What went, in bytes per state on this tree: an empty 760-byte ``deque``

@@ -7,6 +7,10 @@ time:
 
 * :mod:`tests.oracles.codec` — the concatenating ECMP codec
   (specification of ``repro.core.ecmp.messages``),
+* :mod:`tests.oracles.counting` — a CountQuery recorded in a
+  ``PendingQuery`` at every node, leaves included (specification of
+  ``Counting.on_query`` / ``_finalize`` in ``repro.core.counting``);
+  patched in for whole-network runs,
 * :mod:`tests.oracles.records` — the per-record dataclass
   (specification of the ``StateBank`` row view ``DownstreamRecord``),
 * :mod:`tests.oracles.refresh` — the full-table refresh tick and

@@ -97,6 +97,8 @@ def _decode_message(data: bytes):
     body = data[HEAD_BYTES:]
 
     if msg_type == TYPE_COUNT:
+        if flags & ~FLAG_KEY:
+            raise CodecError(f"undefined flag bits {flags & ~FLAG_KEY:#04x} on Count")
         expected = TAIL_BYTES + (KEY_BYTES if flags & FLAG_KEY else 0)
         if len(body) < expected:
             raise CodecError("Count body truncated")
@@ -111,12 +113,18 @@ def _decode_message(data: bytes):
         )
 
     if msg_type == TYPE_QUERY:
+        if flags & ~FLAG_PROACTIVE:
+            raise CodecError(
+                f"undefined flag bits {flags & ~FLAG_PROACTIVE:#04x} on CountQuery"
+            )
         expected = TAIL_BYTES + (PROACTIVE_BYTES if flags & FLAG_PROACTIVE else 0)
         if len(body) < expected:
             raise CodecError("CountQuery body truncated")
         if len(body) > expected:
             raise CodecError(f"{len(body) - expected} trailing bytes after CountQuery")
-        timeout_ms, _reserved = struct.unpack(QUERY_TAIL, body[:TAIL_BYTES])
+        timeout_ms, reserved = struct.unpack(QUERY_TAIL, body[:TAIL_BYTES])
+        if reserved != 0:
+            raise CodecError(f"CountQuery reserved byte is {reserved:#04x}, not zero")
         proactive = None
         if flags & FLAG_PROACTIVE:
             e_max, alpha, tau = struct.unpack(PROACTIVE_EXT, body[TAIL_BYTES:])
@@ -129,6 +137,8 @@ def _decode_message(data: bytes):
         )
 
     if msg_type == TYPE_RESPONSE:
+        if flags != 0:
+            raise CodecError(f"undefined flag bits {flags:#04x} on CountResponse")
         if len(body) < 1:
             raise CodecError("CountResponse body truncated")
         if len(body) > 1:
@@ -165,9 +175,11 @@ def decode_batch(data) -> list:
     data = bytes(data)
     if len(data) < BATCH_HEAD_BYTES:
         raise CodecError(f"batch header truncated: {len(data)} bytes")
-    msg_type, _flags, record_count = struct.unpack(BATCH_HEAD, data[:BATCH_HEAD_BYTES])
+    msg_type, flags, record_count = struct.unpack(BATCH_HEAD, data[:BATCH_HEAD_BYTES])
     if msg_type != TYPE_BATCH:
         raise CodecError(f"not a batch frame (type {msg_type:#x})")
+    if flags != 0:
+        raise CodecError(f"undefined flag bits {flags:#04x} on a batch frame")
     if record_count == 0:
         raise CodecError("batch declares zero records")
     offset = BATCH_HEAD_BYTES

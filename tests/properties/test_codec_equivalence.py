@@ -9,6 +9,8 @@ observationally indistinguishable from the plain statement of the wire
 format; every case calls both and compares.
 """
 
+import struct
+
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -258,3 +260,54 @@ class TestNestedBatch:
                 "CodecError",
                 "batches cannot nest",
             )
+
+
+class TestDecoderSideConstructor:
+    """The decoder builds a message as a bare tuple, without the public
+    constructor: what it has read off the wire is in range by its field
+    width, and the few values a field can hold but no message can carry
+    it refuses itself. Every frame here is one the public constructors
+    would refuse to build; the decoder must refuse it with the error the
+    constructor (through the oracle, which calls it) gives."""
+
+    @staticmethod
+    def refused_publicly(build) -> str:
+        try:
+            build()
+        except ReproError as exc:
+            return str(exc)
+        raise AssertionError("the public constructor accepted it")
+
+    def check(self, frame: bytes, build) -> None:
+        text = self.refused_publicly(build)
+        for wrapped in (frame, bytes([MSG_BATCH]) + b"\x00\x00\x01"
+                        + len(frame).to_bytes(2, "big") + frame):
+            kind, error, said = agreed(decode_message, oracle.decode_message, wrapped)
+            assert (kind, error) == ("err", "CodecError")
+            assert text in said
+
+    @given(message=messages)
+    def test_count_id_zero(self, message):
+        frame = bytearray(encode_message(message))
+        frame[2:4] = b"\x00\x00"
+        self.check(bytes(frame), lambda: type(message)(message.channel, 0, *message[2:]))
+
+    @given(message=counts, request_id=st.integers(MAX_REQUEST_ID + 1, 255))
+    def test_request_id_no_verdict_could_echo(self, message, request_id):
+        frame = bytearray(encode_message(message))
+        frame[15] = request_id
+        self.check(bytes(frame), lambda: Count(*message[:4], request_id))
+
+    @given(message=messages, source=st.integers(0xE0000000, 0xFFFFFFFF))
+    def test_multicast_source(self, message, source):
+        frame = bytearray(encode_message(message))
+        frame[4:8] = source.to_bytes(4, "big")
+        self.check(bytes(frame), lambda: Channel(source, message.channel.group))
+
+    @given(message=queries, zeroed=st.sampled_from((0, 1, 2)))
+    def test_zero_tolerance_curve(self, message, zeroed):
+        values = [0.5, 4.0, 120.0]
+        values[zeroed] = 0.0
+        frame = bytearray(encode_message(message._replace(proactive=ToleranceCurve())))
+        frame[16:28] = struct.pack("!fff", *values)
+        self.check(bytes(frame), lambda: ToleranceCurve(*values))
