@@ -249,7 +249,14 @@ class Counting:
         state = agent.channels.get(channel)
         if state is not None:
             to_hosts = count_id not in NETWORK_LAYER_RANGE
-            for name, record in state.downstream.items():
+            # ``state.downstream.items()``, read off the slots.
+            if state.spill is not None:
+                records = state.spill.items()
+            elif state.lone_name is not None:
+                records = ((state.lone_name, state.lone_record),)
+            else:
+                records = ()
+            for name, record in records:
                 if name == LOCAL or record.count <= 0:
                     continue
                 if name in agent.blocks:

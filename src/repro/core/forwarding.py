@@ -20,10 +20,10 @@ forwards it toward all downstream channel receivers".
 
 from __future__ import annotations
 
-from typing import Callable
+from typing import Callable, Optional
 
 from repro.core.accounting import DeliveryView, flush_agent_views
-from repro.core.channel import interned_channel
+from repro.core.channel import Channel, interned_channel
 from repro.core.ecmp.protocol import EcmpAgent
 from repro.errors import ForwardingError
 from repro.inet.addr import SSM_FIRST, SSM_LAST, is_ssm, is_unicast
@@ -119,10 +119,13 @@ class ExpressForwarder(ProtocolAgent):
             # wire is spoofed or looped; never process it.
             self.stats["self_spoof_drops"] += 1
             return
-        delivered = self._deliver_local(packet)
+        # Probe, never intern: a packet for a pair nobody interned has
+        # nobody to be delivered to and no FIB entry to match.
+        channel = interned_channel((packet.src, dst))
+        delivered = self._deliver_local(packet, channel)
         if self._is_host:
             return
-        oifs = self.fib.lookup(packet.src, dst, ifindex)
+        oifs = self.fib.lookup(channel, ifindex)
         if oifs:  # empty: a drop, or an edge whose members are all local blocks
             self._fan_out(packet, oifs, consume=not delivered)
 
@@ -163,13 +166,14 @@ class ExpressForwarder(ProtocolAgent):
         if packet.src != inner.src:
             self.stats["subcast_auth_drops"] += 1
             return
-        entry = self.fib.get(inner.src, inner.dst)
-        if entry is None:
+        channel = interned_channel((inner.src, inner.dst))
+        oifs = self.fib.egress_of(channel)
+        if oifs is None:
             self.stats["subcast_off_tree_drops"] += 1
             return
         self.stats["subcast_relayed"] += 1
-        delivered = self._deliver_local(inner)
-        self._fan_out(inner, self.fib.egress(entry), consume=not delivered)
+        delivered = self._deliver_local(inner, channel)
+        self._fan_out(inner, oifs, consume=not delivered)
 
     # ------------------------------------------------------------------
     # transmit path
@@ -185,12 +189,12 @@ class ExpressForwarder(ProtocolAgent):
             raise ForwardingError(
                 "only the designated source may emit on a channel"
             )
-        delivered = self._deliver_local(packet)  # a source subscribed to itself
-        entry = self.fib.get(packet.src, packet.dst)
-        if entry is None:
+        channel = interned_channel((packet.src, packet.dst))
+        delivered = self._deliver_local(packet, channel)  # a source subscribed to itself
+        oifs = self.fib.egress_of(channel)
+        if oifs is None:
             self.fib.no_match_drops += 1
             return 0
-        oifs = self.fib.egress(entry)
         self._fan_out(packet, oifs, consume=not delivered)
         return len(oifs)
 
@@ -235,12 +239,11 @@ class ExpressForwarder(ProtocolAgent):
             self.stats["fanout_inplace"] += 1
             send(packet, oifs[copies])
 
-    def _deliver_local(self, packet: Packet) -> bool:
-        """Deliver to a local subscription, if any; True if delivered."""
-        # Probe, never intern: this runs before the FIB has said whether
-        # the channel exists, and whoever holds a subscription or block
-        # membership for the pair interned it when its state was created.
-        channel = interned_channel((packet.src, packet.dst))
+    def _deliver_local(self, packet: Packet, channel: Optional[Channel]) -> bool:
+        """Deliver to a local subscription, if any; True if delivered.
+        ``channel`` is the packet's pair as the intern table knows it
+        (None: unknown) — whoever holds a subscription or block
+        membership for the pair interned it when its state was created."""
         if channel is None:
             return False
         ecmp = self.ecmp

@@ -17,6 +17,9 @@ time:
   general-query walk (specification of the ``RefreshRing`` tick in
   ``repro.core.ecmp.liveness`` and the ``_by_upstream`` reply in
   ``repro.core.ecmp.protocol``),
+* :mod:`tests.oracles.fib` — an ``(S, E)`` key tuple and a mutable
+  entry object per FIB entry (specification of
+  ``repro.routing.fib.MulticastFib``'s channel-keyed shared rows),
 * :mod:`tests.oracles.dataplane` — one packet hop with every look-up
   made per packet (specification of ``Link.transmit``, ``Node.send`` /
   ``receive``, ``Packet.copy``, ``ExpressForwarder.handle_packet`` /

@@ -23,6 +23,7 @@ shipped one.
 
 from __future__ import annotations
 
+from repro.core.channel import interned_channel
 from repro.core.forwarding import PROTO_IPIP, ExpressForwarder
 from repro.errors import SimulationError
 from repro.inet.addr import is_ssm, is_unicast
@@ -164,6 +165,13 @@ def reference_egress(fib: MulticastFib, entry) -> list[int]:
     return [i for i in range(MAX_INTERFACES) if entry.outgoing & (1 << i)]
 
 
+def reference_egress_of(fib: MulticastFib, channel):
+    if channel is None:
+        return None
+    entry = fib.get(channel.source, channel.group)
+    return None if entry is None else reference_egress(fib, entry)
+
+
 def reference_lookup(
     fib: MulticastFib, source: int, dest: int, arriving_ifindex: int
 ) -> list[int]:
@@ -201,7 +209,7 @@ def _handle_express(fwd: ExpressForwarder, packet: Packet, ifindex: int) -> None
     if packet.src == fwd.node.address:
         fwd.stats.incr("self_spoof_drops")
         return
-    delivered = fwd._deliver_local(packet)
+    delivered = fwd._deliver_local(packet, interned_channel((packet.src, packet.dst)))
     if fwd.ecmp.role == "host":
         return
     oifs = fwd.fib.lookup(packet.src, packet.dst, ifindex)
@@ -238,6 +246,7 @@ REPLACEMENTS = (
     (Node, "receive", reference_receive),
     (Link, "transmit", reference_transmit),
     (MulticastFib, "egress", reference_egress),
+    (MulticastFib, "egress_of", reference_egress_of),
     (MulticastFib, "lookup", reference_lookup),
     (ExpressForwarder, "handle_packet", reference_handle_packet),
     (ExpressForwarder, "_fan_out", reference_fan_out),

@@ -1,9 +1,9 @@
 """Unit tests for the FIB data-plane lookup.
 
 ``MulticastFib.lookup`` remembers nothing per lookup: it probes the
-table by the full ``(S, E)`` pair, compares the incoming interface and
-returns the interned interface tuple of the entry's *current* outgoing
-bitmap. These tests pin what that buys — every write (table mutation,
+table by the channel the ``(S, E)`` pair names, compares the incoming
+interface and returns the interned interface tuple of the entry's
+*current* outgoing bitmap. These tests pin what that buys — every write (table mutation,
 bitmap helper, raw ``entry.outgoing`` / ``entry.incoming_interface``
 assignment, the way the protocol layer syncs entries) is visible at the
 very next lookup, the drop counters are exact, equal bitmaps share one
