@@ -27,9 +27,10 @@ from repro.errors import AuthError
 KEY_BYTES = 8
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ChannelKey:
-    """An 8-byte channel authenticator K(S,E)."""
+    """An 8-byte channel authenticator K(S,E). Slotted: a key decoded
+    off the wire carries no ``__dict__``."""
 
     value: bytes
 

@@ -1,5 +1,7 @@
 """Unit tests for channel keys and the router key cache."""
 
+import pickle
+
 import pytest
 
 from repro.core.channel import Channel
@@ -25,6 +27,16 @@ class TestChannelKey:
 
     def test_different_secrets_differ(self):
         assert ChannelKey.from_secret(CH, b"a") != ChannelKey.from_secret(CH, b"b")
+
+    def test_a_key_is_slotted_frozen_and_pickles(self):
+        """Every key decoded off the wire is one of these: no
+        ``__dict__`` each, and still a frozen, hashable value."""
+        key = make_key(CH)
+        assert not hasattr(key, "__dict__")
+        with pytest.raises(AttributeError):
+            key.value = b"\x00" * KEY_BYTES
+        copy = pickle.loads(pickle.dumps(key))
+        assert copy == key and hash(copy) == hash(key) and copy is not key
 
 
 class TestKeyCache:

@@ -22,7 +22,7 @@ from tests.conftest import assert_control_plane_at_rest
 BAD_KEY = ChannelKey(b"cracked!")
 
 
-def keyed_line(hosts: dict[str, str], slow: float = 1.0) -> tuple:
+def keyed_line(hosts: dict[str, str], slow: float = 1.0, wire_format: bool = False) -> tuple:
     """hsrc - n0 -(``slow`` s)- n1 - n2 with ``hosts`` (name -> router)
     attached, and one keyed channel from hsrc."""
     topo = TopologyBuilder.line(3)
@@ -32,7 +32,7 @@ def keyed_line(hosts: dict[str, str], slow: float = 1.0) -> tuple:
     for name, router in hosts.items():
         topo.add_node(name)
         topo.add_link(name, router, delay=0.001)
-    net = ExpressNetwork(topo, hosts=["hsrc", *hosts])
+    net = ExpressNetwork(topo, hosts=["hsrc", *hosts], wire_format=wire_format)
     net.run(until=0.01)
     source = net.source("hsrc")
     channel = source.allocate_channel()
@@ -92,6 +92,34 @@ def test_upstream_learning_the_key_between_two_joins_crosses_no_verdict(first):
     source.send(channel)
     net.settle(3.0)
     assert (len(got["hA"]), len(got["hB"]), len(got["hC"])) == (1, 0, 1)
+    assert_control_plane_at_rest(net)
+
+
+def test_a_join_that_shared_a_verdict_keeps_the_cached_key():
+    """With real wire bytes every hop decodes its own copy of a key.
+    hA's join reaches n1 while hC's, presenting the same key, is still
+    upstream, so it shares hC's verdict; n1 then caches hC's copy, and
+    the record it keeps for n2 holds that object rather than the copy
+    hA's join brought — as every record validated against a cache
+    does."""
+    net, source, channel, key = keyed_line({"hA": "n2", "hC": "n1"}, wire_format=True)
+    start = net.sim.now
+    net.host("hC").subscribe(channel, key=key)
+    net.sim.schedule_at(start + 1.5, lambda: net.host("hA").subscribe(channel, key=key))
+    net.run(until=start + 1.9)
+    n1 = net.ecmp_agents["n1"]
+    (entry,) = n1.pending_verdicts[channel].values()
+    assert [sharer.neighbor for sharer in entry.sharers] == ["n2"]
+    net.settle(4.0)
+    held = 0
+    for name, agent in net.ecmp_agents.items():
+        state = agent.channels.get(channel)
+        cached = agent.keys.get(channel)
+        for neighbor, record in state.downstream.items() if state else ():
+            if record.presented_key is not None and cached is not None:
+                assert record.presented_key is cached, (name, neighbor)
+                held += 1
+    assert held >= 4  # n0, n1 (twice), n2 hold a validated keyed record
     assert_control_plane_at_rest(net)
 
 
