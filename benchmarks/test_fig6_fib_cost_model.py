@@ -2,9 +2,14 @@
 
 Regenerates both worked examples (the 10-way conference and the
 100,000-subscriber stock ticker), reporting the formula's value next to
-the paper's printed value, and cross-checks the k*n*h entry bound
-against a *measured* tree built by the live ECMP implementation.
+the paper's printed value, prices the same model at the bytes this
+implementation's FIB actually holds per entry, and cross-checks the
+k*n*h entry bound against a *measured* tree built by the live ECMP
+implementation.
 """
+
+import sys
+from pathlib import Path
 
 import pytest
 from conftest import report
@@ -17,6 +22,10 @@ from repro.costmodel.fib_cost import (
     stock_ticker_example,
 )
 
+# The budget test is the one implementation of the heap measurement.
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
+from tests.core.test_state_budget import fib_bytes_per_entry  # noqa: E402
+
 
 def test_fig6_worked_examples(benchmark):
     model = FibCostModel()
@@ -28,6 +37,9 @@ def test_fig6_worked_examples(benchmark):
     assert model.entry_purchase_cost() == pytest.approx(0.00066)
     assert conference["formula_cost_dollars"] < 0.08
     assert ticker["formula_yearly_dollars"] < 20_000
+    held = fib_bytes_per_entry()
+    measured = FibCostModel(entry_bytes=held)
+    held_ticker = stock_ticker_example(measured)
 
     report(
         "fig6_fib_cost_model",
@@ -49,6 +61,11 @@ def test_fig6_worked_examples(benchmark):
             f"    paper prints: ${ticker['paper_printed_yearly']:,.0f}/yr",
             f"    comparison:   cable lease ~$12/viewer-yr; TV channel sale $25/viewer",
             "    -> FIB memory is noise next to the application's value (paper's claim)",
+            "",
+            f"  at the {held:.1f} B/entry this implementation's FIB holds (measured):",
+            f"    per-entry purchase cost: ${measured.entry_purchase_cost():.5f}",
+            f"    stock ticker: ${held_ticker['formula_yearly_dollars']:,.0f}/yr"
+            f" = {held_ticker['formula_cents_per_subscriber_year']:.1f} c/sub-yr",
         ],
     )
 

@@ -29,6 +29,13 @@ own scheduling lambda):
   where it called ``Counter.incr``, and
   ``Channel`` is a tuple, hashed without a
   Python-level ``__hash__``:              10.03
+* the FIB keyed by the interned channel:
+  the hop probes the intern table once and
+  hands the channel to delivery and lookup,
+  and the source's emit reads the egress
+  tuple in one call (``egress_of``) where
+  ``get`` validated the pair and built a
+  handle:                                  9.63
 
 The slack is half a call: putting back ``Link._deliver``'s
 indirection, the per-packet ``lambda`` in place of the ``partial``, or
@@ -45,7 +52,7 @@ from repro.routing.fib import FibEntry
 ROUTERS = 4
 HOSTS = 6
 PACKETS = 50
-MEASURED = 10.03
+MEASURED = 9.63
 SLACK = 0.5
 
 
