@@ -17,6 +17,7 @@ linearly in channels.
 
 import sys
 import time
+from pathlib import Path
 
 import pytest
 from conftest import report
@@ -28,6 +29,10 @@ from repro.core.ecmp.protocol import PROTO_ECMP
 from repro.costmodel.maintenance import MaintenanceModel
 from repro.netsim.packet import Packet
 from repro.workloads.churn import count_message_stream
+
+# The per-hop budgets' call counter, shared so all three count alike.
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
+from tests.callcount import python_calls  # noqa: E402
 
 N_NEIGHBORS = 8
 
@@ -135,7 +140,8 @@ def python_calls_for_a_fixed_stream(standing, n_events=4_000):
     fixed stream — joins and leaves by seven neighbors over 50 channels
     — while it holds ``standing`` channels for the eighth. Only the
     size of the table differs from one call to the next, and the count
-    is a property of the code, not of the host: it repeats exactly."""
+    is a property of the code, not of the host: it repeats exactly
+    (``tests/callcount.py`` holds the cyclic GC off around it)."""
     net, edges = build_router_under_test()
     source_address = net.topo.node("s").address
     run_events(
@@ -159,20 +165,12 @@ def python_calls_for_a_fixed_stream(standing, n_events=4_000):
         ),
     )
     handle = agent.handle_packet
-    calls = 0
 
-    def count(frame, event, arg):
-        nonlocal calls
-        if event == "call":
-            calls += 1
-
-    sys.setprofile(count)
-    try:
+    def drive():
         for packet, ifindex in stream:
             handle(packet, ifindex)
-    finally:
-        sys.setprofile(None)
-    return calls / n_events
+
+    return python_calls(drive) / n_events
 
 
 def test_t4_per_event_cost_flat_in_channels(benchmark):

@@ -1,17 +1,14 @@
 """Deferred delivery accounting (the bulk path's counting layer).
 
-The mega-storm profile showed per-event *counting* — block delivery
-counters, per-link wire counters, registry label lookups — costing as
-much as the protocol work it was measuring: every delivered packet paid
-dict hashing for ``labels(...)`` children and one attribute round-trip
-per counter per block. This module moves those counters into
-preallocated integer columns with an index-interning layer, updated by
+The mega-storm profile showed per-event *counting* of block
+deliveries costing as much as the protocol work it was measuring: one
+attribute round-trip per counter per block per packet. This module
+moves those counters into preallocated integer columns, updated by
 cheap scalar pends on the hot path and *flushed* in bulk at snapshot
 and export boundaries:
 
 * :class:`CounterBank` — a column store of plain integer lists with
-  row interning. Rows are subscriber blocks or links; columns are
-  counters.
+  row interning, one row per subscriber block (``BLOCK_BANK``).
 * :class:`DeliveryView` — the forwarder's frozen per-(agent, channel)
   view of block membership. Per packet it does two integer adds
   (``pending_packets``/``pending_bytes``); the flush applies the
@@ -19,18 +16,13 @@ and export boundaries:
   ``EcmpAgent.members_changing`` (membership is about to move, so
   pending tallies accumulated under the old counts are applied first)
   and refreshed lazily against ``agent.blocks_version``.
-* :class:`LinkAccounting` — per-registry aggregator for
-  :class:`~repro.obs.hooks.LinkMetrics`: per-packet increments become
-  plain attribute adds on the metrics object, and a registered
-  collector folds them into the bank *and* the exact same registry
-  families every exporter already reads, so PR 6's fleet aggregation
-  sees byte-identical family names and label schemas.
 
 Flush boundaries (the full set — counters are never stale when read):
 
 * ``members_changing`` before any join/leave/batch member mutation,
+* ``EcmpAgent.lose_state`` before a crash drops the views,
 * block counter property reads (``block.deliveries`` etc.),
-* the registry collector at every ``collect()``/snapshot/export,
+* the forwarder's registry fold at every ``collect()``/snapshot/export,
 * a delivery view noticing ``blocks_version`` moved.
 
 The columns are lists, not numpy arrays, for the reason
@@ -99,10 +91,6 @@ class CounterBank:
         for col in self._cols.values():
             col.extend([0] * (self._capacity - len(col)))
 
-    def column(self, name: str) -> list:
-        """The live backing list for ``name``."""
-        return self._cols[name]
-
     def get(self, name: str, row: int) -> int:
         return self._cols[name][row]
 
@@ -114,9 +102,6 @@ class CounterBank:
 
     def row_values(self, row: int) -> dict:
         return {name: col[row] for name, col in self._cols.items()}
-
-    def stats(self) -> dict:
-        return {"rows": self.rows, "columns": list(self.columns)}
 
 
 #: Process-wide bank backing every :class:`SubscriberBlock`'s delivery
@@ -161,8 +146,8 @@ class DeliveryView:
     ) -> None:
         self.agent = agent
         self.channel = channel
-        #: The forwarder's stats bag (Counter or CounterBag) — flush
-        #: targets, same keys the per-packet path used to increment.
+        #: The forwarder's stats ``Counter`` — flush targets, same keys
+        #: the per-packet path used to increment.
         self.stats = stats
         #: Memoized delivery-latency histogram child (obs mode only):
         #: latency is a per-packet distribution, so it is observed at
@@ -222,65 +207,3 @@ def flush_agent_views(agent: "EcmpAgent") -> None:
     for view in agent._delivery_views.values():
         if view.pending_packets:
             view.flush()
-
-
-#: Column order shared by :class:`LinkAccounting` and
-#: :class:`~repro.obs.hooks.LinkMetrics` pending attributes.
-LINK_COLUMNS = ("packets", "lost", "ecmp_packets", "ecmp_bytes")
-
-
-class LinkAccounting:
-    """Per-registry flush aggregator for link counters.
-
-    Each :class:`~repro.obs.hooks.LinkMetrics` registers here once; its
-    per-packet methods then only bump plain integer attributes. The
-    single collector registered on the registry folds all pending
-    counts into the bank's preallocated columns and increments the
-    *same* registry families (``link_packets_total`` etc.) by the same
-    deltas — exporters, snapshots, and the fleet merge see identical
-    series, just updated at collect boundaries instead of per packet.
-    """
-
-    __slots__ = ("bank", "_metrics")
-
-    def __init__(self, registry) -> None:
-        self.bank = CounterBank(LINK_COLUMNS)
-        self._metrics: list = []
-        registry.register_collector(self.flush)
-
-    def attach(self, metrics) -> int:
-        """Register one LinkMetrics; returns its interned bank row."""
-        self._metrics.append(metrics)
-        return self.bank.intern(metrics.link)
-
-    def flush(self) -> None:
-        bank = self.bank
-        for metrics in self._metrics:
-            pending = metrics.take_pending()
-            if pending is None:
-                continue
-            packets, lost, ecmp_packets, ecmp_bytes = pending
-            row = metrics.row
-            if packets:
-                bank.inc("packets", row, packets)
-                metrics._c_packets.inc(packets)
-            if lost:
-                bank.inc("lost", row, lost)
-                metrics._c_lost.inc(lost)
-            if ecmp_packets:
-                bank.inc("ecmp_packets", row, ecmp_packets)
-                metrics._c_ecmp_packets.inc(ecmp_packets)
-            if ecmp_bytes:
-                bank.inc("ecmp_bytes", row, ecmp_bytes)
-                metrics._c_ecmp_bytes.inc(ecmp_bytes)
-
-
-def link_accounting(registry) -> LinkAccounting:
-    """The registry's :class:`LinkAccounting`, created on first use and
-    cached on the registry object itself (one bank + one collector per
-    registry, however many links attach)."""
-    accounting = getattr(registry, "_link_accounting", None)
-    if accounting is None:
-        accounting = LinkAccounting(registry)
-        registry._link_accounting = accounting
-    return accounting

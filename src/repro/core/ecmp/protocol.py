@@ -52,6 +52,7 @@ from typing import TYPE_CHECKING, Callable, Optional
 # countids / messages / state, so when an importer asks for it before
 # this package it is still initialising by the time this line runs.
 from repro.core import counting as counting_machine
+from repro.core.accounting import flush_agent_views
 from repro.core.channel import Channel, intern_channel
 from repro.core.ecmp.countids import ALL_CHANNELS_ID, NEIGHBORS_ID, SUBSCRIBER_ID
 from repro.core.ecmp.liveness import DISCOVERY_CHANNEL, Liveness
@@ -190,9 +191,9 @@ class EcmpAgent(ProtocolAgent):
         enabling proactive counting locally).
     obs:
         Optional :class:`repro.obs.Observability`. When set, the agent's
-        ``stats`` bag is backed by the shared metrics registry
-        (``ecmp_events_total{node,event}``), every message tx/rx is
-        counted per channel (``ecmp_messages_total``), and every ECMP
+        ``stats`` are published to the shared metrics registry at every
+        collect (``ecmp_events_total{node,event}``), every message tx/rx
+        is tallied per channel (``ecmp_messages_total``), and every ECMP
         message carries a trace/span id so control-plane causality
         (RPF join propagation, CountQuery fan-out/aggregation) can be
         reconstructed from the tracer. When None (the default) the hot
@@ -268,31 +269,14 @@ class EcmpAgent(ProtocolAgent):
         #: pending delivery tallies accumulated under the old counts.
         self._delivery_views: dict[Channel, object] = {}
         self.obs = obs
-        if obs is None:
-            self.stats = Counter()
-            self._m_messages = self._m_bytes = self._m_wire_bytes = None
-        else:
-            registry = obs.registry
-            self.stats = registry.counter_bag(
-                "ecmp_events_total", "ECMP protocol events by node", node=node.name
-            )
-            self._m_messages = registry.counter(
-                "ecmp_messages_total",
-                "ECMP messages by node, direction, message type, and channel",
-                ("node", "direction", "type", "channel"),
-            )
-            self._m_bytes = registry.counter(
-                "ecmp_bytes_total",
-                "Logical ECMP control bytes (per message, pre-coalescing) "
-                "by node and direction",
-                ("node", "direction"),
-            )
-            self._m_wire_bytes = registry.counter(
-                "ecmp_bytes_on_wire",
-                "Actual ECMP bytes put on (or taken off) the wire per "
-                "node and direction, batch framing included",
-                ("node", "direction"),
-            )
+        self.stats = Counter()
+        #: Observability only: messages by (direction, type, channel)
+        #: and logical bytes received (``"rx"``), what ``stats`` does
+        #: not already count; the registry folds both (:meth:`_publish`).
+        self._m_tally: Optional[Counter] = None
+        if obs is not None:
+            self._m_tally = Counter()
+            self._publish(obs.registry)
         #: upstream name -> {channel: None}: channels routed *via* that
         #: neighbor (the general-query response set).
         self._by_upstream: dict[str, dict[Channel, None]] = {}
@@ -309,6 +293,53 @@ class EcmpAgent(ProtocolAgent):
             self, self._send_count_upstream, proactive_curve or ToleranceCurve()
         )
         self.liveness = Liveness(self, self._neighbor_failed, self._record_expired)
+
+    def _publish(self, registry) -> None:
+        """Declare this agent's families and fold its tallies into them
+        at every collect: ``stats`` already holds the logical bytes sent
+        and the wire bytes both ways, ``_m_tally`` the rest."""
+        events = registry.counter(
+            "ecmp_events_total", "ECMP protocol events by node", ("node", "event")
+        )
+        messages = registry.counter(
+            "ecmp_messages_total",
+            "ECMP messages by node, direction, message type, and channel",
+            ("node", "direction", "type", "channel"),
+        )
+        logical = registry.counter(
+            "ecmp_bytes_total",
+            "Logical ECMP control bytes (per message, pre-coalescing) "
+            "by node and direction",
+            ("node", "direction"),
+        )
+        wire = registry.counter(
+            "ecmp_bytes_on_wire",
+            "Actual ECMP bytes put on (or taken off) the wire per "
+            "node and direction, batch framing included",
+            ("node", "direction"),
+        )
+        node = self.node.name
+        stats = self.stats
+        by_stat = (
+            (logical, "tx", "bytes_tx"),
+            (wire, "tx", "bytes_on_wire"),
+            (wire, "rx", "bytes_on_wire_rx"),
+        )
+
+        def tallies():
+            for event, total in stats.items():
+                yield events, (node, event), total
+            for key, total in self._m_tally.items():
+                if key == "rx":
+                    yield logical, (node, "rx"), total
+                else:
+                    direction, kind, channel = key
+                    yield messages, (node, direction, kind.__name__, str(channel)), total
+            for family, direction, event in by_stat:
+                if event in stats:
+                    yield family, (node, direction), stats[event]
+
+        registry.fold(tallies)
 
     # ------------------------------------------------------------------
     # lifecycle / wiring
@@ -348,6 +379,7 @@ class EcmpAgent(ProtocolAgent):
         self.blocks.clear()
         self.channel_blocks.clear()
         self.blocks_version += 1
+        flush_agent_views(self)
         self._delivery_views.clear()
         self._by_upstream.clear()
         self.keys = KeyCache()
@@ -608,10 +640,6 @@ class EcmpAgent(ProtocolAgent):
         stats = self.stats
         stats["wire_recvs"] += 1
         stats["bytes_on_wire_rx"] += packet.size
-        if self._m_wire_bytes is not None:
-            self._m_wire_bytes.labels(node=self.node.name, direction="rx").inc(
-                packet.size
-            )
         # Read by the traced dispatch only.
         span_ctx = packet.headers.get(SPAN_HEADER) if self.obs is not None else None
         if type(message) is EcmpBatch:
@@ -646,14 +674,9 @@ class EcmpAgent(ProtocolAgent):
         if self.obs is None:
             handler(message, from_name)
             return
-        size = IP_OVERHEAD + message.wire_size()
-        self._m_messages.labels(
-            node=self.node.name,
-            direction="rx",
-            type=type(message).__name__,
-            channel=str(message.channel),
-        ).inc()
-        self._m_bytes.labels(node=self.node.name, direction="rx").inc(size)
+        tally = self._m_tally
+        tally["rx", type(message), message.channel] += 1
+        tally["rx"] += IP_OVERHEAD + message.wire_size()
         self._handle_traced(message, from_name, row.kind, handler, span_ctx)
 
     def _handle_traced(
@@ -739,13 +762,7 @@ class EcmpAgent(ProtocolAgent):
                 # of the receiver's handling span — even if the wire
                 # send happens later, from a flush event.
                 span_ctx = current.context
-            self._m_messages.labels(
-                node=self.node.name,
-                direction="tx",
-                type=type(message).__name__,
-                channel=str(message.channel),
-            ).inc()
-            self._m_bytes.labels(node=self.node.name, direction="tx").inc(size)
+            self._m_tally["tx", type(message), message.channel] += 1
         sessions.send(message, known, urgent, pinned, size, span_ctx)
 
     def _transmit(
@@ -790,8 +807,6 @@ class EcmpAgent(ProtocolAgent):
         stats = self.stats
         stats["wire_sends"] += 1
         stats["bytes_on_wire"] += size
-        if self._m_wire_bytes is not None:
-            self._m_wire_bytes.labels(node=self.node.name, direction="tx").inc(size)
         self.node.send(packet, neighbor.iface.index)
 
     # ------------------------------------------------------------------

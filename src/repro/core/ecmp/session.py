@@ -25,6 +25,7 @@ from repro.core.ecmp.messages import (
 )
 from repro.errors import ProtocolError
 from repro.netsim.node import Interface, Node
+from repro.netsim.trace import Counter
 
 PROTO_ECMP = "ecmp"
 
@@ -143,7 +144,7 @@ class NeighborSessions:
 
     __slots__ = (
         "_agent", "transmit", "default_mode", "batching", "table", "_corked",
-        "_m_coalesced", "_m_flushes",
+        "flushes",
     )
 
     def __init__(
@@ -166,21 +167,37 @@ class NeighborSessions:
         #: While a burst loop runs (see :meth:`burst`): the neighbors it
         #: has queued records toward, each flushed once when it ends.
         self._corked: Optional[dict[Neighbor, bool]] = None
-        if agent.obs is None:
-            self._m_coalesced = self._m_flushes = None
-        else:
-            registry = agent.obs.registry
-            self._m_coalesced = registry.counter(
-                "ecmp_msgs_coalesced",
-                "ECMP messages that did not cost their own wire packet "
-                "(absorbed by last-writer-wins or carried in a batch frame)",
-                ("node",),
-            )
-            self._m_flushes = registry.counter(
-                "ecmp_batch_flushes",
-                "Dirty-channel queue flushes by node and trigger",
-                ("node", "trigger"),
-            )
+        #: Observability only: queue flushes by trigger, folded with the
+        #: agent's ``msgs_coalesced`` stat into the registry at collect.
+        self.flushes: Optional[Counter] = None
+        if agent.obs is not None:
+            self.flushes = Counter()
+            self._publish(agent.obs.registry)
+
+    def _publish(self, registry) -> None:
+        """Declare the session families and fold their tallies into them
+        at every collect."""
+        coalesced = registry.counter(
+            "ecmp_msgs_coalesced",
+            "ECMP messages that did not cost their own wire packet "
+            "(absorbed by last-writer-wins or carried in a batch frame)",
+            ("node",),
+        )
+        flushes = registry.counter(
+            "ecmp_batch_flushes",
+            "Dirty-channel queue flushes by node and trigger",
+            ("node", "trigger"),
+        )
+        node = self._agent.node.name
+        stats = self._agent.stats
+
+        def tallies():
+            if "msgs_coalesced" in stats:
+                yield coalesced, (node,), stats["msgs_coalesced"]
+            for trigger, total in self.flushes.items():
+                yield flushes, (node, trigger), total
+
+        registry.fold(tallies)
 
     # -- the neighbor table -------------------------------------------------
 
@@ -286,10 +303,8 @@ class NeighborSessions:
                         trigger = "idle"
                 if trigger is not None:
                     agent.stats["batch_flushes"] += 1
-                    if self._m_flushes is not None:
-                        self._m_flushes.labels(
-                            node=agent.node.name, trigger=trigger
-                        ).inc()
+                    if self.flushes is not None:
+                        self.flushes[trigger] += 1
                     self.transmit(message, known, (span_ctx,), size)
                     return
             queue = known.queue = DirtyChannelQueue()
@@ -300,8 +315,6 @@ class NeighborSessions:
         if queue.enqueue(message, pinned, span_ctx):
             # Last-writer-wins: the overwritten message never hits the wire.
             agent.stats["msgs_coalesced"] += 1
-            if self._m_coalesced is not None:
-                self._m_coalesced.labels(node=agent.node.name).inc()
         if len(queue) >= agent.BATCH_MAX_RECORDS:
             self.flush(known, "watermark")
         elif corked is not None:
@@ -365,16 +378,14 @@ class NeighborSessions:
         records = queue.records
         agent = self._agent
         agent.stats["batch_flushes"] += 1
-        if self._m_flushes is not None:
-            self._m_flushes.labels(node=agent.node.name, trigger=trigger).inc()
+        if self.flushes is not None:
+            self.flushes[trigger] += 1
         if len(records) == 1:
             self.transmit(records[0].message, known, (records[0].span_ctx,))
             return
         batch = EcmpBatch(messages=tuple(r.message for r in records))
         agent.stats["batch_records_tx"] += len(records)
         agent.stats["msgs_coalesced"] += len(records) - 1
-        if self._m_coalesced is not None:
-            self._m_coalesced.labels(node=agent.node.name).inc(len(records) - 1)
         self.transmit(batch, known, tuple(r.span_ctx for r in records))
 
     @contextmanager

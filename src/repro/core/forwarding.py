@@ -61,15 +61,14 @@ class ExpressForwarder(ProtocolAgent):
         #: is fixed at construction.
         self._is_host = ecmp.role == "host"
         self.obs = obs
-        if obs is None:
-            self.stats = Counter()
-            self._m_delivery = None
-        else:
+        self.stats = Counter()
+        self._m_delivery = None
+        if obs is not None:
             registry = obs.registry
-            self.stats = registry.counter_bag(
+            self._events = registry.counter(
                 "forwarder_events_total",
                 "Data-plane forwarding events by node",
-                node=node.name,
+                ("node", "event"),
             )
             self._m_delivery = registry.histogram(
                 "delivery_latency_seconds",
@@ -80,16 +79,18 @@ class ExpressForwarder(ProtocolAgent):
             #: channel -> its labelled child of that histogram, resolved
             #: on the channel's first local delivery here.
             self._delivery_hists: dict = {}
-            # Snapshot boundary: pending delivery-view tallies must land
-            # in the block counters and stats bag before any export.
-            registry.register_collector(self._flush_views)
+            registry.fold(self._tallies)
         #: Callbacks for unicast datagrams addressed to this node.
         self._unicast_sinks: list[Callable[[Packet], None]] = []
 
-    def _flush_views(self) -> None:
-        """Registry collector: apply pending delivery tallies (see
-        :mod:`repro.core.accounting`)."""
+    def _tallies(self):
+        """Registry fold: ``stats`` as ``forwarder_events_total``, once
+        pending delivery-view tallies have landed in it and in the block
+        counters (see :mod:`repro.core.accounting`)."""
         flush_agent_views(self.ecmp)
+        node = self.node.name
+        for event, total in self.stats.items():
+            yield self._events, (node, event), total
 
     def on_unicast_delivery(self, callback: Callable[[Packet], None]) -> None:
         """Register an application sink for unicast packets addressed

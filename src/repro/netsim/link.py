@@ -63,22 +63,21 @@ class Link:
         self.bandwidth = bandwidth
         self.loss = loss
         self.up = True
+        #: The link's only transmit/loss counts: observability publishes
+        #: them (:class:`repro.obs.hooks.LinkMetrics`), it keeps no copy.
         self.tx_packets = 0
         self.lost_packets = 0
         self.ecmp_wire_packets = 0
         self.ecmp_wire_bytes = 0
-        #: Optional :class:`repro.obs.hooks.LinkMetrics` set by
-        #: Observability attachment.
-        self.metrics = None
         #: Optional capture hook installed by the parallel-simulation
         #: proxy layer (:mod:`repro.netsim.parallel.proxy`) on cut
         #: links: when set, delivery is not scheduled locally — the
         #: packet (with its exact arrival time and receive interface)
         #: is handed to ``capture(link, sender, packet, arrival_time)``
         #: for export to the partition that owns the far end. All
-        #: sender-side accounting (tx counters, loss draw, metrics)
-        #: still happens, so per-link counters match a single-process
-        #: run when summed across partitions.
+        #: sender-side accounting (tx counters, loss draw) still
+        #: happens, so per-link counters match a single-process run
+        #: when summed across partitions.
         self.capture = None
         #: Optional wire-mutation hook installed by the fault-injection
         #: subsystem (:mod:`repro.faults.wire`). Called after the loss
@@ -125,17 +124,12 @@ class Link:
         if not self.up:
             return
         self.tx_packets += 1
-        metrics = self.metrics
-        if metrics is not None:
-            metrics.transmitted()
         proto = packet.proto
         if proto == "ecmp":
             # Wire-level control accounting: one increment per wire
             # packet, so a coalesced batch frame counts once.
             self.ecmp_wire_packets += 1
             self.ecmp_wire_bytes += packet.size
-            if metrics is not None:
-                metrics.ecmp_wire(packet.size)
         # TCP-mode control traffic is marked reliable: retransmission
         # hides loss, so the loss draw is skipped (delay still applies).
         if (
@@ -144,8 +138,6 @@ class Link:
             and self.sim.rng.random() < self.loss
         ):
             self.lost_packets += 1
-            if metrics is not None:
-                metrics.lost()
             return
         try:
             receive, rx_index = self._far_end[sender]

@@ -94,8 +94,8 @@ class Node:
         #: Topology.attach_trace(); records every tx/rx/drop when set.
         self.trace = None
         #: Optional :class:`repro.obs.hooks.NodeMetrics` set by
-        #: Observability attachment; counts every tx/rx/drop into the
-        #: shared metrics registry when set.
+        #: Observability attachment; tallies every tx/rx/drop for the
+        #: shared metrics registry to fold when set.
         self.metrics = None
 
     # -- wiring ----------------------------------------------------------

@@ -35,7 +35,6 @@ from repro.obs.hooks import (
 from repro.obs.registry import (
     LATENCY_BUCKETS,
     WALL_BUCKETS,
-    CounterBag,
     MetricError,
     MetricFamily,
     MetricsRegistry,
@@ -55,7 +54,6 @@ __all__ = [
     "LATENCY_BUCKETS",
     "WALL_BUCKETS",
     "ConvergenceMonitor",
-    "CounterBag",
     "FleetAggregator",
     "FlightRecorder",
     "LinkMetrics",

@@ -7,8 +7,14 @@ Three layers get instrumented without touching their call sites:
   queue-depth gauge, so protocol timers and hot loops are profiled for
   free;
 * every :class:`~repro.netsim.node.Node` — per-node tx/rx/drop packet
-  and byte counters;
-* every :class:`~repro.netsim.link.Link` — transmit/loss counters.
+  and byte tallies;
+* every :class:`~repro.netsim.link.Link` — its own transmit/loss
+  counters, published from attach on.
+
+The owner of a count keeps its only tally; the registry folds the
+tallies into their families at every ``collect()`` (see
+:meth:`~repro.obs.registry.MetricsRegistry.fold`), so families are
+current as of the last collect, snapshot or export.
 
 :class:`Observability` bundles one registry and one tracer; pass it to
 ``ExpressNetwork(..., obs=obs)`` or ``GroupNetwork(..., obs=obs)`` (or
@@ -20,14 +26,15 @@ off a single snapshot.
 from __future__ import annotations
 
 from contextlib import nullcontext
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, Iterator, Optional
 
-from repro.core.accounting import link_accounting
-from repro.obs.registry import WALL_BUCKETS, MetricsRegistry
+from repro.netsim.trace import Counter
+from repro.obs.registry import WALL_BUCKETS, MetricsRegistry, Tally
 from repro.obs.tracing import Tracer, shard_id_base
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.netsim.engine import Event, Simulator
+    from repro.netsim.link import Link
     from repro.netsim.topology import Topology
     from repro.obs.convergence import ConvergenceMonitor
 
@@ -64,6 +71,8 @@ class Observability:
         #: instrumented protocol layers call :meth:`state_changed` on
         #: every durable state mutation and the monitor timestamps it.
         self.convergence: Optional["ConvergenceMonitor"] = None
+        #: Publishes the counts of every link attached to this registry.
+        self.links: Optional[LinkMetrics] = None
         self._bound_sims: set[int] = set()
 
     def bind_simulator(self, sim: "Simulator") -> None:
@@ -85,105 +94,93 @@ class Observability:
 
 
 class NodeMetrics:
-    """Per-node packet/byte counters, bound once per node."""
+    """Per-node packet/byte tallies by (direction, proto), bound once
+    per node. :meth:`packet` is two dict adds; the registry folds the
+    tallies into ``node_packets_total`` / ``node_bytes_total`` at
+    collect."""
 
-    __slots__ = ("node", "_packets", "_bytes")
+    __slots__ = ("node", "packets", "bytes", "_families")
 
     def __init__(self, registry: MetricsRegistry, node: str) -> None:
         self.node = node
-        self._packets = registry.counter(
-            "node_packets_total",
-            "Packets seen at a node by direction and protocol",
-            ("node", "direction", "proto"),
+        self.packets = Counter()
+        self.bytes = Counter()
+        self._families = (
+            registry.counter(
+                "node_packets_total",
+                "Packets seen at a node by direction and protocol",
+                ("node", "direction", "proto"),
+            ),
+            registry.counter(
+                "node_bytes_total",
+                "Bytes seen at a node by direction and protocol",
+                ("node", "direction", "proto"),
+            ),
         )
-        self._bytes = registry.counter(
-            "node_bytes_total",
-            "Bytes seen at a node by direction and protocol",
-            ("node", "direction", "proto"),
-        )
+        registry.fold(self.tallies)
 
     def packet(self, direction: str, proto: str, size: int) -> None:
-        labels = {"node": self.node, "direction": direction, "proto": proto}
-        self._packets.labels(**labels).inc()
-        self._bytes.labels(**labels).inc(size)
+        key = (direction, proto)
+        self.packets[key] += 1
+        self.bytes[key] += size
+
+    def tallies(self) -> Iterator[Tally]:
+        packets, nbytes = self._families
+        for tally, family in ((self.packets, packets), (self.bytes, nbytes)):
+            for (direction, proto), total in tally.items():
+                yield family, (self.node, direction, proto), total
+
+
+def _link_counts(link: "Link") -> tuple[int, int, int, int]:
+    return (
+        link.tx_packets, link.lost_packets,
+        link.ecmp_wire_packets, link.ecmp_wire_bytes,
+    )
 
 
 class LinkMetrics:
-    """Per-link transmit/loss counters, bound once per link.
+    """Publishes the transmit/loss tallies every :class:`Link` keeps
+    (``tx_packets``, ``lost_packets``, ``ecmp_wire_packets``,
+    ``ecmp_wire_bytes``) as four ``link=`` families, counted from the
+    link's attach: its values then are the baseline."""
 
-    The per-packet methods only bump plain integer attributes; the
-    registry's :class:`~repro.core.accounting.LinkAccounting` collector
-    folds the pending counts into its preallocated counter bank and the
-    same four families below at every collect/snapshot boundary, so
-    exporters see identical series without per-packet ``labels(...)``
-    lookups on the data path.
-    """
+    __slots__ = ("_families", "_links")
 
-    __slots__ = (
-        "link",
-        "row",
-        "p_packets",
-        "p_lost",
-        "p_ecmp_packets",
-        "p_ecmp_bytes",
-        "_c_packets",
-        "_c_lost",
-        "_c_ecmp_packets",
-        "_c_ecmp_bytes",
-    )
-
-    def __init__(self, registry: MetricsRegistry, link: str) -> None:
-        self.link = link
-        self._c_packets = registry.counter(
-            "link_packets_total", "Packets entering a link", ("link",)
-        ).labels(link=link)
-        self._c_lost = registry.counter(
-            "link_lost_packets_total", "Packets lost in transit on a link", ("link",)
-        ).labels(link=link)
-        self._c_ecmp_packets = registry.counter(
-            "link_ecmp_wire_packets_total",
-            "ECMP control packets entering a link (batch frame counts as one)",
-            ("link",),
-        ).labels(link=link)
-        self._c_ecmp_bytes = registry.counter(
-            "link_ecmp_wire_bytes_total",
-            "ECMP control bytes entering a link, post-coalescing",
-            ("link",),
-        ).labels(link=link)
-        self.p_packets = 0
-        self.p_lost = 0
-        self.p_ecmp_packets = 0
-        self.p_ecmp_bytes = 0
-        self.row = link_accounting(registry).attach(self)
-
-    def transmitted(self) -> None:
-        self.p_packets += 1
-
-    def lost(self) -> None:
-        self.p_lost += 1
-
-    def ecmp_wire(self, size: int) -> None:
-        self.p_ecmp_packets += 1
-        self.p_ecmp_bytes += size
-
-    def take_pending(self) -> Optional[tuple]:
-        """Drain the pending per-packet counts (flush protocol with
-        :class:`~repro.core.accounting.LinkAccounting`); None when
-        nothing is pending."""
-        if not (
-            self.p_packets or self.p_lost
-            or self.p_ecmp_packets or self.p_ecmp_bytes
-        ):
-            return None
-        pending = (
-            self.p_packets, self.p_lost,
-            self.p_ecmp_packets, self.p_ecmp_bytes,
+    def __init__(self, registry: MetricsRegistry) -> None:
+        self._families = (
+            registry.counter(
+                "link_packets_total", "Packets entering a link", ("link",)
+            ),
+            registry.counter(
+                "link_lost_packets_total",
+                "Packets lost in transit on a link",
+                ("link",),
+            ),
+            registry.counter(
+                "link_ecmp_wire_packets_total",
+                "ECMP control packets entering a link (batch frame counts as one)",
+                ("link",),
+            ),
+            registry.counter(
+                "link_ecmp_wire_bytes_total",
+                "ECMP control bytes entering a link, post-coalescing",
+                ("link",),
+            ),
         )
-        self.p_packets = 0
-        self.p_lost = 0
-        self.p_ecmp_packets = 0
-        self.p_ecmp_bytes = 0
-        return pending
+        #: link -> (its label values, its counts at attach).
+        self._links: dict = {}
+        registry.fold(self.tallies)
+
+    def attach(self, link: "Link") -> None:
+        if link not in self._links:
+            name = f"{link.node_a.name}--{link.node_b.name}"
+            self._links[link] = ((name,), _link_counts(link))
+
+    def tallies(self) -> Iterator[Tally]:
+        families = self._families
+        for link, (values, baseline) in self._links.items():
+            for family, total, start in zip(families, _link_counts(link), baseline):
+                yield family, values, total - start
 
 
 def instrument_simulator(sim: "Simulator", registry: MetricsRegistry) -> None:
@@ -210,12 +207,24 @@ def instrument_simulator(sim: "Simulator", registry: MetricsRegistry) -> None:
         ("scheduler", "stat"),
     )
 
+    #: event name -> its timing histogram child, resolved on the name's
+    #: first event; the child's count is that name's ``sim_events_total``.
+    timings: dict = {}
+
     def listener(simulator: "Simulator", event: "Event", wall: float) -> None:
         name = event.name or "(anonymous)"
-        events_total.labels(name=name).inc()
-        event_wall.labels(name=name).observe(wall)
+        timing = timings.get(name)
+        if timing is None:
+            timing = timings[name] = event_wall.labels(name=name)
+        timing.observe(wall)
 
     sim.add_dispatch_listener(listener)
+    registry.fold(
+        lambda: (
+            (events_total, (name,), timing.count)
+            for name, timing in timings.items()
+        )
+    )
 
     def collect() -> None:
         queue_depth.set(sim.pending())
@@ -370,8 +379,9 @@ def attach_topology(topo: "Topology", obs: Observability) -> Observability:
     for node in topo.nodes.values():
         if node.metrics is None or node.metrics.node != node.name:
             node.metrics = NodeMetrics(obs.registry, node.name)
-    for link in topo.links:
-        if link.metrics is None:
-            name = f"{link.node_a.name}--{link.node_b.name}"
-            link.metrics = LinkMetrics(obs.registry, name)
+    if topo.links:
+        if obs.links is None:
+            obs.links = LinkMetrics(obs.registry)
+        for link in topo.links:
+            obs.links.attach(link)
     return obs

@@ -232,65 +232,9 @@ class MetricFamily:
         return self._solo().value
 
 
-class CounterBag:
-    """Drop-in replacement for :class:`repro.netsim.trace.Counter` that
-    writes into a registry family instead of a private dict.
-
-    The bag pins every label except ``event``; ``bag[key] += n`` (or
-    ``incr(key, n)``) becomes an increment of ``family{..., event=key}``.
-    Existing call sites (``agent.stats[...] += 1`` / ``.as_dict()``) keep
-    working while the counts land in the shared registry.
-    """
-
-    def __init__(self, family: MetricFamily, **fixed: object) -> None:
-        if set(fixed) | {"event"} != set(family.labelnames):
-            raise MetricError(
-                f"{family.name}: CounterBag needs labels "
-                f"{tuple(n for n in family.labelnames if n != 'event')}, "
-                f"got {tuple(sorted(fixed))}"
-            )
-        self._family = family
-        self._fixed = {name: str(value) for name, value in fixed.items()}
-        #: key -> child memo: ``incr`` sits on delivery/flush fast
-        #: paths, so the per-call ``labels(...)`` dict build and schema
-        #: check are paid once per key instead of once per increment.
-        self._children: dict[str, CounterValue] = {}
-
-    def incr(self, key: str, amount: int = 1) -> None:
-        child = self._children.get(key)
-        if child is None:
-            child = self._children[key] = self._family.labels(
-                event=key, **self._fixed
-            )
-        child.inc(amount)
-
-    def __setitem__(self, key: str, value: int) -> None:
-        """The write half of ``bag[key] += n``, the syntax the ``Counter``
-        it stands in for is counted with."""
-        self.incr(key, value - self.get(key))
-
-    def get(self, key: str) -> int:
-        child = self._children.get(key)
-        if child is not None:
-            return int(child.value)
-        mapping = dict(self._fixed, event=key)
-        values = tuple(mapping[name] for name in self._family.labelnames)
-        child = self._family._children.get(values)
-        return int(child.value) if child is not None else 0
-
-    def as_dict(self) -> dict[str, int]:
-        out: dict[str, int] = {}
-        for values, child in self._family.children():
-            mapping = dict(zip(self._family.labelnames, values))
-            if all(mapping[k] == v for k, v in self._fixed.items()):
-                out[mapping["event"]] = int(child.value)
-        return out
-
-    def keys(self) -> Iterable[str]:
-        return self.as_dict().keys()
-
-    def __getitem__(self, key: str) -> int:
-        return self.get(key)
+#: One entry of a :meth:`MetricsRegistry.fold` read: (counter family,
+#: label values, the owner's running total for that series).
+Tally = tuple[MetricFamily, tuple[str, ...], int]
 
 
 class MetricsRegistry:
@@ -299,6 +243,7 @@ class MetricsRegistry:
     def __init__(self) -> None:
         self._families: dict[str, MetricFamily] = {}
         self._collectors: list[Callable[[], None]] = []
+        self._folds: list[tuple[Callable[[], Iterable[Tally]], dict]] = []
 
     # -- declaration -----------------------------------------------------
 
@@ -341,12 +286,6 @@ class MetricsRegistry:
     ) -> MetricFamily:
         return self._declare(name, "histogram", help, labelnames, buckets)
 
-    def counter_bag(self, name: str, help: str = "", **fixed: object) -> CounterBag:
-        """A :class:`CounterBag` over ``name{<fixed labels>, event=...}``."""
-        labelnames = tuple(sorted(fixed)) + ("event",)
-        family = self.counter(name, help, labelnames)
-        return CounterBag(family, **fixed)
-
     # -- collection ------------------------------------------------------
 
     def register_collector(self, collector: Callable[[], None]) -> None:
@@ -354,10 +293,31 @@ class MetricsRegistry:
         refresh gauges whose truth lives elsewhere, e.g. FIB sizes)."""
         self._collectors.append(collector)
 
+    def fold(self, read: Callable[[], Iterable[Tally]]) -> None:
+        """Publish counts whose owner keeps the only tally.
+
+        ``read()`` yields ``(counter family, label values, total)``;
+        at every :meth:`collect`, after the collectors, each series
+        grows by what its total (summed over the entries naming it)
+        gained since the last fold. The owner counts with plain integer
+        adds and the registry pays for labels once per collect, not
+        once per increment.
+        """
+        self._folds.append((read, {}))
+
     def collect(self) -> list[MetricFamily]:
-        """Run collectors, then return families in declaration order."""
+        """Run collectors and folds, then return families in
+        declaration order."""
         for collector in self._collectors:
             collector()
+        for read, published in self._folds:
+            totals: dict = {}
+            for family, values, total in read():
+                key = (family, values)
+                totals[key] = totals.get(key, 0) + total
+            for (family, values), total in totals.items():
+                family.child(values).inc(total - published.get((family, values), 0))
+            published.update(totals)
         return list(self._families.values())
 
     def get(self, name: str) -> Optional[MetricFamily]:

@@ -1,4 +1,4 @@
-"""The deferred accounting layer: banks, delivery views, link flush.
+"""The deferred accounting layer: the block bank and delivery views.
 
 The load-bearing property is *equivalence*: deferred, batch-applied
 counters must land on exactly the values the old per-packet dict
@@ -11,14 +11,12 @@ from __future__ import annotations
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import ExpressNetwork, TopologyBuilder
 from repro.core.accounting import (
     BLOCK_BANK,
-    LINK_COLUMNS,
     CounterBank,
     DeliveryView,
-    LinkAccounting,
     flush_agent_views,
-    link_accounting,
 )
 
 
@@ -47,13 +45,15 @@ class TestCounterBank:
         for i in range(2):
             bank.inc("c", bank.add_row(), i + 1)
         # Third row forces a doubling; earlier values must survive.
-        bank.add_row()
-        assert len(bank.column("c")) == 4
-        assert [bank.get("c", i) for i in range(3)] == [1, 2, 0]
+        bank.inc("c", bank.add_row(), 3)
+        assert [bank.get("c", i) for i in range(3)] == [1, 2, 3]
+        assert bank.row_values(0) == {"c": 1}
 
     def test_stats_reports_rows_and_columns(self):
         bank = CounterBank(("x",))
-        assert bank.stats() == {"rows": 0, "columns": ["x"]}
+        assert (bank.rows, bank.columns) == (0, ("x",))
+        bank.add_row()
+        assert (bank.rows, bank.columns) == (1, ("x",))
 
 
 class FakeStats:
@@ -157,69 +157,21 @@ class TestDeliveryView:
         assert idle_view.stats.counts == {}
 
 
-class FakeCounter:
-    def __init__(self):
-        self.value = 0
-
-    def inc(self, amount=1):
-        self.value += amount
-
-
-class FakeRegistry:
-    def __init__(self):
-        self.collectors: list = []
-
-    def register_collector(self, fn):
-        self.collectors.append(fn)
-
-    def collect(self):
-        for fn in self.collectors:
-            fn()
-
-
-class FakeLinkMetrics:
-    """Duck-typed LinkMetrics: pending-integer attrs + take_pending."""
-
-    def __init__(self, link, acct):
-        self.link = link
-        self._c_packets = FakeCounter()
-        self._c_lost = FakeCounter()
-        self._c_ecmp_packets = FakeCounter()
-        self._c_ecmp_bytes = FakeCounter()
-        self.pending = None
-        self.row = acct.attach(self)
-
-    def take_pending(self):
-        pending, self.pending = self.pending, None
-        return pending
-
-
-class TestLinkAccounting:
-    def test_flush_folds_pending_into_bank_and_counters(self):
-        registry = FakeRegistry()
-        acct = LinkAccounting(registry)
-        a = FakeLinkMetrics("a->b", acct)
-        b = FakeLinkMetrics("b->c", acct)
-        assert a.row != b.row
-        a.pending = (5, 1, 2, 2048)
-        registry.collect()
-        assert acct.bank.row_values(a.row) == dict(
-            zip(LINK_COLUMNS, (5, 1, 2, 2048))
-        )
-        assert acct.bank.row_values(b.row) == dict(zip(LINK_COLUMNS, (0,) * 4))
-        assert a._c_packets.value == 5
-        assert a._c_lost.value == 1
-        assert a._c_ecmp_bytes.value == 2048
-        # Second collect with nothing pending changes nothing.
-        registry.collect()
-        assert a._c_packets.value == 5
-        a.pending = (1, 0, 0, 0)
-        registry.collect()
-        assert acct.bank.get("packets", a.row) == 6
-        assert a._c_lost.value == 1  # zero fields stay untouched
-
-    def test_link_accounting_caches_per_registry(self):
-        registry = FakeRegistry()
-        first = link_accounting(registry)
-        assert link_accounting(registry) is first
-        assert len(registry.collectors) == 1
+class TestCrashKeepsDeliveries:
+    def test_lose_state_flushes_pending_block_deliveries(self):
+        """A crash drops the delivery views; the tallies pending in them
+        land in the block and forwarder counters first, as the
+        cumulative counters a crash keeps."""
+        net = ExpressNetwork(TopologyBuilder.isp(2, 2, 1, seed=1))
+        net.run(until=0.1)
+        source = net.source("h0_0_0")
+        channel = source.allocate_channel()
+        block = net.subscriber_block("e1_0")
+        block.join(channel, 1000)
+        net.settle()
+        for _ in range(5):
+            source.send(channel)
+        net.settle()
+        net.ecmp_agents["e1_0"].lose_state()
+        assert block.deliveries == 5000
+        assert net.forwarders["e1_0"].stats["block_deliveries"] == 5000

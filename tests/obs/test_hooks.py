@@ -6,13 +6,16 @@ stub -> subscriber hosts) must reconstruct as a span tree whose leaf
 count equals the number of responding subscribers.
 """
 
+import random
+
 import pytest
 
 from repro.core.network import ExpressNetwork
 from repro.groupmodel.network import GroupNetwork
 from repro.inet.addr import parse_address
 from repro.netsim.topology import TopologyBuilder
-from repro.obs import Observability
+from repro.netsim.trace import Counter
+from repro.obs import Observability, attach_topology
 from repro.obs.exporters import prometheus_text
 from repro.relay.session import SessionParticipant, SessionRelay
 
@@ -127,7 +130,7 @@ class TestMetricsThreading:
         assert "delivery_latency_seconds_bucket" in text
         assert f'protocol="express",node="h1_0_0",channel="{channel}"' in text
 
-    def test_counter_bag_keeps_control_stats_total_working(self):
+    def test_control_stats_total_matches_the_folded_family(self):
         obs = Observability()
         net = isp_network(obs)
         net.run(until=0.1)
@@ -138,8 +141,9 @@ class TestMetricsThreading:
         totals = net.control_stats_total()
         assert totals["counts_rx"] > 0
         assert totals["subscribe_events"] > 0
-        # And the same numbers are visible in the registry family.
+        # And the same numbers are in the registry family once collected.
         family = obs.registry.get("ecmp_events_total")
+        obs.registry.collect()
         registry_total = sum(
             child.value
             for values, child in family.children()
@@ -214,6 +218,134 @@ class TestMetricsThreading:
             )
 
         assert run(None) == run(Observability())
+
+
+def churn_flap_crash(seed=7):
+    """A seeded obs-attached ISP run with a packet trace: channel churn
+    and data, subscriber blocks, one lossy link, one link flap and one
+    router crash and reboot. Returns (obs, net, trace)."""
+    rng = random.Random(seed)
+    obs = Observability()
+    topo = TopologyBuilder.isp(
+        n_transit=4, stubs_per_transit=3, hosts_per_stub=2, seed=seed
+    )
+    trace = topo.attach_trace()
+    net = ExpressNetwork(topo, obs=obs)
+    topo.link_between("t1", "e1_0").loss = 0.2
+    net.run(until=0.1)
+    source = net.source("h0_0_0")
+    channels = [source.allocate_channel() for _ in range(3)]
+    hosts = sorted(n for n in topo.nodes if n.startswith("h") and n != "h0_0_0")
+    block = net.subscriber_block("e2_1")
+    block.join(channels[0], 40)
+
+    def churn(rounds):
+        for _ in range(rounds):
+            host = net.host(rng.choice(hosts))
+            channel = rng.choice(channels)
+            if host.is_subscribed(channel):
+                host.unsubscribe(channel)
+            else:
+                host.subscribe(channel)
+            net.settle(0.05)
+            source.send(rng.choice(channels))
+        net.settle()
+
+    churn(20)
+    flapped = topo.link_between("t0", "t1")
+    flapped.fail()
+    churn(5)
+    flapped.recover()
+    churn(5)
+    crashed = net.ecmp_agents["e2_1"]
+    downed = [i.link for i in topo.node("e2_1").interfaces if i.link.up]
+    for link in downed:
+        link.set_up(False)
+    crashed.lose_state()
+    churn(5)
+    crashed.start()
+    for link in downed:
+        link.set_up(True)
+    churn(10)
+    net.settle(2.0)
+    return obs, net, trace
+
+
+def series(registry, name):
+    family = registry.get(name)
+    return {values: child.value for values, child in family.children()}
+
+
+class TestRegistryAgreesWithTallies:
+    """After ``collect()``, every folded family equals the tally its
+    owner keeps: the owner holds the only copy of each count."""
+
+    @pytest.fixture(scope="class")
+    def run(self):
+        obs, net, trace = churn_flap_crash()
+        obs.registry.collect()
+        return obs, net, trace
+
+    def test_event_families_equal_each_owners_stats(self, run):
+        obs, net, _ = run
+        for family, owners in (
+            ("ecmp_events_total", net.ecmp_agents),
+            ("forwarder_events_total", net.forwarders),
+        ):
+            expected = {
+                (name, event): total
+                for name, owner in owners.items()
+                for event, total in owner.stats.items()
+            }
+            assert series(obs.registry, family) == expected
+        assert net.ecmp_agents["e2_1"].stats["state_losses"] == 1
+
+    def test_link_families_equal_link_counters(self, run):
+        obs, net, _ = run
+        links = {
+            (f"{link.node_a.name}--{link.node_b.name}",): link
+            for link in net.topo.links
+        }
+        for family, attr in (
+            ("link_packets_total", "tx_packets"),
+            ("link_lost_packets_total", "lost_packets"),
+            ("link_ecmp_wire_packets_total", "ecmp_wire_packets"),
+            ("link_ecmp_wire_bytes_total", "ecmp_wire_bytes"),
+        ):
+            expected = {key: getattr(link, attr) for key, link in links.items()}
+            assert series(obs.registry, family) == expected
+        assert sum(link.lost_packets for link in net.topo.links) > 0
+
+    def test_link_families_count_from_attach(self):
+        net = isp_network()
+        net.run(until=0.1)
+        source = net.source("h0_0_0")
+        channel = source.allocate_channel()
+        net.host("h1_0_0").subscribe(channel)
+        net.settle()
+        obs = attach_topology(net.topo, Observability())
+        before = {link: link.tx_packets for link in net.topo.links}
+        assert sum(before.values()) > 0
+        source.send(channel)
+        net.settle()
+        obs.registry.collect()
+        sent = series(obs.registry, "link_packets_total")
+        assert sent == {
+            (f"{link.node_a.name}--{link.node_b.name}",): link.tx_packets - start
+            for link, start in before.items()
+        }
+        assert sum(sent.values()) > 0
+
+    def test_node_families_equal_the_packet_trace(self, run):
+        obs, _, trace = run
+        packets, nbytes = Counter(), Counter()
+        for record in trace.records:
+            key = (record.node, record.direction, record.proto)
+            packets[key] += 1
+            nbytes[key] += record.size
+        assert series(obs.registry, "node_packets_total") == packets
+        assert series(obs.registry, "node_bytes_total") == nbytes
+        assert {direction for _, direction, _ in packets} == {"tx", "rx", "drop"}
 
 
 class TestGroupModelSharedFamily:

@@ -2,9 +2,9 @@
 
 import pytest
 
+from repro.netsim.trace import Counter
 from repro.obs.registry import (
     LATENCY_BUCKETS,
-    CounterBag,
     MetricError,
     MetricsRegistry,
     percentile,
@@ -119,35 +119,71 @@ class TestDeclaration:
         assert registry.get("missing") is None
 
 
-class TestCounterBag:
-    def test_drop_in_counter_api(self):
-        registry = MetricsRegistry()
-        bag = registry.counter_bag("events_total", "events", node="r1")
-        bag.incr("joins")
-        bag.incr("joins", 2)
-        bag.incr("leaves")
-        assert bag["joins"] == 3
-        assert bag.get("leaves") == 1
-        assert bag.get("missing") == 0
-        assert bag.as_dict() == {"joins": 3, "leaves": 1}
-        assert set(bag.keys()) == {"joins", "leaves"}
+def stats_fold(registry, stats, node):
+    """Fold a ``Counter``-style owner tally into ``events_total``, the
+    way the ECMP agent and the forwarder publish their ``stats``."""
+    family = registry.counter("events_total", "events", ("node", "event"))
+    registry.fold(
+        lambda: ((family, (node, event), n) for event, n in stats.items())
+    )
+    return family
 
-    def test_bags_share_one_family_but_not_counts(self):
-        registry = MetricsRegistry()
-        bag_a = registry.counter_bag("events_total", node="a")
-        bag_b = registry.counter_bag("events_total", node="b")
-        bag_a.incr("x", 5)
-        bag_b.incr("x", 7)
-        assert bag_a.as_dict() == {"x": 5}
-        assert bag_b.as_dict() == {"x": 7}
-        family = registry.get("events_total")
-        assert len(dict(family.children())) == 2
 
-    def test_fixed_labels_must_match_family(self):
+class TestFold:
+    def test_publishes_growth_since_last_fold(self):
+        registry = MetricsRegistry()
+        stats = Counter()
+        family = stats_fold(registry, stats, "r1")
+        stats["joins"] += 1
+        stats["joins"] += 2
+        stats["idle"] += 0
+        assert family.children() == []  # nothing until collect
+        registry.collect()
+        assert registry.counter_snapshot() == {
+            ("events_total", ("r1", "joins")): 3,
+            ("events_total", ("r1", "idle")): 0,
+        }
+        registry.collect()  # nothing grew: nothing added
+        stats["joins"] += 4
+        registry.collect()
+        assert family.labels(node="r1", event="joins").value == 7
+        assert stats.get("missing") == 0
+        assert "missing" not in stats
+
+    def test_owners_share_one_family_but_not_counts(self):
+        registry = MetricsRegistry()
+        stats_a, stats_b = Counter(), Counter()
+        stats_fold(registry, stats_a, "a")
+        family = stats_fold(registry, stats_b, "b")
+        stats_a["x"] += 5
+        stats_b["x"] += 7
+        registry.collect()
+        assert stats_a.as_dict() == {"x": 5}
+        assert stats_b.as_dict() == {"x": 7}
+        assert {values: child.value for values, child in family.children()} == {
+            ("a", "x"): 5,
+            ("b", "x"): 7,
+        }
+
+    def test_entries_naming_one_series_sum(self):
+        """Two owners of one read behind one label set (parallel links
+        between the same two nodes) add up, and each one's growth is
+        published once."""
+        registry = MetricsRegistry()
+        family = registry.counter("link_packets_total", "", ("link",))
+        counts = [5, 3]
+        registry.fold(lambda: ((family, ("a--b",), n) for n in counts))
+        registry.collect()
+        counts[1] += 2
+        registry.collect()
+        assert family.labels(link="a--b").value == 10
+
+    def test_label_values_must_match_family(self):
         registry = MetricsRegistry()
         family = registry.counter("t", "", ("node", "event"))
+        registry.fold(lambda: [(family, ("us",), 1)])
         with pytest.raises(MetricError):
-            CounterBag(family, region="us")
+            registry.collect()
 
 
 class TestCollectorsAndSnapshot:

@@ -123,18 +123,12 @@ def reference_transmit(link: Link, sender: Node, packet: Packet) -> None:
     if not link.up:
         return
     link.tx_packets += 1
-    if link.metrics is not None:
-        link.metrics.transmitted()
     if packet.proto == "ecmp":
         link.ecmp_wire_packets += 1
         link.ecmp_wire_bytes += packet.size
-        if link.metrics is not None:
-            link.metrics.ecmp_wire(packet.size)
     reliable = bool(packet.headers.get("reliable"))
     if link.loss and not reliable and link.sim.rng.random() < link.loss:
         link.lost_packets += 1
-        if link.metrics is not None:
-            link.metrics.lost()
         return
     receiver = link.other_end(sender)
     rx_iface = link.interface_of(receiver)
