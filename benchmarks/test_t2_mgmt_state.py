@@ -22,7 +22,7 @@ from repro.costmodel.state_cost import ManagementStateModel
 
 # The budget test is the one implementation of the heap measurement.
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
-from tests.core.test_state_budget import measure as measure_held_bytes  # noqa: E402
+from tests.core.test_state_budget import measure_fresh as measure_held_bytes  # noqa: E402
 
 
 def test_t2_model_table(benchmark):
@@ -80,7 +80,8 @@ def test_t2_live_state_vs_model(benchmark):
 
     assert measured == 200  # fanout-2 router matches the model exactly
 
-    keyless, keyed, _ = measure_held_bytes()
+    held = measure_held_bytes()
+    keyless, keyed = held["keyless"], held["keyed"]
     report(
         "t2_live_state",
         [
@@ -91,8 +92,8 @@ def test_t2_live_state_vs_model(benchmark):
             "",
             "  held by this implementation (traced Python heap per (node, channel)",
             "  state, same tree, 1,000 channels x 4 leaves, everything included):",
-            f"    keyless: {keyless:5.0f} B   (1,631 B before PR 19)",
-            f"    keyed:   {keyed:5.0f} B   (1,794 B before PR 19)",
+            f"    keyless: {keyless:5.0f} B   (1,631 B when first measured)",
+            f"    keyed:   {keyed:5.0f} B   (1,794 B when first measured)",
             "  paper: 192 B of count records (+ 8 B key) + a 12 B FIB entry",
         ],
     )

@@ -35,7 +35,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Optional
 
-from repro.core.accounting import BLOCK_BANK, flush_agent_views
+from repro.core.accounting import flush_agent_views
 from repro.core.channel import Channel
 from repro.core.ecmp.protocol import CountPropagation
 from repro.core.ecmp.state import BLOCK_PREFIX
@@ -67,7 +67,9 @@ class SubscriberBlock:
         "pseudo",
         "udp",
         "members",
-        "_row",
+        "_packets_seen",
+        "_deliveries",
+        "_bytes_delivered",
         "_refresh_task",
         "_groups",
         "_ops",
@@ -82,11 +84,12 @@ class SubscriberBlock:
         self.pseudo = BLOCK_PREFIX + name
         self.udp = udp
         self.members: dict[Channel, int] = {}
-        #: Row in the process-wide delivery counter bank; the
-        #: ``packets_seen``/``deliveries``/``bytes_delivered``
-        #: properties below read it (flushing any pending delivery-view
-        #: tallies first, so reads are never stale).
-        self._row = BLOCK_BANK.add_row()
+        #: Delivery counters, added to by the forwarder's delivery
+        #: views (``repro.core.accounting``); read them through the
+        #: properties below, which flush pending tallies first.
+        self._packets_seen = 0
+        self._deliveries = 0
+        self._bytes_delivered = 0
         self._refresh_task: Optional[PeriodicTask] = None
         self._groups: dict[Channel, BlockChannelGroup] = {}
         self._ops: dict[tuple[Channel, int], BlockOp] = {}
@@ -95,41 +98,26 @@ class SubscriberBlock:
     def edge_router(self) -> str:
         return self.agent.node.name
 
-    # -- delivery counters (bank-backed; see repro.core.accounting) --------
+    # -- delivery counters (deferred; see repro.core.accounting) -----------
 
     @property
     def packets_seen(self) -> int:
         """Channel packets that reached this block's edge (cumulative
         across channels)."""
         flush_agent_views(self.agent)
-        return BLOCK_BANK.get("packets_seen", self._row)
-
-    @packets_seen.setter
-    def packets_seen(self, value: int) -> None:
-        flush_agent_views(self.agent)
-        BLOCK_BANK.set("packets_seen", self._row, value)
+        return self._packets_seen
 
     @property
     def deliveries(self) -> int:
         """Arithmetic member-deliveries (one per member per packet)."""
         flush_agent_views(self.agent)
-        return BLOCK_BANK.get("deliveries", self._row)
-
-    @deliveries.setter
-    def deliveries(self, value: int) -> None:
-        flush_agent_views(self.agent)
-        BLOCK_BANK.set("deliveries", self._row, value)
+        return self._deliveries
 
     @property
     def bytes_delivered(self) -> int:
         """Arithmetic member-bytes (packet size × members, summed)."""
         flush_agent_views(self.agent)
-        return BLOCK_BANK.get("bytes_delivered", self._row)
-
-    @bytes_delivered.setter
-    def bytes_delivered(self, value: int) -> None:
-        flush_agent_views(self.agent)
-        BLOCK_BANK.set("bytes_delivered", self._row, value)
+        return self._bytes_delivered
 
     def join(self, channel: Channel, n: int = 1) -> int:
         """Add ``n`` members to the block's count for ``channel``;

@@ -34,8 +34,7 @@ from repro.inet.addr import (
 # membership, key caches), and the same (S, E) pair is rebuilt at every
 # layer: codec decode, data-plane delivery. Interning gives all of those
 # one canonical object — the validation and hash are paid once per
-# distinct channel per process — and lets the columnar state tables
-# address channels by a dense integer id instead of the object itself.
+# distinct channel per process.
 #
 # Only the control plane interns (:meth:`Channel.of` at allocation and
 # decode, :func:`intern_channel` where channel state is created), so the
@@ -50,9 +49,6 @@ _OF_MEMO: dict = {}
 
 #: (source, group) -> canonical Channel, filled alongside ``_OF_MEMO``.
 _PAIR_MEMO: dict = {}
-
-#: Canonical Channel -> dense integer id, in interning order.
-_CHANNEL_IDS: dict = {}
 
 #: The data plane's probe: ``interned_channel((source, group))`` is the
 #: canonical :class:`Channel` of a pair some node holds (or held) state
@@ -79,20 +75,6 @@ def intern_channel(channel: "Channel") -> "Channel":
     return _PAIR_MEMO.get((channel.source, channel.group)) or Channel.of(
         channel.source, channel.suffix
     )
-
-
-def channel_id(channel: "Channel") -> int:
-    """Dense integer id for ``channel``, assigned on first use.
-
-    Ids are process-global and monotonically assigned, so they can
-    index parallel arrays (see ``core/ecmp/state.py``) and key caches
-    with plain-int hashing.
-    """
-    cid = _CHANNEL_IDS.get(channel)
-    if cid is None:
-        cid = len(_CHANNEL_IDS)
-        _CHANNEL_IDS[channel] = cid
-    return cid
 
 
 class Channel(namedtuple("Channel", "source group wire")):

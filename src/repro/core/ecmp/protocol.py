@@ -224,18 +224,12 @@ class EcmpAgent(ProtocolAgent):
         propagation: CountPropagation = CountPropagation.TREE_ONLY,
         default_mode: NeighborMode = NeighborMode.TCP,
         proactive_curve: Optional[ToleranceCurve] = None,
-        wire_format: bool = False,
         batching: bool = True,
         obs=None,
     ) -> None:
         super().__init__(node)
         if role not in ("router", "host"):
             raise ProtocolError(f"role must be 'router' or 'host', got {role!r}")
-        #: When True, every ECMP message is serialized to its real wire
-        #: bytes on send and parsed on receive (slower; exercises the
-        #: codecs end-to-end). Both ends of a link must agree, which the
-        #: network facade guarantees by setting it uniformly.
-        self.wire_format = wire_format
         self.routing = routing
         self.fib = fib
         self.role = role
@@ -621,16 +615,14 @@ class EcmpAgent(ProtocolAgent):
     # ------------------------------------------------------------------
 
     def handle_packet(self, packet: Packet, ifindex: int) -> None:
-        message = packet.headers.get("ecmp")
-        if message is None and type(packet.payload) is bytes:
-            try:
-                message = decode_message(packet.payload)
-            except CodecError:
-                # Bad framing, or well framed with a field value no
-                # message can carry: the one error out of the codec.
-                self.stats["undecodable_messages"] += 1
-                return
-        if message is None:
+        if type(packet.payload) is not bytes:
+            return
+        try:
+            message = decode_message(packet.payload)
+        except CodecError:
+            # Bad framing, or well framed with a field value no message
+            # can carry: the one error out of the codec.
+            self.stats["undecodable_messages"] += 1
             return
         peer = self.node.interfaces[ifindex].peer
         if peer is None:
@@ -777,18 +769,13 @@ class EcmpAgent(ProtocolAgent):
         ``size`` is the packet size when the caller already has it."""
         if size is None:
             size = IP_OVERHEAD + message.wire_size()
+        last, payload = self._encoded
+        if message is not last:
+            payload = encode_message(message)
+            self._encoded = (message, payload)
         # TCP mode hides loss behind retransmission; model it as
         # loss-exempt delivery (delay still applies).
-        reliable = neighbor.mode is NeighborMode.TCP
-        if self.wire_format:
-            last, payload = self._encoded
-            if message is not last:
-                payload = encode_message(message)
-                self._encoded = (message, payload)
-            headers = {"reliable": reliable}
-        else:
-            payload = None
-            headers = {"ecmp": message, "reliable": reliable}
+        headers = {"reliable": neighbor.mode is NeighborMode.TCP}
         if type(message) is EcmpBatch:
             if any(ctx is not None for ctx in contexts):
                 # One span context per record, aligned by index.

@@ -18,9 +18,8 @@ state so the ``T2`` benchmark can compare model vs measured.
 Record storage is *columnar*: every
 :class:`DownstreamRecord` is a thin row view over the process-global
 :class:`StateBank` — parallel ``count``/``flags``/``updated_at``
-columns following the ``CounterBank`` layout idiom from
-:mod:`repro.core.accounting` (preallocated, doubled on demand, free
-list recycling rows). Like ``CounterBank``'s, the columns are plain
+columns, preallocated, doubled on demand, with a free list recycling
+rows. The columns are plain
 Python lists, not numpy arrays: no consumer vectorizes over them —
 every access is a scalar read or write on a protocol hot
 path, where list indexing returns the stored ``int``/``float``
@@ -69,7 +68,7 @@ COUNT_RECORD_BYTES = 32
 _F_VALIDATED = 0x01
 _F_UDP = 0x02
 
-#: Initial bank rows (doubles on demand, mirroring ``CounterBank``).
+#: Initial bank rows (doubles on demand).
 _INITIAL_ROWS = 256
 
 
@@ -121,9 +120,9 @@ class StateBank:
         return self._rows - len(self._free)
 
 
-#: Process-global bank, like ``accounting.BLOCK_BANK``: records from
-#: every agent share the same columns, so one network's worth of
-#: channel state is a handful of arrays rather than per-record dicts.
+#: Process-global bank: records from every agent share the same
+#: columns, so one network's worth of channel state is a handful of
+#: arrays rather than per-record dicts.
 STATE_BANK = StateBank()
 
 

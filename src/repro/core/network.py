@@ -31,7 +31,7 @@ from repro.core.forwarding import ExpressForwarder
 from repro.core.keys import ChannelKey
 from repro.core.proactive import ToleranceCurve
 from repro.core.subcast import build_subcast_packet
-from repro.errors import ChannelError, TopologyError
+from repro.errors import ChannelError, ProtocolError, TopologyError
 from repro.netsim.packet import Packet
 from repro.netsim.topology import Topology
 from repro.routing.fib import MulticastFib
@@ -176,8 +176,9 @@ class ExpressNetwork:
     proactive_curve:
         Tolerance curve for PROACTIVE propagation.
     wire_format:
-        Serialize every ECMP message to real wire bytes between nodes
-        (exercises the codecs end to end; slightly slower).
+        Frozen: ``True``. ECMP messages always travel between nodes as
+        their wire bytes; ``benchmarks/e2e`` still passes the keyword,
+        and any other value raises :class:`ProtocolError`.
     obs:
         Optional :class:`repro.obs.Observability`. When given, the
         topology (simulator, nodes, links) is instrumented, every agent
@@ -195,10 +196,15 @@ class ExpressNetwork:
         default_mode: NeighborMode = NeighborMode.TCP,
         edge_udp: bool = False,
         proactive_curve: Optional[ToleranceCurve] = None,
-        wire_format: bool = False,
+        wire_format: bool = True,
         batching: bool = True,
         obs=None,
     ) -> None:
+        if wire_format is not True:
+            raise ProtocolError(
+                "ECMP messages always travel as wire bytes; "
+                f"wire_format={wire_format!r} is not supported"
+            )
         self.topo = topo
         self.sim = topo.sim
         self.obs = obs
@@ -233,7 +239,6 @@ class ExpressNetwork:
                 propagation=propagation,
                 default_mode=default_mode,
                 proactive_curve=proactive_curve,
-                wire_format=wire_format,
                 batching=batching,
                 obs=obs,
             )

@@ -547,7 +547,10 @@ class Simulator:
         self.batched_slots = 0
         self.stranger_events = 0
         self.peeled_ops = 0
-        self._now = 0.0
+        #: Current simulated time in seconds. A plain attribute, read
+        #: on every hop: only the run loop and the batch dispatcher
+        #: write it.
+        self.now = 0.0
         self._seq = 0
         self._live = 0
         self._cancelled = 0
@@ -562,11 +565,6 @@ class Simulator:
         #: Opt-in phase accounting; assign a :class:`PhaseProfiler` and
         #: every ``run()`` becomes one of its windows.
         self.profiler: Optional[PhaseProfiler] = None
-
-    @property
-    def now(self) -> float:
-        """Current simulated time in seconds."""
-        return self._now
 
     def reseed(self, seed: int) -> None:
         """Replace the RNG with a freshly seeded one. Used by partition
@@ -588,7 +586,7 @@ class Simulator:
         if delay < 0:
             raise SimulationError(f"cannot schedule in the past (delay={delay})")
         self._seq += 1
-        time = self._now + delay
+        time = self.now + delay
         event = Event(time, self._seq, action, name, False, self, True)
         # TimerWheel.insert(), inlined: one call less per event.
         wheel = self._wheel
@@ -617,9 +615,9 @@ class Simulator:
         workload generators schedule 10^6 events up front through this
         — so it skips the extra call frame and delay round-trip.
         """
-        if time < self._now:
+        if time < self.now:
             raise SimulationError(
-                f"cannot schedule in the past (time={time}, now={self._now})"
+                f"cannot schedule in the past (time={time}, now={self.now})"
             )
         profiler = self.profiler
         started = (
@@ -683,9 +681,9 @@ class Simulator:
         # Atomic validation: one C-level scan up front, so a past-time
         # item rejects the whole batch with nothing scheduled.
         earliest = min(items, key=_ITEM_TIME)[0]
-        if earliest < self._now:
+        if earliest < self.now:
             raise SimulationError(
-                f"cannot schedule in the past (time={earliest}, now={self._now})"
+                f"cannot schedule in the past (time={earliest}, now={self.now})"
             )
         wheel = self._wheel
         metas = wheel._bucket_meta
@@ -856,7 +854,7 @@ class Simulator:
                     wheel._open_pos += 1  # advance left the cursor on it
                     event._in_queue = False
                     self._live -= 1
-                    self._now = event.time
+                    self.now = event.time
                     self.events_processed += 1
                     if self._dispatch_listeners:
                         started = perf_counter()
@@ -869,7 +867,7 @@ class Simulator:
                     ran += 1
         finally:
             self._running = False
-        if until is not None and self._now < until:
+        if until is not None and self.now < until:
             if max_events is not None and ran >= max_events:
                 # Stopped by the cap: the clock may not pass an event
                 # that is still due inside the window.
@@ -878,7 +876,7 @@ class Simulator:
                     head.time < until or (inclusive and head.time == until)
                 ):
                     return ran
-            self._now = until
+            self.now = until
         return ran
 
     def _offer_run(self, tally: dict, n_ops: int) -> Optional[set]:
@@ -922,7 +920,7 @@ class Simulator:
                 refusers.add(group)
         if refusers:
             return refusers
-        self._now = max(entry[3] for entry in groups.values())
+        self.now = max(entry[3] for entry in groups.values())
         self._live -= n_ops
         self.events_processed += n_ops
         self.batched_events += n_ops
@@ -1016,7 +1014,7 @@ class Simulator:
                 wheel._open_pos = pos + 1
                 stranger._in_queue = False
                 self._live -= 1
-                self._now = stranger.time
+                self.now = stranger.time
                 self.events_processed += 1
                 self.stranger_events += 1
                 stranger.action()
@@ -1035,7 +1033,7 @@ class Simulator:
                 tpos += 1
                 wheel._open_lazy = n - tpos
                 self._live -= 1
-                self._now = time
+                self.now = time
                 self.events_processed += 1
                 self.peeled_ops += 1
                 action()

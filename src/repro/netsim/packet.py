@@ -10,18 +10,16 @@ the inner packet as the payload.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Any, Optional
 
-_packet_ids = itertools.count(1)
-_next_uid = _packet_ids.__next__
 _new = object.__new__
 
 
-@dataclass(slots=True, init=False)
+@dataclass(slots=True, init=False, eq=False)
 class Packet:
-    """A simulated datagram.
+    """A simulated datagram. Equality is identity: a fan-out copy is
+    another packet, however alike the two are.
 
     Attributes
     ----------
@@ -49,7 +47,6 @@ class Packet:
     size: int = 64
     ttl: int = 64
     headers: dict  # a fresh dict unless given
-    uid: int  # the next process-wide id unless given
     created_at: float = 0.0
 
     def __init__(
@@ -61,12 +58,11 @@ class Packet:
         size: int = 64,
         ttl: int = 64,
         headers: Optional[dict] = None,
-        uid: Optional[int] = None,
         created_at: float = 0.0,
     ) -> None:
         # Written out: one packet is built per message per hop, and the
-        # generated ``__init__`` calls a factory for each of ``headers``
-        # and ``uid`` even when the caller supplies them.
+        # generated ``__init__`` calls the ``headers`` factory even when
+        # the caller supplies the dict.
         self.src = src
         self.dst = dst
         self.proto = proto
@@ -74,14 +70,12 @@ class Packet:
         self.size = size
         self.ttl = ttl
         self.headers = {} if headers is None else headers
-        self.uid = _next_uid() if uid is None else uid
         self.created_at = created_at
 
     def copy(self) -> "Packet":
-        """Per-interface fanout copy: shares the payload, takes a fresh
-        ``uid`` and its own ``headers``. Written out slot by slot — it
-        runs once per replicated packet per hop — with no ``__init__``
-        frame at all."""
+        """Per-interface fanout copy: shares the payload, takes its own
+        ``headers``. Written out slot by slot — it runs once per
+        replicated packet per hop — with no ``__init__`` frame at all."""
         dup = _new(Packet)
         dup.src = self.src
         dup.dst = self.dst
@@ -91,7 +85,6 @@ class Packet:
         dup.ttl = self.ttl
         headers = self.headers
         dup.headers = dict(headers) if headers else {}
-        dup.uid = _next_uid()
         dup.created_at = self.created_at
         return dup
 

@@ -18,8 +18,6 @@ flagged so decode knows which path to take.
 
 ``created_at`` is preserved exactly — delivery-latency histograms are
 part of the equivalence contract with the single-process oracle.
-``uid`` is *not* preserved: it is a debugging identity local to one
-process's packet counter, and nothing in the protocol keys on it.
 
 The second half of this module is the *frame* codec the sync protocol
 itself rides on: horizon grants, coalesced sync reports (exports +

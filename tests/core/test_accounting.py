@@ -1,4 +1,4 @@
-"""The deferred accounting layer: the block bank and delivery views.
+"""The deferred accounting layer: delivery views and block counters.
 
 The load-bearing property is *equivalence*: deferred, batch-applied
 counters must land on exactly the values the old per-packet dict
@@ -12,48 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import ExpressNetwork, TopologyBuilder
-from repro.core.accounting import (
-    BLOCK_BANK,
-    CounterBank,
-    DeliveryView,
-    flush_agent_views,
-)
-
-
-class TestCounterBank:
-    def test_add_row_and_basic_ops(self):
-        bank = CounterBank(("a", "b"), capacity=4)
-        row = bank.add_row()
-        assert row == 0
-        assert bank.rows == 1
-        bank.inc("a", row, 3)
-        bank.inc("a", row)
-        bank.set("b", row, 7)
-        assert bank.get("a", row) == 4
-        assert bank.row_values(row) == {"a": 4, "b": 7}
-
-    def test_intern_is_stable_per_key(self):
-        bank = CounterBank(("hits",), capacity=4)
-        first = bank.intern("link-1")
-        second = bank.intern("link-2")
-        assert first != second
-        assert bank.intern("link-1") == first
-        assert bank.rows == 2
-
-    def test_growth_preserves_values(self):
-        bank = CounterBank(("c",), capacity=2)
-        for i in range(2):
-            bank.inc("c", bank.add_row(), i + 1)
-        # Third row forces a doubling; earlier values must survive.
-        bank.inc("c", bank.add_row(), 3)
-        assert [bank.get("c", i) for i in range(3)] == [1, 2, 3]
-        assert bank.row_values(0) == {"c": 1}
-
-    def test_stats_reports_rows_and_columns(self):
-        bank = CounterBank(("x",))
-        assert (bank.rows, bank.columns) == (0, ("x",))
-        bank.add_row()
-        assert (bank.rows, bank.columns) == (1, ("x",))
+from repro.core.accounting import DeliveryView, flush_agent_views
 
 
 class FakeStats:
@@ -67,9 +26,19 @@ class FakeStats:
 
 
 class FakeBlock:
+    """The counter slots a delivery view adds to, without the
+    flushing properties of ``SubscriberBlock``."""
+
     def __init__(self, channel, members):
-        self._row = BLOCK_BANK.add_row()
+        self._packets_seen = self._deliveries = self._bytes_delivered = 0
         self.members = {channel: members}
+
+    def counters(self) -> dict:
+        return {
+            "packets_seen": self._packets_seen,
+            "deliveries": self._deliveries,
+            "bytes_delivered": self._bytes_delivered,
+        }
 
 
 class FakeAgent:
@@ -125,7 +94,7 @@ class TestDeliveryView:
         view.flush()
         view.flush()  # second flush must be a no-op
         for block in blocks:
-            assert BLOCK_BANK.row_values(block._row) == oracle[id(block)]
+            assert block.counters() == oracle[id(block)]
         if packets:
             assert view.stats.counts == oracle_stats.counts
         assert view.pending_packets == 0
@@ -134,14 +103,14 @@ class TestDeliveryView:
     def test_refresh_freezes_membership(self):
         view, blocks = make_view(3, [2, 1, 4])
         assert view.members_sum == 7
-        assert len(view.rows) == 3
+        assert view.blocks == blocks
         assert view.version == 0
         # Membership changes after refresh are invisible until the next
         # refresh — the frozen counts are the equivalence contract.
         blocks[0].members["ch"] = 99
         view.pending_packets = 1
         view.flush()
-        assert BLOCK_BANK.get("deliveries", blocks[0]._row) == 2
+        assert blocks[0].counters()["deliveries"] == 2
         view.refresh()
         assert view.members_sum == 99 + 1 + 4
 

@@ -525,7 +525,7 @@ class TestDirectUrgentSend:
         topo = TopologyBuilder.line(2)
         topo.add_node("hsrc")
         topo.add_link("hsrc", "n0", delay=0.001)
-        net = ExpressNetwork(topo, hosts=["hsrc"], wire_format=True)
+        net = ExpressNetwork(topo, hosts=["hsrc"])
         net.run(until=0.01)
         frames = []
         link = net.topo.link_between("n0", "n1")
@@ -615,7 +615,7 @@ class TestDirectUrgentSend:
 
         topo = TopologyBuilder.star(4)
         net = ExpressNetwork(
-            topo, hosts=[f"leaf{i}" for i in range(4)], wire_format=True
+            topo, hosts=[f"leaf{i}" for i in range(4)]
         )
         net.run(until=0.01)
         src, ch = make_channel(net, "leaf0")
@@ -939,8 +939,7 @@ class TestReconnectResend:
         )
         arrives_at = net.sim.now
         for sender, message in (("hsub", frame), ("n0", EcmpBatch((general, general)))):
-            packet = Packet(proto="ecmp", src=sender, dst="n1")
-            packet.headers["ecmp"] = message
+            packet = Packet(proto="ecmp", src=sender, dst="n1", payload=encode_message(message))
             n1.handle_packet(
                 packet, net.topo.node("n1").interface_to(net.topo.node(sender)).index
             )
@@ -965,10 +964,8 @@ class TestReconnectResend:
         ifindex = net.topo.node("n1").interface_to(net.topo.node("hsub")).index
 
         def deliver(batch):
-            packet = Packet(proto="ecmp", src="hsub", dst="n1")
-            packet.headers["ecmp"] = EcmpBatch(
-                tuple(Count(ch, SUBSCRIBER_ID, 1) for ch in batch)
-            )
+            frame = EcmpBatch(tuple(Count(ch, SUBSCRIBER_ID, 1) for ch in batch))
+            packet = Packet(proto="ecmp", src="hsub", dst="n1", payload=encode_message(frame))
             n1.handle_packet(packet, ifindex)
 
         first_at = net.sim.now

@@ -12,25 +12,28 @@ The count is a property of the code, not of the host: it repeats
 exactly.
 
 Tree: ``hsrc - n0 - n1 - n2 - n3`` with six subscriber hosts on ``n3``
-and two on ``n1``; real wire bytes between nodes (``wire_format=True``,
-as ``benchmarks/e2e`` runs), ``obs=None``, no packet trace. Python
-calls per ECMP wire packet, everything included (the engine's
-dispatch, the driver's own scheduling lambdas):
+and two on ``n1``; real wire bytes between nodes (the only carriage),
+``obs=None``, no packet trace. Python calls per ECMP wire packet,
+everything included (the engine's dispatch, the test's own
+scheduling lambdas):
 
-=====================================  ======  ==========  ======  ======
-stream                                 parent  acceptance  flat    now
-=====================================  ======  ==========  ======  ======
-(a) CountQuery round trips              61.33   ≤ 0.67 ×    32.86   31.80
-(b) keyless join/leave zaps             98.70   ≤ 0.75 ×    64.72   58.28
-(c) keyed joins, one bad key           102.58   ≤ 0.75 ×    70.01   64.71
-=====================================  ======  ==========  ======  ======
+=====================================  ======  ==========  ======  ======  ======
+stream                                 parent  acceptance  flat    FIB     now
+=====================================  ======  ==========  ======  ======  ======
+(a) CountQuery round trips              61.33   ≤ 0.67 ×    32.86   31.80   29.07
+(b) keyless join/leave zaps             98.70   ≤ 0.75 ×    64.72   58.28   52.86
+(c) keyed joins, one bad key           102.58   ≤ 0.75 ×    70.01   64.71   58.26
+=====================================  ======  ==========  ======  ======  ======
 
 "flat" is the flat control hop the acceptance ratios were set for;
-"now" adds the FIB keyed by the interned channel — a forwarding flip is
+"FIB" adds the FIB keyed by the interned channel — a forwarding flip is
 ``graft`` / ``prune`` on a shared row where it was ``install`` / ``get``
 → ``_key`` → ``is_ssm`` → ``_check_range`` and a ``FibEntry`` built
 for a new entry — and ``ChannelState.total()`` reading a lone record
-off its slot instead of through a generator.
+off its slot instead of through a generator. "now" reads
+``Simulator.now`` as a plain attribute where it was a property, and
+keys the key cache by the ``Channel`` where each key operation first
+looked the channel up in a process-wide table of dense ids.
 
 (a) polls ``SUBSCRIBER_ID`` and an application countId that every
 subscriber host answers through a registered responder; (b) moves the
@@ -71,7 +74,7 @@ SLACK = 0.5
 #: Calls per wire packet by stream: at the parent of the flat control
 #: hop, and as measured now.
 PARENT = {"count": 61.33, "zap": 98.70, "keyed": 102.58}
-MEASURED = {"count": 31.80, "zap": 58.28, "keyed": 64.71}
+MEASURED = {"count": 29.07, "zap": 52.86, "keyed": 58.26}
 #: The ratios the flat control hop was accepted at.
 RATIO = {"count": 0.67, "zap": 0.75, "keyed": 0.75}
 
@@ -87,7 +90,7 @@ def build():
             topo.add_node(name)
             topo.add_link(name, f"n{router}")
             subscribers.append(name)
-    net = ExpressNetwork(topo, hosts=["hsrc"] + subscribers, wire_format=True)
+    net = ExpressNetwork(topo, hosts=["hsrc"] + subscribers)
     net.run(until=0.01)
     return net, subscribers
 

@@ -12,7 +12,7 @@ from repro.core.counting import (
     decrement_timeout,
 )
 from repro.core.ecmp.countids import APPLICATION_RANGE, SUBSCRIBER_ID
-from repro.core.ecmp.messages import Count
+from repro.core.ecmp.messages import Count, encode_message
 from tests.conftest import make_channel
 
 CH = Channel.of(0x0A000001, 1)
@@ -106,8 +106,11 @@ class TestUnsupportedCount:
         peer = net.topo.node("t0")
         from repro.netsim.packet import Packet
 
-        packet = Packet(src=peer.address, dst=hub.address, proto="ecmp", size=36)
-        packet.headers["ecmp"] = Count(channel=ch, count_id=stray_id, count=5)
+        stray = Count(channel=ch, count_id=stray_id, count=5)
+        packet = Packet(
+            src=peer.address, dst=hub.address, proto="ecmp",
+            payload=encode_message(stray), size=36,
+        )
         agent.handle_packet(packet, hub.interface_to(peer).index)
         net.settle()
         assert agent.stats.get("unexpected_counts") == 1

@@ -161,7 +161,7 @@ class TestFanOutAliasing:
         assert retained[0].ttl == ttl_at_delivery[0]
         # The downstream leg travelled as a distinct object, one hop
         # further along.
-        assert end_got[0].uid != retained[0].uid
+        assert end_got[0] is not retained[0]
         assert end_got[0].ttl == retained[0].ttl - 1
 
     def test_branch_point_subscribers_get_distinct_objects(self, star_net):
@@ -174,7 +174,7 @@ class TestFanOutAliasing:
         src.send(ch)
         net.settle()
         assert set(got) == {1, 2}
-        assert got[1].uid != got[2].uid
+        assert got[1] is not got[2]
         assert got[1].payload == got[2].payload
         assert got[1].ttl == got[2].ttl
 

@@ -7,11 +7,10 @@ keys`: a truncated key must fail framing (never yield a short
 silently absorbed into the authenticator), and a syntactically valid
 but *forged* key must cross the real wire intact and be rejected by
 the upstream validator with ``INVALID_AUTHENTICATOR`` — exercised
-end-to-end with ``wire_format=True`` so every hop encodes and parses
-real bytes. Every case runs against the shipped codec and the
-reference codec alike (the ``codec`` fixture in ``tests/conftest.py``):
-the framing cases call it directly, the end-to-end cases run a whole
-network on it.
+end-to-end, where every hop encodes and parses real bytes. Every case
+runs against the shipped codec and the reference codec alike (the
+``codec`` fixture in ``tests/conftest.py``): the framing cases call it
+directly, the end-to-end cases run a whole network on it.
 """
 
 import pytest
@@ -97,7 +96,7 @@ class TestForgedKeyOverWire:
         topo = TopologyBuilder.isp(
             n_transit=3, stubs_per_transit=2, hosts_per_stub=2
         )
-        net = ExpressNetwork(topo, wire_format=True)
+        net = ExpressNetwork(topo)
         net.run(until=0.01)
         return net
 

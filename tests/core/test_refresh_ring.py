@@ -189,7 +189,7 @@ class TestScanShareOnALiveNetwork:
         less on anything larger."""
         monkeypatch.setattr(EcmpAgent, "UDP_QUERY_INTERVAL", 0.4)
         topo = TopologyBuilder.isp(n_transit=3, stubs_per_transit=2, hosts_per_stub=2)
-        net = ExpressNetwork(topo, wire_format=True)
+        net = ExpressNetwork(topo)
         source_names = ["h0_0_0", "h1_0_0", "h2_0_0"]
         others = [h for h in sorted(net.host_names) if h not in source_names]
         surfers, tails = others[:4], others[4:]

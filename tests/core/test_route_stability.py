@@ -116,7 +116,7 @@ def build_ring():
         ("h2", "t2", 0.001),
     ):
         topo.add_link(a, b, delay=delay)
-    net = ExpressNetwork(topo, hosts=["hsrc", "h1", "h2"], wire_format=True)
+    net = ExpressNetwork(topo, hosts=["hsrc", "h1", "h2"])
     net.start()
     net.run(until=0.01)
     return net

@@ -22,7 +22,7 @@ from tests.conftest import assert_control_plane_at_rest
 BAD_KEY = ChannelKey(b"cracked!")
 
 
-def keyed_line(hosts: dict[str, str], slow: float = 1.0, wire_format: bool = False) -> tuple:
+def keyed_line(hosts: dict[str, str], slow: float = 1.0) -> tuple:
     """hsrc - n0 -(``slow`` s)- n1 - n2 with ``hosts`` (name -> router)
     attached, and one keyed channel from hsrc."""
     topo = TopologyBuilder.line(3)
@@ -32,7 +32,7 @@ def keyed_line(hosts: dict[str, str], slow: float = 1.0, wire_format: bool = Fal
     for name, router in hosts.items():
         topo.add_node(name)
         topo.add_link(name, router, delay=0.001)
-    net = ExpressNetwork(topo, hosts=["hsrc", *hosts], wire_format=wire_format)
+    net = ExpressNetwork(topo, hosts=["hsrc", *hosts])
     net.run(until=0.01)
     source = net.source("hsrc")
     channel = source.allocate_channel()
@@ -102,7 +102,7 @@ def test_a_join_that_shared_a_verdict_keeps_the_cached_key():
     the record it keeps for n2 holds that object rather than the copy
     hA's join brought — as every record validated against a cache
     does."""
-    net, source, channel, key = keyed_line({"hA": "n2", "hC": "n1"}, wire_format=True)
+    net, source, channel, key = keyed_line({"hA": "n2", "hC": "n1"})
     start = net.sim.now
     net.host("hC").subscribe(channel, key=key)
     net.sim.schedule_at(start + 1.5, lambda: net.host("hA").subscribe(channel, key=key))

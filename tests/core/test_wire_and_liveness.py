@@ -11,7 +11,7 @@ from tests.conftest import make_channel
 @pytest.fixture
 def wire_net():
     topo = TopologyBuilder.isp(n_transit=3, stubs_per_transit=2, hosts_per_stub=2)
-    net = ExpressNetwork(topo, wire_format=True)
+    net = ExpressNetwork(topo)
     net.run(until=0.01)
     return net
 
@@ -45,19 +45,6 @@ class TestWireFormat:
         net.settle()
         assert good.status == "active"
         assert bad.status == "denied"
-
-    def test_wire_and_object_modes_build_same_tree(self):
-        def tree_for(wire_format):
-            topo = TopologyBuilder.isp(n_transit=3, stubs_per_transit=2, hosts_per_stub=2)
-            net = ExpressNetwork(topo, wire_format=wire_format)
-            net.run(until=0.01)
-            src, ch = make_channel(net, "h0_0_0")
-            for member in ("h1_0_0", "h2_1_1"):
-                net.host(member).subscribe(ch)
-            net.settle()
-            return net.tree_edges(ch)
-
-        assert tree_for(True) == tree_for(False)
 
     def test_undecodable_bytes_counted(self, wire_net):
         from repro.netsim.packet import Packet

@@ -157,7 +157,7 @@ class TestComposedStorm:
         topo = TopologyBuilder.isp(n_transit=3, stubs_per_transit=2, hosts_per_stub=2)
         obs = Observability()
         obs.bind_simulator(topo.sim)
-        net = ExpressNetwork(topo, obs=obs, wire_format=True, edge_udp=True)
+        net = ExpressNetwork(topo, obs=obs, edge_udp=True)
         net.start()
         net.settle(2.0)
 

@@ -89,11 +89,6 @@ class TestRoundTrip:
         assert out.headers["hops"] == 3
         assert out.payload.src == 9 and out.payload.proto == "data"
 
-    def test_uid_is_not_preserved(self):
-        packet = Packet(src=1, dst=2)
-        out = roundtrip(packet)
-        assert out.uid != packet.uid
-
 
 class TestSpanContext:
     """Trace contexts cross the cut as a compact struct block, not a

@@ -13,9 +13,11 @@ class TestPacketBasics:
         assert packet.ttl == 64
         assert packet.headers == {}
 
-    def test_uids_are_unique(self):
+    def test_packets_compare_by_identity(self):
         a, b = Packet(src=1, dst=2), Packet(src=1, dst=2)
-        assert a.uid != b.uid
+        assert a != b and a == a
+        assert a.copy() != a
+        assert len({a, b, a}) == 2
 
     def test_copy_shares_payload_but_not_headers(self):
         payload = {"k": 1}

@@ -36,8 +36,8 @@ from repro.routing.fib import MulticastFib
 
 
 def reference_copy(packet: Packet) -> Packet:
-    """A fan-out copy through the constructor: shared payload, own
-    headers, and (from the ``uid`` default) the next packet id."""
+    """A fan-out copy through the constructor: a new packet with the
+    payload shared and its own headers."""
     return Packet(
         src=packet.src,
         dst=packet.dst,

@@ -41,7 +41,7 @@ VOTE_ID = 0x4001
 TIMEOUT = 1.0
 
 
-def build(rng: random.Random, obs, wire_format: bool):
+def build(rng: random.Random, obs):
     topo = Topology()
     routers = [f"r{i}" for i in range(rng.randint(3, 7))]
     for i, name in enumerate(routers):
@@ -52,7 +52,7 @@ def build(rng: random.Random, obs, wire_format: bool):
     for i, name in enumerate(hosts):
         topo.add_node(name)
         topo.add_link(name, routers[0] if i == 0 else rng.choice(routers), delay=0.001)
-    net = ExpressNetwork(topo, hosts=hosts, wire_format=wire_format, obs=obs)
+    net = ExpressNetwork(topo, hosts=hosts, obs=obs)
     net.run(until=0.01)
     return net, routers, hosts[1:]
 
@@ -64,7 +64,7 @@ def observe(case: int, with_obs: bool, reference: bool) -> dict:
     with pytest.MonkeyPatch.context() as patch:
         if reference:
             oracle.install(patch)
-        net, routers, hosts = build(rng, obs, wire_format=bool(case % 2))
+        net, routers, hosts = build(rng, obs)
         sim = net.sim
         log: list = []
         for name, agent in net.ecmp_agents.items():

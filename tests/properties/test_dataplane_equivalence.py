@@ -14,9 +14,11 @@ with its time and detail), every interface, link, node, forwarder, FIB
 and ECMP counter, every FIB row, ``sim.events_processed``, the
 simulator RNG's final state (so the loss draw consumed it for exactly
 the same packets), the wire mutator's tally, what a ``Link.capture``
-hook saw, and each subscriber's ``(time, ttl, size, created_at, uid)``
-sequence — plus the TTL of every retained packet *at the end of the
-run*, which a relay that reused a delivered packet would have changed.
+hook saw, and each subscriber's ``(time, ttl, size, created_at, n)``
+sequence — ``n`` numbers each distinct packet object in order of first
+sight, so the runs must agree on which deliveries share one object —
+plus the TTL of every retained packet *at the end of the run*, which a
+relay that reused a delivered packet would have changed.
 
 A scenario mixes, on one ISP-shaped network with UDP-mode edges:
 lossy links that carry loss-exposed data and UDP-mode control beside
@@ -73,11 +75,20 @@ def observe(case: int, scheduler: str) -> dict:
             n_transit=3, stubs_per_transit=2, hosts_per_stub=3, seed=case
         )
     trace = topo.attach_trace()
-    net = ExpressNetwork(topo, edge_udp=True, wire_format=bool(case % 2))
+    net = ExpressNetwork(topo, edge_udp=True)
     for agent in net.ecmp_agents.values():
         agent.UDP_QUERY_INTERVAL = REFRESH
     sim = net.sim
-    uid_base = Packet(src=0, dst=0).uid
+    numbers: dict[int, int] = {}
+    seen_packets: list[Packet] = []  # alive, so no id() is reused
+
+    def number(packet: Packet) -> int:
+        n = numbers.get(id(packet))
+        if n is None:
+            n = numbers[id(packet)] = len(seen_packets)
+            seen_packets.append(packet)
+        return n
+
     net.run(until=0.01)
 
     hosts = sorted(net.host_names)
@@ -115,7 +126,7 @@ def observe(case: int, scheduler: str) -> dict:
         receiver = link.other_end(sender)
         captured.append(
             (sender.name, packet.proto, packet.size, packet.ttl, arrival,
-             packet.uid - uid_base)
+             number(packet))
         )
         sim.schedule_at(
             arrival, partial(receiver.receive, packet, link.interface_of(receiver).index)
@@ -133,7 +144,7 @@ def observe(case: int, scheduler: str) -> dict:
         def on_data(packet) -> None:
             seen.append(
                 (sim.now, packet.ttl, packet.size, packet.created_at,
-                 packet.uid - uid_base)
+                 number(packet))
             )
             kept.append(packet)
 
@@ -293,7 +304,7 @@ def observe(case: int, scheduler: str) -> dict:
         "captured": captured,
         "deliveries": deliveries,
         "retained_at_end": {
-            name: [(p.ttl, p.uid - uid_base) for p in kept]
+            name: [(p.ttl, number(p)) for p in kept]
             for name, kept in retained.items()
         },
     }
@@ -362,11 +373,9 @@ def test_scenarios_reach_every_branch(runs):
         assert stats["multicast_forwarded"] > 5000
 
 
-def test_copies_take_fresh_uids(runs):
+def test_copies_are_distinct_packets(runs):
     for shipped, _ in runs:
-        uids = [uid for seen in shipped["deliveries"].values() for *_, uid in seen]
-        # A wire-duplicated frame is the same packet twice by design
-        # (``dataclasses.replace`` keeps the uid); everything else that
-        # reaches two places is two packets.
-        assert len(uids) - len(set(uids)) <= shipped["mutator"]["duplicated"] * 20
-        assert len(set(uids)) > 1000
+        numbers = [n for seen in shipped["deliveries"].values() for *_, n in seen]
+        # Whatever reaches two places is two packets.
+        assert len(numbers) == len(set(numbers))
+        assert len(set(numbers)) > 1000

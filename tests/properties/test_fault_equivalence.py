@@ -7,11 +7,10 @@ Two contracts from the fault-injection subsystem:
   events and draws zero RNG values, so an instrumented run's settled
   ChannelState tables *and* ``events_processed`` are identical to a
   plain run's — on the shipped event core (``wheel``) and on the heap
-  oracle of ``tests/oracles/scheduler.py`` (``heap``), with links
-  carrying message objects and real wire bytes (the wire mutators a
-  plan can install sit on that path). ``events_processed`` equality is
-  the strong claim: one stray scheduled callback anywhere would break
-  it.
+  oracle of ``tests/oracles/scheduler.py`` (``heap``), with TCP-mode
+  edges and with UDP-mode edges (whose refresh timers a stray callback
+  would disturb). ``events_processed`` equality is the strong claim:
+  one stray scheduled callback anywhere would break it.
 
 * **Crash/restart re-convergence** — a run that crashes a transit
   router (full soft-state loss, links down) and restarts it settles
@@ -48,12 +47,12 @@ def snapshot(net: ExpressNetwork) -> dict:
     return table
 
 
-def build_net(scheduler: str, wire_format: bool = False) -> ExpressNetwork:
+def build_net(scheduler: str, edge_udp: bool = False) -> ExpressNetwork:
     with event_core(scheduler):
         topo = TopologyBuilder.isp(
             n_transit=3, stubs_per_transit=2, hosts_per_stub=2, seed=7
         )
-    net = ExpressNetwork(topo, wire_format=wire_format)
+    net = ExpressNetwork(topo, edge_udp=edge_udp)
     net.run(until=0.01)
     return net
 
@@ -82,9 +81,9 @@ def schedule_workload(net: ExpressNetwork, seed: int) -> float:
 
 
 def run_workload(
-    scheduler: str, wire_format: bool, seed: int, instrumented: bool
+    scheduler: str, edge_udp: bool, seed: int, instrumented: bool
 ) -> tuple[dict, int]:
-    net = build_net(scheduler, wire_format)
+    net = build_net(scheduler, edge_udp)
     end = schedule_workload(net, seed)
     if instrumented:
         monitor = FaultMonitor(net)
@@ -101,12 +100,12 @@ def run_workload(
 
 
 @pytest.mark.parametrize("scheduler", ["heap", "wheel"])
-@pytest.mark.parametrize("wire_format", [True, False])
+@pytest.mark.parametrize("edge_udp", [True, False])
 @pytest.mark.parametrize("case", range(N_EMPTY_CASES))
-def test_empty_plan_run_is_bit_identical(scheduler, wire_format, case):
+def test_empty_plan_run_is_bit_identical(scheduler, edge_udp, case):
     seed = 0xFA17 + case
-    plain = run_workload(scheduler, wire_format, seed, instrumented=False)
-    instrumented = run_workload(scheduler, wire_format, seed, instrumented=True)
+    plain = run_workload(scheduler, edge_udp, seed, instrumented=False)
+    instrumented = run_workload(scheduler, edge_udp, seed, instrumented=True)
     assert instrumented == plain
 
 

@@ -349,8 +349,7 @@ def drive_block_storm(
     """A miniature mega storm: block join/leave ops bulk-scheduled with
     coarse calendar slots so shipped-core runs exercise batch slot
     dispatch. With ``streaming`` the source sends and real hosts come
-    and go *during* the join wave, over real wire bytes and Nagle-timer
-    batching links, so every slot of the wave also holds ordinary
+    and go *during* the join wave, over Nagle-timer batching links, so every slot of the wave also holds ordinary
     events. Returns comparable end state + the stats dict."""
     rng = random.Random(seed)
     with event_core(scheduler):
@@ -358,7 +357,7 @@ def drive_block_storm(
             n_transit=3, stubs_per_transit=2, hosts_per_stub=1, seed=7,
             wheel_granularity=0.05,
         )
-    net = ExpressNetwork(topo, wire_format=streaming)
+    net = ExpressNetwork(topo)
     hosts = sorted(net.host_names)
     source = net.source(hosts[0])
     channel = source.allocate_channel()
