@@ -15,22 +15,13 @@ eight bytes to store K(S,E), the total size is 200 bytes."
 :func:`management_state_bytes` reproduces that accounting from live
 state so the ``T2`` benchmark can compare model vs measured.
 
-Record storage is *columnar*: every
-:class:`DownstreamRecord` is a thin row view over the process-global
-:class:`StateBank` — parallel ``count``/``flags``/``updated_at``
-columns, preallocated, doubled on demand, with a free list recycling
-rows. The columns are plain
-Python lists, not numpy arrays: no consumer vectorizes over them —
-every access is a scalar read or write on a protocol hot
-path, where list indexing returns the stored ``int``/``float``
-directly while ndarray indexing boxes a fresh numpy scalar (~5×
-slower per touch, measured on the mega-storm block path). This still
-packs the per-record hot fields the mega-channel workloads hammer
-(count rewrites, refresh stamps, mode flags) into flat arrays instead
-of one Python object's dict per record, exactly the §5.2 "packed
-count-activity record" picture. Its specification is the plain
-per-record dataclass in ``tests/oracles/records.py``, which
-``tests/properties/test_state_equivalence.py`` pins it equal to.
+A downstream record (:class:`DownstreamRecord`) is one slotted object
+of five plain fields: the neighbor's subscriber ``count``, whether its
+subscription is ``validated``, the ``presented_key`` awaiting that
+verdict, when it was ``updated_at`` and whether the neighbor is in
+``udp`` (soft-state) mode. It is the [channel, countId, count] record
+§5.2 prices at 32 B, with the channel and countId implied by where it
+is held (a :class:`ChannelState`, which keeps a lone record inline).
 """
 
 from __future__ import annotations
@@ -64,163 +55,37 @@ def is_pseudo_neighbor(name: str) -> bool:
 COUNT_RECORD_BYTES = 32
 
 
-#: Flag bits within the bank's ``flags`` column.
-_F_VALIDATED = 0x01
-_F_UDP = 0x02
-
-#: Initial bank rows (doubles on demand).
-_INITIAL_ROWS = 256
-
-
 class StateBank:
-    """Columnar backing store for downstream records.
+    """Inert stand-in for the columnar record bank that once backed
+    :class:`DownstreamRecord`. It exists only because the frozen
+    ``benchmarks/e2e`` instrument samples ``STATE_BANK.live_rows`` and
+    wraps ``StateBank.alloc``; the benchmark-version change (ROADMAP
+    item 3) drops it. No code calls :meth:`alloc`, so the instrument's
+    ``row_allocs`` and ``live_rows_peak`` read 0."""
 
-    Three parallel columns — ``counts`` (int), ``flags`` (int bit
-    field: validated, udp) and ``stamps`` (float ``updated_at``) —
-    preallocated and doubled on demand, with a free list so deleted
-    records recycle their rows. The columns are plain Python lists by
-    design, not ndarrays: all access is scalar (see the module
-    docstring). Callers must index through the bank attribute on
-    every access: growth may replace the columns.
-    """
+    __slots__ = ()
 
-    __slots__ = ("counts", "flags", "stamps", "_capacity", "_rows", "_free")
-
-    def __init__(self, capacity: int = _INITIAL_ROWS) -> None:
-        self._capacity = capacity
-        self._rows = 0
-        self._free: list[int] = []
-        self.counts = [0] * capacity
-        self.flags = [0] * capacity
-        self.stamps = [0.0] * capacity
+    live_rows = 0
 
     def alloc(self) -> int:
-        """Claim one row (recycled if possible); caller initializes it."""
-        free = self._free
-        if free:
-            return free.pop()
-        row = self._rows
-        if row >= self._capacity:
-            self._grow()
-        self._rows = row + 1
-        return row
-
-    def release(self, row: int) -> None:
-        """Return a row to the free list."""
-        self._free.append(row)
-
-    def _grow(self) -> None:
-        self._capacity *= 2
-        self.counts.extend([0] * (self._capacity - len(self.counts)))
-        self.flags.extend([0] * (self._capacity - len(self.flags)))
-        self.stamps.extend([0.0] * (self._capacity - len(self.stamps)))
-
-    @property
-    def live_rows(self) -> int:
-        return self._rows - len(self._free)
+        return 0
 
 
-#: Process-global bank: records from every agent share the same
-#: columns, so one network's worth of channel state is a handful of
-#: arrays rather than per-record dicts.
 STATE_BANK = StateBank()
 
 
+@dataclass(slots=True)
 class DownstreamRecord:
-    """State for one downstream neighbor (or LOCAL) on a channel.
+    """State for one downstream neighbor (or LOCAL) on a channel."""
 
-    A row view over :data:`STATE_BANK`: attribute reads and writes go
-    straight to the columnar arrays; to its callers it is a plain
-    five-field record.
-    """
-
-    __slots__ = ("_row", "presented_key")
-
-    def __init__(
-        self,
-        count: int = 0,
-        validated: bool = True,
-        presented_key: Optional[ChannelKey] = None,
-        updated_at: float = 0.0,
-        udp: bool = False,
-    ) -> None:
-        bank = STATE_BANK
-        row = bank.alloc()
-        bank.counts[row] = count
-        bank.flags[row] = (_F_VALIDATED if validated else 0) | (_F_UDP if udp else 0)
-        bank.stamps[row] = updated_at
-        self._row = row
-        self.presented_key = presented_key
-
-    @property
-    def count(self) -> int:
-        return int(STATE_BANK.counts[self._row])
-
-    @count.setter
-    def count(self, value: int) -> None:
-        STATE_BANK.counts[self._row] = value
-
-    @property
-    def validated(self) -> bool:
-        """False while an authenticated subscription awaits validation."""
-        return bool(STATE_BANK.flags[self._row] & _F_VALIDATED)
-
-    @validated.setter
-    def validated(self, value: bool) -> None:
-        bank = STATE_BANK
-        if value:
-            bank.flags[self._row] |= _F_VALIDATED
-        else:
-            bank.flags[self._row] &= ~_F_VALIDATED
-
-    @property
-    def updated_at(self) -> float:
-        return float(STATE_BANK.stamps[self._row])
-
-    @updated_at.setter
-    def updated_at(self, value: float) -> None:
-        STATE_BANK.stamps[self._row] = value
-
-    @property
-    def udp(self) -> bool:
-        """True for neighbors managed in UDP mode (soft state, needs
-        refresh)."""
-        return bool(STATE_BANK.flags[self._row] & _F_UDP)
-
-    @udp.setter
-    def udp(self, value: bool) -> None:
-        bank = STATE_BANK
-        if value:
-            bank.flags[self._row] |= _F_UDP
-        else:
-            bank.flags[self._row] &= ~_F_UDP
-
-    def __repr__(self) -> str:
-        return (
-            f"DownstreamRecord(count={self.count}, validated={self.validated}, "
-            f"presented_key={self.presented_key!r}, "
-            f"updated_at={self.updated_at}, udp={self.udp})"
-        )
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, DownstreamRecord):
-            return NotImplemented
-        return (
-            self.count == other.count
-            and self.validated == other.validated
-            and self.presented_key == other.presented_key
-            and self.updated_at == other.updated_at
-            and self.udp == other.udp
-        )
-
-    def __del__(self) -> None:
-        row = getattr(self, "_row", -1)
-        if row >= 0:
-            self._row = -1
-            try:
-                STATE_BANK.release(row)
-            except (AttributeError, TypeError):  # pragma: no cover
-                pass  # interpreter shutdown: globals already torn down
+    count: int = 0
+    #: False while an authenticated subscription awaits validation.
+    validated: bool = True
+    #: The key this neighbor presented (kept until validation resolves).
+    presented_key: Optional[ChannelKey] = None
+    updated_at: float = 0.0
+    #: True for neighbors managed in UDP mode (soft state, needs refresh).
+    udp: bool = False
 
 
 #: What ``ChannelState.proactive`` / ``.proactive_values`` read as until
@@ -349,8 +214,7 @@ class ChannelState:
 
     def new_record(self) -> DownstreamRecord:
         """A fresh default downstream record: the one construction
-        site, which the equivalence suite patches to swap in its
-        reference record."""
+        site."""
         return DownstreamRecord()
 
     def total(self, validated_only: bool = True) -> int:

@@ -624,7 +624,7 @@ class Simulator:
             perf_counter() if profiler is not None and not self._running else 0.0
         )
         self._seq += 1
-        event = Event(time, self._seq, action, name, False, self, True)
+        event = Event(float(time), self._seq, action, name, False, self, True)
         # TimerWheel.insert(), inlined — see schedule().
         wheel = self._wheel
         slot = int(time * wheel._scale)
@@ -668,6 +668,10 @@ class Simulator:
         events share; a slot that needs per-event dispatch is
         materialized on demand). This method returns a count, so no
         caller can hold — or cancel — one of its entries.
+
+        The times must be floats, as every caller passes them: the
+        buckets keep the caller's tuples by reference, so nothing here
+        converts them, and a time becomes ``now`` as given.
 
         Returns the number of events scheduled.
         """
@@ -876,7 +880,7 @@ class Simulator:
                     head.time < until or (inclusive and head.time == until)
                 ):
                     return ran
-            self.now = until
+            self.now = float(until)
         return ran
 
     def _offer_run(self, tally: dict, n_ops: int) -> Optional[set]:

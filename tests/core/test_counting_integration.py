@@ -5,7 +5,7 @@ import pytest
 
 from repro import SUBSCRIBER_ID
 from repro.core.ecmp.countids import APPLICATION_RANGE, LINK_COUNT_ID, TREE_SIZE_ID
-from repro.core.ecmp.state import StateBank
+from repro.core.ecmp.state import ChannelState
 from tests.conftest import make_channel
 
 VOTE_ID = APPLICATION_RANGE.start + 7
@@ -200,10 +200,12 @@ class TestPollIsARead:
         src.send(ch)
         net.settle()
 
-        allocs = []
-        alloc = StateBank.alloc
+        created = []
+        new_record = ChannelState.new_record
         monkeypatch.setattr(
-            StateBank, "alloc", lambda bank: allocs.append(1) or alloc(bank)
+            ChannelState,
+            "new_record",
+            lambda state: created.append(state.channel) or new_record(state),
         )
 
         def fib_rows():
@@ -225,7 +227,7 @@ class TestPollIsARead:
         assert subscribers.count == len(votes) and not subscribers.partial
         assert tally.count == sum(votes.values()) and not tally.partial
         assert fib_rows() == rows
-        assert allocs == []
+        assert created == []
 
 
 class TestQueryResult:

@@ -101,3 +101,64 @@ class TestStateAccounting:
         state.downstream["b"] = DownstreamRecord(count=3)
         assert state.total(validated_only=True) == 3
         assert state.total(validated_only=False) == 5
+
+
+class TestDownstreamRecord:
+    def test_defaults(self):
+        record = DownstreamRecord()
+        assert record.count == 0
+        assert record.validated is True
+        assert record.presented_key is None
+        assert record.updated_at == 0.0
+        assert record.udp is False
+
+    def test_equality_is_field_equality(self):
+        fields = dict(count=2, validated=False, updated_at=1.5, udp=True)
+        record = DownstreamRecord(**fields)
+        same = DownstreamRecord(**fields)
+        assert record is not same
+        assert record == same and not record != same
+        differing = DownstreamRecord(**dict(fields, udp=False))
+        assert record != differing and not record == differing
+        stranger = object()
+        assert record != stranger and not record == stranger
+        assert record.__eq__(stranger) is NotImplemented
+
+    def test_repr(self):
+        assert repr(DownstreamRecord(count=3, udp=True)) == (
+            "DownstreamRecord(count=3, validated=True, presented_key=None, "
+            "updated_at=0.0, udp=True)"
+        )
+
+    def test_slotted_without_a_finalizer(self):
+        assert not hasattr(DownstreamRecord(), "__dict__")
+        assert not hasattr(DownstreamRecord, "__del__")
+
+    def test_clock_and_record_fields_keep_their_types(self, line_net):
+        """The clock is a float after an integer ``until`` and at an
+        integer ``schedule_at`` time, so every stamp taken from it is a
+        float too: a record stores what it is given."""
+        net = line_net
+        net.run(until=1)
+        assert type(net.sim.now) is float
+        src = net.source("hsrc")
+        first, second = src.allocate_channel(), src.allocate_channel()
+        net.host("hsub").subscribe(first)
+        clocks = []
+        net.sim.schedule_at(
+            2, lambda: clocks.append(net.sim.now) or net.host("hsub").subscribe(second)
+        )
+        net.settle()
+        assert [type(now) for now in clocks] == [float]
+        records = [
+            record
+            for agent in net.ecmp_agents.values()
+            for state in agent.channels.values()
+            for record in state.downstream.values()
+        ]
+        assert records
+        for record in records:
+            assert type(record.count) is int
+            assert type(record.validated) is bool
+            assert type(record.updated_at) is float
+            assert type(record.udp) is bool

@@ -36,6 +36,8 @@ a slotted ``ChannelKey``              585    635  0
 key caches keyed by the ``Channel``
 (no channel-id table); measured in
 a fresh interpreter                   578    627  0
+records hold their own fields; no
+bank                                  517    566  0
 ================================  =======  =====  ===================
 
 What went, in bytes per state on this tree: an empty 760-byte ``deque``
@@ -50,8 +52,9 @@ against — staggered joiners save it at every merge point); a
 ``dict`` for the downstream records of the five states of eight that
 hold one (−104, the two slots that replace it included); an ``(S, E)``
 key tuple and a ``FibEntry`` for each FIB entry, on four nodes of eight
-(−60); a ``__dict__`` per decoded channel key (−60, keyed only). The
-growth is lumpy — dict and column resizes land inside one batch or the
+(−60); a ``__dict__`` per decoded channel key (−60, keyed only); a
+row of a process-wide record bank beside every downstream record
+(−61). The growth is lumpy — dict resizes land inside one batch or the
 next (successive 1,000-channel batches on one network read 580–920) —
 so the figure belongs to exactly this sequence, in a fresh interpreter
 (:func:`measure_fresh`); it repeats exactly.
@@ -75,7 +78,7 @@ LEAVES = [f"d2_{i}" for i in range(4)]
 WARM_UP = 100
 CHANNELS = 1000
 #: Bytes per (node, channel) state, (keyless, keyed).
-CEILING = (618, 692)
+CEILING = (557, 631)
 #: Interned channels in the FIB measurement, and bytes per entry.
 FIB_CHANNELS = 10_000
 FIB_CEILING = 60

@@ -3,8 +3,8 @@
 Each network below runs its own seeded churn — keyed and keyless joins
 and leaves, a subscriber block, data — once alone and once interleaved
 with the other, one ``sim.step()`` each by turns. Whatever a network
-shares with another through module-level state (the records' bank, the
-channel intern tables) must not change what it ends with: every
+shares with another through module-level state (the channel intern
+tables) must not change what it ends with: every
 agent's channel table with the five fields of each downstream record,
 its counters and key cache, every FIB row, the block counters and the
 link counters read the same both ways.

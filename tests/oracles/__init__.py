@@ -11,8 +11,6 @@ time:
   ``PendingQuery`` at every node, leaves included (specification of
   ``Counting.on_query`` / ``_finalize`` in ``repro.core.counting``);
   patched in for whole-network runs,
-* :mod:`tests.oracles.records` — the per-record dataclass
-  (specification of the ``StateBank`` row view ``DownstreamRecord``),
 * :mod:`tests.oracles.refresh` — the full-table refresh tick and
   general-query walk (specification of the ``RefreshRing`` tick in
   ``repro.core.ecmp.liveness`` and the ``_by_upstream`` reply in

@@ -11,11 +11,12 @@ joins, data, a subscriber block and a CountQuery, and pins the set
 that moved. The census runs in a fresh interpreter, so what earlier
 tests interned cannot hide a table that grows.
 
-What is left: ``STATE_BANK``, whose columns hold every downstream
-record, and the two channel intern tables, ``_OF_MEMO`` and
-``_PAIR_MEMO``. A new entry — or ``BLOCK_BANK``, the channel-id table
-or the packet-id counter coming back — fails here until the set is
-changed on purpose.
+What is left: the two channel intern tables, ``_OF_MEMO`` and
+``_PAIR_MEMO``. Downstream records are plain objects on the state that
+holds them, so ``STATE_BANK`` is an inert stand-in that no run writes.
+A new entry — or a record bank, ``BLOCK_BANK``, the channel-id table or
+the packet-id counter coming back — fails here until the set is changed
+on purpose.
 """
 
 import importlib
@@ -30,7 +31,7 @@ import repro.core
 import repro.netsim.packet
 from repro import ExpressNetwork, TopologyBuilder, make_key
 
-GLOBALS = {"STATE_BANK", "_OF_MEMO", "_PAIR_MEMO"}
+GLOBALS = {"_OF_MEMO", "_PAIR_MEMO"}
 
 
 def _slots(obj) -> list:
