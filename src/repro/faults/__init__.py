@@ -15,7 +15,7 @@ bit-identical to one with no fault instrumentation at all.
 See ``docs/robustness.md`` for the fault model and SLO definitions.
 """
 
-from repro.faults.injectors import FaultInjector, crash_parallel_worker
+from repro.faults.injectors import FaultInjector
 from repro.faults.monitor import CHURN_KEYS, FaultMonitor
 from repro.faults.plan import (
     KINDS,
@@ -35,6 +35,5 @@ __all__ = [
     "KINDS",
     "LINK_KINDS",
     "WireMutator",
-    "crash_parallel_worker",
     "seeded_crash_storm",
 ]

@@ -237,24 +237,3 @@ class FaultInjector:
             for key, value in mutator.stats.items():
                 totals[key] += value
         return totals
-
-
-def crash_parallel_worker(transport, rank: int, join_timeout: float = 5.0):
-    """Kill one worker process of a parallel run mid-flight.
-
-    Works on any transport that exposes ``procs`` (both the pipe and
-    shared-memory transports do). The coordinator's next receive must
-    surface a :class:`~repro.errors.SimulationError` — the shm ring's
-    generation counters spot the torn frame / dead peer, the pipe
-    transport spots EOF — rather than hanging; the worker-crash tests
-    pin that contract. Returns the terminated process object.
-    """
-    procs = getattr(transport, "procs", None)
-    if not procs:
-        raise FaultError("transport has no worker processes to crash")
-    if not 0 <= rank < len(procs):
-        raise FaultError(f"no worker rank {rank} (have {len(procs)})")
-    proc = procs[rank]
-    proc.terminate()
-    proc.join(join_timeout)
-    return proc

@@ -17,8 +17,8 @@ millisecond cost the same per event, and there is no horizon, ring
 size or overflow structure to tune. ``schedule_bulk`` additionally
 stores its items as the caller's own ``(time, action)`` tuples and
 :meth:`Simulator._batch_slot` folds whole runs of them into one call
-per batch group. There is one run loop; :class:`PhaseProfiler` and the
-observability hooks are dispatch listeners on it.
+per batch group. There is one run loop; the observability hooks are
+dispatch listeners on it.
 
 The plain form of all this — a binary heap of events popped one at a
 time — is ``tests/oracles/scheduler.py``; the equivalence suites under
@@ -47,12 +47,11 @@ import hashlib
 import random
 from bisect import bisect_left, bisect_right, insort
 from collections import Counter
-from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field
 from heapq import heappop, heappush
 from operator import attrgetter, itemgetter
 from time import perf_counter
-from typing import Callable, Iterator, Optional
+from typing import Callable, Optional
 
 from repro.errors import SimulationError
 
@@ -64,8 +63,8 @@ def derive_seed(seed: int, *names: object) -> int:
     """Derive a child seed from ``seed`` and a namespace path.
 
     Stable across processes and Python versions (sha256, not ``hash``),
-    so partition workers spawned with ``multiprocessing`` agree with an
-    in-process rerun. Distinct paths give independent 64-bit streams:
+    so a derived stream never depends on the interpreter's hash seed.
+    Distinct paths give independent 64-bit streams:
     ``derive_seed(seed, "worker", rank)``.
     """
     digest = hashlib.sha256(
@@ -422,84 +421,6 @@ class TimerWheel:
         self._slots = sorted(buckets.keys() | self._bucket_meta.keys())
 
 
-class PhaseProfiler:
-    """Wall-clock phase accounting for a simulator's ``run()`` windows.
-
-    Attach with ``sim.profiler = PhaseProfiler()``. Each ``run()`` then
-    opens a :meth:`window`: the profiler listens to the run's
-    dispatches — every event action is timed (*dispatch*) — and the
-    rest of the window's wall time — slot sorts, cancellation skips,
-    materializing bulk slots — is attributed to scheduler *advance*.
-    Like any listened-to run, a profiled one dispatches bulk slots
-    event by event. The parallel worker layers two more phases on top
-    of these (*sync_wait* for coordinator-pipe blocking and *idle* for
-    the remainder) to reach a full breakdown of worker wall time; see
-    :meth:`repro.netsim.parallel.sync.SyncStats.phase_breakdown`.
-
-    Two phases live *outside* the ``run()`` loop and are accumulated at
-    their call sites instead:
-
-    * ``alloc_seconds`` — event construction wall time in
-      ``schedule_at``/``schedule_bulk`` calls made *between* run
-      windows (bulk workload builds, the parallel worker's import
-      injection). Scheduling done from inside a dispatched action stays
-      charged to *dispatch* — it is part of that event's work — so the
-      phases never double-count.
-    * ``accounting_seconds`` — metrics flush/snapshot wall time
-      (registry collection, telemetry export), accumulated by the
-      observability layer at snapshot boundaries.
-    """
-
-    __slots__ = (
-        "dispatch_seconds",
-        "advance_seconds",
-        "alloc_seconds",
-        "accounting_seconds",
-        "events",
-        "windows",
-    )
-
-    def __init__(self) -> None:
-        self.dispatch_seconds = 0.0
-        self.advance_seconds = 0.0
-        self.alloc_seconds = 0.0
-        self.accounting_seconds = 0.0
-        self.events = 0
-        self.windows = 0
-
-    def _on_dispatch(self, sim: "Simulator", event: Event, wall: float) -> None:
-        self.dispatch_seconds += wall
-        self.events += 1
-
-    @contextmanager
-    def window(self, sim: "Simulator") -> Iterator[None]:
-        """Listen to ``sim``'s dispatches for the duration of one
-        ``run()`` and charge the rest of its wall time to *advance*."""
-        listener = self._on_dispatch
-        dispatched = self.dispatch_seconds
-        sim.add_dispatch_listener(listener)
-        started = perf_counter()
-        try:
-            yield
-        finally:
-            total = perf_counter() - started
-            sim.remove_dispatch_listener(listener)
-            self.advance_seconds += max(
-                0.0, total - (self.dispatch_seconds - dispatched)
-            )
-            self.windows += 1
-
-    def as_dict(self) -> dict:
-        return {
-            "dispatch_seconds": self.dispatch_seconds,
-            "advance_seconds": self.advance_seconds,
-            "alloc_seconds": self.alloc_seconds,
-            "accounting_seconds": self.accounting_seconds,
-            "events": self.events,
-            "windows": self.windows,
-        }
-
-
 class Simulator:
     """A seeded discrete-event simulator.
 
@@ -562,9 +483,6 @@ class Simulator:
         #: after each event executes (see :mod:`repro.obs.hooks`). The
         #: run loop times nothing while the list is empty.
         self._dispatch_listeners: list[Callable[["Simulator", Event, float], None]] = []
-        #: Opt-in phase accounting; assign a :class:`PhaseProfiler` and
-        #: every ``run()`` becomes one of its windows.
-        self.profiler: Optional[PhaseProfiler] = None
 
     def reseed(self, seed: int) -> None:
         """Replace the RNG with a freshly seeded one. Used by partition
@@ -619,10 +537,6 @@ class Simulator:
             raise SimulationError(
                 f"cannot schedule in the past (time={time}, now={self.now})"
             )
-        profiler = self.profiler
-        started = (
-            perf_counter() if profiler is not None and not self._running else 0.0
-        )
         self._seq += 1
         event = Event(float(time), self._seq, action, name, False, self, True)
         # TimerWheel.insert(), inlined — see schedule().
@@ -638,8 +552,6 @@ class Simulator:
         else:
             insort(wheel._open, event, lo=wheel._open_pos, key=_EVENT_KEY)
         self._live += 1
-        if started:
-            profiler.alloc_seconds += perf_counter() - started
         return event
 
     def schedule_bulk(
@@ -678,10 +590,6 @@ class Simulator:
         n = len(items)
         if n == 0:
             return 0
-        profiler = self.profiler
-        started = (
-            perf_counter() if profiler is not None and not self._running else 0.0
-        )
         # Atomic validation: one C-level scan up front, so a past-time
         # item rejects the whole batch with nothing scheduled.
         earliest = min(items, key=_ITEM_TIME)[0]
@@ -746,8 +654,6 @@ class Simulator:
             base += len(meta[3])
         self._seq += n
         self._live += n
-        if started:
-            profiler.alloc_seconds += perf_counter() - started
         return n
 
     def peek_time(self) -> Optional[float]:
@@ -819,56 +725,53 @@ class Simulator:
         """
         if self._running:
             raise SimulationError("simulator is not reentrant")
-        profiler = self.profiler
-        window = nullcontext() if profiler is None else profiler.window(self)
         wheel = self._wheel
         advance = wheel.advance
         limit_slot = None if until is None else int(until * wheel._scale)
         ran = 0
         self._running = True
         try:
-            with window:
-                # The common case — a live event already positioned in
-                # the open slot — runs with no method calls besides the
-                # action itself; advance() only fires on slot
-                # boundaries and cancellations.
-                while max_events is None or ran < max_events:
-                    open_ = wheel._open  # compact() may rebind the list
-                    pos = wheel._open_pos
-                    if pos < len(open_) and not open_[pos].cancelled:
-                        event = open_[pos]
-                    else:
-                        event = advance(limit_slot, True)
-                        if event is _PURE_SLOT:
-                            # Offer the slot to the batch dispatcher; if
-                            # it declines, the follow-up advance()
-                            # materializes it for per-event dispatch.
-                            batched = self._batch_slot(limit_slot, max_events)
-                            if batched:
-                                ran += batched
-                                continue
-                            event = advance(limit_slot)
-                        if event is None:
-                            break
-                    if until is not None and (
-                        event.time > until
-                        or (not inclusive and event.time >= until)
-                    ):
+            # The common case — a live event already positioned in the
+            # open slot — runs with no method calls besides the action
+            # itself; advance() only fires on slot boundaries and
+            # cancellations.
+            while max_events is None or ran < max_events:
+                open_ = wheel._open  # compact() may rebind the list
+                pos = wheel._open_pos
+                if pos < len(open_) and not open_[pos].cancelled:
+                    event = open_[pos]
+                else:
+                    event = advance(limit_slot, True)
+                    if event is _PURE_SLOT:
+                        # Offer the slot to the batch dispatcher; if it
+                        # declines, the follow-up advance() materializes
+                        # it for per-event dispatch.
+                        batched = self._batch_slot(limit_slot, max_events)
+                        if batched:
+                            ran += batched
+                            continue
+                        event = advance(limit_slot)
+                    if event is None:
                         break
-                    wheel._open_pos += 1  # advance left the cursor on it
-                    event._in_queue = False
-                    self._live -= 1
-                    self.now = event.time
-                    self.events_processed += 1
-                    if self._dispatch_listeners:
-                        started = perf_counter()
-                        event.action()
-                        wall = perf_counter() - started
-                        for listener in self._dispatch_listeners:
-                            listener(self, event, wall)
-                    else:
-                        event.action()
-                    ran += 1
+                if until is not None and (
+                    event.time > until
+                    or (not inclusive and event.time >= until)
+                ):
+                    break
+                wheel._open_pos += 1  # advance left the cursor on it
+                event._in_queue = False
+                self._live -= 1
+                self.now = event.time
+                self.events_processed += 1
+                if self._dispatch_listeners:
+                    started = perf_counter()
+                    event.action()
+                    wall = perf_counter() - started
+                    for listener in self._dispatch_listeners:
+                        listener(self, event, wall)
+                else:
+                    event.action()
+                ran += 1
         finally:
             self._running = False
         if until is not None and self.now < until:

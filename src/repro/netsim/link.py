@@ -70,7 +70,7 @@ class Link:
         self.ecmp_wire_packets = 0
         self.ecmp_wire_bytes = 0
         #: Optional capture hook installed by the parallel-simulation
-        #: proxy layer (:mod:`repro.netsim.parallel.proxy`) on cut
+        #: proxy layer (:mod:`repro.netsim.parallel.worker`) on cut
         #: links: when set, delivery is not scheduled locally — the
         #: packet (with its exact arrival time and receive interface)
         #: is handed to ``capture(link, sender, packet, arrival_time)``

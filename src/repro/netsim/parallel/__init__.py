@@ -1,11 +1,11 @@
-"""Parallel sharded simulation: per-partition event loops with
+"""Sharded simulation in one process: per-partition event loops with
 conservative lookahead.
 
 The distribution tree rooted at ``(S, E)`` decomposes into subtrees
 whose only coupling is hop-by-hop control traffic on the links that
 cross the cut, so the simulator shards naturally: a partitioner splits
 the topology into per-subtree node sets (source in rank 0, cut links
-minimized), every worker process builds the *full* topology — so
+minimized), every partition worker builds the *full* topology — so
 addressing, interface indices, and unicast routing are identical
 everywhere — but starts protocol agents only for the nodes it owns,
 and cut links are replaced by proxy endpoints that serialize packets
@@ -13,24 +13,20 @@ and cut links are replaced by proxy endpoints that serialize packets
 traffic) and re-inject them in the owning partition with exact
 ``(time, seq)`` ordering.
 
-Synchronization is conservative: each cut link's propagation delay is
-its lookahead, and no worker dispatches past its granted horizon —
-derived from the other partitions' next effective event times plus the
-transitive cut-link closure. The default ``sync_mode="demand"``
-protocol grants each worker a multi-window horizon *ladder* and skips
-quiet shards entirely (null messages are demand-driven, not
-per-round); ``sync_mode="eager"`` keeps the one-window-per-round
-lockstep baseline. Frames move over a pluggable transport
-(:mod:`~repro.netsim.parallel.transport`): a zero-pickle
-shared-memory ring by default, ``multiprocessing`` pipes via
-``transport="pipe"`` or ``REPRO_TRANSPORT=pipe``. The sharded run is
-deterministic for a given seed — across sync modes and transports —
+Synchronization is conservative and demand-driven: each cut link's
+propagation delay is its lookahead, and no worker dispatches past its
+granted horizon — derived from the other partitions' next effective
+event times plus the transitive cut-link closure. The coordinator
+grants each worker a multi-window horizon *ladder* and skips quiet
+shards entirely. The sharded run is deterministic for a given seed
 and, once settled, produces ``ChannelState`` tables, delivery counts,
 and obs counters identical to the single-process oracle (pinned by
 ``tests/properties/test_partition_equivalence.py``).
 
-See ``docs/performance.md`` ("Sharding the event loop") for the model
-of how cut delay bounds the achievable speedup.
+What remains exists for the frozen ``benchmarks/e2e`` probe and that
+equivalence suite: ROADMAP item 5 removes the package once the
+benchmark-version change (item 3) drops the probe. See
+``docs/performance.md`` ("Sharding in one process").
 """
 
 from repro.netsim.parallel.partition import PartitionPlan, plan_partitions
@@ -42,45 +38,27 @@ from repro.netsim.parallel.runner import (
 )
 from repro.netsim.parallel.scenario import OPGENS, ScenarioSpec
 from repro.netsim.parallel.sync import (
-    PHASES,
-    RoundTrace,
     SyncStats,
     build_ladder,
-    compute_horizons,
     grant_ceilings,
-    merge_phase_stats,
     message_stats,
     transitive_lookahead,
 )
-from repro.netsim.parallel.transport import (
-    PipeTransport,
-    ShmTransport,
-    TransportError,
-    transport_choice,
-)
-from repro.netsim.parallel.worker import TelemetryConfig
+from repro.netsim.parallel.transport import TransportError
 
 __all__ = [
     "OPGENS",
-    "PHASES",
     "ParallelResult",
     "ParallelRunner",
     "PartitionPlan",
-    "PipeTransport",
-    "RoundTrace",
     "ScenarioSpec",
-    "ShmTransport",
     "SyncStats",
-    "TelemetryConfig",
     "TransportError",
     "assert_equivalent",
     "build_ladder",
-    "compute_horizons",
     "grant_ceilings",
-    "merge_phase_stats",
     "message_stats",
     "plan_partitions",
     "run_single",
-    "transport_choice",
     "transitive_lookahead",
 ]

@@ -1,7 +1,7 @@
-"""Declarative, picklable workload specs for sharded runs.
+"""Declarative workload specs for sharded runs.
 
 A sharded run needs the *same* scenario built independently in every
-worker process (and once more for the single-process oracle), so the
+partition worker (and once more for the single-process oracle), so the
 workload cannot be a bag of closures: :class:`ScenarioSpec` describes
 the topology by ``TopologyBuilder`` generator name, the network by
 constructor kwargs, and the workload as declarative op tuples
@@ -18,10 +18,10 @@ also where the oracle dispatches them, so per-event-name obs counters
 line up exactly.
 
 Large workloads reference an *op generator* from :data:`OPGENS` by
-name instead of carrying a million tuples through a pipe: the spec
-pickles as ``(name, kwargs)`` and every process regenerates the
-identical op list locally (generators must be deterministic —
-anything random must derive from the spec's seed).
+name instead of carrying a million tuples: the spec holds ``(name,
+kwargs)`` and every worker regenerates the identical op list
+(generators must be deterministic — anything random must derive from
+the spec's seed).
 
 Ops are intentionally limited to membership and data traffic: link
 up/down events change *global* state (unicast routing everywhere) and
@@ -66,7 +66,7 @@ class ScenarioSpec:
     n_channels: int = 1
     #: Edge routers to attach aggregated subscriber blocks to, in order.
     blocks: tuple = ()
-    #: Extra ``ExpressNetwork`` kwargs (must be picklable).
+    #: Extra ``ExpressNetwork`` kwargs.
     net_kwargs: dict = field(default_factory=dict)
     #: Inline op tuples (small workloads / tests).
     ops: tuple = ()
@@ -100,7 +100,7 @@ class ScenarioSpec:
 
 def build(spec: ScenarioSpec, obs=None):
     """Construct the scenario's network: returns ``(net, channels,
-    blocks)``. Identical in every process for a given spec — node
+    blocks)``. Identical in every worker for a given spec — node
     addresses, interface indices, channel suffixes, and block names all
     come from deterministic allocation order."""
     builder = getattr(TopologyBuilder, spec.topology, None)

@@ -17,12 +17,10 @@ Quick start::
 ``python -m repro.obs`` runs a canned ISP scenario and prints the full
 report; ``python -m repro.obs diff A.json B.json`` diffs two metric
 dumps. See docs/observability.md for the metric and span inventory and
-the distributed-telemetry pipeline (cross-shard aggregation, trace
-stitching, flight recorder).
+the flight recorder.
 """
 
-from repro.obs.aggregate import FleetAggregator
-from repro.obs.convergence import ConvergenceMonitor, settle_seconds
+from repro.obs.convergence import ConvergenceMonitor
 from repro.obs.flightrecorder import FlightRecorder
 from repro.obs.hooks import (
     SPAN_HEADER,
@@ -45,8 +43,6 @@ from repro.obs.tracing import (
     SpanContext,
     SpanNode,
     Tracer,
-    id_shard,
-    shard_id_base,
 )
 
 __all__ = [
@@ -54,7 +50,6 @@ __all__ = [
     "LATENCY_BUCKETS",
     "WALL_BUCKETS",
     "ConvergenceMonitor",
-    "FleetAggregator",
     "FlightRecorder",
     "LinkMetrics",
     "MetricError",
@@ -67,9 +62,6 @@ __all__ = [
     "SpanNode",
     "Tracer",
     "attach_topology",
-    "id_shard",
     "instrument_simulator",
     "percentile",
-    "settle_seconds",
-    "shard_id_base",
 ]

@@ -22,7 +22,7 @@ directly comparable.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterable
+from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.netsim.engine import Simulator
@@ -58,15 +58,3 @@ class ConvergenceMonitor:
 
     def as_dict(self) -> dict:
         return {"last_change": self.last_change, "changes": self.changes}
-
-
-def last_op_time(ops: Iterable[tuple]) -> float:
-    """The simulated time of the last scheduled workload op (0.0 for an
-    empty schedule); ops are ``(when, kind, ...)`` tuples as used by
-    :class:`repro.netsim.parallel.scenario.ScenarioSpec`."""
-    return max((op[0] for op in ops), default=0.0)
-
-
-def settle_seconds(quiesced_at: float, ops: Iterable[tuple]) -> float:
-    """Fleet settle time: last state change minus last scheduled op."""
-    return max(0.0, quiesced_at - last_op_time(ops))

@@ -1,23 +1,22 @@
 """Bounded ring buffer of recent activity, dumped on failure.
 
-A sharded run that dies — worker exception, coordinator timeout,
-SIGTERM from CI — loses its in-memory telemetry exactly when it is
-most needed. The :class:`FlightRecorder` keeps the last N events and
-spans per worker in a ``deque`` ring (O(1) per record, bounded memory)
-and writes them to a JSONL file only when something goes wrong, so the
-happy path pays almost nothing and the post-mortem gets the tail of
-history that led to the failure.
+A run that dies — an action raising deep in a long scenario — loses
+its in-memory history exactly when it is most needed. The
+:class:`FlightRecorder` keeps the last N events and spans in a
+``deque`` ring (O(1) per record, bounded memory) and writes them to a
+JSONL file only when the caller asks — typically from an ``except``
+around ``net.run`` — so the happy path pays almost nothing and the
+post-mortem gets the tail of history that led to the failure.
 
 Each JSONL line is one record; the first line is a header with the
-dump reason, shard, and counts, so a directory of
-``flight-<shard>.jsonl`` files from a dead fleet is self-describing.
+dump reason, the optional ``shard`` label, and counts, so a dump file
+is self-describing.
 """
 
 from __future__ import annotations
 
 import json
 import os
-import signal
 from collections import deque
 from typing import TYPE_CHECKING, Optional
 
@@ -31,7 +30,9 @@ DEFAULT_CAPACITY = 2048
 
 
 class FlightRecorder:
-    """Ring buffer of recent events/spans with JSONL dump-on-error."""
+    """Ring buffer of recent events/spans with JSONL dump-on-error.
+    ``shard`` is an optional label (e.g. a partition rank) copied into
+    the dump header."""
 
     def __init__(
         self,
@@ -98,21 +99,3 @@ class FlightRecorder:
                 handle.write(json.dumps(entry, default=str) + "\n")
         self.dumped_to = path
         return path
-
-    def install_signal_handlers(self, path: str) -> None:
-        """Dump on SIGTERM/SIGINT (CI timeouts, runner teardown), then
-        re-deliver the default disposition so the process still dies
-        with the conventional exit status."""
-
-        def handler(signum, frame):  # pragma: no cover - signal path
-            try:
-                self.dump(path, reason=f"signal:{signal.Signals(signum).name}")
-            finally:
-                signal.signal(signum, signal.SIG_DFL)
-                signal.raise_signal(signum)
-
-        for signum in (signal.SIGTERM, signal.SIGINT):
-            try:
-                signal.signal(signum, handler)
-            except ValueError:  # pragma: no cover - non-main thread
-                return

@@ -30,11 +30,12 @@ from typing import TYPE_CHECKING, Iterator, Optional
 
 from repro.netsim.trace import Counter
 from repro.obs.registry import WALL_BUCKETS, MetricsRegistry, Tally
-from repro.obs.tracing import Tracer, shard_id_base
+from repro.obs.tracing import Tracer
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.netsim.engine import Event, Simulator
     from repro.netsim.link import Link
+    from repro.netsim.parallel.sync import SyncStats
     from repro.netsim.topology import Topology
     from repro.obs.convergence import ConvergenceMonitor
 
@@ -53,20 +54,11 @@ def span(obs: Optional["Observability"], name: str, **attrs: object):
 
 
 class Observability:
-    """One registry + one tracer, shared by every instrumented layer.
+    """One registry + one tracer, shared by every instrumented layer."""
 
-    ``shard`` (a partition rank) namespaces the tracer's id counter via
-    :func:`~repro.obs.tracing.shard_id_base`, so span/trace ids minted
-    by different partition workers never collide and per-worker span
-    dumps stitch back into cross-shard trees when merged.
-    """
-
-    def __init__(self, shard: Optional[int] = None) -> None:
-        self.shard = shard
+    def __init__(self) -> None:
         self.registry = MetricsRegistry()
-        self.tracer = Tracer(
-            id_base=shard_id_base(shard) if shard is not None else 0
-        )
+        self.tracer = Tracer()
         #: Optional :class:`~repro.obs.convergence.ConvergenceMonitor`;
         #: instrumented protocol layers call :meth:`state_changed` on
         #: every durable state mutation and the monitor timestamps it.
@@ -238,137 +230,65 @@ def instrument_simulator(sim: "Simulator", registry: MetricsRegistry) -> None:
     registry.register_collector(collect)
 
 
+#: ``parallel_*`` counter families: (name, help, the SyncStats field
+#: each folds). Sync traffic exists only in sharded runs, so the
+#: equivalence checker splits these off by prefix.
+_SYNC_FAMILIES = (
+    ("parallel_null_messages_total",
+     "Null-message/LBTS announcements sent by a partition worker",
+     "null_messages"),
+    ("parallel_lbts_stalls_total",
+     "Sync rounds where a worker had a runnable event past the global "
+     "LBTS horizon and had to wait",
+     "lbts_stalls"),
+    ("parallel_proxy_packets_total",
+     "Packets exported across cut links", "proxy_packets_out"),
+    ("parallel_proxy_bytes_total",
+     "Serialized packet bytes exported across cut links", "proxy_bytes_out"),
+    ("parallel_proxy_import_packets_total",
+     "Packets imported across cut links", "proxy_packets_in"),
+    ("parallel_proxy_import_bytes_total",
+     "Serialized packet bytes imported across cut links (fleet totals "
+     "must balance the export counters)",
+     "proxy_bytes_in"),
+    ("parallel_sync_rounds_total",
+     "Conservative-sync rounds (grants served) by a partition worker",
+     "sync_rounds"),
+    ("parallel_sync_windows_total",
+     "Exclusive-horizon simulator windows drained by a partition worker "
+     "(> rounds under multi-window grants)",
+     "windows"),
+)
+
+
 class SyncMetrics:
-    """Per-partition conservative-sync counters for the parallel runner.
+    """Publishes one partition worker's :class:`SyncStats` — the only
+    tally — as the ``parallel_*`` counter families, folded in at
+    collect."""
 
-    All families share the ``parallel_`` prefix so equivalence
-    comparisons can exclude them wholesale: sync traffic exists only in
-    sharded runs and legitimately has no single-process counterpart.
-    """
+    __slots__ = ("stats", "_families", "_frames")
 
-    __slots__ = (
-        "partition",
-        "_null_messages",
-        "_lbts_stalls",
-        "_proxy_bytes",
-        "_proxy_packets",
-        "_import_bytes",
-        "_import_packets",
-        "_rounds",
-        "_windows",
-        "_frames",
-        "_phase_seconds",
-        "_events_per_sec",
-        "_null_ratio",
-    )
-
-    def __init__(self, registry: MetricsRegistry, partition: int) -> None:
-        self.partition = str(partition)
-        self._null_messages = registry.counter(
-            "parallel_null_messages_total",
-            "Null-message/LBTS announcements sent by a partition worker",
-            ("partition",),
-        )
-        self._lbts_stalls = registry.counter(
-            "parallel_lbts_stalls_total",
-            "Sync rounds where a worker had a runnable event past the "
-            "global LBTS horizon and had to wait",
-            ("partition",),
-        )
-        self._proxy_bytes = registry.counter(
-            "parallel_proxy_bytes_total",
-            "Serialized packet bytes exported across cut links",
-            ("partition",),
-        )
-        self._proxy_packets = registry.counter(
-            "parallel_proxy_packets_total",
-            "Packets exported across cut links",
-            ("partition",),
-        )
-        self._import_bytes = registry.counter(
-            "parallel_proxy_import_bytes_total",
-            "Serialized packet bytes imported across cut links (fleet "
-            "totals must balance the export counters)",
-            ("partition",),
-        )
-        self._import_packets = registry.counter(
-            "parallel_proxy_import_packets_total",
-            "Packets imported across cut links",
-            ("partition",),
-        )
-        self._rounds = registry.counter(
-            "parallel_sync_rounds_total",
-            "Conservative-sync rounds (grants served) by a partition worker",
-            ("partition",),
-        )
-        self._windows = registry.counter(
-            "parallel_sync_windows_total",
-            "Exclusive-horizon simulator windows drained by a partition "
-            "worker (> rounds under multi-window demand grants)",
-            ("partition",),
+    def __init__(self, registry: MetricsRegistry, stats: "SyncStats") -> None:
+        self.stats = stats
+        self._families = tuple(
+            (registry.counter(name, help, ("partition",)), attr)
+            for name, help, attr in _SYNC_FAMILIES
         )
         self._frames = registry.counter(
             "parallel_sync_frames_total",
-            "Protocol frames a partition worker exchanged with the "
+            "Protocol messages a partition worker exchanged with the "
             "coordinator, by direction",
             ("partition", "direction"),
         )
-        self._phase_seconds = registry.gauge(
-            "parallel_phase_seconds",
-            "Wall seconds a worker spent per phase "
-            "(dispatch/cascade/sync_wait/idle) — the repartitioning signal",
-            ("partition", "phase"),
-        )
-        self._events_per_sec = registry.gauge(
-            "parallel_events_per_second",
-            "Events dispatched per wall second by a partition worker",
-            ("partition",),
-        )
-        self._null_ratio = registry.gauge(
-            "parallel_null_message_ratio",
-            "Fraction of a worker's reports that were pure clock "
-            "announcements (no exports, no dispatched work)",
-            ("partition",),
-        )
+        registry.fold(self.tallies)
 
-    def null_message(self) -> None:
-        self._null_messages.labels(partition=self.partition).inc()
-
-    def lbts_stall(self) -> None:
-        self._lbts_stalls.labels(partition=self.partition).inc()
-
-    def proxy_export(self, size: int) -> None:
-        self._proxy_packets.labels(partition=self.partition).inc()
-        self._proxy_bytes.labels(partition=self.partition).inc(size)
-
-    def proxy_import(self, size: int) -> None:
-        self._import_packets.labels(partition=self.partition).inc()
-        self._import_bytes.labels(partition=self.partition).inc(size)
-
-    def sync_round(self, windows: int = 1) -> None:
-        self._rounds.labels(partition=self.partition).inc()
-        self._windows.labels(partition=self.partition).inc(windows)
-
-    def set_phases(self, stats: "SyncStats") -> None:  # noqa: F821
-        """Publish a worker's phase accounting as gauges, and flush the
-        frame counters accumulated in the sync stats (called when the
-        worker finalizes its telemetry)."""
-        for phase, seconds in stats.phase_seconds().items():
-            self._phase_seconds.labels(
-                partition=self.partition, phase=phase
-            ).set(seconds)
-        self._events_per_sec.labels(partition=self.partition).set(
-            stats.events_per_second()
-        )
-        self._null_ratio.labels(partition=self.partition).set(
-            stats.null_message_ratio
-        )
-        sent = self._frames.labels(partition=self.partition, direction="sent")
-        received = self._frames.labels(
-            partition=self.partition, direction="received"
-        )
-        sent.inc(stats.frames_sent - sent.value)
-        received.inc(stats.frames_received - received.value)
+    def tallies(self) -> Iterator[Tally]:
+        stats = self.stats
+        partition = str(stats.rank)
+        for family, attr in self._families:
+            yield family, (partition,), getattr(stats, attr)
+        yield self._frames, (partition, "sent"), stats.frames_sent
+        yield self._frames, (partition, "received"), stats.frames_received
 
 
 def attach_topology(topo: "Topology", obs: Observability) -> Observability:

@@ -121,27 +121,6 @@ class HistogramValue(_Child):
     def mean(self) -> float:
         return self.sum / self.count if self.count else 0.0
 
-    def merge(self, bucket_counts: Sequence[int], total: float, count: int,
-              samples: Sequence[float]) -> None:
-        """Fold another histogram's state into this one (same buckets).
-
-        Bucket counts, sum, and count add exactly, so the merged
-        cumulative buckets equal what one histogram observing both
-        sample streams would hold. Raw samples concatenate; percentiles
-        over the union are exact when neither side truncated its
-        samples (see :meth:`MetricsRegistry.dump`'s ``max_samples``).
-        """
-        if len(bucket_counts) != len(self.bucket_counts):
-            raise MetricError(
-                f"histogram merge: {len(bucket_counts)} buckets "
-                f"!= {len(self.bucket_counts)}"
-            )
-        for index, n in enumerate(bucket_counts):
-            self.bucket_counts[index] += n
-        self.sum += total
-        self.count += count
-        self.samples.extend(samples)
-
     def cumulative_buckets(self) -> list[tuple[float, int]]:
         """(upper_bound, cumulative_count) pairs, ending with +Inf."""
         out = []
@@ -189,8 +168,7 @@ class MetricFamily:
 
     def child(self, values: tuple[str, ...]) -> _Child:
         """The child for one label-*value* tuple (positional; created
-        lazily). The registry merge path uses this to address children
-        by the label values a dump carries."""
+        lazily). :meth:`MetricsRegistry.fold` addresses children so."""
         child = self._children.get(values)
         if child is None:
             if len(values) != len(self.labelnames):
@@ -358,87 +336,6 @@ class MetricsRegistry:
                 else:
                     out[key] = child.value
         return out
-
-    def dump(self, max_samples: Optional[int] = None) -> list[dict]:
-        """A picklable, transport-friendly record of every family.
-
-        This is the unit the parallel workers ship over the coordinator
-        pipe: plain dicts/lists/numbers only, self-describing enough for
-        :meth:`merge_dump` to rebuild the families on the other side.
-        Histogram children carry their bucket counts, sum, count, and
-        raw samples; ``max_samples`` caps the samples shipped per child
-        (evenly strided) to bound snapshot size — the child is then
-        marked ``truncated`` and merged percentiles become approximate
-        while count/sum/bucket invariants stay exact.
-        """
-        out: list[dict] = []
-        for family in self.collect():
-            children: list[tuple[tuple[str, ...], object]] = []
-            for values, child in family.children():
-                if isinstance(child, HistogramValue):
-                    samples = child.samples
-                    truncated = (
-                        max_samples is not None and len(samples) > max_samples
-                    )
-                    if truncated:
-                        stride = len(samples) / max_samples
-                        samples = [
-                            samples[int(i * stride)] for i in range(max_samples)
-                        ]
-                    children.append((values, {
-                        "bucket_counts": list(child.bucket_counts),
-                        "sum": child.sum,
-                        "count": child.count,
-                        "samples": list(samples),
-                        "truncated": truncated,
-                    }))
-                else:
-                    children.append((values, child.value))
-            out.append({
-                "name": family.name,
-                "kind": family.kind,
-                "help": family.help,
-                "labelnames": family.labelnames,
-                "buckets": family.buckets,
-                "children": children,
-            })
-        return out
-
-    def merge_dump(
-        self,
-        dump: Sequence[dict],
-        extra_labels: Optional[dict[str, object]] = None,
-    ) -> None:
-        """Fold a :meth:`dump` into this registry, additively.
-
-        ``extra_labels`` (e.g. ``{"shard": rank}``) are appended to each
-        family's label schema and every child's label values, which is
-        how the fleet aggregator keeps per-worker series distinct under
-        one merged registry. Merging is additive throughout: counters
-        and gauges add, histograms fold via :meth:`HistogramValue.merge`
-        — so colliding label sets (two dumps carrying the same series)
-        sum rather than clobber, matching what a Prometheus
-        ``sum by (...)`` over the fleet would report. Conflicting
-        redeclarations (same name, different kind or label schema)
-        raise :class:`MetricError`.
-        """
-        extra = dict(extra_labels or {})
-        extra_values = tuple(str(v) for v in extra.values())
-        for record in dump:
-            labelnames = tuple(record["labelnames"]) + tuple(extra)
-            family = self._declare(
-                record["name"], record["kind"], record["help"],
-                labelnames, record["buckets"],
-            )
-            for values, payload in record["children"]:
-                child = family.child(tuple(values) + extra_values)
-                if family.kind == "histogram":
-                    child.merge(
-                        payload["bucket_counts"], payload["sum"],
-                        payload["count"], payload["samples"],
-                    )
-                else:
-                    child.value += payload
 
     def snapshot(self) -> dict[str, dict]:
         """A plain-dict view of every family (tests, JSON export)."""

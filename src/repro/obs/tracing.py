@@ -28,7 +28,7 @@ from __future__ import annotations
 import itertools
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator, Optional, Union
+from typing import Callable, Iterator, Optional, Union
 
 
 @dataclass(frozen=True)
@@ -64,8 +64,7 @@ class Span:
         return None if self.end is None else self.end - self.start
 
     def to_record(self) -> dict:
-        """A picklable/JSON-able flat record (the JSONL span shape;
-        also what workers ship over the pipe for trace stitching)."""
+        """A JSON-able flat record (the JSONL span shape)."""
         return {
             "kind": "span",
             "trace_id": self.trace_id,
@@ -82,23 +81,6 @@ class Span:
             ],
         }
 
-    @classmethod
-    def from_record(cls, record: dict) -> "Span":
-        return cls(
-            trace_id=record["trace_id"],
-            span_id=record["span_id"],
-            parent_id=record.get("parent_id"),
-            name=record["name"],
-            node=record.get("node"),
-            start=record["start"],
-            end=record.get("end"),
-            attrs=dict(record.get("attrs", {})),
-            events=[
-                (e["time"], e["name"], dict(e.get("attrs", {})))
-                for e in record.get("events", ())
-            ],
-        )
-
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         where = f"@{self.node}" if self.node else ""
         return f"<Span {self.span_id} {self.name}{where} trace={self.trace_id}>"
@@ -107,49 +89,18 @@ class Span:
 ParentLike = Union[SpanContext, Span, None]
 
 
-#: Bit position of the shard namespace in span/trace ids: shard ``k``
-#: draws ids from ``(k + 1) << SHARD_ID_SHIFT``, so ids minted by
-#: different partition workers (and by an unsharded run, base 0) can
-#: never collide — the property cross-shard trace stitching relies on.
-SHARD_ID_SHIFT = 48
-
-
-def shard_id_base(shard: int) -> int:
-    """The id-counter base for one shard's tracer (see SHARD_ID_SHIFT)."""
-    return (int(shard) + 1) << SHARD_ID_SHIFT
-
-
-def id_shard(span_or_trace_id: int) -> Optional[int]:
-    """Which shard minted an id (None for an unsharded tracer's ids)."""
-    high = span_or_trace_id >> SHARD_ID_SHIFT
-    return high - 1 if high else None
-
-
 class Tracer:
     """Records spans against a pluggable clock (bound to ``sim.now``
-    when attached to a topology; see :mod:`repro.obs.hooks`).
+    when attached to a topology; see :mod:`repro.obs.hooks`)."""
 
-    ``id_base`` namespaces the deterministic id counter: a partition
-    worker passes :func:`shard_id_base` so span/trace ids are globally
-    unique across a sharded fleet, which lets span records from many
-    workers be merged (:meth:`absorb`) into one tracer whose parent
-    links — carried across the cut on the wire — stitch back into
-    cross-shard span trees.
-    """
-
-    def __init__(
-        self,
-        clock: Optional[Callable[[], float]] = None,
-        id_base: int = 0,
-    ) -> None:
+    def __init__(self, clock: Optional[Callable[[], float]] = None) -> None:
         self.clock: Callable[[], float] = clock if clock is not None else lambda: 0.0
         self.spans: list[Span] = []
         self._by_id: dict[int, Span] = {}
         self._by_trace: dict[int, list[Span]] = {}
         self._by_channel: dict[str, list[Span]] = {}
         self._stack: list[Span] = []
-        self.id_base = id_base
-        self._ids = itertools.count(id_base + 1)
+        self._ids = itertools.count(1)
 
     # ------------------------------------------------------------------
     # span lifecycle
@@ -234,57 +185,6 @@ class Tracer:
                 yield opened
             finally:
                 self.end(opened)
-
-    # ------------------------------------------------------------------
-    # merging (cross-shard trace stitching)
-    # ------------------------------------------------------------------
-
-    def absorb(self, records: Iterable[dict], shard: object = None) -> int:
-        """Register externally-produced span records (``Span.to_record``
-        shape) into this tracer's indexes. Used by the parallel runner
-        to merge per-worker span dumps: workers mint ids from disjoint
-        shard namespaces, and parent contexts carried across the cut
-        point at sender-shard span ids, so the absorbed set reconnects
-        into span trees that cross process boundaries.
-
-        ``shard`` (when given) is stamped into each span's attrs.
-        Returns the number of spans absorbed; spans whose id is already
-        present are skipped (re-absorbing a newer dump is idempotent
-        for ended spans and refreshes nothing else).
-        """
-        added = 0
-        for record in records:
-            span_id = record["span_id"]
-            if span_id in self._by_id:
-                continue
-            span = Span.from_record(record)
-            if shard is not None:
-                span.attrs.setdefault("shard", str(shard))
-            self.spans.append(span)
-            self._by_id[span_id] = span
-            self._by_trace.setdefault(span.trace_id, []).append(span)
-            channel = span.attrs.get("channel")
-            if channel is not None:
-                self._by_channel.setdefault(channel, []).append(span)
-            added += 1
-        if added:
-            key = lambda s: (s.start, s.span_id)
-            self.spans.sort(key=key)
-            for members in self._by_trace.values():
-                members.sort(key=key)
-            for members in self._by_channel.values():
-                members.sort(key=key)
-        return added
-
-    def cross_shard_traces(self) -> list[int]:
-        """Trace ids whose spans were minted by more than one shard
-        (by id namespace — see :func:`id_shard`), in first-seen order."""
-        out = []
-        for trace_id, members in self._by_trace.items():
-            shards = {id_shard(span.span_id) for span in members}
-            if len(shards) > 1:
-                out.append(trace_id)
-        return out
 
     # ------------------------------------------------------------------
     # queries

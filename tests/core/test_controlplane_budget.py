@@ -17,13 +17,13 @@ and two on ``n1``; real wire bytes between nodes (the only carriage),
 everything included (the engine's dispatch, the test's own
 scheduling lambdas):
 
-=====================================  ======  ==========  ======  ======  ======  ======
-stream                                 parent  acceptance  flat    FIB     now     record
-=====================================  ======  ==========  ======  ======  ======  ======
-(a) CountQuery round trips              61.33   ≤ 0.67 ×    32.86   31.80   29.07   26.09
-(b) keyless join/leave zaps             98.70   ≤ 0.75 ×    64.72   58.28   52.86   46.06
-(c) keyed joins, one bad key           102.58   ≤ 0.75 ×    70.01   64.71   58.26   49.82
-=====================================  ======  ==========  ======  ======  ======  ======
+=====================================  ======  ==========  ======  ======  ======  ======  ======
+stream                                 parent  acceptance  flat    FIB     now     record  run
+=====================================  ======  ==========  ======  ======  ======  ======  ======
+(a) CountQuery round trips              61.33   ≤ 0.67 ×    32.86   31.80   29.07   26.09   26.08
+(b) keyless join/leave zaps             98.70   ≤ 0.75 ×    64.72   58.28   52.86   46.06   46.05
+(c) keyed joins, one bad key           102.58   ≤ 0.75 ×    70.01   64.71   58.26   49.82   49.79
+=====================================  ======  ==========  ======  ======  ======  ======  ======
 
 "flat" is the flat control hop the acceptance ratios were set for;
 "FIB" adds the FIB keyed by the interned channel — a forwarding flip is
@@ -36,7 +36,9 @@ keys the key cache by the ``Channel`` where each key operation first
 looked the channel up in a process-wide table of dense ids. "record":
 records hold their own fields; no bank — a downstream record's count,
 flags and stamp are its own slots, where each read or write was a
-property call into the columns of a process-wide record bank.
+property call into the columns of a process-wide record bank. "run":
+``Simulator.run`` no longer opens the phase profiler's ``nullcontext``
+window (three calls per ``run``).
 
 (a) polls ``SUBSCRIBER_ID`` and an application countId that every
 subscriber host answers through a registered responder; (b) moves the
@@ -77,7 +79,7 @@ SLACK = 0.5
 #: Calls per wire packet by stream: at the parent of the flat control
 #: hop, and as measured now.
 PARENT = {"count": 61.33, "zap": 98.70, "keyed": 102.58}
-MEASURED = {"count": 26.09, "zap": 46.06, "keyed": 49.82}
+MEASURED = {"count": 26.08, "zap": 46.05, "keyed": 49.79}
 #: The ratios the flat control hop was accepted at.
 RATIO = {"count": 0.67, "zap": 0.75, "keyed": 0.75}
 

@@ -38,6 +38,9 @@ own scheduling lambda):
   handle:                                  9.63
 * ``Simulator.now`` a plain attribute
   where it was a property:                 9.53
+* ``run()`` without the phase profiler's
+  ``nullcontext`` window (three calls per
+  ``run``):                                9.52
 
 With an :class:`~repro.obs.Observability` attached, the same stream
 read 63.54 while every tx, rx and drop resolved two labelled children
@@ -62,7 +65,7 @@ from tests.callcount import python_calls
 ROUTERS = 4
 HOSTS = 6
 PACKETS = 50
-MEASURED = 9.53
+MEASURED = 9.52
 #: The same tree and stream with an :class:`Observability` attached.
 MEASURED_OBS = 14.34
 SLACK = 0.5

@@ -4,15 +4,14 @@
 from math import inf, isclose
 
 from repro.netsim.parallel.sync import (
-    RoundTrace,
     SyncStats,
     build_ladder,
-    compute_horizons,
     effective_next_times,
     grant_ceilings,
     merge_sync_stats,
     transitive_lookahead,
 )
+from tests.oracles.sync import compute_horizons
 
 
 class TestEffectiveNextTimes:
@@ -123,7 +122,7 @@ class TestGrantCeilings:
         next_eff = [3.0, 4.0]
         ceilings = grant_ceilings(next_eff, closure)
         assert ceilings == [4.25, 3.5]
-        # compute_horizons folds the diagonal in, so it can only be
+        # The lockstep horizon folds the diagonal in, so it can only be
         # tighter than the ceiling.
         horizons = compute_horizons(next_eff, closure)
         assert all(h <= c for h, c in zip(horizons, ceilings))
@@ -149,19 +148,3 @@ class TestBuildLadder:
         ladder = build_ladder([1.0, 1.0, 1.2], 0.5, 9.0)
         assert ladder == [1.5, 1.7, 9.0]
         assert ladder == sorted(set(ladder))
-
-
-class TestRoundTrace:
-    def test_as_dict_scrubs_inf(self):
-        trace = RoundTrace(
-            round_index=3, next_eff=[1.0, inf], horizons=[inf, 2.0],
-            ladders={0: [1.5, inf]}, frames=4, mode="demand",
-        )
-        d = trace.as_dict()
-        assert d["next_eff"] == [1.0, None]
-        assert d["horizons"] == [None, 2.0]
-        assert d["ladders"]["0"] == [1.5, None]
-        assert d["mode"] == "demand" and d["frames"] == 4
-        import json
-
-        json.dumps(d)  # strictly JSON-serializable

@@ -5,7 +5,6 @@ import pytest
 from repro.errors import SimulationError
 from repro.netsim.engine import (
     PeriodicTask,
-    PhaseProfiler,
     Simulator,
     call_repeatedly,
 )
@@ -334,44 +333,6 @@ class TestDispatchListeners:
         sim.schedule(1.0, lambda: None)
         sim.run()
         assert len(seen) == 1
-
-
-class TestPhaseProfiler:
-    def test_profiler_listens_only_inside_its_windows(self):
-        # The profiler is a dispatch listener for the length of each
-        # run(); left installed it would keep timing — and keep bulk
-        # slots from batching — in runs it was detached from.
-        sim = Simulator(wheel_granularity=0.05)
-        seen = []
-        sim.add_dispatch_listener(lambda s, event, wall: seen.append(event.name))
-        sim.profiler = profiler = PhaseProfiler()
-        sim.schedule_at(0.1, lambda: None, name="a")
-        sim.schedule_at(0.2, lambda: None, name="b")
-        assert sim.run(until=0.15) == 1
-        assert len(sim._dispatch_listeners) == 1
-        assert sim.run(until=0.3) == 1
-        assert seen == ["a", "b"]
-        assert (profiler.events, profiler.windows) == (2, 2)
-        assert profiler.dispatch_seconds > 0.0 and profiler.advance_seconds >= 0.0
-        sim.profiler = None
-        sim.schedule_at(0.4, lambda: None, name="c")
-        sim.run()
-        assert seen == ["a", "b", "c"]
-        assert (profiler.events, profiler.windows) == (2, 2)
-
-    def test_window_closes_when_an_action_raises(self):
-        sim = Simulator()
-        sim.profiler = profiler = PhaseProfiler()
-
-        def boom():
-            raise RuntimeError("boom")
-
-        sim.schedule_at(0.1, boom)
-        with pytest.raises(RuntimeError):
-            sim.run()
-        assert sim._dispatch_listeners == []
-        assert profiler.windows == 1
-        sim.run()  # not left marked as running either
 
 
 class TestPeriodicJitterBounds:

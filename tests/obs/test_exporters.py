@@ -2,6 +2,7 @@
 
 import io
 import json
+import threading
 
 from repro.obs.exporters import (
     events_to_jsonl,
@@ -105,3 +106,45 @@ class TestJsonl:
     def test_empty_dumps(self):
         assert spans_to_jsonl(Tracer()) == ""
         assert metrics_to_jsonl(MetricsRegistry()) == ""
+
+
+class TestExporterRobustness:
+    def test_exporters_survive_concurrent_mutation(self):
+        """A thread hammers new label sets and observations while the
+        exporters render — no exceptions, valid output every time.
+        (The GIL makes each dict op atomic; the exporters' snapshot
+        semantics must cope with children appearing mid-render.)"""
+        registry = MetricsRegistry()
+        family = registry.counter("spin_total", "spins", labelnames=("k",))
+        hist = registry.histogram("spin_seconds", "lat", labelnames=("k",))
+        stop = threading.Event()
+        failures: list[BaseException] = []
+
+        def mutate():
+            i = 0
+            while not stop.is_set():
+                family.labels(k=str(i % 257)).inc()
+                hist.labels(k=str(i % 131)).observe(i * 1e-6)
+                i += 1
+
+        def export():
+            try:
+                for _ in range(50):
+                    text = prometheus_text(registry)
+                    assert "spin_total" in text
+                    metrics_to_jsonl(registry)
+            except BaseException as exc:  # pragma: no cover - failure path
+                failures.append(exc)
+
+        mutator = threading.Thread(target=mutate, daemon=True)
+        mutator.start()
+        try:
+            exporters = [threading.Thread(target=export) for _ in range(3)]
+            for t in exporters:
+                t.start()
+            for t in exporters:
+                t.join()
+        finally:
+            stop.set()
+            mutator.join(timeout=5)
+        assert not failures

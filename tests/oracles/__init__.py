@@ -27,5 +27,8 @@ time:
   time (specification of ``repro.netsim.engine.Simulator``: the slot
   calendar, lazy bulk tuples and batch dispatch); driven directly for
   raw traces and patched in where ``Topology`` builds its simulator
-  for whole-network runs.
+  for whole-network runs,
+* :mod:`tests.oracles.sync` — lockstep horizons with the self-echo
+  term folded in (the bound ``repro.netsim.parallel.sync``'s grant
+  ceilings may never undercut).
 """

@@ -7,9 +7,9 @@ a heap as ``(time, seq, event)`` — ``seq`` counts calls, so the tuple
 order *is* the dispatch order — and ``run`` pops them one by one.
 ``schedule_bulk`` is the sequential ``schedule_at`` loop its contract
 names; there are no slots, no lazy tuples, no batch dispatch, no
-compaction (a cancelled entry is dropped when it reaches the top) and
-no profiler. This was the shipped scheduler until the slot calendar
-had no regime left to lose to it.
+compaction (a cancelled entry is dropped when it reaches the top).
+This was the shipped scheduler until the slot calendar had no regime
+left to lose to it.
 
 ``tests/properties/test_scheduler_equivalence.py`` drives both with the
 same schedules and compares dispatch order, clock, counters and what
@@ -53,8 +53,6 @@ class Simulator:
         self._running = False
         self.events_processed = 0
         self._dispatch_listeners: list[Callable] = []
-        #: Accepted and ignored: wall-clock phases are not behaviour.
-        self.profiler = None
 
     @property
     def now(self) -> float:

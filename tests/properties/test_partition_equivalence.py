@@ -9,18 +9,16 @@ subscription status and per-host delivery counts, aggregated-block
 membership and deliveries, total dispatched event counts, and (when
 observability is on) every counter and histogram family outside the
 sync-only / wall-clock exclusion set. Workers run on the shipped event
-core (``wheel``) and, in-process, on the oracle itself (``heap``): a
+core (``wheel``) and on the oracle itself (``heap``): a
 divergence on both is a parallel-subsystem bug, on the shipped core
 alone an event-core one (exclusive windows, ``peek_times``,
 reinjection at a window edge).
 
-Five axes are swept:
+Three axes are swept:
 
-* partition count N ∈ {1, 2, 4} (1 degenerates to a proxy-free run);
+* partition count N ∈ {1, 2, 4} (1 degenerates to a proxy-free run),
+  with observability attached, so every counter is compared too;
 * worker event core oracle vs. shipped (the reference stays oracle);
-* sync mode demand (multi-window horizon ladders) vs. eager (lockstep
-  null messages every round) — settlement must be bit-identical;
-* transport inline vs. pipe vs. shm ring — frame counts included;
 * randomized workloads over hosts, blocks, and channels, seeded
   ``random.Random`` per the property-suite idiom.
 """
@@ -48,84 +46,23 @@ def oracle_with_obs():
 def test_n_partitions_match_heap_oracle(n, oracle_with_obs):
     """Inline workers on the oracle core: the partition logic alone."""
     with event_core("heap"):
-        result = ParallelRunner(
-            make_small_spec(), n, mode="inline", with_obs=True
-        ).run()
+        result = ParallelRunner(make_small_spec(), n, with_obs=True).run()
     assert result.plan.n == n
     assert_equivalent(result.merged, oracle_with_obs)
 
 
-@pytest.mark.parametrize("n", [2, 4])
+@pytest.mark.parametrize("n", [1, 2, 4])
 def test_wheel_workers_match_heap_oracle(n, oracle_with_obs):
-    result = ParallelRunner(
-        make_small_spec(), n, mode="inline", with_obs=True
-    ).run()
-    assert_equivalent(result.merged, oracle_with_obs)
-
-
-def test_mp_transport_matches_oracle(oracle_with_obs):
-    result = ParallelRunner(
-        make_small_spec(), 2, mode="mp", with_obs=True
-    ).run()
+    result = ParallelRunner(make_small_spec(), n, with_obs=True).run()
     assert_equivalent(result.merged, oracle_with_obs)
 
 
 def test_sharded_run_is_deterministic():
-    a = ParallelRunner(make_small_spec(), 2, mode="inline").run()
-    b = ParallelRunner(make_small_spec(), 2, mode="inline").run()
+    a = ParallelRunner(make_small_spec(), 2).run()
+    b = ParallelRunner(make_small_spec(), 2).run()
     assert a.merged == b.merged
     assert a.rounds == b.rounds
     assert [s.as_dict() for s in a.sync] == [s.as_dict() for s in b.sync]
-
-
-@pytest.mark.parametrize("scheduler", ["heap", "wheel"])
-@pytest.mark.parametrize("n", [1, 2, 4])
-def test_demand_sync_matches_eager_baseline(n, scheduler, oracle_with_obs):
-    """The demand-driven multi-window protocol must settle into the
-    exact state the eager lockstep baseline (and the oracle) produces —
-    same tables, same deliveries, same event counts — for every
-    partition count and worker event core."""
-    with event_core(scheduler):
-        demand = ParallelRunner(
-            make_small_spec(), n, mode="inline", with_obs=True,
-            sync_mode="demand",
-        ).run()
-        eager = ParallelRunner(
-            make_small_spec(), n, mode="inline", with_obs=True,
-            sync_mode="eager",
-        ).run()
-    assert_equivalent(demand.merged, oracle_with_obs)
-    assert_equivalent(eager.merged, oracle_with_obs)
-    # Settled state must be bit-identical across sync modes. (The
-    # sharded-only ``parallel_*`` counters legitimately differ — fewer
-    # rounds and null messages is the point — so compare through the
-    # equivalence checker, which splits them out and checks proxy
-    # conservation instead.)
-    for key in ("channel_tables", "subscriptions", "blocks", "events"):
-        assert demand.merged[key] == eager.merged[key]
-    assert_equivalent(demand.merged, eager.merged)
-
-
-@pytest.mark.parametrize("transport", ["pipe", "shm"])
-@pytest.mark.parametrize("sync_mode", ["demand", "eager"])
-def test_transports_are_frame_identical(sync_mode, transport):
-    """Pipe and shm runs must not only settle identically to inline —
-    the whole protocol transcript (rounds, windows, null messages,
-    frame counts per worker) must match, because inline routes through
-    the same encoded frames."""
-    inline = ParallelRunner(
-        make_small_spec(), 2, mode="inline", sync_mode=sync_mode
-    ).run()
-    mp = ParallelRunner(
-        make_small_spec(), 2, mode="mp", sync_mode=sync_mode,
-        transport=transport,
-    ).run()
-    assert mp.transport == transport
-    assert mp.merged == inline.merged
-    assert mp.rounds == inline.rounds
-    assert [s.as_dict() for s in mp.sync] == [
-        s.as_dict() for s in inline.sync
-    ]
 
 
 def random_spec(seed: int) -> ScenarioSpec:
@@ -177,5 +114,5 @@ def test_random_workloads_match_oracle(case):
     with event_core("heap"):
         oracle = run_single(spec)
     for n in (2, 4):
-        result = ParallelRunner(spec, n, mode="inline").run()
+        result = ParallelRunner(spec, n).run()
         assert_equivalent(result.merged, oracle)

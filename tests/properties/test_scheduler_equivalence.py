@@ -36,7 +36,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro import ExpressNetwork, TopologyBuilder
-from repro.netsim.engine import PhaseProfiler, Simulator
+from repro.netsim.engine import Simulator
 from tests.oracles import scheduler as oracle
 from tests.oracles.scheduler import event_core
 
@@ -457,7 +457,7 @@ strangers = st.lists(
     ),
     max_size=25,
 )
-run_modes = st.sampled_from(("plain", "plain", "plain", "listener", "profiled"))
+run_modes = st.sampled_from(("plain", "plain", "plain", "listener"))
 run_segments = st.lists(
     st.one_of(
         # (until as a grid point: inside a slot, inclusive, max_events, mode)
@@ -603,8 +603,6 @@ def drive_storm_scenario(scheduler: str, scenario: dict):
     for until, inclusive, max_events, mode in scenario["segments"]:
         if mode == "listener":
             sim.add_dispatch_listener(listener)
-        elif mode == "profiled":
-            sim.profiler = PhaseProfiler()
         bound = None if until is None else at(until)
         if bound is not None and bound < sim.now:
             bound = sim.now
@@ -613,7 +611,6 @@ def drive_storm_scenario(scheduler: str, scenario: dict):
         ran = sim.run(until=bound, max_events=max_events, inclusive=inclusive)
         if mode == "listener":
             sim.remove_dispatch_listener(listener)
-        sim.profiler = None
         trace.append(
             ("mark", ran, sim.now, sim.events_processed, sim.pending(),
              sim.peek_time(), tuple(sim.peek_times(5)))

@@ -10,15 +10,27 @@ channel up and removes and reinstalls it, and weighs the FIB it built;
 ``StateBank.alloc`` and the FIB's ``lookup`` / ``install`` / ``remove``
 by class attribute. Records hold their own fields, so ``StateBank`` is
 an inert stand-in that keeps those two reads working: no live rows, and
-an ``alloc`` that nothing calls.
+an ``alloc`` that nothing calls. ``probe_parallel`` runs an in-process
+sharded scenario with ``mode="inline"`` (the only mode left) and reads
+its sync totals, pushes 4 KiB frames through a ``RingBuffer`` over a
+process-local buffer, and round-trips packets carrying ECMP message
+objects through the cross-partition codec.
 """
 
 import gc
 import tracemalloc
 
+import pytest
+
 from repro.core.channel import Channel
+from repro.core.ecmp.messages import Count, CountQuery, EcmpBatch
 from repro.core.ecmp.state import STATE_BANK, ChannelState, DownstreamRecord, StateBank
+from repro.errors import SimulationError
 from repro.inet.addr import parse_address
+from repro.netsim.packet import Packet
+from repro.netsim.parallel import ParallelRunner, ScenarioSpec
+from repro.netsim.parallel.codec import decode_packet, encode_packet
+from repro.netsim.parallel.transport import RingBuffer
 from repro.routing import MulticastFib
 from tests.test_global_state_census import seeded_run
 
@@ -95,3 +107,58 @@ def test_no_run_allocates_a_bank_row(monkeypatch):
     seeded_run()
     assert calls == []
     assert STATE_BANK.live_rows == 0
+
+
+class _LocalSegment:
+    """What the probe hands ``RingBuffer``: an object with a ``.buf``."""
+
+    def __init__(self, size: int) -> None:
+        self.buf = memoryview(bytearray(size))
+
+
+def test_probe_parallel_shapes():
+    edges = tuple(sorted(f"e{t}_{s}" for t in range(2) for s in range(3)))
+    spec = ScenarioSpec(
+        topology="isp",
+        topology_kwargs={
+            "n_transit": 4, "stubs_per_transit": 3, "hosts_per_stub": 1,
+            "core_delay": 0.04,
+        },
+        source="h0_0_0",
+        blocks=edges,
+        opgen=("block_storm", {
+            "n_subs": 200, "n_blocks": len(edges),
+            "packets": 4, "join_window": 0.1, "leave_window": 0.1,
+            "packet_spacing": 0.15, "burst": 2, "seed": 0,
+        }),
+        duration=1.5,
+        seed=0,
+    )
+    result = ParallelRunner(spec, 2, scheduler="wheel", mode="inline").run()
+    sync = result.sync_totals()
+    assert sync["sync_rounds"] > 0
+    assert 0 <= sync["null_messages"] <= sync["sync_rounds"]
+    assert result.message_totals()["sync_messages_per_event"] > 0
+    with pytest.raises(SimulationError, match="ROADMAP item 3"):
+        ParallelRunner(spec, 2, scheduler="wheel", mode="mp")
+
+    capacity = 10_000
+    ring = RingBuffer(_LocalSegment(capacity + 4096), capacity)
+    payload = bytes(range(256)) * 16
+    for _ in range(5):  # 5 x 4100 bytes: the third frame wraps
+        ring.send_frame(payload)
+        assert ring.recv_frame() == payload
+
+    channel = Channel.of(SOURCE, 9)
+    for message in (
+        Count(channel=channel, count_id=1, count=7),
+        EcmpBatch(messages=(
+            Count(channel=channel, count_id=1, count=3),
+            CountQuery(channel=channel, count_id=2, timeout=1.5),
+        )),
+    ):
+        packet = Packet(src=1, dst=2, proto="ecmp", size=60)
+        packet.headers["ecmp"] = message
+        packet.headers["reliable"] = True
+        out = decode_packet(encode_packet(packet))
+        assert out.headers == {"ecmp": message, "reliable": True}

@@ -2,9 +2,9 @@
 
 Every switch doubles the configurations the suites and the benchmark
 would have to cover, and ``benchmarks/e2e`` refuses to run with any of
-them set, so the set is pinned exactly: a new switch — or one of the six
-deleted ones coming back — fails here until this list is changed on
-purpose.
+them set, so the set is pinned exactly — and it is empty: all seven
+switches ``src/`` once read are deleted, so a switch coming back fails
+here until this pin is changed on purpose.
 """
 
 import re
@@ -12,7 +12,7 @@ from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
-SWITCHES = {"REPRO_TRANSPORT"}
+SWITCHES: set[str] = set()
 
 
 def test_src_reads_exactly_the_pinned_switches():
