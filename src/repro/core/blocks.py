@@ -22,7 +22,20 @@ objects with N sets of timers and N delivery events.
   ``UDP_ROBUSTNESS × UDP_QUERY_INTERVAL`` expiry horizon.
 * **Final-hop delivery** is accounted arithmetically — the forwarder
   adds ``members`` to the delivery counters per packet instead of
-  fanning out N link events (see ``ExpressForwarder._deliver_local``).
+  fanning out N link events (see ``ExpressForwarder._deliver_local``),
+  through a per-channel :class:`DeliveryView` whose tallies are
+  *flushed* into the blocks' counters in bulk.
+
+A block's member count on a channel has one writer,
+:meth:`SubscriberBlock.set_count`: join, leave, the batch fold
+(:meth:`BlockChannelGroup.run_batch`), the agent's UDP expiry and its
+crash all go through it. It flushes the channel's delivery view before
+the write — the pending tallies were counted under the old members —
+and marks that view stale after it; the forwarder rebuilds a stale
+view from ``agent.blocks`` and ``block.members`` on the next packet.
+Every other flush is a read: the block counter properties, and the
+forwarder's registry fold at every ``collect()``/snapshot/export
+(:func:`flush_agent_views`), so counters are never stale when read.
 
 Blocks are for *open* channels: a keyed (authenticated) subscription
 needs a per-receiver key check, which is exactly the state this
@@ -35,7 +48,6 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Optional
 
-from repro.core.accounting import flush_agent_views
 from repro.core.channel import Channel
 from repro.core.ecmp.protocol import CountPropagation
 from repro.core.ecmp.state import BLOCK_PREFIX
@@ -85,7 +97,7 @@ class SubscriberBlock:
         self.udp = udp
         self.members: dict[Channel, int] = {}
         #: Delivery counters, added to by the forwarder's delivery
-        #: views (``repro.core.accounting``); read them through the
+        #: views (:class:`DeliveryView`); read them through the
         #: properties below, which flush pending tallies first.
         self._packets_seen = 0
         self._deliveries = 0
@@ -98,7 +110,7 @@ class SubscriberBlock:
     def edge_router(self) -> str:
         return self.agent.node.name
 
-    # -- delivery counters (deferred; see repro.core.accounting) -----------
+    # -- delivery counters (deferred; see DeliveryView) ---------------------
 
     @property
     def packets_seen(self) -> int:
@@ -126,8 +138,7 @@ class SubscriberBlock:
         if n <= 0:
             raise ChannelError(f"block join needs n >= 1, got {n}")
         new = self.members.get(channel, 0) + n
-        self.agent.members_changing(channel)
-        self.members[channel] = new
+        self.set_count(channel, new)
         self.agent.block_adjust(channel, self, new)
         return new
 
@@ -139,15 +150,28 @@ class SubscriberBlock:
             raise ChannelError(f"block leave needs n >= 1, got {n}")
         current = self.members.get(channel, 0)
         new = current - n
-        self.agent.members_changing(channel)
-        if new <= 0:
+        if new < 0:
             new = 0
-            self.members.pop(channel, None)
-        else:
-            self.members[channel] = new
+        self.set_count(channel, new)
         if new != current:
             self.agent.block_adjust(channel, self, new)
         return new
+
+    def set_count(self, channel: Channel, count: int) -> None:
+        """The one write of ``members[channel]`` (zero removes the
+        channel). The agent's records are the caller's business; this
+        keeps the channel's delivery view honest: its pending tallies
+        were counted under the old members, so they land first, and the
+        view is marked stale for the forwarder to rebuild."""
+        view = self.agent._delivery_views.get(channel)
+        if view is not None and view.pending_packets:
+            view.flush()
+        if count > 0:
+            self.members[channel] = count
+        else:
+            self.members.pop(channel, None)
+        if view is not None:
+            view.stale = True
 
     def join_op(self, channel: Channel) -> "BlockOp":
         """A cached, bound ``join(channel, 1)`` callable for bulk
@@ -312,12 +336,114 @@ class BlockChannelGroup:
         self._record = None
         block = self.block
         agent = block.agent
-        channel = self.channel
-        agent.members_changing(channel)
         new = record.count + delta_sum
-        block.members[channel] = new
+        block.set_count(self.channel, new)
         record.count = new
         record.updated_at = t_last
         agent.block_fast_updates += n_ops
         if agent.obs is not None:
             agent.obs.state_changed(n_ops)
+
+
+class DeliveryView:
+    """The forwarder's frozen per-(agent, channel) view of block
+    membership, for arithmetic final-hop delivery.
+
+    Per packet the forwarder does two integer adds
+    (``pending_packets``/``pending_bytes``); :meth:`flush` applies the
+    pending tallies to every member block's counters. The equivalence
+    argument: membership is frozen between flushes (the one writer,
+    :meth:`SubscriberBlock.set_count`, flushes first), so per-packet and
+    batched application compute identical sums.
+    """
+
+    __slots__ = (
+        "agent",
+        "channel",
+        "stats",
+        "hist_family",
+        "hist",
+        "stale",
+        "blocks",
+        "members",
+        "members_sum",
+        "pending_packets",
+        "pending_bytes",
+    )
+
+    def __init__(
+        self, agent: "EcmpAgent", channel: Channel, stats, hist_family=None
+    ) -> None:
+        self.agent = agent
+        self.channel = channel
+        #: The forwarder's stats ``Counter`` — flush targets, same keys
+        #: the per-packet path used to increment.
+        self.stats = stats
+        #: Delivery-latency histogram (obs mode only): latency is a
+        #: per-packet distribution, so it is observed at delivery time,
+        #: not deferred — through the channel's child, resolved once the
+        #: view first has members.
+        self.hist_family = hist_family
+        self.hist = None
+        self.stale = True
+        self.blocks: list = []
+        self.members: list = []
+        self.members_sum = 0
+        self.pending_packets = 0
+        self.pending_bytes = 0
+
+    def refresh(self) -> None:
+        """Rebuild the frozen member vectors from current membership
+        (call only with no pending tallies)."""
+        channel = self.channel
+        self.blocks = [
+            block for block in self.agent.blocks.values() if channel in block.members
+        ]
+        self.members = [block.members[channel] for block in self.blocks]
+        self.members_sum = sum(self.members)
+        self.stale = False
+        if self.members_sum and self.hist is None and self.hist_family is not None:
+            self.hist = self.hist_family.labels(
+                protocol="express", node=self.agent.node.name, channel=str(channel)
+            )
+
+    def flush(self) -> None:
+        """Apply pending per-packet tallies to the member blocks'
+        counters and the stats bag; no-op with nothing pending."""
+        packets = self.pending_packets
+        if not packets:
+            return
+        nbytes = self.pending_bytes
+        self.pending_packets = 0
+        self.pending_bytes = 0
+        for block, m in zip(self.blocks, self.members):
+            block._packets_seen += packets
+            block._deliveries += m * packets
+            block._bytes_delivered += m * nbytes
+        if self.members_sum:
+            stats = self.stats
+            stats.incr("block_deliveries", self.members_sum * packets)
+            stats.incr("block_packets", packets)
+
+
+def delivery_view(
+    agent: "EcmpAgent", channel: Channel, stats, hist_family=None
+) -> DeliveryView:
+    """``agent``'s current delivery view of ``channel``: built on a
+    miss, rebuilt when stale. The forwarder calls this only then; on
+    every other packet it reads the view straight from
+    ``agent._delivery_views``."""
+    views = agent._delivery_views
+    view = views.get(channel)
+    if view is None:
+        view = views[channel] = DeliveryView(agent, channel, stats, hist_family)
+    view.refresh()
+    return view
+
+
+def flush_agent_views(agent: "EcmpAgent") -> None:
+    """Flush every pending delivery view of ``agent`` (cheap when
+    nothing is pending — one attribute check per channel view)."""
+    for view in agent._delivery_views.values():
+        if view.pending_packets:
+            view.flush()

@@ -52,7 +52,6 @@ from typing import TYPE_CHECKING, Callable, Optional
 # countids / messages / state, so when an importer asks for it before
 # this package it is still initialising by the time this line runs.
 from repro.core import counting as counting_machine
-from repro.core.accounting import flush_agent_views
 from repro.core.channel import Channel, intern_channel
 from repro.core.ecmp.countids import ALL_CHANNELS_ID, NEIGHBORS_ID, SUBSCRIBER_ID
 from repro.core.ecmp.liveness import DISCOVERY_CHANNEL, Liveness
@@ -224,7 +223,6 @@ class EcmpAgent(ProtocolAgent):
         propagation: CountPropagation = CountPropagation.TREE_ONLY,
         default_mode: NeighborMode = NeighborMode.TCP,
         proactive_curve: Optional[ToleranceCurve] = None,
-        batching: bool = True,
         obs=None,
     ) -> None:
         super().__init__(node)
@@ -249,18 +247,11 @@ class EcmpAgent(ProtocolAgent):
         #: id is not reused while a duplicate of its verdict may be about).
         self._next_request_id = 1
         #: Aggregated subscriber blocks attached at this (edge) router,
-        #: keyed by pseudo-neighbor name (see repro.core.blocks), plus a
-        #: per-channel list view for the forwarder's arithmetic
-        #: final-hop delivery.
+        #: keyed by pseudo-neighbor name (see repro.core.blocks).
         self.blocks: dict[str, "SubscriberBlock"] = {}
-        self.channel_blocks: dict[Channel, list] = {}
-        #: Bumped before every block-membership mutation (join/leave/
-        #: batch); the forwarder's vectorized delivery views compare it
-        #: to decide whether their frozen member vectors are stale.
-        self.blocks_version = 0
-        #: Per-channel :class:`repro.core.accounting.DeliveryView`
-        #: registered by the forwarder so membership mutations can flush
-        #: pending delivery tallies accumulated under the old counts.
+        #: Per-channel :class:`repro.core.blocks.DeliveryView` for the
+        #: forwarder's arithmetic final-hop delivery; written only by
+        #: ``repro.core.blocks``.
         self._delivery_views: dict[Channel, object] = {}
         self.obs = obs
         self.stats = Counter()
@@ -282,7 +273,7 @@ class EcmpAgent(ProtocolAgent):
         #: local link flap so routing can recompute and trees re-home.
         self.topology_change_hook: Optional[Callable[[], None]] = None
         #: The three machines beside this one (see the module docstring).
-        self.sessions = NeighborSessions(self, self._transmit, default_mode, batching)
+        self.sessions = NeighborSessions(self, self._transmit, default_mode)
         self.counting = counting_machine.Counting(
             self, self._send_count_upstream, proactive_curve or ToleranceCurve()
         )
@@ -370,11 +361,10 @@ class EcmpAgent(ProtocolAgent):
         self.pending_verdicts.clear()
         self.counting.reset()
         self.liveness.reset()
+        for block in self.blocks.values():
+            for channel in list(block.members):
+                block.set_count(channel, 0)
         self.blocks.clear()
-        self.channel_blocks.clear()
-        self.blocks_version += 1
-        flush_agent_views(self)
-        self._delivery_views.clear()
         self._by_upstream.clear()
         self.keys = KeyCache()
         self._rehome_scheduled = False
@@ -547,8 +537,6 @@ class EcmpAgent(ProtocolAgent):
             elif state.lone_name == block.pseudo:
                 record = state.lone_record
         if record is not None and 0 < count and 0 < record.count:
-            # Same-sign change: neither channel_blocks transition below
-            # can apply, so the membership index is untouched.
             if count == record.count:
                 return
             if self.propagation is CountPropagation.TREE_ONLY:
@@ -563,32 +551,8 @@ class EcmpAgent(ProtocolAgent):
                 return
             self._apply_subscriber_count(channel, block.pseudo, count)
             return
-        previous = record.count if record is not None else 0
-        if count == previous:
-            return
-        if previous == 0 and count > 0:
-            self.channel_blocks.setdefault(channel, []).append(block)
-        elif count == 0 and previous > 0:
-            entries = self.channel_blocks.get(channel)
-            if entries is not None and block in entries:
-                entries.remove(block)
-                if not entries:
-                    del self.channel_blocks[channel]
-        self._apply_subscriber_count(channel, block.pseudo, count)
-
-    def members_changing(self, channel: Channel) -> None:
-        """Pre-mutation hook for block membership on ``channel``: flush
-        any delivery view's pending tallies (they were accumulated under
-        the *old* member counts, so they must be applied before those
-        counts move) and invalidate the frozen member vectors."""
-        self.blocks_version += 1
-        view = self._delivery_views.get(channel)
-        if view is not None:
-            view.flush()
-
-    def block_members(self, channel: Channel) -> int:
-        """Total aggregated members across blocks for one channel."""
-        return sum(b.members.get(channel, 0) for b in self.channel_blocks.get(channel, ()))
+        if count != (record.count if record is not None else 0):
+            self._apply_subscriber_count(channel, block.pseudo, count)
 
     # -- convenience inspection -------------------------------------------------
 
@@ -725,7 +689,7 @@ class EcmpAgent(ProtocolAgent):
         its defaults).
 
         Logical per-message accounting (``msgs_tx``, ``bytes_tx``,
-        ``ecmp_messages_total``) happens here regardless of batching;
+        ``ecmp_messages_total``) happens here, queued or not;
         wire-level accounting happens in :meth:`_transmit` when a packet
         actually leaves.
 
@@ -1455,18 +1419,13 @@ class EcmpAgent(ProtocolAgent):
 
     def _record_expired(self, channel: Channel, name: str) -> None:
         """A UDP-mode record outlived its lease: it leaves as if its
-        neighbor had sent a zero Count — and an expired block's own view
-        and the delivery index are kept consistent with that."""
+        neighbor had sent a zero Count — and an expired block's members
+        leave with it, so they are credited with no more deliveries."""
         self.stats["udp_expirations"] += 1
         self._apply_subscriber_count(channel, name, 0)
         block = self.blocks.get(name)
         if block is not None:
-            block.members.pop(channel, None)
-            entries = self.channel_blocks.get(channel)
-            if entries is not None and block in entries:
-                entries.remove(block)
-                if not entries:
-                    del self.channel_blocks[channel]
+            block.set_count(channel, 0)
 
     def _neighbor_failed(self, name: str) -> None:
         """TCP-connection failure: "The associated count is subtracted
@@ -1486,8 +1445,9 @@ class EcmpAgent(ProtocolAgent):
         """On (re)connection, re-announce every channel we route through
         this neighbor (§3.2: unsolicited Counts on establishment).
 
-        With batching on, the whole unsolicited state dump leaves as a
-        single MSG_BATCH frame instead of N packets, and at once.
+        Toward a TCP-mode neighbor the whole unsolicited state dump
+        leaves as a single MSG_BATCH frame instead of N packets, and at
+        once.
 
         The re-announced bytes are tallied as ``resync_bytes`` /
         ``resync_counts`` — the soft-state-recovery cost HPIM-DM uses

@@ -136,14 +136,14 @@ class NeighborSessions:
     ``transmit(message, neighbor, contexts, size=None)`` puts one wire
     packet (a message or an :class:`EcmpBatch`, one span context per
     record) on the link. ``default_mode`` is assumed for neighbors
-    without a :meth:`set_mode` call. With ``batching`` (the default),
-    messages toward a busy TCP-mode session go through its
-    dirty-channel queue and leave as one MSG_BATCH frame; UDP-mode
-    neighbors always take the unbatched per-datagram path.
+    without a :meth:`set_mode` call. Messages toward a busy TCP-mode
+    session go through its dirty-channel queue and leave as one
+    MSG_BATCH frame; UDP-mode neighbors always take the per-datagram
+    path.
     """
 
     __slots__ = (
-        "_agent", "transmit", "default_mode", "batching", "table", "_corked",
+        "_agent", "transmit", "default_mode", "table", "_corked",
         "flushes",
     )
 
@@ -152,12 +152,10 @@ class NeighborSessions:
         agent,
         transmit: Callable[..., None],
         default_mode: NeighborMode = NeighborMode.TCP,
-        batching: bool = True,
     ) -> None:
         self._agent = agent
         self.transmit = transmit
         self.default_mode = default_mode
-        self.batching = batching
         #: Filled on first use of each name (the topology is wired and
         #: every agent registered before the first message moves). Each
         #: entry carries the neighbor's configured mode and its TCP-mode
@@ -272,9 +270,8 @@ class NeighborSessions:
         a request id, because each needs its own verdict.
         """
         agent = self._agent
-        if not self.batching or known.mode is not NeighborMode.TCP:
-            # UDP-mode neighbors (and batching-off agents) keep the
-            # one-datagram-per-message path.
+        if known.mode is not NeighborMode.TCP:
+            # UDP-mode neighbors keep the one-datagram-per-message path.
             self.transmit(message, known, (span_ctx,), size)
             return
         kind = type(message)

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from typing import Callable, Optional
 
-from repro.core.accounting import DeliveryView, flush_agent_views
+from repro.core.blocks import delivery_view, flush_agent_views
 from repro.core.channel import Channel, interned_channel
 from repro.core.ecmp.protocol import EcmpAgent
 from repro.errors import ForwardingError
@@ -86,7 +86,7 @@ class ExpressForwarder(ProtocolAgent):
     def _tallies(self):
         """Registry fold: ``stats`` as ``forwarder_events_total``, once
         pending delivery-view tallies have landed in it and in the block
-        counters (see :mod:`repro.core.accounting`)."""
+        counters (see :class:`repro.core.blocks.DeliveryView`)."""
         flush_agent_views(self.ecmp)
         node = self.node.name
         for event, total in self.stats.items():
@@ -248,23 +248,16 @@ class ExpressForwarder(ProtocolAgent):
         if channel is None:
             return False
         ecmp = self.ecmp
-        if ecmp.channel_blocks:
+        if ecmp.blocks:
             # Aggregated final hop: the packet terminates here for every
             # block member — counted arithmetically through a frozen
             # membership view instead of per-block counter churn (see
-            # repro.core.accounting.DeliveryView). Per packet this is
-            # two integer adds; tallies apply to the blocks in bulk at
+            # repro.core.blocks.DeliveryView). Per packet this is two
+            # integer adds; tallies apply to the blocks in bulk at
             # flush boundaries.
-            views = ecmp._delivery_views
-            view = views.get(channel)
-            if view is None:
-                view = views[channel] = DeliveryView(
-                    ecmp, channel, self.stats, self._m_delivery,
-                    self.node.name,
-                )
-            if view.version != ecmp.blocks_version:
-                view.flush()
-                view.refresh()
+            view = ecmp._delivery_views.get(channel)
+            if view is None or view.stale:
+                view = delivery_view(ecmp, channel, self.stats, self._m_delivery)
             if view.members_sum:
                 view.pending_packets += 1
                 view.pending_bytes += packet.size

@@ -197,7 +197,6 @@ class ExpressNetwork:
         edge_udp: bool = False,
         proactive_curve: Optional[ToleranceCurve] = None,
         wire_format: bool = True,
-        batching: bool = True,
         obs=None,
     ) -> None:
         if wire_format is not True:
@@ -239,7 +238,6 @@ class ExpressNetwork:
                 propagation=propagation,
                 default_mode=default_mode,
                 proactive_curve=proactive_curve,
-                batching=batching,
                 obs=obs,
             )
             agent.topology_change_hook = self._on_topology_change

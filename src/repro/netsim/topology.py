@@ -103,9 +103,6 @@ class Topology:
         iface = node_a.interface_to(node_b)
         return iface.link if iface is not None else None
 
-    def node_names(self) -> list[str]:
-        return list(self.nodes)
-
     # -- views ---------------------------------------------------------------
 
     def graph(self, only_up: bool = True) -> nx.Graph:

@@ -7,7 +7,6 @@ protocol code stays clean.
 
 from __future__ import annotations
 
-import math
 from collections import defaultdict
 from dataclasses import dataclass
 from typing import Optional
@@ -105,67 +104,3 @@ class Counter(dict):
 
     def as_dict(self) -> dict[str, int]:
         return dict(self)
-
-
-@dataclass
-class LatencySample:
-    """Delivery latency of one packet from send to receive."""
-
-    sent_at: float
-    received_at: float
-
-    @property
-    def latency(self) -> float:
-        return self.received_at - self.sent_at
-
-
-class LatencyStats:
-    """Accumulates latency samples and reports summary statistics."""
-
-    def __init__(self) -> None:
-        self.samples: list[LatencySample] = []
-
-    def add(self, sent_at: float, received_at: float) -> None:
-        self.samples.append(LatencySample(sent_at, received_at))
-
-    def __len__(self) -> int:
-        return len(self.samples)
-
-    @property
-    def latencies(self) -> list[float]:
-        return [sample.latency for sample in self.samples]
-
-    def mean(self) -> float:
-        lat = self.latencies
-        return sum(lat) / len(lat) if lat else 0.0
-
-    def max(self) -> float:
-        lat = self.latencies
-        return max(lat) if lat else 0.0
-
-    def min(self) -> float:
-        lat = self.latencies
-        return min(lat) if lat else 0.0
-
-    def percentile(self, p: float) -> float:
-        """Nearest-rank percentile of the latencies (``p`` in [0, 100]);
-        0.0 when empty."""
-        if not 0.0 <= p <= 100.0:
-            raise ValueError(f"percentile must be in [0, 100], got {p}")
-        lat = sorted(self.latencies)
-        if not lat:
-            return 0.0
-        rank = max(1, math.ceil(p / 100.0 * len(lat)))
-        return lat[rank - 1]
-
-    def as_dict(self) -> dict[str, float]:
-        """Summary statistics in one dict (benchmark report rows)."""
-        return {
-            "count": float(len(self.samples)),
-            "mean": self.mean(),
-            "min": self.min(),
-            "max": self.max(),
-            "p50": self.percentile(50),
-            "p90": self.percentile(90),
-            "p99": self.percentile(99),
-        }

@@ -111,10 +111,6 @@ class Tracer:
         """The innermost active span, if any."""
         return self._stack[-1] if self._stack else None
 
-    def current_context(self) -> Optional[SpanContext]:
-        span = self.current
-        return span.context if span is not None else None
-
     def start_span(
         self,
         name: str,

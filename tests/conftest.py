@@ -51,7 +51,7 @@ def isp_net():
     return net
 
 
-def flapping_isp_net(**net_kwargs) -> tuple[ExpressNetwork, list[SourceHandle]]:
+def flapping_isp_net() -> tuple[ExpressNetwork, list[SourceHandle]]:
     """A 40-node ISP network, three source hosts in different stubs,
     and six fail/recover link flaps one second apart from t = 0.5,
     rotating over two core links and one stub link (t2-t3 sits off the
@@ -60,7 +60,7 @@ def flapping_isp_net(**net_kwargs) -> tuple[ExpressNetwork, list[SourceHandle]]:
     wire-reduction gates share: add channels and members, then run to
     t = 7."""
     topo = TopologyBuilder.isp(n_transit=4, stubs_per_transit=3, hosts_per_stub=2)
-    net = ExpressNetwork(topo, **net_kwargs)
+    net = ExpressNetwork(topo)
     hosts = sorted(net.host_names)
     sources = [net.source(hosts[i * (len(hosts) // 3)]) for i in range(3)]
     flapped = [

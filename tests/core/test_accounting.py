@@ -1,4 +1,5 @@
-"""The deferred accounting layer: delivery views and block counters.
+"""Deferred delivery accounting: ``repro.core.blocks``' delivery views
+and the block counters they flush into.
 
 The load-bearing property is *equivalence*: deferred, batch-applied
 counters must land on exactly the values the old per-packet dict
@@ -12,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import ExpressNetwork, TopologyBuilder
-from repro.core.accounting import DeliveryView, flush_agent_views
+from repro.core.blocks import DeliveryView, flush_agent_views
 
 
 class FakeStats:
@@ -42,16 +43,15 @@ class FakeBlock:
 
 
 class FakeAgent:
-    def __init__(self, channel, blocks):
-        self.channel_blocks = {channel: list(blocks)}
-        self.blocks_version = 0
+    def __init__(self, blocks):
+        self.blocks = {f"b{i}": block for i, block in enumerate(blocks)}
         self._delivery_views: dict = {}
 
 
 def make_view(n_blocks, member_counts):
     channel = "ch"
     blocks = [FakeBlock(channel, member_counts[i]) for i in range(n_blocks)]
-    agent = FakeAgent(channel, blocks)
+    agent = FakeAgent(blocks)
     view = DeliveryView(agent, channel, FakeStats())
     view.refresh()
     return view, blocks
@@ -104,7 +104,7 @@ class TestDeliveryView:
         view, blocks = make_view(3, [2, 1, 4])
         assert view.members_sum == 7
         assert view.blocks == blocks
-        assert view.version == 0
+        assert not view.stale
         # Membership changes after refresh are invisible until the next
         # refresh — the frozen counts are the equivalence contract.
         blocks[0].members["ch"] = 99

@@ -46,6 +46,7 @@ from repro.netsim.engine import Simulator
 from repro.netsim.packet import Packet
 from repro.netsim.trace import Counter as StatsBag
 from repro.workloads.churn import poisson_churn, schedule_churn
+from tests.oracles import sessions as sessions_oracle
 from tests.conftest import (
     assert_control_plane_at_rest,
     flapping_isp_net,
@@ -138,12 +139,12 @@ class BareSessions:
     BATCH_FLUSH_INTERVAL = EcmpAgent.BATCH_FLUSH_INTERVAL
     BATCH_MAX_RECORDS = EcmpAgent.BATCH_MAX_RECORDS
 
-    def __init__(self, mode=NeighborMode.TCP, batching=True):
+    def __init__(self, mode=NeighborMode.TCP):
         self.sim = Simulator()
         self.stats = StatsBag()
         self.obs = None
         self.frames = []
-        self.sessions = NeighborSessions(self, self.record, mode, batching)
+        self.sessions = NeighborSessions(self, self.record, mode)
         self.session = self.sessions.table["n1"] = Neighbor(
             SimpleNamespace(name="n1"), iface=None, is_host=False, mode=mode
         )
@@ -357,8 +358,11 @@ class TestCoalescingSendPath:
         assert len(bare.frames) == 4
         assert bare.stats.get("batch_flushes") == 4
 
-    def test_udp_mode_and_batching_off_send_every_message_alone(self):
-        for bare in (BareSessions(mode=NeighborMode.UDP), BareSessions(batching=False)):
+    def test_udp_mode_and_batching_off_send_every_message_alone(self, monkeypatch):
+        """The shipped path toward a UDP-mode neighbor, then the
+        reference unbatched path toward a TCP-mode one."""
+
+        def check(bare):
             (ch,) = bare.channels(1)
             with bare.sessions.burst():
                 bare.count(ch, 2)
@@ -366,6 +370,10 @@ class TestCoalescingSendPath:
                 assert [m.count for _, m in bare.frames] == [2, 3]
             assert bare.session.queue is None
             assert bare.stats.get("batch_flushes") == 0
+
+        check(BareSessions(mode=NeighborMode.UDP))
+        sessions_oracle.install(monkeypatch)
+        check(BareSessions())
 
     def test_timer_flushes_within_interval(self, line_net):
         """The second and third record inside a hold-off leave as one
@@ -430,11 +438,12 @@ class TestCoalescingSendPath:
         assert agent.stats.get("batch_flushes") == 0
         assert agent.sessions.neighbor("n1").queue is None
 
-    def test_batching_off_network_sends_immediately(self):
+    def test_batching_off_network_sends_immediately(self, monkeypatch):
+        sessions_oracle.install(monkeypatch)
         topo = TopologyBuilder.line(2)
         topo.add_node("hsrc")
         topo.add_link("hsrc", "n0", delay=0.001)
-        net = ExpressNetwork(topo, hosts=["hsrc"], batching=False)
+        net = ExpressNetwork(topo, hosts=["hsrc"])
         net.run(until=0.01)
         agent = net.ecmp_agents["n0"]
         src, ch = make_channel(net, "hsrc")
@@ -461,14 +470,14 @@ class TestWireReductionUnderChurn:
     amortize per-channel control traffic). Counts, so exact."""
 
     @staticmethod
-    def drive(batching):
+    def drive():
         """Eighteen channels from the three sources of the flapping
         40-node network: every host joins every channel inside 0.2 s,
         Poisson join/leave churn runs on top (a third of each channel's
         audience, most of it uncoalescable one-off updates), and each
         of the six link flaps re-homes many channels toward one new
         upstream — the burst a batch frame carries in one packet."""
-        net, sources = flapping_isp_net(batching=batching)
+        net, sources = flapping_isp_net()
         channels = [s.allocate_channel() for s in sources for _ in range(6)]
         audience = {h: j for j, h in enumerate(sorted(net.host_names))}
         for source in sources:
@@ -495,10 +504,11 @@ class TestWireReductionUnderChurn:
         totals["link_bytes"] = sum(l.ecmp_wire_bytes for l in net.topo.links)
         return totals
 
-    def test_batching_sends_a_third_of_the_packets_or_fewer(self):
-        batched = self.drive(batching=True)
-        unbatched = self.drive(batching=False)
-        # 357 wire packets against 1,566 (4.39x), 32,564 bytes against
+    def test_batching_sends_a_third_of_the_packets_or_fewer(self, monkeypatch):
+        batched = self.drive()
+        sessions_oracle.install(monkeypatch)
+        unbatched = self.drive()
+        # 346 wire packets against 1,566 (4.53x), 32,282 bytes against
         # 53,340. (Under the trailing-edge timer: 224 packets, 29,982
         # bytes — the first record of a quiet period now travels alone.)
         assert 0 < 3 * batched["wire_sends"] <= unbatched["wire_sends"]

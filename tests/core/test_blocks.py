@@ -4,9 +4,12 @@
 property (block(N) ≡ N individual subscribers upstream); this file
 covers the block mechanics themselves: attachment rules, count
 arithmetic, FIB behaviour at a blocks-only edge, final-hop delivery
-accounting, CountQuery folding, the TREE_ONLY fast path, and UDP-mode
-soft-state expiry/refresh.
+accounting, CountQuery folding, the TREE_ONLY fast path, UDP-mode
+soft-state expiry/refresh, and the one writer of a block's membership.
 """
+
+import ast
+from pathlib import Path
 
 import pytest
 
@@ -206,10 +209,39 @@ class TestUdpSoftState:
         state = agent.channels.get(channel)
         record = None if state is None else state.downstream.get(block.pseudo)
         assert record is None
-        # Expiry reconciled the block's own ledger and the delivery
-        # index, not just the protocol record.
+        # Expiry reconciled the block's own ledger, not just the
+        # protocol record.
         assert block.count(channel) == 0
-        assert agent.channel_blocks.get(channel) is None
+
+    def test_expired_block_is_credited_with_no_more_deliveries(self):
+        """A block whose soft state expired has no members on the
+        channel, so the forwarder's delivery view must drop it: a
+        co-located live block keeps the channel on the tree and its
+        packets still arrive at the edge."""
+        net = build_net(default_mode=NeighborMode.UDP)
+        source = net.source("hsrc")
+        channel = source.allocate_channel()
+        a = net.subscriber_block("n2", name="a", udp=True)
+        b = net.subscriber_block("n2", name="b", udp=True)
+        a.join(channel, 50)
+        b.join(channel, 7)
+        net.settle()
+        source.send(channel)  # the delivery view exists from here on
+        net.settle()
+        forwarder = net.forwarders["n2"]
+        before = (a.deliveries, b.deliveries, forwarder.stats["block_deliveries"])
+        assert before == (50, 7, 57)
+        a.stop()
+        horizon = EcmpAgent.UDP_ROBUSTNESS * EcmpAgent.UDP_QUERY_INTERVAL
+        net.run(until=net.sim.now + 3 * horizon)
+        assert a.count(channel) == 0
+        assert b.count(channel) == 7
+        for _ in range(3):
+            source.send(channel)
+        net.settle()
+        assert a.deliveries == before[0]
+        assert b.deliveries == before[1] + 3 * 7
+        assert forwarder.stats["block_deliveries"] == before[2] + 3 * 7
 
     def test_tcp_block_needs_no_refresh(self):
         net = build_net()
@@ -220,3 +252,54 @@ class TestUdpSoftState:
         horizon = EcmpAgent.UDP_ROBUSTNESS * EcmpAgent.UDP_QUERY_INTERVAL
         net.run(until=net.sim.now + 3 * horizon)
         assert block.count(channel) == 5
+
+
+class TestOneWriter:
+    SRC = Path(__file__).resolve().parents[2] / "src"
+    MUTATORS = {"pop", "clear", "update", "setdefault", "popitem"}
+
+    def writes_to_members(self, tree: ast.AST):
+        """``(qualified function name, line)`` of every statement that
+        writes into a ``<x>.members`` mapping."""
+
+        def on_members(node) -> bool:
+            return isinstance(node, ast.Attribute) and node.attr == "members"
+
+        found = []
+
+        def visit(node, scope):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                scope = f"{scope}.{node.name}" if scope else node.name
+            targets = []
+            if isinstance(node, (ast.Assign, ast.Delete)):
+                targets = node.targets
+            elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+                targets = [node.target]
+            if any(isinstance(t, ast.Subscript) and on_members(t.value) for t in targets):
+                found.append((scope, node.lineno))
+            if (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr in self.MUTATORS
+                and on_members(node.func.value)
+            ):
+                found.append((scope, node.lineno))
+            for child in ast.iter_child_nodes(node):
+                visit(child, scope)
+
+        visit(tree, "")
+        return found
+
+    def test_block_membership_is_written_in_one_function(self):
+        """Join, leave, the batch fold, UDP expiry and a crash all move
+        a block's count through ``SubscriberBlock.set_count``, which
+        keeps the channel's delivery view in step: a writer beside it
+        would have to remember to."""
+        writers = {}
+        for path in sorted(self.SRC.rglob("*.py")):
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            for scope, line in self.writes_to_members(tree):
+                writers.setdefault(scope, []).append(f"{path.relative_to(self.SRC)}:{line}")
+        assert set(writers) == {"SubscriberBlock.set_count"}, writers
+        sites = writers["SubscriberBlock.set_count"]
+        assert all(site.startswith("repro/core/blocks.py:") for site in sites)

@@ -1,6 +1,7 @@
 """Unit tests for tracing helpers."""
 
-from repro.netsim.trace import Counter, LatencyStats, PacketTrace
+from repro.netsim.trace import Counter, PacketTrace
+from repro.obs.registry import percentile
 
 
 class TestPacketTrace:
@@ -38,62 +39,31 @@ class TestCounter:
         assert counter.as_dict() == {"a": 1, "b": 2}
 
 
-class TestLatencyStats:
-    def test_statistics(self):
-        stats = LatencyStats()
-        stats.add(0.0, 0.5)
-        stats.add(1.0, 1.1)
-        stats.add(2.0, 2.9)
-        assert len(stats) == 3
-        assert abs(stats.min() - 0.1) < 1e-9
-        assert abs(stats.max() - 0.9) < 1e-9
-        assert abs(stats.mean() - 0.5) < 1e-9
-
-    def test_empty(self):
-        stats = LatencyStats()
-        assert stats.mean() == 0.0
-        assert stats.max() == 0.0
-        assert stats.min() == 0.0
-
-
 class TestLatencyPercentiles:
+    """The nearest-rank percentile every latency report reads off its
+    samples (``repro.obs.registry.percentile``)."""
+
     def test_nearest_rank(self):
-        stats = LatencyStats()
-        for i in range(1, 101):
-            stats.add(0.0, i / 1000.0)
-        assert abs(stats.percentile(50) - 0.050) < 1e-12
-        assert abs(stats.percentile(90) - 0.090) < 1e-12
-        assert abs(stats.percentile(99) - 0.099) < 1e-12
-        assert abs(stats.percentile(100) - 0.100) < 1e-12
+        samples = [i / 1000.0 for i in range(1, 101)]
+        assert abs(percentile(samples, 50) - 0.050) < 1e-12
+        assert abs(percentile(samples, 90) - 0.090) < 1e-12
+        assert abs(percentile(samples, 99) - 0.099) < 1e-12
+        assert abs(percentile(samples, 100) - 0.100) < 1e-12
 
     def test_single_sample(self):
-        stats = LatencyStats()
-        stats.add(0.0, 0.25)
         for p in (0, 50, 99, 100):
-            assert stats.percentile(p) == 0.25
+            assert percentile([0.25], p) == 0.25
 
     def test_empty_is_zero(self):
-        assert LatencyStats().percentile(99) == 0.0
+        assert percentile([], 99) == 0.0
 
     def test_out_of_range_rejected(self):
         import pytest
 
         with pytest.raises(ValueError):
-            LatencyStats().percentile(101)
+            percentile([], 101)
         with pytest.raises(ValueError):
-            LatencyStats().percentile(-1)
-
-    def test_as_dict(self):
-        stats = LatencyStats()
-        stats.add(0.0, 0.1)
-        stats.add(0.0, 0.3)
-        summary = stats.as_dict()
-        assert summary["count"] == 2.0
-        assert abs(summary["mean"] - 0.2) < 1e-12
-        assert summary["min"] == 0.1
-        assert summary["max"] == 0.3
-        assert summary["p50"] == 0.1
-        assert summary["p99"] == 0.3
+            percentile([], -1)
 
 
 class TestTraceIndexes:

@@ -5,8 +5,8 @@ the Nagle-style flush timer) must be *semantically invisible*: after
 any join/leave workload settles, every agent's ChannelState table —
 upstream choice, advertised count, per-neighbor downstream counts and
 validation bits — must be byte-for-byte identical to a run of the same
-workload on an ``ExpressNetwork(batching=False)``, which is the seed's
-one-packet-per-message behaviour.
+workload on the reference send path of ``tests/oracles/sessions.py``,
+the seed's one-packet-per-message behaviour.
 
 Seeded ``random.Random`` instances (not hypothesis) keep the sequences
 deterministic across runs and identical between the two networks being
@@ -18,6 +18,7 @@ import random
 import pytest
 
 from repro import ExpressNetwork, TopologyBuilder
+from tests.oracles import sessions as sessions_oracle
 
 N_SEQUENCES = 10
 EVENTS_PER_SEQUENCE = 36
@@ -38,13 +39,20 @@ def snapshot(net: ExpressNetwork) -> dict:
     return table
 
 
-def drive(batching: bool, seed: int) -> dict:
+def unbatched(drive, *args) -> dict:
+    """``drive(*args)`` on the reference send path."""
+    with pytest.MonkeyPatch.context() as patch:
+        sessions_oracle.install(patch)
+        return drive(*args)
+
+
+def drive(seed: int) -> dict:
     """Build the network, run one randomized workload, snapshot."""
     rng = random.Random(seed)
     topo = TopologyBuilder.isp(
         n_transit=3, stubs_per_transit=2, hosts_per_stub=2, seed=7
     )
-    net = ExpressNetwork(topo, batching=batching)
+    net = ExpressNetwork(topo)
     net.run(until=0.01)
 
     hosts = sorted(net.host_names)
@@ -73,7 +81,7 @@ def drive(batching: bool, seed: int) -> dict:
 @pytest.mark.parametrize("case", range(N_SEQUENCES))
 def test_batched_state_tables_match_unbatched(case):
     seed = 0xBA7C + case
-    assert drive(batching=True, seed=seed) == drive(batching=False, seed=seed)
+    assert drive(seed) == unbatched(drive, seed)
 
 
 def test_link_flap_state_tables_match_unbatched():
@@ -81,7 +89,7 @@ def test_link_flap_state_tables_match_unbatched():
     subscription (exercising the reconnect batch resend and the queue
     drop on session death), and the settled tables still match."""
 
-    def drive_flap(batching: bool) -> dict:
+    def drive_flap() -> dict:
         topo = TopologyBuilder.line(3)
         topo.add_node("hsrc")
         topo.add_node("hsub1")
@@ -89,7 +97,7 @@ def test_link_flap_state_tables_match_unbatched():
         topo.add_link("hsrc", "n0", delay=0.001)
         topo.add_link("hsub1", "n2", delay=0.001)
         topo.add_link("hsub2", "n2", delay=0.001)
-        net = ExpressNetwork(topo, hosts=["hsrc", "hsub1", "hsub2"], batching=batching)
+        net = ExpressNetwork(topo, hosts=["hsrc", "hsub1", "hsub2"])
         net.run(until=0.01)
         source = net.source("hsrc")
         channels = [source.allocate_channel() for _ in range(4)]
@@ -105,4 +113,4 @@ def test_link_flap_state_tables_match_unbatched():
         net.settle(6.0)
         return snapshot(net)
 
-    assert drive_flap(batching=True) == drive_flap(batching=False)
+    assert drive_flap() == unbatched(drive_flap)

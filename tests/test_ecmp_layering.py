@@ -56,3 +56,24 @@ def test_the_agents_module_still_exports_what_others_import_from_it():
     missing = {name for name in EXPORTS if not hasattr(protocol, name)}
     assert not missing
     assert EXPORTS <= set(protocol.__all__)
+
+
+#: ``vars()`` of a router's agent, exactly. CPython 3.11 shares the key
+#: table of an instance ``__dict__`` only up to 30 keys, so the 30th
+#: costs ≈ 1.3 KB a node: a new per-agent field goes on a component.
+AGENT_ATTRIBUTES = {
+    "node", "sim", "routing", "fib", "role", "propagation",
+    "block_fast_updates", "keys", "channels", "subscriptions",
+    "pending_verdicts", "_next_request_id", "blocks", "_delivery_views",
+    "obs", "stats", "_m_tally", "_by_upstream", "_encoded",
+    "_rehome_scheduled", "topology_change_hook", "sessions", "counting",
+    "liveness",
+}
+
+
+def test_an_agent_has_exactly_its_pinned_instance_attributes():
+    from repro import ExpressNetwork, TopologyBuilder
+
+    net = ExpressNetwork(TopologyBuilder.line(2))
+    assert set(vars(net.ecmp_agents["n0"])) == AGENT_ATTRIBUTES
+    assert len(AGENT_ATTRIBUTES) == 24
