@@ -11,67 +11,125 @@ The paper's §3.6 claims, measured on one topology and group:
   state on every router.
 * §4.4: PIM-SM's shared-tree/SPT choice is the same delay-state
   tradeoff EXPRESS exposes at the application layer.
+
+Every number is measured on the shipped stacks: a live
+:class:`GroupNetwork` per group-protocol row and a live
+:class:`ExpressNetwork` for EXPRESS. The analytic trees of
+``tests/oracles/trees.py`` are only the oracle they are held to
+(``tests/properties/test_baseline_live_vs_model.py`` and the check
+below).
 """
+
+import sys
+from pathlib import Path
 
 import pytest
 from conftest import report
 
 from repro import ExpressNetwork, TopologyBuilder
-from repro.routing.baselines import CbtModel, DvmrpModel, ExpressTreeModel, PimSmModel
-from repro.routing.unicast import UnicastRouting
+from repro.groupmodel import GroupNetwork
+from repro.inet.addr import parse_address
+
+# The analytic trees are the oracle the live protocols are held to.
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
+from tests.oracles.trees import ExpressTreeModel  # noqa: E402
 
 SOURCE = "h0_0_0"
 MEMBERS = ["h1_0_0", "h1_1_1", "h2_0_0", "h2_1_0", "h3_1_1", "h0_1_0"]
 RP = "t2"  # network-selected rendezvous/core, far from the source
+GROUP = parse_address("224.1.0.1")
+
+
+def build_topo():
+    return TopologyBuilder.isp(n_transit=4, stubs_per_transit=2, hosts_per_stub=2)
+
+
+def first_delivery(sim, delays, member):
+    """An ``on_data`` callback noting ``member``'s first-delivery delay."""
+    return lambda packet: delays.setdefault(member, sim.now - packet.created_at)
+
+
+def mean_stretch(routing, delays):
+    """Mean over members of first-delivery delay over the shortest-path
+    delay. The probe packet has size 0, so no transmission time enters
+    either side and the ratio is pure path delay (1.0 = direct)."""
+    return sum(delays[m] / routing.distance(SOURCE, m) for m in MEMBERS) / len(MEMBERS)
+
+
+def express_row():
+    """(state, routers touched, stretch) of one live EXPRESS channel:
+    each router holding the channel holds one entry."""
+    net = ExpressNetwork(build_topo())
+    net.run(until=0.1)
+    source = net.source(SOURCE)
+    channel = source.allocate_channel()
+    delays = {}
+    for member in MEMBERS:
+        net.host(member).subscribe(
+            channel, on_data=first_delivery(net.sim, delays, member)
+        )
+    net.settle()
+    source.send(channel, size=0)
+    net.settle()
+    routers = net.nodes_on_tree(channel) - net.host_names
+    return len(routers), len(routers), mean_stretch(net.routing, delays)
+
+
+def group_row(protocol, spt=False):
+    """(state, routers touched, stretch, router count) of one live
+    group-model stack after the members join (and, with ``spt``, switch
+    to the source tree) and the source sends one packet."""
+    rp = None if protocol == "dvmrp" else RP
+    net = GroupNetwork(build_topo(), protocol=protocol, rp=rp)
+    delays = {}
+    for member in MEMBERS:
+        net.join(member, GROUP, on_data=first_delivery(net.sim, delays, member))
+    net.settle()
+    if spt:
+        for member in MEMBERS:
+            net.switch_to_spt(member, SOURCE, GROUP)
+        net.settle()
+    net.send(SOURCE, GROUP, size=0)
+    net.settle()
+    stretch = mean_stretch(net.routing, delays)
+    return net.total_state(), len(net.routers_touched()), stretch, len(net.routers)
 
 
 def build():
-    topo = TopologyBuilder.isp(n_transit=4, stubs_per_transit=2, hosts_per_stub=2)
-    routing = UnicastRouting(topo)
-    models = {
-        "express": ExpressTreeModel(topo, routing, source=SOURCE),
-        "pim-sm (shared)": PimSmModel(topo, routing, rp=RP),
-        "pim-sm (spt)": PimSmModel(topo, routing, rp=RP),
-        "cbt": CbtModel(topo, routing, core=RP),
-        "dvmrp": DvmrpModel(topo, routing, source=SOURCE),
+    rows = {
+        "express": express_row(),
+        "pim-sm (shared)": group_row("pim"),
+        "pim-sm (spt)": group_row("pim", spt=True),
+        "cbt": group_row("cbt"),
+        "dvmrp": group_row("dvmrp"),
     }
-    for name, model in models.items():
-        for member in MEMBERS:
-            model.join(member)
-    for member in MEMBERS:
-        models["pim-sm (spt)"].switch_to_spt(member, SOURCE)
-    return topo, routing, models
-
-
-def mean_stretch(model):
-    return sum(model.stretch(SOURCE, member) for member in MEMBERS) / len(MEMBERS)
+    n_routers = rows["dvmrp"][3]
+    return n_routers, {name: row[:3] for name, row in rows.items()}
 
 
 def test_x1_state_and_stretch(benchmark):
-    topo, routing, models = benchmark.pedantic(build, rounds=1, iterations=1)
-
-    stats = {
-        name: (model.total_state(), len(model.routers_touched()), mean_stretch(model))
-        for name, model in models.items()
-    }
+    n_routers, stats = benchmark.pedantic(build, rounds=1, iterations=1)
 
     express_state, express_touched, express_stretch = stats["express"]
     # EXPRESS: stretch exactly 1 (source shortest paths).
-    assert express_stretch == 1.0
+    assert express_stretch == pytest.approx(1.0)
     # Shared trees detour; the RP shared tree has strictly worse stretch.
     assert stats["pim-sm (shared)"][2] > 1.0
     # SPT switchover restores stretch 1 but costs extra state.
-    assert stats["pim-sm (spt)"][2] == 1.0
+    assert stats["pim-sm (spt)"][2] == pytest.approx(1.0)
     assert stats["pim-sm (spt)"][0] > stats["pim-sm (shared)"][0]
     # DVMRP touches every router in the domain; EXPRESS does not.
-    assert stats["dvmrp"][1] == len(topo.nodes)
+    assert stats["dvmrp"][1] == n_routers
     assert express_touched < stats["dvmrp"][1]
     # EXPRESS per-group state is no worse than PIM-SM with SPTs.
     assert express_state <= stats["pim-sm (spt)"][0]
 
     rows = [
         "X1: one group, one source, 6 members on a 4-transit ISP topology",
-        f"    source={SOURCE}, RP/core={RP}",
+        f"    source={SOURCE}, RP/core={RP}, {n_routers} routers",
+        "    measured on the live stacks: state and routers touched count",
+        "    routers only; stretch is first-delivery delay of a size-0",
+        "    packet over the shortest-path delay",
         "",
         "  protocol          state   routers-touched   mean-stretch",
     ]
@@ -82,17 +140,15 @@ def test_x1_state_and_stretch(benchmark):
         "  shape checks (all hold):",
         "   - EXPRESS stretch = 1.0; shared trees detour via the RP/core",
         "   - PIM-SM SPT switchover buys stretch 1.0 with extra (S,G) state",
-        "   - DVMRP touches the whole domain; EXPRESS only the tree",
+        "   - DVMRP touches every router; EXPRESS only the tree",
     ]
     report("x1_protocol_comparison", rows)
 
 
 def test_x1_live_express_matches_model(benchmark):
     """The live ECMP implementation builds the same tree the analytic
-    EXPRESS model predicts (so X1's model numbers describe the real
-    protocol)."""
-    topo = TopologyBuilder.isp(n_transit=4, stubs_per_transit=2, hosts_per_stub=2)
-    net = ExpressNetwork(topo)
+    EXPRESS model predicts."""
+    net = ExpressNetwork(build_topo())
     net.run(until=0.1)
     source = net.source(SOURCE)
     channel = source.allocate_channel()
@@ -121,8 +177,7 @@ def test_x1_live_express_matches_model(benchmark):
 def test_x1_off_path_traffic(benchmark):
     """Count data-plane transmissions per delivered packet: EXPRESS
     never sends a byte off the source->subscriber paths."""
-    topo = TopologyBuilder.isp(n_transit=4, stubs_per_transit=2, hosts_per_stub=2)
-    net = ExpressNetwork(topo)
+    net = ExpressNetwork(build_topo())
     net.run(until=0.1)
     source = net.source(SOURCE)
     channel = source.allocate_channel()

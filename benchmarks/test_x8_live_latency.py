@@ -1,7 +1,7 @@
 """X8 — live delivery latency: EXPRESS vs running PIM-SM / CBT stacks.
 
-X1 compares the protocols analytically (hop stretch); this benchmark
-measures *actual packet arrival times* on the live implementations —
+X1 compares state, routers touched and mean delay stretch; this
+benchmark reports the *per-member arrival times* behind such numbers —
 the §3.6 claim that "with EXPRESS channels, multicast traffic only
 travels along paths from the source to the subscribers" becomes a
 wall-clock number, and PIM's shared-tree/SPT choice (§4.4) becomes a

@@ -1,9 +1,10 @@
 """Live group-model multicast: the world EXPRESS replaces.
 
-:mod:`repro.routing.baselines` models PIM-SM/CBT/DVMRP analytically
-(trees and state derived from unicast routing); this package implements
-them as *running protocol agents* on the simulator, so the paper's §1
-problems can be demonstrated on live packets:
+The protocols EXPRESS is compared against, as *running protocol
+agents* on the simulator, so the paper's §1 and §3.6 claims are
+measured on live packets (X1, X7, X8). Their analytic trees survive
+only as the test oracle ``tests/oracles/trees.py``, which a property
+suite holds these agents to:
 
 * :mod:`repro.groupmodel.pim` — PIM-SM-lite: hop-by-hop Join/Prune
   toward a rendezvous point, register encapsulation of sources to the

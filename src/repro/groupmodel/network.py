@@ -37,6 +37,9 @@ class GroupHostAgent(ProtocolAgent):
         #: point. Wire cost is one join/leave per 0↔positive transition
         #: regardless of the count; deliveries account arithmetically.
         self.block_members: dict[int, int] = {}
+        #: Groups whose protocol join the block made (the host had not
+        #: joined by itself); only these are left when the block empties.
+        self.block_joined: set[int] = set()
         self.stats = Counter()
 
     def handle_packet(self, packet: Packet, ifindex: int) -> None:
@@ -64,9 +67,11 @@ class GroupHostAgent(ProtocolAgent):
         if not is_class_d(group):
             raise ProtocolError(f"{group:#x} is not a group address")
         self.joined[group] = on_data
+        self.block_joined.discard(group)
         self.net._host_joined(self.node.name, group)
 
     def leave(self, group: int) -> None:
+        self.block_joined.discard(group)
         if group in self.joined:
             del self.joined[group]
             self.net._host_left(self.node.name, group)
@@ -85,11 +90,13 @@ class GroupHostAgent(ProtocolAgent):
         self.block_members[group] = current + n
         if current == 0 and group not in self.joined:
             self.join(group, on_data)
+            self.block_joined.add(group)
         return current + n
 
     def leave_block(self, group: int, n: int = 1) -> int:
         """Remove ``n`` aggregated members (clamped at zero); the
-        protocol leave goes out when the count reaches zero."""
+        protocol leave goes out when the count reaches zero, unless the
+        host has joined the group by itself."""
         if n <= 0:
             raise ProtocolError(f"block leave needs n >= 1, got {n}")
         current = self.block_members.get(group, 0)
@@ -98,7 +105,7 @@ class GroupHostAgent(ProtocolAgent):
             self.block_members[group] = new
         else:
             self.block_members.pop(group, None)
-            if current > 0:
+            if group in self.block_joined:
                 self.leave(group)
         return new
 
@@ -157,15 +164,25 @@ class GroupNetwork:
         self.protocol = protocol
         self.rp = rp
         self.obs = obs
+        #: Control messages the hosts sent, by type ("join", "leave",
+        #: "prune"): the only tally, folded into
+        #: ``groupmodel_messages_total`` at every collect.
+        self.messages_sent = Counter()
         if obs is None:
-            self._m_messages = self._m_delivery = None
+            self._m_delivery = None
         else:
             topo.attach_observability(obs)
             registry = obs.registry
-            self._m_messages = registry.counter(
+            messages = registry.counter(
                 "groupmodel_messages_total",
                 "Group-model (ASM) control messages by protocol and type",
                 ("protocol", "type"),
+            )
+            registry.fold(
+                lambda: (
+                    (messages, (protocol, kind), total)
+                    for kind, total in self.messages_sent.items()
+                )
             )
             self._m_delivery = registry.histogram(
                 "delivery_latency_seconds",
@@ -250,8 +267,7 @@ class GroupNetwork:
         elif self.protocol == "cbt":
             self._send_cbt(host, CbtJoinLeave(group=group, join=True))
         else:
-            if self._m_messages is not None:
-                self._m_messages.labels(protocol="dvmrp", type="join").inc()
+            self.messages_sent["join"] += 1
             self.routers[router].host_joined(group, host)
 
     def _host_left(self, host: str, group: int) -> None:
@@ -261,8 +277,7 @@ class GroupNetwork:
         elif self.protocol == "cbt":
             self._send_cbt(host, CbtJoinLeave(group=group, join=False))
         else:
-            if self._m_messages is not None:
-                self._m_messages.labels(protocol="dvmrp", type="leave").inc()
+            self.messages_sent["leave"] += 1
             self.routers[router].host_left(group, host)
 
     def _observe_delivery(self, node: str, group: int, latency: float) -> None:
@@ -282,10 +297,7 @@ class GroupNetwork:
         )
         packet.headers["cbt"] = message
         packet.headers["reliable"] = True
-        if self._m_messages is not None:
-            self._m_messages.labels(
-                protocol="cbt", type="join" if message.join else "leave"
-            ).inc()
+        self.messages_sent["join" if message.join else "leave"] += 1
         node.send_to_neighbor(packet, router)
 
     def _send_join_prune(self, host: str, message: PimJoinPrune) -> None:
@@ -297,10 +309,7 @@ class GroupNetwork:
         )
         packet.headers["pim"] = message
         packet.headers["reliable"] = True
-        if self._m_messages is not None:
-            self._m_messages.labels(
-                protocol="pim", type="join" if message.join else "prune"
-            ).inc()
+        self.messages_sent["join" if message.join else "prune"] += 1
         node.send_to_neighbor(packet, router)
 
     def switch_to_spt(self, host: str, source_host: str, group: int) -> None:

@@ -3,11 +3,10 @@
 ECMP's routing component "relies on, and scales with, existing unicast
 topology information" (§3): subscriptions travel hop-by-hop along
 reverse-path-forwarding (RPF) routes toward the source. This package
-provides that unicast substrate (link-state shortest-path routing), the
-RPF helpers, the multicast FIB with the paper's exact 12-byte entry
-format (Figure 5), and control-plane models of the baseline multicast
-protocols the paper compares against (PIM-SM, CBT, DVMRP-style
-flood-and-prune).
+holds only what EXPRESS uses: that unicast substrate (link-state
+shortest-path routing), the RPF helpers and the multicast FIB with the
+paper's exact 12-byte entry format (Figure 5). The baseline protocols
+the paper compares against run in :mod:`repro.groupmodel`.
 """
 
 from repro.routing.fib import FIB_ENTRY_BYTES, FibEntry, MulticastFib

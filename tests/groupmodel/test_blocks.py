@@ -68,3 +68,18 @@ class TestBlockMembership:
             net.join_block("h1_0_0", G, 0)
         with pytest.raises(ProtocolError):
             net.leave_block("h1_0_0", G, -2)
+
+
+@pytest.mark.parametrize("protocol", ["pim", "cbt", "dvmrp"])
+def test_block_leave_keeps_the_hosts_own_join(protocol):
+    """A host that joined by itself before its block existed stays a
+    member when the block empties."""
+    net = build(protocol)
+    net.join("h1_0_0", G)
+    net.join_block("h1_0_0", G, 2)
+    net.settle(2.0)
+    assert net.leave_block("h1_0_0", G, 2) == 0
+    net.settle(2.0)
+    net.send("h0_0_0", G)
+    net.settle(2.0)
+    assert net.delivered("h1_0_0", G) == 1

@@ -348,6 +348,35 @@ class TestRegistryAgreesWithTallies:
         assert {direction for _, direction, _ in packets} == {"tx", "rx", "drop"}
 
 
+    @pytest.mark.parametrize(
+        "protocol, expected",
+        [
+            ("pim", {"join": 4, "prune": 1}),
+            ("cbt", {"join": 3, "leave": 1}),
+            ("dvmrp", {"join": 3, "leave": 1}),
+        ],
+    )
+    def test_groupmodel_family_equals_the_network_tally(self, protocol, expected):
+        obs = Observability()
+        topo = TopologyBuilder.isp(n_transit=3, stubs_per_transit=2, hosts_per_stub=2)
+        rp = None if protocol == "dvmrp" else "t1"
+        net = GroupNetwork(topo, protocol=protocol, rp=rp, obs=obs)
+        group = parse_address("224.5.0.2")
+        for host in ("h1_0_0", "h2_1_1", "h0_1_0"):
+            net.join(host, group)
+        net.settle()
+        obs.registry.collect()
+        net.leave("h2_1_1", group)
+        if protocol == "pim":
+            net.switch_to_spt("h1_0_0", "h0_0_0", group)
+        net.settle()
+        obs.registry.collect()
+        assert net.messages_sent == expected
+        assert series(obs.registry, "groupmodel_messages_total") == {
+            (protocol, kind): total for kind, total in expected.items()
+        }
+
+
 class TestGroupModelSharedFamily:
     GROUP = parse_address("224.5.0.1")
 

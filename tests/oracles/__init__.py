@@ -30,5 +30,9 @@ time:
   for whole-network runs,
 * :mod:`tests.oracles.sync` — lockstep horizons with the self-echo
   term folded in (the bound ``repro.netsim.parallel.sync``'s grant
-  ceilings may never undercut).
+  ceilings may never undercut),
+* :mod:`tests.oracles.trees` — analytic EXPRESS, PIM-SM, CBT and DVMRP
+  trees derived from unicast routing alone (specification of the live
+  ECMP tree and of ``repro.groupmodel``'s agents: routers touched, state
+  entries and each member's delivery path).
 """

@@ -17,12 +17,13 @@ import random
 
 import pytest
 
-from repro import ExpressNetwork, TopologyBuilder
+from repro import CountPropagation, ExpressNetwork, TopologyBuilder
 from tests.oracles import sessions as sessions_oracle
 
 N_SEQUENCES = 10
 EVENTS_PER_SEQUENCE = 36
 N_CHANNELS = 3
+N_MERGING_SEQUENCES = 4
 
 
 def snapshot(net: ExpressNetwork) -> dict:
@@ -46,13 +47,18 @@ def unbatched(drive, *args) -> dict:
         return drive(*args)
 
 
-def drive(seed: int) -> dict:
-    """Build the network, run one randomized workload, snapshot."""
+def drive(
+    seed: int,
+    propagation: CountPropagation = CountPropagation.TREE_ONLY,
+    max_gap: float = 0.12,
+) -> dict:
+    """Build the network, run one randomized workload (events at most
+    ``max_gap`` apart), snapshot."""
     rng = random.Random(seed)
     topo = TopologyBuilder.isp(
         n_transit=3, stubs_per_transit=2, hosts_per_stub=2, seed=7
     )
-    net = ExpressNetwork(topo)
+    net = ExpressNetwork(topo, propagation=propagation)
     net.run(until=0.01)
 
     hosts = sorted(net.host_names)
@@ -62,7 +68,7 @@ def drive(seed: int) -> dict:
 
     when = 0.05
     for _ in range(EVENTS_PER_SEQUENCE):
-        when += rng.uniform(0.002, 0.12)
+        when += rng.uniform(0.002, max_gap)
         host = rng.choice(subscribers)
         channel = rng.choice(channels)
         if rng.random() < 0.65:
@@ -82,6 +88,16 @@ def drive(seed: int) -> dict:
 def test_batched_state_tables_match_unbatched(case):
     seed = 0xBA7C + case
     assert drive(seed) == unbatched(drive, seed)
+
+
+@pytest.mark.parametrize("case", range(N_MERGING_SEQUENCES))
+def test_merged_count_updates_match_unbatched(case):
+    """Under ON_CHANGE every count change travels upstream, and changes
+    a few milliseconds apart land inside one hold-off, where two
+    unpinned Counts for one channel merge (last writer wins): the
+    upstream must end with the newer count."""
+    args = (0x3E26 + case, CountPropagation.ON_CHANGE, 0.01)
+    assert drive(*args) == unbatched(drive, *args)
 
 
 def test_link_flap_state_tables_match_unbatched():

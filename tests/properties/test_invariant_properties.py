@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from repro import CountPropagation, ExpressNetwork
 from repro.core.proactive import ToleranceCurve, relative_error
 from repro.netsim.topology import TopologyBuilder
-from repro.routing.baselines import ExpressTreeModel
+from tests.oracles.trees import ExpressTreeModel
 
 SIM_SETTINGS = settings(
     max_examples=15,

@@ -1,16 +1,17 @@
-"""Tests for the PIM-SM / CBT / DVMRP baseline models."""
+"""Tests for the analytic PIM-SM / CBT / DVMRP / EXPRESS tree models
+(the oracle in ``tests/oracles/trees.py``)."""
 
 import pytest
 
 from repro.errors import RoutingError
 from repro.netsim.topology import TopologyBuilder
-from repro.routing.baselines import (
+from repro.routing.unicast import UnicastRouting
+from tests.oracles.trees import (
     CbtModel,
     DvmrpModel,
     ExpressTreeModel,
     PimSmModel,
 )
-from repro.routing.unicast import UnicastRouting
 
 
 @pytest.fixture
