@@ -21,6 +21,7 @@ below).
 """
 
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -44,9 +45,22 @@ def build_topo():
     return TopologyBuilder.isp(n_transit=4, stubs_per_transit=2, hosts_per_stub=2)
 
 
-def first_delivery(sim, delays, member):
-    """An ``on_data`` callback noting ``member``'s first-delivery delay."""
-    return lambda packet: delays.setdefault(member, sim.now - packet.created_at)
+def on_probe(sim, delays, copies, member):
+    """An ``on_data`` callback noting ``member``'s first-delivery delay
+    and counting the copies it gets."""
+
+    def note(packet):
+        delays.setdefault(member, sim.now - packet.created_at)
+        copies[member] += 1
+
+    return note
+
+
+def copies_each(copies):
+    """The copies of the probe each member got, if that is one number
+    for all of them; else None."""
+    counts = {copies[member] for member in MEMBERS}
+    return counts.pop() if len(counts) == 1 else None
 
 
 def mean_stretch(routing, delays):
@@ -57,33 +71,36 @@ def mean_stretch(routing, delays):
 
 
 def express_row():
-    """(state, routers touched, stretch) of one live EXPRESS channel:
-    each router holding the channel holds one entry."""
+    """(state, routers touched, stretch, copies each) of one live
+    EXPRESS channel: each router holding the channel holds one entry."""
     net = ExpressNetwork(build_topo())
     net.run(until=0.1)
     source = net.source(SOURCE)
     channel = source.allocate_channel()
-    delays = {}
+    delays, copies = {}, Counter()
     for member in MEMBERS:
         net.host(member).subscribe(
-            channel, on_data=first_delivery(net.sim, delays, member)
+            channel, on_data=on_probe(net.sim, delays, copies, member)
         )
     net.settle()
     source.send(channel, size=0)
     net.settle()
     routers = net.nodes_on_tree(channel) - net.host_names
-    return len(routers), len(routers), mean_stretch(net.routing, delays)
+    return (
+        len(routers), len(routers), mean_stretch(net.routing, delays), copies_each(copies)
+    )
 
 
 def group_row(protocol, spt=False):
-    """(state, routers touched, stretch, router count) of one live
-    group-model stack after the members join (and, with ``spt``, switch
-    to the source tree) and the source sends one packet."""
+    """(state, routers touched, stretch, copies each, router count) of
+    one live group-model stack after the members join (and, with
+    ``spt``, switch to the source tree) and the source sends one
+    packet."""
     rp = None if protocol == "dvmrp" else RP
     net = GroupNetwork(build_topo(), protocol=protocol, rp=rp)
-    delays = {}
+    delays, copies = {}, Counter()
     for member in MEMBERS:
-        net.join(member, GROUP, on_data=first_delivery(net.sim, delays, member))
+        net.join(member, GROUP, on_data=on_probe(net.sim, delays, copies, member))
     net.settle()
     if spt:
         for member in MEMBERS:
@@ -92,7 +109,8 @@ def group_row(protocol, spt=False):
     net.send(SOURCE, GROUP, size=0)
     net.settle()
     stretch = mean_stretch(net.routing, delays)
-    return net.total_state(), len(net.routers_touched()), stretch, len(net.routers)
+    touched = len(net.routers_touched())
+    return net.total_state(), touched, stretch, copies_each(copies), len(net.routers)
 
 
 def build():
@@ -103,14 +121,14 @@ def build():
         "cbt": group_row("cbt"),
         "dvmrp": group_row("dvmrp"),
     }
-    n_routers = rows["dvmrp"][3]
-    return n_routers, {name: row[:3] for name, row in rows.items()}
+    n_routers = rows["dvmrp"][4]
+    return n_routers, {name: row[:4] for name, row in rows.items()}
 
 
 def test_x1_state_and_stretch(benchmark):
     n_routers, stats = benchmark.pedantic(build, rounds=1, iterations=1)
 
-    express_state, express_touched, express_stretch = stats["express"]
+    express_state, express_touched, express_stretch, _ = stats["express"]
     # EXPRESS: stretch exactly 1 (source shortest paths).
     assert express_stretch == pytest.approx(1.0)
     # Shared trees detour; the RP shared tree has strictly worse stretch.
@@ -123,24 +141,30 @@ def test_x1_state_and_stretch(benchmark):
     assert express_touched < stats["dvmrp"][1]
     # EXPRESS per-group state is no worse than PIM-SM with SPTs.
     assert express_state <= stats["pim-sm (spt)"][0]
+    # Every member gets the probe exactly once, on every stack.
+    assert {row[3] for row in stats.values()} == {1}
 
     rows = [
         "X1: one group, one source, 6 members on a 4-transit ISP topology",
         f"    source={SOURCE}, RP/core={RP}, {n_routers} routers",
         "    measured on the live stacks: state and routers touched count",
         "    routers only; stretch is first-delivery delay of a size-0",
-        "    packet over the shortest-path delay",
+        "    packet over the shortest-path delay; copies is how many",
+        "    copies of that packet each member got",
         "",
-        "  protocol          state   routers-touched   mean-stretch",
+        "  protocol          state   routers-touched   mean-stretch   copies",
     ]
-    for name, (state, touched, stretch) in stats.items():
-        rows.append(f"  {name:<16} {state:>6}   {touched:>15}   {stretch:>12.2f}")
+    for name, (state, touched, stretch, copies) in stats.items():
+        rows.append(
+            f"  {name:<16} {state:>6}   {touched:>15}   {stretch:>12.2f}   {copies:>6}"
+        )
     rows += [
         "",
         "  shape checks (all hold):",
         "   - EXPRESS stretch = 1.0; shared trees detour via the RP/core",
         "   - PIM-SM SPT switchover buys stretch 1.0 with extra (S,G) state",
         "   - DVMRP touches every router; EXPRESS only the tree",
+        "   - every member gets exactly one copy, after the SPT switch too",
     ]
     report("x1_protocol_comparison", rows)
 

@@ -171,9 +171,12 @@ class Counting:
         self._checks.clear()
 
     def forget_channel(self, channel: Channel) -> None:
-        """The channel's state was collected: so are its checks."""
-        for key in [key for key in self._checks if key[0] == channel]:
-            self._checks.pop(key).cancel()
+        """The channel's state was collected: so are its checks. (A loop,
+        not a comprehension: that is one more frame on every collection.)"""
+        checks = self._checks
+        for key in list(checks):
+            if key[0] == channel:
+                checks.pop(key).cancel()
 
     # -- polled counting (§3.1) ------------------------------------------------
 

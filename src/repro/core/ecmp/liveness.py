@@ -90,10 +90,7 @@ class Liveness:
     def _refresh_event(self) -> None:
         agent = self._agent
         with span(agent.obs, "ecmp.udp_refresh_tick", node=agent.node.name):
-            # Through the agent's delegate, so the wrapper
-            # tests/properties/test_refresh_equivalence.py puts around
-            # it on an instance sees every tick.
-            agent._do_udp_refresh_tick()
+            self.refresh_tick()
 
     def _keepalive_event(self) -> None:
         agent = self._agent

@@ -41,6 +41,7 @@ import struct
 from collections import namedtuple
 from dataclasses import dataclass
 from enum import Enum
+from operator import attrgetter
 from typing import Callable, NamedTuple, Sequence, Union
 
 from repro.core.channel import channel_from_wire, wire_channel
@@ -265,10 +266,11 @@ class MessageType(NamedTuple):
     and the accounting each need to know about one message class, found
     with one probe instead of an ``isinstance`` chain per layer."""
 
-    #: Names the handling span (``ecmp.<kind>``) and the agent method a
-    #: received one goes to (``_handle_<kind>``).
+    #: Names the handling span (``ecmp.<kind>``).
     kind: str
-    handler: str
+    #: ``handler(agent)`` is the bound method a received one goes to,
+    #: the agent's or one of its components'.
+    handler: Callable[[object], Callable[[EcmpMessage, str], None]]
     #: The agent's per-type tallies.
     rx_stat: str
     tx_stat: str
@@ -278,12 +280,18 @@ class MessageType(NamedTuple):
 
 #: Message class -> its row.
 MESSAGE_TYPES = {
-    Count: MessageType("count", "_handle_count", "counts_rx", "tx_count", _pack_count),
+    Count: MessageType(
+        "count", attrgetter("_handle_count"), "counts_rx", "tx_count", _pack_count
+    ),
     CountQuery: MessageType(
-        "query", "_handle_query", "queries_rx", "tx_countquery", _pack_query
+        "query", attrgetter("_handle_query"), "queries_rx", "tx_countquery", _pack_query
     ),
     CountResponse: MessageType(
-        "response", "_handle_response", "responses_rx", "tx_countresponse", _pack_response
+        "response",
+        attrgetter("verdicts.on_response"),
+        "responses_rx",
+        "tx_countresponse",
+        _pack_response,
     ),
 }
 

@@ -11,35 +11,22 @@ router, a host, or the local application.
 Protocol clarifications this implementation pins down (the paper leaves
 them open; see DESIGN.md §4):
 
-* **Verdicts.** Every *join* Count (a 0→positive transition, or any
-  Count carrying a key) receives exactly one ``CountResponse`` verdict
-  from its immediate upstream: OK or INVALID_AUTHENTICATOR. A router
-  that terminates the join locally (it knows the key, it is the
-  always-authoritative source, or it absorbs a keyless join into an
-  existing tree) answers at once; otherwise it forwards the join,
-  records a :class:`VerdictEntry` with rollback state, and relays the
-  verdict when its own upstream answers. Each forwarded join carries a
-  small request id that its verdict echoes, and the entry is found by
-  ``(channel, id)`` — never by arrival order, so a verdict answered
-  locally by a router that has just learned the key cannot be taken for
-  an older one still upstream. A Count that carries an id is answered
-  whether or not it reads as a join, so a re-announced Count (UDP-mode
-  refresh, reconnect dump, re-home) repeats the ids still unanswered
-  and a lost verdict is repaired by the next one.
 * **Optimism.** Keyless joins are accepted optimistically (forwarding
   state installs immediately) and rolled back if a later verdict denies
   them; keyed joins needing upstream validation install tree state but
   *not* forwarding state until validated, so no data ever flows to a
   subscriber whose key fails.
 
-Three self-contained machines run beside this one, each behind a narrow
+Four self-contained machines run beside this one, each behind a narrow
 interface and none importing this module: the per-neighbor sessions
 (:mod:`repro.core.ecmp.session`, §3.2/§3.4), generic and proactive
 counting (:mod:`repro.core.counting`, §3.1/§6 — the timeout-decrement
-and concurrent-query clarifications are there) and liveness
-(:mod:`repro.core.ecmp.liveness`, §3.3). What stays here is the §2.1
-service interface, the wire edge, §3.2 tree maintenance, §3.5 verdicts
-and failure / re-homing.
+and concurrent-query clarifications are there), liveness
+(:mod:`repro.core.ecmp.liveness`, §3.3) and the §3.5 verdicts
+(:mod:`repro.core.ecmp.verdicts` — the request-id pairing of a join
+with its one verdict is pinned down there). What stays here is the
+§2.1 service interface, the wire edge, §3.2 tree maintenance and
+failure / re-homing.
 """
 
 from __future__ import annotations
@@ -56,7 +43,6 @@ from repro.core.channel import Channel, intern_channel
 from repro.core.ecmp.countids import ALL_CHANNELS_ID, NEIGHBORS_ID, SUBSCRIBER_ID
 from repro.core.ecmp.liveness import DISCOVERY_CHANNEL, Liveness
 from repro.core.ecmp.messages import (
-    MAX_REQUEST_ID,
     MESSAGE_TYPES,
     Count,
     CountQuery,
@@ -75,6 +61,7 @@ from repro.core.ecmp.session import (
     NeighborSessions,
 )
 from repro.core.ecmp.state import LOCAL, ChannelState
+from repro.core.ecmp.verdicts import VerdictEntry, Verdicts
 from repro.core.keys import ChannelKey, KeyCache
 from repro.core.proactive import ProactiveCounter, ToleranceCurve
 from repro.errors import ChannelError, CodecError, ProtocolError, RoutingError
@@ -114,36 +101,6 @@ class CountPropagation(Enum):
     TREE_ONLY = "tree-only"
     ON_CHANGE = "on-change"
     PROACTIVE = "proactive"
-
-
-@dataclass(slots=True)
-class VerdictEntry:
-    """One forwarded join awaiting its upstream verdict, with enough
-    prior state to roll the join back if it is denied."""
-
-    neighbor: str
-    prior_count: int
-    prior_validated: bool
-    presented_key: Optional[ChannelKey]
-    #: The id the joining neighbor's Count carried; the verdict relayed
-    #: to it echoes this. (The id this node forwarded the join under is
-    #: the entry's key in ``pending_verdicts[channel]``.)
-    request_id: int = 0
-    prior_advertised: int = 0
-    #: Count the joining downstream advertised; the denied join's
-    #: contribution is ``joined_count - prior_count``, subtracted (not
-    #: snapshot-restored) on rollback so increments that arrived while
-    #: the verdict was in flight survive.
-    joined_count: int = 0
-    #: Total this node sent upstream alongside this entry; mirrors the
-    #: delta the upstream will subtract from its record of us. Both
-    #: halves of that delta are set when the entry is tabled (and again
-    #: when it is re-tabled at a parent that holds no record of us),
-    #: never when the request is merely repeated.
-    sent_count: int = 0
-    #: Later joins that presented the same key while this one was
-    #: upstream: they sent nothing of their own and take its verdict.
-    sharers: Optional[list["VerdictEntry"]] = None
 
 
 @dataclass(slots=True)
@@ -239,13 +196,6 @@ class EcmpAgent(ProtocolAgent):
         self.keys = KeyCache()
         self.channels: dict[Channel, ChannelState] = {}
         self.subscriptions: dict[Channel, SubscriptionHandle] = {}
-        #: channel -> {request id: entry} for forwarded joins whose
-        #: verdict is still upstream. A channel's table exists only while
-        #: it holds an entry.
-        self.pending_verdicts: dict[Channel, dict[int, VerdictEntry]] = {}
-        #: The next request id to try (1..MAX_REQUEST_ID, cycling, so an
-        #: id is not reused while a duplicate of its verdict may be about).
-        self._next_request_id = 1
         #: Aggregated subscriber blocks attached at this (edge) router,
         #: keyed by pseudo-neighbor name (see repro.core.blocks).
         self.blocks: dict[str, "SubscriberBlock"] = {}
@@ -272,12 +222,13 @@ class EcmpAgent(ProtocolAgent):
         #: Set by the network facade; called when this agent sees a
         #: local link flap so routing can recompute and trees re-home.
         self.topology_change_hook: Optional[Callable[[], None]] = None
-        #: The three machines beside this one (see the module docstring).
+        #: The four machines beside this one (see the module docstring).
         self.sessions = NeighborSessions(self, self._transmit, default_mode)
         self.counting = counting_machine.Counting(
             self, self._send_count_upstream, proactive_curve or ToleranceCurve()
         )
         self.liveness = Liveness(self, self._neighbor_failed, self._record_expired)
+        self.verdicts = Verdicts(self)
 
     def _publish(self, registry) -> None:
         """Declare this agent's families and fold its tallies into them
@@ -358,7 +309,7 @@ class EcmpAgent(ProtocolAgent):
         n_lost = sum(len(s.downstream) for s in self.channels.values())
         self.channels.clear()
         self.subscriptions.clear()
-        self.pending_verdicts.clear()
+        self.verdicts.reset()
         self.counting.reset()
         self.liveness.reset()
         for block in self.blocks.values():
@@ -626,7 +577,7 @@ class EcmpAgent(ProtocolAgent):
             return
         self.stats[row.rx_stat] += 1
         # Looked up on the instance: a test may have wrapped the method.
-        handler = getattr(self, row.handler)
+        handler = row.handler(self)
         if self.obs is None:
             handler(message, from_name)
             return
@@ -856,7 +807,7 @@ class EcmpAgent(ProtocolAgent):
         if is_join:
             verdict = self.keys.validate(channel, key) if self.keys.knows(channel) else None
             if verdict is False:
-                self._deny(channel, from_name, request_id)
+                self.verdicts.deny(channel, from_name, request_id)
                 return
             if verdict:
                 # Validated equal to the cached key: keep the cache's
@@ -952,9 +903,8 @@ class EcmpAgent(ProtocolAgent):
         # however the caller built it.
         channel = intern_channel(channel)
         state = ChannelState(
-            channel=channel, upstream=upstream, created_at=self.sim.now
+            channel=channel, upstream=upstream, upstream_changed_at=self.sim.now
         )
-        state.upstream_changed_at = self.sim.now
         self.channels[channel] = state
         if upstream is not None:
             self._by_upstream.setdefault(upstream, {})[channel] = None
@@ -992,23 +942,14 @@ class EcmpAgent(ProtocolAgent):
         total = state.total(validated_only=False)
         key = joining_key or self.keys.get(state.channel) or state.pending_key
         if total > 0 and state.advertised == 0:
-            self._forward_join(state, total, key, join_entry)
+            self.verdicts.forward_join(state, total, key, join_entry)
             return True
         if total == 0 and state.advertised > 0:
             self._send_count_upstream(state, 0)
             return False
         if joining_key is not None:
-            # Already on tree, but a keyed join needs an upstream verdict
-            # — the one already on its way, if an earlier join asked
-            # about this key: a crowd presenting one key costs one
-            # request, whatever its size.
-            asked = self._asked_about(state.channel, joining_key)
-            if asked is None:
-                self._forward_join(state, total, joining_key, join_entry)
-            elif asked.sharers is None:
-                asked.sharers = [join_entry]
-            else:
-                asked.sharers.append(join_entry)
+            # Already on tree, but a keyed join needs an upstream verdict.
+            self.verdicts.ask(state, total, joining_key, join_entry)
             return True
         if total == state.advertised:
             return False
@@ -1019,70 +960,17 @@ class EcmpAgent(ProtocolAgent):
         # TREE_ONLY: stay quiet while on-tree.
         return False
 
-    def _asked_about(
-        self, channel: Channel, key: ChannelKey
-    ) -> Optional[VerdictEntry]:
-        """The tabled join of ``channel`` that presented ``key``, if one
-        is upstream now."""
-        table = self.pending_verdicts.get(channel)
-        if table is not None:
-            for entry in table.values():
-                if entry.presented_key == key:
-                    return entry
-        return None
-
-    def _forward_join(
-        self,
-        state: ChannelState,
-        count: int,
-        key: Optional[ChannelKey],
-        entry: Optional[VerdictEntry],
-    ) -> None:
-        """Send a join Count upstream, with ``entry`` (None when nobody
-        waits on the verdict) tabled under a request id free on the
-        channel. On-tree joins that present one key share one id, so an
-        honest crowd of any size takes one; the ids run out only with
-        ``MAX_REQUEST_ID`` *different* keys in flight on one channel (all
-        but one of them forged) or as many leave-and-rejoin cycles
-        inside one round trip. The join that finds none is undone and
-        refused here; its sender may present the key again."""
-        request_id = 0
-        if entry is not None:
-            table = self.pending_verdicts.get(state.channel)
-            if table is None:
-                table = self.pending_verdicts[state.channel] = {}
-            elif len(table) >= MAX_REQUEST_ID:
-                self.stats["verdict_table_full"] += 1
-                if state.pending_key == entry.presented_key:
-                    state.pending_key = None
-                self._rollback(state, entry)
-                self._garbage_collect(state)
-                return
-            request_id = self._next_request_id
-            while request_id in table:
-                request_id = request_id % MAX_REQUEST_ID + 1
-            self._next_request_id = request_id % MAX_REQUEST_ID + 1
-            table[request_id] = entry
-        self._send_count_upstream(state, count, key, entry, request_id)
-
     def _send_count_upstream(
         self,
         state: ChannelState,
         count: int,
         key: Optional[ChannelKey] = None,
-        entry: Optional[VerdictEntry] = None,
         request_id: int = 0,
     ) -> None:
         """Send ``count`` upstream, under ``request_id`` when a tabled
-        join waits on the answer. With ``entry`` the Count is what tables
-        (or re-tables) that join at the upstream, and the entry notes
-        what it changes there, which is what a denial will undo; a Count
-        that only repeats a request passes the id alone."""
+        join waits on the answer."""
         if state.upstream is None:
             return
-        if entry is not None:
-            entry.prior_advertised = state.advertised
-            entry.sent_count = count
         # A 0→positive transition (or any Count with a key or a request
         # id) is answered with a verdict, so the message must survive
         # coalescing verbatim.
@@ -1098,68 +986,13 @@ class EcmpAgent(ProtocolAgent):
             counter.observe(state.total(validated_only=False))
             counter.sent(self.sim.now)
 
-    def _reannounce(
-        self,
-        state: ChannelState,
-        key: Optional[ChannelKey] = None,
-        fresh: bool = False,
-    ) -> None:
-        """Re-send the current total upstream. Every verdict this channel
-        still waits for is asked for again under its id — the upstream
-        answers a Count that carries one — so a verdict lost with a
-        datagram, a session or an abandoned parent is repaired here.
-
-        A refresh goes to an upstream that holds our record: each request
-        is repeated with the total it already knows, which changes
-        nothing there, and the entries keep what they noted when they
-        were tabled. A ``fresh`` upstream (a new parent, or the old one
-        after the session died) holds none, and what it will subtract on
-        a denial is whatever the Count carrying that id added: so the
-        joins are replayed in order, each Count raising the total by its
-        own join's share above the settled part, which goes first and
-        under no id — a denial then takes back exactly the denied join."""
-        total = state.total(validated_only=False)
-        table = self.pending_verdicts.get(state.channel)
-        if not table or total == 0:
-            self._send_count_upstream(state, total, key)
-            return
-        if not fresh:
-            for request_id, entry in table.items():
-                self._send_count_upstream(
-                    state, total, entry.presented_key or key, request_id=request_id
-                )
-            return
-        shares = [self._share_of(state, entry) for entry in table.values()]
-        state.advertised = 0
-        running = max(0, total - sum(shares))
-        if running:
-            self._send_count_upstream(state, running, key)
-        for (request_id, entry), share in zip(table.items(), shares):
-            running = min(total, running + share)
-            self._send_count_upstream(
-                state, running, entry.presented_key or key, entry, request_id
-            )
-
-    @staticmethod
-    def _share_of(state: ChannelState, entry: VerdictEntry) -> int:
-        """How much of the channel's total stands on ``entry``'s verdict
-        and on those of the joins sharing it: what their rollbacks would
-        take off the downstream records as they are now."""
-        share = 0
-        for waiter in (entry, *(entry.sharers or ())):
-            record = state.downstream.get(waiter.neighbor)
-            if record is not None:
-                joined = waiter.joined_count - waiter.prior_count
-                share += max(0, min(record.count, joined))
-        return share
-
     def _garbage_collect(self, state: ChannelState) -> None:
         # ``not state.downstream``, read off the slots.
         if state.lone_name is None and not state.spill and state.advertised == 0:
             self.channels.pop(state.channel, None)
             if state.upstream is not None:
                 self._unroute(state.upstream, state.channel)
-            self.pending_verdicts.pop(state.channel, None)
+            self.verdicts.forget_channel(state.channel)
             self.fib.remove(state.channel)
             self.counting.forget_channel(state.channel)
 
@@ -1227,150 +1060,10 @@ class EcmpAgent(ProtocolAgent):
         # 0 at the source's own node: the emit path skips the iif check.
         return upstream.iface.index if upstream is not None else 0
 
-    # ------------------------------------------------------------------
-    # authentication verdicts (§3.2, §3.5)
-    # ------------------------------------------------------------------
-
-    def _deny(self, channel: Channel, neighbor: str, request_id: int = 0) -> None:
-        """Reject a subscription locally (bad key against cached K)."""
-        self.stats["denied_subscriptions"] += 1
-        self._notify_denied(channel, neighbor, request_id)
-
-    def _handle_response(self, message: CountResponse, from_name: str) -> None:
-        channel = message.channel
-        if message.count_id != SUBSCRIBER_ID:
-            # Rejection of a non-subscriber Count (e.g. an unsupported
-            # countId): nothing to roll back — just note it.
-            self.stats["rejected_counts"] += 1
-            return
-        state = self.channels.get(channel)
-        if state is None or from_name != state.upstream:
-            return
-        table = self.pending_verdicts.get(channel)
-        entry = None
-        if table is not None:
-            entry = table.pop(message.request_id, None)
-            if not table:
-                del self.pending_verdicts[channel]
-        if entry is None and message.request_id:
-            return  # a second answer to a request already settled
-
-        if message.status is CountStatus.OK:
-            if entry is None:
-                return  # e.g. a refresh the upstream saw as a fresh join
-            if entry.presented_key is not None:
-                self.keys.learn(channel, entry.presented_key)
-                if state.pending_key == entry.presented_key:
-                    state.pending_key = None
-            self._confirm(state, entry)
-            if entry.sharers is not None:
-                for sharer in entry.sharers:
-                    self._confirm(state, sharer, entry.presented_key)
-                # They sent nothing of their own; now that they count,
-                # the total goes up as any other change would.
-                self._propagate(state)
-            return
-
-        if message.status in (
-            CountStatus.INVALID_AUTHENTICATOR,
-            CountStatus.NO_SUCH_CHANNEL,
-            CountStatus.UNSUPPORTED_COUNT,
-        ):
-            if entry is not None:
-                if state.pending_key == entry.presented_key:
-                    state.pending_key = None
-                self._rollback(state, entry)
-                for sharer in entry.sharers or ():
-                    self._rollback(state, sharer)
-            else:
-                # Unmatched denial (e.g. a re-homing join was refused):
-                # tear down the most recent optimistic keyless record.
-                for name in reversed(list(state.downstream)):
-                    if state.downstream[name].presented_key is None:
-                        self._drop_record(state, name)
-                        self._notify_denied(state.channel, name)
-                        # No entry says what the refused Count added
-                        # upstream, so the new total is sent: a zero when
-                        # that was the last record, and the state goes.
-                        self._propagate(state)
-                        break
-            self._garbage_collect(state)
-
-    def _confirm(
-        self, state: ChannelState, entry: VerdictEntry, learned: Optional[ChannelKey] = None
-    ) -> None:
-        """Grant ``entry``'s join. A sharer's record holds its own copy
-        of the key ``learned`` from the verdict; it keeps the cache's
-        object instead, as a record validated against the cache does."""
-        neighbor = entry.neighbor
-        # ``state.downstream.get(neighbor)``, read off the slots.
-        if state.spill is not None:
-            record = state.spill.get(neighbor)
-        else:
-            record = state.lone_record if state.lone_name == neighbor else None
-        if record is not None:
-            if learned is not None and record.presented_key == learned:
-                record.presented_key = learned
-            if not record.validated:
-                record.validated = True
-                if record.count > 0:
-                    self._set_forwarding(state, neighbor, True)
-        if neighbor == LOCAL:
-            self._activate_local(state.channel)
-        else:
-            # Relay the verdict even if the neighbor has since left: a
-            # node below it may still hold an entry for this join.
-            self._send_message(
-                CountResponse(
-                    state.channel, SUBSCRIBER_ID, CountStatus.OK, entry.request_id
-                ),
-                neighbor,
-            )
-
     def _activate_local(self, channel: Channel) -> None:
         handle = self.subscriptions.get(channel)
         if handle is not None and handle.status != "active":
             handle._set_status("active")
-
-    def _rollback(self, state: ChannelState, entry: VerdictEntry) -> None:
-        """Undo a denied join by subtracting its contribution.
-
-        The subtraction is relative, not a snapshot restore: counts
-        that arrived between the join and its verdict (e.g. several
-        joins batched into one frame, whose verdicts all come back
-        after the last join landed) must survive the rollback. The
-        upstream applies the mirror-image subtraction to its record of
-        us, so ``advertised`` shrinks by the same delta it will."""
-        self.stats["denied_subscriptions"] += 1
-        state.advertised = max(
-            0, state.advertised - (entry.sent_count - entry.prior_advertised)
-        )
-        record = state.downstream.get(entry.neighbor)
-        if record is not None:
-            rolled = record.count - (entry.joined_count - entry.prior_count)
-            if rolled > 0:
-                was_forwarding = record.validated and record.count > 0
-                record.count = rolled
-                # Never revoke a validation an earlier verdict granted.
-                record.validated = record.validated or entry.prior_validated
-                if record.validated and not was_forwarding:
-                    self._set_forwarding(state, entry.neighbor, True)
-            else:
-                self._drop_record(state, entry.neighbor)
-        self._notify_denied(state.channel, entry.neighbor, entry.request_id)
-
-    def _notify_denied(self, channel: Channel, neighbor: str, request_id: int = 0) -> None:
-        if neighbor == LOCAL:
-            handle = self.subscriptions.pop(channel, None)
-            if handle is not None:
-                handle._set_status("denied")
-        else:
-            self._send_message(
-                CountResponse(
-                    channel, SUBSCRIBER_ID, CountStatus.INVALID_AUTHENTICATOR, request_id
-                ),
-                neighbor,
-            )
 
     # ------------------------------------------------------------------
     # query dispatch (§3.1, §3.3, §6)
@@ -1407,15 +1100,11 @@ class EcmpAgent(ProtocolAgent):
             for channel in list(routed):
                 state = self.channels.get(channel)
                 if state is not None and state.upstream == from_name:
-                    self._reannounce(state)
+                    self.verdicts.reannounce(state)
 
     # ------------------------------------------------------------------
     # what liveness reports: expiry and failure handling (§3.2-3.3)
     # ------------------------------------------------------------------
-
-    def _do_udp_refresh_tick(self) -> None:
-        """The refresh tick, under the name ``tests/properties`` wraps."""
-        self.liveness.refresh_tick()
 
     def _record_expired(self, channel: Channel, name: str) -> None:
         """A UDP-mode record outlived its lease: it leaves as if its
@@ -1460,7 +1149,7 @@ class EcmpAgent(ProtocolAgent):
             for state in self.channels.values():
                 if state.upstream == name:
                     # The peer dropped our records with the session.
-                    self._reannounce(state, fresh=True)
+                    self.verdicts.reannounce(state, fresh=True)
                     resent += 1
         if resent:
             self.stats["resync_counts"] += resent
@@ -1545,7 +1234,7 @@ class EcmpAgent(ProtocolAgent):
             state.upstream_changed_at = now
             if new_upstream is not None and state.has_downstream():
                 state.advertised = 0  # force a fresh join to the new parent
-                self._reannounce(state, self.keys.get(channel), fresh=True)
+                self.verdicts.reannounce(state, self.keys.get(channel), fresh=True)
             elif new_upstream is None:
                 # Partitioned from the source: nothing is advertised to
                 # anyone any more (the old upstream zeroed us, or died).

@@ -180,7 +180,6 @@ class ChannelState:
     proactive_values: Mapping[int, dict[str, int]] = field(default_factory=_no_proactive)
     #: When this node last switched upstream (hysteresis input).
     upstream_changed_at: float = 0.0
-    created_at: float = 0.0
     #: The per-downstream-neighbor records (LOCAL for own subs), as the
     #: hot paths read them; everyone else reads :attr:`downstream`. Nearly
     #: every state has one record, so it is held inline — its neighbor's
@@ -259,25 +258,6 @@ def management_state_bytes(
     """
     neighbor_records = len(state.downstream) + (1 if state.upstream else 0)
     total = neighbor_records * max(outstanding_counts, 1) * COUNT_RECORD_BYTES
-    if authenticated:
-        total += KEY_BYTES
-    return total
-
-
-def paper_model_channel_bytes(
-    fanout: int = 2, outstanding_counts: int = 2, authenticated: bool = True
-) -> int:
-    """§5.2's worked example: "assume an average fan-out of 2 (so three
-    records including the upstream record) and assume 2 counts
-    outstanding at any time on a channel, the DRAM memory cost per
-    channel is 192 bytes ... Adding another eight bytes to store
-    K(S,E), the total size is 200 bytes."
-
-    >>> paper_model_channel_bytes()
-    200
-    """
-    neighbor_records = fanout + 1
-    total = neighbor_records * outstanding_counts * COUNT_RECORD_BYTES
     if authenticated:
         total += KEY_BYTES
     return total

@@ -7,12 +7,21 @@ forwarding, and per-receiver switchover to an (S,G) shortest-path tree
 — "the higher delay of a shared multicast tree rooted at the rendezvous
 point [or] the extra state cost of source-specific trees" (§4.4).
 
+After a switch, a source's packets reach each member once: a router
+whose source tree arrives through another neighbor than its shared tree,
+or all of whose shared-tree neighbors have pruned the source, prunes the
+source off the shared tree at its upstream (RFC 4601's (S,G,rpt) prune),
+and a packet arriving on a source tree also feeds the shared-tree
+neighbors that have not pruned that source.
+
 Simplifications relative to RFC 2117 (documented; none affect the
 measured claims): no bootstrap/RP-set election (the RP is configured),
-no RegisterStop (the last-hop router suppresses shared-tree duplicates
-once its SPT is active — the "SPT bit" in spirit), no Assert election
-(point-to-point links), and Join/Prune is per-neighbor unicast rather
-than multicast to ALL-PIM-ROUTERS.
+no RegisterStop (the RP drops a register for a source whose tree it is
+on, and the last-hop router drops shared-tree copies once its SPT is
+active — the "SPT bit" in spirit), no Assert election (point-to-point
+links), and Join/Prune is per-neighbor unicast rather than multicast to
+ALL-PIM-ROUTERS. An (S,G,rpt) prune lives on the (*,G) entry, so
+:meth:`PimRouterAgent.state_entries` counts (*,G) and (S,G) entries.
 """
 
 from __future__ import annotations
@@ -39,11 +48,15 @@ JOIN_PRUNE_BYTES = 34
 @dataclass(frozen=True)
 class PimJoinPrune:
     """A hop-by-hop Join (``join=True``) or Prune for ``group``;
-    ``source`` selects the (S,G) source tree, None the (*,G) RP tree."""
+    ``source`` selects the (S,G) source tree, None the (*,G) RP tree.
+    With ``rpt`` it is the (S,G,rpt) form: a Prune asks the shared tree
+    to stop carrying ``source``'s packets to the sender, a Join asks for
+    them again."""
 
     group: int
     join: bool
     source: Optional[int] = None
+    rpt: bool = False
 
     def __post_init__(self) -> None:
         if not is_class_d(self.group):
@@ -56,6 +69,11 @@ class _TreeState:
 
     upstream: Optional[str] = None
     oifs: set = field(default_factory=set)  # downstream neighbor names
+    #: (*,G) only: source address -> the neighbors in ``oifs`` that
+    #: pruned that source off the shared tree.
+    rpt_pruned: dict = field(default_factory=dict)
+    #: (*,G) only: the sources this router pruned off it at ``upstream``.
+    rpt_pruned_up: set = field(default_factory=set)
 
 
 class PimRouterAgent(ProtocolAgent):
@@ -92,6 +110,19 @@ class PimRouterAgent(ProtocolAgent):
 
     def _handle_join_prune(self, message: PimJoinPrune, from_name: str) -> None:
         self.stats.incr("join_rx" if message.join else "prune_rx")
+        self._apply_join_prune(message, from_name)
+        self._sync_rpt(message.group)
+
+    def _apply_join_prune(self, message: PimJoinPrune, from_name: str) -> None:
+        if message.rpt:
+            shared = self.shared.get(message.group)
+            if shared is not None:
+                pruned = shared.rpt_pruned.setdefault(message.source, set())
+                if message.join:
+                    pruned.discard(from_name)
+                else:
+                    pruned.add(from_name)
+            return
         if message.source is None:
             state = self.shared.get(message.group)
             if message.join:
@@ -104,6 +135,8 @@ class PimRouterAgent(ProtocolAgent):
                 if state is None:
                     return
                 state.oifs.discard(from_name)
+                for pruned in state.rpt_pruned.values():
+                    pruned.discard(from_name)
                 if not state.oifs:
                     self._send_join_prune(message, state.upstream)
                     del self.shared[message.group]
@@ -129,6 +162,32 @@ class PimRouterAgent(ProtocolAgent):
                 if state.upstream is not None:
                     self._send_join_prune(message, state.upstream)
                 del self.source_trees[key]
+
+    def _sync_rpt(self, group: int) -> None:
+        """Prune each source off the shared tree at this router's
+        upstream once the router wants none of that source's packets
+        from it, and join it back when it does again: it wants none when
+        its tree for the source arrives through another neighbor, or
+        when every shared-tree neighbor below it has pruned the source."""
+        shared = self.shared.get(group)
+        if shared is None or shared.upstream is None:
+            return
+        sources = {source for source, g in self.source_trees if g == group}
+        for source in sorted(sources | set(shared.rpt_pruned) | shared.rpt_pruned_up):
+            spt = self.source_trees.get((source, group))
+            unwanted = (spt is not None and spt.upstream != shared.upstream) or (
+                shared.oifs <= shared.rpt_pruned.get(source, set())
+            )
+            if unwanted == (source in shared.rpt_pruned_up):
+                continue
+            if unwanted:
+                shared.rpt_pruned_up.add(source)
+            else:
+                shared.rpt_pruned_up.discard(source)
+            self._send_join_prune(
+                PimJoinPrune(group, join=not unwanted, source=source, rpt=True),
+                shared.upstream,
+            )
 
     def _upstream_toward(self, target: str) -> Optional[str]:
         if target == self.node.name:
@@ -160,46 +219,53 @@ class PimRouterAgent(ProtocolAgent):
     def _forward_data(self, packet: Packet, ifindex: int) -> None:
         group = packet.dst
         arrived_from = self._neighbor_name(ifindex)
+        spt = self.source_trees.get((packet.src, group))
+        shared = self.shared.get(group)
 
         # A directly-attached host sourcing to the group: this router
         # is the DR; encapsulate to the RP ("register").
         if self._is_attached_host(packet.src, arrived_from):
             self._register_to_rp(packet)
             # Natively feed an (S,G) tree rooted here, if one exists.
-            spt = self.source_trees.get((packet.src, group))
             if spt is not None:
-                self._fan_out(packet, spt.oifs, exclude=arrived_from)
+                oifs = self._source_olist(spt, shared, packet.src)
+                self._fan_out(packet, oifs, exclude=arrived_from)
             return
 
-        spt = self.source_trees.get((packet.src, group))
-        shared = self.shared.get(group)
-        oifs: set = set()
-        accepted = False
-
         if spt is not None and arrived_from == spt.upstream:
-            accepted = True
             self.stats.incr("spt_forwarded")
-            oifs |= spt.oifs
-            # At the RP, the native (S,G) flow also feeds the shared
-            # tree (which is why registers for it are suppressed).
-            if shared is not None and self.node.name == self.rp_name:
-                oifs |= shared.oifs
-
-        if not accepted and shared is not None and arrived_from == shared.upstream:
+            oifs = self._source_olist(spt, shared, packet.src)
+        elif shared is not None and arrived_from == shared.upstream:
             if (packet.src, group) in self.spt_active:
                 self.stats.incr("spt_suppressed")
                 return
-            accepted = True
             self.stats.incr("shared_forwarded")
-            oifs |= shared.oifs
-
-        if not accepted:
+            oifs = self._shared_olist(shared, packet.src)
+        else:
             if spt is None and shared is None:
                 self.stats.incr("no_state_drops")
             else:
                 self.stats.incr("wrong_iface_drops")
             return
         self._fan_out(packet, oifs, exclude=arrived_from)
+
+    @staticmethod
+    def _shared_olist(shared: _TreeState, source: int) -> set:
+        """The shared-tree neighbors that take ``source``'s packets: those
+        that have not pruned it."""
+        pruned = shared.rpt_pruned.get(source)
+        return shared.oifs - pruned if pruned else shared.oifs
+
+    def _source_olist(
+        self, spt: _TreeState, shared: Optional[_TreeState], source: int
+    ) -> set:
+        """Where a packet on ``source``'s tree goes: its (S,G) neighbors
+        and, where the router is on the shared tree too, the shared-tree
+        neighbors that take ``source`` (which is why the RP drops a
+        register for a source whose tree it is on)."""
+        if shared is None:
+            return spt.oifs
+        return spt.oifs | self._shared_olist(shared, source)
 
     def _handle_register(self, packet: Packet, ifindex: int) -> None:
         if packet.dst != self.node.address:
@@ -222,7 +288,7 @@ class PimRouterAgent(ProtocolAgent):
             self.stats.incr("register_no_group_drops")
             return
         # The RP multicasts the decapsulated packet down the shared tree.
-        self._fan_out(inner, state.oifs, exclude=None)
+        self._fan_out(inner, self._shared_olist(state, inner.src), exclude=None)
 
     def _register_to_rp(self, packet: Packet) -> None:
         rp = self.routing.topo.nodes.get(self.rp_name)
@@ -230,12 +296,15 @@ class PimRouterAgent(ProtocolAgent):
             return
         if rp is self.node:
             # This router *is* the RP: short-circuit the register (but
-            # never echo back to the attached sender's own port).
+            # never echo back to the attached sender's own port), and
+            # drop it as a register when the source's tree carries it.
             state = self.shared.get(packet.dst)
-            if state is not None:
+            if state is not None and (packet.src, packet.dst) not in self.source_trees:
                 origin = self.routing.topo.node_by_address(packet.src)
                 self._fan_out(
-                    packet, state.oifs, exclude=origin.name if origin else None
+                    packet,
+                    self._shared_olist(state, packet.src),
+                    exclude=origin.name if origin else None,
                 )
             return
         outer = packet.encapsulate(

@@ -91,7 +91,7 @@ def silence_host(net: ExpressNetwork, host: str) -> None:
     agent = net.ecmp_agents[host]
     agent.subscriptions.clear()
     agent.channels.clear()
-    agent.pending_verdicts.clear()  # for joins it no longer remembers making
+    agent.verdicts.reset()  # for joins it no longer remembers making
     for source, dest in agent.fib.channels():
         agent.fib.remove(source, dest)
 
@@ -113,7 +113,7 @@ def assert_control_plane_at_rest(net: ExpressNetwork) -> None:
     ``liveness.udp_channels`` / ``_by_upstream`` indexes."""
     for name, agent in net.ecmp_agents.items():
         held = {
-            "pending_verdicts": agent.pending_verdicts,
+            "pending_verdicts": agent.verdicts.pending,
             "pending_queries": agent.counting.pending,
             "queued toward": [
                 n.name for n in agent.sessions.table.values() if n.queue is not None

@@ -65,8 +65,10 @@ def test_a_join_reaches_hop_k_after_exactly_the_links_before_it():
     path = ["hsub"] + [f"n{i}" for i in reversed(range(routers))] + ["hsrc"]
     links = path_links(net, path)
     for k, name in enumerate(path[1:], start=1):
-        # A node's state for the channel is created by the join's arrival.
-        reached = net.ecmp_agents[name].channels[channel].created_at
+        # A node's state for the channel is created by the join's arrival,
+        # which stamps its upstream as taken then (nothing re-homes on a
+        # line).
+        reached = net.ecmp_agents[name].channels[channel].upstream_changed_at
         assert reached == after(start, links[:k], JOIN), (k, name)
     assert_control_plane_at_rest(net)
 

@@ -8,7 +8,6 @@ from repro.core.ecmp.state import (
     ChannelState,
     DownstreamRecord,
     management_state_bytes,
-    paper_model_channel_bytes,
 )
 from repro.core.channel import Channel
 from repro.errors import TopologyError
@@ -63,11 +62,6 @@ class TestFacade:
 
 
 class TestStateAccounting:
-    def test_paper_model_is_200_bytes(self):
-        """§5.2's worked example totals 200 bytes per channel."""
-        assert paper_model_channel_bytes() == 200
-        assert paper_model_channel_bytes(authenticated=False) == 192
-
     def test_live_state_accounting_matches_shape(self):
         state = ChannelState(channel=Channel.of(0x0A000001, 1), upstream="up")
         state.downstream["a"] = DownstreamRecord(count=3)

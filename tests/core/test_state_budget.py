@@ -38,6 +38,8 @@ key caches keyed by the ``Channel``
 a fresh interpreter                   578    627  0
 records hold their own fields; no
 bank                                  517    566  0
+no ``ChannelState.created_at``
+(written once, read by one test)      509    558  0
 ================================  =======  =====  ===================
 
 What went, in bytes per state on this tree: an empty 760-byte ``deque``
@@ -54,10 +56,11 @@ hold one (−104, the two slots that replace it included); an ``(S, E)``
 key tuple and a ``FibEntry`` for each FIB entry, on four nodes of eight
 (−60); a ``__dict__`` per decoded channel key (−60, keyed only); a
 row of a process-wide record bank beside every downstream record
-(−61). The growth is lumpy — dict resizes land inside one batch or the
-next (successive 1,000-channel batches on one network read 580–920) —
-so the figure belongs to exactly this sequence, in a fresh interpreter
-(:func:`measure_fresh`); it repeats exactly.
+(−61); a creation stamp no code read (−8). The growth is lumpy — dict
+resizes land inside one batch or the next (successive 1,000-channel
+batches on one network read 580–920) — so the figure belongs to exactly
+this sequence, in a fresh interpreter (:func:`measure_fresh`); it
+repeats exactly.
 """
 
 import gc
@@ -78,7 +81,7 @@ LEAVES = [f"d2_{i}" for i in range(4)]
 WARM_UP = 100
 CHANNELS = 1000
 #: Bytes per (node, channel) state, (keyless, keyed).
-CEILING = (557, 631)
+CEILING = (549, 623)
 #: Interned channels in the FIB measurement, and bytes per entry.
 FIB_CHANNELS = 10_000
 FIB_CEILING = 60
@@ -140,7 +143,7 @@ def measure() -> dict:
     return {
         "keyless": keyless,
         "keyed": keyed,
-        "verdict_tables": sum(len(a.pending_verdicts) for a in net.ecmp_agents.values()),
+        "verdict_tables": sum(len(a.verdicts.pending) for a in net.ecmp_agents.values()),
         "subscriptions": {
             host: [h.status for h in net.ecmp_agents[host].subscriptions.values()]
             for host in LEAVES

@@ -72,12 +72,12 @@ def test_upstream_learning_the_key_between_two_joins_crosses_no_verdict(first):
     n1, n2 = net.ecmp_agents["n1"], net.ecmp_agents["n2"]
     net.run(until=start + 1.9)
     assert handles[early].status == "pending"
-    assert len(n1.pending_verdicts[channel]) == (2 if first == "bad" else 1)
+    assert len(n1.verdicts.pending[channel]) == (2 if first == "bad" else 1)
     net.run(until=start + 2.65)
     assert n1.keys.knows(channel)
     if first == "bad":
         assert not n2.keys.knows(channel)
-        assert len(n2.pending_verdicts[channel]) == 1  # hB's, still upstream
+        assert len(n2.verdicts.pending[channel]) == 1  # hB's, still upstream
         net.run(until=start + 3.0)
         assert handles["hA"].status == "active"
         assert handles["hB"].status == "pending"
@@ -108,7 +108,7 @@ def test_a_join_that_shared_a_verdict_keeps_the_cached_key():
     net.sim.schedule_at(start + 1.5, lambda: net.host("hA").subscribe(channel, key=key))
     net.run(until=start + 1.9)
     n1 = net.ecmp_agents["n1"]
-    (entry,) = n1.pending_verdicts[channel].values()
+    (entry,) = n1.verdicts.pending[channel].values()
     assert [sharer.neighbor for sharer in entry.sharers] == ["n2"]
     net.settle(4.0)
     held = 0
@@ -185,7 +185,7 @@ def test_a_verdict_lost_on_a_udp_link_is_repaired_by_the_next_refresh(monkeypatc
     dropper.remove(access)
     host = net.ecmp_agents["hsub"]
     assert dropper.stats["dropped"] >= 1
-    assert handle.status == "pending" and len(host.pending_verdicts[channel]) == 1
+    assert handle.status == "pending" and len(host.verdicts.pending[channel]) == 1
     record = net.ecmp_agents["n1"].channels[channel].downstream["hsub"]
     assert record.count == 1 and record.validated  # n1 did say yes
     answered = net.ecmp_agents["n1"].stats.get("tx_countresponse")
@@ -219,8 +219,8 @@ def test_a_second_answer_to_a_settled_request_changes_nothing():
     before, sent = records(), n2.stats.get("msgs_tx")
     for status in (CountStatus.INVALID_AUTHENTICATOR, CountStatus.OK):
         stale = CountResponse(channel, SUBSCRIBER_ID, status, request_id=7)
-        host._handle_response(stale, "n2")
-        n2._handle_response(stale, "n1")
+        host.verdicts.on_response(stale, "n2")
+        n2.verdicts.on_response(stale, "n1")
     assert keyed.status == "active" and channel in host.channels
     assert records() == before and n2.stats.get("msgs_tx") == sent
     assert_control_plane_at_rest(net)
@@ -242,7 +242,7 @@ def test_a_channel_with_every_request_id_in_flight_refuses_the_next_join():
         forged = ChannelKey(i.to_bytes(8, "big"))
         forger._send_message(Count(channel, SUBSCRIBER_ID, 1, forged), "n2")
     net.settle(0.2)
-    assert sorted(n2.pending_verdicts[channel]) == list(range(1, MAX_REQUEST_ID + 1))
+    assert sorted(n2.verdicts.pending[channel]) == list(range(1, MAX_REQUEST_ID + 1))
     assert n2.stats.get("verdict_table_full") == flood - MAX_REQUEST_ID
     assert forger.stats.get("responses_rx") == flood - MAX_REQUEST_ID
     net.settle(6.0)
@@ -305,8 +305,8 @@ def test_a_flash_crowd_presenting_one_key_takes_one_request_id(forgers):
     net.run(until=net.sim.now + 0.5)
     n1 = net.ecmp_agents["n1"]
     in_flight = {0: 1, 1: 2, 2: 1 + len(bad)}[forgers]
-    assert len(n1.pending_verdicts[channel]) == in_flight
-    assert len(net.ecmp_agents["e0"].pending_verdicts[channel]) == (2 if forgers else 1)
+    assert len(n1.verdicts.pending[channel]) == in_flight
+    assert len(net.ecmp_agents["e0"].verdicts.pending[channel]) == (2 if forgers else 1)
     assert all(handle.status == "pending" for handle in handles.values())
     net.settle(6.0)
     for name, handle in handles.items():
@@ -347,7 +347,7 @@ def test_a_denial_lost_on_a_udp_link_is_repaired_by_the_next_refresh(monkeypatch
     dropper.remove(access)
     host, n1 = net.ecmp_agents["hsub"], net.ecmp_agents["n1"]
     assert dropper.stats["dropped"] >= 1
-    assert handle.status == "pending" and len(host.pending_verdicts[channel]) == 1
+    assert handle.status == "pending" and len(host.verdicts.pending[channel]) == 1
     assert channel not in n1.channels  # n1 did say no, and undid the join
     net.run(until=start + 2.5)  # past n1's next general queries
     assert handle.status == "denied"
@@ -396,11 +396,11 @@ def test_a_rehome_with_a_good_and_a_bad_verdict_in_flight(first):
     net.run(until=net.sim.now + 0.5)
     n2 = net.ecmp_agents["n2"]
     assert n2.channels[channel].upstream == "a"
-    assert len(n2.pending_verdicts[channel]) == 2
+    assert len(n2.verdicts.pending[channel]) == 2
     topo.link_between("n2", "a").fail()
     net.run(until=net.sim.now + 0.1)
     assert n2.channels[channel].upstream == "b"
-    assert len(n2.pending_verdicts[channel]) == 2  # asked again, at b
+    assert len(n2.verdicts.pending[channel]) == 2  # asked again, at b
     net.settle(8.0)
     assert handles["hA"].status == "active"
     assert handles["hB"].status == "denied"
@@ -412,7 +412,7 @@ def test_a_rehome_with_a_good_and_a_bad_verdict_in_flight(first):
 
 
 def test_a_replay_raises_the_total_by_each_join_a_repeat_changes_nothing():
-    """What ``_reannounce`` sends, and what it leaves in the entries.
+    """What ``Verdicts.reannounce`` sends, and what it leaves in the entries.
     n2 holds a subscriber who joined before the source installed the
     key (so no router learned it) and two keyed joins in flight. A
     refresh goes to an upstream that has n2's record: every request is
@@ -432,7 +432,7 @@ def test_a_replay_raises_the_total_by_each_join_a_repeat_changes_nothing():
     net.host("hA").subscribe(channel, key=key)
     net.run(until=net.sim.now + 0.5)
     state = n2.channels[channel]
-    table = n2.pending_verdicts[channel]
+    table = n2.verdicts.pending[channel]
     (bad_id, bad), (good_id, good) = table.items()
     deltas = lambda: [(e.prior_advertised, e.sent_count) for e in (bad, good)]
     assert deltas() == [(1, 2), (2, 3)] and state.advertised == 3
@@ -440,17 +440,17 @@ def test_a_replay_raises_the_total_by_each_join_a_repeat_changes_nothing():
     n2._send_message = lambda message, neighbor, **_: sent.append(
         (message.count, message.key, message.request_id)
     )
-    n2._reannounce(state)
+    n2.verdicts.reannounce(state)
     assert sent == [(3, BAD_KEY, bad_id), (3, key, good_id)]
     assert deltas() == [(1, 2), (2, 3)] and state.advertised == 3
     del sent[:]
-    n2._reannounce(state, fresh=True)
+    n2.verdicts.reannounce(state, fresh=True)
     assert sent == [(1, None, 0), (2, BAD_KEY, bad_id), (3, key, good_id)]
     assert deltas() == [(1, 2), (2, 3)] and state.advertised == 3
     # With the bad key's host gone its join stands on nothing, and its
     # Count still goes (the verdict is owed) but adds nothing.
     n2._drop_record(state, "hB")
     del sent[:]
-    n2._reannounce(state, fresh=True)
+    n2.verdicts.reannounce(state, fresh=True)
     assert sent == [(1, None, 0), (1, BAD_KEY, bad_id), (2, key, good_id)]
     assert deltas() == [(1, 1), (1, 2)] and state.advertised == 2

@@ -10,6 +10,8 @@ the source sends one zero-size packet:
 * the routers the live stack touches, and the state entries it holds,
   equal the model's with the member and source hosts left out (the
   models count every node; the live agents run on routers only);
+* each member gets the packet exactly once — after the switch too,
+  where a router on both trees would otherwise pass on both copies;
 * each member's first delivery arrives after exactly the summed link
   delay along the model's ``delivery_path``, plus at most the
   transmission time of the 20-byte IP-in-IP header a register or core
@@ -125,6 +127,13 @@ class TestLiveAgentsMatchTheTrees:
             count for node, count in model.state_entries().items() if node not in hosts
         )
         assert net.total_state() == expected_state
+
+    @SIM_SETTINGS
+    @given(scenario=scenarios())
+    def test_every_member_gets_exactly_one_copy(self, variant, scenario):
+        net, members, _ = run_live(variant, scenario)
+        copies = {member: net.delivered(member, GROUP) for member in members}
+        assert copies == dict.fromkeys(members, 1)
 
     @SIM_SETTINGS
     @given(scenario=scenarios())

@@ -19,11 +19,13 @@ Seeded ``random.Random`` (not hypothesis), as in the other suites.
 
 import random
 from collections import Counter
+from contextlib import contextmanager
 
 import pytest
 
 from repro import ExpressNetwork, NeighborMode, TopologyBuilder
 from repro.core.ecmp.countids import ALL_CHANNELS_ID
+from repro.core.ecmp.liveness import Liveness
 from repro.core.ecmp.messages import CountQuery
 from repro.faults import FaultInjector, FaultPlan
 from tests.conftest import assert_control_plane_at_rest, silence_host
@@ -43,11 +45,35 @@ def records_of(agent) -> set:
     }
 
 
-def watch(agent, seen: Counter) -> None:
+#: The shipped tick, as the class defines it.
+SHIPPED_TICK = Liveness.refresh_tick
+
+
+@contextmanager
+def watched_ticks():
+    """Patch ``Liveness.refresh_tick`` on the class so that a watched
+    agent's tick runs its watcher (a dict, agent -> watcher, yielded to
+    :func:`watch`) and every other agent's runs as shipped."""
+    watchers = {}
+
+    def refresh_tick(liveness):
+        watcher = watchers.get(liveness._agent)
+        if watcher is None:
+            SHIPPED_TICK(liveness)
+        else:
+            watcher()
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(Liveness, "refresh_tick", refresh_tick)
+        yield watchers
+
+
+def watch(agent, seen: Counter, watchers: dict) -> None:
     """Compare the agent's every refresh tick and general-query reply
     with the oracle's, for the rest of the run (across restarts: the
-    wrappers are instance attributes, which ``lose_state`` leaves)."""
-    shipped_tick = agent._do_udp_refresh_tick
+    tick's watcher is keyed by the agent and the reply's wrapper is an
+    instance attribute, both of which ``lose_state`` leaves)."""
+    liveness = agent.liveness
     shipped_reply = agent._handle_general_query
     where = agent.node.name
 
@@ -65,7 +91,7 @@ def watch(agent, seen: Counter) -> None:
 
         agent._send_message = spy
         try:
-            shipped_tick()
+            SHIPPED_TICK(liveness)
         finally:
             del agent._send_message
         assert got_targets == want_targets, f"{where} t={now:.3f}"
@@ -97,11 +123,11 @@ def watch(agent, seen: Counter) -> None:
         if agent.role == "router":
             seen["router_reannounced"] += len(got)
 
-    agent._do_udp_refresh_tick = tick
+    watchers[agent] = tick
     agent._handle_general_query = reply
 
 
-def drive(case: int) -> tuple[ExpressNetwork, Counter]:
+def drive(case: int, watchers: dict) -> tuple[ExpressNetwork, Counter]:
     rng = random.Random(0x5EF + case)
     topo = TopologyBuilder.isp(
         n_transit=4, stubs_per_transit=2, hosts_per_stub=3, seed=case
@@ -113,7 +139,7 @@ def drive(case: int) -> tuple[ExpressNetwork, Counter]:
     seen: Counter = Counter()
     for agent in net.ecmp_agents.values():
         agent.UDP_QUERY_INTERVAL = REFRESH
-        watch(agent, seen)
+        watch(agent, seen, watchers)
     net.run(until=0.01)
     sim = net.sim
     hosts = sorted(net.host_names)
@@ -167,7 +193,8 @@ def drive(case: int) -> tuple[ExpressNetwork, Counter]:
 
 @pytest.fixture(scope="module")
 def driven():
-    return [drive(case) for case in range(N_CASES)]
+    with watched_ticks() as watchers:
+        return [drive(case, watchers) for case in range(N_CASES)]
 
 
 def test_every_tick_and_reply_matches_the_full_table_walk(driven):
