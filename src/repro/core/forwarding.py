@@ -136,18 +136,12 @@ class ExpressForwarder(ProtocolAgent):
             for sink in self._unicast_sinks:
                 sink(packet)
             return
-        target = self.routing.topo.node_by_address(packet.dst)
-        if target is None:
-            self.stats["unicast_no_route_drops"] += 1
-            return
-        hop = self.routing.next_hop(self.node.name, target.name)
-        if hop is None:
-            self.stats["unicast_no_route_drops"] += 1
-            return
         forwarded = packet.copy()
         forwarded.ttl = packet.ttl - 1
-        self.stats["unicast_forwarded"] += 1
-        self.node.send_to_neighbor(forwarded, self.routing.topo.node(hop))
+        if self.routing.forward(self.node, forwarded) is None:
+            self.stats["unicast_no_route_drops"] += 1
+        else:
+            self.stats["unicast_forwarded"] += 1
 
     def _handle_encapsulated(self, packet: Packet, ifindex: int) -> None:
         if packet.dst != self.node.address:
@@ -205,13 +199,7 @@ class ExpressForwarder(ProtocolAgent):
             for sink in self._unicast_sinks:
                 sink(packet)
             return True
-        target = self.routing.topo.node_by_address(packet.dst)
-        if target is None:
-            return False
-        hop = self.routing.next_hop(self.node.name, target.name)
-        if hop is None:
-            return False
-        return self.node.send_to_neighbor(packet, self.routing.topo.node(hop))
+        return bool(self.routing.forward(self.node, packet))
 
     def _fan_out(self, packet: Packet, oifs: tuple[int, ...], consume: bool = False) -> None:
         """Replicate ``packet`` onto ``oifs``.

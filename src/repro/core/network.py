@@ -210,16 +210,7 @@ class ExpressNetwork:
         if obs is not None:
             topo.attach_observability(obs)
         self.routing = UnicastRouting(topo, obs=obs)
-        if hosts is None:
-            hosts = [
-                name
-                for name, node in topo.nodes.items()
-                if len(node.interfaces) == 1 and name.startswith("h")
-            ]
-        self.host_names = set(hosts)
-        unknown = self.host_names - set(topo.nodes)
-        if unknown:
-            raise TopologyError(f"unknown host nodes: {sorted(unknown)}")
+        self.host_names = topo.host_names(hosts)
 
         self.fibs: dict[str, MulticastFib] = {}
         self.ecmp_agents: dict[str, EcmpAgent] = {}

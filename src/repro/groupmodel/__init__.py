@@ -6,6 +6,10 @@ measured on live packets (X1, X7, X8). Their analytic trees survive
 only as the test oracle ``tests/oracles/trees.py``, which a property
 suite holds these agents to:
 
+* :mod:`repro.groupmodel.router` — the skeleton all three share:
+  :class:`GroupRouterAgent` (neighbor naming, the upstream query, the
+  one reliable control send, fan-out, tunnels in transit, state
+  inspection) and :class:`JoinPrune`, the one join/prune message.
 * :mod:`repro.groupmodel.pim` — PIM-SM-lite: hop-by-hop Join/Prune
   toward a rendezvous point, register encapsulation of sources to the
   RP, shared-tree forwarding, and receiver-side switchover to
@@ -19,17 +23,18 @@ suite holds these agents to:
   property: *any* host can send to any group).
 """
 
-from repro.groupmodel.cbt import CbtJoinLeave, CbtRouterAgent
+from repro.groupmodel.cbt import CbtRouterAgent
 from repro.groupmodel.dvmrp import DvmrpRouterAgent
 from repro.groupmodel.network import GroupHostAgent, GroupNetwork
-from repro.groupmodel.pim import PimJoinPrune, PimRouterAgent
+from repro.groupmodel.pim import PimRouterAgent
+from repro.groupmodel.router import GroupRouterAgent, JoinPrune
 
 __all__ = [
-    "CbtJoinLeave",
     "CbtRouterAgent",
     "DvmrpRouterAgent",
     "GroupHostAgent",
     "GroupNetwork",
-    "PimJoinPrune",
+    "GroupRouterAgent",
+    "JoinPrune",
     "PimRouterAgent",
 ]

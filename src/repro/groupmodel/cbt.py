@@ -19,27 +19,18 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from repro.errors import ProtocolError
-from repro.inet.addr import is_class_d
-from repro.netsim.node import Node, ProtocolAgent
+from repro.groupmodel.router import (
+    PROTO_DATA,
+    PROTO_TUNNEL,
+    GroupRouterAgent,
+    JoinPrune,
+)
+from repro.netsim.node import Node
 from repro.netsim.packet import Packet
-from repro.netsim.trace import Counter
 from repro.routing.unicast import UnicastRouting
 
 PROTO_CBT = "cbt"
 JOIN_BYTES = 30
-
-
-@dataclass(frozen=True)
-class CbtJoinLeave:
-    """Hop-by-hop join (toward the core) or leave for ``group``."""
-
-    group: int
-    join: bool
-
-    def __post_init__(self) -> None:
-        if not is_class_d(self.group):
-            raise ProtocolError(f"{self.group:#x} is not a group address")
 
 
 @dataclass
@@ -57,68 +48,35 @@ class _CbtState:
         return neighbors
 
 
-class CbtRouterAgent(ProtocolAgent):
+class CbtRouterAgent(GroupRouterAgent):
     """CBT-lite on one router."""
 
+    PROTO = PROTO_CBT
+    CONTROL_BYTES = JOIN_BYTES
+    LABELS = (PROTO_DATA, PROTO_CBT, PROTO_TUNNEL)
+
     def __init__(self, node: Node, routing: UnicastRouting, core_name: str) -> None:
-        super().__init__(node)
-        self.routing = routing
+        super().__init__(node, routing)
         self.core_name = core_name
         self.state: dict[int, _CbtState] = {}
-        self.stats = Counter()
 
     # ------------------------------------------------------------------
 
-    def handle_packet(self, packet: Packet, ifindex: int) -> None:
-        if packet.proto == PROTO_CBT:
-            message = packet.headers.get("cbt")
-            peer = self._neighbor_name(ifindex)
-            if isinstance(message, CbtJoinLeave) and peer is not None:
-                self._handle_join_leave(message, peer)
-        elif packet.proto == "ipip":
-            self._handle_core_tunnel(packet)
-        elif packet.proto == "data" and is_class_d(packet.dst):
-            self._forward_data(packet, ifindex)
-
-    def _handle_join_leave(self, message: CbtJoinLeave, from_name: str) -> None:
-        self.stats.incr("join_rx" if message.join else "leave_rx")
+    def _on_control(self, message: JoinPrune, from_name: str) -> None:
         state = self.state.get(message.group)
         if message.join:
             if state is None:
-                state = _CbtState(parent=self._upstream_toward_core())
+                state = _CbtState(parent=self._upstream(self.core_name))
                 self.state[message.group] = state
-                self._send_join_leave(message, state.parent)
+                self._send_control(message, state.parent)
             state.children.add(from_name)
         else:
             if state is None:
                 return
             state.children.discard(from_name)
             if not state.children:
-                self._send_join_leave(message, state.parent)
+                self._send_control(message, state.parent)
                 del self.state[message.group]
-
-    def _upstream_toward_core(self) -> Optional[str]:
-        if self.core_name == self.node.name:
-            return None
-        return self.routing.next_hop(self.node.name, self.core_name)
-
-    def _send_join_leave(self, message: CbtJoinLeave, neighbor: Optional[str]) -> None:
-        if neighbor is None:
-            return
-        peer = self.routing.topo.nodes.get(neighbor)
-        if peer is None:
-            return
-        packet = Packet(
-            src=self.node.address,
-            dst=peer.address,
-            proto=PROTO_CBT,
-            size=20 + JOIN_BYTES,
-            created_at=self.sim.now,
-        )
-        packet.headers["cbt"] = message
-        packet.headers["reliable"] = True
-        self.stats.incr("join_tx" if message.join else "leave_tx")
-        self.node.send_to_neighbor(packet, peer)
 
     # ------------------------------------------------------------------
 
@@ -131,7 +89,7 @@ class CbtRouterAgent(ProtocolAgent):
         if state is None:
             if attached_source:
                 # Off-tree sender: tunnel to the core.
-                self._tunnel_to_core(packet)
+                self._tunnel(packet, self.topo.node(self.core_name), "tunnels_tx")
             else:
                 self.stats.incr("no_state_drops")
             return
@@ -145,10 +103,7 @@ class CbtRouterAgent(ProtocolAgent):
         else:
             self.stats.incr("off_tree_drops")
 
-    def _handle_core_tunnel(self, packet: Packet) -> None:
-        if packet.dst != self.node.address:
-            self._unicast_forward(packet)
-            return
+    def _on_tunnel(self, packet: Packet) -> None:
         if self.node.name != self.core_name or not packet.is_encapsulated():
             self.stats.incr("bad_tunnel_drops")
             return
@@ -159,46 +114,3 @@ class CbtRouterAgent(ProtocolAgent):
             self.stats.incr("tunnel_no_group_drops")
             return
         self._fan_out(inner, state.tree_neighbors(), exclude=None)
-
-    def _tunnel_to_core(self, packet: Packet) -> None:
-        core = self.routing.topo.nodes.get(self.core_name)
-        if core is None:
-            return
-        outer = packet.encapsulate(
-            outer_src=self.node.address, outer_dst=core.address, proto="ipip"
-        )
-        self.stats.incr("tunnels_tx")
-        self._unicast_forward(outer)
-
-    def _unicast_forward(self, packet: Packet) -> None:
-        target = self.routing.topo.node_by_address(packet.dst)
-        if target is None:
-            return
-        hop = self.routing.next_hop(self.node.name, target.name)
-        if hop is None:
-            return
-        self.node.send_to_neighbor(packet, self.routing.topo.node(hop))
-
-    def _fan_out(self, packet: Packet, neighbors, exclude: Optional[str]) -> None:
-        for name in neighbors:
-            if name == exclude:
-                continue
-            peer = self.routing.topo.nodes.get(name)
-            if peer is None:
-                continue
-            copy = packet.copy()
-            copy.ttl = packet.ttl - 1
-            self.stats.incr("data_tx")
-            self.node.send_to_neighbor(copy, peer)
-
-    def _neighbor_name(self, ifindex: int) -> Optional[str]:
-        iface = self.node.interfaces[ifindex]
-        peer = iface.link.other_end(self.node) if iface.link else None
-        return peer.name if peer else None
-
-    def _is_attached_host(self, src_address: int, arrived_from: Optional[str]) -> bool:
-        origin = self.routing.topo.node_by_address(src_address)
-        return origin is not None and origin.name == arrived_from
-
-    def state_entries(self) -> int:
-        return len(self.state)

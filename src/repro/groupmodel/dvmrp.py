@@ -15,14 +15,13 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from repro.errors import ProtocolError
+from repro.groupmodel.router import PROTO_DATA, GroupRouterAgent
 from repro.inet.addr import is_class_d
-from repro.netsim.node import Node, ProtocolAgent
+from repro.netsim.node import Node
 from repro.netsim.packet import Packet
-from repro.netsim.trace import Counter
 from repro.routing.unicast import UnicastRouting
 
 PROTO_DVMRP = "dvmrp"
-PROTO_DATA = "data"
 
 #: Default prune lifetime; real DVMRP uses ~2 hours, scaled down so
 #: tests can watch the re-flood.
@@ -57,8 +56,13 @@ class _SourceGroupState:
     packets_seen: int = 0
 
 
-class DvmrpRouterAgent(ProtocolAgent):
+class DvmrpRouterAgent(GroupRouterAgent):
     """Flood-and-prune on one router."""
+
+    PROTO = PROTO_DVMRP
+    CONTROL_BYTES = CONTROL_BYTES
+    MESSAGE = DvmrpControl
+    LABELS = (PROTO_DATA, PROTO_DVMRP)
 
     def __init__(
         self,
@@ -66,66 +70,56 @@ class DvmrpRouterAgent(ProtocolAgent):
         routing: UnicastRouting,
         prune_lifetime: float = PRUNE_LIFETIME,
     ) -> None:
-        super().__init__(node)
-        self.routing = routing
+        super().__init__(node, routing)
         self.prune_lifetime = prune_lifetime
         self.state: dict[tuple[int, int], _SourceGroupState] = {}
         #: Hosts attached to this router that joined each group.
         self.member_hosts: dict[int, set] = {}
-        #: Names of host nodes (injected by the GroupNetwork facade so
-        #: the flood is "truncated": hosts only get joined groups).
-        self.host_names: set = set()
-        self.stats = Counter()
 
     # ------------------------------------------------------------------
 
-    def host_joined(self, group: int, host_name: str) -> None:
-        """A directly-attached host joined; graft any pruned (.,group)
-        state back toward the sources."""
-        self.member_hosts.setdefault(group, set()).add(host_name)
-        for (source, state_group), state in self.state.items():
+    def host_membership(
+        self, host: Node, group: int, join: bool, source: Optional[int] = None
+    ) -> None:
+        """A directly-attached host joined (grafting any pruned
+        (.,group) state back toward the sources) or left ``group``; no
+        message goes on the wire."""
+        if not join:
+            members = self.member_hosts.get(group)
+            if members is not None:
+                members.discard(host.name)
+                if not members:
+                    del self.member_hosts[group]
+            return
+        self.member_hosts.setdefault(group, set()).add(host.name)
+        for (origin, state_group), state in self.state.items():
             if state_group != group or not state.pruned_upstream:
                 continue
             state.pruned_upstream = False
-            self._send_control("graft", source, group)
+            self._send_toward_source("graft", origin, group)
 
-    def host_left(self, group: int, host_name: str) -> None:
-        members = self.member_hosts.get(group)
-        if members is not None:
-            members.discard(host_name)
-            if not members:
-                del self.member_hosts[group]
+    def _kind(self, message: DvmrpControl) -> str:
+        return message.kind + "s"
 
     # ------------------------------------------------------------------
 
-    def handle_packet(self, packet: Packet, ifindex: int) -> None:
-        if packet.proto == PROTO_DVMRP:
-            message = packet.headers.get("dvmrp")
-            peer = self._neighbor_name(ifindex)
-            if isinstance(message, DvmrpControl) and peer is not None:
-                self._handle_control(message, peer)
-        elif packet.proto == PROTO_DATA and is_class_d(packet.dst):
-            self._forward_data(packet, ifindex)
-
-    def _handle_control(self, message: DvmrpControl, from_name: str) -> None:
+    def _on_control(self, message: DvmrpControl, from_name: str) -> None:
         state = self.state.setdefault(
             (message.source, message.group), _SourceGroupState()
         )
         if message.kind == "prune":
-            self.stats.incr("prunes_rx")
             state.pruned[from_name] = self.sim.now + self.prune_lifetime
             # If everything downstream is now pruned and we have no
             # members, propagate the prune.
             self._maybe_prune_upstream(message.source, message.group, state)
         else:  # graft
-            self.stats.incr("grafts_rx")
             state.pruned.pop(from_name, None)
             if state.pruned_upstream:
                 state.pruned_upstream = False
-                self._send_control("graft", message.source, message.group)
+                self._send_toward_source("graft", message.source, message.group)
 
     def _forward_data(self, packet: Packet, ifindex: int) -> None:
-        source_node = self.routing.topo.node_by_address(packet.src)
+        source_node = self.topo.node_by_address(packet.src)
         if source_node is None:
             self.stats.incr("unknown_source_drops")
             return
@@ -135,7 +129,7 @@ class DvmrpRouterAgent(ProtocolAgent):
         expected = (
             source_node.name
             if source_node.name == arrived_from
-            else self.routing.next_hop(self.node.name, source_node.name)
+            else self._upstream(source_node.name)
         )
         if arrived_from != expected:
             self.stats.incr("rpf_drops")
@@ -147,26 +141,19 @@ class DvmrpRouterAgent(ProtocolAgent):
         self.stats.incr("data_rx")
         self._expire_prunes(state)
 
-        forwarded = 0
         # Flood to every router neighbor except the arrival and pruned
         # ones, plus member hosts.
-        for iface in self.node.interfaces:
-            peer = iface.neighbor()
-            if peer is None or not iface.up or peer.name == arrived_from:
+        members = self.member_hosts.get(packet.dst, ())
+        targets = []
+        for peer in self.node.neighbors():
+            name = peer.name
+            if name == arrived_from or name in state.pruned:
                 continue
-            if peer.name in state.pruned:
+            if name in self.host_names and name not in members:
                 continue
-            if self._is_host(peer.name):
-                members = self.member_hosts.get(packet.dst, set())
-                if peer.name not in members:
-                    continue
-            copy = packet.copy()
-            copy.ttl = packet.ttl - 1
-            self.stats.incr("data_tx")
-            self.node.send(copy, iface.index)
-            forwarded += 1
-
-        if forwarded == 0:
+            targets.append(name)
+        self._fan_out(packet, targets, exclude=None)
+        if not targets:
             # Leaf with no interest: prune toward the source.
             self._maybe_prune_upstream(packet.src, packet.dst, state)
 
@@ -176,43 +163,25 @@ class DvmrpRouterAgent(ProtocolAgent):
         if self.member_hosts.get(group):
             return
         # Unpruned downstream router neighbors still want traffic.
-        source_node = self.routing.topo.node_by_address(source)
-        upstream = (
-            self.routing.next_hop(self.node.name, source_node.name)
-            if source_node is not None and source_node is not self.node
-            else None
-        )
-        for iface in self.node.interfaces:
-            peer = iface.neighbor()
-            if peer is None or not iface.up:
-                continue
-            if peer.name == upstream or self._is_host(peer.name):
+        source_node = self.topo.node_by_address(source)
+        upstream = self._upstream(source_node.name) if source_node is not None else None
+        for peer in self.node.neighbors():
+            if peer.name == upstream or peer.name in self.host_names:
                 continue
             if peer.name not in state.pruned:
                 return  # someone downstream may still want it
         if upstream is not None:
             state.pruned_upstream = True
-            self._send_control("prune", source, group)
+            self._send_toward_source("prune", source, group)
 
-    def _send_control(self, kind: str, source: int, group: int) -> None:
-        source_node = self.routing.topo.node_by_address(source)
-        if source_node is None or source_node is self.node:
+    def _send_toward_source(self, kind: str, source: int, group: int) -> None:
+        source_node = self.topo.node_by_address(source)
+        if source_node is None:
             return
-        upstream = self.routing.next_hop(self.node.name, source_node.name)
-        if upstream is None:
-            return
-        peer = self.routing.topo.nodes.get(upstream)
-        packet = Packet(
-            src=self.node.address,
-            dst=peer.address,
-            proto=PROTO_DVMRP,
-            size=20 + CONTROL_BYTES,
-            created_at=self.sim.now,
+        self._send_control(
+            DvmrpControl(kind=kind, source=source, group=group),
+            self._upstream(source_node.name),
         )
-        packet.headers["dvmrp"] = DvmrpControl(kind=kind, source=source, group=group)
-        packet.headers["reliable"] = True
-        self.stats.incr(f"{kind}s_tx")
-        self.node.send_to_neighbor(packet, peer)
 
     def _expire_prunes(self, state: _SourceGroupState) -> None:
         now = self.sim.now
@@ -220,18 +189,3 @@ class DvmrpRouterAgent(ProtocolAgent):
         for name in expired:
             del state.pruned[name]
             self.stats.incr("prune_expirations")
-
-    def _neighbor_name(self, ifindex: int) -> Optional[str]:
-        iface = self.node.interfaces[ifindex]
-        peer = iface.link.other_end(self.node) if iface.link else None
-        return peer.name if peer else None
-
-    def _is_host(self, name: str) -> bool:
-        return name in self.host_names
-
-    def state_entries(self) -> int:
-        return len(self.state)
-
-    def touched(self) -> bool:
-        """Did any (S,G) activity reach this router?"""
-        return bool(self.state)

@@ -2,7 +2,7 @@
 
 This is the world of the paper's §1: a group is just an address; *any*
 host can send to it; receivers cannot restrict sources; there is no
-subscriber count. :class:`GroupNetwork` runs either the PIM-SM-lite or
+subscriber count. :class:`GroupNetwork` runs the PIM-SM-lite, CBT-lite or
 DVMRP-lite control plane and exposes join/leave/send — including
 sending by hosts that never joined, which is exactly the property the
 interference experiment (X7) measures.
@@ -13,9 +13,10 @@ from __future__ import annotations
 from typing import Callable, Iterable, Optional
 
 from repro.errors import ProtocolError, TopologyError
-from repro.groupmodel.cbt import PROTO_CBT, CbtJoinLeave, CbtRouterAgent
+from repro.groupmodel.cbt import CbtRouterAgent
 from repro.groupmodel.dvmrp import DvmrpRouterAgent
-from repro.groupmodel.pim import PROTO_PIM, PimJoinPrune, PimRouterAgent
+from repro.groupmodel.pim import PimRouterAgent
+from repro.groupmodel.router import GroupRouterAgent
 from repro.inet.addr import format_address, is_class_d
 from repro.netsim.node import Node, ProtocolAgent
 from repro.netsim.packet import Packet
@@ -68,13 +69,13 @@ class GroupHostAgent(ProtocolAgent):
             raise ProtocolError(f"{group:#x} is not a group address")
         self.joined[group] = on_data
         self.block_joined.discard(group)
-        self.net._host_joined(self.node.name, group)
+        self.net._host_membership(self.node.name, group, join=True)
 
     def leave(self, group: int) -> None:
         self.block_joined.discard(group)
         if group in self.joined:
             del self.joined[group]
-            self.net._host_left(self.node.name, group)
+            self.net._host_membership(self.node.name, group, join=False)
 
     def join_block(
         self,
@@ -135,6 +136,9 @@ class GroupNetwork:
         "dvmrp" (flood-and-prune).
     rp:
         RP router name for PIM / core router name for CBT.
+    hosts:
+        The host node names, as :meth:`Topology.host_names` checks or
+        finds them.
     prune_lifetime:
         DVMRP prune expiry (seconds).
     obs:
@@ -155,10 +159,15 @@ class GroupNetwork:
         prune_lifetime: float = 120.0,
         obs=None,
     ) -> None:
-        if protocol not in ("pim", "cbt", "dvmrp"):
+        if protocol == "dvmrp":
+            router_class, arg = DvmrpRouterAgent, prune_lifetime
+        elif protocol in ("pim", "cbt"):
+            if rp is None or rp not in topo.nodes:
+                raise TopologyError(f"{protocol} needs an rp= (RP/core) router name")
+            router_class = PimRouterAgent if protocol == "pim" else CbtRouterAgent
+            arg = rp
+        else:
             raise ProtocolError(f"unknown group protocol {protocol!r}")
-        if protocol in ("pim", "cbt") and (rp is None or rp not in topo.nodes):
-            raise TopologyError(f"{protocol} needs an rp= (RP/core) router name")
         self.topo = topo
         self.sim = topo.sim
         self.protocol = protocol
@@ -191,39 +200,21 @@ class GroupNetwork:
                 ("protocol", "node", "channel"),
             )
         self.routing = UnicastRouting(topo)
-        if hosts is None:
-            hosts = [
-                name
-                for name, node in topo.nodes.items()
-                if len(node.interfaces) == 1 and name.startswith("h")
-            ]
-        self.host_names = set(hosts)
+        self.host_names = topo.host_names(hosts)
         self.hosts: dict[str, GroupHostAgent] = {}
-        self.routers: dict[str, ProtocolAgent] = {}
+        self.routers: dict[str, GroupRouterAgent] = {}
 
         for name, node in topo.nodes.items():
             if name in self.host_names:
                 agent = GroupHostAgent(node, self)
                 node.register_agent("data", agent)
                 self.hosts[name] = agent
-            elif protocol == "pim":
-                agent = PimRouterAgent(node, self.routing, rp_name=rp)
-                node.register_agent("data", agent)
-                node.register_agent(PROTO_PIM, agent)
-                node.register_agent("ipip", agent)
-                self.routers[name] = agent
-            elif protocol == "cbt":
-                agent = CbtRouterAgent(node, self.routing, core_name=rp)
-                node.register_agent("data", agent)
-                node.register_agent(PROTO_CBT, agent)
-                node.register_agent("ipip", agent)
-                self.routers[name] = agent
-            else:
-                agent = DvmrpRouterAgent(node, self.routing, prune_lifetime)
-                agent.host_names = self.host_names
-                node.register_agent("data", agent)
-                node.register_agent("dvmrp", agent)
-                self.routers[name] = agent
+                continue
+            agent = router_class(node, self.routing, arg)
+            agent.host_names = self.host_names
+            for label in agent.LABELS:
+                node.register_agent(label, agent)
+            self.routers[name] = agent
 
     # ------------------------------------------------------------------
     # membership
@@ -260,25 +251,15 @@ class GroupNetwork:
             raise TopologyError(f"{host!r} has no attachment")
         return neighbors[0].name
 
-    def _host_joined(self, host: str, group: int) -> None:
-        router = self._first_hop_router(host)
-        if self.protocol == "pim":
-            self._send_join_prune(host, PimJoinPrune(group=group, join=True))
-        elif self.protocol == "cbt":
-            self._send_cbt(host, CbtJoinLeave(group=group, join=True))
-        else:
-            self.messages_sent["join"] += 1
-            self.routers[router].host_joined(group, host)
-
-    def _host_left(self, host: str, group: int) -> None:
-        router = self._first_hop_router(host)
-        if self.protocol == "pim":
-            self._send_join_prune(host, PimJoinPrune(group=group, join=False))
-        elif self.protocol == "cbt":
-            self._send_cbt(host, CbtJoinLeave(group=group, join=False))
-        else:
-            self.messages_sent["leave"] += 1
-            self.routers[router].host_left(group, host)
+    def _host_membership(
+        self, host: str, group: int, join: bool, source: Optional[int] = None
+    ) -> GroupRouterAgent:
+        """``host`` joined or left ``group`` (``source``: its tree); its
+        first-hop router hears of it. Returns that router."""
+        router = self.routers[self._first_hop_router(host)]
+        self.messages_sent["join" if join else router.LEAVE] += 1
+        router.host_membership(self.topo.node(host), group, join, source)
+        return router
 
     def _observe_delivery(self, node: str, group: int, latency: float) -> None:
         """Record one host delivery into the shared latency histogram
@@ -288,40 +269,13 @@ class GroupNetwork:
                 protocol=self.protocol, node=node, channel=format_address(group)
             ).observe(latency)
 
-    def _send_cbt(self, host: str, message: CbtJoinLeave) -> None:
-        node = self.topo.node(host)
-        router = self.topo.node(self._first_hop_router(host))
-        packet = Packet(
-            src=node.address, dst=router.address, proto=PROTO_CBT, size=50,
-            created_at=self.sim.now,
-        )
-        packet.headers["cbt"] = message
-        packet.headers["reliable"] = True
-        self.messages_sent["join" if message.join else "leave"] += 1
-        node.send_to_neighbor(packet, router)
-
-    def _send_join_prune(self, host: str, message: PimJoinPrune) -> None:
-        node = self.topo.node(host)
-        router = self.topo.node(self._first_hop_router(host))
-        packet = Packet(
-            src=node.address, dst=router.address, proto=PROTO_PIM, size=54,
-            created_at=self.sim.now,
-        )
-        packet.headers["pim"] = message
-        packet.headers["reliable"] = True
-        self.messages_sent["join" if message.join else "prune"] += 1
-        node.send_to_neighbor(packet, router)
-
     def switch_to_spt(self, host: str, source_host: str, group: int) -> None:
         """PIM: the member's side joins the (S,G) shortest-path tree
         and suppresses shared-tree duplicates at its last-hop router."""
         if self.protocol != "pim":
             raise ProtocolError("SPT switchover is a PIM operation")
         source_address = self.topo.node(source_host).address
-        self._send_join_prune(
-            host, PimJoinPrune(group=group, join=True, source=source_address)
-        )
-        last_hop = self.routers[self._first_hop_router(host)]
+        last_hop = self._host_membership(host, group, join=True, source=source_address)
         last_hop.spt_active.add((source_address, group))
 
     # ------------------------------------------------------------------
@@ -341,12 +295,4 @@ class GroupNetwork:
         return sum(agent.state_entries() for agent in self.routers.values())
 
     def routers_touched(self) -> set:
-        if self.protocol == "pim":
-            return {
-                name
-                for name, agent in self.routers.items()
-                if agent.shared or agent.source_trees
-            }
-        if self.protocol == "cbt":
-            return {name for name, agent in self.routers.items() if agent.state}
         return {name for name, agent in self.routers.items() if agent.touched()}

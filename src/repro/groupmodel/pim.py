@@ -29,38 +29,21 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from repro.errors import ProtocolError
-from repro.inet.addr import is_class_d
-from repro.netsim.node import Node, ProtocolAgent
+from repro.groupmodel.router import (
+    PROTO_DATA,
+    PROTO_TUNNEL,
+    GroupRouterAgent,
+    JoinPrune,
+)
+from repro.netsim.node import Node
 from repro.netsim.packet import Packet
-from repro.netsim.trace import Counter
 from repro.routing.unicast import UnicastRouting
 
 PROTO_PIM = "pim"
-PROTO_DATA = "data"
-PROTO_REGISTER = "ipip"
 
 #: Wire size of a Join/Prune message (group + optional source + flags),
 #: for control-bandwidth accounting.
 JOIN_PRUNE_BYTES = 34
-
-
-@dataclass(frozen=True)
-class PimJoinPrune:
-    """A hop-by-hop Join (``join=True``) or Prune for ``group``;
-    ``source`` selects the (S,G) source tree, None the (*,G) RP tree.
-    With ``rpt`` it is the (S,G,rpt) form: a Prune asks the shared tree
-    to stop carrying ``source``'s packets to the sender, a Join asks for
-    them again."""
-
-    group: int
-    join: bool
-    source: Optional[int] = None
-    rpt: bool = False
-
-    def __post_init__(self) -> None:
-        if not is_class_d(self.group):
-            raise ProtocolError(f"{self.group:#x} is not a group address")
 
 
 @dataclass
@@ -76,12 +59,16 @@ class _TreeState:
     rpt_pruned_up: set = field(default_factory=set)
 
 
-class PimRouterAgent(ProtocolAgent):
+class PimRouterAgent(GroupRouterAgent):
     """PIM-SM-lite on one router."""
 
+    PROTO = PROTO_PIM
+    CONTROL_BYTES = JOIN_PRUNE_BYTES
+    LABELS = (PROTO_DATA, PROTO_PIM, PROTO_TUNNEL)
+    LEAVE = "prune"
+
     def __init__(self, node: Node, routing: UnicastRouting, rp_name: str) -> None:
-        super().__init__(node)
-        self.routing = routing
+        super().__init__(node, routing)
         self.rp_name = rp_name
         #: (*,G) shared-tree state per group.
         self.shared: dict[int, _TreeState] = {}
@@ -90,30 +77,16 @@ class PimRouterAgent(ProtocolAgent):
         #: Last-hop SPT-bit emulation: (S,G) pairs whose shared-tree
         #: copies this router now suppresses.
         self.spt_active: set = set()
-        self.stats = Counter()
 
     # ------------------------------------------------------------------
     # control plane
     # ------------------------------------------------------------------
 
-    def handle_packet(self, packet: Packet, ifindex: int) -> None:
-        if packet.proto == PROTO_PIM:
-            message = packet.headers.get("pim")
-            iface = self.node.interfaces[ifindex]
-            peer = iface.link.other_end(self.node) if iface.link else None
-            if isinstance(message, PimJoinPrune) and peer is not None:
-                self._handle_join_prune(message, peer.name)
-        elif packet.proto == PROTO_REGISTER:
-            self._handle_register(packet, ifindex)
-        elif packet.proto == PROTO_DATA and is_class_d(packet.dst):
-            self._forward_data(packet, ifindex)
-
-    def _handle_join_prune(self, message: PimJoinPrune, from_name: str) -> None:
-        self.stats.incr("join_rx" if message.join else "prune_rx")
+    def _on_control(self, message: JoinPrune, from_name: str) -> None:
         self._apply_join_prune(message, from_name)
         self._sync_rpt(message.group)
 
-    def _apply_join_prune(self, message: PimJoinPrune, from_name: str) -> None:
+    def _apply_join_prune(self, message: JoinPrune, from_name: str) -> None:
         if message.rpt:
             shared = self.shared.get(message.group)
             if shared is not None:
@@ -127,9 +100,9 @@ class PimRouterAgent(ProtocolAgent):
             state = self.shared.get(message.group)
             if message.join:
                 if state is None:
-                    state = _TreeState(upstream=self._upstream_toward(self.rp_name))
+                    state = _TreeState(upstream=self._upstream(self.rp_name))
                     self.shared[message.group] = state
-                    self._send_join_prune(message, state.upstream)
+                    self._send_control(message, state.upstream)
                 state.oifs.add(from_name)
             else:
                 if state is None:
@@ -138,29 +111,27 @@ class PimRouterAgent(ProtocolAgent):
                 for pruned in state.rpt_pruned.values():
                     pruned.discard(from_name)
                 if not state.oifs:
-                    self._send_join_prune(message, state.upstream)
+                    self._send_control(message, state.upstream)
                     del self.shared[message.group]
             return
 
         key = (message.source, message.group)
-        source_node = self.routing.topo.node_by_address(message.source)
+        source_node = self.topo.node_by_address(message.source)
         if source_node is None:
             return
         state = self.source_trees.get(key)
         if message.join:
             if state is None:
-                state = _TreeState(upstream=self._upstream_toward(source_node.name))
+                state = _TreeState(upstream=self._upstream(source_node.name))
                 self.source_trees[key] = state
-                if state.upstream is not None:
-                    self._send_join_prune(message, state.upstream)
+                self._send_control(message, state.upstream)
             state.oifs.add(from_name)
         else:
             if state is None:
                 return
             state.oifs.discard(from_name)
             if not state.oifs:
-                if state.upstream is not None:
-                    self._send_join_prune(message, state.upstream)
+                self._send_control(message, state.upstream)
                 del self.source_trees[key]
 
     def _sync_rpt(self, group: int) -> None:
@@ -184,33 +155,10 @@ class PimRouterAgent(ProtocolAgent):
                 shared.rpt_pruned_up.add(source)
             else:
                 shared.rpt_pruned_up.discard(source)
-            self._send_join_prune(
-                PimJoinPrune(group, join=not unwanted, source=source, rpt=True),
+            self._send_control(
+                JoinPrune(group, join=not unwanted, source=source, rpt=True),
                 shared.upstream,
             )
-
-    def _upstream_toward(self, target: str) -> Optional[str]:
-        if target == self.node.name:
-            return None
-        return self.routing.next_hop(self.node.name, target)
-
-    def _send_join_prune(self, message: PimJoinPrune, neighbor: Optional[str]) -> None:
-        if neighbor is None:
-            return
-        peer = self.routing.topo.nodes.get(neighbor)
-        if peer is None:
-            return
-        packet = Packet(
-            src=self.node.address,
-            dst=peer.address,
-            proto=PROTO_PIM,
-            size=20 + JOIN_PRUNE_BYTES,
-            created_at=self.sim.now,
-        )
-        packet.headers["pim"] = message
-        packet.headers["reliable"] = True
-        self.stats.incr("join_tx" if message.join else "prune_tx")
-        self.node.send_to_neighbor(packet, peer)
 
     # ------------------------------------------------------------------
     # data plane
@@ -267,11 +215,7 @@ class PimRouterAgent(ProtocolAgent):
             return spt.oifs
         return spt.oifs | self._shared_olist(shared, source)
 
-    def _handle_register(self, packet: Packet, ifindex: int) -> None:
-        if packet.dst != self.node.address:
-            # In transit to the RP: unicast-forward.
-            self._unicast_forward(packet)
-            return
+    def _on_tunnel(self, packet: Packet) -> None:
         if not packet.is_encapsulated():
             self.stats.incr("bad_register_drops")
             return
@@ -291,57 +235,21 @@ class PimRouterAgent(ProtocolAgent):
         self._fan_out(inner, self._shared_olist(state, inner.src), exclude=None)
 
     def _register_to_rp(self, packet: Packet) -> None:
-        rp = self.routing.topo.nodes.get(self.rp_name)
-        if rp is None:
-            return
+        rp = self.topo.node(self.rp_name)
         if rp is self.node:
             # This router *is* the RP: short-circuit the register (but
             # never echo back to the attached sender's own port), and
             # drop it as a register when the source's tree carries it.
             state = self.shared.get(packet.dst)
             if state is not None and (packet.src, packet.dst) not in self.source_trees:
-                origin = self.routing.topo.node_by_address(packet.src)
+                origin = self.topo.node_by_address(packet.src)
                 self._fan_out(
                     packet,
                     self._shared_olist(state, packet.src),
                     exclude=origin.name if origin else None,
                 )
             return
-        outer = packet.encapsulate(
-            outer_src=self.node.address, outer_dst=rp.address, proto=PROTO_REGISTER
-        )
-        self.stats.incr("registers_tx")
-        self._unicast_forward(outer)
-
-    def _unicast_forward(self, packet: Packet) -> None:
-        target = self.routing.topo.node_by_address(packet.dst)
-        if target is None:
-            return
-        hop = self.routing.next_hop(self.node.name, target.name)
-        if hop is None:
-            return
-        self.node.send_to_neighbor(packet, self.routing.topo.node(hop))
-
-    def _fan_out(self, packet: Packet, oifs, exclude: Optional[str]) -> None:
-        for name in oifs:
-            if name == exclude:
-                continue
-            peer = self.routing.topo.nodes.get(name)
-            if peer is None:
-                continue
-            copy = packet.copy()
-            copy.ttl = packet.ttl - 1
-            self.stats.incr("data_tx")
-            self.node.send_to_neighbor(copy, peer)
-
-    def _neighbor_name(self, ifindex: int) -> Optional[str]:
-        iface = self.node.interfaces[ifindex]
-        peer = iface.link.other_end(self.node) if iface.link else None
-        return peer.name if peer else None
-
-    def _is_attached_host(self, src_address: int, arrived_from: Optional[str]) -> bool:
-        origin = self.routing.topo.node_by_address(src_address)
-        return origin is not None and origin.name == arrived_from
+        self._tunnel(packet, rp, "registers_tx")
 
     # -- inspection ----------------------------------------------------------
 

@@ -12,7 +12,7 @@ transit/stub ISP-like graph.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, Iterable, Optional
 
 from repro.errors import TopologyError
 from repro.netsim.engine import Simulator
@@ -97,6 +97,22 @@ class Topology:
 
     def node_by_address(self, address: int) -> Optional[Node]:
         return self._by_address.get(address)
+
+    def host_names(self, hosts: Optional[Iterable[str]] = None) -> set[str]:
+        """The host nodes: ``hosts``, each checked to be a node here, or
+        by default every single-homed node whose name starts with
+        ``h``."""
+        if hosts is None:
+            return {
+                name
+                for name, node in self.nodes.items()
+                if len(node.interfaces) == 1 and name.startswith("h")
+            }
+        names = set(hosts)
+        unknown = names - self.nodes.keys()
+        if unknown:
+            raise TopologyError(f"unknown host nodes: {sorted(unknown)}")
+        return names
 
     def link_between(self, a: str, b: str) -> Optional[Link]:
         node_a, node_b = self.node(a), self.node(b)

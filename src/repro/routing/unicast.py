@@ -44,10 +44,14 @@ from __future__ import annotations
 
 import heapq
 from time import perf_counter
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 from repro.errors import RoutingError
 from repro.netsim.topology import Topology
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.netsim.node import Node
+    from repro.netsim.packet import Packet
 
 #: Above this fraction of dirty cached trees, recompute drops the whole
 #: cache instead of tracking per-tree dirtiness (the per-tree checks and
@@ -289,6 +293,22 @@ class UnicastRouting:
         None if ``node == dest`` or ``dest`` is unreachable.
         """
         return self._tree(dest).get(node)
+
+    def forward(self, node: Node, packet: Packet) -> Optional[bool]:
+        """Send ``packet`` from ``node`` one hop toward the node that owns
+        ``packet.dst``: the one unicast send of every stack.
+
+        None when no node owns the address or there is no route to it;
+        otherwise whether the packet entered the link. The TTL is the
+        caller's: a router relaying takes one off, an originator none.
+        """
+        target = self.topo.node_by_address(packet.dst)
+        if target is None:
+            return None
+        hop = self.next_hop(node.name, target.name)
+        if hop is None:
+            return None
+        return node.send_to_neighbor(packet, self.topo.nodes[hop])
 
     def reachable(self, node: str, dest: str) -> bool:
         if node == dest:

@@ -4,7 +4,7 @@ import pytest
 
 from repro.errors import ProtocolError, TopologyError
 from repro.groupmodel import GroupNetwork
-from repro.groupmodel.cbt import CbtJoinLeave
+from repro.groupmodel import JoinPrune
 from repro.inet.addr import parse_address
 from repro.netsim.topology import TopologyBuilder
 
@@ -38,7 +38,7 @@ class TestTreeMaintenance:
 
     def test_join_message_validation(self):
         with pytest.raises(ProtocolError):
-            CbtJoinLeave(group=parse_address("10.0.0.1"), join=True)
+            JoinPrune(group=parse_address("10.0.0.1"), join=True)
 
     def test_core_required(self):
         topo = TopologyBuilder.star(2)

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import ProtocolError, TopologyError
-from repro.groupmodel import GroupNetwork, PimJoinPrune
+from repro.groupmodel import GroupNetwork, JoinPrune
 from repro.inet.addr import parse_address
 from repro.netsim.topology import TopologyBuilder
 
@@ -57,7 +57,7 @@ class TestJoinPrune:
 
     def test_join_prune_message_validation(self):
         with pytest.raises(ProtocolError):
-            PimJoinPrune(group=parse_address("10.0.0.1"), join=True)
+            JoinPrune(group=parse_address("10.0.0.1"), join=True)
 
 
 class TestDataPath:

@@ -1,46 +1,13 @@
-"""Unit tests for RPF helpers and the multicast FIB."""
+"""Unit tests for the multicast FIB."""
 
 import pytest
 
 from repro.errors import ForwardingError
 from repro.inet.addr import parse_address, ssm_address
-from repro.netsim.topology import TopologyBuilder
 from repro.routing.fib import FIB_ENTRY_BYTES, FibEntry, MulticastFib
-from repro.routing.rpf import rpf_check, rpf_interface, rpf_neighbor
-from repro.routing.unicast import UnicastRouting
 
 S = parse_address("10.0.0.1")
 E = ssm_address(7)
-
-
-class TestRpf:
-    def test_rpf_neighbor_points_toward_source(self):
-        topo = TopologyBuilder.line(4)
-        routing = UnicastRouting(topo)
-        n2 = topo.node("n2")
-        assert rpf_neighbor(routing, n2, "n0").name == "n1"
-
-    def test_rpf_at_source_is_none(self):
-        topo = TopologyBuilder.line(2)
-        routing = UnicastRouting(topo)
-        assert rpf_neighbor(routing, topo.node("n0"), "n0") is None
-
-    def test_rpf_interface_and_check(self):
-        topo = TopologyBuilder.line(3)
-        routing = UnicastRouting(topo)
-        n1 = topo.node("n1")
-        toward_n0 = n1.interface_to(topo.node("n0")).index
-        toward_n2 = n1.interface_to(topo.node("n2")).index
-        assert rpf_interface(routing, n1, "n0") == toward_n0
-        assert rpf_check(routing, n1, "n0", toward_n0)
-        assert not rpf_check(routing, n1, "n0", toward_n2)
-
-    def test_rpf_check_unreachable_source_fails(self):
-        topo = TopologyBuilder.line(3)
-        routing = UnicastRouting(topo)
-        topo.links[0].fail()
-        routing.recompute()
-        assert not rpf_check(routing, topo.node("n2"), "n0", 0)
 
 
 class TestFibEntry:

@@ -1,7 +1,7 @@
 """Doc-drift check: what the documents cite in code font exists.
 
-In ``DESIGN.md``, ``README.md``, ``EXPERIMENTS.md`` and ``docs/*.md``,
-inside every backticked span:
+In ``DESIGN.md``, ``README.md``, ``EXPERIMENTS.md``, ``PAPER.md`` and
+``docs/*.md``, inside every backticked span:
 
 * each dotted ``repro.*`` name resolves: the longest prefix that
   imports as a module, then ``getattr`` for the rest;
@@ -22,6 +22,7 @@ DOCUMENTS = [
     ROOT / "DESIGN.md",
     ROOT / "README.md",
     ROOT / "EXPERIMENTS.md",
+    ROOT / "PAPER.md",
     *sorted((ROOT / "docs").glob("*.md")),
 ]
 
