@@ -14,11 +14,12 @@ once (in C, by ``(time, seq)``) when the loop reaches it, and the loop
 steps from one occupied slot straight to the next — so a keepalive
 thirty seconds out and a flash crowd of thousands of events per
 millisecond cost the same per event, and there is no horizon, ring
-size or overflow structure to tune. ``schedule_bulk`` additionally
-stores its items as the caller's own ``(time, action)`` tuples and
-:meth:`Simulator._batch_slot` folds whole runs of them into one call
-per batch group. There is one run loop; the observability hooks are
-dispatch listeners on it.
+size or overflow structure to tune. ``schedule_bulk`` tallies its
+items in chunked array passes and leaves, per slot, an index into the
+caller's list; :meth:`Simulator._batch_slot` folds whole runs of them
+into one call per batch group, and the ``(time, action)`` items are
+read one by one only when a slot needs per-event dispatch. There is
+one run loop; the observability hooks are dispatch listeners on it.
 
 The plain form of all this — a binary heap of events popped one at a
 time — is ``tests/oracles/scheduler.py``; the equivalence suites under
@@ -49,6 +50,7 @@ from bisect import bisect_left, bisect_right, insort
 from collections import Counter
 from dataclasses import dataclass, field
 from heapq import heappop, heappush
+from math import isfinite
 from operator import attrgetter, itemgetter
 from time import perf_counter
 from typing import Callable, Optional
@@ -97,11 +99,41 @@ def check_scheduler(scheduler: str) -> None:
 #: into Python.
 _EVENT_KEY = attrgetter("time", "seq")
 
-#: Time key for bulk-item scans (e.g. the atomic past-time prescan).
+#: Time of a bulk ``(time, action)`` item.
 _ITEM_TIME = itemgetter(0)
 
 #: Action of a bulk ``(time, action)`` item (per-run tallies).
 _ITEM_ACTION = itemgetter(1)
+
+#: Items per array pass of ``schedule_bulk``: its temporaries are a few
+#: arrays of this length, however long the list it is given.
+_BULK_CHUNK = 1 << 16
+
+#: Slot numbers from here up do not fit an int64 array pass (nor a
+#: packed ``(slot, action)`` sort key); such items become Events.
+_FAR_SLOT = 1 << 62
+
+
+def _time_error(time: float, past: str = "") -> SimulationError:
+    """The error for a rejected time: ``past`` for a finite time before
+    now, otherwise the one for a time no slot can number — NaN, ±inf,
+    or finite but beyond the calendar's range."""
+    if past and isfinite(time):
+        return SimulationError(past)
+    return SimulationError(
+        f"cannot schedule at time={time}: times must be finite "
+        "and within the calendar's range"
+    )
+
+
+class _ActionCodes(dict):
+    """Action -> dense int code, numbered in order of first lookup."""
+
+    __slots__ = ()
+
+    def __missing__(self, action) -> int:
+        code = self[action] = len(self)
+        return code
 
 
 def _run_tally(run: list) -> dict:
@@ -152,8 +184,44 @@ class Event:
             self.owner._note_cancelled()
 
 
+class _BulkRecord:
+    """The bulk entries one ``schedule_bulk`` call left in one slot.
+
+    ``index`` holds the positions of the slot's ``size`` items in the
+    caller's ``items`` list; in input order they carry the seqs
+    ``base_seq`` to ``base_seq + size - 1``. ``tally`` maps action ->
+    ``[count, t_last]`` over them, so an undisturbed slot is batched
+    from it alone (None once the tuples have been time-sorted for
+    segmented dispatch). ``tuples`` — the caller's ``(time, action)``
+    items themselves — stays None until a reader that needs the
+    entries one by one calls :meth:`materialize`.
+    """
+
+    __slots__ = ("name", "base_seq", "tally", "size", "items", "index", "tuples")
+
+    def __init__(self, name: str, base_seq: int, tally: dict, items: list, index) -> None:
+        self.name = name
+        self.base_seq = base_seq
+        self.tally = tally
+        self.size = len(index)
+        self.items = items
+        self.index = index
+        self.tuples = None
+
+    def materialize(self) -> list:
+        """The slot's ``(time, action)`` items, built once, in input
+        order (the batch dispatcher may then time-sort the list in
+        place); the record lets go of the caller's list and the index."""
+        if self.tuples is None:
+            index = self.index
+            index.sort()
+            self.tuples = list(map(self.items.__getitem__, index.tolist()))
+            self.items = self.index = None
+        return self.tuples
+
+
 #: Sentinel returned by ``TimerWheel.advance(..., allow_pure=True)``
-#: when the open slot is *pure* — it still holds lazy bulk tuples
+#: when the open slot is *pure* — it still holds lazy bulk entries
 #: beside its Events. Only the run loop asks for it (to run the
 #: segmented batch dispatcher before paying materialization); every
 #: other caller gets pure slots resolved transparently.
@@ -183,15 +251,17 @@ class TimerWheel:
     — its time is ``>= now``, so it can never sort before an
     already-dispatched entry.
 
-    **Pure buckets.** ``schedule_bulk`` stores its entries as
-    references to the caller's raw ``(time, action)`` tuples instead of
-    :class:`Event` objects. They sit *beside* the slot's Event list, in
-    ``_bucket_meta[slot]`` = ``[name, base_seq, tally, tuples]``, and a
-    slot with such a record is *pure*. The tally — ``{action: [count,
-    t_last]}`` — is built during the bulk scan, so the batch dispatcher
-    consumes an undisturbed pure slot in O(distinct actions) without
-    touching the entries again. Pure entries are unreachable outside
-    the engine (bulk scheduling returns a count), hence uncancellable.
+    **Pure buckets.** ``schedule_bulk`` stores no :class:`Event` and no
+    tuple for its entries: a slot's share of the caller's list is a
+    :class:`_BulkRecord` — an index into that list and the tally
+    ``{action: [count, t_last]}`` its array passes computed — in
+    ``_bucket_meta[slot]``, *beside* the slot's Event list, and a slot
+    with such a record is *pure*. The batch dispatcher consumes an
+    undisturbed pure slot in O(distinct actions) from the tally; the
+    ``(time, action)`` items are looked up only for per-event dispatch
+    (:meth:`_BulkRecord.materialize`). Pure entries are unreachable
+    outside the engine (bulk scheduling returns a count), hence
+    uncancellable.
     Every ordinary insert appends its Event to the slot's Event list
     whether or not the slot is pure; the Events of a pure slot are its
     *strangers*, and the batch dispatcher cuts the tuples into runs
@@ -224,15 +294,8 @@ class TimerWheel:
         #: Events of every occupied slot after the cursor, by slot.
         self._buckets: dict[int, list[Event]] = {}
         #: Per-slot purity record, keyed like ``_buckets``: present ⇔
-        #: the slot holds lazy ``(time, action)`` bulk tuples beside
-        #: its Events, as ``[name, base_seq, tally, tuples]``.
-        #: ``base_seq`` is the seq of ``tuples[0]`` (the tuples are
-        #: seq-consecutive in list order); ``tally`` maps action ->
-        #: ``[count, t_last]`` and is built during the bulk scan so an
-        #: undisturbed slot is batched without walking the tuples (None
-        #: once the tuples have been time-sorted for segmented
-        #: dispatch).
-        self._bucket_meta: dict[int, list] = {}
+        #: the slot holds lazy bulk entries beside its Events.
+        self._bucket_meta: dict[int, _BulkRecord] = {}
         #: Min-heap of the keys of ``_buckets`` and ``_bucket_meta``.
         self._slots: list[int] = []
         #: The open slot's number; every stored slot is later.
@@ -243,12 +306,12 @@ class TimerWheel:
         #: ``_bucket_meta`` when the slot opened, or None. While it is
         #: set, the slot's pending content is the merge of
         #: ``_open[_open_pos:]`` (its strangers, sorted) and the last
-        #: ``_open_lazy`` tuples. Only the segmented batch dispatcher
-        #: consumes that form; every per-event reader resolves it into
-        #: sorted Events first.
-        self._open_meta: Optional[list] = None
-        #: Lazy tuples of the open slot not yet dispatched (0 unless
-        #: the open slot is pure).
+        #: ``_open_lazy`` bulk entries. Only the segmented batch
+        #: dispatcher consumes that form; every per-event reader
+        #: resolves it into sorted Events first.
+        self._open_meta: Optional[_BulkRecord] = None
+        #: Lazy bulk entries of the open slot not yet dispatched (0
+        #: unless the open slot is pure).
         self._open_lazy = 0
         #: Occupied slots opened so far — never more than the events
         #: scheduled, however far apart they lie.
@@ -262,7 +325,7 @@ class TimerWheel:
             len(self._open) - self._open_pos
             + self._open_lazy
             + sum(map(len, self._buckets.values()))
-            + sum(len(meta[3]) for meta in self._bucket_meta.values())
+            + sum(meta.size for meta in self._bucket_meta.values())
         )
 
     def insert(self, event: Event) -> None:
@@ -284,11 +347,12 @@ class TimerWheel:
 
     def _resolve_open(self) -> None:
         """Turn what is left of a pure open slot into sorted Events:
-        the pending lazy tuples become real Events and are merged with
+        the pending lazy entries become real Events and are merged with
         the pending strangers. Taken when the batch dispatcher declines
         the slot or a caller needs per-event access."""
-        name, base_seq, _, tuples = self._open_meta
-        first = len(tuples) - self._open_lazy
+        meta = self._open_meta
+        name, base_seq, tuples = meta.name, meta.base_seq, meta.materialize()
+        first = meta.size - self._open_lazy
         sim = self.sim
         pending = self._open[self._open_pos :]
         # Position i carries seq base_seq + i. A time sort (segmented
@@ -363,7 +427,7 @@ class TimerWheel:
             meta = self._bucket_meta.pop(slot, None)
             if meta is not None:
                 self._open_meta = meta
-                self._open_lazy = len(meta[3])
+                self._open_lazy = meta.size
                 if allow_pure:
                     return _PURE_SLOT
                 self._resolve_open()
@@ -375,8 +439,8 @@ class TimerWheel:
         (resolving a pure open slot and skipping cancelled entries);
         the remainder of the open slot is already time-sorted. The
         stored slots are then read in slot order — Events with possible
-        cancellations, plus the raw ``(time, action)`` tuples of a pure
-        slot — and because slots partition time monotonically the scan
+        cancellations, plus the ``(time, action)`` items of a pure slot
+        — and because slots partition time monotonically the scan
         stops at the first slot boundary with k candidates collected.
         """
         first = self.advance()
@@ -399,14 +463,14 @@ class TimerWheel:
             times = [e.time for e in self._buckets.get(slot, ()) if not e.cancelled]
             meta = self._bucket_meta.get(slot)
             if meta is not None:
-                times.extend(map(_ITEM_TIME, meta[3]))
+                times.extend(map(_ITEM_TIME, meta.materialize()))
             times.sort()
             out.extend(times)
         return out[:k]
 
     def compact(self) -> None:
         """Drop cancelled entries everywhere, with the buckets they
-        emptied and those buckets' slot numbers. Lazy bulk tuples are
+        emptied and those buckets' slot numbers. Lazy bulk entries are
         unreachable, so none can be cancelled."""
         self._open = [e for e in self._open[self._open_pos :] if not e.cancelled]
         self._open_pos = 0
@@ -502,13 +566,18 @@ class Simulator:
         Returns the :class:`Event`, which can be cancelled.
         """
         if delay < 0:
-            raise SimulationError(f"cannot schedule in the past (delay={delay})")
-        self._seq += 1
+            raise _time_error(delay, f"cannot schedule in the past (delay={delay})")
         time = self.now + delay
-        event = Event(time, self._seq, action, name, False, self, True)
-        # TimerWheel.insert(), inlined: one call less per event.
+        # TimerWheel.insert(), inlined: one call less per event. The
+        # slot is numbered first, so a NaN or infinite time is refused
+        # before anything has changed.
         wheel = self._wheel
-        slot = int(time * wheel._scale)
+        try:
+            slot = int(time * wheel._scale)
+        except (ValueError, OverflowError):
+            raise _time_error(time) from None
+        self._seq += 1
+        event = Event(time, self._seq, action, name, False, self, True)
         if slot > wheel._cursor:
             bucket = wheel._buckets.get(slot)
             if bucket is None:
@@ -534,14 +603,17 @@ class Simulator:
         — so it skips the extra call frame and delay round-trip.
         """
         if time < self.now:
-            raise SimulationError(
-                f"cannot schedule in the past (time={time}, now={self.now})"
+            raise _time_error(
+                time, f"cannot schedule in the past (time={time}, now={self.now})"
             )
-        self._seq += 1
-        event = Event(float(time), self._seq, action, name, False, self, True)
         # TimerWheel.insert(), inlined — see schedule().
         wheel = self._wheel
-        slot = int(time * wheel._scale)
+        try:
+            slot = int(time * wheel._scale)
+        except (ValueError, OverflowError):
+            raise _time_error(time) from None
+        self._seq += 1
+        event = Event(float(time), self._seq, action, name, False, self, True)
         if slot > wheel._cursor:
             bucket = wheel._buckets.get(slot)
             if bucket is None:
@@ -571,88 +643,143 @@ class Simulator:
         input order and equal times always share a slot, so the
         observable ``(time, seq)`` dispatch order is identical.)
 
-        Entries past the open slot are not materialized at all: each
-        pure bucket holds references to the caller's ``(time, action)``
-        tuples, and a side tally built during this single input-order
-        scan lets the batch dispatcher consume an undisturbed slot in
-        O(distinct actions) without a single Event object ever existing
-        (see ``_batch_slot``, which also handles slots that ordinary
-        events share; a slot that needs per-event dispatch is
-        materialized on demand). This method returns a count, so no
-        caller can hold — or cancel — one of its entries.
+        Entries past the open slot become neither Events nor tuples:
+        the items are read in fixed-size chunks of array passes (times,
+        slots, one sort by ``(slot, action)``), and each slot they fill
+        gets a pure record — the positions of its items in ``items``
+        and a tally ``{action: [count, t_last]}`` — that lets the batch
+        dispatcher consume an undisturbed slot in O(distinct actions)
+        without ever looking at those items again (see ``_batch_slot``,
+        which also handles slots that ordinary events share; a slot
+        that needs per-event dispatch reads its items then). Items that
+        land in the open slot, or in a slot an earlier call made pure,
+        are scheduled as ordinary Events. This method returns a count,
+        so no caller can hold — or cancel — one of its entries.
 
-        The times must be floats, as every caller passes them: the
-        buckets keep the caller's tuples by reference, so nothing here
-        converts them, and a time becomes ``now`` as given.
+        ``items`` is the engine's until its entries are dispatched: the
+        pure records read the ``(time, action)`` pairs from the list
+        when a slot comes due, so the caller must not change it (nor
+        the pairs) in the meantime. The times must be floats, as every
+        caller passes them: a time becomes ``now`` as given.
+
+        A past or non-finite time rejects the whole batch with a
+        :class:`SimulationError`, before anything is scheduled.
 
         Returns the number of events scheduled.
         """
         n = len(items)
         if n == 0:
             return 0
-        # Atomic validation: one C-level scan up front, so a past-time
-        # item rejects the whole batch with nothing scheduled.
-        earliest = min(items, key=_ITEM_TIME)[0]
-        if earliest < self.now:
-            raise SimulationError(
-                f"cannot schedule in the past (time={earliest}, now={self.now})"
-            )
+        # First use only, like networkx in Topology.graph(): importing
+        # repro and building a network stay numpy-free.
+        import numpy as np
+
         wheel = self._wheel
         metas = wheel._bucket_meta
-        slots = wheel._slots
         scale = wheel._scale
         cursor = wheel._cursor
-        # One input-order scan (the items are iterated in allocation
-        # order — perfect locality) does ALL the per-item work: items
-        # land in pure buckets as references to the caller's own tuples
-        # (no allocation at all) while the per-bucket action tally is
-        # folded on the fly; dispatch then never revisits them.
-        # base_seq stays None until the post-scan assignment, which
-        # doubles as the this-call marker.
-        touched: list[list] = []
-        fb_seq = self._seq  # fallback events take seqs (seq, seq+nf]
-        for item in items:
-            time = item[0]
-            slot = int(time * scale)
-            if slot > cursor:
-                try:
-                    meta = metas[slot]
-                except KeyError:
-                    # First tuple of this slot. Events already in it
-                    # (and any that follow) are strangers.
-                    metas[slot] = meta = [name, None, {item[1]: [1, time]}, [item]]
-                    touched.append(meta)
-                    heappush(slots, slot)
+        now = self.now
+        action_codes = _ActionCodes()
+        code_of = action_codes.__getitem__
+        index_type = np.int32 if n < 1 << 31 else np.int64
+        # Pass 1, one chunk at a time, stores nothing, so a bad item in
+        # any chunk rejects the whole batch. It sorts each chunk by
+        # (slot, action) and folds every run of equal keys into the
+        # slot's tally; Python loops over those runs, never the items.
+        fallbacks: list[int] = []  # positions of items that become Events
+        fresh: dict[int, list] = {}  # slot -> [index parts, tally]
+        touched: list[int] = []  # fresh slots, in the order first touched
+        for lo in range(0, n, _BULK_CHUNK):
+            chunk = items[lo : lo + _BULK_CHUNK]
+            m = len(chunk)
+            times = np.fromiter(map(_ITEM_TIME, chunk), np.float64, m)
+            scaled = times * scale
+            finite = np.isfinite(scaled)
+            if not finite.all():
+                raise _time_error(chunk[int(finite.argmin())][0])
+            earliest = float(times.min())
+            if earliest < now:
+                raise SimulationError(
+                    f"cannot schedule in the past (time={earliest}, now={now})"
+                )
+            codes = np.fromiter(map(code_of, map(_ITEM_ACTION, chunk)), np.int64, m)
+            slots = np.minimum(scaled, float(_FAR_SLOT)).astype(np.int64)
+            low = int(slots.min())
+            width = len(action_codes)
+            if (int(slots.max()) - low + 1) * width < _FAR_SLOT:
+                key = (slots - low) * width + codes
+            else:
+                # Slots too far apart to pack beside the codes: rank them.
+                key = np.unique(slots, return_inverse=True)[1].reshape(-1) * width + codes
+            order = np.argsort(key)
+            starts = np.flatnonzero(np.diff(key[order], prepend=-1))
+            # Per (slot, action) run: count, last time, first position;
+            # listed by slot, then by first position, because a tally
+            # lists its actions in the order the slot's items first use
+            # them and the batch groups apply in that order.
+            counts = np.diff(starts, append=m)
+            lasts = np.maximum.reduceat(times[order], starts)
+            firsts = np.minimum.reduceat(order, starts)
+            run_slots = slots[order[starts]]
+            by_first = np.lexsort((firsts, run_slots))
+            counts = counts[by_first].tolist()
+            lasts = lasts[by_first].tolist()
+            firsts = firsts[by_first].tolist()
+            actions = list(map(_ITEM_ACTION, map(chunk.__getitem__, firsts)))
+            heads = np.flatnonzero(np.diff(run_slots, prepend=-1)).tolist()
+            heads.append(len(counts))
+            run_slots = run_slots.tolist()
+            starts = starts.tolist()
+            starts.append(m)
+            order += lo
+            index = order.astype(index_type)
+            born = []  # the first run of each slot this chunk touched first
+            for a, b in zip(heads, heads[1:]):  # runs a..b-1 share a slot
+                slot = run_slots[a]
+                if slot <= cursor or slot >= _FAR_SLOT or slot in metas:
+                    # The open slot, a pure slot of an earlier call (its
+                    # seq range is fixed), or out of the packed range.
+                    fallbacks.extend(order[starts[a] : starts[b]].tolist())
                     continue
-                if meta[1] is None:
-                    # Pure bucket this call opened: append the caller's
-                    # tuple itself, fold the tally.
-                    meta[3].append(item)
-                    tally = meta[2]
-                    try:
-                        entry = tally[item[1]]
-                    except KeyError:
-                        tally[item[1]] = [1, time]
+                part = index[starts[a] : starts[b]]
+                record = fresh.get(slot)
+                if record is None:
+                    # One chunk's runs in one slot have distinct actions.
+                    tally = {actions[r]: [counts[r], lasts[r]] for r in range(a, b)}
+                    fresh[slot] = [[part], tally]
+                    born.append(a)
+                    continue
+                record[0].append(part)
+                tally = record[1]
+                for r in range(a, b):
+                    entry = tally.get(actions[r])
+                    if entry is None:
+                        tally[actions[r]] = [counts[r], lasts[r]]
                     else:
-                        entry[0] += 1
-                        if time > entry[1]:
-                            entry[1] = time
-                    continue
-            # The open slot, or a pure bucket of an earlier bulk call
-            # (seq range already fixed): join as an ordinary Event.
-            fb_seq += 1
-            wheel.insert(Event(time, fb_seq, item[1], name, False, self, True))
-        # Reserve seq ranges for the pure buckets: consecutive from the
-        # first free seq after the fallbacks, one run per bucket in
-        # touch order. Ranges never interleave with the fallback seqs,
-        # within-bucket order is input order, and ties never straddle
-        # buckets (equal times share a slot) — so (time, seq) dispatch
-        # order matches a sequential schedule_at loop exactly.
-        base = fb_seq + 1
-        for meta in touched:
-            meta[1] = base
-            base += len(meta[3])
-        self._seq += n
+                        entry[0] += counts[r]
+                        if lasts[r] > entry[1]:
+                            entry[1] = lasts[r]
+            born.sort(key=firsts.__getitem__)
+            touched.extend(map(run_slots.__getitem__, born))
+        # Pass 2 stores: the fallback Events take the next seqs in
+        # input order, then each fresh slot, in the order the input
+        # first touched it, one consecutive range in input order. Ties
+        # never straddle slots (equal times share one), so (time, seq)
+        # dispatch order matches a sequential schedule_at loop exactly.
+        seq = self._seq
+        fallbacks.sort()
+        for position in fallbacks:
+            time, action = items[position]
+            seq += 1
+            wheel.insert(Event(time, seq, action, name, False, self, True))
+        heap = wheel._slots
+        for slot in touched:
+            parts, tally = fresh[slot]
+            index = parts[0] if len(parts) == 1 else np.concatenate(parts)
+            metas[slot] = _BulkRecord(name, seq + 1, tally, items, index)
+            heappush(heap, slot)
+            seq += len(index)
+        self._seq = seq
         self._live += n
         return n
 
@@ -842,13 +969,14 @@ class Simulator:
         """Dispatch a *pure* open wheel slot run by run.
 
         Called by ``run()`` when ``advance()`` reports a pure open
-        slot: lazy bulk tuples (unreachable, hence uncancellable) beside
-        the slot's ordinary Events, its *strangers*. A slot without live
-        strangers is one run, offered to its batch groups through the
-        tally ``schedule_bulk`` folded while filling the bucket — O(
-        distinct actions), the tuples are never touched or sorted.
+        slot: lazy bulk entries (unreachable, hence uncancellable)
+        beside the slot's ordinary Events, its *strangers*. A slot
+        without live strangers is one run, offered to its batch groups
+        through the tally ``schedule_bulk`` computed — O(distinct
+        actions): its ``(time, action)`` tuples are never even built.
 
-        Otherwise the tuples are time-sorted once (stable, so list order
+        Otherwise the tuples are built (:meth:`_BulkRecord.materialize`)
+        and time-sorted once (stable, so list order
         is ``(time, seq)`` order) and cut at every live stranger by
         bisection. A time tie is decided by seq: the tuples hold one
         reserved seq range, so a stranger older than it goes before the
@@ -879,9 +1007,9 @@ class Simulator:
         ):
             return 0
         meta = wheel._open_meta
-        base_seq = meta[1]
-        tuples = meta[3]
-        n = len(tuples)
+        base_seq = meta.base_seq
+        tuples = meta.tuples  # None while the slot is undisturbed
+        n = meta.size
         tpos = n - wheel._open_lazy
         ran = 0
         batched = False
@@ -898,18 +1026,19 @@ class Simulator:
                 pos += 1
             wheel._open_pos = pos
             stranger = open_[pos] if pos < size else None
-            if meta[2] is not None:
-                # Undisturbed so far: input order, scan-time tally.
+            if meta.tally is not None:
+                # Undisturbed so far: the tally schedule_bulk computed.
                 if stranger is None:
                     offers = 1
-                    waiting = self._offer_run(meta[2], n)
+                    waiting = self._offer_run(meta.tally, n)
                     if waiting is None:
                         batched = True
                         ran += n
                         wheel._open_lazy = 0
                         break
+                tuples = meta.materialize()
                 tuples.sort(key=_ITEM_TIME)
-                meta[2] = None
+                meta.tally = None
             if stranger is not head:
                 head = stranger
                 if stranger is None:

@@ -6,14 +6,19 @@ semantics, compaction) is pinned in ``test_engine``;
 to the heap oracle over randomized workloads. This file targets the
 calendar's own machinery (``TimerWheel``): slot/bucket placement, the
 open-slot bisect path, the step from one occupied slot to the next,
-the ``run(until=...)`` cursor bound, and the stats surfaced in perf
+the ``run(until=...)`` cursor bound, the bulk records' lazy tuples, the
+refusal of times no slot can number, and the stats surfaced in perf
 reports.
 """
+
+import random
 
 import pytest
 
 from repro.errors import SimulationError
+from repro.netsim import engine
 from repro.netsim.engine import Simulator
+from tests.oracles import scheduler as oracle
 
 
 class TestConstruction:
@@ -112,6 +117,143 @@ class TestPlacement:
             "same-slot, later",
         ]
         assert sim.scheduler_stats()["slots_scanned"] == 1
+
+
+class TestUnschedulableTimes:
+    def test_single_event_paths_refuse_non_finite_times_untouched(self):
+        # NaN, ±inf, and a finite time whose slot number overflows: a
+        # SimulationError before the seq counter or the calendar moves.
+        sim = Simulator(wheel_granularity=0.001)
+        sim.schedule_at(0.5, lambda: None)
+        for call in (sim.schedule, sim.schedule_at):
+            for bad in (float("nan"), float("inf"), float("-inf"), 1e308):
+                before = sim.scheduler_stats()
+                with pytest.raises(SimulationError, match="finite"):
+                    call(bad, lambda: None)
+                assert sim.scheduler_stats() == before, (call.__name__, bad)
+        assert sim.run() == 1 and sim.pending() == 0
+
+    def test_bulk_items_beyond_the_packed_slot_range(self):
+        # Slot numbers from 2**62 up do not fit schedule_bulk's int64
+        # arrays, so those items become Events; 1e15 s at 1 ms still
+        # fits, but beside them the chunk spans too many slots to pack
+        # with the action codes, so its slots are ranked first.
+        sim = Simulator(wheel_granularity=0.001)
+        got = []
+        times = [1e17, 0.5, 1e15, 0.5, 5e18, 1e15, 2.0, 2.0005]
+        # Two actions shared across slots far apart and near.
+        actions = [lambda tag=tag: got.append((sim.now, tag)) for tag in "ab"]
+        sim.schedule_bulk([(t, actions[i % 2]) for i, t in enumerate(times)])
+        assert sim.pending() == len(times)
+        sim.run()
+        order = sorted(range(len(times)), key=lambda i: (times[i], i))
+        assert got == [(times[i], "ab"[i % 2]) for i in order]
+        assert sim.now == 5e18
+
+
+class _AdmitAll:
+    """A batch group (the protocol ``BlockChannelGroup`` speaks to the
+    batch dispatcher) that admits every batch."""
+
+    def __init__(self):
+        self.members = 0
+
+    def can_batch(self, drops):
+        return True
+
+    def run_batch(self, delta, n_ops, t_last):
+        self.members += delta
+
+
+class _Join:
+    """A batchable +1 op: called per event, or folded by its group."""
+
+    batch_delta = 1
+
+    def __init__(self, group):
+        self.batch_group = group
+
+    def __call__(self):
+        self.batch_group.members += 1
+
+
+class TestLazyBulkTuples:
+    """A pure slot's ``(time, action)`` tuples are built only for
+    per-event dispatch (``_BulkRecord.materialize``)."""
+
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        built = []
+        materialize = engine._BulkRecord.materialize
+
+        def counted(record):
+            built.append(record.size)
+            return materialize(record)
+
+        monkeypatch.setattr(engine._BulkRecord, "materialize", counted)
+        return built
+
+    @staticmethod
+    def drive(core, disturb, n=300):
+        # n joins of two groups in one 50 ms slot, disturbed (or not)
+        # one way; shuffled, but for the last two, which stay last.
+        sim = core(wheel_granularity=0.05)
+        groups = [_AdmitAll(), _AdmitAll()]
+        joins = [_Join(group) for group in groups]
+        items = [(0.1 + 0.049 * i / n, joins[i % 2]) for i in range(n)]
+        head = items[:-2]
+        random.Random(n).shuffle(head)
+        items[:-2] = head
+        seen = []
+        sim.schedule_bulk(items)
+        if disturb == "stranger":
+            sim.schedule_at(0.115, lambda: seen.append(groups[0].members))
+        elif disturb == "peek":
+            seen.append(sim.peek_times(3))
+        elif disturb == "listener":
+            sim.add_dispatch_listener(lambda s, event, wall: seen.append(event.time))
+        sim.run()
+        members = [group.members for group in groups]
+        return (members, seen, sim.now, sim.events_processed), sim
+
+    @pytest.mark.parametrize("n", [300, engine._BULK_CHUNK + 5000])
+    def test_undisturbed_slot_is_batched_without_its_tuples(self, builds, n):
+        # More items than one array pass takes: the slot's tally is
+        # merged across chunks, and each group's last time — in the
+        # second chunk — still moves the clock.
+        result, sim = self.drive(Simulator, None, n)
+        assert builds == []
+        assert sim.batched_events == n and sim.batched_slots == 1
+        assert result == self.drive(oracle.Simulator, None, n)[0]
+
+    @pytest.mark.parametrize("disturb", ["stranger", "peek", "listener"])
+    def test_disturbed_slot_builds_them_and_matches_the_heap(self, builds, disturb):
+        result, _ = self.drive(Simulator, disturb)
+        assert builds == [300]
+        assert result == self.drive(oracle.Simulator, disturb)[0]
+
+    def test_tally_lists_actions_in_order_of_first_appearance(self):
+        # A slot's batch groups apply in its tally's order: the order in
+        # which the slot's own items first used each action, not the
+        # order the whole call first saw them.
+        sim = Simulator(wheel_granularity=0.05)
+        a, b = _Join(_AdmitAll()), _Join(_AdmitAll())
+        sim.schedule_bulk([(0.11, a), (0.21, b), (0.22, a), (0.12, b)])
+        records = sim._wheel._bucket_meta
+        assert list(records[2].tally) == [a, b]
+        assert list(records[4].tally) == [b, a]
+        assert records[4].tally[a] == [1, 0.22]
+
+    def test_seq_ranges_follow_the_order_slots_were_first_touched(self):
+        # Within a slot seqs ascend in input order; across slots the
+        # ranges are handed out in the order the input first touched
+        # them, after the seqs of events scheduled before.
+        sim = Simulator(wheel_granularity=0.05)
+        sim.schedule_at(0.3, lambda: None)
+        sim.schedule_bulk([(0.21, len), (0.11, len), (0.22, len), (0.12, len), (0.13, len)])
+        records = sim._wheel._bucket_meta
+        assert (records[4].base_seq, records[2].base_seq) == (2, 4)
+        assert [time for time, _ in records[2].materialize()] == [0.11, 0.12, 0.13]
 
 
 class TestRunSemantics:

@@ -21,6 +21,7 @@ its simulator. Run it *before* the network is built.
 from __future__ import annotations
 
 import heapq
+import math
 import random
 from contextlib import contextmanager
 from time import perf_counter
@@ -67,6 +68,8 @@ class Simulator:
         return self.schedule_at(self._now + delay, action, name)
 
     def schedule_at(self, time: float, action: Callable[[], None], name: str = "") -> Event:
+        if not math.isfinite(time):
+            raise SimulationError(f"cannot schedule at time={time}: times must be finite")
         if time < self._now:
             raise SimulationError(
                 f"cannot schedule in the past (time={time}, now={self._now})"
@@ -78,8 +81,11 @@ class Simulator:
         return event
 
     def schedule_bulk(self, items: list, name: str = "") -> int:
-        # All or nothing: a past-time item rejects the whole batch.
+        # All or nothing: a non-finite or past time rejects the whole
+        # batch.
         for time, _ in items:
+            if not math.isfinite(time):
+                raise SimulationError(f"cannot schedule at time={time}: times must be finite")
             if time < self._now:
                 raise SimulationError(
                     f"cannot schedule in the past (time={time}, now={self._now})"

@@ -36,7 +36,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro import ExpressNetwork, TopologyBuilder
-from repro.netsim.engine import Simulator
+from repro.netsim.engine import _BULK_CHUNK, Simulator
 from tests.oracles import scheduler as oracle
 from tests.oracles.scheduler import event_core
 
@@ -246,30 +246,61 @@ def bulk_items(seed: int, n: int = 150) -> list:
     return [(t, i) for i, t in enumerate(times)]
 
 
+def chunked_bulk_calls(seed: int) -> list:
+    """Two bulk calls for the array passes' edges: a small one that
+    makes a few hundred slots pure, then one of more items than an array
+    pass takes, over 150 actions — at 1 ms, 30 s of slots times 150
+    actions is no table anyone could allocate densely. A tie group and
+    a slot straddle the first chunk boundary, items land in the open
+    slot, and some hundreds land in the slots the first call made pure
+    (which turns them into ordinary Events)."""
+    rng = random.Random(seed)
+    chunk = _BULK_CHUNK
+    first = [(rng.uniform(0.002, 30.0), rng.randrange(150)) for _ in range(300)]
+    times = [rng.uniform(0.0, 30.0) for _ in range(chunk + 4000)]
+    times[chunk - 3 : chunk + 3] = [12.3456] * 6  # the straddling tie
+    times[chunk - 5], times[chunk + 5] = 7.0001, 7.0004  # one slot, two chunks
+    times[:20] = [rng.uniform(0.0, 0.0009) for _ in range(20)]  # the open slot
+    second = [(t, rng.randrange(150)) for t in times]
+    pure = {int(t * 1000) for t, _ in first}
+    assert not pure & {12345, 7000}
+    assert sum(int(t * 1000) in pure for t in times) > 100
+    return [first, second]
+
+
 @pytest.mark.parametrize("scheduler", ["heap", "wheel"])
 @pytest.mark.parametrize("coarse", [True, False])
-@pytest.mark.parametrize("case", range(4))
+@pytest.mark.parametrize("case", [0, 1, 2, 3, "chunks"])
 def test_schedule_bulk_matches_sequential_schedule_at(scheduler, coarse, case):
     """The shipped ``schedule_bulk`` against a sequential ``schedule_at``
     loop on ``scheduler`` — on the shipped core itself and on the
     oracle, whose ``schedule_bulk`` *is* that loop — at the two slot
     widths with real callers: the 1 ms default, where most items get a
     bucket of their own, and ``mega_block_storm``'s 50 ms, where they
-    share a handful of pure buckets and the ties sit among them."""
-    items = bulk_items(0xB17C + case)
+    share a handful of pure buckets and the ties sit among them. The
+    ``chunks`` case spans more than one array pass
+    (:func:`chunked_bulk_calls`)."""
+    if case == "chunks":
+        calls = chunked_bulk_calls(0xC4A2)
+    else:
+        calls = [bulk_items(0xB17C + case)]
     granularity = 0.05 if coarse else 0.001
 
     def drive(core: str, bulk: bool) -> tuple[list, int]:
         sim = SIMULATORS[core](wheel_granularity=granularity)
         out = []
-        if bulk:
-            sim.schedule_bulk(
-                [(t, lambda g=tag: out.append((sim.now, g))) for t, tag in items],
-                name="bulk",
-            )
-        else:
-            for t, tag in items:
-                sim.schedule_at(t, lambda g=tag: out.append((sim.now, g)), name="bulk")
+        # One action per tag: a tag shared by many items is one action.
+        actions = {}
+        for items in calls:
+            for _, tag in items:
+                if tag not in actions:
+                    actions[tag] = lambda g=tag: out.append((sim.now, g))
+        for items in calls:
+            if bulk:
+                sim.schedule_bulk([(t, actions[tag]) for t, tag in items], name="bulk")
+            else:
+                for t, tag in items:
+                    sim.schedule_at(t, actions[tag], name="bulk")
         sim.run()
         return out, sim.events_processed
 
@@ -278,15 +309,27 @@ def test_schedule_bulk_matches_sequential_schedule_at(scheduler, coarse, case):
 
 @pytest.mark.parametrize("scheduler", ["heap", "wheel"])
 def test_schedule_bulk_rejects_past_times_atomically(scheduler):
+    """A past or non-finite time rejects the whole batch before anything
+    is stored — including the pure slot the good item before it would
+    otherwise have started."""
     from repro.errors import SimulationError
 
-    sim = SIMULATORS[scheduler]()
-    sim.schedule_at(1.0, lambda: None)
-    sim.run(until=0.5)
-    with pytest.raises(SimulationError):
-        sim.schedule_bulk([(0.6, lambda: None), (0.1, lambda: None)])
-    # Nothing from the rejected batch was scheduled.
-    assert sim.pending() == 1
+    for bad, message in [
+        (0.1, "past"),
+        (float("nan"), "finite"),
+        (float("inf"), "finite"),
+        (float("-inf"), "finite"),
+    ]:
+        sim = SIMULATORS[scheduler]()
+        ran = []
+        sim.schedule_at(1.0, lambda: ran.append("kept"))
+        sim.run(until=0.5)
+        with pytest.raises(SimulationError, match=message):
+            sim.schedule_bulk([(0.6, lambda: ran.append("rejected")), (bad, lambda: None)])
+        # Nothing from the rejected batch was scheduled.
+        assert sim.pending() == 1, bad
+        assert sim.run() == 1 and ran == ["kept"], bad
+        assert sim.pending() == 0, bad
 
 
 @pytest.mark.parametrize("case", range(3))

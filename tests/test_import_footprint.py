@@ -4,10 +4,11 @@
 which only tests and notebooks call — and costs about 15 MB of resident
 memory and 0.1 s of start-up, so it is imported on first use: every
 benchmark process, ``python -m repro`` and ``ExpressNetwork`` run
-without it. ``numpy`` (another 10 MB and 0.15 s) is not used by
-``src/`` at all: the accounting columns a block delivery lands in are
-plain lists. A fresh interpreter, because this one has long since
-imported both.
+without it. ``numpy`` (another 10 MB and 0.15 s) backs one call —
+``Simulator.schedule_bulk``, whose array passes tally a bulk storm — and
+is imported on that call's first use, so ``python -m repro`` and
+``ExpressNetwork`` run without it too. A fresh interpreter, because
+this one has long since imported both.
 """
 
 import os
@@ -32,11 +33,15 @@ net.settle(1.0)
 source.send(channel)
 net.settle(1.0)
 assert block.deliveries == 1000
-assert "numpy" not in sys.modules, "numpy imported by src/"
+assert "numpy" not in sys.modules, "numpy imported before anyone scheduled in bulk"
 assert "networkx" not in sys.modules, "networkx imported before anyone asked for a graph"
 graph = topo.graph()
 assert "networkx" in sys.modules
 assert len(graph) == len(topo.nodes) and topo.is_connected()
+net.sim.schedule_bulk([(net.sim.now + 0.5, block.leave_op(channel))])
+assert "numpy" in sys.modules
+net.settle(1.0)
+assert block.count(channel) == 999
 """
 
 
