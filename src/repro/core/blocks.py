@@ -176,9 +176,9 @@ class SubscriberBlock:
     def join_op(self, channel: Channel) -> "BlockOp":
         """A cached, bound ``join(channel, 1)`` callable for bulk
         scheduling. Carries the batch metadata (``batch_group``/
-        ``batch_delta``) the engine's batch slot dispatcher reads, so a
-        run of these ops in a wheel slot collapses into one arithmetic
-        update per (block, channel) — see ``Simulator._batch_slot``."""
+        ``batch_delta``) the engine's bulk dispatcher reads, so a run
+        of these ops in a calendar slot collapses into one arithmetic
+        update per (block, channel) — see ``Simulator._run_bulk``."""
         op = self._ops.get((channel, 1))
         if op is None:
             op = self._ops[(channel, 1)] = BlockOp(self.group(channel), 1)

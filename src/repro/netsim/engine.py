@@ -5,20 +5,21 @@ A deterministic, single-threaded event loop. Events are ordered by
 insertion counter, so simultaneous events fire in schedule order and
 every run with the same seed and schedule is bit-for-bit reproducible.
 
-One scheduler backs the loop: a *sparse slot calendar*
-(:class:`TimerWheel`). Simulated time is cut into slots of
-``wheel_granularity`` seconds; only occupied slots exist, as buckets in
-a dict keyed by absolute slot number beside a min-heap of those
-numbers. An insert is an O(1) append to its bucket, a slot is sorted
-once (in C, by ``(time, seq)``) when the loop reaches it, and the loop
-steps from one occupied slot straight to the next — so a keepalive
-thirty seconds out and a flash crowd of thousands of events per
-millisecond cost the same per event, and there is no horizon, ring
-size or overflow structure to tune. ``schedule_bulk`` tallies its
-items in chunked array passes and leaves, per slot, an index into the
-caller's list; :meth:`Simulator._batch_slot` folds whole runs of them
-into one call per batch group, and the ``(time, action)`` items are
-read one by one only when a slot needs per-event dispatch. There is
+The :class:`Simulator` is a *sparse slot calendar*. Simulated time is
+cut into slots of ``wheel_granularity`` seconds; only occupied slots
+exist, as buckets in a dict keyed by absolute slot number beside a
+min-heap of those numbers. An insert is an O(1) append to its bucket,
+a slot is sorted once (in C, by ``(time, seq)``) when the loop reaches
+it, and the loop steps from one occupied slot straight to the next —
+so a keepalive thirty seconds out and a flash crowd of thousands of
+events per millisecond cost the same per event, and there is no
+horizon, ring size or overflow structure to tune. A slot holds
+:class:`Event` objects and at most one :class:`_BulkRecord`: what a
+``schedule_bulk`` call left there, an index into the caller's list and
+a tally, computed in chunked array passes. One reader consumes a
+record, :meth:`Simulator._run_bulk`: it folds whole runs of bulk
+entries into one call per batch group and dispatches the rest one by
+one from their ``(time, action)`` tuples, never as Events. There is
 one run loop; the observability hooks are dispatch listeners on it.
 
 The plain form of all this — a binary heap of events popped one at a
@@ -153,6 +154,16 @@ def _run_tally(run: list) -> dict:
     return tally
 
 
+def _slot_times(events, record: Optional["_BulkRecord"], k: int) -> list[float]:
+    """The first up-to-``k`` pending times of one slot, ascending: its
+    live Events' and its bulk record's undispatched entries'."""
+    times = [event.time for event in events if not event.cancelled]
+    if record is not None:
+        times += map(_ITEM_TIME, record.sort()[record.pos : record.pos + k])
+    times.sort()
+    return times[:k]
+
+
 @dataclass(eq=False, slots=True)
 class Event:
     """A scheduled callback.
@@ -191,13 +202,12 @@ class _BulkRecord:
     caller's ``items`` list; in input order they carry the seqs
     ``base_seq`` to ``base_seq + size - 1``. ``tally`` maps action ->
     ``[count, t_last]`` over them, so an undisturbed slot is batched
-    from it alone (None once the tuples have been time-sorted for
-    segmented dispatch). ``tuples`` — the caller's ``(time, action)``
-    items themselves — stays None until a reader that needs the
-    entries one by one calls :meth:`materialize`.
+    from it alone. ``tuples`` — the caller's ``(time, action)`` items
+    themselves — stays None until a reader that needs them one by one
+    calls :meth:`sort`; the first ``pos`` of them have been dispatched.
     """
 
-    __slots__ = ("name", "base_seq", "tally", "size", "items", "index", "tuples")
+    __slots__ = ("name", "base_seq", "tally", "size", "items", "index", "tuples", "pos")
 
     def __init__(self, name: str, base_seq: int, tally: dict, items: list, index) -> None:
         self.name = name
@@ -207,286 +217,45 @@ class _BulkRecord:
         self.items = items
         self.index = index
         self.tuples = None
+        self.pos = 0
 
-    def materialize(self) -> list:
-        """The slot's ``(time, action)`` items, built once, in input
-        order (the batch dispatcher may then time-sort the list in
-        place); the record lets go of the caller's list and the index."""
+    def sort(self) -> list:
+        """The slot's ``(time, action)`` items in ``(time, seq)`` order,
+        built once: taken in input order, then stably time-sorted.
+        Position ``i`` then carries seq ``base_seq + i``, a renumbering
+        inside the reserved range that keeps the order. The record lets
+        go of the caller's list, the index and the tally."""
         if self.tuples is None:
             index = self.index
             index.sort()
             self.tuples = list(map(self.items.__getitem__, index.tolist()))
-            self.items = self.index = None
+            self.tuples.sort(key=_ITEM_TIME)
+            self.items = self.index = self.tally = None
         return self.tuples
 
 
-#: Sentinel returned by ``TimerWheel.advance(..., allow_pure=True)``
-#: when the open slot is *pure* — it still holds lazy bulk entries
-#: beside its Events. Only the run loop asks for it (to run the
-#: segmented batch dispatcher before paying materialization); every
-#: other caller gets pure slots resolved transparently.
-_PURE_SLOT = Event(0.0, -1, lambda: None, "__pure_slot__")
-
-
-class TimerWheel:
-    """A sparse slot calendar. (The name, like the ``wheel_*`` stat
-    names, is kept from the fixed ring of slots this replaced.)
+class Simulator:
+    """A seeded discrete-event simulator on a sparse slot calendar.
 
     Slot ``int(time / granularity)`` is an absolute number, not a ring
     index. ``_buckets`` maps the number of each occupied future slot to
-    its unsorted list of events — an insert is one dict probe and an
+    its unsorted list of Events — an insert is one dict probe and an
     append, at any distance from now — and ``_slots`` is a min-heap of
     those numbers: plain ints, compared in C, one push per bucket
-    rather than per event. When the open slot runs out, :meth:`advance`
-    pops the next occupied number, sorts that bucket once by ``(time,
-    seq)`` and consumes it front to back; empty stretches of simulated
-    time are never visited, so there is no horizon beyond which events
-    need a second structure. A slot number can sit in the heap more
-    than once (a slot's Event list and its bulk record are created
-    independently); :meth:`advance` drains the repeats with the first.
-
-    Dispatch order is exactly ``(time, seq)``: slots partition time
+    rather than per event. When the open slot runs out,
+    :meth:`_advance` pops the next occupied number, sorts that bucket
+    once by ``(time, seq)`` and consumes it front to back. Dispatch
+    order is exactly ``(time, seq)``: slots partition time
     monotonically, each slot is sorted, and a late insert into the
-    already-open slot is placed by bisection after the consumed prefix
-    — its time is ``>= now``, so it can never sort before an
-    already-dispatched entry.
+    open slot is placed by bisection after the consumed prefix — its
+    time is ``>= now``, so it never sorts before a dispatched entry.
 
-    **Pure buckets.** ``schedule_bulk`` stores no :class:`Event` and no
-    tuple for its entries: a slot's share of the caller's list is a
-    :class:`_BulkRecord` — an index into that list and the tally
-    ``{action: [count, t_last]}`` its array passes computed — in
-    ``_bucket_meta[slot]``, *beside* the slot's Event list, and a slot
-    with such a record is *pure*. The batch dispatcher consumes an
-    undisturbed pure slot in O(distinct actions) from the tally; the
-    ``(time, action)`` items are looked up only for per-event dispatch
-    (:meth:`_BulkRecord.materialize`). Pure entries are unreachable
-    outside the engine (bulk scheduling returns a count), hence
-    uncancellable.
-    Every ordinary insert appends its Event to the slot's Event list
-    whether or not the slot is pure; the Events of a pure slot are its
-    *strangers*, and the batch dispatcher cuts the tuples into runs
-    around them (see ``Simulator._batch_slot``).
-    """
-
-    __slots__ = (
-        "sim",
-        "granularity",
-        "_scale",
-        "_buckets",
-        "_bucket_meta",
-        "_slots",
-        "_cursor",
-        "_open",
-        "_open_pos",
-        "_open_meta",
-        "_open_lazy",
-        "slots_scanned",
-    )
-
-    def __init__(self, sim: "Simulator", granularity: float) -> None:
-        if granularity <= 0:
-            raise SimulationError(
-                f"wheel granularity must be positive, got {granularity}"
-            )
-        self.sim = sim
-        self.granularity = granularity
-        self._scale = 1.0 / granularity
-        #: Events of every occupied slot after the cursor, by slot.
-        self._buckets: dict[int, list[Event]] = {}
-        #: Per-slot purity record, keyed like ``_buckets``: present ⇔
-        #: the slot holds lazy bulk entries beside its Events.
-        self._bucket_meta: dict[int, _BulkRecord] = {}
-        #: Min-heap of the keys of ``_buckets`` and ``_bucket_meta``.
-        self._slots: list[int] = []
-        #: The open slot's number; every stored slot is later.
-        self._cursor = 0
-        self._open: list[Event] = []
-        self._open_pos = 0
-        #: The record of a *pure* open slot, moved out of
-        #: ``_bucket_meta`` when the slot opened, or None. While it is
-        #: set, the slot's pending content is the merge of
-        #: ``_open[_open_pos:]`` (its strangers, sorted) and the last
-        #: ``_open_lazy`` bulk entries. Only the segmented batch
-        #: dispatcher consumes that form; every per-event reader
-        #: resolves it into sorted Events first.
-        self._open_meta: Optional[_BulkRecord] = None
-        #: Lazy bulk entries of the open slot not yet dispatched (0
-        #: unless the open slot is pure).
-        self._open_lazy = 0
-        #: Occupied slots opened so far — never more than the events
-        #: scheduled, however far apart they lie.
-        self.slots_scanned = 0
-
-    def __len__(self) -> int:
-        """Entries held (live + not-yet-skipped cancelled), counted
-        from the structure itself; the engine's own running total is
-        ``sim._live + sim._cancelled``."""
-        return (
-            len(self._open) - self._open_pos
-            + self._open_lazy
-            + sum(map(len, self._buckets.values()))
-            + sum(meta.size for meta in self._bucket_meta.values())
-        )
-
-    def insert(self, event: Event) -> None:
-        """Place ``event``: by bisection in the open slot, by append in
-        any later one. (``Simulator.schedule``/``schedule_at`` inline
-        this.)"""
-        slot = int(event.time * self._scale)
-        if slot <= self._cursor:
-            # Lands in (or before) the open slot. Its time is >= now,
-            # so bisecting after the consumed prefix preserves order.
-            insort(self._open, event, lo=self._open_pos, key=_EVENT_KEY)
-            return
-        bucket = self._buckets.get(slot)
-        if bucket is None:
-            self._buckets[slot] = [event]
-            heappush(self._slots, slot)
-        else:
-            bucket.append(event)
-
-    def _resolve_open(self) -> None:
-        """Turn what is left of a pure open slot into sorted Events:
-        the pending lazy entries become real Events and are merged with
-        the pending strangers. Taken when the batch dispatcher declines
-        the slot or a caller needs per-event access."""
-        meta = self._open_meta
-        name, base_seq, tuples = meta.name, meta.base_seq, meta.materialize()
-        first = meta.size - self._open_lazy
-        sim = self.sim
-        pending = self._open[self._open_pos :]
-        # Position i carries seq base_seq + i. A time sort (segmented
-        # dispatch) keeps that numbering faithful to (time, seq) order.
-        pending.extend(
-            Event(time, seq, action, name, False, sim, True)
-            for seq, (time, action) in enumerate(tuples[first:], base_seq + first)
-        )
-        pending.sort(key=_EVENT_KEY)
-        self._open = pending
-        self._open_pos = 0
-        self._open_meta = None
-        self._open_lazy = 0
-
-    def advance(
-        self, limit_slot: Optional[int] = None, allow_pure: bool = False
-    ) -> Optional[Event]:
-        """Position at the next live event and return it, or None.
-
-        The event is *not* removed: the run loop steps ``_open_pos``
-        past it when it dispatches (``peek``-style callers simply
-        don't). Cancelled events encountered on the way are dropped
-        with the simulator's cancellation bookkeeping kept exact.
-
-        ``limit_slot`` bounds cursor movement: the scan stops (returning
-        None) rather than open a slot past it. ``run(until=...)`` passes
-        the slot containing ``until`` so a far-future event cannot drag
-        the cursor beyond the run window — if it did, every event
-        scheduled afterwards (all with earlier times) would land in the
-        open slot's bisect-insert path instead of an O(1) bucket
-        append, silently degrading the calendar into a sorted list.
-        Events at or before ``until`` always sit at or before its slot,
-        so the bound never hides a due event.
-
-        With ``allow_pure=True`` (the run loop), a pure open slot
-        returns the ``_PURE_SLOT`` sentinel instead of being
-        materialized — the caller must either run the batch dispatcher
-        over the slot or call :meth:`advance` again (which resolves
-        it). All other callers get pure slots resolved transparently.
-        """
-        sim = self.sim
-        if self._open_meta is not None:
-            if allow_pure:
-                return _PURE_SLOT
-            self._resolve_open()
-        slots = self._slots
-        while True:
-            open_ = self._open
-            pos = self._open_pos
-            size = len(open_)
-            while pos < size:
-                event = open_[pos]
-                if not event.cancelled:
-                    self._open_pos = pos
-                    return event
-                sim._cancelled -= 1
-                pos += 1
-            open_.clear()
-            self._open_pos = 0
-            # Open slot exhausted: step to the next occupied one.
-            if not slots or (limit_slot is not None and slots[0] > limit_slot):
-                return None
-            slot = heappop(slots)
-            while slots and slots[0] == slot:
-                heappop(slots)
-            self._cursor = slot
-            self.slots_scanned += 1
-            bucket = self._buckets.pop(slot, None)
-            if bucket is not None:
-                bucket.sort(key=_EVENT_KEY)
-                self._open = bucket
-            meta = self._bucket_meta.pop(slot, None)
-            if meta is not None:
-                self._open_meta = meta
-                self._open_lazy = meta.size
-                if allow_pure:
-                    return _PURE_SLOT
-                self._resolve_open()
-
-    def peek_times(self, k: int) -> list[float]:
-        """Times of the next up-to-``k`` pending events, ascending.
-
-        :meth:`advance` positions the cursor on the first live event
-        (resolving a pure open slot and skipping cancelled entries);
-        the remainder of the open slot is already time-sorted. The
-        stored slots are then read in slot order — Events with possible
-        cancellations, plus the ``(time, action)`` items of a pure slot
-        — and because slots partition time monotonically the scan
-        stops at the first slot boundary with k candidates collected.
-        """
-        first = self.advance()
-        if first is None:
-            return []
-        out = [first.time]
-        for event in self._open[self._open_pos + 1 :]:
-            if len(out) >= k:
-                return out
-            if not event.cancelled:
-                out.append(event.time)
-        # A copy of the slot heap, popped only as far as needed.
-        slots = self._slots[:]
-        last = None
-        while slots and len(out) < k:
-            slot = heappop(slots)
-            if slot == last:
-                continue
-            last = slot
-            times = [e.time for e in self._buckets.get(slot, ()) if not e.cancelled]
-            meta = self._bucket_meta.get(slot)
-            if meta is not None:
-                times.extend(map(_ITEM_TIME, meta.materialize()))
-            times.sort()
-            out.extend(times)
-        return out[:k]
-
-    def compact(self) -> None:
-        """Drop cancelled entries everywhere, with the buckets they
-        emptied and those buckets' slot numbers. Lazy bulk entries are
-        unreachable, so none can be cancelled."""
-        self._open = [e for e in self._open[self._open_pos :] if not e.cancelled]
-        self._open_pos = 0
-        buckets = self._buckets
-        for slot, bucket in list(buckets.items()):
-            live = [event for event in bucket if not event.cancelled]
-            if live:
-                buckets[slot] = live
-            else:
-                del buckets[slot]
-        # A sorted list is a valid heap.
-        self._slots = sorted(buckets.keys() | self._bucket_meta.keys())
-
-
-class Simulator:
-    """A seeded discrete-event simulator.
+    A slot ``schedule_bulk`` filled also has a :class:`_BulkRecord` in
+    ``_bucket_meta``; the slot's Events are then its *strangers*. A
+    slot number sits in the heap twice when a slot has both (each
+    pushes it); :meth:`_advance` drains the repeat. Bulk entries are
+    unreachable outside the engine (``schedule_bulk`` returns a count),
+    hence uncancellable, and only :meth:`_run_bulk` dispatches them.
 
     Parameters
     ----------
@@ -523,17 +292,21 @@ class Simulator:
         check_scheduler(scheduler)
         if rng is not None and seed != 0:
             raise SimulationError("pass either seed or rng, not both")
+        if wheel_granularity <= 0:
+            raise SimulationError(
+                f"wheel granularity must be positive, got {wheel_granularity}"
+            )
         #: Batch dispatch tallies: bulk ops folded into their groups,
         #: the runs they formed and the slots that held them; ordinary
-        #: events dispatched between the runs of a pure slot; bulk ops
-        #: dispatched one by one straight from their tuples.
+        #: events dispatched between the bulk entries of a slot; bulk
+        #: ops dispatched one by one straight from their tuples.
         self.batched_events = 0
         self.batched_runs = 0
         self.batched_slots = 0
         self.stranger_events = 0
         self.peeled_ops = 0
         #: Current simulated time in seconds. A plain attribute, read
-        #: on every hop: only the run loop and the batch dispatcher
+        #: on every hop: only the run loop and the bulk dispatcher
         #: write it.
         self.now = 0.0
         self._seq = 0
@@ -542,7 +315,25 @@ class Simulator:
         self._running = False
         self.rng = rng if rng is not None else random.Random(seed)
         self.events_processed = 0
-        self._wheel = TimerWheel(self, wheel_granularity)
+        self._granularity = wheel_granularity
+        self._scale = 1.0 / wheel_granularity
+        #: Events of every occupied slot after the open one, by slot.
+        self._buckets: dict[int, list[Event]] = {}
+        #: The bulk record of every such slot that has one, by slot.
+        self._bucket_meta: dict[int, _BulkRecord] = {}
+        #: Min-heap of the keys of ``_buckets`` and ``_bucket_meta``.
+        self._slots: list[int] = []
+        #: The open slot's number; every stored slot is later.
+        self._cursor = 0
+        #: The open slot's Events, sorted; ``_open_pos`` is the first
+        #: not yet dispatched.
+        self._open: list[Event] = []
+        self._open_pos = 0
+        #: The open slot's bulk record while it has entries left.
+        self._open_bulk: Optional[_BulkRecord] = None
+        #: Occupied slots opened so far — never more than the events
+        #: scheduled, however far apart they lie.
+        self.slots_scanned = 0
         #: Observability hooks called as ``fn(sim, event, wall_seconds)``
         #: after each event executes (see :mod:`repro.obs.hooks`). The
         #: run loop times nothing while the list is empty.
@@ -568,25 +359,25 @@ class Simulator:
         if delay < 0:
             raise _time_error(delay, f"cannot schedule in the past (delay={delay})")
         time = self.now + delay
-        # TimerWheel.insert(), inlined: one call less per event. The
-        # slot is numbered first, so a NaN or infinite time is refused
-        # before anything has changed.
-        wheel = self._wheel
+        # The slot is numbered first, so a NaN or infinite time is
+        # refused before anything has changed.
         try:
-            slot = int(time * wheel._scale)
+            slot = int(time * self._scale)
         except (ValueError, OverflowError):
             raise _time_error(time) from None
         self._seq += 1
         event = Event(time, self._seq, action, name, False, self, True)
-        if slot > wheel._cursor:
-            bucket = wheel._buckets.get(slot)
+        if slot > self._cursor:
+            bucket = self._buckets.get(slot)
             if bucket is None:
-                wheel._buckets[slot] = [event]
-                heappush(wheel._slots, slot)
+                self._buckets[slot] = [event]
+                heappush(self._slots, slot)
             else:
                 bucket.append(event)
         else:
-            insort(wheel._open, event, lo=wheel._open_pos, key=_EVENT_KEY)
+            # In (or before) the open slot. Its time is >= now, so
+            # bisecting after the consumed prefix preserves order.
+            insort(self._open, event, lo=self._open_pos, key=_EVENT_KEY)
         self._live += 1
         return event
 
@@ -606,23 +397,22 @@ class Simulator:
             raise _time_error(
                 time, f"cannot schedule in the past (time={time}, now={self.now})"
             )
-        # TimerWheel.insert(), inlined — see schedule().
-        wheel = self._wheel
+        # The insert of schedule(), inlined: one call less per event.
         try:
-            slot = int(time * wheel._scale)
+            slot = int(time * self._scale)
         except (ValueError, OverflowError):
             raise _time_error(time) from None
         self._seq += 1
         event = Event(float(time), self._seq, action, name, False, self, True)
-        if slot > wheel._cursor:
-            bucket = wheel._buckets.get(slot)
+        if slot > self._cursor:
+            bucket = self._buckets.get(slot)
             if bucket is None:
-                wheel._buckets[slot] = [event]
-                heappush(wheel._slots, slot)
+                self._buckets[slot] = [event]
+                heappush(self._slots, slot)
             else:
                 bucket.append(event)
         else:
-            insort(wheel._open, event, lo=wheel._open_pos, key=_EVENT_KEY)
+            insort(self._open, event, lo=self._open_pos, key=_EVENT_KEY)
         self._live += 1
         return event
 
@@ -646,21 +436,19 @@ class Simulator:
         Entries past the open slot become neither Events nor tuples:
         the items are read in fixed-size chunks of array passes (times,
         slots, one sort by ``(slot, action)``), and each slot they fill
-        gets a pure record — the positions of its items in ``items``
-        and a tally ``{action: [count, t_last]}`` — that lets the batch
-        dispatcher consume an undisturbed slot in O(distinct actions)
-        without ever looking at those items again (see ``_batch_slot``,
-        which also handles slots that ordinary events share; a slot
-        that needs per-event dispatch reads its items then). Items that
-        land in the open slot, or in a slot an earlier call made pure,
-        are scheduled as ordinary Events. This method returns a count,
-        so no caller can hold — or cancel — one of its entries.
+        gets a :class:`_BulkRecord` — the positions of its items in
+        ``items`` and a tally ``{action: [count, t_last]}`` — that lets
+        :meth:`_run_bulk` consume an undisturbed slot in O(distinct
+        actions) without ever looking at those items again. Items that
+        land in the open slot, or in a slot an earlier call gave a
+        record, go through :meth:`schedule_at`. This method returns a
+        count, so no caller can hold — or cancel — one of its entries.
 
         ``items`` is the engine's until its entries are dispatched: the
-        pure records read the ``(time, action)`` pairs from the list
-        when a slot comes due, so the caller must not change it (nor
-        the pairs) in the meantime. The times must be floats, as every
-        caller passes them: a time becomes ``now`` as given.
+        records read the ``(time, action)`` pairs from the list when a
+        slot needs them one by one, so the caller must not change it
+        (nor the pairs) in the meantime. The times must be floats, as
+        every caller passes them: a time becomes ``now`` as given.
 
         A past or non-finite time rejects the whole batch with a
         :class:`SimulationError`, before anything is scheduled.
@@ -674,10 +462,9 @@ class Simulator:
         # repro and building a network stay numpy-free.
         import numpy as np
 
-        wheel = self._wheel
-        metas = wheel._bucket_meta
-        scale = wheel._scale
-        cursor = wheel._cursor
+        metas = self._bucket_meta
+        scale = self._scale
+        cursor = self._cursor
         now = self.now
         action_codes = _ActionCodes()
         code_of = action_codes.__getitem__
@@ -766,13 +553,11 @@ class Simulator:
         # first touched it, one consecutive range in input order. Ties
         # never straddle slots (equal times share one), so (time, seq)
         # dispatch order matches a sequential schedule_at loop exactly.
-        seq = self._seq
         fallbacks.sort()
         for position in fallbacks:
-            time, action = items[position]
-            seq += 1
-            wheel.insert(Event(time, seq, action, name, False, self, True))
-        heap = wheel._slots
+            self.schedule_at(*items[position], name)
+        seq = self._seq
+        heap = self._slots
         for slot in touched:
             parts, tally = fresh[slot]
             index = parts[0] if len(parts) == 1 else np.concatenate(parts)
@@ -780,22 +565,114 @@ class Simulator:
             heappush(heap, slot)
             seq += len(index)
         self._seq = seq
-        self._live += n
+        self._live += n - len(fallbacks)
         return n
 
     def peek_time(self) -> Optional[float]:
         """Time of the next pending (non-cancelled) event, or None."""
-        event = self._wheel.advance()
-        return None if event is None else event.time
+        return self._head_time()
 
     def peek_times(self, k: int) -> list[float]:
         """Times of the next up-to-``k`` pending events, ascending,
         without dispatching anything. The sharded runner's grant
-        ladders are built from these (see
-        :meth:`TimerWheel.peek_times`)."""
+        ladders are built from these.
+
+        :meth:`_advance` positions the open slot on its first live
+        Event; the stored slots are then read in slot order, and
+        because slots partition time monotonically the scan stops at
+        the first slot boundary with ``k`` times collected.
+        """
         if k <= 0:
             return []
-        return self._wheel.peek_times(k)
+        self._advance()
+        out = _slot_times(self._open[self._open_pos :], self._open_bulk, k)
+        # A copy of the slot heap, popped only as far as needed.
+        slots = self._slots[:]
+        last = None
+        while slots and len(out) < k:
+            slot = heappop(slots)
+            if slot != last:
+                last = slot
+                out += _slot_times(
+                    self._buckets.get(slot, ()), self._bucket_meta.get(slot), k
+                )
+        return out[:k]
+
+    def _head_time(self, limit_slot: Optional[int] = None) -> Optional[float]:
+        """Time of the next pending entry, Event or bulk, in slots up
+        to ``limit_slot``; None if there is none."""
+        event = self._advance(limit_slot)
+        record = self._open_bulk
+        if record is not None and record.pos < record.size:
+            time = record.sort()[record.pos][0]
+            if event is None or time < event.time:
+                return time
+        return None if event is None else event.time
+
+    def _advance(self, limit_slot: Optional[int] = None) -> Optional[Event]:
+        """Return the open slot's first live Event, or None, dropping
+        the cancelled ones before it with the cancellation bookkeeping
+        kept exact. The Event is *not* removed: the run loop steps
+        ``_open_pos`` past it when it dispatches it.
+
+        An open slot out of Events is replaced by the next occupied one
+        — unless bulk entries remain in it (``_open_bulk``, which the
+        caller reads itself) or that slot lies past ``limit_slot``.
+        ``run(until=...)`` passes the slot containing ``until``, so a
+        far-future event cannot drag the cursor beyond the run window —
+        if it did, every event scheduled afterwards (all with earlier
+        times) would land in the open slot's bisect-insert path instead
+        of an O(1) bucket append, silently degrading the calendar into
+        a sorted list. Events at or before ``until`` always sit at or
+        before its slot, so the bound never hides a due event.
+        """
+        slots = self._slots
+        while True:
+            open_ = self._open
+            pos = self._open_pos
+            size = len(open_)
+            while pos < size:
+                event = open_[pos]
+                if not event.cancelled:
+                    self._open_pos = pos
+                    return event
+                self._cancelled -= 1
+                pos += 1
+            open_.clear()
+            self._open_pos = 0
+            record = self._open_bulk
+            if record is not None:
+                if record.pos < record.size:
+                    return None
+                self._open_bulk = None
+            if not slots or (limit_slot is not None and slots[0] > limit_slot):
+                return None
+            slot = heappop(slots)
+            while slots and slots[0] == slot:
+                heappop(slots)
+            self._cursor = slot
+            self.slots_scanned += 1
+            bucket = self._buckets.pop(slot, None)
+            if bucket is not None:
+                bucket.sort(key=_EVENT_KEY)
+                self._open = bucket
+            self._open_bulk = self._bucket_meta.pop(slot, None)
+
+    def _compact(self) -> None:
+        """Drop cancelled Events everywhere, with the buckets they
+        emptied and those buckets' slot numbers. Bulk entries are
+        unreachable, so none can be cancelled."""
+        self._open = [e for e in self._open[self._open_pos :] if not e.cancelled]
+        self._open_pos = 0
+        buckets = self._buckets
+        for slot, bucket in list(buckets.items()):
+            live = [event for event in bucket if not event.cancelled]
+            if live:
+                buckets[slot] = live
+            else:
+                del buckets[slot]
+        # A sorted list is a valid heap.
+        self._slots = sorted(buckets.keys() | self._bucket_meta.keys())
 
     def _note_cancelled(self) -> None:
         """Bookkeeping for an in-queue cancellation: keep ``pending()``
@@ -805,7 +682,7 @@ class Simulator:
         self._cancelled += 1
         held = self._live + self._cancelled
         if held >= _COMPACT_MIN_QUEUE and self._cancelled * 2 > held:
-            self._wheel.compact()
+            self._compact()
             self._cancelled = 0
 
     def step(self) -> bool:
@@ -817,8 +694,8 @@ class Simulator:
     ) -> None:
         """Register ``listener(sim, event, wall_seconds)`` to run after
         every dispatched event (metrics/profiling hook). While any
-        listener is installed, bulk slots are dispatched event by event
-        so that each one is seen."""
+        listener is installed, bulk entries are dispatched one by one
+        so that each is seen, as a transient :class:`Event`."""
         self._dispatch_listeners.append(listener)
 
     def remove_dispatch_listener(
@@ -839,7 +716,8 @@ class Simulator:
         ``until`` runs, and the clock is advanced to ``until`` afterwards
         even if no event lands exactly there — unless ``max_events``
         stopped the run with events inside the window still pending, in
-        which case the clock stays at the last event run.
+        which case the clock stays at the last event run. A NaN or
+        infinite ``until`` is refused before anything runs.
 
         ``inclusive=False`` makes ``until`` an *exclusive* horizon:
         events strictly before it run, events at exactly ``until`` stay
@@ -852,32 +730,36 @@ class Simulator:
         """
         if self._running:
             raise SimulationError("simulator is not reentrant")
-        wheel = self._wheel
-        advance = wheel.advance
-        limit_slot = None if until is None else int(until * wheel._scale)
+        limit_slot = None
+        if until is not None:
+            try:
+                limit_slot = int(until * self._scale)
+            except (ValueError, OverflowError):
+                raise _time_error(until) from None
+        advance = self._advance
         ran = 0
         self._running = True
         try:
             # The common case — a live event already positioned in the
-            # open slot — runs with no method calls besides the action
-            # itself; advance() only fires on slot boundaries and
-            # cancellations.
+            # open slot, no bulk entries beside it — runs with no method
+            # calls besides the action itself; advance() and the bulk
+            # dispatcher fire only on slot boundaries, cancellations and
+            # slots holding bulk entries.
             while max_events is None or ran < max_events:
-                open_ = wheel._open  # compact() may rebind the list
-                pos = wheel._open_pos
-                if pos < len(open_) and not open_[pos].cancelled:
+                open_ = self._open  # _compact() may rebind the list
+                pos = self._open_pos
+                if self._open_bulk is None and pos < len(open_) and not open_[pos].cancelled:
                     event = open_[pos]
                 else:
-                    event = advance(limit_slot, True)
-                    if event is _PURE_SLOT:
-                        # Offer the slot to the batch dispatcher; if it
-                        # declines, the follow-up advance() materializes
-                        # it for per-event dispatch.
-                        batched = self._batch_slot(limit_slot, max_events)
-                        if batched:
-                            ran += batched
-                            continue
-                        event = advance(limit_slot)
+                    event = advance(limit_slot)
+                    if self._open_bulk is not None:
+                        batch = self._run_bulk(
+                            until, inclusive, None if max_events is None else max_events - ran
+                        )
+                        if not batch:  # the rest of the slot lies past until
+                            break
+                        ran += batch
+                        continue
                     if event is None:
                         break
                 if until is not None and (
@@ -885,7 +767,7 @@ class Simulator:
                     or (not inclusive and event.time >= until)
                 ):
                     break
-                wheel._open_pos += 1  # advance left the cursor on it
+                self._open_pos += 1  # advance left the cursor on it
                 event._in_queue = False
                 self._live -= 1
                 self.now = event.time
@@ -905,10 +787,8 @@ class Simulator:
             if max_events is not None and ran >= max_events:
                 # Stopped by the cap: the clock may not pass an event
                 # that is still due inside the window.
-                head = advance(limit_slot)
-                if head is not None and (
-                    head.time < until or (inclusive and head.time == until)
-                ):
+                head = self._head_time(limit_slot)
+                if head is not None and (head < until or (inclusive and head == until)):
                     return ran
             self.now = float(until)
         return ran
@@ -963,25 +843,26 @@ class Simulator:
             group.run_batch(entry[0], entry[2], entry[3])
         return None
 
-    def _batch_slot(
-        self, limit_slot: Optional[int], max_events: Optional[int]
+    def _run_bulk(
+        self, until: Optional[float], inclusive: bool, budget: Optional[int]
     ) -> int:
-        """Dispatch a *pure* open wheel slot run by run.
+        """Dispatch the open slot in ``(time, seq)`` order while it has
+        bulk entries: the one reader of a :class:`_BulkRecord`.
 
-        Called by ``run()`` when ``advance()`` reports a pure open
-        slot: lazy bulk entries (unreachable, hence uncancellable)
-        beside the slot's ordinary Events, its *strangers*. A slot
-        without live strangers is one run, offered to its batch groups
-        through the tally ``schedule_bulk`` computed — O(distinct
-        actions): its ``(time, action)`` tuples are never even built.
+        Called by ``run()`` once :meth:`_advance` has positioned the
+        open slot on its first live Event, its first *stranger*. A slot
+        without live strangers, with no ``until`` inside it, no
+        ``budget`` (what is left of ``max_events``) and no dispatch
+        listener is one run, offered to its batch groups through the
+        tally ``schedule_bulk`` computed — O(distinct actions): its
+        ``(time, action)`` tuples are never even built.
 
-        Otherwise the tuples are built (:meth:`_BulkRecord.materialize`)
-        and time-sorted once (stable, so list order
-        is ``(time, seq)`` order) and cut at every live stranger by
-        bisection. A time tie is decided by seq: the tuples hold one
-        reserved seq range, so a stranger older than it goes before the
-        tied tuples and a newer one after. Each run between two
-        strangers is offered like a whole slot; the stranger is
+        Otherwise the tuples are built in ``(time, seq)`` order
+        (:meth:`_BulkRecord.sort`) and cut by bisection at ``until`` and
+        at every live stranger. A time tie is decided by seq: the
+        tuples hold one reserved seq range, so a stranger older than it
+        goes before the tied tuples and a newer one after. Each run
+        between two cuts is offered like a whole slot; the stranger is
         dispatched between runs, and the first live stranger is re-read
         after every action, so whatever it scheduled into (or cancelled
         in) the open slot takes its place in the order.
@@ -989,99 +870,104 @@ class Simulator:
         A run some group refuses (first slot of a wave: no live record
         yet) is *peeled*: dispatched op by op, straight from the tuple
         with no Event, through the first op of every refuser, then
-        offered once more; refused again, the rest of the run is peeled.
+        offered once more; refused again, the rest of the run is
+        peeled. Under a ``budget`` or a dispatch listener every op is
+        peeled, and a listener is handed a transient Event carrying the
+        op's place in the reserved range as its seq.
 
         Equivalence with per-event dispatch is proven in
         ``tests/properties/test_scheduler_equivalence.py``. Returns the
-        number of events consumed; 0 = fall back (``max_events``, a
-        dispatch listener, or a run bound inside this slot —
-        ``limit_slot``, the slot holding ``until``, is this one — need
-        per-event dispatch), and the caller's next ``advance()``
-        materializes the slot, strangers merged in.
+        number of entries dispatched — 0 only when the next one lies
+        past ``until``, where the rest of the slot waits for the next
+        run.
         """
-        wheel = self._wheel
-        if (
-            max_events is not None
-            or self._dispatch_listeners
-            or (limit_slot is not None and limit_slot <= wheel._cursor)
-        ):
-            return 0
-        meta = wheel._open_meta
-        base_seq = meta.base_seq
-        tuples = meta.tuples  # None while the slot is undisturbed
-        n = meta.size
-        tpos = n - wheel._open_lazy
-        ran = 0
-        batched = False
-        head = None  # the stranger `cut` was computed for
-        cut = n  # the current run is tuples[tpos:cut]
+        record = self._open_bulk
+        n = record.size
+        listeners = self._dispatch_listeners
+        per_op = budget is not None or bool(listeners)
+        # Whether until falls inside this slot (else it is past it).
+        bounded = until is not None and int(until * self._scale) <= self._cursor
         offers = 0  # offers made to the current run
         waiting: Optional[set] = None  # refusers the peel has yet to pass
-        while tpos < n:
-            open_ = wheel._open  # compact() may rebind the list
-            pos = wheel._open_pos
+        if (
+            record.tuples is None
+            and self._open_pos == len(self._open)
+            and not (per_op or bounded)
+        ):
+            offers = 1
+            waiting = self._offer_run(record.tally, n)
+            if waiting is None:
+                self._open_bulk = None
+                self.batched_slots += 1
+                return n
+        tuples = record.sort()
+        base_seq = record.base_seq
+        tpos = record.pos
+        ucut = n  # tuples[ucut:] lie past until
+        if bounded:
+            bisect = bisect_right if inclusive else bisect_left
+            ucut = bisect(tuples, until, tpos, n, key=_ITEM_TIME)
+        head = None  # the stranger `cut` was computed for
+        cut = ucut  # the current run is tuples[tpos:cut]
+        ran = 0
+        batched = False
+        while tpos < n and (budget is None or ran < budget):
+            open_ = self._open  # _compact() may rebind the list
+            pos = self._open_pos
             size = len(open_)
             while pos < size and open_[pos].cancelled:
                 self._cancelled -= 1
                 pos += 1
-            wheel._open_pos = pos
+            self._open_pos = pos
             stranger = open_[pos] if pos < size else None
-            if meta.tally is not None:
-                # Undisturbed so far: the tally schedule_bulk computed.
-                if stranger is None:
-                    offers = 1
-                    waiting = self._offer_run(meta.tally, n)
-                    if waiting is None:
-                        batched = True
-                        ran += n
-                        wheel._open_lazy = 0
-                        break
-                tuples = meta.materialize()
-                tuples.sort(key=_ITEM_TIME)
-                meta.tally = None
             if stranger is not head:
                 head = stranger
-                if stranger is None:
-                    cut = n
-                else:
+                cut = ucut
+                if stranger is not None:
                     bisect = bisect_left if stranger.seq < base_seq else bisect_right
-                    cut = bisect(tuples, stranger.time, tpos, n, key=_ITEM_TIME)
+                    cut = bisect(tuples, stranger.time, tpos, ucut, key=_ITEM_TIME)
             if tpos == cut:
-                wheel._open_pos = pos + 1
+                if stranger is None or (
+                    until is not None
+                    and (stranger.time > until or (not inclusive and stranger.time >= until))
+                ):
+                    break  # the until cut
+                self._open_pos = pos + 1
                 stranger._in_queue = False
-                self._live -= 1
-                self.now = stranger.time
-                self.events_processed += 1
+                time, action, event = stranger.time, stranger.action, stranger
                 self.stranger_events += 1
-                stranger.action()
                 offers = 0
-            elif not offers or (offers == 1 and not waiting):
+            elif not per_op and (not offers or (offers == 1 and not waiting)):
                 offers += 1
                 waiting = self._offer_run(_run_tally(tuples[tpos:cut]), cut - tpos)
                 if waiting is None:
                     batched = True
                     ran += cut - tpos
-                    tpos = cut
-                    wheel._open_lazy = n - tpos
+                    tpos = record.pos = cut
                 continue
             else:
                 time, action = tuples[tpos]
-                tpos += 1
-                wheel._open_lazy = n - tpos
-                self._live -= 1
-                self.now = time
-                self.events_processed += 1
+                event = None
+                tpos = record.pos = tpos + 1
                 self.peeled_ops += 1
-                action()
                 if waiting:
                     waiting.discard(getattr(action, "batch_group", None))
+            self._live -= 1
+            self.now = time
+            self.events_processed += 1
+            if listeners:
+                if event is None:
+                    event = Event(time, base_seq + tpos - 1, action, record.name)
+                started = perf_counter()
+                action()
+                wall = perf_counter() - started
+                for listener in listeners:
+                    listener(self, event, wall)
+            else:
+                action()
             ran += 1
-            if wheel._open_meta is not meta:
-                # The action peeked at the queue, which resolved the
-                # rest of the slot into Events: back to the plain loop.
-                break
-        if wheel._open_meta is meta:
-            wheel._open_meta = None
+        if self._open_bulk is record and record.pos == n:
+            self._open_bulk = None
         if batched:
             self.batched_slots += 1
         return ran
@@ -1094,11 +980,10 @@ class Simulator:
     def scheduler_stats(self) -> dict:
         """Counters describing scheduler behaviour (for perf reports
         and the obs gauges)."""
-        wheel = self._wheel
         return {
             "scheduler": "wheel",
-            "granularity": wheel.granularity,
-            "slots_scanned": wheel.slots_scanned,
+            "granularity": self._granularity,
+            "slots_scanned": self.slots_scanned,
             # Every scheduled event is exactly one calendar insert;
             # nothing overflows (the key is frozen by benchmarks/e2e).
             "wheel_inserts": self._seq,
@@ -1130,8 +1015,10 @@ class PeriodicTask:
         name: str = "",
         jitter: float = 0.0,
     ) -> None:
-        if interval <= 0:
-            raise SimulationError(f"periodic interval must be positive, got {interval}")
+        if not (interval > 0 and isfinite(interval)):
+            raise SimulationError(
+                f"periodic interval must be positive and finite, got {interval}"
+            )
         self._sim = sim
         self._interval = interval
         self._action = action
@@ -1169,16 +1056,3 @@ class PeriodicTask:
         self._action()
         if not self._stopped:
             self._schedule_next()
-
-
-def call_repeatedly(
-    sim: Simulator,
-    interval: float,
-    action: Callable[[], None],
-    name: str = "",
-    jitter: float = 0.0,
-) -> PeriodicTask:
-    """Convenience: create and start a :class:`PeriodicTask`."""
-    task = PeriodicTask(sim, interval, action, name=name, jitter=jitter)
-    task.start()
-    return task

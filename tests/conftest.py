@@ -102,6 +102,19 @@ def make_channel(net: ExpressNetwork, source_host: str) -> tuple[SourceHandle, C
     return handle, handle.allocate_channel()
 
 
+def calendar_entries(sim) -> int:
+    """Entries the shipped ``Simulator``'s calendar holds, live and
+    not-yet-skipped cancelled ones, counted from the structure itself
+    (the engine's own running total is ``sim.pending() + sim._cancelled``)."""
+    bulk = sim._open_bulk
+    return (
+        len(sim._open) - sim._open_pos
+        + (0 if bulk is None else bulk.size - bulk.pos)
+        + sum(map(len, sim._buckets.values()))
+        + sum(record.size for record in sim._bucket_meta.values())
+    )
+
+
 def assert_control_plane_at_rest(net: ExpressNetwork) -> None:
     """Nothing transient survives quiescence: call once ``net`` has
     settled (every verdict answered, every query resolved, every flush

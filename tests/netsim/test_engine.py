@@ -3,11 +3,8 @@
 import pytest
 
 from repro.errors import SimulationError
-from repro.netsim.engine import (
-    PeriodicTask,
-    Simulator,
-    call_repeatedly,
-)
+from repro.netsim.engine import PeriodicTask, Simulator
+from tests.conftest import calendar_entries
 from tests.oracles import scheduler as oracle
 
 
@@ -209,13 +206,6 @@ class TestPeriodicTask:
         with pytest.raises(SimulationError):
             PeriodicTask(sim, 0.0, lambda: None)
 
-    def test_call_repeatedly_starts(self):
-        sim = Simulator()
-        hits = []
-        call_repeatedly(sim, 2.0, lambda: hits.append(1))
-        sim.run(until=5.0)
-        assert hits == [1, 1]
-
     def test_jitter_stays_positive_and_deterministic(self):
         sim = Simulator(seed=7)
         hits = []
@@ -233,7 +223,7 @@ class TestPeriodicTask:
 
 class TestHeapCompaction:
     """The compaction contract, first written for the heap scheduler
-    and held by the calendar: ``len(sim._wheel)`` counts the entries
+    and held by the calendar: ``calendar_entries(sim)`` counts the entries
     physically held, cancelled ones included."""
 
     def test_mass_cancellation_compacts_the_heap(self):
@@ -244,10 +234,10 @@ class TestHeapCompaction:
         # Once cancelled events outnumbered live ones the calendar was
         # rebuilt; at most a sub-majority of cancelled entries remain
         # (compaction is amortized, not eager).
-        assert len(sim._wheel) < 2 * 50
+        assert calendar_entries(sim) < 2 * 50
         assert sim.pending() == 50
         assert sim.run() == 50
-        assert len(sim._wheel) == 0
+        assert calendar_entries(sim) == 0
 
     def test_pending_is_exact_through_churn(self):
         sim = Simulator()
@@ -305,7 +295,7 @@ class TestHeapCompaction:
             event.cancel()
         # Below the size floor the cancelled entries stay (they drain
         # lazily), but pending() is still exact.
-        assert len(sim._wheel) == 10
+        assert calendar_entries(sim) == 10
         assert sim.pending() == 1
 
 

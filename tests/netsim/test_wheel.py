@@ -4,7 +4,7 @@ The broad engine contract (ordering, cancellation, ``until``
 semantics, compaction) is pinned in ``test_engine``;
 ``tests/properties/test_scheduler_equivalence`` pins the shipped core
 to the heap oracle over randomized workloads. This file targets the
-calendar's own machinery (``TimerWheel``): slot/bucket placement, the
+calendar's own machinery: slot/bucket placement, the
 open-slot bisect path, the step from one occupied slot to the next,
 the ``run(until=...)`` cursor bound, the bulk records' lazy tuples, the
 refusal of times no slot can number, and the stats surfaced in perf
@@ -17,7 +17,8 @@ import pytest
 
 from repro.errors import SimulationError
 from repro.netsim import engine
-from repro.netsim.engine import Simulator
+from repro.netsim.engine import PeriodicTask, Simulator
+from tests.conftest import calendar_entries
 from tests.oracles import scheduler as oracle
 
 
@@ -55,7 +56,7 @@ class TestPlacement:
         stats = sim.scheduler_stats()
         assert stats["wheel_inserts"] == 3
         assert stats["overflow_inserts"] == 0
-        assert sorted(sim._wheel._buckets) == [50, 5000, 5_000_000_000]
+        assert sorted(sim._buckets) == [50, 5000, 5_000_000_000]
 
     def test_far_and_near_events_dispatch_in_order(self):
         sim = Simulator(wheel_granularity=0.001)
@@ -85,7 +86,7 @@ class TestPlacement:
         sim.schedule_at(0.11, lambda: got.append("single"))
         sim.schedule_bulk([(0.12, lambda: got.append("bulk"))])
         sim.schedule_at(0.31, lambda: got.append("later"))
-        assert sim._wheel._slots.count(2) == 2
+        assert sim._slots.count(2) == 2
         assert sim.peek_times(5) == [0.11, 0.12, 0.31]
         sim.run()
         assert got == ["single", "bulk", "later"]
@@ -150,6 +151,21 @@ class TestUnschedulableTimes:
         assert got == [(times[i], "ab"[i % 2]) for i in order]
         assert sim.now == 5e18
 
+    @pytest.mark.parametrize("until", [float("inf"), float("-inf"), float("nan")])
+    def test_run_refuses_a_non_finite_until_before_dispatching(self, until):
+        sim = Simulator()
+        got = []
+        sim.schedule_at(0.5, lambda: got.append(sim.now))
+        with pytest.raises(SimulationError, match="finite"):
+            sim.run(until=until)
+        assert got == [] and sim.now == 0.0 and sim.pending() == 1
+        assert sim.run() == 1 and got == [0.5]
+
+    @pytest.mark.parametrize("interval", [float("nan"), float("inf")])
+    def test_periodic_task_refuses_a_non_finite_interval(self, interval):
+        with pytest.raises(SimulationError, match="finite"):
+            PeriodicTask(Simulator(), interval, lambda: None)
+
 
 class _AdmitAll:
     """A batch group (the protocol ``BlockChannelGroup`` speaks to the
@@ -178,19 +194,20 @@ class _Join:
 
 
 class TestLazyBulkTuples:
-    """A pure slot's ``(time, action)`` tuples are built only for
-    per-event dispatch (``_BulkRecord.materialize``)."""
+    """A bulk slot's ``(time, action)`` tuples are built only when its
+    entries are needed one by one (``_BulkRecord.sort``)."""
 
     @pytest.fixture
     def builds(self, monkeypatch):
         built = []
-        materialize = engine._BulkRecord.materialize
+        sort = engine._BulkRecord.sort
 
         def counted(record):
-            built.append(record.size)
-            return materialize(record)
+            if record.tuples is None:
+                built.append(record.size)
+            return sort(record)
 
-        monkeypatch.setattr(engine._BulkRecord, "materialize", counted)
+        monkeypatch.setattr(engine._BulkRecord, "sort", counted)
         return built
 
     @staticmethod
@@ -232,6 +249,70 @@ class TestLazyBulkTuples:
         assert builds == [300]
         assert result == self.drive(oracle.Simulator, disturb)[0]
 
+    @pytest.fixture
+    def events_built(self, monkeypatch):
+        built = []
+        init = engine.Event.__init__
+
+        def counted(event, *args, **kwargs):
+            built.append(args)
+            init(event, *args, **kwargs)
+
+        monkeypatch.setattr(engine.Event, "__init__", counted)
+        return built
+
+    @staticmethod
+    def one_slot_storm(n=10_000):
+        # n joins, shuffled, in the 50 ms slot [0.1, 0.15); one group
+        # admits every batch. An event before the call and one after it
+        # bracket the call's reserved seq range.
+        sim = Simulator(wheel_granularity=0.05)
+        group = _AdmitAll()
+        join = _Join(group)
+        items = [(0.1 + 0.049 * i / n, join) for i in range(n)]
+        random.Random(n).shuffle(items)
+        sim.schedule_at(0.5, lambda: None)
+        sim.schedule_bulk(items, name="join")
+        sim.schedule_at(0.5, lambda: None)
+        return sim, group
+
+    def test_run_until_inside_the_slot_batches_the_part_before_it(self, events_built):
+        n = 10_000
+        sim, group = self.one_slot_storm(n)
+        events_built.clear()  # the two bracketing events
+        until = 0.1 + 0.049 * (n // 2 - 0.5) / n
+        assert sim.run(until=until) == n // 2
+        assert (sim.batched_events, group.members) == (n // 2, n // 2)
+        assert sim.now == until and sim.pending() == n // 2 + 2
+        assert sim.run(until=0.2) == n // 2
+        assert (sim.batched_events, group.members) == (n, n)
+        assert events_built == []
+
+    def test_step_on_a_bulk_slot_builds_no_event(self, events_built):
+        n = 10_000
+        sim, group = self.one_slot_storm(n)
+        events_built.clear()
+        assert sim.step()
+        assert events_built == []
+        assert (sim.now, group.members, sim.peeled_ops) == (0.1, 1, 1)
+        assert sim.run(until=0.2) == n - 1
+        assert group.members == n and sim.batched_events == n - 1
+        assert events_built == []
+
+    def test_listener_sees_each_bulk_op_with_a_seq_of_its_own(self):
+        n = 10_000
+        sim, group = self.one_slot_storm(n)
+        seen = []
+        sim.add_dispatch_listener(
+            lambda s, event, wall: seen.append((event.time, event.seq, event.name))
+        )
+        sim.run()
+        ops = [(time, seq) for time, seq, name in seen if name == "join"]
+        assert len(ops) == n and group.members == n
+        assert sorted(seq for _, seq in ops) == list(range(2, n + 2))
+        assert ops == sorted(ops)
+        assert [seq for _, seq, name in seen if name != "join"] == [1, n + 2]
+
     def test_tally_lists_actions_in_order_of_first_appearance(self):
         # A slot's batch groups apply in its tally's order: the order in
         # which the slot's own items first used each action, not the
@@ -239,7 +320,7 @@ class TestLazyBulkTuples:
         sim = Simulator(wheel_granularity=0.05)
         a, b = _Join(_AdmitAll()), _Join(_AdmitAll())
         sim.schedule_bulk([(0.11, a), (0.21, b), (0.22, a), (0.12, b)])
-        records = sim._wheel._bucket_meta
+        records = sim._bucket_meta
         assert list(records[2].tally) == [a, b]
         assert list(records[4].tally) == [b, a]
         assert records[4].tally[a] == [1, 0.22]
@@ -251,9 +332,9 @@ class TestLazyBulkTuples:
         sim = Simulator(wheel_granularity=0.05)
         sim.schedule_at(0.3, lambda: None)
         sim.schedule_bulk([(0.21, len), (0.11, len), (0.22, len), (0.12, len), (0.13, len)])
-        records = sim._wheel._bucket_meta
+        records = sim._bucket_meta
         assert (records[4].base_seq, records[2].base_seq) == (2, 4)
-        assert [time for time, _ in records[2].materialize()] == [0.11, 0.12, 0.13]
+        assert [time for time, _ in records[2].sort()] == [0.11, 0.12, 0.13]
 
 
 class TestRunSemantics:
@@ -281,8 +362,8 @@ class TestRunSemantics:
             sim.schedule_at(0.02 + 0.001 * i, lambda: None)
         stats = sim.scheduler_stats()
         assert stats["wheel_inserts"] == before + 100
-        assert sim._wheel._cursor <= int(0.01 / 0.001) + 1
-        assert sum(map(len, sim._wheel._buckets.values())) == 101
+        assert sim._cursor <= int(0.01 / 0.001) + 1
+        assert sum(map(len, sim._buckets.values())) == 101
 
     def test_max_events_leaves_remainder(self):
         sim = Simulator()
@@ -345,10 +426,9 @@ class TestCancellation:
         # most dead entries — with the buckets they emptied and those
         # buckets' slot numbers — and only a sub-threshold lazy residue
         # remains.
-        wheel = sim._wheel
-        assert len(wheel) < len(keep) + len(drop) // 4
-        assert len(wheel._buckets) < len(keep) + len(drop) // 4
-        assert sorted(wheel._slots) == sorted(wheel._buckets)
+        assert calendar_entries(sim) < len(keep) + len(drop) // 4
+        assert len(sim._buckets) < len(keep) + len(drop) // 4
+        assert sorted(sim._slots) == sorted(sim._buckets)
         assert sim.run() == len(keep)
         assert sim.scheduler_stats()["slots_scanned"] < len(keep) + len(drop) // 4
 
