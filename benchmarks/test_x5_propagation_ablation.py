@@ -15,7 +15,7 @@ import pytest
 from conftest import report
 
 from repro import CountPropagation, ExpressNetwork, ToleranceCurve, TopologyBuilder
-from repro.workloads import poisson_churn, schedule_churn
+from repro.workloads import poisson_churn, schedule_ops
 
 DEPTH, FANOUT = 3, 4
 DURATION = 600.0
@@ -38,7 +38,7 @@ def run_policy(propagation):
     events = poisson_churn(
         leaves, duration=DURATION, mean_off_time=200, mean_on_time=300, seed=11
     )
-    schedule_churn(net, channel, events)
+    schedule_ops(net, events, [channel])
     net.run(until=DURATION + 5)
 
     actual = len(net.subscriber_hosts(channel))

@@ -19,7 +19,7 @@ Run:  python examples/isp_settlements.py
 from repro import ExpressNetwork, TopologyBuilder
 from repro.core.ecmp.countids import LINK_COUNT_ID
 from repro.costmodel.billing import BillingCollector, TieredBillingPolicy
-from repro.workloads import poisson_churn, schedule_churn
+from repro.workloads import poisson_churn, schedule_ops
 
 
 def main() -> None:
@@ -38,7 +38,7 @@ def main() -> None:
     events = poisson_churn(
         viewers, duration=3600, mean_off_time=900, mean_on_time=1800, seed=3
     )
-    schedule_churn(net, channel, events)
+    schedule_ops(net, events, [channel])
 
     # The ISP's billing collector samples every 10 minutes.
     collector = BillingCollector(broadcaster, channel, interval=600.0)

@@ -12,7 +12,7 @@ Run:  python examples/stock_ticker.py
 
 from repro import CountPropagation, ExpressNetwork, ToleranceCurve, TopologyBuilder
 from repro.costmodel import FibCostModel, ManagementStateModel
-from repro.workloads import poisson_churn, schedule_churn
+from repro.workloads import poisson_churn, schedule_ops
 
 
 def main() -> None:
@@ -39,7 +39,7 @@ def main() -> None:
     events = poisson_churn(
         leaves, duration=3600, mean_off_time=600, mean_on_time=1200, seed=7
     )
-    schedule_churn(net, channel, events)
+    schedule_ops(net, events, [channel])
 
     # Tick every second while the churn plays out.
     def tick() -> None:

@@ -20,8 +20,9 @@ Public API tour
   baseline models for the comparison benchmarks.
 * :mod:`repro.costmodel` — §5's analytic cost models (Figure 6 and the
   in-text state/maintenance analyses).
-* :mod:`repro.workloads` — churn generators and the named scenarios
-  behind every figure reproduction.
+* :mod:`repro.workloads` — one op language for what happens in a run
+  (``schedule_ops``, ``ScenarioSpec``), the churn generators and the
+  Figure 8 scenario.
 """
 
 from repro.core import (

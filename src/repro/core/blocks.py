@@ -27,14 +27,19 @@ objects with N sets of timers and N delivery events.
   *flushed* into the blocks' counters in bulk.
 
 A block's member count on a channel has one writer,
-:meth:`SubscriberBlock.set_count`: join, leave, the batch fold
-(:meth:`BlockChannelGroup.run_batch`), the agent's UDP expiry and its
-crash all go through it. It flushes the channel's delivery view before
-the write — the pending tallies were counted under the old members —
-and marks that view stale after it; the forwarder rebuilds a stale
-view from ``agent.blocks`` and ``block.members`` on the next packet.
-Every other flush is a read: the block counter properties, and the
-forwarder's registry fold at every ``collect()``/snapshot/export
+:meth:`SubscriberBlock.set_count`, and the edge router calls it where it
+writes the block's downstream record: the fast path and the full path
+of a count change, every drop of the record (a leave to zero, UDP
+expiry, a rollback or denial), a rollback to a smaller count, the batch
+fold (:meth:`BlockChannelGroup.run_batch`) and a crash. So the block
+counts the members the router's record holds: a join the network
+refuses adds none, and :meth:`~SubscriberBlock.join` returns the count
+the router settled on. ``set_count`` flushes the channel's delivery
+view before the write — the pending tallies were counted under the old
+members — and marks that view stale after it; the forwarder rebuilds a
+stale view from ``agent.blocks`` and ``block.members`` on the next
+packet. Every other flush is a read: the block counter properties, and
+the forwarder's registry fold at every ``collect()``/snapshot/export
 (:func:`flush_agent_views`), so counters are never stale when read.
 
 Blocks are for *open* channels: a keyed (authenticated) subscription
@@ -132,15 +137,14 @@ class SubscriberBlock:
         return self._bytes_delivered
 
     def join(self, channel: Channel, n: int = 1) -> int:
-        """Add ``n`` members to the block's count for ``channel``;
-        returns the new count. One aggregate Count delta goes upstream
-        per the agent's propagation mode, not one per member."""
+        """Ask for ``n`` more members on ``channel``; returns the count
+        the edge router settled on, which stays put when it refuses the
+        join. One aggregate Count delta goes upstream per the agent's
+        propagation mode, not one per member."""
         if n <= 0:
             raise ChannelError(f"block join needs n >= 1, got {n}")
-        new = self.members.get(channel, 0) + n
-        self.set_count(channel, new)
-        self.agent.block_adjust(channel, self, new)
-        return new
+        self.agent.block_adjust(channel, self, self.members.get(channel, 0) + n)
+        return self.members.get(channel, 0)
 
     def leave(self, channel: Channel, n: int = 1) -> int:
         """Remove ``n`` members (clamped at zero); returns the new
@@ -149,20 +153,17 @@ class SubscriberBlock:
         if n <= 0:
             raise ChannelError(f"block leave needs n >= 1, got {n}")
         current = self.members.get(channel, 0)
-        new = current - n
-        if new < 0:
-            new = 0
-        self.set_count(channel, new)
-        if new != current:
-            self.agent.block_adjust(channel, self, new)
-        return new
+        if current:
+            self.agent.block_adjust(channel, self, max(current - n, 0))
+        return self.members.get(channel, 0)
 
     def set_count(self, channel: Channel, count: int) -> None:
         """The one write of ``members[channel]`` (zero removes the
-        channel). The agent's records are the caller's business; this
-        keeps the channel's delivery view honest: its pending tallies
-        were counted under the old members, so they land first, and the
-        view is marked stale for the forwarder to rebuild."""
+        channel), called where the edge router writes or drops the
+        block's record. It keeps the channel's delivery view honest: its
+        pending tallies were counted under the old members, so they land
+        first, and the view is marked stale for the forwarder to
+        rebuild."""
         view = self.agent._delivery_views.get(channel)
         if view is not None and view.pending_packets:
             view.flush()
@@ -290,12 +291,12 @@ class BlockChannelGroup:
     Admission logic (:meth:`can_batch`) is deliberately conservative —
     it requires the regime where every individual op provably takes the
     agent's O(1) TREE_ONLY fast path: the channel is grafted with a
-    live block record whose count matches the block's own view, and
-    even the worst-case ordering (all leaves first) keeps the count
-    ≥ 1, so no op in the batch could trigger a 0↔positive transition,
-    tree graft/prune, FIB sync, or upstream Count message. Under those
-    preconditions N sequential fast-path updates and one arithmetic
-    fold leave byte-identical protocol state: final count is
+    live block record (whose count is the block's own, by the one-writer
+    rule), and even the worst-case ordering (all leaves first) keeps
+    the count ≥ 1, so no op in the batch could trigger a 0↔positive
+    transition, tree graft/prune, FIB sync, or upstream Count message.
+    Under those preconditions N sequential fast-path updates and one
+    arithmetic fold leave byte-identical protocol state: final count is
     ``start + Σdelta``, ``updated_at`` is the last op's time, and the
     fast-update/convergence tallies advance by N.
     """
@@ -321,10 +322,7 @@ class BlockChannelGroup:
         record = state.downstream.get(block.pseudo)
         if record is None:
             return False
-        count = record.count
-        if count <= 0 or count != block.members.get(self.channel, 0):
-            return False
-        if count - drops < 1:
+        if record.count - drops < 1:
             return False
         self._record = record
         return True

@@ -66,7 +66,7 @@ from repro.core.keys import ChannelKey, KeyCache
 from repro.core.proactive import ProactiveCounter, ToleranceCurve
 from repro.errors import ChannelError, CodecError, ProtocolError, RoutingError
 from repro.netsim.node import Node, ProtocolAgent
-from repro.netsim.packet import Packet
+from repro.netsim.packet import IP_HEADER_BYTES as IP_OVERHEAD, Packet
 from repro.netsim.trace import Counter
 from repro.obs.hooks import SPAN_HEADER, span
 from repro.routing.fib import MulticastFib
@@ -81,9 +81,6 @@ __all__ = [
     "DISCOVERY_CHANNEL", "IP_OVERHEAD", "PROTO_ECMP", "CountPropagation",
     "DirtyChannelQueue", "EcmpAgent", "NeighborMode", "SubscriptionHandle",
 ]
-
-#: IPv4 header bytes added to every ECMP message on the wire.
-IP_OVERHEAD = 20
 
 
 class CountPropagation(Enum):
@@ -488,14 +485,13 @@ class EcmpAgent(ProtocolAgent):
             elif state.lone_name == block.pseudo:
                 record = state.lone_record
         if record is not None and 0 < count and 0 < record.count:
-            if count == record.count:
-                return
             if self.propagation is CountPropagation.TREE_ONLY:
                 # Not folded into the stats bag: ``block_fast_updates``
                 # is the fast path's own tally; add it to the bag's
                 # ``count_update_events`` for a total update count.
                 record.count = count
                 record.updated_at = self.sim.now
+                block.set_count(channel, count)
                 self.block_fast_updates += 1
                 if self.obs is not None:
                     self.obs.state_changed()
@@ -851,6 +847,7 @@ class EcmpAgent(ProtocolAgent):
             block = self.blocks.get(from_name)
             if block is not None:
                 record.udp = block.udp
+                block.set_count(channel, count)
             else:
                 # A Count off the wire came from a neighbor; a name that
                 # is none (a test driving this method) has no session.
@@ -1019,6 +1016,9 @@ class EcmpAgent(ProtocolAgent):
         self.liveness.untrack(state.channel, name)
         if record.validated and record.count > 0:
             self._set_forwarding(state, name, False)
+        block = self.blocks.get(name)
+        if block is not None:
+            block.set_count(state.channel, 0)
 
     def _set_forwarding(self, state: ChannelState, name: str, on: bool) -> None:
         """Mirror one downstream record's forwarding eligibility
@@ -1108,13 +1108,9 @@ class EcmpAgent(ProtocolAgent):
 
     def _record_expired(self, channel: Channel, name: str) -> None:
         """A UDP-mode record outlived its lease: it leaves as if its
-        neighbor had sent a zero Count — and an expired block's members
-        leave with it, so they are credited with no more deliveries."""
+        neighbor had sent a zero Count (a block's members with it)."""
         self.stats["udp_expirations"] += 1
         self._apply_subscriber_count(channel, name, 0)
-        block = self.blocks.get(name)
-        if block is not None:
-            block.set_count(channel, 0)
 
     def _neighbor_failed(self, name: str) -> None:
         """TCP-connection failure: "The associated count is subtracted

@@ -327,6 +327,9 @@ class Verdicts:
             if rolled > 0:
                 was_forwarding = record.validated and record.count > 0
                 record.count = rolled
+                block = agent.blocks.get(entry.neighbor)
+                if block is not None:
+                    block.set_count(state.channel, rolled)
                 # Never revoke a validation an earlier verdict granted.
                 record.validated = record.validated or entry.prior_validated
                 if record.validated and not was_forwarding:

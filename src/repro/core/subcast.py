@@ -21,9 +21,6 @@ from repro.core.channel import Channel
 from repro.errors import ChannelError
 from repro.netsim.packet import Packet
 
-#: IP-in-IP adds one inner IPv4 header.
-ENCAP_OVERHEAD = 20
-
 
 def build_subcast_packet(
     channel: Channel,
@@ -44,9 +41,4 @@ def build_subcast_packet(
         size=size,
         created_at=created_at,
     )
-    return inner.encapsulate(
-        outer_src=channel.source,
-        outer_dst=relay_address,
-        proto="ipip",
-        overhead=ENCAP_OVERHEAD,
-    )
+    return inner.encapsulate(outer_src=channel.source, outer_dst=relay_address, proto="ipip")

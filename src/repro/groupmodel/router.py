@@ -17,14 +17,12 @@ from typing import Iterable, Optional
 from repro.errors import ProtocolError
 from repro.inet.addr import is_class_d
 from repro.netsim.node import Node, ProtocolAgent
-from repro.netsim.packet import Packet
+from repro.netsim.packet import IP_HEADER_BYTES, Packet
 from repro.netsim.trace import Counter
 from repro.routing.unicast import UnicastRouting
 
 PROTO_DATA = "data"
 PROTO_TUNNEL = "ipip"
-#: IP header bytes in front of every control message.
-IP_HEADER_BYTES = 20
 
 
 @dataclass(frozen=True)

@@ -14,13 +14,13 @@ import struct
 from dataclasses import dataclass, field
 
 from repro.errors import CodecError
+from repro.netsim.packet import IP_HEADER_BYTES
 
 #: Ethernet MTU payload available to IP.
 ETHERNET_MTU = 1500
 #: MSS used by the paper: 1500 - 20 (IP)  == 1480 bytes of TCP segment.
 ETHERNET_TCP_SEGMENT = 1480
 
-IPV4_HEADER_LEN = 20
 UDP_HEADER_LEN = 8
 
 _IPV4_STRUCT = struct.Struct("!BBHHHBBHII")
@@ -48,7 +48,7 @@ class IPv4Header:
     src: int
     dst: int
     proto: int
-    total_length: int = IPV4_HEADER_LEN
+    total_length: int = IP_HEADER_BYTES
     ttl: int = 64
     identification: int = 0
     dscp: int = 0
@@ -58,7 +58,7 @@ class IPv4Header:
             raise CodecError(f"total_length {self.total_length} out of range")
         if not 0 <= self.ttl <= 255:
             raise CodecError(f"ttl {self.ttl} out of range")
-        version_ihl = (4 << 4) | (IPV4_HEADER_LEN // 4)
+        version_ihl = (4 << 4) | (IP_HEADER_BYTES // 4)
         without_checksum = _IPV4_STRUCT.pack(
             version_ihl,
             self.dscp,
@@ -76,13 +76,13 @@ class IPv4Header:
 
     @classmethod
     def unpack(cls, data: bytes) -> "IPv4Header":
-        if len(data) < IPV4_HEADER_LEN:
+        if len(data) < IP_HEADER_BYTES:
             raise CodecError(f"IPv4 header truncated: {len(data)} bytes")
-        fields = _IPV4_STRUCT.unpack(data[:IPV4_HEADER_LEN])
+        fields = _IPV4_STRUCT.unpack(data[:IP_HEADER_BYTES])
         version_ihl = fields[0]
         if version_ihl >> 4 != 4:
             raise CodecError(f"not IPv4 (version {version_ihl >> 4})")
-        if internet_checksum(data[:IPV4_HEADER_LEN]) != 0:
+        if internet_checksum(data[:IP_HEADER_BYTES]) != 0:
             raise CodecError("IPv4 header checksum mismatch")
         return cls(
             src=fields[8],

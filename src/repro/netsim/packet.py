@@ -15,6 +15,10 @@ from typing import Any, Optional
 
 _new = object.__new__
 
+#: Bytes of one IPv4 header (no options): what ECMP, the baselines'
+#: control packets and every IP-in-IP encapsulation add on the wire.
+IP_HEADER_BYTES = 20
+
 
 @dataclass(slots=True, init=False, eq=False)
 class Packet:
@@ -88,14 +92,14 @@ class Packet:
         dup.created_at = self.created_at
         return dup
 
-    def encapsulate(self, outer_src: int, outer_dst: int, proto: str = "ipip", overhead: int = 20) -> "Packet":
-        """Wrap this packet in an outer packet (IP-in-IP style)."""
+    def encapsulate(self, outer_src: int, outer_dst: int, proto: str = "ipip") -> "Packet":
+        """Wrap this packet in an outer IPv4 header (IP-in-IP style)."""
         return Packet(
             src=outer_src,
             dst=outer_dst,
             proto=proto,
             payload=self,
-            size=self.size + overhead,
+            size=self.size + IP_HEADER_BYTES,
             ttl=64,
             created_at=self.created_at,
         )

@@ -24,9 +24,9 @@ and obs counters identical to the single-process oracle (pinned by
 ``tests/properties/test_partition_equivalence.py``).
 
 What remains exists for the frozen ``benchmarks/e2e`` probe and that
-equivalence suite: ROADMAP item 5 removes the package once the
-benchmark-version change (item 3) drops the probe. See
-``docs/performance.md`` ("Sharding in one process").
+equivalence suite: ROADMAP item 6 removes the package once the
+benchmark change of item 1(a) drops the probe. The scenario spec it
+runs lives in :mod:`repro.workloads.spec` and is re-exported here.
 """
 
 from repro.netsim.parallel.partition import PartitionPlan, plan_partitions
@@ -36,7 +36,6 @@ from repro.netsim.parallel.runner import (
     assert_equivalent,
     run_single,
 )
-from repro.netsim.parallel.scenario import OPGENS, ScenarioSpec
 from repro.netsim.parallel.sync import (
     SyncStats,
     build_ladder,
@@ -45,6 +44,7 @@ from repro.netsim.parallel.sync import (
     transitive_lookahead,
 )
 from repro.netsim.parallel.transport import TransportError
+from repro.workloads.spec import OPGENS, ScenarioSpec
 
 __all__ = [
     "OPGENS",

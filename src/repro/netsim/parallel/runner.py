@@ -34,7 +34,6 @@ from typing import Optional
 from repro.errors import SimulationError
 from repro.netsim.engine import check_scheduler
 from repro.netsim.parallel.partition import PartitionPlan, plan_partitions
-from repro.netsim.parallel.scenario import ScenarioSpec, build, schedule_ops
 from repro.netsim.parallel.sync import (
     SyncStats,
     build_ladder,
@@ -49,6 +48,7 @@ from repro.netsim.parallel.worker import (
     PartitionWorker,
     extract_summary,
 )
+from repro.workloads.spec import ScenarioSpec, build
 
 
 @dataclass
@@ -81,7 +81,7 @@ def run_single(spec: ScenarioSpec, with_obs: bool = False) -> dict:
 
         obs = Observability()
     net, channels, blocks = build(spec, obs=obs)
-    schedule_ops(spec, net, channels, blocks, owned=None)
+    spec.schedule(net, channels, blocks)
     net.run(until=spec.duration)
     return extract_summary(net, channels, blocks, owned=None, obs=obs)
 

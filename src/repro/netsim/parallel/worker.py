@@ -23,8 +23,8 @@ from math import inf
 from repro.netsim.engine import derive_seed
 from repro.netsim.parallel.codec import decode_packet, encode_packet
 from repro.netsim.parallel.partition import PartitionPlan
-from repro.netsim.parallel.scenario import ScenarioSpec, build, schedule_ops
 from repro.netsim.parallel.sync import SyncStats, transitive_lookahead
+from repro.workloads.spec import ScenarioSpec, build
 
 #: How many upcoming event times a worker reports per grant — the
 #: coordinator's raw material for the next grant's horizon ladder.
@@ -86,7 +86,7 @@ class PartitionWorker:
         self._export_seq = 0
         self._install_proxies()
         self.net.start(self.owned)
-        schedule_ops(spec, self.net, self.channels, self.blocks, owned=self._owned_set)
+        spec.schedule(self.net, self.channels, self.blocks, owned=self._owned_set)
         # Post-build reseed: construction consumed the shared seed
         # identically everywhere; from here on each worker draws from
         # its own derived stream (loss draws on owned links only).

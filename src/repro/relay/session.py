@@ -27,8 +27,6 @@ from repro.netsim.engine import PeriodicTask
 from repro.netsim.packet import Packet
 from repro.relay.floor import FloorControl, FloorDecision
 
-_session_ids = itertools.count(1)
-
 #: Simulated wire size of a small relay control message.
 CONTROL_SIZE = 64
 
@@ -40,10 +38,10 @@ class RelayMessage:
     ``kind`` is one of: "talk" (media), "floor_request",
     "floor_release", "floor_grant", "floor_deny", "heartbeat",
     "announce_channel" (direct-channel switchover), "probe" (reliable
-    NACK probe).
+    NACK probe). ``session`` is the relay's channel.
     """
 
-    session: int
+    session: Channel
     kind: str
     speaker: str
     seq: int = 0
@@ -64,8 +62,10 @@ class SessionRelay:
     ) -> None:
         self.net = net
         self.handle: SourceHandle = net.source(sr_host)
-        self.session_id = next(_session_ids)
         self.channel: Channel = self.handle.allocate_channel()
+        #: The relay's channel names its session: unique in the network,
+        #: and owned by this relay alone.
+        self.session_id = self.channel
         if net.obs is None:
             self._m_messages = None
         else:

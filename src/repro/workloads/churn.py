@@ -1,7 +1,8 @@
 """Subscribe/unsubscribe workload generation.
 
-Two consumers: whole-network simulations (events scheduled on the
-simulator via :func:`schedule_churn`) and the T4 event-processing
+Two consumers: whole-network simulations, which schedule
+:func:`poisson_churn`'s ``(time, "join" | "leave", host, 0)`` ops with
+:func:`~repro.workloads.spec.schedule_ops`, and the T4 event-processing
 throughput benchmark, which drives a single router's ECMP agent with a
 pre-generated stream of Count messages (:func:`count_message_stream`) —
 the equivalent of the paper's "eight active Ethernet neighbors
@@ -11,28 +12,12 @@ continuously sending subscribe and unsubscribe events".
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, Sequence
 
 from repro.core.channel import Channel
 from repro.core.ecmp.countids import SUBSCRIBER_ID
 from repro.core.ecmp.messages import Count
-from repro.core.keys import ChannelKey
-from repro.core.network import ExpressNetwork
 from repro.errors import WorkloadError
-
-
-@dataclass(frozen=True)
-class ChurnEvent:
-    """One membership change."""
-
-    time: float
-    host: str
-    action: str  # "join" | "leave"
-
-    def __post_init__(self) -> None:
-        if self.action not in ("join", "leave"):
-            raise WorkloadError(f"unknown churn action {self.action!r}")
 
 
 def poisson_churn(
@@ -41,41 +26,26 @@ def poisson_churn(
     mean_off_time: float,
     mean_on_time: float,
     seed: int = 0,
-) -> list[ChurnEvent]:
+) -> list[tuple]:
     """Each host alternates off/on with exponential holding times.
 
-    Starts everyone unsubscribed; returns events sorted by time.
+    Starts everyone unsubscribed; returns ``(time, "join" | "leave",
+    host, 0)`` ops on channel index 0, sorted by time.
     """
     if duration <= 0 or mean_off_time <= 0 or mean_on_time <= 0:
         raise WorkloadError("duration and holding times must be positive")
     rng = random.Random(seed)
-    events: list[ChurnEvent] = []
+    ops: list[tuple] = []
     for host in hosts:
         t = rng.expovariate(1.0 / mean_off_time)
         subscribed = False
         while t < duration:
-            action = "leave" if subscribed else "join"
-            events.append(ChurnEvent(time=t, host=host, action=action))
+            ops.append((t, "leave" if subscribed else "join", host, 0))
             subscribed = not subscribed
             hold = mean_on_time if subscribed else mean_off_time
             t += rng.expovariate(1.0 / hold)
-    events.sort(key=lambda e: (e.time, e.host))
-    return events
-
-
-def schedule_churn(
-    net: ExpressNetwork,
-    channel: Channel,
-    events: Sequence[ChurnEvent],
-    key: Optional[ChannelKey] = None,
-) -> None:
-    """Schedule churn events onto the network's simulator."""
-    for event in events:
-        if event.action == "join":
-            action = lambda h=event.host: net.host(h).subscribe(channel, key=key)
-        else:
-            action = lambda h=event.host: net.host(h).unsubscribe(channel)
-        net.sim.schedule_at(event.time, action, name=f"churn-{event.action}")
+    ops.sort(key=lambda op: (op[0], op[2]))
+    return ops
 
 
 def count_message_stream(

@@ -26,7 +26,7 @@ from repro.core.network import ExpressNetwork
 from repro.core.proactive import ToleranceCurve
 from repro.errors import WorkloadError
 from repro.netsim.topology import Topology, TopologyBuilder
-from repro.workloads.churn import ChurnEvent
+from repro.workloads.spec import schedule_ops
 
 #: Figure 8 shape constants (read off the published plot).
 FIG8_SUBSCRIBERS = 250
@@ -42,8 +42,9 @@ def fig8_events(
     n_hosts: int = FIG8_SUBSCRIBERS,
     hosts: Optional[list[str]] = None,
     seed: int = 0,
-) -> list[ChurnEvent]:
-    """The Figure 8 membership trace over ``n_hosts`` subscriber names."""
+) -> list[tuple]:
+    """The Figure 8 membership trace over ``n_hosts`` subscriber names,
+    as ``(time, "join" | "leave", host, 0)`` ops sorted by time."""
     if hosts is None:
         hosts = [f"sub{i}" for i in range(n_hosts)]
     if len(hosts) < n_hosts:
@@ -52,40 +53,26 @@ def fig8_events(
     rng = random.Random(seed)
     rng.shuffle(hosts)
 
-    events: list[ChurnEvent] = []
     burst1 = hosts[:FIG8_INITIAL_BURST]
     n_slow = max((n_hosts - FIG8_INITIAL_BURST) // 10, 1)
     slow = hosts[FIG8_INITIAL_BURST : FIG8_INITIAL_BURST + n_slow]
     burst2 = hosts[FIG8_INITIAL_BURST + n_slow :]
 
     # Initial burst: everyone in the first second or two.
-    for host in burst1:
-        events.append(ChurnEvent(time=rng.uniform(0.0, 2.0), host=host, action="join"))
+    ops = [(rng.uniform(0.0, 2.0), "join", host, 0) for host in burst1]
     # Slow trickle until t=200.
-    for host in slow:
-        events.append(
-            ChurnEvent(time=rng.uniform(5.0, FIG8_SLOW_JOIN_END), host=host, action="join")
-        )
+    ops += [(rng.uniform(5.0, FIG8_SLOW_JOIN_END), "join", host, 0) for host in slow]
     # Second burst right after t=200.
-    for host in burst2:
-        events.append(
-            ChurnEvent(
-                time=FIG8_SECOND_BURST_AT + rng.uniform(0.0, 2.0),
-                host=host,
-                action="join",
-            )
-        )
+    ops += [
+        (FIG8_SECOND_BURST_AT + rng.uniform(0.0, 2.0), "join", host, 0) for host in burst2
+    ]
     # Quiet until t=300, then everyone leaves quickly.
-    for host in hosts:
-        events.append(
-            ChurnEvent(
-                time=FIG8_QUIET_UNTIL + rng.uniform(0.0, FIG8_END - FIG8_QUIET_UNTIL),
-                host=host,
-                action="leave",
-            )
-        )
-    events.sort(key=lambda e: (e.time, e.host))
-    return events
+    ops += [
+        (FIG8_QUIET_UNTIL + rng.uniform(0.0, FIG8_END - FIG8_QUIET_UNTIL), "leave", host, 0)
+        for host in hosts
+    ]
+    ops.sort(key=lambda op: (op[0], op[2]))
+    return ops
 
 
 def build_fig8_network(
@@ -144,6 +131,7 @@ def run_fig8(
 ) -> list[Fig8Sample]:
     """Replay the Figure 8 scenario; returns the sampled time series.
 
+    ``actual`` is the number of leaves subscribed at the sample;
     ``estimated`` is the aggregated downstream sum at the source node
     ("the estimated group size (c_sum), as measured at the root of the
     tree"); ``counts_delivered_to_source`` is the cumulative number of
@@ -153,20 +141,8 @@ def run_fig8(
     net, channel, leaves, src = build_fig8_network(
         alpha, tau=tau, e_max=e_max, depth=depth, fanout=fanout, seed=seed
     )
-    events = fig8_events(hosts=leaves, seed=seed)
-
-    actual = {"n": 0}
-
-    def apply(event: ChurnEvent) -> None:
-        if event.action == "join":
-            net.host(event.host).subscribe(channel)
-            actual["n"] += 1
-        else:
-            if net.host(event.host).unsubscribe(channel):
-                actual["n"] -= 1
-
-    for event in events:
-        net.sim.schedule_at(event.time, lambda e=event: apply(e))
+    schedule_ops(net, fig8_events(hosts=leaves, seed=seed), [channel])
+    agents = [net.ecmp_agents[leaf] for leaf in leaves]
 
     samples: list[Fig8Sample] = []
     source_agent = net.ecmp_agents[src]
@@ -175,7 +151,7 @@ def run_fig8(
         samples.append(
             Fig8Sample(
                 time=net.sim.now,
-                actual=actual["n"],
+                actual=sum(channel in agent.subscriptions for agent in agents),
                 estimated=source_agent.subscriber_count_estimate(channel),
                 counts_delivered_to_source=source_agent.stats.get("counts_rx"),
             )

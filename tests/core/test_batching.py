@@ -45,7 +45,7 @@ from repro.core.keys import make_key
 from repro.netsim.engine import Simulator
 from repro.netsim.packet import Packet
 from repro.netsim.trace import Counter as StatsBag
-from repro.workloads.churn import poisson_churn, schedule_churn
+from repro.workloads import poisson_churn, schedule_ops
 from tests.oracles import sessions as sessions_oracle
 from tests.conftest import (
     assert_control_plane_at_rest,
@@ -485,13 +485,13 @@ class TestWireReductionUnderChurn:
         n = len(channels)
         for index, channel in enumerate(channels):
             churners = [h for h, j in audience.items() if j % n == index]
-            schedule_churn(
+            schedule_ops(
                 net,
-                channel,
                 poisson_churn(
                     churners, duration=6.0, mean_off_time=1.5, mean_on_time=1.5,
                     seed=index,
                 ),
+                [channel],
             )
             for name, j in audience.items():
                 net.sim.schedule_at(

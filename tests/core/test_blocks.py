@@ -5,7 +5,8 @@ property (block(N) ≡ N individual subscribers upstream); this file
 covers the block mechanics themselves: attachment rules, count
 arithmetic, FIB behaviour at a blocks-only edge, final-hop delivery
 accounting, CountQuery folding, the TREE_ONLY fast path, UDP-mode
-soft-state expiry/refresh, and the one writer of a block's membership.
+soft-state expiry/refresh, joins the network refuses, and the one
+writer of a block's membership.
 """
 
 import ast
@@ -13,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from repro import ExpressNetwork, TopologyBuilder
+from repro import ExpressNetwork, TopologyBuilder, make_key
 from repro.core.ecmp.protocol import EcmpAgent, NeighborMode
 from repro.core.ecmp.state import BLOCK_PREFIX, is_pseudo_neighbor, LOCAL
 from repro.errors import ChannelError, ProtocolError, TopologyError
@@ -252,6 +253,47 @@ class TestUdpSoftState:
         horizon = EcmpAgent.UDP_ROBUSTNESS * EcmpAgent.UDP_QUERY_INTERVAL
         net.run(until=net.sim.now + 3 * horizon)
         assert block.count(channel) == 5
+
+
+class TestRefusedBlock:
+    """A block counts the members its edge router's record holds: a
+    join the network refuses adds none and is credited nothing."""
+
+    @staticmethod
+    def keyed_channel():
+        net = ExpressNetwork(TopologyBuilder.isp(2, 2, 2, seed=11))
+        net.run(until=0.1)
+        source = net.source("h0_0_0")
+        channel = source.allocate_channel()
+        key = make_key(channel)
+        source.channel_key(channel, key)
+        return net, source, channel, key
+
+    @staticmethod
+    def deliveries_of(net, source, channel, block):
+        for _ in range(5):
+            source.send(channel)
+        net.settle()
+        return block.deliveries
+
+    def test_a_join_the_edge_refuses_adds_no_members(self):
+        net, source, channel, key = self.keyed_channel()
+        net.host("h1_1_0").subscribe(channel, key=key)
+        net.settle()
+        block = net.subscriber_block("e1_1")
+        assert block.join(channel, 1000) == 0
+        assert block.pseudo not in net.router_agent("e1_1").channels[channel].downstream
+        assert block.count(channel) == 0
+        assert self.deliveries_of(net, source, channel, block) == 0
+
+    def test_a_join_refused_upstream_is_rolled_back(self):
+        net, source, channel, _ = self.keyed_channel()
+        block = net.subscriber_block("e1_1")
+        block.join(channel, 1000)  # optimistic: the edge has no key yet
+        net.settle()
+        assert net.router_agent("e1_1").stats["denied_subscriptions"] == 1
+        assert block.count(channel) == 0
+        assert self.deliveries_of(net, source, channel, block) == 0
 
 
 class TestOneWriter:

@@ -8,9 +8,9 @@ router, addressing the encapsulated packet to the channel."
 
 import pytest
 
-from repro.core.subcast import ENCAP_OVERHEAD, build_subcast_packet
+from repro.core.subcast import build_subcast_packet
 from repro.errors import ChannelError
-from repro.netsim.packet import Packet
+from repro.netsim.packet import IP_HEADER_BYTES, Packet
 from tests.conftest import make_channel
 
 
@@ -22,7 +22,7 @@ class TestSubcastPacket:
         packet = build_subcast_packet(ch, relay, payload="x", size=500)
         assert packet.proto == "ipip"
         assert packet.dst == relay
-        assert packet.size == 500 + ENCAP_OVERHEAD
+        assert packet.size == 500 + IP_HEADER_BYTES
         inner = packet.decapsulate()
         assert inner.src == ch.source and inner.dst == ch.group
 

@@ -5,7 +5,7 @@ import pytest
 from repro.errors import CodecError
 from repro.inet.headers import (
     ETHERNET_TCP_SEGMENT,
-    IPV4_HEADER_LEN,
+    IP_HEADER_BYTES,
     IPv4Header,
     UDPHeader,
     internet_checksum,
@@ -34,7 +34,7 @@ class TestIPv4Header:
     def test_round_trip(self):
         header = IPv4Header(src=0x0A000001, dst=0xE8000001, proto=17, total_length=100, ttl=32)
         data = header.pack()
-        assert len(data) == IPV4_HEADER_LEN
+        assert len(data) == IP_HEADER_BYTES
         parsed = IPv4Header.unpack(data)
         assert parsed == header
 

@@ -15,7 +15,7 @@ from repro.netsim.parallel.runner import (
     merge_summaries,
     run_single,
 )
-from repro.netsim.parallel.scenario import ScenarioSpec
+from repro.workloads.spec import ScenarioSpec
 
 
 @pytest.fixture(scope="module")

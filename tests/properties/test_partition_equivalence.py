@@ -28,9 +28,9 @@ import random
 import pytest
 
 from repro.netsim.parallel import ParallelRunner, assert_equivalent, run_single
-from repro.netsim.parallel.scenario import ScenarioSpec
+from repro.workloads.spec import ScenarioSpec
 
-from tests.netsim.parallel.conftest import make_small_spec
+from tests.workloads.conftest import make_small_spec
 from tests.oracles.scheduler import event_core
 
 N_RANDOM_CASES = 4

@@ -3,11 +3,12 @@
 Two ``ExpressNetwork``s in one process share whatever their modules
 keep at module level, so every such object is one more way for one
 network (or one test) to change what another measures. This test
-fingerprints every module-level object of ``repro.core.*`` and
-``repro.netsim.packet`` — a container by its length, a slotted object
-by its slots, anything else (an ``itertools.count``, say) by its
-``repr`` — before and after one seeded run with keyless and keyed
-joins, data, a subscriber block and a CountQuery, and pins the set
+fingerprints every module-level object of ``repro.core.*``,
+``repro.relay.*`` and ``repro.netsim.packet`` — a container by its
+length, a slotted object by its slots, anything else (an
+``itertools.count``, say) by its ``repr`` — before and after one seeded
+run with keyless and keyed joins, data, a subscriber block, a
+CountQuery and a session relay with one participant, and pins the set
 that moved. The census runs in a fresh interpreter, so what earlier
 tests interned cannot hide a table that grows.
 
@@ -15,8 +16,8 @@ What is left: the two channel intern tables, ``_OF_MEMO`` and
 ``_PAIR_MEMO``. Downstream records are plain objects on the state that
 holds them, so ``STATE_BANK`` is an inert stand-in that no run writes.
 A new entry — or a record bank, ``BLOCK_BANK``, the channel-id table or
-the packet-id counter coming back — fails here until the set is changed
-on purpose.
+the packet-id counter or a relay session counter coming back — fails
+here until the set is changed on purpose.
 """
 
 import importlib
@@ -29,7 +30,9 @@ from pathlib import Path
 
 import repro.core
 import repro.netsim.packet
+import repro.relay
 from repro import ExpressNetwork, TopologyBuilder, make_key
+from repro.relay import SessionParticipant, SessionRelay
 
 GLOBALS = {"_OF_MEMO", "_PAIR_MEMO"}
 
@@ -60,9 +63,10 @@ def fingerprint(obj):
 def module_state() -> dict:
     """``{(module, name): fingerprint}`` over every module-level
     object."""
-    modules = [repro.core, repro.netsim.packet]
-    for info in pkgutil.walk_packages(repro.core.__path__, "repro.core."):
-        modules.append(importlib.import_module(info.name))
+    modules = [repro.core, repro.relay, repro.netsim.packet]
+    for package in (repro.core, repro.relay):
+        for info in pkgutil.walk_packages(package.__path__, package.__name__ + "."):
+            modules.append(importlib.import_module(info.name))
     state = {}
     for module in modules:
         for name, obj in vars(module).items():
@@ -87,6 +91,12 @@ def seeded_run() -> None:
     result = source.count_query(keyless, timeout=2.0)
     net.settle(3.0)
     assert result.count == 501
+    relay = SessionRelay(net, "h0_1_1")
+    listener = SessionParticipant(net, "h1_0_1", relay)
+    net.settle()
+    listener.speak("hello")
+    net.settle()
+    assert relay.relayed == 1
 
 
 def census() -> list:

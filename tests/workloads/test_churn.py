@@ -4,22 +4,18 @@ import pytest
 
 from repro.core.ecmp.countids import SUBSCRIBER_ID
 from repro.errors import WorkloadError
-from repro.workloads.churn import (
-    ChurnEvent,
-    count_message_stream,
-    poisson_churn,
-    schedule_churn,
-)
+from repro.workloads import count_message_stream, poisson_churn, schedule_ops
 from tests.conftest import make_channel
 
 
 class TestPoissonChurn:
-    def test_events_sorted_and_alternating(self):
-        events = poisson_churn(["a", "b"], duration=100, mean_off_time=5, mean_on_time=5, seed=1)
-        times = [e.time for e in events]
+    def test_ops_sorted_and_alternating(self):
+        ops = poisson_churn(["a", "b"], duration=100, mean_off_time=5, mean_on_time=5, seed=1)
+        times = [op[0] for op in ops]
         assert times == sorted(times)
+        assert {op[3] for op in ops} == {0}
         for host in ("a", "b"):
-            own = [e.action for e in events if e.host == host]
+            own = [kind for _, kind, name, _ in ops if name == host]
             for first, second in zip(own, own[1:]):
                 assert first != second
             if own:
@@ -34,18 +30,16 @@ class TestPoissonChurn:
     def test_validation(self):
         with pytest.raises(WorkloadError):
             poisson_churn(["a"], 0, 1, 1)
-        with pytest.raises(WorkloadError):
-            ChurnEvent(time=0, host="a", action="explode")
 
-    def test_schedule_churn_runs_events(self, isp_net):
+    def test_schedule_ops_runs_the_churn(self, isp_net):
         net = isp_net
         src, ch = make_channel(net, "h0_0_0")
-        events = [
-            ChurnEvent(time=0.5, host="h1_0_0", action="join"),
-            ChurnEvent(time=1.0, host="h2_0_0", action="join"),
-            ChurnEvent(time=2.0, host="h1_0_0", action="leave"),
+        ops = [
+            (0.5, "join", "h1_0_0", 0),
+            (1.0, "join", "h2_0_0", 0),
+            (2.0, "leave", "h1_0_0", 0),
         ]
-        schedule_churn(net, ch, events)
+        assert schedule_ops(net, ops, [ch]) == 3
         net.run(until=5.0)
         assert net.subscriber_hosts(ch) == ["h2_0_0"]
 

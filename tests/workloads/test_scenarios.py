@@ -15,25 +15,25 @@ from repro.workloads.scenarios import (
 
 class TestFig8Events:
     def test_shape_matches_paper_description(self):
-        events = fig8_events(seed=0)
-        joins = [e for e in events if e.action == "join"]
-        leaves = [e for e in events if e.action == "leave"]
+        ops = fig8_events(seed=0)
+        joins = [op[0] for op in ops if op[1] == "join"]
+        leaves = [op[0] for op in ops if op[1] == "leave"]
         assert len(joins) == FIG8_SUBSCRIBERS
         assert len(leaves) == FIG8_SUBSCRIBERS
         # Initial burst near t=0.
-        assert sum(1 for e in joins if e.time <= 2.0) >= 100
+        assert sum(1 for t in joins if t <= 2.0) >= 100
         # Second burst right after 200.
-        assert sum(1 for e in joins if 200.0 <= e.time <= 202.0) >= 50
+        assert sum(1 for t in joins if 200.0 <= t <= 202.0) >= 50
         # Quiet gap: no activity in (210, 300).
-        assert not any(210 < e.time < 300 for e in events)
+        assert not any(210 < op[0] < 300 for op in ops)
         # Fast leave: all gone by 310.
-        assert all(300 <= e.time <= 310 for e in leaves)
+        assert all(300 <= t <= 310 for t in leaves)
 
     def test_every_host_joins_once_and_leaves_once(self):
-        events = fig8_events(seed=1)
         by_host = {}
-        for event in events:
-            by_host.setdefault(event.host, []).append(event.action)
+        for _, kind, host, channel_index in fig8_events(seed=1):
+            assert channel_index == 0
+            by_host.setdefault(host, []).append(kind)
         assert all(actions == ["join", "leave"] for actions in by_host.values())
 
     def test_needs_enough_hosts(self):
