@@ -208,17 +208,20 @@ class SubscriberBlock:
 
     # -- soft state (UDP mode) ---------------------------------------------
 
-    def start_refresh(self, interval: float, jitter: float = 0.0) -> None:
-        """Start the block's single sampled refresh timer (UDP-mode
-        blocks only; called by ``EcmpAgent.attach_block``)."""
-        if self._refresh_task is not None:
+    def start_refresh(self) -> None:
+        """Start a UDP-mode block's single sampled refresh timer, at half
+        the agent's refresh interval and jittered so co-located blocks
+        desynchronize (``EcmpAgent.attach_block`` and ``start`` call it;
+        a running timer or a TCP-mode block makes it a no-op)."""
+        if not self.udp or self._refresh_task is not None:
             return
+        interval = self.agent.UDP_QUERY_INTERVAL
         self._refresh_task = PeriodicTask(
             self.agent.sim,
-            interval,
+            interval / 2,
             self._refresh,
             name="block-refresh",
-            jitter=jitter,
+            jitter=interval / 10,
         )
         self._refresh_task.start()
 

@@ -280,6 +280,8 @@ class EcmpAgent(ProtocolAgent):
 
     def start(self) -> None:
         self.liveness.start()
+        for block in self.blocks.values():
+            block.start_refresh()
 
     def stop(self) -> None:
         self.liveness.stop()
@@ -295,12 +297,13 @@ class EcmpAgent(ProtocolAgent):
         channel tables, subscriptions, pending queries/verdicts,
         aggregated block membership, refresh bookkeeping, and FIB
         entries vanish; only configuration (role, neighbor modes,
-        propagation policy) and the cumulative observability counters
-        survive — the counters are the measurement harness, not
-        protocol state. Call :meth:`stop` first or let this do it;
-        afterwards :meth:`start` models the reboot, and neighbors'
-        keepalive misses / ``_neighbor_recovered`` resync storms
-        rebuild the state through the real protocol.
+        propagation policy, attached blocks, each now at zero members)
+        and the cumulative observability counters survive — the
+        counters are the measurement harness, not protocol state. Call
+        :meth:`stop` first or let this do it; afterwards :meth:`start`
+        models the reboot (restarting a UDP-mode block's refresh), and
+        neighbors' keepalive misses / ``_neighbor_recovered`` resync
+        storms rebuild the state through the real protocol.
         """
         self.stop()
         n_lost = sum(len(s.downstream) for s in self.channels.values())
@@ -312,7 +315,6 @@ class EcmpAgent(ProtocolAgent):
         for block in self.blocks.values():
             for channel in list(block.members):
                 block.set_count(channel, 0)
-        self.blocks.clear()
         self._by_upstream.clear()
         self.keys = KeyCache()
         self._rehome_scheduled = False
@@ -453,18 +455,15 @@ class EcmpAgent(ProtocolAgent):
     # ------------------------------------------------------------------
 
     def attach_block(self, block: "SubscriberBlock") -> None:
-        """Register an aggregated subscriber block at this router. A
-        UDP-mode block gets its single sampled refresh timer started
-        here (jittered so co-located blocks desynchronize)."""
+        """Register an aggregated subscriber block at this router and
+        start a UDP-mode block's refresh timer. The attachment is
+        configuration: it survives :meth:`lose_state`."""
         if self.role != "router":
             raise ProtocolError("subscriber blocks attach to routers, not hosts")
         if block.pseudo in self.blocks:
             raise ProtocolError(f"duplicate block {block.name!r} on {self.node.name}")
         self.blocks[block.pseudo] = block
-        if block.udp:
-            block.start_refresh(
-                self.UDP_QUERY_INTERVAL / 2, jitter=self.UDP_QUERY_INTERVAL / 10
-            )
+        block.start_refresh()
 
     def block_adjust(self, channel: Channel, block: "SubscriberBlock", count: int) -> None:
         """Apply a block membership change as the paper's counting

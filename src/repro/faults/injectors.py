@@ -1,10 +1,10 @@
 """Arm a :class:`~repro.faults.plan.FaultPlan` against a live network.
 
-The injector translates each typed fault event into real simulator
-events: crashes take every attached link down and wipe the agent's
-soft state through :meth:`EcmpAgent.lose_state`; restarts reboot the
-agent empty and bring the links back, so the resync storm flows through
-the genuine ECMP protocol (keepalive rediscovery,
+The injector turns each op of a plan into real simulator events:
+crashes take every attached link down and wipe the agent's soft state
+through :meth:`EcmpAgent.lose_state`; restarts reboot the agent empty
+and bring the links back, so the resync storm flows through the
+genuine ECMP protocol (keepalive rediscovery,
 ``_neighbor_recovered`` count re-announcement, hysteresis re-homing) —
 nothing is shortcut. Adversarial kinds drive the same public API an
 attacker on the wire could reach: forged-key ``newSubscription`` calls
@@ -17,13 +17,14 @@ run (pinned by ``tests/properties/test_fault_equivalence.py``).
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Optional
+from functools import partial
+from typing import TYPE_CHECKING, Any, Optional
 
 from repro.core.ecmp.countids import SUBSCRIBER_ID
 from repro.core.ecmp.messages import Count
 from repro.core.keys import KEY_BYTES, ChannelKey
 from repro.errors import ChannelError, FaultError
-from repro.faults.plan import FaultEvent, FaultPlan
+from repro.faults.plan import FaultPlan, target_of
 from repro.faults.wire import WireMutator
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -33,7 +34,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 
 class FaultInjector:
-    """Applies a plan's events to an :class:`ExpressNetwork`.
+    """Applies a plan's ops to an :class:`ExpressNetwork`.
 
     Construct, then :meth:`arm` once before (or during) the run. Fired
     faults are logged in :attr:`fired` as ``(time, kind, target)`` and
@@ -69,30 +70,31 @@ class FaultInjector:
     # -- plan arming -------------------------------------------------------
 
     def arm(self) -> None:
-        """Validate the plan and schedule every event. Idempotence is
-        not attempted — arming twice is an error."""
+        """Validate the plan and schedule every op, one ``schedule_at``
+        named ``fault:<kind>`` each. Idempotence is not attempted —
+        arming twice is an error; a plan refused here leaves the
+        injector unarmed and the simulator untouched."""
         if self.armed:
             raise FaultError("fault plan already armed")
-        self.armed = True
         self.plan.validate()
+        ops = self.plan.sorted_ops()
         sim = self.net.sim
-        for index, event in self.plan.sorted_events():
-            if event.at < sim.now:
-                raise FaultError(
-                    f"fault at t={event.at} is in the past (now={sim.now})"
-                )
-            sim.schedule_at(
-                event.at,
-                lambda index=index, event=event: self._fire(index, event),
-                name=f"fault:{event.kind}",
+        if ops and ops[0][1][0] < sim.now:
+            raise FaultError(
+                f"fault at t={ops[0][1][0]} is in the past (now={sim.now})"
             )
+        self.armed = True
+        for index, op in ops:
+            sim.schedule_at(op[0], partial(self._fire, index, op), name=f"fault:{op[1]}")
 
-    def _fire(self, index: int, event: FaultEvent) -> None:
-        handler = getattr(self, f"_fire_{event.kind}")
-        handler(index, event)
-        self.fired.append((self.net.sim.now, event.kind, event.target))
+    def _fire(self, index: int, op: tuple) -> None:
+        kind = op[1]
+        getattr(self, f"_fire_{kind}")(index, *op[2:])
+        now = self.net.sim.now
+        target = target_of(op)
+        self.fired.append((now, kind, target))
         if self.monitor is not None:
-            self.monitor.note_fault(self.net.sim.now, event)
+            self.monitor.note_fault(now, kind, target)
 
     # -- node faults -------------------------------------------------------
 
@@ -102,8 +104,7 @@ class FaultInjector:
             iface.link for iface in node.interfaces if iface.link is not None
         ]
 
-    def _fire_crash(self, index: int, event: FaultEvent) -> None:
-        name = event.target
+    def _fire_crash(self, index: int, name: str) -> None:
         agent = self.net.ecmp_agents.get(name)
         if agent is None:
             raise FaultError(f"unknown crash target {name!r}")
@@ -115,8 +116,7 @@ class FaultInjector:
         self._downed[name] = downed
         agent.lose_state()
 
-    def _fire_restart(self, index: int, event: FaultEvent) -> None:
-        name = event.target
+    def _fire_restart(self, index: int, name: str) -> None:
         agent = self.net.ecmp_agents.get(name)
         if agent is None:
             raise FaultError(f"unknown restart target {name!r}")
@@ -130,59 +130,57 @@ class FaultInjector:
 
     # -- link faults -------------------------------------------------------
 
-    def _link_for(self, event: FaultEvent) -> "Link":
-        a, b = event.link_endpoints
+    def _link(self, a: str, b: str) -> "Link":
         link = self.net.topo.link_between(a, b)
         if link is None:
             raise FaultError(f"no link between {a!r} and {b!r}")
         return link
 
-    def _fire_partition(self, index: int, event: FaultEvent) -> None:
-        self._link_for(event).fail()
+    def _fire_partition(self, index: int, a: str, b: str) -> None:
+        self._link(a, b).fail()
 
-    def _fire_heal(self, index: int, event: FaultEvent) -> None:
-        self._link_for(event).recover()
+    def _fire_heal(self, index: int, a: str, b: str) -> None:
+        self._link(a, b).recover()
 
-    def _fire_latency_spike(self, index: int, event: FaultEvent) -> None:
-        link = self._link_for(event)
+    def _fire_latency_spike(
+        self, index: int, a: str, b: str, factor: float, duration: float
+    ) -> None:
+        link = self._link(a, b)
         original = link.delay
-        link.delay = original * event.params["factor"]
+        link.delay = original * factor
 
         def restore() -> None:
             link.delay = original
 
-        self.net.sim.schedule(event.duration, restore, name="fault:latency-restore")
+        self.net.sim.schedule(duration, restore, name="fault:latency-restore")
 
-    def _fire_wire_mutate(self, index: int, event: FaultEvent) -> None:
-        link = self._link_for(event)
+    def _fire_wire_mutate(
+        self, index: int, a: str, b: str, duration: float,
+        drop: float, duplicate: float, reorder: float, reorder_delay: float,
+    ) -> None:
+        link = self._link(a, b)
         now = self.net.sim.now
         mutator = WireMutator(
-            self.plan.rng_for(index, event),
-            drop=event.params["drop"],
-            duplicate=event.params["duplicate"],
-            reorder=event.params["reorder"],
-            reorder_delay=event.params["reorder_delay"],
-            start=now,
-            end=now + event.duration,
+            self.plan.rng_for(index), drop, duplicate, reorder, reorder_delay,
+            start=now, end=now + duration,
         )
         mutator.install(link)
         self.mutators.append(mutator)
         self.net.sim.schedule(
-            event.duration,
+            duration,
             lambda: mutator.remove(link),
             name="fault:wire-restore",
         )
 
     # -- adversarial load --------------------------------------------------
 
-    def _fire_join_flood(self, index: int, event: FaultEvent) -> None:
-        attacker = event.target
+    def _fire_join_flood(
+        self, index: int, attacker: str, channel: Any, attempts: int, interval: float
+    ) -> None:
         agent = self.net.ecmp_agents.get(attacker)
         if agent is None:
             raise FaultError(f"unknown join_flood attacker {attacker!r}")
-        channel = event.params["channel"]
-        rng = self.plan.rng_for(index, event)
-        interval = event.params["interval"]
+        rng = self.plan.rng_for(index)
 
         def attempt() -> None:
             forged = ChannelKey(
@@ -195,17 +193,16 @@ class FaultInjector:
                 self.attack_stats["join_errors"] += 1
 
         sim = self.net.sim
-        for i in range(event.params["attempts"]):
+        for i in range(attempts):
             sim.schedule(i * interval, attempt, name="fault:join-flood")
 
-    def _fire_count_inflate(self, index: int, event: FaultEvent) -> None:
-        attacker = event.target
+    def _fire_count_inflate(
+        self, index: int, attacker: str, channel: Any, count: int, repeats: int,
+        interval: float,
+    ) -> None:
         agent = self.net.ecmp_agents.get(attacker)
         if agent is None:
             raise FaultError(f"unknown count_inflate attacker {attacker!r}")
-        channel = event.params["channel"]
-        count = event.params["count"]
-        interval = event.params["interval"]
 
         def victim() -> str:
             state = agent.channels.get(channel)
@@ -228,7 +225,7 @@ class FaultInjector:
             )
 
         sim = self.net.sim
-        for i in range(event.params["repeats"]):
+        for i in range(repeats):
             sim.schedule(i * interval, inflate, name="fault:count-inflate")
 
     def mutation_stats(self) -> dict[str, int]:

@@ -44,7 +44,6 @@ from repro.obs.convergence import ConvergenceMonitor
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.network import ExpressNetwork
     from repro.faults.injectors import FaultInjector
-    from repro.faults.plan import FaultEvent
 
 #: Per-agent counters whose movement marks the agent as churned by the
 #: fault window (the blast-radius numerator).
@@ -87,9 +86,9 @@ class FaultMonitor:
 
     # -- injector callback -------------------------------------------------
 
-    def note_fault(self, at: float, event: "FaultEvent") -> None:
+    def note_fault(self, at: float, kind: str, target: str) -> None:
         self.last_fault_at = at
-        self.faults.append((at, event.kind, event.target))
+        self.faults.append((at, kind, target))
 
     # -- lifecycle ---------------------------------------------------------
 

@@ -1,9 +1,19 @@
-"""Declarative, replayable chaos plans.
+"""Declarative, replayable chaos plans, written as ops.
 
-A :class:`FaultPlan` is a schedule of typed :class:`FaultEvent`\\ s —
-router crashes/restarts, link partitions/heals, latency spikes, wire
-mutation windows, and adversarial load bursts — that an injector
-(:mod:`repro.faults.injectors`) arms against a live
+A :class:`FaultPlan` holds faults in the scenario language's op shape
+(:mod:`repro.workloads.spec`), ``(time, kind, *args)``:
+
+    ("crash" | "restart", node)
+    ("partition" | "heal", a, b)
+    ("latency_spike", a, b, factor, duration)
+    ("wire_mutate", a, b, duration, drop, duplicate, reorder, reorder_delay)
+    ("join_flood", attacker, channel, attempts, interval)
+    ("count_inflate", attacker, channel, count, repeats, interval)
+
+Each builder checks its own arguments; :meth:`FaultPlan.validate` checks
+what only the whole plan shows (a restart with no crash, two windows of
+one kind overlapping on one link). An injector
+(:mod:`repro.faults.injectors`) arms the plan against a live
 :class:`~repro.core.network.ExpressNetwork`. Plans are data, not
 callbacks: the same plan applied to the same seeded network replays
 bit-identically, and an *empty* plan schedules nothing at all, so an
@@ -11,7 +21,7 @@ instrumented run with no faults is indistinguishable from a plain run
 (the ``tests/properties/test_fault_equivalence.py`` suite pins this).
 
 Every source of randomness inside a fault (forged key bytes, mutation
-draws, flood jitter) comes from a per-event ``random.Random`` seeded
+draws, flood jitter) comes from a per-op ``random.Random`` seeded
 through the repo's :func:`~repro.netsim.engine.derive_seed` contract —
 never from the simulator's own RNG — so injecting a fault perturbs the
 run only through the protocol events it causes, and two plans with the
@@ -22,7 +32,6 @@ in between.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 from typing import Any, Iterator
 
 from repro.errors import FaultError
@@ -42,97 +51,84 @@ KINDS = (
     "count_inflate",
 )
 
-#: Kinds whose target is a link endpoint pair ``(a, b)``.
+#: Kinds whose first two arguments are a link's endpoints ``a, b``.
 LINK_KINDS = ("partition", "heal", "latency_spike", "wire_mutate")
 
+#: Windowed link kinds -> the op position of their duration. Two windows
+#: of one kind may not overlap on one link (:meth:`FaultPlan.validate`).
+WINDOW_DURATION = {"latency_spike": 5, "wire_mutate": 4}
 
-@dataclass(frozen=True)
-class FaultEvent:
-    """One scheduled fault.
 
-    ``at`` is absolute simulated time; ``target`` is a node name for
-    node/adversarial kinds and ``"a|b"`` for link kinds; ``duration``
-    bounds windowed kinds (latency spikes, wire mutation, floods); any
-    kind-specific knobs ride in ``params``.
-    """
+def target_of(op: tuple) -> str:
+    """What an op hits, as the fired log and the per-op seed name it:
+    the node, or ``"a|b"`` for a link kind."""
+    if op[1] in LINK_KINDS:
+        return f"{op[2]}|{op[3]}"
+    return op[2]
 
-    at: float
-    kind: str
-    target: str = ""
-    duration: float = 0.0
-    params: dict = field(default_factory=dict)
 
-    def __post_init__(self) -> None:
-        if self.kind not in KINDS:
-            raise FaultError(f"unknown fault kind {self.kind!r}")
-        if self.at < 0:
-            raise FaultError(f"fault time must be >= 0, got {self.at}")
-        if self.duration < 0:
-            raise FaultError(f"duration must be >= 0, got {self.duration}")
-
-    @property
-    def link_endpoints(self) -> tuple[str, str]:
-        if self.kind not in LINK_KINDS:
-            raise FaultError(f"{self.kind} is not a link fault")
-        a, sep, b = self.target.partition("|")
-        if not sep or not a or not b:
-            raise FaultError(f"link target must be 'a|b', got {self.target!r}")
-        return a, b
+def _check_duration(duration: float) -> None:
+    if duration < 0:
+        raise FaultError(f"duration must be >= 0, got {duration}")
 
 
 class FaultPlan:
-    """An ordered, seeded schedule of fault events.
+    """An ordered, seeded schedule of fault ops.
 
     Build one with the fluent methods (each returns ``self`` for
     chaining), then hand it to a
-    :class:`~repro.faults.injectors.FaultInjector`. Event order within
+    :class:`~repro.faults.injectors.FaultInjector`. Op order within
     one timestamp is the insertion order of the builder calls, so a
     plan is fully deterministic without any tie-breaking randomness.
     """
 
     def __init__(self, seed: int = 0) -> None:
         self.seed = seed
-        self.events: list[FaultEvent] = []
+        self.ops: list[tuple] = []
 
     # -- container protocol ------------------------------------------------
 
     def __len__(self) -> int:
-        return len(self.events)
+        return len(self.ops)
 
-    def __iter__(self) -> Iterator[FaultEvent]:
-        return iter(self.events)
+    def __iter__(self) -> Iterator[tuple]:
+        return iter(self.ops)
 
-    @property
-    def empty(self) -> bool:
-        return not self.events
+    def sorted_ops(self) -> list[tuple[int, tuple]]:
+        """``(index, op)`` pairs in firing order (time, then insertion
+        order — Python's sort is stable)."""
+        return sorted(enumerate(self.ops), key=lambda pair: pair[1][0])
 
-    def sorted_events(self) -> list[tuple[int, FaultEvent]]:
-        """``(index, event)`` pairs in firing order (time, then
-        insertion order — Python's sort is stable)."""
-        return sorted(enumerate(self.events), key=lambda pair: pair[1].at)
-
-    def rng_for(self, index: int, event: FaultEvent) -> random.Random:
-        """The per-event RNG: seeded from the plan seed, the event's
-        position, kind, and target — never from the simulator."""
+    def rng_for(self, index: int) -> random.Random:
+        """The RNG of the op at ``index``: seeded from the plan seed, the
+        op's position, kind, and target — never from the simulator."""
+        op = self.ops[index]
         return random.Random(
-            derive_seed(self.seed, "faults", str(index), event.kind, event.target)
+            derive_seed(self.seed, "faults", str(index), op[1], target_of(op))
         )
 
     # -- builders ----------------------------------------------------------
 
-    def _add(self, event: FaultEvent) -> "FaultPlan":
-        self.events.append(event)
+    def _add(self, at: float, kind: str, *args: Any) -> "FaultPlan":
+        if at < 0:
+            raise FaultError(f"fault time must be >= 0, got {at}")
+        self.ops.append((at, kind, *args))
         return self
+
+    def _add_link(self, at: float, kind: str, a: str, b: str, *args: Any) -> "FaultPlan":
+        if not a or not b:
+            raise FaultError(f"a link fault needs two endpoints, got {a!r}, {b!r}")
+        return self._add(at, kind, a, b, *args)
 
     def crash(self, at: float, node: str) -> "FaultPlan":
         """Router crash: every attached link goes down and the agent
         loses all soft state (:meth:`EcmpAgent.lose_state`)."""
-        return self._add(FaultEvent(at, "crash", node))
+        return self._add(at, "crash", node)
 
     def restart(self, at: float, node: str) -> "FaultPlan":
         """Reboot a crashed router: agent restarts empty, links come
         back up, neighbors resync through the real protocol."""
-        return self._add(FaultEvent(at, "restart", node))
+        return self._add(at, "restart", node)
 
     def crash_restart(
         self, at: float, node: str, downtime: float
@@ -144,11 +140,11 @@ class FaultPlan:
 
     def partition(self, at: float, a: str, b: str) -> "FaultPlan":
         """Fail the link between ``a`` and ``b``."""
-        return self._add(FaultEvent(at, "partition", f"{a}|{b}"))
+        return self._add_link(at, "partition", a, b)
 
     def heal(self, at: float, a: str, b: str) -> "FaultPlan":
         """Recover the link between ``a`` and ``b``."""
-        return self._add(FaultEvent(at, "heal", f"{a}|{b}"))
+        return self._add_link(at, "heal", a, b)
 
     def latency_spike(
         self, at: float, a: str, b: str, factor: float, duration: float
@@ -157,15 +153,8 @@ class FaultPlan:
         ``duration`` seconds, then restore it."""
         if factor <= 0:
             raise FaultError(f"latency factor must be > 0, got {factor}")
-        return self._add(
-            FaultEvent(
-                at,
-                "latency_spike",
-                f"{a}|{b}",
-                duration,
-                {"factor": factor},
-            )
-        )
+        _check_duration(duration)
+        return self._add_link(at, "latency_spike", a, b, factor, duration)
 
     def wire_mutate(
         self,
@@ -181,22 +170,14 @@ class FaultPlan:
         """Install a seeded wire mutator on the a-b link for
         ``duration`` seconds: per-packet Bernoulli drop / duplicate /
         reorder draws against ``MSG_BATCH`` frames and data alike."""
+        _check_duration(duration)
         for name, p in (("drop", drop), ("duplicate", duplicate), ("reorder", reorder)):
             if not 0.0 <= p <= 1.0:
                 raise FaultError(f"{name} probability must be in [0, 1], got {p}")
-        return self._add(
-            FaultEvent(
-                at,
-                "wire_mutate",
-                f"{a}|{b}",
-                duration,
-                {
-                    "drop": drop,
-                    "duplicate": duplicate,
-                    "reorder": reorder,
-                    "reorder_delay": reorder_delay,
-                },
-            )
+        if reorder_delay < 0:
+            raise FaultError(f"reorder_delay must be >= 0, got {reorder_delay}")
+        return self._add_link(
+            at, "wire_mutate", a, b, duration, drop, duplicate, reorder, reorder_delay
         )
 
     def join_flood(
@@ -214,15 +195,7 @@ class FaultPlan:
             raise FaultError(f"attempts must be > 0, got {attempts}")
         if interval <= 0:
             raise FaultError(f"interval must be > 0, got {interval}")
-        return self._add(
-            FaultEvent(
-                at,
-                "join_flood",
-                attacker,
-                attempts * interval,
-                {"channel": channel, "attempts": attempts, "interval": interval},
-            )
-        )
+        return self._add(at, "join_flood", attacker, channel, attempts, interval)
 
     def count_inflate(
         self,
@@ -240,57 +213,63 @@ class FaultPlan:
             raise FaultError(f"count must be >= 0, got {count}")
         if repeats <= 0:
             raise FaultError(f"repeats must be > 0, got {repeats}")
+        if interval < 0:
+            raise FaultError(f"interval must be >= 0, got {interval}")
         return self._add(
-            FaultEvent(
-                at,
-                "count_inflate",
-                attacker,
-                repeats * interval,
-                {"channel": channel, "count": count, "repeats": repeats,
-                 "interval": interval},
-            )
+            at, "count_inflate", attacker, channel, count, repeats, interval
         )
 
     # -- validation --------------------------------------------------------
 
     def validate(self) -> None:
-        """Static sanity checks, raising :class:`FaultError`:
+        """Whole-plan checks, raising :class:`FaultError`:
 
+        - every op's kind is one of :data:`KINDS` (the builders make
+          only those; a hand-appended op may not);
         - every ``restart`` must follow a ``crash`` of the same node
           (and vice versa: no double crash without an intervening
           restart);
         - every ``heal`` must follow a ``partition`` of the same pair;
-        - link-kind targets must parse as ``a|b``.
+        - a ``latency_spike`` or ``wire_mutate`` must start after the
+          end of the previous one of its kind on the same link. A window
+          that starts at the instant the previous one ends overlaps it
+          too: the earlier window's restore was scheduled later, so it
+          runs second.
         """
         crashed: set[str] = set()
         partitioned: set[frozenset] = set()
-        for _, event in self.sorted_events():
-            if event.kind == "crash":
-                if event.target in crashed:
+        window_end: dict[tuple, float] = {}
+        for _, op in self.sorted_ops():
+            at, kind = op[0], op[1]
+            if kind not in KINDS:
+                raise FaultError(f"unknown fault kind {kind!r}")
+            if kind == "crash":
+                if op[2] in crashed:
+                    raise FaultError(f"{op[2]} crashed twice with no restart")
+                crashed.add(op[2])
+            elif kind == "restart":
+                if op[2] not in crashed:
+                    raise FaultError(f"restart of {op[2]} with no prior crash")
+                crashed.discard(op[2])
+            elif kind == "partition":
+                pair = frozenset(op[2:4])
+                if pair in partitioned:
+                    raise FaultError(f"{target_of(op)} partitioned twice with no heal")
+                partitioned.add(pair)
+            elif kind == "heal":
+                pair = frozenset(op[2:4])
+                if pair not in partitioned:
+                    raise FaultError(f"heal of {target_of(op)} with no prior partition")
+                partitioned.discard(pair)
+            elif kind in WINDOW_DURATION:
+                key = (kind, frozenset(op[2:4]))
+                end = window_end.get(key)
+                if end is not None and at <= end:
                     raise FaultError(
-                        f"{event.target} crashed twice with no restart"
+                        f"{kind} on {target_of(op)} at t={at} overlaps the one "
+                        f"ending at t={end}"
                     )
-                crashed.add(event.target)
-            elif event.kind == "restart":
-                if event.target not in crashed:
-                    raise FaultError(
-                        f"restart of {event.target} with no prior crash"
-                    )
-                crashed.discard(event.target)
-            elif event.kind in LINK_KINDS:
-                pair = frozenset(event.link_endpoints)
-                if event.kind == "partition":
-                    if pair in partitioned:
-                        raise FaultError(
-                            f"{event.target} partitioned twice with no heal"
-                        )
-                    partitioned.add(pair)
-                elif event.kind == "heal":
-                    if pair not in partitioned:
-                        raise FaultError(
-                            f"heal of {event.target} with no prior partition"
-                        )
-                    partitioned.discard(pair)
+                window_end[key] = at + op[WINDOW_DURATION[kind]]
 
 
 def seeded_crash_storm(

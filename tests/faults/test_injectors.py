@@ -54,6 +54,41 @@ class TestArming:
         with pytest.raises(FaultError, match="no prior crash"):
             FaultInjector(isp_net, plan).arm()
 
+    def test_refused_plan_leaves_the_injector_armable(self, isp_net):
+        net = isp_net
+        before = net.sim.pending()
+        plan = FaultPlan().restart(1.0, "t0")
+        injector = FaultInjector(net, plan)
+        with pytest.raises(FaultError, match="no prior crash"):
+            injector.arm()
+        assert not injector.armed
+        assert net.sim.pending() == before
+        plan.crash(0.5, "t0")
+        injector.arm()
+        net.run(until=2.0)
+        assert [row[1:] for row in injector.fired] == [("crash", "t0"), ("restart", "t0")]
+
+    def test_past_plan_schedules_nothing_and_stays_armable(self, isp_net):
+        net = isp_net
+        net.run(until=5.0)
+        before = net.sim.pending()
+        plan = (
+            FaultPlan()
+            .partition(6.0, "t0", "t1")
+            .heal(7.0, "t0", "t1")
+            .crash_restart(2.0, "t2", 6.0)
+        )
+        injector = FaultInjector(net, plan)
+        with pytest.raises(FaultError, match="in the past"):
+            injector.arm()
+        # Not even the ops still ahead of the clock were scheduled.
+        assert net.sim.pending() == before
+        assert not injector.armed
+        injector.plan = FaultPlan().partition(6.0, "t0", "t1").heal(7.0, "t0", "t1")
+        injector.arm()
+        net.run(until=8.0)
+        assert [row[1] for row in injector.fired] == ["partition", "heal"]
+
     def test_unknown_target_surfaces_at_fire(self, isp_net):
         net = isp_net
         plan = FaultPlan().crash(1.0, "nonexistent")
@@ -123,6 +158,44 @@ class TestCrashRestart:
         assert net.topo.link_between("t0", "t1").up
 
 
+    def test_block_survives_crash_restart(self):
+        net = ExpressNetwork(TopologyBuilder.isp(2, 2, 2, seed=11))
+        net.run(until=0.01)
+        src, ch = make_channel(net, sorted(net.host_names)[0])
+        block = net.subscriber_block("e1_1")
+        assert block.join(ch, 10) == 10
+        net.settle()
+        now = net.sim.now
+        FaultInjector(net, FaultPlan().crash_restart(now + 1.0, "e1_1", 3.0)).arm()
+        net.run(until=now + 40.0)
+        net.settle()
+        # The crash zeroed the block's counts but kept it attached.
+        assert block.members == {}
+        assert net.ecmp_agents["e1_1"].blocks == {block.pseudo: block}
+        assert block.join(ch, 10) == 10
+        net.settle()
+        before = block.deliveries
+        src.send(ch)
+        net.settle()
+        assert block.deliveries - before == 10
+
+    def test_udp_block_refreshes_again_after_restart(self):
+        net = ExpressNetwork(TopologyBuilder.isp(2, 2, 2, seed=11))
+        net.run(until=0.01)
+        _, ch = make_channel(net, sorted(net.host_names)[0])
+        block = net.subscriber_block("e1_1", udp=True)
+        now = net.sim.now
+        FaultInjector(net, FaultPlan().crash_restart(now + 1.0, "e1_1", 2.0)).arm()
+        net.run(until=now + 4.0)
+        assert block.join(ch, 10) == 10
+        # Past several expiry sweeps: only the block's own refresh
+        # timer, stopped by the crash, keeps its record alive.
+        agent = net.ecmp_agents["e1_1"]
+        net.run(until=net.sim.now + 2 * agent.UDP_ROBUSTNESS * agent.UDP_QUERY_INTERVAL)
+        assert agent.channels[ch].downstream[block.pseudo].count == 10
+        assert block.count(ch) == 10
+
+
 class TestLinkFaults:
     def test_partition_and_heal(self, isp_net):
         net = isp_net
@@ -155,6 +228,52 @@ class TestLinkFaults:
         assert link.delay == pytest.approx(original * 10.0)
         net.run(until=now + 3.5)
         assert link.delay == pytest.approx(original)
+
+    def test_overlapping_latency_spikes_refused_before_they_run(self):
+        # Two overlapping spikes on one link: the second would save the
+        # first's spiked delay as the link's own and restore it for good.
+        net = ExpressNetwork(TopologyBuilder.line(3))
+        link = net.topo.link_between("n0", "n1")
+        assert link.delay == 0.001
+        plan = (
+            FaultPlan()
+            .latency_spike(1.0, "n0", "n1", factor=2.0, duration=5.0)
+            .latency_spike(3.0, "n0", "n1", factor=3.0, duration=5.0)
+        )
+        before = net.sim.pending()
+        with pytest.raises(FaultError, match="overlaps"):
+            FaultInjector(net, plan).arm()
+        assert net.sim.pending() == before
+        net.run(until=10.0)
+        assert link.delay == 0.001
+
+    def test_back_to_back_latency_spikes_restore_the_base_delay(self):
+        net = ExpressNetwork(TopologyBuilder.line(3))
+        link = net.topo.link_between("n0", "n1")
+        plan = (
+            FaultPlan()
+            .latency_spike(1.0, "n0", "n1", factor=2.0, duration=2.0)
+            .latency_spike(3.5, "n1", "n0", factor=3.0, duration=2.0)
+        )
+        FaultInjector(net, plan).arm()
+        net.run(until=4.0)
+        assert link.delay == pytest.approx(0.003)
+        net.run(until=10.0)
+        assert link.delay == 0.001
+
+    def test_overlapping_wire_mutations_refused_before_they_run(self):
+        # At the second window's start the link would still carry the
+        # first window's mutator, and the install would raise mid-run.
+        net = ExpressNetwork(TopologyBuilder.line(3))
+        plan = (
+            FaultPlan()
+            .wire_mutate(1.0, "n0", "n1", duration=5.0)
+            .wire_mutate(3.0, "n0", "n1", duration=5.0)
+        )
+        with pytest.raises(FaultError, match="overlaps"):
+            FaultInjector(net, plan).arm()
+        net.run(until=10.0)
+        assert net.topo.link_between("n0", "n1").mutator is None
 
     def test_wire_mutator_installs_mutates_and_removes(self, isp_net):
         net = isp_net
