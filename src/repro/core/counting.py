@@ -147,7 +147,10 @@ class Counting:
     proactive count whose request names none.
     """
 
-    __slots__ = ("_agent", "_announce", "curve", "pending", "responders", "_checks")
+    __slots__ = (
+        "_agent", "_announce", "curve", "pending", "responders",
+        "proactive", "proactive_values", "_checks",
+    )
 
     def __init__(self, agent, announce: Callable[..., None], curve) -> None:
         self._agent = agent
@@ -155,24 +158,32 @@ class Counting:
         self.curve = curve
         self.pending: dict[tuple[Channel, int], PendingQuery] = {}
         self.responders: dict[tuple[Channel, int], Callable[[], int]] = {}
+        #: channel -> countId -> §6 counter (every channel, under PROACTIVE).
+        self.proactive: dict[Channel, dict[int, ProactiveCounter]] = {}
+        #: channel -> countId -> neighbor -> its last pushed §6 value.
+        self.proactive_values: dict[Channel, dict[int, dict[str, int]]] = {}
         #: (channel, countId) -> the event that re-evaluates a proactive
         #: count when its tolerance curve next allows a send.
         self._checks: dict[tuple[Channel, int], object] = {}
 
     def reset(self) -> None:
-        """Crash semantics: forget every query, responder and check."""
+        """Crash semantics: forget every query, responder, §6 count and check."""
         for pending in self.pending.values():
             if pending.timeout_event is not None:
                 pending.timeout_event.cancel()
         self.pending.clear()
         self.responders.clear()
+        self.proactive.clear()
+        self.proactive_values.clear()
         for event in self._checks.values():
             event.cancel()
         self._checks.clear()
 
     def forget_channel(self, channel: Channel) -> None:
-        """The channel's state was collected: so are its checks. (A loop,
-        not a comprehension: that is one more frame on every collection.)"""
+        """The channel's state was collected: so are its §6 counts and
+        checks. (A loop, not a comprehension: one frame less a collection.)"""
+        self.proactive.pop(channel, None)
+        self.proactive_values.pop(channel, None)
         checks = self._checks
         for key in list(checks):
             if key[0] == channel:
@@ -404,12 +415,11 @@ class Counting:
         state = agent.channels.get(channel)
         if state is None:
             return
-        if count_id not in state.proactive:
+        counters = self.proactive.setdefault(state.channel, {})
+        if count_id not in counters:
             counter = ProactiveCounter(curve, now=agent.sim.now)
             counter.observe(self.proactive_total(state, count_id))
-            if not state.proactive:
-                state.proactive = {}
-            state.proactive[count_id] = counter
+            counters[count_id] = counter
         to_hosts = propagates_to_hosts(count_id)
         for name, record in state.downstream.items():
             if is_pseudo_neighbor(name) or record.count <= 0:
@@ -425,22 +435,21 @@ class Counting:
         self, state: ChannelState, count_id: int, from_name: str, value: int
     ) -> None:
         """A downstream neighbor pushed its value of a proactive count."""
-        if not state.proactive_values:
-            state.proactive_values = {}
-        state.proactive_values.setdefault(count_id, {})[from_name] = value
+        values = self.proactive_values.setdefault(state.channel, {})
+        values.setdefault(count_id, {})[from_name] = value
         self.evaluate(state, count_id)
 
     def proactive_total(self, state: ChannelState, count_id: int) -> int:
         if count_id == SUBSCRIBER_ID:
             return state.total(validated_only=False)
-        values = state.proactive_values.get(count_id, {})
+        values = self.proactive_values.get(state.channel, {}).get(count_id, {})
         return sum(values.values()) + self.local_contribution(state.channel, count_id)
 
     def evaluate(self, state: ChannelState, count_id: int) -> None:
         """Re-read a proactively maintained count and push it upstream
         if its error exceeds the tolerance curve now; otherwise check
         again when the curve has decayed far enough."""
-        counter = state.proactive.get(count_id)
+        counter = self.proactive.get(state.channel, {}).get(count_id)
         if counter is None:
             return
         counter.observe(self.proactive_total(state, count_id))

@@ -209,9 +209,6 @@ class EcmpAgent(ProtocolAgent):
         if obs is not None:
             self._m_tally = Counter()
             self._publish(obs.registry)
-        #: upstream name -> {channel: None}: channels routed *via* that
-        #: neighbor (the general-query response set).
-        self._by_upstream: dict[str, dict[Channel, None]] = {}
         #: The last message serialized and its bytes: a message fanned
         #: out to k neighbors is encoded once, the bytes shared.
         self._encoded: tuple[Optional[EcmpMessage], bytes] = (None, b"")
@@ -315,7 +312,6 @@ class EcmpAgent(ProtocolAgent):
         for block in self.blocks.values():
             for channel in list(block.members):
                 block.set_count(channel, 0)
-        self._by_upstream.clear()
         self.keys = KeyCache()
         self._rehome_scheduled = False
         for source, dest in self.fib.channels():
@@ -447,7 +443,7 @@ class EcmpAgent(ProtocolAgent):
         responder fresh).
         """
         state = self.channels.get(channel)
-        if state is not None and count_id in state.proactive:
+        if state is not None and count_id in self.counting.proactive.get(channel, ()):
             self.counting.evaluate(state, count_id)
 
     # ------------------------------------------------------------------
@@ -727,7 +723,7 @@ class EcmpAgent(ProtocolAgent):
         if self.counting.pending and self.counting.on_reply(message, from_name):
             return
         state = self.channels.get(channel)
-        if state is not None and count_id in state.proactive:
+        if state is not None and count_id in self.counting.proactive.get(channel, ()):
             self.counting.on_proactive_value(
                 state, count_id, from_name, message.count
             )
@@ -861,7 +857,7 @@ class EcmpAgent(ProtocolAgent):
             record.presented_key = key
             if defer:
                 record.validated = forwards = False
-                state.pending_key = key
+                self.verdicts.pending_keys[state.channel] = key
             else:
                 record.validated = forwards = True
             entry = VerdictEntry(
@@ -902,10 +898,8 @@ class EcmpAgent(ProtocolAgent):
             channel=channel, upstream=upstream, upstream_changed_at=self.sim.now
         )
         self.channels[channel] = state
-        if upstream is not None:
-            self._by_upstream.setdefault(upstream, {})[channel] = None
         if self.propagation is CountPropagation.PROACTIVE:
-            state.proactive = {
+            self.counting.proactive[channel] = {
                 SUBSCRIBER_ID: ProactiveCounter(self.counting.curve, now=self.sim.now)
             }
         return state
@@ -931,12 +925,14 @@ class EcmpAgent(ProtocolAgent):
         """
         if state.upstream is None:
             # Root (the source's node): counts aggregate here.
-            counter = state.proactive.get(SUBSCRIBER_ID)
+            counters = self.counting.proactive.get(state.channel)
+            counter = counters.get(SUBSCRIBER_ID) if counters else None
             if counter is not None:
                 counter.observe(state.total(validated_only=False))
             return False
         total = state.total(validated_only=False)
-        key = joining_key or self.keys.get(state.channel) or state.pending_key
+        waiting = self.verdicts.pending_keys
+        key = joining_key or self.keys.get(state.channel) or waiting.get(state.channel)
         if total > 0 and state.advertised == 0:
             self.verdicts.forward_join(state, total, key, join_entry)
             return True
@@ -977,7 +973,8 @@ class EcmpAgent(ProtocolAgent):
             pinned=True if (is_join or key is not None or request_id) else None,
         )
         state.advertised = count
-        counter = state.proactive.get(SUBSCRIBER_ID)
+        counters = self.counting.proactive.get(state.channel)
+        counter = counters.get(SUBSCRIBER_ID) if counters else None
         if counter is not None:
             counter.observe(state.total(validated_only=False))
             counter.sent(self.sim.now)
@@ -986,20 +983,9 @@ class EcmpAgent(ProtocolAgent):
         # ``not state.downstream``, read off the slots.
         if state.lone_name is None and not state.spill and state.advertised == 0:
             self.channels.pop(state.channel, None)
-            if state.upstream is not None:
-                self._unroute(state.upstream, state.channel)
             self.verdicts.forget_channel(state.channel)
             self.fib.remove(state.channel)
             self.counting.forget_channel(state.channel)
-
-    def _unroute(self, upstream: str, channel: Channel) -> None:
-        """Take ``channel`` out of the set routed via ``upstream``; the
-        set goes with its last channel, as in ``Liveness.udp_channels``."""
-        routed = self._by_upstream.get(upstream)
-        if routed is not None:
-            routed.pop(channel, None)
-            if not routed:
-                del self._by_upstream[upstream]
 
     def _drop_record(self, state: ChannelState, name: str) -> None:
         """Delete one downstream record, with every index entry and the
@@ -1087,19 +1073,17 @@ class EcmpAgent(ProtocolAgent):
         """§3.3: re-send Counts for every channel routed via ``from_name``
         (the UDP-mode refresh, "analogous to an IGMP general query").
 
-        The ``_by_upstream`` index yields exactly the channels routed
-        via the querier, so no other channel in the table is touched;
-        ``refresh_records_examined`` tallies the states it did touch.
+        One walk of the table finds them: the reply costs a Count per
+        routed channel anyway, once a ``UDP_QUERY_INTERVAL`` per querier.
+        ``refresh_records_examined`` tallies the states re-announced.
         """
-        routed = self._by_upstream.get(from_name)
+        routed = [s for s in self.channels.values() if s.upstream == from_name]
         if not routed:
             return
         self.stats["refresh_records_examined"] += len(routed)
         with self.sessions.burst("refresh"):
-            for channel in list(routed):
-                state = self.channels.get(channel)
-                if state is not None and state.upstream == from_name:
-                    self.verdicts.reannounce(state)
+            for state in routed:
+                self.verdicts.reannounce(state)
 
     # ------------------------------------------------------------------
     # what liveness reports: expiry and failure handling (§3.2-3.3)
@@ -1221,11 +1205,7 @@ class EcmpAgent(ProtocolAgent):
             self.stats["upstream_changes"] += 1
             if self.obs is not None:
                 self.obs.state_changed()
-            if old is not None:
-                self._unroute(old, channel)
             state.upstream = new_upstream
-            if new_upstream is not None:
-                self._by_upstream.setdefault(new_upstream, {})[channel] = None
             state.upstream_changed_at = now
             if new_upstream is not None and state.has_downstream():
                 state.advertised = 0  # force a fresh join to the new parent

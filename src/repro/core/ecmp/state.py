@@ -28,12 +28,10 @@ from __future__ import annotations
 
 from collections.abc import MutableMapping
 from dataclasses import dataclass, field
-from types import MappingProxyType
-from typing import Mapping, Optional
+from typing import Optional
 
 from repro.core.channel import Channel
 from repro.core.keys import KEY_BYTES, ChannelKey
-from repro.core.proactive import ProactiveCounter
 
 #: Pseudo-neighbor name for this node's own (host-local) subscriptions.
 LOCAL = "__local__"
@@ -86,18 +84,6 @@ class DownstreamRecord:
     updated_at: float = 0.0
     #: True for neighbors managed in UDP mode (soft state, needs refresh).
     udp: bool = False
-
-
-#: What ``ChannelState.proactive`` / ``.proactive_values`` read as until
-#: §6 state is first written: one shared read-only empty mapping, so a
-#: channel nobody counts proactively carries no dict for it.
-_NO_PROACTIVE: Mapping = MappingProxyType({})
-
-
-def _no_proactive() -> Mapping:
-    # A factory because dataclasses refuse an unhashable default, which
-    # a mappingproxy is before Python 3.12.
-    return _NO_PROACTIVE
 
 
 class LoneDownstream(MutableMapping):
@@ -163,21 +149,14 @@ class LoneDownstream(MutableMapping):
 
 @dataclass(slots=True)
 class ChannelState:
-    """Everything one node knows about one channel."""
+    """One node's place on one channel's tree. A deferred join's key and
+    §6 counts are held by ``Verdicts`` and ``Counting``."""
 
     channel: Channel
     #: Upstream neighbor name toward S; None at the source's own node.
     upstream: Optional[str] = None
     #: Count last advertised upstream (TCP-mode "sum provided upstream").
     advertised: int = 0
-    #: Key forwarded upstream, awaiting a CountResponse verdict.
-    pending_key: Optional[ChannelKey] = None
-    #: Proactive counters, per countId, when §6 mode is active. A dict
-    #: from the first write on (writers replace the empty mapping).
-    proactive: Mapping[int, ProactiveCounter] = field(default_factory=_no_proactive)
-    #: Latest unsolicited per-neighbor values for proactive countIds
-    #: other than subscriberId: countId -> neighbor -> value; likewise.
-    proactive_values: Mapping[int, dict[str, int]] = field(default_factory=_no_proactive)
     #: When this node last switched upstream (hysteresis input).
     upstream_changed_at: float = 0.0
     #: The per-downstream-neighbor records (LOCAL for own subs), as the

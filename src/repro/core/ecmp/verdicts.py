@@ -72,7 +72,7 @@ class Verdicts:
     read at use — tests wrap them on an instance.
     """
 
-    __slots__ = ("_agent", "pending", "_next_id")
+    __slots__ = ("_agent", "pending", "pending_keys", "_next_id")
 
     def __init__(self, agent) -> None:
         self._agent = agent
@@ -80,6 +80,9 @@ class Verdicts:
         #: verdict is still upstream. A channel's table exists only while
         #: it holds an entry.
         self.pending: dict[Channel, dict[int, VerdictEntry]] = {}
+        #: channel -> the key a deferred join forwarded upstream, until
+        #: its verdict is in; later Counts on the channel present it.
+        self.pending_keys: dict[Channel, ChannelKey] = {}
         #: The next request id to try (1..MAX_REQUEST_ID, cycling, so an
         #: id is not reused while a duplicate of its verdict may be about).
         self._next_id = 1
@@ -87,10 +90,22 @@ class Verdicts:
     def reset(self) -> None:
         """Crash semantics: forget every join in flight."""
         self.pending.clear()
+        self.pending_keys.clear()
 
     def forget_channel(self, channel: Channel) -> None:
         """The channel's state was collected: so are its entries."""
-        self.pending.pop(channel, None)
+        if self.pending.pop(channel, None) is not None and not self.pending:
+            self.pending = {}
+        if self.pending_keys.pop(channel, None) is not None and not self.pending_keys:
+            self.pending_keys = {}
+
+    def _settle_key(self, channel: Channel, key: Optional[ChannelKey]) -> None:
+        """The verdict on ``key`` is in. A drained table is replaced (here
+        and in ``pending``): a dict keeps the slots a join storm grew."""
+        if key is not None and self.pending_keys.get(channel) == key:
+            del self.pending_keys[channel]
+            if not self.pending_keys:
+                self.pending_keys = {}
 
     # -- asking ----------------------------------------------------------------
 
@@ -135,8 +150,7 @@ class Verdicts:
                 table = self.pending[state.channel] = {}
             elif len(table) >= MAX_REQUEST_ID:
                 agent.stats["verdict_table_full"] += 1
-                if state.pending_key == entry.presented_key:
-                    state.pending_key = None
+                self._settle_key(state.channel, entry.presented_key)
                 self._rollback(state, entry)
                 agent._garbage_collect(state)
                 return
@@ -231,16 +245,22 @@ class Verdicts:
             entry = table.pop(message.request_id, None)
             if not table:
                 del self.pending[channel]
+                if not self.pending:
+                    self.pending = {}
         if entry is None and message.request_id:
             return  # a second answer to a request already settled
 
         if message.status is CountStatus.OK:
             if entry is None:
                 return  # e.g. a refresh the upstream saw as a fresh join
-            if entry.presented_key is not None:
-                agent.keys.learn(channel, entry.presented_key)
-                if state.pending_key == entry.presented_key:
-                    state.pending_key = None
+            key = entry.presented_key
+            if key is not None:
+                agent.keys.learn(channel, key)
+                # ``_settle_key``, inline: once a keyed verdict a hop.
+                if self.pending_keys.get(channel) == key:
+                    del self.pending_keys[channel]
+                    if not self.pending_keys:
+                        self.pending_keys = {}
             self._confirm(state, entry)
             if entry.sharers is not None:
                 for sharer in entry.sharers:
@@ -256,8 +276,7 @@ class Verdicts:
             CountStatus.UNSUPPORTED_COUNT,
         ):
             if entry is not None:
-                if state.pending_key == entry.presented_key:
-                    state.pending_key = None
+                self._settle_key(channel, entry.presented_key)
                 self._rollback(state, entry)
                 for sharer in entry.sharers or ():
                     self._rollback(state, sharer)

@@ -54,9 +54,8 @@ class FaultInjector:
         self.armed = False
         #: ``(sim_time, kind, target)`` of every fault actually fired.
         self.fired: list[tuple[float, str, str]] = []
-        #: node -> links this injector took down at crash time (only
-        #: these come back up at restart, so a crash composed with an
-        #: unrelated partition does not heal the partition).
+        #: crashed node -> the links its restart raises. A link is up
+        #: when no partition holds it and neither end is crashed.
         self._downed: dict[str, list["Link"]] = {}
         #: Live wire mutators by link, for monitor reporting.
         self.mutators: list[WireMutator] = []
@@ -126,7 +125,15 @@ class FaultInjector:
         # started agent must be listening when they land.
         agent.start()
         for link in self._downed.pop(name, []):
-            link.set_up(True)
+            self._raise(link)
+
+    def _raise(self, link: "Link") -> None:
+        """Raise ``link``, or leave it to the restart of a crashed end."""
+        for node in (link.node_a, link.node_b):
+            if node.name in self._downed:
+                self._downed[node.name].append(link)
+                return
+        link.set_up(True)
 
     # -- link faults -------------------------------------------------------
 
@@ -137,10 +144,16 @@ class FaultInjector:
         return link
 
     def _fire_partition(self, index: int, a: str, b: str) -> None:
-        self._link(a, b).fail()
+        link = self._link(a, b)
+        for downed in self._downed.values():
+            if link in downed:
+                downed.remove(link)
+        link.fail()
 
     def _fire_heal(self, index: int, a: str, b: str) -> None:
-        self._link(a, b).recover()
+        link = self._link(a, b)
+        if not any(link in downed for downed in self._downed.values()):
+            self._raise(link)
 
     def _fire_latency_spike(
         self, index: int, a: str, b: str, factor: float, duration: float

@@ -122,8 +122,9 @@ def assert_control_plane_at_rest(net: ExpressNetwork) -> None:
     ``check_invariants``: per agent, no tabled verdict entry or pending
     query, no neighbor session with a dirty-channel queue or a flush
     timer, no channel state without a downstream record (one a rollback
-    emptied and did not collect), and no emptied inner set left standing in the
-    ``liveness.udp_channels`` / ``_by_upstream`` indexes."""
+    emptied and did not collect), no emptied inner set left standing in the
+    ``liveness.udp_channels`` index, and no pending key or proactive
+    table left for a channel whose state was collected."""
     for name, agent in net.ecmp_agents.items():
         held = {
             "pending_verdicts": agent.verdicts.pending,
@@ -146,8 +147,15 @@ def assert_control_plane_at_rest(net: ExpressNetwork) -> None:
                 for peer, channels in agent.liveness.udp_channels.items()
                 if not channels
             ],
-            "empty _by_upstream sets": [
-                peer for peer, channels in agent._by_upstream.items() if not channels
+            "tables of collected channels": [
+                str(channel)
+                for table in (
+                    agent.verdicts.pending_keys,
+                    agent.counting.proactive,
+                    agent.counting.proactive_values,
+                )
+                for channel in table
+                if channel not in agent.channels
             ],
         }
         leftovers = {what: value for what, value in held.items() if value}

@@ -183,10 +183,10 @@ class TestScanShareOnALiveNetwork:
         channel every 0.6 s with the refresh interval cranked down to
         0.4 s. A refresh that walked the table would examine every
         standing record twice a tick (once for expiry, once for the
-        general-query reply); the ring and the ``_by_upstream`` index
-        examine what the zapping made due — 233 records over 50 ticks
-        however many channels stand, so 0.22 % of a full scan here and
-        less on anything larger."""
+        general-query reply); the ring examines what the zapping made
+        due and the reply re-announces what is routed via the querier —
+        233 records over 50 ticks however many channels stand, so
+        0.22 % of a full scan here and less on anything larger."""
         monkeypatch.setattr(EcmpAgent, "UDP_QUERY_INTERVAL", 0.4)
         topo = TopologyBuilder.isp(n_transit=3, stubs_per_transit=2, hosts_per_stub=2)
         net = ExpressNetwork(topo)

@@ -40,6 +40,10 @@ records hold their own fields; no
 bank                                  517    566  0
 no ``ChannelState.created_at``
 (written once, read by one test)      509    558  0
+no ``_by_upstream`` index; verdict
+and §6 fields held by their
+machines                              453    534  0
+drained verdict tables given back     421    502  0
 ================================  =======  =====  ===================
 
 What went, in bytes per state on this tree: an empty 760-byte ``deque``
@@ -56,7 +60,15 @@ hold one (−104, the two slots that replace it included); an ``(S, E)``
 key tuple and a ``FibEntry`` for each FIB entry, on four nodes of eight
 (−60); a ``__dict__`` per decoded channel key (−60, keyed only); a
 row of a process-wide record bank beside every downstream record
-(−61); a creation stamp no code read (−8). The growth is lumpy — dict
+(−61); a creation stamp no code read (−8); a per-upstream index of the
+channels routed via each neighbour, which the general query now walks
+the table for (−32); ``ChannelState``'s pending key and two §6 maps,
+now per-channel tables of ``Verdicts`` and ``Counting`` with entries
+only for the channels that use them (−24); the slots a dict keeps
+after its last entry leaves, which ``Verdicts`` now gives back by
+replacing a drained table: ``pending`` after the keyless batch,
+``pending_keys`` after the keyed one (−32 on each figure). The growth
+is lumpy — dict
 resizes land inside one batch or the next (successive 1,000-channel
 batches on one network read 580–920) — so the figure belongs to exactly
 this sequence, in a fresh interpreter (:func:`measure_fresh`); it
@@ -81,7 +93,7 @@ LEAVES = [f"d2_{i}" for i in range(4)]
 WARM_UP = 100
 CHANNELS = 1000
 #: Bytes per (node, channel) state, (keyless, keyed).
-CEILING = (549, 623)
+CEILING = (454, 561)
 #: Interned channels in the FIB measurement, and bytes per entry.
 FIB_CHANNELS = 10_000
 FIB_CEILING = 60

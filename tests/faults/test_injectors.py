@@ -157,6 +157,64 @@ class TestCrashRestart:
         net.run(until=now + 11.0)
         assert net.topo.link_between("t0", "t1").up
 
+    def test_partition_during_a_crash_outlasts_the_restart(self, isp_net):
+        net = isp_net
+        now = net.sim.now
+        plan = (
+            FaultPlan()
+            .crash(now + 1.0, "t1")
+            .partition(now + 2.0, "t0", "t1")
+            .restart(now + 3.0, "t1")
+            .heal(now + 10.0, "t0", "t1")
+        )
+        FaultInjector(net, plan).arm()
+        net.run(until=now + 5.0)
+        # The crash downed the link first, but the partition issued
+        # during the crash holds it down past the restart.
+        assert not net.topo.link_between("t0", "t1").up
+        net.run(until=now + 11.0)
+        assert net.topo.link_between("t0", "t1").up
+
+    def test_heal_during_a_crash_waits_for_the_restart(self, isp_net):
+        net = isp_net
+        now = net.sim.now
+        plan = (
+            FaultPlan()
+            .partition(now + 0.5, "t0", "t1")
+            .crash(now + 1.0, "t1")
+            .heal(now + 2.0, "t0", "t1")
+            .restart(now + 3.0, "t1")
+        )
+        FaultInjector(net, plan).arm()
+        net.run(until=now + 2.5)
+        # Healed, but one end is still crashed: the link stays down ...
+        assert not net.topo.link_between("t0", "t1").up
+        net.run(until=now + 3.5)
+        # ... and the restart raises it.
+        assert net.topo.link_between("t0", "t1").up
+
+    def test_a_link_between_two_crashed_routers_waits_for_both(self, isp_net):
+        net = isp_net
+        now = net.sim.now
+        plan = (
+            FaultPlan()
+            .crash(now + 1.0, "t0")
+            .crash(now + 1.5, "t1")
+            .restart(now + 2.0, "t0")
+            .restart(now + 4.0, "t1")
+        )
+        FaultInjector(net, plan).arm()
+        net.run(until=now + 3.0)
+        shared = net.topo.link_between("t0", "t1")
+        assert not shared.up
+        assert all(
+            iface.link.up
+            for iface in net.topo.node("t0").interfaces
+            if iface.link is not None and iface.link is not shared
+        )
+        net.run(until=now + 4.5)
+        assert shared.up
+
 
     def test_block_survives_crash_restart(self):
         net = ExpressNetwork(TopologyBuilder.isp(2, 2, 2, seed=11))

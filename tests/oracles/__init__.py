@@ -13,7 +13,7 @@ time:
   patched in for whole-network runs,
 * :mod:`tests.oracles.refresh` — the full-table refresh tick and
   general-query walk (specification of the ``RefreshRing`` tick in
-  ``repro.core.ecmp.liveness`` and the ``_by_upstream`` reply in
+  ``repro.core.ecmp.liveness`` and of the general-query reply in
   ``repro.core.ecmp.protocol``),
 * :mod:`tests.oracles.fib` — an ``(S, E)`` key tuple and a mutable
   entry object per FIB entry (specification of

@@ -11,9 +11,10 @@ channel table — no index, no ring, nothing remembered between calls:
 * a general query from a neighbor is answered with a Count for every
   channel routed via that neighbor.
 
-The shipped agent reaches the same answers from the ``udp_channels``
-index and the ``RefreshRing`` of ``repro.core.ecmp.liveness`` and the
-``_by_upstream`` index of ``repro.core.ecmp.protocol``;
+The shipped agent reaches the tick's answers from the ``udp_channels``
+index and the ``RefreshRing`` of ``repro.core.ecmp.liveness``, and the
+general query's by this same walk of its table (the reply costs a Count
+per routed channel anyway);
 ``tests/properties/test_refresh_equivalence.py`` compares them with
 these at every tick and every general query of a seeded run.
 """

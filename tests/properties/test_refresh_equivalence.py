@@ -1,14 +1,14 @@
-"""Property suite: the refresh ring and the upstream index ≡ the
+"""Property suite: the refresh ring and the general-query reply ≡ the
 full-table walk, at every tick.
 
-``EcmpAgent`` never scans its channel table to maintain UDP-mode soft
-state: a tick sends general queries from the ``_udp_channels`` index
-and expires only what the ``RefreshRing`` says is due, and a general
-query is answered from the ``_by_upstream`` index. The specification
-is the walk in ``tests/oracles/refresh.py``. Each case here drives one
-all-UDP network through a seeded schedule of joins, leaves, hosts and
-a block that fall silent, link flaps that re-home channels, and router
-crashes — and at **every** refresh tick of every router, and every
+``EcmpAgent`` never scans its channel table on a refresh tick: a tick
+sends general queries from the ``udp_channels`` index and expires only
+what the ``RefreshRing`` says is due. A general query is answered by
+one walk of the table for the channels routed via the querier. The
+specification is the walk in ``tests/oracles/refresh.py``. Each case
+here drives one all-UDP network through a seeded schedule of joins,
+leaves, hosts and a block that fall silent, link flaps that re-home
+channels, and router crashes — and at **every** refresh tick of every router, and every
 general query any node receives, evaluates the oracle on the agent's
 table just before the shipped path runs and compares what the shipped
 path then did: which neighbors it queried, which records it expired,

@@ -90,9 +90,9 @@ def test_only_the_verdict_machine_writes_a_verdict_entry():
 AGENT_ATTRIBUTES = {
     "node", "sim", "routing", "fib", "role", "propagation",
     "block_fast_updates", "keys", "channels", "subscriptions", "blocks",
-    "_delivery_views", "obs", "stats", "_m_tally", "_by_upstream",
-    "_encoded", "_rehome_scheduled", "topology_change_hook", "sessions",
-    "counting", "liveness", "verdicts",
+    "_delivery_views", "obs", "stats", "_m_tally", "_encoded",
+    "_rehome_scheduled", "topology_change_hook", "sessions", "counting",
+    "liveness", "verdicts",
 }
 
 
@@ -101,13 +101,13 @@ def test_an_agent_has_exactly_its_pinned_instance_attributes():
 
     net = ExpressNetwork(TopologyBuilder.line(2))
     assert set(vars(net.ecmp_agents["n0"])) == AGENT_ATTRIBUTES
-    assert len(AGENT_ATTRIBUTES) == 23
+    assert len(AGENT_ATTRIBUTES) == 22
 
 
 #: Lines a module in ``core/ecmp/`` may have: a component stays a
 #: component, and the agent only shrinks.
 COMPONENT_LINES = 600
-PROTOCOL_LINES = 1274
+PROTOCOL_LINES = 1249
 
 
 def test_no_module_in_core_ecmp_and_no_component_outgrows_its_ceiling():
