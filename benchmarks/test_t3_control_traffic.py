@@ -16,8 +16,12 @@ from conftest import report
 
 from repro.core.channel import Channel
 from repro.core.ecmp.countids import SUBSCRIBER_ID
-from repro.core.ecmp.messages import COUNT_WIRE_BYTES, Count, encode_message
-from repro.costmodel.maintenance import MillionChannelScenario, counts_per_segment
+from repro.core.ecmp.messages import COUNT_WIRE_BYTES, Count, encode_batch, encode_message
+from repro.costmodel.maintenance import (
+    MillionChannelScenario,
+    counts_per_batch,
+    counts_per_segment,
+)
 
 
 def test_t3_scenario_numbers(benchmark):
@@ -28,7 +32,9 @@ def test_t3_scenario_numbers(benchmark):
     assert scenario.receive_rate() == pytest.approx(3333, rel=0.001)
     assert scenario.event_rate() == pytest.approx(5000, rel=0.001)
     assert counts_per_segment() == 92
+    assert counts_per_batch() == 92
     assert scenario.receive_segments_per_second() == pytest.approx(36.2, rel=0.01)
+    assert scenario.coalesced_receive_frames_per_second() == pytest.approx(36.2, rel=0.01)
     assert scenario.receive_bandwidth_bps() == pytest.approx(424_000, rel=0.02)
 
     report(
@@ -42,6 +48,8 @@ def test_t3_scenario_numbers(benchmark):
             f"  total event rate           ~5,000/s     {scenario.event_rate():,.0f}/s",
             f"  Counts per 1480-B segment  92           {counts_per_segment()}",
             f"  segments received          36/s         {scenario.receive_segments_per_second():.1f}/s",
+            f"  Counts per MSG_BATCH frame 92           {counts_per_batch()}",
+            f"  MSG_BATCH frames received  36/s         {scenario.coalesced_receive_frames_per_second():.1f}/s",
             f"  control bandwidth in       424 kbit/s   {scenario.receive_bandwidth_bps() / 1000:.0f} kbit/s",
             f"  control bandwidth out      212 kbit/s   {scenario.send_bandwidth_bps() / 1000:.0f} kbit/s",
         ],
@@ -63,6 +71,10 @@ def test_t3_wire_batching(benchmark):
     assert COUNT_WIRE_BYTES == 16
     assert len(segment) == 92 * 16 == 1472
     assert len(segment) <= 1480
+    # The same 92 as one MSG_BATCH frame: a 4-byte header, no framing
+    # per record.
+    frame = encode_batch(messages)
+    assert len(frame) == 4 + 92 * 16 == 1476
 
     report(
         "t3_wire_batching",
@@ -70,5 +82,6 @@ def test_t3_wire_batching(benchmark):
             "§5.3: Count batching into Ethernet TCP segments",
             f"  Count wire size: {COUNT_WIRE_BYTES} bytes (paper: 16)",
             f"  92 Counts encode to {len(segment)} bytes <= 1480-byte segment",
+            f"  92 Counts in one MSG_BATCH frame: {len(frame)} bytes <= 1480-byte segment",
         ],
     )

@@ -15,11 +15,15 @@ pins only the totals.
 §5.3's segment-packing arithmetic presumes the TCP-mode session
 coalesces many small messages into one segment. :class:`EcmpBatch` is
 the explicit on-wire form of that: a ``MSG_BATCH`` frame with a 4-byte
-header and a 2-byte length prefix per record, each record being one
-ordinary encoded message (keys and proactive extensions included).
-Decoding is strict — a trailing partial record is a :class:`CodecError`,
-never a silent truncation — so a TCP-stream reassembly bug cannot
-masquerade as a short batch. See ``docs/ecmp-wire.md``.
+header followed by the records back to back, each one ordinary encoded
+message (keys and proactive extensions included). A record carries no
+length prefix: its type and flag bytes fix its length (Count 16 B, 24
+keyed; CountQuery 16 B, 28 proactive; CountResponse 12 B), so 92
+unauthenticated Counts fill a 1480-byte segment as in §5.3. Decoding is
+strict — an unknown record type, a trailing partial record or trailing
+bytes are a :class:`CodecError`, never a silent truncation — so a
+TCP-stream reassembly bug cannot masquerade as a short batch. See
+``docs/ecmp-wire.md``.
 
 The codec is *zero-copy*: a batch encodes into one preallocated
 ``bytearray`` via precompiled ``Struct.pack_into`` at running offsets
@@ -70,13 +74,10 @@ _FLAG_PROACTIVE = 0x02
 
 #: Batch frame header: type(1) flags(1) record-count(2).
 _BATCH_HEAD = struct.Struct("!BBH")
-#: Per-record length prefix inside a batch frame.
-_RECORD_LEN = struct.Struct("!H")
 
-#: Fixed batch-frame overhead and per-record framing cost, used by the
-#: §5.3 packing arithmetic in ``repro.costmodel.maintenance``.
+#: Fixed batch-frame overhead, used by the §5.3 packing arithmetic in
+#: ``repro.costmodel.maintenance``; records add only their own bytes.
 BATCH_HEADER_BYTES = _BATCH_HEAD.size
-RECORD_FRAME_BYTES = _RECORD_LEN.size
 
 #: Records a single frame may carry (record-count is a uint16).
 MAX_BATCH_RECORDS = 0xFFFF
@@ -96,6 +97,16 @@ _COUNT_TAIL = struct.Struct("!IB")  # count(4) request-id(1)
 _QUERY_TAIL = struct.Struct("!IB")  # timeout-ms(4) reserved(1)
 _RESPONSE_TAIL = struct.Struct("!B")  # request-id(5 bits) status(3 bits)
 _PROACTIVE_EXT = struct.Struct("!fff")  # e_max alpha tau
+
+#: Record type -> (length, the flag bit that extends it, extension
+#: length): how :func:`decode_batch` finds where a record ends. A flag
+#: bit the type does not define adds nothing here; the record's own
+#: decode refuses it.
+_RECORD_SHAPE = {
+    _TYPE_COUNT: (_HEAD.size + _COUNT_TAIL.size, _FLAG_KEY, KEY_BYTES),
+    _TYPE_QUERY: (_HEAD.size + _QUERY_TAIL.size, _FLAG_PROACTIVE, _PROACTIVE_EXT.size),
+    _TYPE_RESPONSE: (_HEAD.size + _RESPONSE_TAIL.size, 0, 0),
+}
 
 #: What the decoder builds the (immutable tuple) messages with: it has
 #: proved every range from the bytes, so it skips the public
@@ -209,9 +220,7 @@ class EcmpBatch:
                 raise CodecError("batches cannot nest")
 
     def wire_size(self) -> int:
-        return BATCH_HEADER_BYTES + sum(
-            RECORD_FRAME_BYTES + m.wire_size() for m in self.messages
-        )
+        return BATCH_HEADER_BYTES + sum(m.wire_size() for m in self.messages)
 
     def __len__(self) -> int:
         return len(self.messages)
@@ -415,11 +424,12 @@ def encode_batch(messages: Sequence[EcmpMessage]) -> bytes:
     """Serialize ``messages`` into one ``MSG_BATCH`` frame.
 
     Frame layout: ``type(1)=0x10 flags(1)=0 record_count(2)`` followed
-    by ``record_count`` records, each ``length(2) + encoded message``.
+    by ``record_count`` encoded messages back to back, with no framing
+    between them.
 
     The frame is sized up front from ``wire_size()`` and every record
     packs straight into one preallocated ``bytearray`` — a flush of N
-    coalesced messages costs one allocation, not 2N+1 intermediate
+    coalesced messages costs one allocation, not N+1 intermediate
     ``bytes`` objects and a join.
     """
     if not messages:
@@ -435,15 +445,12 @@ def encode_batch(messages: Sequence[EcmpMessage]) -> bytes:
                 raise CodecError("batches cannot nest")
             raise CodecError(f"not an ECMP message: {message!r}")
         packers.append(row.pack)
-        total += _RECORD_LEN.size + message.wire_size()
+        total += message.wire_size()
     buf = bytearray(total)
     _BATCH_HEAD.pack_into(buf, 0, _TYPE_BATCH, 0, len(messages))
     offset = _BATCH_HEAD.size
     for message, pack in zip(messages, packers):
-        start = offset + _RECORD_LEN.size
-        end = pack(message, buf, start)
-        _RECORD_LEN.pack_into(buf, offset, end - start)
-        offset = end
+        offset = pack(message, buf, offset)
     return bytes(buf)
 
 
@@ -451,11 +458,13 @@ def decode_batch(data) -> list:
     """Parse a ``MSG_BATCH`` frame back into its message list.
 
     Round-trip safe for every record type (keyed Counts, proactive
-    CountQuery extensions). Raises :class:`CodecError` on a wrong type
-    byte, a flag byte that is not zero, a record count that disagrees
-    with the payload, a trailing partial record, trailing bytes after
-    the final record, or a record that is itself a batch (batches never
-    nest).
+    CountQuery extensions). Each record's length follows from its type
+    byte and, for Count and CountQuery, the flag bit that adds the key
+    or the proactive extension. Raises :class:`CodecError` on a wrong
+    type byte, a flag byte that is not zero, a record count that
+    disagrees with the payload, an unknown record type, a trailing
+    partial record, trailing bytes after the final record, or a record
+    that is itself a batch (batches never nest).
 
     Records are handed to :func:`decode_message` as ``memoryview``
     windows over the frame — no per-record ``bytes`` copy.
@@ -474,20 +483,27 @@ def decode_batch(data) -> list:
     offset = _BATCH_HEAD.size
     messages = []
     for index in range(record_count):
-        if size - offset < _RECORD_LEN.size:
-            raise CodecError(f"batch record {index} length prefix truncated")
-        (length,) = _RECORD_LEN.unpack_from(data, offset)
-        offset += _RECORD_LEN.size
-        if size - offset < length:
+        remain = size - offset
+        if not remain:
+            raise CodecError(f"batch declares {record_count} records, holds {index}")
+        record_type = data[offset]
+        shape = _RECORD_SHAPE.get(record_type)
+        if shape is None:
+            if record_type == _TYPE_BATCH:
+                raise CodecError("batches cannot nest")
             raise CodecError(
-                f"batch record {index} truncated: declared {length} bytes, "
-                f"{size - offset} remain"
+                f"batch record {index}: unknown ECMP message type {record_type:#x}"
             )
-        if length and data[offset] == _TYPE_BATCH:
-            raise CodecError("batches cannot nest")
+        length, extended_by, extension = shape
+        if remain > 1 and data[offset + 1] & extended_by:
+            length += extension
+        if remain < length:
+            raise CodecError(
+                f"batch record {index} truncated: needs {length} bytes, "
+                f"{remain} remain"
+            )
         messages.append(decode_message(view[offset : offset + length]))
         offset += length
     if offset != size:
         raise CodecError(f"{size - offset} trailing bytes after batch records")
     return messages
-

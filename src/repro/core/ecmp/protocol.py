@@ -163,9 +163,9 @@ class EcmpAgent(ProtocolAgent):
     #: long; non-urgent messages arriving inside it wait for its end and
     #: leave as one frame.
     BATCH_FLUSH_INTERVAL = 0.05
-    #: Queue-size watermark: flush immediately once this many records
-    #: are pending toward one neighbor (just under the ~82 framed
-    #: unauthenticated Counts that fit a 1480-byte segment, §5.3).
+    #: Queue-size watermark: flush once this many records are pending
+    #: toward one neighbor (below the 92 Counts a 1480-byte segment
+    #: frames, §5.3; a frame never outgrows the segment either way).
     BATCH_MAX_RECORDS = 64
 
     def __init__(

@@ -17,6 +17,7 @@ from typing import Callable, Optional
 
 from repro.core.ecmp.countids import SUBSCRIBER_ID
 from repro.core.ecmp.messages import (
+    BATCH_HEADER_BYTES,
     Count,
     CountQuery,
     CountStatus,
@@ -24,7 +25,9 @@ from repro.core.ecmp.messages import (
     EcmpMessage,
 )
 from repro.errors import ProtocolError
+from repro.inet.headers import ETHERNET_TCP_SEGMENT
 from repro.netsim.node import Interface, Node
+from repro.netsim.packet import IP_HEADER_BYTES
 from repro.netsim.trace import Counter
 
 PROTO_ECMP = "ecmp"
@@ -87,6 +90,8 @@ class _QueuedRecord:
     #: awaiting verdicts, CountResponses); later writes for the same
     #: (channel, countId) append instead of replacing them.
     pinned: bool
+    #: The message's encoded length: what it adds to the frame.
+    size: int
     #: Span context captured at enqueue time (None when tracing is off):
     #: causality is established when the protocol *decides* to send, not
     #: when the flush timer fires.
@@ -102,27 +107,39 @@ class DirtyChannelQueue:
     ordering): a leave never overtakes the join before it.
     """
 
-    __slots__ = ("records", "_latest")
+    __slots__ = ("records", "_latest", "frame_bytes")
 
     def __init__(self) -> None:
         self.records: list[_QueuedRecord] = []
         self._latest: dict = {}
+        #: The length of the ``MSG_BATCH`` frame the records make.
+        self.frame_bytes = BATCH_HEADER_BYTES
 
     def __len__(self) -> int:
         return len(self.records)
 
     def enqueue(
-        self, message: EcmpMessage, pinned: bool, span_ctx: Optional[object] = None
+        self,
+        message: EcmpMessage,
+        pinned: bool,
+        span_ctx: Optional[object] = None,
+        size: Optional[int] = None,
     ) -> bool:
-        """Add (or merge) one message; True if it absorbed an earlier
+        """Add (or merge) one message of ``size`` encoded bytes (its
+        ``wire_size()`` when not given); True if it absorbed an earlier
         queued message that will now never hit the wire."""
+        if size is None:
+            size = message.wire_size()
         key = (type(message), message.channel, message.count_id)
         index = self._latest.get(key)
-        if index is not None and not pinned and not self.records[index].pinned:
-            self.records[index] = _QueuedRecord(message, pinned, span_ctx)
+        records = self.records
+        if index is not None and not pinned and not records[index].pinned:
+            self.frame_bytes += size - records[index].size
+            records[index] = _QueuedRecord(message, pinned, size, span_ctx)
             return True
-        self._latest[key] = len(self.records)
-        self.records.append(_QueuedRecord(message, pinned, span_ctx))
+        self._latest[key] = len(records)
+        records.append(_QueuedRecord(message, pinned, size, span_ctx))
+        self.frame_bytes += size
         return False
 
 
@@ -255,7 +272,9 @@ class NeighborSessions:
         in the dirty-channel queue and leave as one frame when it ends
         (or at once, behind an urgent message or at the watermark).
         Inside a :meth:`burst` loop everything queues and the loop's
-        end flushes.
+        end flushes. A frame never outgrows one TCP segment: a record
+        that would carry the queued frame past ``ETHERNET_TCP_SEGMENT``
+        bytes flushes what is queued first and starts the next frame.
 
         ``urgent``/``pinned`` default to what the message itself says;
         call sites that know more override them (joins are pinned, query
@@ -309,7 +328,11 @@ class NeighborSessions:
             pinned = (
                 kind is not Count or message.key is not None or message.request_id != 0
             )
-        if queue.enqueue(message, pinned, span_ctx):
+        record_bytes = message.wire_size() if size is None else size - IP_HEADER_BYTES
+        if queue.frame_bytes + record_bytes > ETHERNET_TCP_SEGMENT:
+            self.flush(known, "watermark")
+            queue = known.queue = DirtyChannelQueue()
+        if queue.enqueue(message, pinned, span_ctx, record_bytes):
             # Last-writer-wins: the overwritten message never hits the wire.
             agent.stats["msgs_coalesced"] += 1
         if len(queue) >= agent.BATCH_MAX_RECORDS:
@@ -378,12 +401,20 @@ class NeighborSessions:
         if self.flushes is not None:
             self.flushes[trigger] += 1
         if len(records) == 1:
-            self.transmit(records[0].message, known, (records[0].span_ctx,))
+            record = records[0]
+            self.transmit(
+                record.message, known, (record.span_ctx,), IP_HEADER_BYTES + record.size
+            )
             return
         batch = EcmpBatch(messages=tuple(r.message for r in records))
         agent.stats["batch_records_tx"] += len(records)
         agent.stats["msgs_coalesced"] += len(records) - 1
-        self.transmit(batch, known, tuple(r.span_ctx for r in records))
+        self.transmit(
+            batch,
+            known,
+            tuple(r.span_ctx for r in records),
+            IP_HEADER_BYTES + queue.frame_bytes,
+        )
 
     @contextmanager
     def burst(self, flush_as: Optional[str] = None):

@@ -58,11 +58,13 @@ class ToleranceCurve:
     tau: float = 120.0
 
     def __post_init__(self) -> None:
-        if self.e_max <= 0:
+        # ``not x > 0`` refuses NaN too: a NaN curve compares unequal to
+        # itself and a signalling one does not survive a wire round trip.
+        if not self.e_max > 0:
             raise ProtocolError(f"e_max must be > 0, got {self.e_max}")
-        if self.alpha <= 0:
+        if not self.alpha > 0:
             raise ProtocolError(f"alpha must be > 0, got {self.alpha}")
-        if self.tau <= 0:
+        if not self.tau > 0:
             raise ProtocolError(f"tau must be > 0, got {self.tau}")
 
     def tolerance(self, dt: float) -> float:

@@ -42,6 +42,7 @@ from repro.core.channel import Channel
 from repro.core.ecmp.protocol import DISCOVERY_CHANNEL, DirtyChannelQueue, EcmpAgent
 from repro.core.ecmp.session import Neighbor, NeighborSessions
 from repro.core.keys import make_key
+from repro.inet.headers import ETHERNET_TCP_SEGMENT
 from repro.netsim.engine import Simulator
 from repro.netsim.packet import Packet
 from repro.netsim.trace import Counter as StatsBag
@@ -318,6 +319,47 @@ class TestCoalescingSendPath:
         assert bare.session.queue is None
         assert bare.session.flush_event is None
 
+    def test_a_frame_never_outgrows_one_segment(self):
+        """Keyed Counts are 24 B: 64 of them would frame to 1,540 B, over
+        a 1,480-byte segment that is charged one IP header. The record
+        that would carry the frame past the segment flushes the queue
+        first, so a frame holds 61 (1,468 B) and the rest go on."""
+        bare = BareSessions()
+        first, *channels = bare.channels(EcmpAgent.BATCH_MAX_RECORDS + 1)
+        bare.count(first)  # the session is busy
+        for ch in channels:
+            bare.send(
+                Count(channel=ch, count_id=SUBSCRIBER_ID, count=1, key=make_key(ch))
+            )
+        assert len(bare.frames) == 2
+        frame = bare.frames[1][1]
+        assert len(frame) == 61
+        assert len(encode_batch(frame.messages)) == 4 + 61 * 24 <= ETHERNET_TCP_SEGMENT
+        assert bare.sessions.flushes is None and bare.stats["batch_flushes"] == 2
+        assert len(bare.session.queue) == 3
+        assert bare.session.queue.frame_bytes == 4 + 3 * 24
+        # Plain Counts keep the record watermark: 64 frame to 1,028 B.
+        bare = BareSessions()
+        first, *channels = bare.channels(EcmpAgent.BATCH_MAX_RECORDS + 1)
+        bare.count(first)
+        for ch in channels:
+            bare.count(ch)
+        assert [len(m) for _, m in bare.frames[1:]] == [EcmpAgent.BATCH_MAX_RECORDS]
+
+    def test_the_queue_tracks_its_frame_length(self):
+        # Last-writer-wins swaps a record for one of another length (a
+        # caller may unpin a keyed Count): the frame follows.
+        q = DirtyChannelQueue()
+        a, b = Channel.of(0x0A000001, 1), Channel.of(0x0A000001, 2)
+        plain = Count(channel=a, count_id=SUBSCRIBER_ID, count=1)
+        q.enqueue(plain, pinned=False)
+        q.enqueue(CountQuery(channel=b, count_id=SUBSCRIBER_ID, timeout=1.0), pinned=True)
+        assert q.frame_bytes == 4 + 16 + 16
+        keyed = Count(channel=a, count_id=SUBSCRIBER_ID, count=2, key=make_key(a))
+        assert q.enqueue(keyed, pinned=False) is True
+        assert q.frame_bytes == 4 + 24 + 16
+        assert q.frame_bytes == EcmpBatch(tuple(r.message for r in q.records)).wire_size()
+
     def test_a_burst_corks_the_session_and_releases_it_once(self):
         """Everything sent inside ``burst()`` queues, in order; the end
         applies the session policy to the lot as to one message, or —
@@ -508,8 +550,9 @@ class TestWireReductionUnderChurn:
         batched = self.drive()
         sessions_oracle.install(monkeypatch)
         unbatched = self.drive()
-        # 346 wire packets against 1,566 (4.53x), 32,282 bytes against
-        # 53,340. (Under the trailing-edge timer: 224 packets, 29,982
+        # 346 wire packets against 1,566 (4.53x), 29,552 bytes against
+        # 53,340 (32,282 while every batch record carried a 2-byte length
+        # prefix). (Under the trailing-edge timer: 224 packets, 29,982
         # bytes — the first record of a quiet period now travels alone.)
         assert 0 < 3 * batched["wire_sends"] <= unbatched["wire_sends"]
         assert 0 < batched["bytes_on_wire"] < unbatched["bytes_on_wire"]
@@ -737,7 +780,7 @@ class TestMutatedFrameDecoding:
         """``frame`` wrapped as the only record of ``depth`` enclosing
         batches: what ``encode_batch`` refuses to build."""
         for _ in range(depth):
-            frame = b"\x10\x00\x00\x01" + len(frame).to_bytes(2, "big") + frame
+            frame = b"\x10\x00\x00\x01" + frame
         return frame
 
     def test_nested_batch_is_rejected_by_both_decoders(self, line_net, codec):
@@ -749,13 +792,13 @@ class TestMutatedFrameDecoding:
                 decode(self.nested(frame))
 
     def test_deep_nest_is_a_codec_error_not_a_recursion_error(self, codec):
-        # The largest frame a uint16 record length admits, nothing but
-        # batch headers: one per six bytes, ~10,900 deep. Rejected at
-        # the first record, in O(1), before any recursion.
+        # A 64 KiB frame of nothing but batch headers, one per four
+        # bytes: ~16,400 deep. Rejected at the first record, in O(1),
+        # before any recursion.
         inner = b"\x10\x00\x00\x01"
-        depth = (0xFFFF - len(inner)) // 6
+        depth = (0xFFFF - len(inner)) // 4
         frame = self.nested(inner, depth)
-        assert depth > 10_000 and len(frame) <= 0xFFFF
+        assert depth > 16_000 and len(frame) <= 0xFFFF
         for decode in (codec.decode_batch, codec.decode_message):
             with pytest.raises(CodecError, match="batches cannot nest"):
                 decode(frame)
@@ -832,7 +875,7 @@ class TestMutatedFrameDecoding:
             # A CountResponse defines no flag at all.
             struct.pack("!BBHI3sB", 0x03, 0xFF, SUBSCRIBER_ID, 0x0A000001, b"\0\0\1", 0),
             # A batch header's flag byte is zero.
-            b"\x10\xaa\x00\x01\x00\x10"
+            b"\x10\xaa\x00\x01"
             + struct.pack("!BBHI3sIB", 0x02, 0, SUBSCRIBER_ID, 0x0A000001, b"\0\0\1", 1, 0),
             # The CountQuery tail's reserved byte is zero.
             struct.pack("!BBHI3sIB", 0x01, 0, SUBSCRIBER_ID, 0x0A000001, b"\0\0\1", 1000, 0x7F),

@@ -64,8 +64,8 @@ class TestKeyFraming:
             Count(channel=CH, count_id=SUBSCRIBER_ID, count=1),
             Count(channel=CH, count_id=SUBSCRIBER_ID, count=2, key=make_key(CH)),
         ]))
-        # Shorten the final record's declared payload: the per-record
-        # length prefix now promises more than the frame holds.
+        # Shorten the final record: its key flag now promises more than
+        # the frame holds.
         with pytest.raises(CodecError, match="batch record 1 truncated"):
             codec.decode_batch(bytes(frame[:-2]))
 

@@ -9,7 +9,6 @@ from repro.core.ecmp.messages import (
     MAX_BATCH_RECORDS,
     MAX_REQUEST_ID,
     MSG_BATCH,
-    RECORD_FRAME_BYTES,
     Count,
     CountQuery,
     CountResponse,
@@ -207,9 +206,21 @@ class TestBatchCodec:
         batch = EcmpBatch(messages=MIXED_BATCH)
         data = encode_message(batch)
         assert len(data) == batch.wire_size()
+        # No per-record framing: the header, then the records.
         assert batch.wire_size() == BATCH_HEADER_BYTES + sum(
-            RECORD_FRAME_BYTES + m.wire_size() for m in MIXED_BATCH
+            m.wire_size() for m in MIXED_BATCH
         )
+        assert data[BATCH_HEADER_BYTES:] == b"".join(
+            encode_message(m) for m in MIXED_BATCH
+        )
+
+    def test_92_counts_frame_in_one_segment(self):
+        """§5.3's packing holds for the frame itself: 92 unauthenticated
+        Counts and the 4-byte header fit a 1480-byte segment, 93 do
+        not."""
+        count = Count(channel=CH, count_id=SUBSCRIBER_ID, count=1)
+        assert len(encode_batch([count] * 92)) == 4 + 92 * 16 <= ETHERNET_TCP_SEGMENT
+        assert len(encode_batch([count] * 93)) > ETHERNET_TCP_SEGMENT
 
     def test_decode_message_dispatches_batch(self):
         parsed = decode_message(encode_batch(MIXED_BATCH))
@@ -262,9 +273,9 @@ class TestBatchStrictness:
             decode_batch(struct.pack("!BBH", MSG_BATCH, 0, 0))
 
     def test_trailing_partial_record_rejected(self):
-        """Satellite regression: a frame cut mid-record (or mid-length-
-        prefix) is a CodecError at that record's index, never a silently
-        shorter batch."""
+        """Regression: a frame cut anywhere after its header
+        (mid-record or between records) is a CodecError, never a
+        silently shorter batch."""
         data = encode_batch(MIXED_BATCH)
         for cut in range(BATCH_HEADER_BYTES, len(data)):
             with pytest.raises(CodecError):
@@ -280,3 +291,22 @@ class TestBatchStrictness:
     def test_trailing_bytes_after_records_rejected(self):
         with pytest.raises(CodecError):
             decode_batch(encode_batch(MIXED_BATCH) + b"\x00")
+
+    def test_unknown_record_type_rejected(self):
+        # No length prefix to skip it by: a type byte the codec does not
+        # know leaves the record's end unknown, so the frame is refused.
+        data = bytearray(encode_batch(MIXED_BATCH))
+        data[BATCH_HEADER_BYTES] = 0x04
+        with pytest.raises(CodecError, match="batch record 0: unknown ECMP message type 0x4"):
+            decode_batch(bytes(data))
+
+    def test_flag_bits_set_each_record_length(self):
+        """A record's length is read off its type and flag bytes: clear
+        the key flag of a keyed Count and its 8 key bytes become the
+        start of the next record, which here makes no sense."""
+        data = bytearray(encode_batch(MIXED_BATCH))
+        keyed = BATCH_HEADER_BYTES + MIXED_BATCH[0].wire_size()
+        assert data[keyed + 1] == 0x01
+        data[keyed + 1] = 0
+        with pytest.raises(CodecError):
+            decode_batch(bytes(data))

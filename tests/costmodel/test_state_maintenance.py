@@ -2,13 +2,18 @@
 
 import pytest
 
+from repro.core.channel import Channel
+from repro.core.ecmp.countids import SUBSCRIBER_ID
+from repro.core.ecmp.messages import Count, encode_batch
 from repro.costmodel.maintenance import (
     MaintenanceModel,
     MillionChannelScenario,
+    counts_per_batch,
     counts_per_segment,
 )
 from repro.costmodel.state_cost import ManagementStateModel
 from repro.errors import WorkloadError
+from repro.inet.headers import ETHERNET_TCP_SEGMENT
 
 
 class TestManagementState:
@@ -63,6 +68,25 @@ class TestMillionChannelScenario:
         assert scenario.receive_segments_per_second() == pytest.approx(36.2, rel=0.01)
         assert scenario.receive_bandwidth_bps() == pytest.approx(424_000, rel=0.02)
         assert scenario.send_bandwidth_bps() == pytest.approx(212_000, rel=0.02)
+
+    def test_batch_frames_pack_at_the_paper_density(self):
+        """A MSG_BATCH frame carries the paper's 92 Counts per segment,
+        so the coalesced inbound rate is its 36 segments per second."""
+        scenario = MillionChannelScenario()
+        assert counts_per_batch() == counts_per_segment() == 92
+        assert scenario.coalesced_receive_frames_per_second() == pytest.approx(
+            36.2, rel=0.01
+        )
+        assert scenario.coalesced_receive_bandwidth_bps() == pytest.approx(
+            scenario.receive_bandwidth_bps()
+        )
+        assert scenario.coalescing_wire_message_reduction() == 92.0
+
+    def test_counts_per_batch_matches_the_codec(self):
+        count = Count(Channel.of(0x0A000001, 1), SUBSCRIBER_ID, 1)
+        fit = counts_per_batch()
+        assert len(encode_batch([count] * fit)) <= ETHERNET_TCP_SEGMENT
+        assert len(encode_batch([count] * (fit + 1))) > ETHERNET_TCP_SEGMENT
 
     def test_scaling_in_channels(self):
         half = MillionChannelScenario(channels=500_000)

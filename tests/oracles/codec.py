@@ -39,7 +39,6 @@ PROACTIVE_EXT = "!fff"  # e_max alpha tau
 PROACTIVE_BYTES = struct.calcsize(PROACTIVE_EXT)
 BATCH_HEAD = "!BBH"  # type flags record-count
 BATCH_HEAD_BYTES = struct.calcsize(BATCH_HEAD)
-RECORD_LEN = "!H"
 MAX_BATCH_RECORDS = 0xFFFF
 
 
@@ -165,10 +164,21 @@ def encode_batch(messages: Sequence) -> bytes:
     for message in messages:
         if isinstance(message, EcmpBatch):
             raise CodecError("batches cannot nest")
-        record = encode_message(message)
-        parts.append(struct.pack(RECORD_LEN, len(record)))
-        parts.append(record)
+        parts.append(encode_message(message))
     return b"".join(parts)
+
+
+def record_length(msg_type: int, flags: int) -> int:
+    """A batch record's length, read off its type and flag bytes: the
+    flag bits a type defines decide its optional tail; bits it does not
+    define are its decoder's to refuse."""
+    if msg_type == TYPE_COUNT:
+        return HEAD_BYTES + TAIL_BYTES + (KEY_BYTES if flags & FLAG_KEY else 0)
+    if msg_type == TYPE_QUERY:
+        return HEAD_BYTES + TAIL_BYTES + (
+            PROACTIVE_BYTES if flags & FLAG_PROACTIVE else 0
+        )
+    return HEAD_BYTES + struct.calcsize(RESPONSE_TAIL)
 
 
 def decode_batch(data) -> list:
@@ -185,19 +195,22 @@ def decode_batch(data) -> list:
     offset = BATCH_HEAD_BYTES
     messages = []
     for index in range(record_count):
-        if len(data) - offset < 2:
-            raise CodecError(f"batch record {index} length prefix truncated")
-        (length,) = struct.unpack(RECORD_LEN, data[offset : offset + 2])
-        offset += 2
-        if len(data) - offset < length:
-            raise CodecError(
-                f"batch record {index} truncated: declared {length} bytes, "
-                f"{len(data) - offset} remain"
-            )
-        record = data[offset : offset + length]
-        if record[:1] == bytes([TYPE_BATCH]):
+        rest = data[offset:]
+        if not rest:
+            raise CodecError(f"batch declares {record_count} records, holds {index}")
+        if rest[0] == TYPE_BATCH:
             raise CodecError("batches cannot nest")
-        messages.append(decode_message(record))
+        if rest[0] not in (TYPE_COUNT, TYPE_QUERY, TYPE_RESPONSE):
+            raise CodecError(
+                f"batch record {index}: unknown ECMP message type {rest[0]:#x}"
+            )
+        length = record_length(rest[0], rest[1] if len(rest) > 1 else 0)
+        if len(rest) < length:
+            raise CodecError(
+                f"batch record {index} truncated: needs {length} bytes, "
+                f"{len(rest)} remain"
+            )
+        messages.append(decode_message(rest[:length]))
         offset += length
     if offset != len(data):
         raise CodecError(f"{len(data) - offset} trailing bytes after batch records")

@@ -9,6 +9,7 @@ observationally indistinguishable from the plain statement of the wire
 format; every case calls both and compares.
 """
 
+import math
 import struct
 
 from hypothesis import given
@@ -210,10 +211,7 @@ class TestDecodeEquivalence:
                 frame[4:8] = (0xE0000001).to_bytes(4, "big")
         frame = bytes(frame)
         if in_batch:
-            frame = (
-                bytes([MSG_BATCH]) + b"\x00\x00\x01"
-                + len(frame).to_bytes(2, "big") + frame
-            )
+            frame = bytes([MSG_BATCH]) + b"\x00\x00\x01" + frame
         kind, error, text = agreed(decode_message, oracle.decode_message, frame)
         assert (kind, error) == ("err", "CodecError")
         assert text.startswith("invalid field value: ")
@@ -223,6 +221,73 @@ class TestDecodeEquivalence:
         frame = encode_message(message)
         assert decode_message(memoryview(frame)) == message
         assert oracle.decode_message(memoryview(frame)) == message
+
+
+keyed_counts = st.builds(
+    Count,
+    channel=channels,
+    count_id=count_ids,
+    count=st.integers(min_value=0, max_value=0xFFFFFFFF),
+    key=keys.filter(bool),
+    request_id=request_ids,
+)
+proactive_queries = queries.filter(lambda query: query.proactive is not None)
+#: Records of every length a frame can hold: 16 (plain Count and
+#: CountQuery), 24 (keyed Count), 28 (proactive CountQuery), 12
+#: (CountResponse).
+mixed_frames = st.lists(
+    st.one_of(keyed_counts, proactive_queries, responses, messages),
+    min_size=1,
+    max_size=6,
+)
+
+
+class TestSingleByteMutations:
+    """A batch record has no length prefix: where it ends follows from
+    its type and flag bytes, so one flipped byte can move every boundary
+    after it. Whatever a single-byte overwrite of a valid frame makes,
+    both codecs read it the same way: as messages that encode back to
+    exactly those bytes (one message, one encoding), or as the same
+    :class:`CodecError` — never a shorter list, never another
+    exception."""
+
+    @given(
+        batch=mixed_frames,
+        at=st.integers(min_value=0),
+        byte=st.integers(min_value=0, max_value=255),
+    )
+    def test_overwrite_decodes_canonically_or_raises_codec_error(
+        self, batch, at, byte
+    ):
+        mutated = bytearray(encode_batch(batch))
+        mutated[at % len(mutated)] = byte
+        mutated = bytes(mutated)
+        for decode, reference, encode in (
+            (decode_batch, oracle.decode_batch, encode_batch),
+            (decode_message, oracle.decode_message, encode_message),
+        ):
+            result = agreed(decode, reference, mutated)
+            if result[0] == "ok":
+                assert encode(result[1]) == mutated
+            else:
+                assert result[1] == "CodecError"
+
+    @given(batch=mixed_frames, at=st.integers(min_value=0))
+    def test_flag_flip_moves_the_boundary_in_both_codecs(self, batch, at):
+        # The byte that sets a record's length: the key / proactive bit
+        # of one Count or CountQuery toggled.
+        frame = bytearray(encode_batch(batch))
+        offsets = [4]
+        for message in batch[:-1]:
+            offsets.append(offsets[-1] + message.wire_size())
+        sized = [o for o, m in zip(offsets, batch) if type(m) is not CountResponse]
+        if not sized:
+            return
+        offset = sized[at % len(sized)]
+        frame[offset + 1] ^= 0x01 if frame[offset] == 0x02 else 0x02
+        result = agreed(decode_batch, oracle.decode_batch, bytes(frame))
+        if result[0] == "ok":
+            assert encode_batch(result[1]) == bytes(frame)
 
 
 class TestNestedBatch:
@@ -245,11 +310,8 @@ class TestNestedBatch:
         # position and whatever follows that byte: the frame the
         # encoders refuse to build, hand-made.
         frame = bytearray(encode_batch(batch))
-        offset = 4
-        for _ in range(min(at, len(batch))):
-            offset += 2 + int.from_bytes(frame[offset : offset + 2], "big")
-        record = bytes([MSG_BATCH]) + inner
-        frame[offset:offset] = len(record).to_bytes(2, "big") + record
+        offset = 4 + sum(m.wire_size() for m in batch[:at])
+        frame[offset:offset] = bytes([MSG_BATCH]) + inner
         frame[2:4] = (len(batch) + 1).to_bytes(2, "big")
         for shipped, reference in (
             (decode_batch, oracle.decode_batch),
@@ -280,8 +342,7 @@ class TestDecoderSideConstructor:
 
     def check(self, frame: bytes, build) -> None:
         text = self.refused_publicly(build)
-        for wrapped in (frame, bytes([MSG_BATCH]) + b"\x00\x00\x01"
-                        + len(frame).to_bytes(2, "big") + frame):
+        for wrapped in (frame, bytes([MSG_BATCH]) + b"\x00\x00\x01" + frame):
             kind, error, said = agreed(decode_message, oracle.decode_message, wrapped)
             assert (kind, error) == ("err", "CodecError")
             assert text in said
@@ -304,10 +365,16 @@ class TestDecoderSideConstructor:
         frame[4:8] = source.to_bytes(4, "big")
         self.check(bytes(frame), lambda: Channel(source, message.channel.group))
 
-    @given(message=queries, zeroed=st.sampled_from((0, 1, 2)))
-    def test_zero_tolerance_curve(self, message, zeroed):
+    @given(
+        message=queries,
+        zeroed=st.sampled_from((0, 1, 2)),
+        bad=st.sampled_from((0.0, -1.0, math.nan)),
+    )
+    def test_zero_tolerance_curve(self, message, zeroed, bad):
+        # NaN as well: it is not > 0, and as a curve it would compare
+        # unequal to itself after a round trip.
         values = [0.5, 4.0, 120.0]
-        values[zeroed] = 0.0
+        values[zeroed] = bad
         frame = bytearray(encode_message(message._replace(proactive=ToleranceCurve())))
         frame[16:28] = struct.pack("!fff", *values)
         self.check(bytes(frame), lambda: ToleranceCurve(*values))
