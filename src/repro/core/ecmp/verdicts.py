@@ -344,7 +344,8 @@ class Verdicts:
         if record is not None:
             rolled = record.count - (entry.joined_count - entry.prior_count)
             if rolled > 0:
-                was_forwarding = record.validated and record.count > 0
+                # A live record's count is >= 1, so validated means forwarding.
+                was_forwarding = record.validated
                 record.count = rolled
                 block = agent.blocks.get(entry.neighbor)
                 if block is not None:

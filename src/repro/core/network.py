@@ -34,6 +34,7 @@ from repro.core.subcast import build_subcast_packet
 from repro.errors import ChannelError, ProtocolError, TopologyError
 from repro.netsim.packet import Packet
 from repro.netsim.topology import Topology
+from repro.obs.hooks import attach_topology
 from repro.routing.fib import MulticastFib
 from repro.routing.unicast import UnicastRouting
 
@@ -208,7 +209,7 @@ class ExpressNetwork:
         self.sim = topo.sim
         self.obs = obs
         if obs is not None:
-            topo.attach_observability(obs)
+            attach_topology(topo, obs)
         self.routing = UnicastRouting(topo, obs=obs)
         self.host_names = topo.host_names(hosts)
 

@@ -22,6 +22,7 @@ from repro.netsim.node import Node, ProtocolAgent
 from repro.netsim.packet import Packet
 from repro.netsim.topology import Topology
 from repro.netsim.trace import Counter
+from repro.obs.hooks import attach_topology
 from repro.routing.unicast import UnicastRouting
 
 
@@ -180,7 +181,7 @@ class GroupNetwork:
         if obs is None:
             self._m_delivery = None
         else:
-            topo.attach_observability(obs)
+            attach_topology(topo, obs)
             registry = obs.registry
             messages = registry.counter(
                 "groupmodel_messages_total",

@@ -34,10 +34,6 @@ class Interface:
         self.link: Optional["Link"] = None
         #: The node on the far side of the link (set by ``Link``).
         self.peer: Optional["Node"] = None
-        self.tx_packets = 0
-        self.tx_bytes = 0
-        self.rx_packets = 0
-        self.rx_bytes = 0
 
     @property
     def up(self) -> bool:
@@ -143,8 +139,6 @@ class Node:
         link = iface.link
         if link is None or not link.up:
             return self._drop(packet, "link-down")
-        iface.tx_packets += 1
-        iface.tx_bytes += packet.size
         if self.trace is not None:
             self.trace.record(
                 self.sim.now, self.name, "tx", packet.proto, packet.size,
@@ -177,9 +171,6 @@ class Node:
 
     def receive(self, packet: Packet, ifindex: int) -> None:
         """Entry point called by links when a packet arrives."""
-        iface = self.interfaces[ifindex]
-        iface.rx_packets += 1
-        iface.rx_bytes += packet.size
         if self.trace is not None:
             self.trace.record(
                 self.sim.now, self.name, "rx", packet.proto, packet.size,

@@ -158,16 +158,6 @@ class Topology:
         for node in self.nodes.values():
             node.trace = None
 
-    def attach_observability(self, obs=None):
-        """Attach a :class:`repro.obs.Observability` (created if not
-        given): instruments the simulator's dispatch loop and every
-        node and link with registry metrics; returns the obs object."""
-        from repro.obs.hooks import Observability, attach_topology
-
-        if obs is None:
-            obs = Observability()
-        return attach_topology(self, obs)
-
     # -- lifecycle -----------------------------------------------------------
 
     def start(self, nodes: Optional[list[str]] = None) -> None:

@@ -15,8 +15,7 @@ Quick start::
         print(obs.tracer.render(tid))
 
 ``python -m repro.obs`` runs a canned ISP scenario and prints the full
-report; ``python -m repro.obs diff A.json B.json`` diffs two metric
-dumps. See docs/observability.md for the metric and span inventory and
+report. See docs/observability.md for the metric and span inventory and
 the flight recorder.
 """
 

@@ -11,10 +11,6 @@ and prints:
 
 The span tree's leaves are exactly the subscribers that answered the
 query — causality, not inference.
-
-``python -m repro.obs diff A B`` instead diffs two metric dumps
-(JSONL scrapes, or one JSON object each) with per-metric deltas and
-regression highlighting; see :mod:`repro.obs.diff`.
 """
 
 from __future__ import annotations
@@ -54,14 +50,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    if argv is None:
-        argv = sys.argv[1:]
-    # ``diff`` is a subcommand with its own parser; everything else is
-    # the original demo CLI (kept flag-compatible).
-    if argv and argv[0] == "diff":
-        from repro.obs.diff import main as diff_main
-
-        return diff_main(argv[1:])
     args = build_parser().parse_args(argv)
 
     obs = Observability()

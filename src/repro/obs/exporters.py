@@ -1,24 +1,24 @@
-"""Exporters: Prometheus text format and JSON-lines event dumps.
+"""Exporters: Prometheus text format and a JSON-lines event dump.
 
 ``prometheus_text`` renders a :class:`~repro.obs.registry.MetricsRegistry`
 snapshot in the Prometheus exposition format (``# HELP`` / ``# TYPE``
 headers, ``_bucket``/``_sum``/``_count`` series for histograms), so a
-simulated run's metrics can be diffed, scraped, or pasted into any
+simulated run's metrics can be scraped or pasted into any
 PromQL-speaking tool.
 
-``spans_to_jsonl`` / ``metrics_to_jsonl`` dump the tracer and registry
-as one JSON object per line — the grep-friendly event-dump format the
-benchmarks post-process.
+``events_to_jsonl`` dumps the registry and the tracer as one JSON
+object per line: every metric series (``"kind": "metric"``), then every
+span (``"kind": "span"``).
 """
 
 from __future__ import annotations
 
 import json
 import math
-from typing import IO, Iterable, Optional
+from typing import Iterable
 
 from repro.obs.registry import HistogramValue, MetricFamily, MetricsRegistry
-from repro.obs.tracing import Span, Tracer
+from repro.obs.tracing import Tracer
 
 
 def _escape_label_value(value: str) -> str:
@@ -70,31 +70,10 @@ def prometheus_text(registry: MetricsRegistry) -> str:
     return "\n".join(lines)
 
 
-def write_prometheus(registry: MetricsRegistry, out: IO[str]) -> None:
-    out.write(prometheus_text(registry))
-
-
-# ----------------------------------------------------------------------
-# JSON lines
-# ----------------------------------------------------------------------
-
-
-def _span_record(span: Span) -> dict:
-    return span.to_record()
-
-
-def spans_to_jsonl(tracer: Tracer, out: Optional[IO[str]] = None) -> str:
-    """One JSON object per span, in start order."""
-    lines = [json.dumps(_span_record(span), sort_keys=True) for span in tracer.spans]
-    text = "\n".join(lines) + ("\n" if lines else "")
-    if out is not None:
-        out.write(text)
-    return text
-
-
-def metrics_to_jsonl(registry: MetricsRegistry, out: Optional[IO[str]] = None) -> str:
-    """One JSON object per time series (histograms summarized)."""
-    lines = []
+def events_to_jsonl(registry: MetricsRegistry, tracer: Tracer) -> str:
+    """Full observability dump, one JSON object per line: every metric
+    series (histograms summarized), then every span in start order."""
+    records = []
     for family in registry.collect():
         for values, child in family.children():
             record: dict = {
@@ -104,27 +83,9 @@ def metrics_to_jsonl(registry: MetricsRegistry, out: Optional[IO[str]] = None) -
                 "labels": dict(zip(family.labelnames, values)),
             }
             if isinstance(child, HistogramValue):
-                record.update(
-                    count=child.count,
-                    sum=child.sum,
-                    p50=child.percentile(50),
-                    p90=child.percentile(90),
-                    p99=child.percentile(99),
-                )
+                record.update(child.summary())
             else:
                 record["value"] = child.value
-            lines.append(json.dumps(record, sort_keys=True))
-    text = "\n".join(lines) + ("\n" if lines else "")
-    if out is not None:
-        out.write(text)
-    return text
-
-
-def events_to_jsonl(
-    registry: MetricsRegistry, tracer: Tracer, out: Optional[IO[str]] = None
-) -> str:
-    """Full observability dump: every metric series, then every span."""
-    text = metrics_to_jsonl(registry) + spans_to_jsonl(tracer)
-    if out is not None:
-        out.write(text)
-    return text
+            records.append(record)
+    records.extend(span.to_record() for span in tracer.spans)
+    return "".join(json.dumps(record, sort_keys=True) + "\n" for record in records)

@@ -121,6 +121,17 @@ class HistogramValue(_Child):
     def mean(self) -> float:
         return self.sum / self.count if self.count else 0.0
 
+    def summary(self) -> dict:
+        """The series as one record: count, sum, p50, p90 and p99 (the
+        shape :meth:`MetricsRegistry.snapshot` and the JSONL dump share)."""
+        return {
+            "count": self.count,
+            "sum": self.sum,
+            "p50": self.percentile(50),
+            "p90": self.percentile(90),
+            "p99": self.percentile(99),
+        }
+
     def cumulative_buckets(self) -> list[tuple[float, int]]:
         """(upper_bound, cumulative_count) pairs, ending with +Inf."""
         out = []
@@ -347,13 +358,7 @@ class MetricsRegistry:
                     f"{n}={v}" for n, v in zip(family.labelnames, values)
                 )
                 if isinstance(child, HistogramValue):
-                    series[key] = {
-                        "count": child.count,
-                        "sum": child.sum,
-                        "p50": child.percentile(50),
-                        "p90": child.percentile(90),
-                        "p99": child.percentile(99),
-                    }
+                    series[key] = child.summary()
                 else:
                     series[key] = child.value
             out[family.name] = {

@@ -25,6 +25,7 @@ from repro.core.keys import ChannelKey
 from repro.core.network import ExpressNetwork, SourceHandle
 from repro.netsim.engine import PeriodicTask
 from repro.netsim.packet import Packet
+from repro.netsim.trace import Counter
 from repro.relay.floor import FloorControl, FloorDecision
 
 #: Simulated wire size of a small relay control message.
@@ -66,13 +67,21 @@ class SessionRelay:
         #: The relay's channel names its session: unique in the network,
         #: and owned by this relay alone.
         self.session_id = self.channel
-        if net.obs is None:
-            self._m_messages = None
-        else:
-            self._m_messages = net.obs.registry.counter(
+        #: Messages by (direction, kind); an attached registry folds it
+        #: into ``relay_messages_total`` at collect.
+        self.messages = Counter()
+        if net.obs is not None:
+            family = net.obs.registry.counter(
                 "relay_messages_total",
                 "Session-relay messages by session, direction, and kind",
                 ("session", "direction", "kind"),
+            )
+            session = str(self.session_id)
+            net.obs.registry.fold(
+                lambda: (
+                    (family, (session, direction, kind), total)
+                    for (direction, kind), total in self.messages.items()
+                )
             )
         self.floor = floor
         self.talk_size = talk_size
@@ -120,10 +129,7 @@ class SessionRelay:
             return
         if self.stopped:
             return
-        if self._m_messages is not None:
-            self._m_messages.labels(
-                session=str(self.session_id), direction="rx", kind=message.kind
-            ).inc()
+        self.messages["rx", message.kind] += 1
         if message.kind == "talk":
             self._relay_talk(message, packet.size)
         elif message.kind == "floor_request":
@@ -167,10 +173,7 @@ class SessionRelay:
         )
         if kind == "talk":
             self.relayed += 1
-        if self._m_messages is not None:
-            self._m_messages.labels(
-                session=str(self.session_id), direction="tx", kind=kind
-            ).inc()
+        self.messages["tx", kind] += 1
         return self.handle.send(self.channel, payload=out, size=size or self.talk_size)
 
     def speak_from_relay(self, body: Any, size: Optional[int] = None) -> int:

@@ -124,7 +124,8 @@ def assert_control_plane_at_rest(net: ExpressNetwork) -> None:
     timer, no channel state without a downstream record (one a rollback
     emptied and did not collect), no emptied inner set left standing in the
     ``liveness.udp_channels`` index, and no pending key or proactive
-    table left for a channel whose state was collected."""
+    table left for a channel whose state was collected, and no downstream
+    record holding a count <= 0 (a zero Count drops the record)."""
     for name, agent in net.ecmp_agents.items():
         held = {
             "pending_verdicts": agent.verdicts.pending,
@@ -141,6 +142,12 @@ def assert_control_plane_at_rest(net: ExpressNetwork) -> None:
                 str(channel)
                 for channel, state in agent.channels.items()
                 if not state.downstream
+            ],
+            "records holding a count <= 0": [
+                f"{channel} <- {neighbor}"
+                for channel, state in agent.channels.items()
+                for neighbor, record in state.downstream.items()
+                if record.count <= 0
             ],
             "empty udp_channels sets": [
                 peer

@@ -44,7 +44,7 @@ from repro.core.ecmp.session import Neighbor, NeighborSessions
 from repro.core.keys import make_key
 from repro.inet.headers import ETHERNET_TCP_SEGMENT
 from repro.netsim.engine import Simulator
-from repro.netsim.packet import Packet
+from repro.netsim.packet import IP_HEADER_BYTES, Packet
 from repro.netsim.trace import Counter as StatsBag
 from repro.workloads import poisson_churn, schedule_ops
 from tests.oracles import sessions as sessions_oracle
@@ -234,6 +234,8 @@ class TestCoalescingSendPath:
         assert session.queue is None and session.flush_event is None
         assert session.holdoff_until == 2 * EcmpAgent.BATCH_FLUSH_INTERVAL
         assert bare.stats.get("batch_flushes") == 2
+        # Two records rode one frame: one of them cost no packet.
+        assert bare.stats.get("msgs_coalesced") == 1
 
     def test_coalesced_update_counted(self, line_net):
         agent = line_net.ecmp_agents["n0"]
@@ -936,6 +938,27 @@ class TestReconnectResend:
         assert len(frame) == self.N_CHANNELS
         assert {m.channel for m in frame.messages} == set(channels)
         assert all(m.count == 1 for m in frame.messages)
+
+    def test_a_flap_before_the_recompute_resyncs_through_the_kept_upstream(
+        self, subscribed_net
+    ):
+        """A session that drops and comes back inside one instant, before
+        routing recomputes, keeps its upstream: the reconnect dump, not a
+        re-home, restores the counts, and its logical bytes (one IP
+        header and one Count per channel) are the resync cost."""
+        net, channels = subscribed_net
+        n0, n1 = net.ecmp_agents["n0"], net.ecmp_agents["n1"]
+        upstream_sends = transmit_log(n1, "n0")
+        link = net.topo.link_between("n0", "n1")
+        link.fail()
+        link.recover()
+        net.settle()
+        assert [len(frame) for _, frame in upstream_sends] == [self.N_CHANNELS]
+        assert n1.stats["resync_counts"] == self.N_CHANNELS
+        assert n1.stats["resync_bytes"] == self.N_CHANNELS * (
+            IP_HEADER_BYTES + messages.COUNT_WIRE_BYTES
+        )
+        assert all(n0.subscriber_count_estimate(ch) == 1 for ch in channels)
 
     def test_reconnect_restores_upstream_counts(self, subscribed_net):
         net, channels = subscribed_net

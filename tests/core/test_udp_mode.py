@@ -14,6 +14,7 @@ import pytest
 from repro import ExpressNetwork, NeighborMode, TopologyBuilder
 from repro.core.ecmp.protocol import EcmpAgent
 from tests.conftest import make_channel
+from tests.oracles.refresh import reference_refresh_tick
 
 
 @pytest.fixture
@@ -76,6 +77,38 @@ class TestUdpMode:
         assert hub.subscriber_count_estimate(ch) == 0
         assert hub.stats.get("udp_expirations") >= 1
 
+    def test_a_record_refreshed_exactly_one_lease_before_a_tick_survives_it(
+        self, edge_net
+    ):
+        """The lease boundary, as ``tests/oracles/refresh.py`` specifies
+        it: a record expires once its last refresh is *more* than
+        UDP_ROBUSTNESS x UDP_QUERY_INTERVAL old. Refreshed exactly that
+        long before a tick, it survives the tick; the next tick expires
+        it."""
+        net = edge_net
+        src, ch = make_channel(net, "leaf0")
+        net.host("leaf1").subscribe(ch)
+        net.settle()
+        # Silence the host, so only the refresh below keeps the record.
+        leaf = net.ecmp_agents["leaf1"]
+        leaf.subscriptions.clear()
+        leaf.channels.clear()
+        hub = net.ecmp_agents["hub"]
+        lease = EcmpAgent.UDP_ROBUSTNESS * EcmpAgent.UDP_QUERY_INTERVAL
+        refreshed_at = 4.0
+        net.run(until=refreshed_at)
+        hub._apply_subscriber_count(ch, "leaf1", 1)  # a refresh: the same count
+        tick_at = refreshed_at + lease
+        assert tick_at - lease == refreshed_at  # the boundary, exact in floats
+        net.run(until=tick_at)
+        assert net.sim.now == tick_at
+        assert reference_refresh_tick(hub, tick_at)[1] == set()
+        hub.liveness.refresh_tick()
+        assert hub.subscriber_count_estimate(ch) == 1
+        net.run(until=tick_at + EcmpAgent.UDP_QUERY_INTERVAL)
+        assert hub.subscriber_count_estimate(ch) == 0
+        assert hub.stats["udp_expirations"] == 1
+
     def test_zero_count_triggers_requery(self, edge_net):
         net = edge_net
         src, ch = make_channel(net, "leaf0")
@@ -86,6 +119,10 @@ class TestUdpMode:
         net.settle()
         # Hub re-issued a CountQuery toward the leaving interface.
         assert net.ecmp_agents["leaf1"].stats.get("queries_rx") > queries_before
+        # The re-query's answer is a zero Count for a record already
+        # gone: one join and one leave, and nothing else, at the hub.
+        hub = net.ecmp_agents["hub"].stats
+        assert (hub["subscribe_events"], hub["unsubscribe_events"]) == (1, 1)
 
     def test_leave_requery_is_channel_specific_with_full_timeout(self, edge_net):
         """The IGMPv2-style last-member re-query names the channel that

@@ -256,3 +256,25 @@ class TestOrphanDetection:
         assert victim is not None
         net.ecmp_agents[victim].channels.clear()
         assert monitor.orphaned_state() > baseline
+
+
+class TestAtRestCheck:
+    """``tests.conftest.assert_control_plane_at_rest`` is itself held to
+    what it promises: quiet on a settled network, and naming the row a
+    manufactured leftover breaks."""
+
+    def test_a_settled_network_is_at_rest(self, observed_net):
+        workload(observed_net)
+        assert_control_plane_at_rest(observed_net)
+
+    def test_a_record_holding_a_zero_count_is_named(self, observed_net):
+        net = observed_net
+        _, ch, _ = workload(net)
+        agent = next(
+            a for a in net.ecmp_agents.values()
+            if ch in a.channels and a.channels[ch].downstream
+        )
+        record = next(iter(agent.channels[ch].downstream.values()))
+        record.count = 0
+        with pytest.raises(AssertionError, match="records holding a count <= 0"):
+            assert_control_plane_at_rest(net)

@@ -170,15 +170,28 @@ class TestNode:
         with pytest.raises(SimulationError):
             node.send(Packet(src=1, dst=2), 0)
 
-    def test_interface_counters(self):
+    def test_a_hop_is_counted_on_the_link_and_in_node_metrics(self):
+        """A hop's tallies have one owner each: the link counts what it
+        carried, and an attached ``NodeMetrics`` what each end saw."""
         sim, a, b, link = wire_pair()
         b.register_agent("data", Sink(b))
+        a.metrics, b.metrics = RecordingMetrics(), RecordingMetrics()
         a.send(Packet(src=1, dst=2, size=100), 0)
         sim.run()
-        assert a.interfaces[0].tx_packets == 1
-        assert a.interfaces[0].tx_bytes == 100
-        assert b.interfaces[0].rx_packets == 1
-        assert b.interfaces[0].rx_bytes == 100
+        assert (link.tx_packets, link.lost_packets) == (1, 0)
+        assert a.metrics.calls == [("tx", "data", 100)]
+        assert b.metrics.calls == [("rx", "data", 100)]
+
+    def test_an_interface_holds_no_tallies(self):
+        """Interfaces are wiring only: a hop writes nothing to them."""
+        sim, a, b, link = wire_pair()
+        b.register_agent("data", Sink(b))
+        before = [dict(vars(iface)) for iface in (a.interfaces[0], b.interfaces[0])]
+        a.send(Packet(src=1, dst=2, size=100), 0)
+        sim.run()
+        after = [vars(iface) for iface in (a.interfaces[0], b.interfaces[0])]
+        assert after == before
+        assert set(before[0]) == {"node", "index", "link", "peer"}
 
     def test_neighbors_and_interface_to(self):
         sim, a, b, link = wire_pair()

@@ -1,16 +1,9 @@
 """Unit tests for the Prometheus and JSON-lines exporters."""
 
-import io
 import json
 import threading
 
-from repro.obs.exporters import (
-    events_to_jsonl,
-    metrics_to_jsonl,
-    prometheus_text,
-    spans_to_jsonl,
-    write_prometheus,
-)
+from repro.obs.exporters import events_to_jsonl, prometheus_text
 from repro.obs.registry import MetricsRegistry
 from repro.obs.tracing import Tracer
 
@@ -56,19 +49,17 @@ class TestPrometheusText:
         text = prometheus_text(registry)
         assert 'c{ch="a\\"b\\\\c\\nd"} 1' in text
 
-    def test_write_prometheus(self):
-        out = io.StringIO()
-        write_prometheus(small_registry(), out)
-        assert out.getvalue() == prometheus_text(small_registry())
-
     def test_ends_with_newline(self):
         assert prometheus_text(small_registry()).endswith("\n")
 
 
+def jsonl_records(registry, tracer):
+    return [json.loads(line) for line in events_to_jsonl(registry, tracer).splitlines()]
+
+
 class TestJsonl:
     def test_metrics_records_parse(self):
-        lines = metrics_to_jsonl(small_registry()).splitlines()
-        records = [json.loads(line) for line in lines]
+        records = jsonl_records(small_registry(), Tracer())
         assert all(record["kind"] == "metric" for record in records)
         by_name = {}
         for record in records:
@@ -79,13 +70,31 @@ class TestJsonl:
         assert hist["count"] == 3
         assert hist["p50"] == 0.5
 
+    def test_a_histogram_record_is_the_snapshot_summary(self):
+        registry = small_registry()
+        (hist,) = [r for r in jsonl_records(registry, Tracer()) if r["name"] == "lat_seconds"]
+        summary = registry.snapshot()["lat_seconds"]["series"][""]
+        assert {key: hist[key] for key in summary} == summary
+
+    def test_a_labelled_histogram_record_carries_labels_and_summary(self):
+        registry = MetricsRegistry()
+        hist = registry.histogram("hop_seconds", "", ("node",), buckets=(1.0,))
+        hist.labels(node="r1").observe(0.5)
+        hist.labels(node="r2").observe(2.0)
+        records = jsonl_records(registry, Tracer())
+        assert [(r["labels"], r["count"], r["sum"]) for r in records] == [
+            ({"node": "r1"}, 1, 0.5),
+            ({"node": "r2"}, 1, 2.0),
+        ]
+        assert all(r["type"] == "histogram" for r in records)
+
     def test_spans_records_parse(self):
         tracer = Tracer()
         with tracer.span("root", node="s", channel="(S,E)") as root:
             tracer.add_event(root, "reply", count=2)
             with tracer.span("child", node="h"):
                 pass
-        records = [json.loads(line) for line in spans_to_jsonl(tracer).splitlines()]
+        records = jsonl_records(MetricsRegistry(), tracer)
         assert len(records) == 2
         assert records[0]["name"] == "root"
         assert records[0]["parent_id"] is None
@@ -93,19 +102,15 @@ class TestJsonl:
         assert records[0]["events"][0]["name"] == "reply"
         assert records[0]["attrs"]["channel"] == "(S,E)"
 
-    def test_events_to_jsonl_combines_both(self):
+    def test_events_to_jsonl_puts_metrics_before_spans(self):
         tracer = Tracer()
         with tracer.span("root"):
             pass
-        out = io.StringIO()
-        text = events_to_jsonl(small_registry(), tracer, out)
-        assert out.getvalue() == text
-        kinds = {json.loads(line)["kind"] for line in text.splitlines()}
-        assert kinds == {"metric", "span"}
+        kinds = [record["kind"] for record in jsonl_records(small_registry(), tracer)]
+        assert kinds == ["metric"] * (len(kinds) - 1) + ["span"]
 
-    def test_empty_dumps(self):
-        assert spans_to_jsonl(Tracer()) == ""
-        assert metrics_to_jsonl(MetricsRegistry()) == ""
+    def test_empty_dump(self):
+        assert events_to_jsonl(MetricsRegistry(), Tracer()) == ""
 
 
 class TestExporterRobustness:
@@ -132,7 +137,7 @@ class TestExporterRobustness:
                 for _ in range(50):
                     text = prometheus_text(registry)
                     assert "spin_total" in text
-                    metrics_to_jsonl(registry)
+                    events_to_jsonl(registry, Tracer())
             except BaseException as exc:  # pragma: no cover - failure path
                 failures.append(exc)
 

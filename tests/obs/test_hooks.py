@@ -150,6 +150,13 @@ class TestMetricsThreading:
             if dict(zip(family.labelnames, values))["event"] == "counts_rx"
         )
         assert registry_total == totals["counts_rx"]
+        # No loss and no drop: every logical byte sent is received.
+        logical = series(obs.registry, "ecmp_bytes_total")
+        sent, received = (
+            sum(total for (_, way), total in logical.items() if way == direction)
+            for direction in ("tx", "rx")
+        )
+        assert received == sent == totals["bytes_tx"] > 0
 
     def test_node_link_and_engine_instrumentation(self):
         obs = Observability()
@@ -428,6 +435,38 @@ class TestRelayMetrics:
         session = str(relay.session_id)
         assert series[f"session={session},direction=rx,kind=talk"] == 1
         assert series[f"session={session},direction=tx,kind=talk"] == 1
+
+
+    def test_relay_tallies_without_a_registry(self):
+        """The relay counts its messages whether or not a registry is
+        attached; the registry only folds the tally in."""
+        net = isp_network(obs=None)
+        net.run(until=0.1)
+        relay = SessionRelay(net, "h0_0_0")
+        SessionParticipant(net, "h1_0_0", relay)
+        speaker = SessionParticipant(net, "h2_0_0", relay)
+        net.settle()
+        speaker.speak(b"question")
+        net.settle()
+        assert relay.messages["rx", "talk"] == 1
+        assert relay.messages["tx", "talk"] == 1
+
+    def test_relay_series_is_read_at_collect(self):
+        """A message counted after one snapshot shows in the next."""
+        obs = Observability()
+        net = isp_network(obs)
+        net.run(until=0.1)
+        relay = SessionRelay(net, "h0_0_0")
+        SessionParticipant(net, "h1_0_0", relay)
+        speaker = SessionParticipant(net, "h2_0_0", relay)
+        net.settle()
+        key = f"session={relay.session_id},direction=tx,kind=talk"
+        speaker.speak(b"one")
+        net.settle()
+        assert obs.registry.snapshot()["relay_messages_total"]["series"][key] == 1
+        speaker.speak(b"two")
+        net.settle()
+        assert obs.registry.snapshot()["relay_messages_total"]["series"][key] == 2
 
 
 class TestCli:

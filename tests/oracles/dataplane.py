@@ -70,8 +70,6 @@ def reference_send(node: Node, packet: Packet, ifindex: int) -> bool:
     if iface.link is None or not iface.link.up:
         _record_drop(node, packet, "link-down")
         return False
-    iface.tx_packets += 1
-    iface.tx_bytes += packet.size
     if node.trace is not None:
         node.trace.record(
             node.sim.now, node.name, "tx", packet.proto, packet.size,
@@ -96,9 +94,6 @@ def _agent_for(node: Node, proto: str):
 
 
 def reference_receive(node: Node, packet: Packet, ifindex: int) -> None:
-    iface = node.interfaces[ifindex]
-    iface.rx_packets += 1
-    iface.rx_bytes += packet.size
     if node.trace is not None:
         node.trace.record(
             node.sim.now, node.name, "rx", packet.proto, packet.size,

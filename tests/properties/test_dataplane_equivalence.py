@@ -265,13 +265,6 @@ def observe(case: int, scheduler: str) -> dict:
             (r.time, r.node, r.direction, r.proto, r.size, r.detail)
             for r in trace.records
         ],
-        "interfaces": {
-            (name, iface.index): (
-                iface.tx_packets, iface.tx_bytes, iface.rx_packets, iface.rx_bytes
-            )
-            for name, node in topo.nodes.items()
-            for iface in node.interfaces
-        },
         "links": [
             (
                 link.node_a.name, link.node_b.name, link.tx_packets,
