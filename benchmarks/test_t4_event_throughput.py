@@ -212,6 +212,8 @@ def test_t4_per_event_cost_flat_in_channels(benchmark):
             "  (the wall-clock rates of the paper's workload are printed by",
             "  the test, not tracked)",
             "  one fixed stream of 4k events at a hub holding that many channels",
+            "  (its joins carry no request id: nobody waits on them, so the hub",
+            "  sends no OK verdict back)",
             *[
                 f"  {n:>7,} channels: {per_event:>10.2f} Python calls/event"
                 for n, per_event in calls.items()

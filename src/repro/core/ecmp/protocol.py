@@ -860,14 +860,13 @@ class EcmpAgent(ProtocolAgent):
                 self.verdicts.pending_keys[state.channel] = key
             else:
                 record.validated = forwards = True
-            entry = VerdictEntry(
-                neighbor=from_name,
-                prior_count=previous,
-                prior_validated=prior_validated,
-                presented_key=key,
-                request_id=request_id,
-                joined_count=count,
-            )
+            # Nobody waits on a keyless replay under id 0 (a re-home, a
+            # reconnect dump): no entry, and no answer unless refused.
+            if key is not None or request_id or from_name == LOCAL or from_name in self.blocks:
+                entry = VerdictEntry(
+                    neighbor=from_name, prior_count=previous, prior_validated=prior_validated,
+                    presented_key=key, request_id=request_id, joined_count=count,
+                )
 
         if forwards != (prior_validated and previous > 0):
             self._set_forwarding(state, from_name, forwards)
@@ -878,7 +877,7 @@ class EcmpAgent(ProtocolAgent):
             # The join terminated here: this node's verdict is final.
             if from_name == LOCAL:
                 self._activate_local(channel)
-            else:
+            elif request_id:
                 self._send_message(
                     CountResponse(channel, SUBSCRIBER_ID, CountStatus.OK, request_id),
                     from_name,
@@ -1207,7 +1206,7 @@ class EcmpAgent(ProtocolAgent):
                 self.obs.state_changed()
             state.upstream = new_upstream
             state.upstream_changed_at = now
-            if new_upstream is not None and state.has_downstream():
+            if new_upstream is not None and (state.lone_name is not None or state.spill):
                 state.advertised = 0  # force a fresh join to the new parent
                 self.verdicts.reannounce(state, self.keys.get(channel), fresh=True)
             elif new_upstream is None:

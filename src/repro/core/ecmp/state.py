@@ -209,9 +209,6 @@ class ChannelState:
             if not validated_only or rec.validated
         )
 
-    def has_downstream(self) -> bool:
-        return any(rec.count > 0 for rec in self.downstream.values())
-
     def downstream_links(self) -> int:
         """Tree links below this node (excludes the host-local record
         and aggregated subscriber-block records, which are not links)."""

@@ -1,13 +1,21 @@
-"""ECMP verdicts (§3.2, §3.5): every join gets exactly one answer, and a
-denied join is rolled back.
+"""ECMP verdicts (§3.2, §3.5): every join someone waits on gets exactly
+one answer, and a denied join is rolled back.
 
+§3.1 lets a router "either acknowledge or reject a Count message".
 Every *join* Count (a 0→positive transition, or any Count carrying a
-key) receives exactly one ``CountResponse`` verdict from its immediate
-upstream: OK or INVALID_AUTHENTICATOR. A router that terminates the
-join locally (it knows the key, it is the always-authoritative source,
-or it absorbs a keyless join into an existing tree) answers at once;
-otherwise it forwards the join, records a :class:`VerdictEntry` with
-rollback state, and relays the verdict when its own upstream answers.
+key) that carries a key or a request id, or comes from a local
+subscriber or a subscriber block, receives exactly one
+``CountResponse`` verdict from its immediate upstream: OK or
+INVALID_AUTHENTICATOR. A router that terminates the join locally (it
+knows the key, it is the always-authoritative source, or it absorbs a
+keyless join into an existing tree) answers at once; otherwise it
+forwards the join, records a :class:`VerdictEntry` with rollback
+state, and relays the verdict when its own upstream answers. A keyless
+replay under id 0 (a re-home, a reconnect dump) has nobody waiting on
+it: it tables no entry, goes on upstream under id 0, and hears back
+only if it is refused — an OK is never sent under id 0, and a refusal
+under id 0 tears down every keyless record that stood on the refused
+Count.
 Each forwarded join carries a small request id that its verdict echoes,
 and the entry is found by ``(channel, id)`` — never by arrival order,
 so a verdict answered locally by a router that has just learned the key
@@ -252,7 +260,7 @@ class Verdicts:
 
         if message.status is CountStatus.OK:
             if entry is None:
-                return  # e.g. a refresh the upstream saw as a fresh join
+                return  # none is sent under id 0; a stray one changes nothing
             key = entry.presented_key
             if key is not None:
                 agent.keys.learn(channel, key)
@@ -281,17 +289,23 @@ class Verdicts:
                 for sharer in entry.sharers or ():
                     self._rollback(state, sharer)
             else:
-                # Unmatched denial (e.g. a re-homing join was refused):
-                # tear down the most recent optimistic keyless record.
-                for name in reversed(list(state.downstream)):
-                    if state.downstream[name].presented_key is None:
-                        agent._drop_record(state, name)
-                        self._notify_denied(state.channel, name)
-                        # No entry says what the refused Count added
-                        # upstream, so the new total is sent: a zero when
-                        # that was the last record, and the state goes.
-                        agent._propagate(state)
-                        break
+                # Unmatched denial: a Count nobody waited on (a re-home or
+                # reconnect replay, under id 0) was refused, and every
+                # keyless record here stood on it: each is torn down.
+                refused = [
+                    name
+                    for name, record in state.downstream.items()
+                    if record.presented_key is None
+                ]
+                for name in refused:
+                    agent.stats["denied_subscriptions"] += 1
+                    agent._drop_record(state, name)
+                    self._notify_denied(channel, name)
+                if refused:
+                    # No entry says what the refused Count added
+                    # upstream, so the new total is sent: a zero when
+                    # that was the last record, and the state goes.
+                    agent._propagate(state)
             agent._garbage_collect(state)
 
     def _confirm(
@@ -316,9 +330,10 @@ class Verdicts:
                     agent._set_forwarding(state, neighbor, True)
         if neighbor == LOCAL:
             agent._activate_local(state.channel)
-        else:
+        elif entry.request_id:
             # Relay the verdict even if the neighbor has since left: a
-            # node below it may still hold an entry for this join.
+            # node below it may still hold an entry for this join. A
+            # join that came under id 0 has nobody waiting on an OK.
             agent._send_message(
                 CountResponse(
                     state.channel, SUBSCRIBER_ID, CountStatus.OK, entry.request_id

@@ -1,4 +1,4 @@
-"""IPv4 substrate: addresses, header codecs, and IGMP.
+"""IPv4 substrate: addresses, size constants, and IGMP.
 
 EXPRESS occupies a carved-out slice of the class-D space
 (232.0.0.0/8, "2^24 class D addresses ... allocated by IANA for
@@ -21,18 +21,14 @@ from repro.inet.addr import (
     parse_address,
     ssm_address,
 )
-from repro.inet.headers import IPv4Header, UDPHeader, internet_checksum
 
 __all__ = [
     "CLASS_D_FIRST",
     "CLASS_D_LAST",
-    "IPv4Header",
     "SSM_FIRST",
     "SSM_LAST",
-    "UDPHeader",
     "channel_suffix",
     "format_address",
-    "internet_checksum",
     "is_class_d",
     "is_ssm",
     "is_unicast",

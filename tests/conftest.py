@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from repro import Channel, ExpressNetwork, TopologyBuilder
@@ -73,6 +75,31 @@ def flapping_isp_net() -> tuple[ExpressNetwork, list[SourceHandle]]:
         net.sim.schedule_at(0.5 + k, link.fail)
         net.sim.schedule_at(0.65 + k, link.recover)
     return net, sources
+
+
+def settled_keyless_isp() -> tuple[ExpressNetwork, list[Channel]]:
+    """A settled 4-transit ISP network (t0..t3 on a ring with a t0-t2
+    chord, two stubs per transit, two hosts per stub) carrying eight
+    keyless channels, four each from h1_0_0 (below t1) and h0_1_0
+    (below t0), each with three members dealt from a fixed seed. A
+    t0-t1 flap re-homes the channels whose path crossed it; a t2 crash
+    cuts t2's stubs off until it restarts."""
+    topo = TopologyBuilder.isp(n_transit=4, stubs_per_transit=2, hosts_per_stub=2)
+    net = ExpressNetwork(topo)
+    net.run(until=0.01)
+    rng = random.Random(42)
+    sources = ["h1_0_0", "h0_1_0"]
+    others = sorted(net.host_names - set(sources))
+    channels = []
+    for name in sources:
+        source = net.source(name)
+        for _ in range(4):
+            channel = source.allocate_channel()
+            channels.append(channel)
+            for member in rng.sample(others, 3):
+                net.host(member).subscribe(channel)
+    net.settle()
+    return net, channels
 
 
 def scan_interface_to(node, peer):

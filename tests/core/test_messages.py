@@ -36,6 +36,7 @@ class TestWireSizes:
         message = Count(channel=CH, count_id=SUBSCRIBER_ID, count=5)
         assert message.wire_size() == COUNT_WIRE_BYTES == 16
         assert len(encode_message(message)) == 16
+        assert ETHERNET_TCP_SEGMENT == 1480
         assert ETHERNET_TCP_SEGMENT // COUNT_WIRE_BYTES == 92
 
     def test_authenticated_count_adds_8_bytes(self):

@@ -80,7 +80,7 @@ class TestStateAccounting:
         state.downstream["r2"] = DownstreamRecord(count=4)
         state.downstream["r3"] = DownstreamRecord(count=0)
         assert state.total() == 5
-        assert state.has_downstream()
+        assert state.downstream
         assert state.downstream_links() == 1  # LOCAL and zero-count excluded
 
     def test_unvalidated_listing(self):

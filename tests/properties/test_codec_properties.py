@@ -21,7 +21,6 @@ from repro.core.keys import KEY_BYTES, ChannelKey
 from repro.core.proactive import ToleranceCurve
 from repro.errors import CodecError
 from repro.inet.addr import format_address, parse_address
-from repro.inet.headers import IPv4Header, UDPHeader
 from repro.routing.fib import FibEntry
 
 unicast_addresses = st.integers(min_value=0, max_value=0xDFFFFFFF).filter(
@@ -176,29 +175,6 @@ class TestBatchFrames:
             pass
         else:
             raise AssertionError("message with trailing byte decoded")
-
-
-class TestHeaderCodecs:
-    @given(
-        src=st.integers(min_value=0, max_value=0xFFFFFFFF),
-        dst=st.integers(min_value=0, max_value=0xFFFFFFFF),
-        proto=st.integers(min_value=0, max_value=255),
-        ttl=st.integers(min_value=0, max_value=255),
-        length=st.integers(min_value=20, max_value=0xFFFF),
-    )
-    def test_ipv4_round_trip(self, src, dst, proto, ttl, length):
-        header = IPv4Header(src=src, dst=dst, proto=proto, ttl=ttl, total_length=length)
-        assert IPv4Header.unpack(header.pack()) == header
-
-    @given(
-        src_port=st.integers(min_value=0, max_value=0xFFFF),
-        dst_port=st.integers(min_value=0, max_value=0xFFFF),
-        payload=st.binary(max_size=512),
-    )
-    def test_udp_round_trip(self, src_port, dst_port, payload):
-        data = UDPHeader(src_port=src_port, dst_port=dst_port).pack(payload)
-        header, parsed = UDPHeader.unpack(data)
-        assert (header.src_port, header.dst_port, parsed) == (src_port, dst_port, payload)
 
 
 class TestAddressAndFib:

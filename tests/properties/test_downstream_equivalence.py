@@ -5,17 +5,18 @@ dict only when a second neighbor appears; it never folds back. Every
 reader goes through ``downstream`` (the hot paths of ``protocol.py`` and
 ``counting.py`` read the slots themselves, and the whole-network
 equivalence suites hold those), so ``downstream`` must *be* a dict to
-them, insertion order included: ``protocol.py`` walks
-``reversed(list(state.downstream))`` and ``Counting.on_query`` fans out
-in that order.
+them, insertion order included: ``Verdicts.on_response`` tears down
+the keyless records a refused replay stood on, and ``Counting.on_query``
+fans out, in that order.
 
 Each case drives a state and a dict through one seeded random sequence
 of set / get / ``in`` / ``[]`` / pop / del / iterate / ``len`` over
 three neighbor names, so it keeps crossing the 0 → 1 → 2 → 1 record
 transitions, some through a view taken before the state spilled. After
 every step the two agree on every answer, the key order, ``items`` and
-``values``, and ``total()`` / ``has_downstream()`` equal what the dict
-says. Building the spilled dict in the other order fails it.
+``values``, and ``total()`` and the slot read of whether any record is
+held (``lone_name`` / ``spill``, as the re-home pass reads it) equal
+what the dict says. Building the spilled dict in the other order fails it.
 """
 
 import random
@@ -89,7 +90,7 @@ def test_downstream_behaves_as_a_dict(case):
         assert held == plain and len(held) == len(plain)
         assert state.total() == sum(r.count for r in plain.values() if r.validated)
         assert state.total(validated_only=False) == sum(r.count for r in plain.values())
-        assert state.has_downstream() == any(r.count > 0 for r in plain.values())
+        assert (state.lone_name is not None or bool(state.spill)) == bool(plain)
         spilled += state.spill is not None
         if state.spill is None:
             assert len(plain) <= 1
