@@ -30,8 +30,9 @@ A block's member count on a channel has one writer,
 :meth:`SubscriberBlock.set_count`, and the edge router calls it where it
 writes the block's downstream record: the fast path and the full path
 of a count change, every drop of the record (a leave to zero, UDP
-expiry, a rollback or denial), a rollback to a smaller count, the batch
-fold (:meth:`BlockChannelGroup.run_batch`) and a crash. So the block
+expiry, a refusal under request id 0 — a block's keyless join tables
+no verdict entry and is answered only if refused), the batch fold
+(:meth:`BlockChannelGroup.run_batch`) and a crash. So the block
 counts the members the router's record holds: a join the network
 refuses adds none, and :meth:`~SubscriberBlock.join` returns the count
 the router settled on. ``set_count`` flushes the channel's delivery

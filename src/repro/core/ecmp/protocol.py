@@ -794,7 +794,7 @@ class EcmpAgent(ProtocolAgent):
         # reads as here: a repeat of a join whose verdict was lost is a
         # refresh by its count and still has someone waiting on it.
         is_join = previous == 0 or key is not None or request_id != 0
-        defer = False
+        asked = None  # the key whose upstream verdict this join waits on
         if is_join:
             verdict = self.keys.validate(channel, key) if self.keys.knows(channel) else None
             if verdict is False:
@@ -808,9 +808,12 @@ class EcmpAgent(ProtocolAgent):
                 self.routing.topo.node_by_address(channel.source) is self.node
             )
             # Accept locally when the key checked out, the join is
-            # keyless (optimistic), or we are the always-authoritative
-            # source (no installed key == open channel).
-            defer = key is not None and verdict is None and not at_source
+            # keyless (optimistic; but while a key's verdict is upstream
+            # the channel may be keyed, §3.5, and it waits — unless it is
+            # a block's: open channels only), or we are the source.
+            if verdict is None and not at_source:
+                waiting = {} if from_name in self.blocks else self.verdicts.pending_keys
+                asked = key if key is not None else waiting.get(channel)
 
         if state is None:
             state = self._create_state(channel)
@@ -855,14 +858,14 @@ class EcmpAgent(ProtocolAgent):
         forwards = prior_validated
         if is_join:
             record.presented_key = key
-            if defer:
+            if asked is not None:
                 record.validated = forwards = False
-                self.verdicts.pending_keys[state.channel] = key
+                self.verdicts.pending_keys[state.channel] = asked
             else:
                 record.validated = forwards = True
-            # Nobody waits on a keyless replay under id 0 (a re-home, a
-            # reconnect dump): no entry, and no answer unless refused.
-            if key is not None or request_id or from_name == LOCAL or from_name in self.blocks:
+            # Nobody waits on a keyless join under id 0 (a host's, a
+            # block's, a replay's): no entry, no answer unless refused.
+            if key is not None or asked is not None or request_id:
                 entry = VerdictEntry(
                     neighbor=from_name, prior_count=previous, prior_validated=prior_validated,
                     presented_key=key, request_id=request_id, joined_count=count,
@@ -870,9 +873,7 @@ class EcmpAgent(ProtocolAgent):
 
         if forwards != (prior_validated and previous > 0):
             self._set_forwarding(state, from_name, forwards)
-        forwarded = self._propagate(
-            state, joining_key=key if defer else None, join_entry=entry
-        )
+        forwarded = self._propagate(state, joining_key=asked, join_entry=entry)
         if is_join and not forwarded:
             # The join terminated here: this node's verdict is final.
             if from_name == LOCAL:

@@ -3,19 +3,21 @@ one answer, and a denied join is rolled back.
 
 §3.1 lets a router "either acknowledge or reject a Count message".
 Every *join* Count (a 0→positive transition, or any Count carrying a
-key) that carries a key or a request id, or comes from a local
-subscriber or a subscriber block, receives exactly one
+key) that carries a key or a request id receives exactly one
 ``CountResponse`` verdict from its immediate upstream: OK or
 INVALID_AUTHENTICATOR. A router that terminates the join locally (it
-knows the key, it is the always-authoritative source, or it absorbs a
-keyless join into an existing tree) answers at once; otherwise it
-forwards the join, records a :class:`VerdictEntry` with rollback
-state, and relays the verdict when its own upstream answers. A keyless
-replay under id 0 (a re-home, a reconnect dump) has nobody waiting on
-it: it tables no entry, goes on upstream under id 0, and hears back
-only if it is refused — an OK is never sent under id 0, and a refusal
-under id 0 tears down every keyless record that stood on the refused
-Count.
+knows the key, or it is the always-authoritative source) answers at
+once; otherwise it forwards the join, records a :class:`VerdictEntry`
+with rollback state, and relays the verdict when its own upstream
+answers. A keyless join under id 0 (a host's, a block's, a re-home or
+reconnect replay) has nobody waiting on it: it tables no entry, goes on
+upstream under id 0 unless a router on the tree absorbs it, and hears
+back only if it is refused — an OK is never sent under id 0, and a
+refusal under id 0 tears down every keyless record that stood on the
+refused Count. A keyless join that lands beside a key's verdict still
+upstream waits all the same (the channel may be keyed): it is refused
+if the key is confirmed and taken optimistically if the key is refused.
+A denial sends upstream what no Count there stands on any more.
 Each forwarded join carries a small request id that its verdict echoes,
 and the entry is found by ``(channel, id)`` — never by arrival order,
 so a verdict answered locally by a router that has just learned the key
@@ -120,10 +122,10 @@ class Verdicts:
     def ask(
         self, state: ChannelState, count: int, key: ChannelKey, entry: VerdictEntry
     ) -> None:
-        """A keyed join on a channel already on the tree needs an
-        upstream verdict — the one already on its way, if an earlier
-        join asked about ``key``: a crowd presenting one key costs one
-        request, whatever its size."""
+        """A join on a channel already on the tree waits on an upstream
+        verdict on ``key`` (its own, or the one a keyless join waits on)
+        — the one already on its way, if an earlier join asked about it:
+        a crowd presenting one key costs one request, whatever its size."""
         table = self.pending.get(state.channel)
         if table is not None:
             for asked in table.values():
@@ -272,7 +274,12 @@ class Verdicts:
             self._confirm(state, entry)
             if entry.sharers is not None:
                 for sharer in entry.sharers:
-                    self._confirm(state, sharer, entry.presented_key)
+                    if sharer.presented_key is None:
+                        # A keyless join that waited on the key: refused
+                        # now that the key is known here.
+                        self._rollback(state, sharer)
+                    else:
+                        self._confirm(state, sharer, entry.presented_key)
                 # They sent nothing of their own; now that they count,
                 # the total goes up as any other change would.
                 agent._propagate(state)
@@ -287,10 +294,15 @@ class Verdicts:
                 self._settle_key(channel, entry.presented_key)
                 self._rollback(state, entry)
                 for sharer in entry.sharers or ():
-                    self._rollback(state, sharer)
+                    # A keyless join that waited on the refused key is
+                    # taken as any keyless join is: optimistically.
+                    if sharer.presented_key is None:
+                        self._confirm(state, sharer)
+                    else:
+                        self._rollback(state, sharer)
             else:
-                # Unmatched denial: a Count nobody waited on (a re-home or
-                # reconnect replay, under id 0) was refused, and every
+                # Unmatched denial: a Count nobody waited on (a keyless
+                # join or replay, under id 0) was refused, and every
                 # keyless record here stood on it: each is torn down.
                 refused = [
                     name
@@ -301,11 +313,10 @@ class Verdicts:
                     agent.stats["denied_subscriptions"] += 1
                     agent._drop_record(state, name)
                     self._notify_denied(channel, name)
-                if refused:
-                    # No entry says what the refused Count added
-                    # upstream, so the new total is sent: a zero when
-                    # that was the last record, and the state goes.
-                    agent._propagate(state)
+            # What is left goes upstream if no Count there stands on it
+            # any more: a record absorbed beside the refused join under
+            # id 0, a zero when none is left, and the state goes.
+            agent._propagate(state)
             agent._garbage_collect(state)
 
     def _confirm(
@@ -362,9 +373,6 @@ class Verdicts:
                 # A live record's count is >= 1, so validated means forwarding.
                 was_forwarding = record.validated
                 record.count = rolled
-                block = agent.blocks.get(entry.neighbor)
-                if block is not None:
-                    block.set_count(state.channel, rolled)
                 # Never revoke a validation an earlier verdict granted.
                 record.validated = record.validated or entry.prior_validated
                 if record.validated and not was_forwarding:

@@ -77,16 +77,23 @@ def flapping_isp_net() -> tuple[ExpressNetwork, list[SourceHandle]]:
     return net, sources
 
 
-def settled_keyless_isp() -> tuple[ExpressNetwork, list[Channel]]:
-    """A settled 4-transit ISP network (t0..t3 on a ring with a t0-t2
-    chord, two stubs per transit, two hosts per stub) carrying eight
-    keyless channels, four each from h1_0_0 (below t1) and h0_1_0
-    (below t0), each with three members dealt from a fixed seed. A
-    t0-t1 flap re-homes the channels whose path crossed it; a t2 crash
-    cuts t2's stubs off until it restarts."""
+def census_isp() -> ExpressNetwork:
+    """The 4-transit ISP network the censuses share (t0..t3 on a ring
+    with a t0-t2 chord, two stubs per transit, two hosts per stub), up
+    and with no channel on it yet."""
     topo = TopologyBuilder.isp(n_transit=4, stubs_per_transit=2, hosts_per_stub=2)
     net = ExpressNetwork(topo)
     net.run(until=0.01)
+    return net
+
+
+def settled_keyless_isp() -> tuple[ExpressNetwork, list[Channel]]:
+    """``census_isp`` settled with eight keyless channels on it, four
+    each from h1_0_0 (below t1) and h0_1_0 (below t0), each with three
+    members dealt from a fixed seed. A t0-t1 flap re-homes the channels
+    whose path crossed it; a t2 crash cuts t2's stubs off until it
+    restarts."""
+    net = census_isp()
     rng = random.Random(42)
     sources = ["h1_0_0", "h0_1_0"]
     others = sorted(net.host_names - set(sources))
@@ -151,8 +158,12 @@ def assert_control_plane_at_rest(net: ExpressNetwork) -> None:
     timer, no channel state without a downstream record (one a rollback
     emptied and did not collect), no emptied inner set left standing in the
     ``liveness.udp_channels`` index, and no pending key or proactive
-    table left for a channel whose state was collected, and no downstream
-    record holding a count <= 0 (a zero Count drops the record)."""
+    table left for a channel whose state was collected, no downstream
+    record holding a count <= 0 (a zero Count drops the record), and no
+    records below a silent upstream: a channel with an upstream and
+    subscribers below it has told that upstream so (a rollback that
+    took back the Count they stood on and sent nothing in its place
+    leaves them on a tree nobody above holds)."""
     for name, agent in net.ecmp_agents.items():
         held = {
             "pending_verdicts": agent.verdicts.pending,
@@ -169,6 +180,13 @@ def assert_control_plane_at_rest(net: ExpressNetwork) -> None:
                 str(channel)
                 for channel, state in agent.channels.items()
                 if not state.downstream
+            ],
+            "records below a silent upstream": [
+                str(channel)
+                for channel, state in agent.channels.items()
+                if state.upstream is not None
+                and state.advertised == 0
+                and state.total(validated_only=False) > 0
             ],
             "records holding a count <= 0": [
                 f"{channel} <- {neighbor}"

@@ -44,6 +44,8 @@ no ``_by_upstream`` index; verdict
 and §6 fields held by their
 machines                              453    534  0
 drained verdict tables given back     421    502  0
+keyless host joins table no
+verdict entry and hear no OK          420    501  0
 ================================  =======  =====  ===================
 
 What went, in bytes per state on this tree: an empty 760-byte ``deque``

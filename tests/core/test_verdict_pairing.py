@@ -710,19 +710,63 @@ def test_a_reconnect_dump_replays_its_joins_untabled_and_unanswered(monkeypatch)
     assert_control_plane_at_rest(net)
 
 
-def test_a_local_join_is_tabled_at_every_hop_and_answered_under_its_ids(monkeypatch):
-    """A host's own subscription is waited on, keyless or not: hV tables
-    its LOCAL join, and every router that forwards it tables it under an
-    id of its own, so each verdict comes back under the id its hop asked
-    with. Nothing is answered under id 0, and hV's handle goes active
-    on the relayed OK."""
+def record_responses(net) -> list:
+    """Wrap every agent's send: the returned list fills with the
+    ``(node, neighbor, status, request id)`` of every CountResponse."""
+    sent = []
+    for name, agent in net.ecmp_agents.items():
+
+        def send(message, neighbor, *args, _send=agent._send_message, _name=name, **kwargs):
+            if type(message) is CountResponse:
+                sent.append((_name, neighbor, message.status.name, message.request_id))
+            _send(message, neighbor, *args, **kwargs)
+
+        agent._send_message = send
+    return sent
+
+
+def test_a_keyless_local_join_is_tabled_nowhere_and_answered_nowhere(monkeypatch):
+    """Nobody waits on a host's keyless subscription: its handle is
+    active when ``subscribe`` returns. hV tables nothing, and neither
+    does any router its join passes: the join goes up to the source
+    under id 0, and no CountResponse comes down."""
     net, source = open_line({"hV": "n2"})
     channel = source.allocate_channel()
-    under_id_0, tabled = record_verdict_traffic(net, monkeypatch)
+    _, tabled = record_verdict_traffic(net, monkeypatch)
+    responses = record_responses(net)
     handle = net.host("hV").subscribe(channel)
+    assert handle.status == "active"
+    net.settle()
+    assert (tabled, responses) == ([], [])
+    assert all(channel in net.ecmp_agents[name].channels for name in ("hV", "n2", "n1", "n0"))
+    source.send(channel)
+    net.settle()
+    assert (handle.status, handle.packets_received) == ("active", 1)
+    assert_control_plane_at_rest(net)
+
+
+def test_a_keyed_local_join_is_tabled_and_answered_under_its_ids_at_every_hop(monkeypatch):
+    """A keyed subscription is waited on: hV tables its LOCAL join, and
+    every router that forwards it (none knows the key) tables it under
+    an id of its own, so each verdict comes back under the id its hop
+    asked with — never under 0 — and hV's handle goes active on the
+    relayed OK."""
+    net, source = open_line({"hV": "n2"})
+    channel = source.allocate_channel()
+    key = make_key(channel)
+    source.channel_key(channel, key)
+    under_id_0, tabled = record_verdict_traffic(net, monkeypatch)
+    responses = record_responses(net)
+    handle = net.host("hV").subscribe(channel, key=key)
+    assert handle.status == "pending"
     net.settle()
     assert tabled == [(name, channel) for name in ("hV", "n2", "n1", "n0")]
     assert under_id_0 == []
+    hops = [("hsrc", "n0"), ("n0", "n1"), ("n1", "n2"), ("n2", "hV")]
+    assert [(node, below, status) for node, below, status, _ in responses] == [
+        (node, below, "OK") for node, below in hops
+    ]
+    assert all(request_id for *_, request_id in responses)
     assert handle.status == "active"
     assert not any(agent.verdicts.pending for agent in net.ecmp_agents.values())
     assert_control_plane_at_rest(net)
@@ -790,4 +834,102 @@ def test_a_denial_from_below_tears_nothing_down():
     assert handle.status == "active"
     assert denials(net) == {}
     assert list(net.ecmp_agents["n2"].channels[channel].downstream) == ["hV"]
+    assert_control_plane_at_rest(net)
+
+
+# ---------------------------------------------------------------------------
+# keyless joins beside a verdict in flight (§3.5)
+# ---------------------------------------------------------------------------
+
+
+def test_a_keyless_join_waits_on_the_keyed_verdict_in_flight_and_is_refused():
+    """(a) ha joins the keyed channel with the good key, and hb joins
+    keyless 1 ms later, while ha's verdict is still upstream of n2. n2
+    cannot tell whether the channel is keyed, so it does not let hb on
+    at once: hb's record waits on ha's verdict, unvalidated. The OK
+    teaches n2 the key, and hb is refused under id 0 — its handle turns
+    denied once, having received nothing — while ha is active."""
+    net, source, channel, key = keyed_line({"ha": "n2", "hb": "n2"})
+    start = net.sim.now
+    told = []
+    good = net.host("ha").subscribe(channel, key=key)
+    net.run(until=start + 0.001)
+    keyless = net.host("hb").subscribe(channel, on_status=lambda h: told.append(h.status))
+    net.run(until=start + 0.1)
+    n2 = net.ecmp_agents["n2"]
+    assert not n2.channels[channel].downstream["hb"].validated
+    assert keyless.status == "active" and told == []
+    net.settle(3.0)
+    assert (good.status, keyless.status, told) == ("active", "denied", ["denied"])
+    assert denials(net) == {"n2": 1, "hb": 1}
+    assert list(n2.channels[channel].downstream) == ["ha"]
+    source.send(channel)
+    net.settle(2.0)  # over the slow link
+    assert (good.packets_received, keyless.packets_received) == (1, 0)
+    assert_control_plane_at_rest(net)
+
+
+def slow_uplink(hosts: tuple[str, ...]) -> tuple:
+    """hsrc - n0 -(1 s)- n1 with ``hosts`` on n1, and one channel from
+    hsrc that the source has keyed: neither router knows the key."""
+    topo = TopologyBuilder.line(2)  # n0 - n1
+    topo.link_between("n0", "n1").delay = 1.0
+    for name, router in (("hsrc", "n0"), *((host, "n1") for host in hosts)):
+        topo.add_node(name)
+        topo.add_link(name, router, delay=0.001)
+    net = ExpressNetwork(topo, hosts=["hsrc", *hosts])
+    net.run(until=0.01)
+    source = net.source("hsrc")
+    channel = source.allocate_channel()
+    source.channel_key(channel, make_key(channel))
+    return net, source, channel
+
+
+def test_a_keyless_join_beside_a_refused_key_is_asked_upstream_and_refused():
+    """(b) c2 presents a bad key, and c1 joins keyless 0.1 s later while
+    c2's join is on the 1 s link. c1's join waits on that verdict; the
+    refusal takes c2's join back, leaving n1 with c1's record and
+    nothing upstream, so n1 asks about c1's join under id 0 — and the
+    source refuses it too. Both hosts are denied, and nothing is left:
+    not a record below an upstream that holds nothing of it."""
+    net, source, channel = slow_uplink(("c1", "c2"))
+    start = net.sim.now
+    forged = net.host("c2").subscribe(channel, key=BAD_KEY)
+    net.run(until=start + 0.1)
+    keyless = net.host("c1").subscribe(channel)
+    net.run(until=start + 0.2)
+    assert not net.ecmp_agents["n1"].channels[channel].downstream["c1"].validated
+    net.settle(6.0)
+    assert (forged.status, keyless.status) == ("denied", "denied")
+    # The source and n0 refuse twice: c2's key, then c1's keyless join.
+    assert denials(net) == {"hsrc": 2, "n0": 2, "n1": 2, "c1": 1, "c2": 1}
+    assert not any(channel in agent.channels for agent in net.ecmp_agents.values())
+    assert FaultMonitor(net).orphaned_state() == 0
+    assert_control_plane_at_rest(net)
+
+
+def test_a_refused_keyless_block_join_takes_the_host_absorbed_beside_it():
+    """A keyless block join at n1 is on the 1 s link when c1 joins
+    keyless beside it, and n1 absorbs c1 into the tree it is joining.
+    The source refuses the one Count under id 0: n1 drops both keyless
+    records — the block's members go to 0 — c1 is denied, and n1's
+    state is collected."""
+    net, source, channel = slow_uplink(("c1",))
+    block = net.subscriber_block("n1")
+    start = net.sim.now
+    assert block.join(channel, 50) == 50
+    net.run(until=start + 0.1)
+    keyless = net.host("c1").subscribe(channel)
+    net.run(until=start + 0.2)
+    n1 = net.ecmp_agents["n1"]
+    assert n1.channels[channel].downstream["c1"].validated
+    assert not n1.verdicts.pending
+    net.settle(6.0)
+    assert keyless.status == "denied"
+    assert block.members.get(channel, 0) == 0
+    assert {name: denials(net).get(name) for name in ("n0", "n1", "c1")} == {
+        "n0": 1, "n1": 2, "c1": 1
+    }
+    assert not any(channel in agent.channels for agent in net.ecmp_agents.values())
+    assert FaultMonitor(net).orphaned_state() == 0
     assert_control_plane_at_rest(net)

@@ -348,17 +348,25 @@ class TestLinkFaults:
         # Drive control traffic across the mutated window: every leave
         # lands before any rejoin (a leave and a join made in one instant
         # now travel together, and the tree above the first shared
-        # router would never notice), so the zero, the join and its
-        # verdict all cross the mutated link.
+        # router would never notice), and the rejoins present the key
+        # the source has installed since — a keyless join is answered
+        # only if refused — so the zero, the join and its verdict all
+        # cross the mutated link.
+        key = make_key(ch)
+        src.channel_key(ch, key)
         for name in subs:
             net.host(name).unsubscribe(ch)
         net.run(until=now + 1.5)
         for name in subs:
-            net.host(name).subscribe(ch)
+            net.host(name).subscribe(ch, key=key)
         net.run(until=now + 6.0)
         assert link.mutator is None  # removed after the window
         stats = injector.mutation_stats()
+        # Four crossings, each duplicated: the zero, the keyed join, and
+        # t0's OK to each copy of that join (a Count that carries a
+        # request id is answered; the second answer changes nothing).
         assert stats["duplicated"] >= 3
+        assert stats["duplicated"] == 4
         assert stats["dropped"] == 0
         # Duplicated soft-state messages are idempotent: counts settle
         # to the truth regardless.

@@ -58,13 +58,6 @@ STREAM_START = 0.3
 STREAM_END = 4.2
 INTERVAL = 0.02
 REFRESH = 1.0  # UDP query interval: lost edge joins recover inside a case
-#: Cases whose settled end is not at rest, and why — a finding for
-#: ROADMAP item 1, not a tolerance of ``assert_control_plane_at_rest``.
-NOT_AT_REST = {
-    0: "the WireMutator on t0-t2 drops t2's TCP-mode join of 2.603 s (sent "
-    "when the flapped link came back); TCP mode models no retransmission, "
-    "so t0 never sees it and t2's VerdictEntry waits for a verdict forever",
-}
 
 
 def observe(case: int, scheduler: str) -> dict:
@@ -251,14 +244,16 @@ def observe(case: int, scheduler: str) -> dict:
         inject, subscribers[3], edge, src=topo.node(subscribers[3]).address, dst=ch.group,
     ))
     at(fixed + 0.04, partial(owner[ch].subcast, ch, relay_router, None, 500))
-    at(fixed + 0.05, partial(sources[0].subcast, unjoined, relay_router, None, 500))
+    # Off tree: the source's own edge router, one loss-free hop away, so
+    # no loss draw can take the packet before it is judged.
+    first_hop = topo.node(hosts[0]).neighbors()[0].name
+    at(fixed + 0.05, partial(sources[0].subcast, unjoined, first_hop, None, 500))
     # Into the failed link while it is down: the sender's own drop.
     at(2.3, partial(inject, "e2_0", "t2", src=1, dst=2, proto="weird"))
 
     net.run(until=STREAM_END + 0.5)
     net.settle(3 * REFRESH)
-    if case not in NOT_AT_REST:
-        assert_control_plane_at_rest(net)
+    assert_control_plane_at_rest(net)
 
     return {
         "trace": [
