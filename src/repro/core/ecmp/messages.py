@@ -118,12 +118,15 @@ _tuple_new = tuple.__new__
 class CountStatus(Enum):
     """CountResponse statuses: a router "can either acknowledge or
     reject a Count message ... indicating an unsupported count or an
-    invalid authenticator" (§3.1)."""
+    invalid authenticator" (§3.1). ``OPEN`` grants a join on a channel
+    whose source installed no key: the key the join presented, if any,
+    is not the channel's and is not learned. 5-7 stay undefined."""
 
     OK = 0
     UNSUPPORTED_COUNT = 1
     INVALID_AUTHENTICATOR = 2
     NO_SUCH_CHANNEL = 3
+    OPEN = 4
 
 
 _STATUS_OF = {status.value: status for status in CountStatus}

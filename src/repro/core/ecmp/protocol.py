@@ -371,11 +371,6 @@ class EcmpAgent(ProtocolAgent):
             keyed=key is not None,
         ):
             self._apply_subscriber_count(channel, LOCAL, 1, key=key)
-        # A keyless subscription to a channel this node *knows* is
-        # authenticated is denied synchronously (or the source was
-        # unknown/unreachable).
-        if channel not in self.subscriptions and handle.status != "denied":
-            handle._set_status("denied")
         return handle
 
     def delete_subscription(self, channel: Channel) -> bool:
@@ -812,22 +807,18 @@ class EcmpAgent(ProtocolAgent):
             # the channel may be keyed, §3.5, and it waits — unless it is
             # a block's: open channels only), or we are the source.
             if verdict is None and not at_source:
-                waiting = {} if from_name in self.blocks else self.verdicts.pending_keys
-                asked = key if key is not None else waiting.get(channel)
+                asked = key
+                table = self.verdicts.pending.get(channel)
+                if key is None and table and from_name not in self.blocks:
+                    asked = next(iter(table.values())).asked_key
 
         if state is None:
             state = self._create_state(channel)
             if state is None:
                 # Source unknown/unreachable: reject.
-                if from_name != LOCAL:
-                    self._send_message(
-                        CountResponse(
-                            channel, SUBSCRIBER_ID, CountStatus.NO_SUCH_CHANNEL, request_id
-                        ),
-                        from_name,
-                    )
-                else:
-                    self.subscriptions.pop(channel, None)
+                self.verdicts._notify_denied(
+                    channel, from_name, request_id, CountStatus.NO_SUCH_CHANNEL
+                )
                 return
 
         if record is None:
@@ -858,17 +849,12 @@ class EcmpAgent(ProtocolAgent):
         forwards = prior_validated
         if is_join:
             record.presented_key = key
-            if asked is not None:
-                record.validated = forwards = False
-                self.verdicts.pending_keys[state.channel] = asked
-            else:
-                record.validated = forwards = True
+            record.validated = forwards = asked is None
             # Nobody waits on a keyless join under id 0 (a host's, a
             # block's, a replay's): no entry, no answer unless refused.
             if key is not None or asked is not None or request_id:
                 entry = VerdictEntry(
-                    neighbor=from_name, prior_count=previous, prior_validated=prior_validated,
-                    presented_key=key, request_id=request_id, joined_count=count,
+                    from_name, key, prior_validated, request_id, join_delta=count - previous
                 )
 
         if forwards != (prior_validated and previous > 0):
@@ -879,9 +865,10 @@ class EcmpAgent(ProtocolAgent):
             if from_name == LOCAL:
                 self._activate_local(channel)
             elif request_id:
+                # OK on a key known here; OPEN, teaching nothing, where none is.
+                status = CountStatus.OK if verdict else CountStatus.OPEN
                 self._send_message(
-                    CountResponse(channel, SUBSCRIBER_ID, CountStatus.OK, request_id),
-                    from_name,
+                    CountResponse(channel, SUBSCRIBER_ID, status, request_id), from_name
                 )
 
     def _create_state(self, channel: Channel) -> Optional[ChannelState]:
@@ -931,9 +918,11 @@ class EcmpAgent(ProtocolAgent):
                 counter.observe(state.total(validated_only=False))
             return False
         total = state.total(validated_only=False)
-        waiting = self.verdicts.pending_keys
-        key = joining_key or self.keys.get(state.channel) or waiting.get(state.channel)
         if total > 0 and state.advertised == 0:
+            key = joining_key or self.keys.get(state.channel)
+            table = self.verdicts.pending.get(state.channel)
+            if key is None and table:
+                key = next(iter(table.values())).asked_key  # what joins here wait on
             self.verdicts.forward_join(state, total, key, join_entry)
             return True
         if total == 0 and state.advertised > 0:

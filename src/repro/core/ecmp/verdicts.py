@@ -4,20 +4,26 @@ one answer, and a denied join is rolled back.
 §3.1 lets a router "either acknowledge or reject a Count message".
 Every *join* Count (a 0→positive transition, or any Count carrying a
 key) that carries a key or a request id receives exactly one
-``CountResponse`` verdict from its immediate upstream: OK or
-INVALID_AUTHENTICATOR. A router that terminates the join locally (it
-knows the key, or it is the always-authoritative source) answers at
-once; otherwise it forwards the join, records a :class:`VerdictEntry`
-with rollback state, and relays the verdict when its own upstream
-answers. A keyless join under id 0 (a host's, a block's, a re-home or
-reconnect replay) has nobody waiting on it: it tables no entry, goes on
-upstream under id 0 unless a router on the tree absorbs it, and hears
-back only if it is refused — an OK is never sent under id 0, and a
-refusal under id 0 tears down every keyless record that stood on the
-refused Count. A keyless join that lands beside a key's verdict still
-upstream waits all the same (the channel may be keyed): it is refused
-if the key is confirmed and taken optimistically if the key is refused.
-A denial sends upstream what no Count there stands on any more.
+``CountResponse`` verdict from its immediate upstream: OK (the key it
+presented is the channel's), OPEN (the source has no key, so none is
+needed and none is taught) or a refusal. A router that terminates the
+join locally (it knows the key, or it is the always-authoritative
+source) answers at once; otherwise it forwards the join, records a
+:class:`VerdictEntry` under the key its Count presented, and relays the
+verdict when its own upstream answers. A keyless join under id 0 (a
+host's, a block's, a re-home or reconnect replay) has nobody waiting on
+it: it tables no entry, goes on upstream under id 0 unless a router on
+the tree absorbs it, and hears back only if it is refused — an answer
+under id 0 is only ever a refusal, and it tears down every keyless
+record that stood on the refused Count. A keyless join that lands
+beside a tabled key (the channel may be keyed) waits on that key's
+verdict with the joins that presented it, and one rule settles them
+all: OK admits the joins that presented the key and refuses the
+keyless ones, OPEN admits every one, and a refusal rolls back the joins
+that presented the key and settles a keyless one as if it arrived now —
+refused where a key has been learned meanwhile, waiting on another key
+still asked about, else taken optimistically.
+Whatever the verdict leaves standing on no Count upstream goes up.
 Each forwarded join carries a small request id that its verdict echoes,
 and the entry is found by ``(channel, id)`` — never by arrival order,
 so a verdict answered locally by a router that has just learned the key
@@ -41,37 +47,37 @@ from repro.core.keys import ChannelKey
 
 @dataclass(slots=True)
 class VerdictEntry:
-    """One forwarded join awaiting its upstream verdict, with enough
-    prior state to roll the join back if it is denied."""
+    """One join waiting on an upstream verdict, with what undoes it if
+    it is denied."""
 
     neighbor: str
-    prior_count: int
-    prior_validated: bool
+    #: The key the join presented; None for a keyless join that waits
+    #: on another's key.
     presented_key: Optional[ChannelKey]
+    prior_validated: bool
     #: The id the joining neighbor's Count carried; the verdict relayed
     #: to it echoes this. (The id this node forwarded the join under is
     #: the entry's key in ``Verdicts.pending[channel]``.)
     request_id: int = 0
-    prior_advertised: int = 0
-    #: Count the joining downstream advertised; the denied join's
-    #: contribution is ``joined_count - prior_count``, subtracted (not
-    #: snapshot-restored) on rollback so increments that arrived while
+    #: What the join added to its neighbor's record: subtracted (not
+    #: snapshot-restored) on rollback, so increments that arrived while
     #: the verdict was in flight survive.
-    joined_count: int = 0
-    #: Total this node sent upstream alongside this entry; mirrors the
-    #: delta the upstream will subtract from its record of us. Both
-    #: halves of that delta are set when the entry is tabled (and again
-    #: when it is re-tabled at a parent that holds no record of us),
-    #: never when the request is merely repeated.
-    sent_count: int = 0
-    #: Later joins that presented the same key while this one was
-    #: upstream: they sent nothing of their own and take its verdict.
+    join_delta: int = 0
+    #: Of a tabled entry: the key its Count presented upstream — what
+    #: the verdict judges, and what later joins on the channel wait on —
+    #: and what that Count added to the total there, which the upstream
+    #: takes back on a refusal (noted again when the join is replayed to
+    #: a parent that holds no record of us, never when it is repeated).
+    asked_key: Optional[ChannelKey] = None
+    sent_delta: int = 0
+    #: Later joins that wait on the same key while this one is upstream:
+    #: they sent nothing of their own and take its verdict.
     sharers: Optional[list["VerdictEntry"]] = None
 
 
 class Verdicts:
-    """The verdict machine of one agent: the forwarded joins whose
-    verdict is still upstream, the request ids they travel under, and
+    """The verdict machine of one agent: the joins whose verdict is
+    still upstream, tabled by the request ids they travel under, and
     what a verdict does when it arrives.
 
     ``agent`` is the owner, read for ``stats``, ``keys``, ``channels``
@@ -82,17 +88,15 @@ class Verdicts:
     read at use — tests wrap them on an instance.
     """
 
-    __slots__ = ("_agent", "pending", "pending_keys", "_next_id")
+    __slots__ = ("_agent", "pending", "_next_id")
 
     def __init__(self, agent) -> None:
         self._agent = agent
         #: channel -> {request id: entry} for forwarded joins whose
         #: verdict is still upstream. A channel's table exists only while
-        #: it holds an entry.
+        #: it holds an entry, and a drained ``pending`` is replaced: a
+        #: dict keeps the slots a join storm grew.
         self.pending: dict[Channel, dict[int, VerdictEntry]] = {}
-        #: channel -> the key a deferred join forwarded upstream, until
-        #: its verdict is in; later Counts on the channel present it.
-        self.pending_keys: dict[Channel, ChannelKey] = {}
         #: The next request id to try (1..MAX_REQUEST_ID, cycling, so an
         #: id is not reused while a duplicate of its verdict may be about).
         self._next_id = 1
@@ -100,22 +104,11 @@ class Verdicts:
     def reset(self) -> None:
         """Crash semantics: forget every join in flight."""
         self.pending.clear()
-        self.pending_keys.clear()
 
     def forget_channel(self, channel: Channel) -> None:
         """The channel's state was collected: so are its entries."""
         if self.pending.pop(channel, None) is not None and not self.pending:
             self.pending = {}
-        if self.pending_keys.pop(channel, None) is not None and not self.pending_keys:
-            self.pending_keys = {}
-
-    def _settle_key(self, channel: Channel, key: Optional[ChannelKey]) -> None:
-        """The verdict on ``key`` is in. A drained table is replaced (here
-        and in ``pending``): a dict keeps the slots a join storm grew."""
-        if key is not None and self.pending_keys.get(channel) == key:
-            del self.pending_keys[channel]
-            if not self.pending_keys:
-                self.pending_keys = {}
 
     # -- asking ----------------------------------------------------------------
 
@@ -129,7 +122,7 @@ class Verdicts:
         table = self.pending.get(state.channel)
         if table is not None:
             for asked in table.values():
-                if asked.presented_key == key:
+                if asked.asked_key == key:
                     if asked.sharers is None:
                         asked.sharers = [entry]
                     else:
@@ -160,7 +153,6 @@ class Verdicts:
                 table = self.pending[state.channel] = {}
             elif len(table) >= MAX_REQUEST_ID:
                 agent.stats["verdict_table_full"] += 1
-                self._settle_key(state.channel, entry.presented_key)
                 self._rollback(state, entry)
                 agent._garbage_collect(state)
                 return
@@ -169,9 +161,9 @@ class Verdicts:
                 request_id = request_id % MAX_REQUEST_ID + 1
             self._next_id = request_id % MAX_REQUEST_ID + 1
             table[request_id] = entry
-            # What this Count changes upstream is what a denial undoes.
-            entry.prior_advertised = state.advertised
-            entry.sent_count = count
+            entry.asked_key = key
+            # What this Count adds upstream is what a refusal takes back.
+            entry.sent_delta = count - state.advertised
         agent._send_count_upstream(state, count, key, request_id)
 
     def reannounce(
@@ -202,7 +194,7 @@ class Verdicts:
             return
         if not fresh:
             for request_id, entry in table.items():
-                send(state, total, entry.presented_key or key, request_id)
+                send(state, total, entry.asked_key or key, request_id)
             return
         shares = [self._share_of(state, entry) for entry in table.values()]
         state.advertised = 0
@@ -211,9 +203,8 @@ class Verdicts:
             send(state, running, key)
         for (request_id, entry), share in zip(table.items(), shares):
             running = min(total, running + share)
-            entry.prior_advertised = state.advertised
-            entry.sent_count = running
-            send(state, running, entry.presented_key or key, request_id)
+            entry.sent_delta = running - state.advertised
+            send(state, running, entry.asked_key or key, request_id)
 
     @staticmethod
     def _share_of(state: ChannelState, entry: VerdictEntry) -> int:
@@ -224,8 +215,7 @@ class Verdicts:
         for waiter in (entry, *(entry.sharers or ())):
             record = state.downstream.get(waiter.neighbor)
             if record is not None:
-                joined = waiter.joined_count - waiter.prior_count
-                share += max(0, min(record.count, joined))
+                share += max(0, min(record.count, waiter.join_delta))
         return share
 
     # -- answering -------------------------------------------------------------
@@ -237,8 +227,8 @@ class Verdicts:
 
     def on_response(self, message: CountResponse, from_name: str) -> None:
         """A ``CountResponse`` from ``from_name``: the verdict on the
-        join it echoes the id of, which is confirmed or rolled back and
-        relayed to whoever asked."""
+        join it echoes the id of and on the joins waiting with it, each
+        admitted or rolled back by one rule and told."""
         agent = self._agent
         channel = message.channel
         if message.count_id != SUBSCRIBER_ID:
@@ -249,6 +239,9 @@ class Verdicts:
         state = agent.channels.get(channel)
         if state is None or from_name != state.upstream:
             return
+        status = message.status
+        confirmed = status is CountStatus.OK
+        granted = confirmed or status is CountStatus.OPEN
         table = self.pending.get(channel)
         entry = None
         if table is not None:
@@ -257,73 +250,65 @@ class Verdicts:
                 del self.pending[channel]
                 if not self.pending:
                     self.pending = {}
-        if entry is None and message.request_id:
-            return  # a second answer to a request already settled
-
-        if message.status is CountStatus.OK:
-            if entry is None:
-                return  # none is sent under id 0; a stray one changes nothing
-            key = entry.presented_key
-            if key is not None:
-                agent.keys.learn(channel, key)
-                # ``_settle_key``, inline: once a keyed verdict a hop.
-                if self.pending_keys.get(channel) == key:
-                    del self.pending_keys[channel]
-                    if not self.pending_keys:
-                        self.pending_keys = {}
-            self._confirm(state, entry)
-            if entry.sharers is not None:
-                for sharer in entry.sharers:
-                    if sharer.presented_key is None:
-                        # A keyless join that waited on the key: refused
-                        # now that the key is known here.
-                        self._rollback(state, sharer)
-                    else:
-                        self._confirm(state, sharer, entry.presented_key)
-                # They sent nothing of their own; now that they count,
-                # the total goes up as any other change would.
-                agent._propagate(state)
+        if entry is None:
+            if message.request_id or granted:
+                return  # a second answer, or a stray: none is sent under id 0
+            # Unmatched denial: a Count nobody waited on (a keyless join
+            # or replay, under id 0) was refused, and every keyless
+            # record here stood on it: each is torn down.
+            refused = [
+                name
+                for name, record in state.downstream.items()
+                if record.presented_key is None
+            ]
+            for name in refused:
+                agent.stats["denied_subscriptions"] += 1
+                agent._drop_record(state, name)
+                self._notify_denied(channel, name)
+            # The total left goes up: a zero when no record is left. The
+            # refuser may still hold our record (an answer under id 0
+            # cannot say), and only that zero clears it.
+            agent._propagate(state)
+            agent._garbage_collect(state)
             return
 
-        if message.status in (
-            CountStatus.INVALID_AUTHENTICATOR,
-            CountStatus.NO_SUCH_CHANNEL,
-            CountStatus.UNSUPPORTED_COUNT,
-        ):
-            if entry is not None:
-                self._settle_key(channel, entry.presented_key)
-                self._rollback(state, entry)
-                for sharer in entry.sharers or ():
-                    # A keyless join that waited on the refused key is
-                    # taken as any keyless join is: optimistically.
-                    if sharer.presented_key is None:
-                        self._confirm(state, sharer)
-                    else:
-                        self._rollback(state, sharer)
+        learned = entry.asked_key if confirmed else None
+        if learned is not None:
+            agent.keys.learn(channel, learned)
+        if not granted:
+            # The upstream took back what the refused Count added.
+            state.advertised = max(0, state.advertised - entry.sent_delta)
+        sharers = entry.sharers
+        quiet = granted and sharers is None
+        for waiter in (entry,) if sharers is None else (entry, *sharers):
+            # The rule (docs/PROTOCOL.md §5): OK admits who presented the
+            # key and refuses the keyless, OPEN admits all, and a refusal
+            # rolls back who presented the key and takes a keyless join
+            # as if it arrived now: refused where a key is known, waiting
+            # on another key still asked about here, else admitted.
+            keyless = waiter.presented_key is None
+            if granted and (status is CountStatus.OPEN or not keyless):
+                self._confirm(state, waiter, learned)
+            elif granted or not keyless or agent.keys.knows(channel):
+                self._rollback(state, waiter)
+                quiet = False
+            elif table:
+                other = next(iter(table.values()))
+                other.sharers = [*(other.sharers or ()), waiter]
             else:
-                # Unmatched denial: a Count nobody waited on (a keyless
-                # join or replay, under id 0) was refused, and every
-                # keyless record here stood on it: each is torn down.
-                refused = [
-                    name
-                    for name, record in state.downstream.items()
-                    if record.presented_key is None
-                ]
-                for name in refused:
-                    agent.stats["denied_subscriptions"] += 1
-                    agent._drop_record(state, name)
-                    self._notify_denied(channel, name)
-            # What is left goes upstream if no Count there stands on it
-            # any more: a record absorbed beside the refused join under
-            # id 0, a zero when none is left, and the state goes.
+                self._confirm(state, waiter, None)
+        if not quiet:
+            # What the waiters changed goes up as any other change would:
+            # the total they now add, or the part no Count there stands on.
             agent._propagate(state)
             agent._garbage_collect(state)
 
     def _confirm(
-        self, state: ChannelState, entry: VerdictEntry, learned: Optional[ChannelKey] = None
+        self, state: ChannelState, entry: VerdictEntry, learned: Optional[ChannelKey]
     ) -> None:
-        """Grant ``entry``'s join. A sharer's record holds its own copy
-        of the key ``learned`` from the verdict; it keeps the cache's
+        """Grant ``entry``'s join, and relay OK when the key it presented
+        was ``learned`` from the verdict, OPEN when none is needed. A
+        record holding its own copy of the learned key keeps the cache's
         object instead, as a record validated against the cache does."""
         agent = self._agent
         neighbor = entry.neighbor
@@ -333,7 +318,8 @@ class Verdicts:
         else:
             record = state.lone_record if state.lone_name == neighbor else None
         if record is not None:
-            if learned is not None and record.presented_key == learned:
+            held = record.presented_key
+            if learned is not None and held is not learned and held == learned:
                 record.presented_key = learned
             if not record.validated:
                 record.validated = True
@@ -344,11 +330,10 @@ class Verdicts:
         elif entry.request_id:
             # Relay the verdict even if the neighbor has since left: a
             # node below it may still hold an entry for this join. A
-            # join that came under id 0 has nobody waiting on an OK.
+            # join that came under id 0 has nobody waiting on it.
+            status = CountStatus.OPEN if learned is None else CountStatus.OK
             agent._send_message(
-                CountResponse(
-                    state.channel, SUBSCRIBER_ID, CountStatus.OK, entry.request_id
-                ),
+                CountResponse(state.channel, SUBSCRIBER_ID, status, entry.request_id),
                 neighbor,
             )
 
@@ -358,17 +343,12 @@ class Verdicts:
         The subtraction is relative, not a snapshot restore: counts
         that arrived between the join and its verdict (e.g. several
         joins batched into one frame, whose verdicts all come back
-        after the last join landed) must survive the rollback. The
-        upstream applies the mirror-image subtraction to its record of
-        us, so ``advertised`` shrinks by the same delta it will."""
+        after the last join landed) must survive the rollback."""
         agent = self._agent
         agent.stats["denied_subscriptions"] += 1
-        state.advertised = max(
-            0, state.advertised - (entry.sent_count - entry.prior_advertised)
-        )
         record = state.downstream.get(entry.neighbor)
         if record is not None:
-            rolled = record.count - (entry.joined_count - entry.prior_count)
+            rolled = record.count - entry.join_delta
             if rolled > 0:
                 # A live record's count is >= 1, so validated means forwarding.
                 was_forwarding = record.validated
@@ -381,16 +361,19 @@ class Verdicts:
                 agent._drop_record(state, entry.neighbor)
         self._notify_denied(state.channel, entry.neighbor, entry.request_id)
 
-    def _notify_denied(self, channel: Channel, neighbor: str, request_id: int = 0) -> None:
+    def _notify_denied(
+        self,
+        channel: Channel,
+        neighbor: str,
+        request_id: int = 0,
+        status: CountStatus = CountStatus.INVALID_AUTHENTICATOR,
+    ) -> None:
+        """Tell ``neighbor`` its join is refused: a local subscription's
+        handle turns denied, a neighbor hears ``status`` under its id."""
         agent = self._agent
         if neighbor == LOCAL:
             handle = agent.subscriptions.pop(channel, None)
             if handle is not None:
                 handle._set_status("denied")
         else:
-            agent._send_message(
-                CountResponse(
-                    channel, SUBSCRIBER_ID, CountStatus.INVALID_AUTHENTICATOR, request_id
-                ),
-                neighbor,
-            )
+            agent._send_message(CountResponse(channel, SUBSCRIBER_ID, status, request_id), neighbor)

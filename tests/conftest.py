@@ -157,7 +157,7 @@ def assert_control_plane_at_rest(net: ExpressNetwork) -> None:
     query, no neighbor session with a dirty-channel queue or a flush
     timer, no channel state without a downstream record (one a rollback
     emptied and did not collect), no emptied inner set left standing in the
-    ``liveness.udp_channels`` index, and no pending key or proactive
+    ``liveness.udp_channels`` index, and no verdict or proactive
     table left for a channel whose state was collected, no downstream
     record holding a count <= 0 (a zero Count drops the record), and no
     records below a silent upstream: a channel with an upstream and
@@ -202,7 +202,7 @@ def assert_control_plane_at_rest(net: ExpressNetwork) -> None:
             "tables of collected channels": [
                 str(channel)
                 for table in (
-                    agent.verdicts.pending_keys,
+                    agent.verdicts.pending,
                     agent.counting.proactive,
                     agent.counting.proactive_values,
                 )

@@ -3,10 +3,12 @@
 In the re-home census's fixed ISP network (``tests/conftest.py::
 census_isp``), every host but the source joins one channel in one
 instant, keyless; then every one of them leaves; then every one joins a
-keyed channel presenting the key, one of them a forged one. For each
-wave, the ECMP traffic it causes until the network is at rest again:
-subscriber Counts, CountResponses by status and by whether they carry a
-request id, wire frames and wire bytes.
+keyed channel presenting the key, one of them a forged one; then, on an
+open channel, the forger presents its key while every other host joins
+keyless in the same instant. For each wave, the ECMP traffic it causes
+until the network is at rest again: subscriber Counts, CountResponses by
+status and by whether they carry a request id, wire frames and wire
+bytes.
 
 A verdict goes only where someone waits on it (§3.1 lets a router
 "either acknowledge or reject a Count message"): a keyless join from a
@@ -14,9 +16,11 @@ host is active when ``subscribe`` returns, tables nothing at any hop and
 travels under id 0, so the keyless waves put no CountResponse on the
 wire. A keyed join is waited on, so the keyed wave keeps an OK under an
 id at every hop its join was forwarded over, and the forged key one
-denial per hop it climbed. The counts repeat exactly; a keyless join
-tabled and answered again — at the host, or at its edge — fails the
-pin. The report line shows the numbers per run.
+denial per hop it climbed. On the open channel the source grants the
+forged key OPEN, which no router learns: the keyless joins that waited
+on it are admitted with it, and nobody is refused. The counts repeat
+exactly; a keyless join tabled and answered again — at the host, or at
+its edge — fails the pin. The report line shows the numbers per run.
 """
 
 from collections import Counter
@@ -41,7 +45,10 @@ CENSUS = {
     "keyless": (27, 0, 0, 0, 0, 27, 972),
     "leave": (27, 0, 0, 0, 0, 27, 972),
     "keyed": (28, 0, 26, 0, 2, 56, 2128),
+    "open": (32, 0, 0, 0, 0, 38, 1392),
 }
+#: wave -> OPEN answers under an id (none is sent under id 0).
+OPEN_ANSWERS = {"keyless": 0, "leave": 0, "keyed": 0, "open": 6}
 
 
 def census() -> dict[str, tuple[int, ...]]:
@@ -65,7 +72,7 @@ def census() -> dict[str, tuple[int, ...]]:
         agent._send_message = recording(agent)
     source = net.source(SOURCE)
     hosts = sorted(net.host_names - {SOURCE})
-    keyless, keyed = source.allocate_channel(), source.allocate_channel()
+    keyless, keyed, open_ = (source.allocate_channel() for _ in range(3))
     key = make_key(keyed)
     source.channel_key(keyed, key)
 
@@ -83,9 +90,20 @@ def census() -> dict[str, tuple[int, ...]]:
             for name in hosts
         ]
 
+    def open_wave():
+        return [
+            net.host(name).subscribe(open_, key=FORGED if name == FORGER else None)
+            for name in hosts
+        ]
+
     counted = {}
+    opened = {}
     outcomes = {}
-    for wave, run in (("keyless", keyless_wave), ("leave", leave_wave), ("keyed", keyed_wave)):
+    waves = (
+        ("keyless", keyless_wave), ("leave", leave_wave), ("keyed", keyed_wave),
+        ("open", open_wave),
+    )
+    for wave, run in waves:
         sent.clear()
         frames = sum(agent.stats.get("wire_sends") for agent in agents)
         wire = sum(agent.stats.get("bytes_on_wire") for agent in agents)
@@ -101,6 +119,8 @@ def census() -> dict[str, tuple[int, ...]]:
             sum(agent.stats.get("wire_sends") for agent in agents) - frames,
             sum(agent.stats.get("bytes_on_wire") for agent in agents) - wire,
         )
+        opened[wave] = sent["OPEN", True] + sent["OPEN", False]
+        assert not sent["OPEN", False]
     assert all(handle.status == "active" for handle in outcomes["keyless"])
     assert not any(keyless in agent.channels for agent in agents)
     assert [handle.status for handle in outcomes["keyed"]] == [
@@ -110,15 +130,23 @@ def census() -> dict[str, tuple[int, ...]]:
     net.settle()
     received = {name: handle.packets_received for name, handle in zip(hosts, outcomes["keyed"])}
     assert received == {name: int(name != FORGER) for name in hosts}
-    return counted
+    assert all(handle.status == "active" for handle in outcomes["open"])
+    assert not any(agent.keys.knows(open_) for agent in agents)
+    source.send(open_)
+    net.settle()
+    assert all(handle.packets_received == 1 for handle in outcomes["open"])
+    return counted, opened
 
 
 def test_a_join_wave_costs_what_the_census_pins():
-    counted = census()
-    names = "Counts / OK id0 / OK id / deny id0 / deny id / frames / bytes"
+    counted, opened = census()
+    names = "Counts / OK id0 / OK id / deny id0 / deny id / frames / bytes / OPEN id"
     print(
         "\njoin census: "
-        + "; ".join(f"{wave} {' / '.join(map(str, counted[wave]))}" for wave in counted)
+        + "; ".join(
+            f"{wave} {' / '.join(map(str, (*counted[wave], opened[wave])))}" for wave in counted
+        )
         + f" ({names})"
     )
     assert counted == CENSUS
+    assert opened == OPEN_ANSWERS

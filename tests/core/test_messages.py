@@ -109,6 +109,14 @@ class TestRoundTrips:
             CountResponse(CH, SUBSCRIBER_ID, CountStatus.NO_SUCH_CHANNEL)
         )[11] == CountStatus.NO_SUCH_CHANNEL.value
 
+    def test_open_is_status_4_and_5_to_7_stay_undefined(self):
+        frame = bytearray(encode_message(CountResponse(CH, SUBSCRIBER_ID, CountStatus.OPEN, 3)))
+        assert frame[11] == 3 << 3 | 4
+        for undefined in (5, 6, 7):
+            frame[11] = 3 << 3 | undefined
+            with pytest.raises(CodecError, match=f"unknown CountResponse status {undefined}"):
+                decode_message(bytes(frame))
+
 
 class TestValidation:
     def test_negative_timeout_rejected(self):

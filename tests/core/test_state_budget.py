@@ -68,9 +68,10 @@ the table for (−32); ``ChannelState``'s pending key and two §6 maps,
 now per-channel tables of ``Verdicts`` and ``Counting`` with entries
 only for the channels that use them (−24); the slots a dict keeps
 after its last entry leaves, which ``Verdicts`` now gives back by
-replacing a drained table: ``pending`` after the keyless batch,
-``pending_keys`` after the keyed one (−32 on each figure). The growth
-is lumpy — dict
+replacing a drained table: ``pending`` after the keyless batch, and a
+second table of pending keys after the keyed one (−32 on each figure),
+since folded into ``pending``: the key a join waits on is on its
+entry. The growth is lumpy — dict
 resizes land inside one batch or the next (successive 1,000-channel
 batches on one network read 580–920) — so the figure belongs to exactly
 this sequence, in a fresh interpreter (:func:`measure_fresh`); it

@@ -436,26 +436,26 @@ def test_a_replay_raises_the_total_by_each_join_a_repeat_changes_nothing():
     state = n2.channels[channel]
     table = n2.verdicts.pending[channel]
     (bad_id, bad), (good_id, good) = table.items()
-    deltas = lambda: [(e.prior_advertised, e.sent_count) for e in (bad, good)]
-    assert deltas() == [(1, 2), (2, 3)] and state.advertised == 3
+    deltas = lambda: [e.sent_delta for e in (bad, good)]
+    assert deltas() == [2 - 1, 3 - 2] and state.advertised == 3
     sent = []
     n2._send_message = lambda message, neighbor, **_: sent.append(
         (message.count, message.key, message.request_id)
     )
     n2.verdicts.reannounce(state)
     assert sent == [(3, BAD_KEY, bad_id), (3, key, good_id)]
-    assert deltas() == [(1, 2), (2, 3)] and state.advertised == 3
+    assert deltas() == [2 - 1, 3 - 2] and state.advertised == 3
     del sent[:]
     n2.verdicts.reannounce(state, fresh=True)
     assert sent == [(1, None, 0), (2, BAD_KEY, bad_id), (3, key, good_id)]
-    assert deltas() == [(1, 2), (2, 3)] and state.advertised == 3
+    assert deltas() == [2 - 1, 3 - 2] and state.advertised == 3
     # With the bad key's host gone its join stands on nothing, and its
     # Count still goes (the verdict is owed) but adds nothing.
     n2._drop_record(state, "hB")
     del sent[:]
     n2.verdicts.reannounce(state, fresh=True)
     assert sent == [(1, None, 0), (1, BAD_KEY, bad_id), (2, key, good_id)]
-    assert deltas() == [(1, 1), (1, 2)] and state.advertised == 2
+    assert deltas() == [1 - 1, 2 - 1] and state.advertised == 2
 
 
 # ---------------------------------------------------------------------------
@@ -869,6 +869,56 @@ def test_a_keyless_join_waits_on_the_keyed_verdict_in_flight_and_is_refused():
     assert_control_plane_at_rest(net)
 
 
+@pytest.mark.parametrize("first", ["forged", "genuine"])
+def test_a_keyless_join_beside_two_keys_in_flight_is_refused_in_either_order(first):
+    """hF presents a forged key and hK the channel's, in either order,
+    and hL joins keyless at n2 while both are upstream. hL waits on the
+    first key asked about; if that one is refused, it waits on the other
+    rather than riding the tree past a key still unchecked — so the OK
+    refuses it whichever verdict comes first."""
+    net, source, channel, key = keyed_line({"hF": "n2", "hK": "n2", "hL": "n2"})
+    start = net.sim.now
+    joins = [("hF", BAD_KEY), ("hK", key)]
+    handles = {}
+    for name, presented in joins if first == "forged" else joins[::-1]:
+        handles[name] = net.host(name).subscribe(channel, key=presented)
+        net.run(until=net.sim.now + 0.01)
+    handles["hL"] = net.host("hL").subscribe(channel)
+    net.run(until=start + 0.1)
+    assert len(net.ecmp_agents["n2"].verdicts.pending[channel]) == 2
+    net.settle(5.0)
+    source.send(channel)
+    net.settle(2.0)  # over the slow link
+    assert {name: (h.status, h.packets_received) for name, h in handles.items()} == {
+        "hF": ("denied", 0), "hK": ("active", 1), "hL": ("denied", 0)
+    }
+    assert_control_plane_at_rest(net)
+
+
+def test_a_keyless_join_refused_when_the_key_was_learned_beside_its_verdict():
+    """hL waits at n2 on hF's forged key. hK's join, presenting the
+    channel's key behind it, shares hX's request at n1, whose OK comes
+    back first: n2 learns the key before hF's refusal arrives. hL is
+    then settled as a keyless join arriving now would be — refused."""
+    net, source, channel, key = keyed_line({"hX": "n1", "hF": "n2", "hK": "n2", "hL": "n2"})
+    start = net.sim.now
+    handles = {"hX": net.host("hX").subscribe(channel, key=key)}
+    net.run(until=start + 0.5)  # hX's join is on the slow link
+    for name, presented in (("hF", BAD_KEY), ("hK", key), ("hL", None)):
+        handles[name] = net.host(name).subscribe(channel, key=presented)
+        net.run(until=net.sim.now + 0.01)
+    n2 = net.ecmp_agents["n2"]
+    net.run(until=start + 2.2)  # hX's OK is back, the forged key's refusal is not
+    assert n2.keys.knows(channel) and handles["hL"].status == "active"
+    net.settle(5.0)
+    source.send(channel)
+    net.settle(2.0)
+    assert {name: (h.status, h.packets_received) for name, h in handles.items()} == {
+        "hX": ("active", 1), "hF": ("denied", 0), "hK": ("active", 1), "hL": ("denied", 0)
+    }
+    assert_control_plane_at_rest(net)
+
+
 def slow_uplink(hosts: tuple[str, ...]) -> tuple:
     """hsrc - n0 -(1 s)- n1 with ``hosts`` on n1, and one channel from
     hsrc that the source has keyed: neither router knows the key."""
@@ -931,5 +981,58 @@ def test_a_refused_keyless_block_join_takes_the_host_absorbed_beside_it():
         "n0": 1, "n1": 2, "c1": 1
     }
     assert not any(channel in agent.channels for agent in net.ecmp_agents.values())
+    assert FaultMonitor(net).orphaned_state() == 0
+    assert_control_plane_at_rest(net)
+
+
+def test_a_made_up_key_on_an_open_channel_is_granted_open_and_taught_nowhere():
+    """ha presents a made-up key on a channel whose source installed
+    none, and hb joins keyless beside it while that join is upstream.
+    The source grants the key OPEN: no router learns it, so the channel
+    stays open — hb, which waited on the verdict, is admitted with ha,
+    and both get the next packet."""
+    net, source = open_line({"ha": "n2", "hb": "n2"})
+    net.topo.link_between("n0", "n1").delay = 1.0
+    channel = source.allocate_channel()
+    responses = record_responses(net)
+    made_up = net.host("ha").subscribe(channel, key=ChannelKey(b"madeup!!"))
+    net.run(until=net.sim.now + 0.001)
+    keyless = net.host("hb").subscribe(channel)
+    net.run(until=net.sim.now + 0.1)  # at n2 while ha's join is upstream
+    assert not net.ecmp_agents["n2"].channels[channel].downstream["hb"].validated
+    net.settle(3.0)
+    assert (made_up.status, keyless.status) == ("active", "active")
+    assert not any(agent.keys.knows(channel) for agent in net.ecmp_agents.values())
+    assert {status for *_, status, _ in responses} == {"OPEN"}
+    assert denials(net) == {}
+    source.send(channel)
+    net.settle(2.0)  # over the slow link
+    assert (made_up.packets_received, keyless.packets_received) == (1, 1)
+    assert_control_plane_at_rest(net)
+
+
+def test_a_refused_keyless_chain_still_sends_each_refuser_a_zero(monkeypatch):
+    """Test (b)'s chain, counted: after the refusal under id 0, n0, n1
+    and c1 each send the upstream that refused them a zero Count. An
+    answer under id 0 cannot say whether the refuser still holds this
+    node's record — ``test_a_denial_under_id_0_is_counted_at_every_hop_it_tears_down``
+    refuses from an upstream that does, and only the zero clears it —
+    so the zero stays: three Counts, and nothing orphaned."""
+    net, source, channel = slow_uplink(("c1", "c2"))
+    zeros = []
+    for name, agent in net.ecmp_agents.items():
+
+        def send(message, neighbor, *args, _send=agent._send_message, _name=name, **kwargs):
+            if type(message) is Count and message.channel == channel and message.count == 0:
+                zeros.append((_name, neighbor))
+            _send(message, neighbor, *args, **kwargs)
+
+        agent._send_message = send
+    start = net.sim.now
+    net.host("c2").subscribe(channel, key=BAD_KEY)
+    net.run(until=start + 0.1)
+    net.host("c1").subscribe(channel)
+    net.settle(6.0)
+    assert sorted(zeros) == [("c1", "n1"), ("n0", "hsrc"), ("n1", "n0")]
     assert FaultMonitor(net).orphaned_state() == 0
     assert_control_plane_at_rest(net)

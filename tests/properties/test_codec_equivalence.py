@@ -175,7 +175,7 @@ class TestDecodeEquivalence:
     def test_every_request_byte_decodes_or_fails_identically(self, message, byte):
         # The Count's request byte and the CountResponse's id/status
         # byte, every value: an id no verdict could echo (above 31) and
-        # a status nobody defined (low bits 4-7) are errors in both.
+        # a status nobody defined (low bits 5-7) are errors in both.
         frame = bytearray(encode_message(message))
         frame[15 if isinstance(message, Count) else 11] = byte
         result = agreed(decode_message, oracle.decode_message, bytes(frame))

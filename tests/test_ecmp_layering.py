@@ -116,3 +116,18 @@ def test_no_module_in_core_ecmp_and_no_component_outgrows_its_ceiling():
         lines = len(path.read_text(encoding="utf-8").splitlines())
         ceiling = PROTOCOL_LINES if path.name == "protocol.py" else COMPONENT_LINES
         assert lines <= ceiling, f"{path.name}: {lines} lines > {ceiling}"
+
+
+def test_the_verdict_machine_keeps_one_table_and_no_snapshots():
+    """One per-channel table: the key a join waits on lives on the
+    tabled entry, not in a second table beside it, and an entry holds
+    the two deltas a rollback reads, not the snapshots they come from."""
+    from dataclasses import fields
+
+    from repro.core.ecmp.verdicts import VerdictEntry, Verdicts
+
+    assert Verdicts.__slots__ == ("_agent", "pending", "_next_id")
+    assert {f.name for f in fields(VerdictEntry)} == {
+        "neighbor", "presented_key", "prior_validated", "request_id",
+        "join_delta", "asked_key", "sent_delta", "sharers",
+    }
