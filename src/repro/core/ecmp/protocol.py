@@ -704,7 +704,9 @@ class EcmpAgent(ProtocolAgent):
     def _handle_count(self, message: Count, from_name: str) -> None:
         channel, count_id = message.channel, message.count_id
         if count_id == NEIGHBORS_ID:
-            return  # discovery replies refresh last_heard; nothing more
+            # Discovery replies refresh last_heard; nothing more.
+            self.stats["keepalive_replies_rx"] += 1
+            return
         if count_id == SUBSCRIBER_ID:
             # Tree maintenance always applies; a pending query may also
             # consume the same message as its reply (see module doc) —
@@ -1046,6 +1048,7 @@ class EcmpAgent(ProtocolAgent):
     def _handle_query(self, query: CountQuery, from_name: str) -> None:
         if query.count_id == NEIGHBORS_ID:
             # Neighbor discovery / keepalive probe: reply immediately.
+            self.stats["keepalive_replies_tx"] += 1
             self._send_message(
                 Count(channel=query.channel, count_id=NEIGHBORS_ID, count=1), from_name
             )
