@@ -1,5 +1,5 @@
-"""ECMP liveness (§3.3): the neighbor keepalive tick and the UDP-mode
-soft-state refresh tick.
+"""ECMP liveness (§3.3): the routers' neighbor keepalive tick and the
+UDP-mode soft-state refresh tick.
 
 :class:`Liveness` owns the two timers and what they read — when each
 neighbor was last heard, the general-query fan-out set, the
@@ -69,20 +69,22 @@ class Liveness:
         self.reset()
 
     def start(self) -> None:
-        """Arm the timers: the refresh tick on routers, the keepalive
-        tick everywhere."""
+        """Arm the timers, both on routers only: "Each router
+        periodically multicasts such a [neighbors] CountQuery" (§3.3),
+        and a host answers the probes but sends none."""
         agent = self._agent
+        if agent.role != "router":
+            return
         ring = self.ring
-        ticks = []
-        if ring is not None:
-            if ring.granularity != agent.UDP_QUERY_INTERVAL:
-                # The refresh interval was overridden after construction
-                # (tests and benches patch it per instance): re-bucket so
-                # the ring's windows match the tick cadence.
-                ring.rebuild(agent.UDP_QUERY_INTERVAL, self._deadline)
-            ticks.append((agent.UDP_QUERY_INTERVAL, self._refresh_event, "ecmp-udpq"))
-        ticks.append((agent.KEEPALIVE_INTERVAL, self._keepalive_event, "ecmp-ka"))
-        for interval, fire, event in ticks:
+        if ring.granularity != agent.UDP_QUERY_INTERVAL:
+            # The refresh interval was overridden after construction
+            # (tests and benches patch it per instance): re-bucket so
+            # the ring's windows match the tick cadence.
+            ring.rebuild(agent.UDP_QUERY_INTERVAL, self._deadline)
+        for interval, fire, event in (
+            (agent.UDP_QUERY_INTERVAL, self._refresh_event, "ecmp-udpq"),
+            (agent.KEEPALIVE_INTERVAL, self._keepalive_event, "ecmp-ka"),
+        ):
             task = PeriodicTask(agent.sim, interval, fire, name=event)
             task.start()
             self._tasks.append(task)
@@ -154,8 +156,16 @@ class Liveness:
     def keepalive_tick(self) -> None:
         """Periodic neighbor probe: "Each router periodically multicasts
         such a [neighbors] CountQuery" (§3.3); for TCP neighbors this
-        doubles as the per-connection keepalive."""
+        doubles as the per-connection keepalive, and like TCP's
+        (RFC 1122 §4.2.3.6) it goes only to a neighbor that has been
+        silent for a whole interval. Whatever the receive path heard —
+        traffic, a probe, a reply — within the interval skips the
+        probe, so an idle session's two ends hear each other at least
+        every two intervals, inside the ``KEEPALIVE_MISSES`` horizon."""
         agent = self._agent
+        now = agent.sim.now
+        recent = now - agent.KEEPALIVE_INTERVAL
+        last_heard = self.last_heard
         probe = CountQuery(
             channel=DISCOVERY_CHANNEL,
             count_id=NEIGHBORS_ID,
@@ -165,16 +175,19 @@ class Liveness:
             peer = iface.peer
             if peer is None or not iface.up:
                 continue
+            heard = last_heard.get(peer.name)
+            if heard is not None and heard > recent:
+                continue
             agent.stats["keepalives_tx"] += 1
             agent._send_message(probe, peer.name)
         # Detect silent TCP-neighbor deaths.
-        horizon = agent.sim.now - agent.KEEPALIVE_MISSES * agent.KEEPALIVE_INTERVAL
-        for name, last in list(self.last_heard.items()):
+        horizon = now - agent.KEEPALIVE_MISSES * agent.KEEPALIVE_INTERVAL
+        for name, last in list(last_heard.items()):
             known = agent.sessions.neighbor(name)
             if last < horizon and known is not None and known.mode is NeighborMode.TCP:
                 if known.iface.up:
                     continue  # link is up; silence is fine (no traffic)
-                del self.last_heard[name]
+                del last_heard[name]
                 self._neighbor_failed(name)
 
     def refresh_tick(self) -> None:

@@ -6,7 +6,9 @@ ring-and-chord hub, and a stub), each in the same settled keyless ISP
 network at a fixed seed, and for each the ECMP traffic it causes until
 the network is at rest again: subscriber
 Counts, CountResponses by status and by whether they carry a request id,
-wire frames and wire bytes. A re-home or reconnect replays its joins
+the recovery's wire frames and wire bytes, and, in a column of their
+own, the keepalive probes and replies sent meanwhile (each a frame of
+its own; a frame mixing the two fails the census). A re-home or reconnect replays its joins
 under id 0 (§3.2), and nobody waits on those: they are answered only
 when refused (§3.1 lets a router "either acknowledge or reject"), so an
 OK under id 0 is never sent. The counts repeat exactly; one more verdict
@@ -18,8 +20,14 @@ from collections import Counter
 
 import pytest
 
-from repro.core.ecmp.countids import SUBSCRIBER_ID
-from repro.core.ecmp.messages import Count, CountResponse
+from repro.core.ecmp.countids import NEIGHBORS_ID, SUBSCRIBER_ID
+from repro.core.ecmp.messages import (
+    Count,
+    CountQuery,
+    CountResponse,
+    EcmpBatch,
+    decode_message,
+)
 from repro.core.ecmp.protocol import EcmpAgent
 from repro.faults import FaultInjector, FaultMonitor, FaultPlan
 from tests.conftest import assert_control_plane_at_rest, settled_keyless_isp
@@ -41,22 +49,29 @@ FAULTS = {
 }
 
 #: (Counts, OK under id 0, OK under an id, denials under id 0, denials
-#: under an id, frames, wire bytes) per fault, as counted when the pin
-#: was set. Answering every replay, and tabling it at a new parent that
-#: forwards it, cost the flap 10 OKs under id 0 and 10 under an id (143
-#: frames, 5,572 B), the chord flap 6 and 3 (124, 4,716 B), the uplink
-#: flap 5 and 3 (127, 4,692 B), the crash 3 and 3 (126 frames, 4,612 B),
-#: the hub crash 21 and 21 (161, 6,772 B), the source transit's crash 6
-#: and 7 (136, 5,084 B), and the stub crash 7 and 6 (127, 4,896 B).
+#: under an id, recovery frames, recovery wire bytes, keepalive frames)
+#: per fault, as counted when the pin was set. Answering every replay,
+#: and tabling it at a new parent that forwards it, cost the flap 10 OKs
+#: under id 0 and 10 under an id (13 more frames, 520 B), the chord flap
+#: 6 and 3 (3, 180 B), the uplink flap 5 and 3 (5, 208 B), the crash 3
+#: and 3 (4 frames, 160 B), the hub crash 21 and 21 (21, 972 B), the
+#: source transit's crash 6 and 7 (9, 348 B), and the stub crash 7 and 6
+#: (5, 272 B). Probing every neighbor every interval, silent or not, and
+#: from hosts too, cost 116 keepalive frames (4,176 B) in every case.
 CENSUS = {
-    "flap": (35, 0, 0, 0, 0, 130, 5052),
-    "chord_flap": (15, 0, 0, 0, 0, 121, 4536),
-    "uplink_flap": (11, 0, 0, 0, 0, 122, 4484),
-    "crash": (9, 0, 0, 0, 0, 122, 4452),
-    "hub_crash": (67, 0, 0, 0, 0, 140, 5800),
-    "source_transit_crash": (20, 0, 0, 0, 0, 127, 4736),
-    "stub_crash": (19, 0, 0, 0, 0, 122, 4624),
+    "flap": (35, 0, 0, 0, 0, 14, 876, 28),
+    "chord_flap": (15, 0, 0, 0, 0, 5, 360, 32),
+    "uplink_flap": (11, 0, 0, 0, 0, 6, 308, 34),
+    "crash": (9, 0, 0, 0, 0, 6, 276, 30),
+    "hub_crash": (67, 0, 0, 0, 0, 24, 1624, 30),
+    "source_transit_crash": (20, 0, 0, 0, 0, 11, 560, 32),
+    "stub_crash": (19, 0, 0, 0, 0, 6, 448, 34),
 }
+
+
+def is_keepalive(message) -> bool:
+    """A neighbors probe or its reply (§3.3)."""
+    return type(message) in (Count, CountQuery) and message.count_id == NEIGHBORS_ID
 
 
 def plan_for(fault: str, at: float) -> FaultPlan:
@@ -83,10 +98,25 @@ def census(fault: str) -> tuple[int, ...]:
 
         return send_and_count
 
+    def framing(node):
+        send = node.send
+
+        def send_and_sort(packet, ifindex):
+            if type(packet.payload) is bytes:
+                message = decode_message(packet.payload)
+                records = message.messages if type(message) is EcmpBatch else (message,)
+                keepalives = sum(map(is_keepalive, records))
+                assert keepalives in (0, len(records)), "a keepalive shared a frame"
+                kind = "keepalive" if keepalives else "recovery"
+                sent[kind, "frames"] += 1
+                sent[kind, "bytes"] += packet.size
+            return send(packet, ifindex)
+
+        return send_and_sort
+
     for agent in agents:
         agent._send_message = recording(agent)
-    frames = sum(agent.stats.get("wire_sends") for agent in agents)
-    wire = sum(agent.stats.get("bytes_on_wire") for agent in agents)
+        agent.node.send = framing(agent.node)
     monitor = FaultMonitor(net)
     injector = FaultInjector(net, plan_for(fault, net.sim.now + 0.5), monitor=monitor)
     injector.arm()
@@ -100,15 +130,16 @@ def census(fault: str) -> tuple[int, ...]:
         sent["OK", True],
         sent["INVALID_AUTHENTICATOR", False],
         sent["INVALID_AUTHENTICATOR", True],
-        sum(agent.stats.get("wire_sends") for agent in agents) - frames,
-        sum(agent.stats.get("bytes_on_wire") for agent in agents) - wire,
+        sent["recovery", "frames"],
+        sent["recovery", "bytes"],
+        sent["keepalive", "frames"],
     )
 
 
 @pytest.mark.parametrize("fault", sorted(CENSUS))
 def test_a_recovery_costs_what_the_census_pins(fault):
     counted = census(fault)
-    names = "Counts / OK id0 / OK id / deny id0 / deny id / frames / bytes"
+    names = "Counts / OK id0 / OK id / deny id0 / deny id / frames / bytes / keepalives"
     print(
         f"\nrehome census ({fault}): {' / '.join(map(str, counted))} "
         f"({names}; pinned {' / '.join(map(str, CENSUS[fault]))})"
