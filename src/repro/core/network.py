@@ -343,10 +343,15 @@ class ExpressNetwork:
         self.sim.schedule(0.0, self._recompute_fired, name="net-recompute")
 
     def _recompute_fired(self) -> None:
+        """Re-home what the recompute can have moved: an agent re-homes
+        only a channel whose next hop changed, or one it holds on its
+        old parent under hysteresis (whose hold the new routes may
+        break: the old parent gone, or routing back through it)."""
         self._recompute_pending = False
-        self.routing.recompute()
-        for agent in self.ecmp_agents.values():
-            agent.reevaluate_upstreams()
+        moved = self.routing.recompute()
+        for name, agent in self.ecmp_agents.items():
+            if name in moved or agent._rehome_scheduled:
+                agent.reevaluate_upstreams()
 
     # ------------------------------------------------------------------
     # inspection (used by tests, benches, and EXPERIMENTS.md tables)

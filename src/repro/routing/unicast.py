@@ -28,7 +28,12 @@ wall-clock in churn/failover scenarios. Destination trees are now
   the link would relax (or tie) a distance in that tree;
 * dropped **wholesale** above a dirty-fraction threshold or on any
   structural change (nodes/links added or removed), where per-tree
-  bookkeeping stops paying for itself.
+  bookkeeping stops paying for itself;
+* **refilled at once** when dropped: a tree someone had asked for is
+  asked for again, and diffing it against the dropped one tells
+  :meth:`recompute`'s caller which nodes' next hops moved — the only
+  agents that can have a route to re-home. Trees never asked for stay
+  lazy.
 
 The observable results — next hops, distances, tie-breaks, listener
 ordering — are identical to a from-scratch recompute (the routing
@@ -108,7 +113,7 @@ class UnicastRouting:
             self._m_spf_seconds = registry.histogram(
                 "spf_recompute_seconds",
                 "Wall-clock seconds spent per routing recompute "
-                "(invalidation only; tree fills are lazy)",
+                "(invalidation and the refill of dropped cached trees)",
                 buckets=(1e-6, 1e-5, 1e-4, 1e-3, 1e-2, 1e-1, 1.0),
             )
             self._m_spf_trees = registry.counter(
@@ -120,23 +125,27 @@ class UnicastRouting:
 
     # -- computation -------------------------------------------------------
 
-    def recompute(self) -> None:
+    def recompute(self) -> set[str]:
         """Revalidate routing for the current (up) links.
 
         Drops cached destination trees a topology change could have
-        affected; trees are re-derived lazily as queries arrive. From
-        the caller's perspective this is the seed's "re-run SPF for
+        affected and refills them at once; trees never cached stay lazy.
+        From the caller's perspective this is the seed's "re-run SPF for
         every destination" — results are indistinguishable.
+
+        Returns the nodes whose next hop toward a destination cached
+        before the call changed; no other node's route moved.
         """
         started = perf_counter() if self._m_spf_seconds is not None else 0.0
         snapshot = self._take_snapshot()
         nodes = frozenset(self.topo.nodes)
+        dropped: dict[str, dict[str, Optional[str]]] = {}
         if (
             self._link_snapshot is None
             or self._node_snapshot != nodes
             or len(self._link_snapshot) != len(snapshot)
         ):
-            self._invalidate_all()
+            dropped = self._invalidate_all()
         else:
             changed = [
                 (old, new)
@@ -144,14 +153,27 @@ class UnicastRouting:
                 if old != new
             ]
             if changed:
-                self._invalidate_dirty(changed)
+                dropped = self._invalidate_dirty(changed)
         self._link_snapshot = snapshot
         self._node_snapshot = nodes
+        moved = self._moved(dropped)
         self.recompute_count += 1
         if self._m_spf_seconds is not None:
             self._m_spf_seconds.observe(perf_counter() - started)
         for listener in self._listeners:
             listener()
+        return moved
+
+    def _moved(self, dropped: dict[str, dict[str, Optional[str]]]) -> set[str]:
+        """Refill each dropped tree and name the nodes whose parent in
+        it changed (a node that lost or gained its route included)."""
+        moved: set[str] = set()
+        for dest, old in dropped.items():
+            new = self._tree(dest) if dest in self.topo.nodes else {}
+            moved.update(
+                name for name in old.keys() | new.keys() if old.get(name) != new.get(name)
+            )
+        return moved
 
     def on_recompute(self, callback) -> None:
         """Register ``callback()`` to run after every recompute."""
@@ -163,21 +185,25 @@ class UnicastRouting:
             for link in self.topo.links
         ]
 
-    def _invalidate_all(self) -> None:
-        self.trees_invalidated += len(self._parent)
-        self._parent.clear()
-        self._dist.clear()
+    def _invalidate_all(self) -> dict[str, dict[str, Optional[str]]]:
+        """Drop every cached tree; returns them by destination."""
+        dropped = self._parent
+        self.trees_invalidated += len(dropped)
+        self._parent = {}
+        self._dist = {}
         self._adjacency = None
         self.generation += 1
         self.full_invalidations += 1
+        return dropped
 
     def _invalidate_dirty(
         self,
         changed: list[
             tuple[tuple[str, str, bool, float], tuple[str, str, bool, float]]
         ],
-    ) -> None:
-        """Drop cached trees a changed link could affect.
+    ) -> dict[str, dict[str, Optional[str]]]:
+        """Drop cached trees a changed link could affect; returns them
+        by destination.
 
         For each cached destination tree, a change to link (a, b) is
         relevant if the tree routes through the link — ``parent[a] == b``
@@ -205,16 +231,17 @@ class UnicastRouting:
                         break
         cached = len(self._parent)
         if cached and len(dirty) > cached * FULL_RECOMPUTE_DIRTY_FRACTION:
-            self._invalidate_all()
-            return
+            return self._invalidate_all()
+        dropped = {}
         for dest in dirty:
-            del self._parent[dest]
+            dropped[dest] = self._parent.pop(dest)
             del self._dist[dest]
         self.trees_invalidated += len(dirty)
         self.trees_retained += cached - len(dirty)
         self._adjacency = None
         self.generation += 1
         self.partial_invalidations += 1
+        return dropped
 
     def _tree(self, dest: str) -> dict[str, Optional[str]]:
         """The (cached or freshly computed) parent map toward ``dest``."""

@@ -79,7 +79,7 @@ class TestDirtySetInvalidation:
         shortcut = topo.link_between("n0", "a1")
 
         shortcut.fail()
-        routing.recompute()
+        assert routing.recompute() == set()  # nobody's route moved
         assert routing.partial_invalidations == 1
         assert routing.trees_retained == 6
         assert routing.trees_invalidated == 0
@@ -120,7 +120,11 @@ class TestDirtySetInvalidation:
         assert routing.next_hop("a", "d") == "b"
 
         topo.link_between("b", "d").fail()
-        routing.recompute()
+        # Toward d, a goes round by c and b back by a; c, d and the
+        # trees never asked for are not touched.
+        assert routing.recompute() == {"a", "b"}
+        assert routing.spf_runs == 2
+        assert routing.cached_destinations() == 1
         assert routing.next_hop("a", "d") == "c"
 
         topo.link_between("b", "d").recover()
@@ -140,11 +144,15 @@ class TestDirtySetInvalidation:
             routing.spanning_tree_to(dest)
         assert routing.full_invalidations == 1  # the initial compute
         topo.link_between("n1", "n2").fail()
-        routing.recompute()
+        moved = routing.recompute()
         assert routing.full_invalidations == 2
         assert routing.partial_invalidations == 0
-        assert routing.cached_destinations() == 0
-        # Partition is honoured after the lazy refill.
+        # Every dropped tree had been asked for, so each is refilled at
+        # once, and every node lost its route to the far side.
+        assert routing.cached_destinations() == 4
+        assert routing.spf_runs == 8
+        assert moved == set(topo.nodes)
+        # Partition is honoured after the refill.
         assert routing.next_hop("n0", "n3") is None
         with pytest.raises(RoutingError):
             routing.distance("n0", "n3")
