@@ -67,7 +67,8 @@ def test_x6_tcp_vs_udp_idle_overhead(benchmark):
         )
     rows += [
         "",
-        "  -> TCP mode: O(1) in channels (one keepalive per neighbor);",
+        "  -> TCP mode: O(1) in channels (a router probes an idle neighbor",
+        "     every other interval, and the neighbor replies);",
         "     UDP mode: O(channels) (every channel re-reported each",
         "     query interval) — the §3.2/§5.3 split: TCP for the many-",
         "     channel core, UDP for the many-host edge",
